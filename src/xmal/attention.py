@@ -143,7 +143,8 @@ def _enhanced_scores(
 def hierarchical_similarity_matrix(
     audio_levels: list[Tensor], text_levels: list[Tensor], cfg: AttentionConfig
 ) -> Tensor:
-    """All-pairs hierarchical score from (B, M_l, D) and (B, N, D) level tensors."""
+    """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
+    text level tensors: a (B_a, B_t) matrix."""
     total = None
     for a3, t3 in zip(audio_levels, text_levels):
         an = _normalize_last(a3, cfg.eps)

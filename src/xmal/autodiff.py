@@ -3,11 +3,13 @@
 A thin tape: every operation eagerly computes its numpy value and records
 how to push a gradient back to its parents. Node creation order is a
 topological order of the graph, so the backward pass simply walks nodes in
-reverse creation order, visiting each exactly once.
+reverse creation order, visiting each exactly once. Inside `no_grad()` the
+tape records nothing, for forward-only work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +27,23 @@ _node_ids = itertools.count()
 # gradients.
 GRAD_OVERRIDES: dict[str, float] = {}
 
+_recording = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only scope. Ops still compute values and take node ids, but a
+    tensor created inside keeps no parents and no backward closure, so each
+    intermediate is freed as soon as nothing refers to it. Leaves created
+    with `requires_grad=True` keep the flag."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
 
 class Tensor:
     """A value in the computation graph."""
@@ -40,6 +59,8 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _backward: Callable[[np.ndarray], tuple] | None = None,
     ):
+        if not _recording:
+            _parents, _backward = (), None
         self.value = np.asarray(value, dtype=np.float64)
         self.name = name
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -225,6 +246,21 @@ def reshape(a, shape: tuple) -> Tensor:
         return (g.reshape(orig),)
 
     return Tensor(out, _op="reshape", _parents=(a,), _backward=backward)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows start:stop along the first axis; the value is a view."""
+    a = as_tensor(a)
+    shape = a.value.shape
+    if a.value.ndim < 1 or not (0 <= start < stop <= shape[0]):
+        raise DimensionError(f"row slice {start}:{stop} out of range for shape {shape}")
+
+    def backward(g):
+        full = np.zeros(shape)
+        full[start:stop] = g
+        return (full,)
+
+    return Tensor(a.value[start:stop], _op="slice_rows", _parents=(a,), _backward=backward)
 
 
 def concat(parts: Sequence, axis: int = 0) -> Tensor:
@@ -450,22 +486,23 @@ def finite_difference_check(
     analytic = gradients(fn(), params)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for p in params:
-        ana = analytic[p.name or f"param{p._id}"]
-        flat = p.value.reshape(-1)
-        idx = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            idx = rng.choice(flat.size, size=max_entries, replace=False)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(fn().value)
-            flat[i] = orig - h
-            f_minus = float(fn().value)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = ana.reshape(-1)[i]
-            diff = abs(numeric - a)
-            err = diff if abs(a) < 1e-8 else diff / abs(a)
-            worst = max(worst, err)
+    with no_grad():  # the probes only need loss values
+        for p in params:
+            ana = analytic[p.name or f"param{p._id}"]
+            flat = p.value.reshape(-1)
+            idx = np.arange(flat.size)
+            if max_entries is not None and flat.size > max_entries:
+                idx = rng.choice(flat.size, size=max_entries, replace=False)
+            for i in idx:
+                orig = flat[i]
+                flat[i] = orig + h
+                f_plus = float(fn().value)
+                flat[i] = orig - h
+                f_minus = float(fn().value)
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * h)
+                a = ana.reshape(-1)[i]
+                diff = abs(numeric - a)
+                err = diff if abs(a) < 1e-8 else diff / abs(a)
+                worst = max(worst, err)
     return worst

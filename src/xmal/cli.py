@@ -324,6 +324,7 @@ def _item_sets(model: Model, dataset, embeddings, index: int) -> tuple[TokenBloc
     return model.encode_audio(item.audio), model.encode_text(item.text)
 
 
+@ad.no_grad()
 def cmd_sim(args) -> int:
     values = _config_section(args, "sim")
     _check_threads(values)
@@ -409,6 +410,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@ad.no_grad()
 def cmd_export_embeddings(args) -> int:
     """Encode a dataset with a checkpoint and write the embedding container."""
     values = _config_section(args, "eval")
@@ -449,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--threads", type=int, help="worker cap (results are thread-independent)")
+        p.add_argument(
+            "--threads", type=int, help="accepted, but changes nothing yet (compute is single-threaded)"
+        )
 
     p = sub.add_parser("gen-data", help="generate a synthetic paired dataset")
     common(p)

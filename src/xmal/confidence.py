@@ -117,22 +117,23 @@ def factor_pair_similarity_matrix(
 ) -> Tensor:
     """All-pairs confidence-weighted factor similarity.
 
-    Factor lists hold (B, d) tensors; output entry (i, j) scores audio item i
-    against text item j. The B*B confidence inputs per factor run through the
-    network as one stack.
+    Factor lists hold (B_t, d) text and (B_a, d) audio tensors; output entry
+    (i, j) scores audio item i against text item j. The B_a*B_t confidence
+    inputs per factor run through the network as one stack.
     """
     if len(text_factors) != len(audio_factors):
         raise DimensionError(
             f"factor counts differ: {len(text_factors)} vs {len(audio_factors)}"
         )
-    b = text_factors[0].value.shape[0]
-    repeat = np.repeat(np.eye(b), b, axis=0)  # audio row i -> rows i*B..i*B+B-1
-    tile = np.tile(np.eye(b), (b, 1))  # text row j -> rows j, B+j, ...
+    bt = text_factors[0].value.shape[0]
+    ba = audio_factors[0].value.shape[0]
+    repeat = np.repeat(np.eye(ba), bt, axis=0)  # audio row i -> rows i*B_t..i*B_t+B_t-1
+    tile = np.tile(np.eye(bt), (ba, 1))  # text row j -> rows j, B_t+j, ...
     total = None
     for e_t, e_a in zip(text_factors, audio_factors):
         t_all = ad.matmul(ad.Tensor(tile), e_t)
         a_all = ad.matmul(ad.Tensor(repeat), e_a)
-        g = ad.reshape(confidence_batch(t_all, a_all, params, squash), (b, b))
+        g = ad.reshape(confidence_batch(t_all, a_all, params, squash), (ba, bt))
         cos = ad.matmul(ad.normalize_rows(e_a, eps), ad.transpose(ad.normalize_rows(e_t, eps)))
         term = ad.mul(g, cos)
         total = term if total is None else ad.add(total, term)

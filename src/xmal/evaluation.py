@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factors
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .confidence import confidence_batch
 from .data import EmbeddingSet
 from .errors import BatchTooSmallError, ContractError, DimensionError
 from .model import EncodedBatch, Model
+from .objective import mode_components
 
 DIRECTIONS = ("text_to_audio", "audio_to_text")
 REPORT_MAGIC = b"XRPT"
@@ -57,13 +58,27 @@ def recall_at_k(s: np.ndarray, k: int, direction: str) -> float:
         raise ContractError(f"k must be in [1, {n}], got {k}")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    hits = 0
-    for q in range(n):
-        scores = s[q, :] if direction == "audio_to_text" else s[:, q]
-        order = np.argsort(-scores, kind="stable")  # ties keep ascending index
-        rank = int(np.nonzero(order == q)[0][0])
-        hits += rank < k
+    axis = 1 if direction == "audio_to_text" else 0  # the axis along a query's candidates
+    hits = int((_match_ranks(s, axis) < k).sum())
     return 100.0 * hits / n
+
+
+def _match_ranks(s: np.ndarray, axis: int) -> np.ndarray:
+    """Position of each query's true match (its diagonal entry) when its
+    candidates, which lie along `axis`, are sorted by descending score, ties
+    by ascending index and NaN last. That is the count of higher scores plus
+    equal scores at a lower index; for a NaN match, the count of non-NaN
+    scores plus NaN scores at a lower index."""
+    diag = np.diagonal(s).copy()  # contiguous, so the broadcasts below stay fast
+    match = np.expand_dims(diag, axis)
+    index = np.arange(s.shape[0])
+    before = np.expand_dims(index, 1 - axis) < np.expand_dims(index, axis)
+    nan = np.isnan(s)
+    ranks = np.count_nonzero(s > match, axis=axis) + np.count_nonzero(
+        (s == match) & before, axis=axis
+    )
+    nan_ranks = np.count_nonzero(~nan, axis=axis) + np.count_nonzero(nan & before, axis=axis)
+    return np.where(np.isnan(diag), nan_ranks, ranks)
 
 
 def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
@@ -82,6 +97,7 @@ def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
     )
 
 
+@no_grad()
 def evaluate(
     model: Model,
     dataset=None,
@@ -92,7 +108,11 @@ def evaluate(
     config_hash: str = "",
 ) -> list[RetrievalReport]:
     """One report per (mode, direction). Either a dataset (encoded by the
-    model) or a pre-computed embedding set feeds the similarity matrices."""
+    model) or a pre-computed embedding set feeds the similarity matrices.
+
+    Runs tape-free. Each distinct component (DP, THA, DCR) is scored once per
+    call, and a mode's matrix is the sum of its components in order, the
+    same arithmetic as `Model.similarity_matrix`."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)
@@ -105,9 +125,16 @@ def evaluate(
     for k in ks:
         if not (1 <= k <= size):
             raise ContractError(f"k must be in [1, {size}], got {k}")
+    scores: dict[str, np.ndarray] = {}
     reports = []
     for mode in modes:
-        s = model.similarity_matrix(encoded, mode).value
+        parts = mode_components(mode)
+        for component in parts:
+            if component not in scores:
+                scores[component] = model.component_matrix(encoded, component).value
+        s = scores[parts[0]]
+        for component in parts[1:]:
+            s = s + scores[component]
         for direction in DIRECTIONS:
             r_at = {k: recall_at_k(s, k, direction) for k in ks}
             reports.append(
@@ -123,6 +150,7 @@ def evaluate(
     return reports
 
 
+@no_grad()
 def dcr_diagnostics(model: Model, items) -> DcrDiagnostics:
     """Covariance heat values, match probabilities, and matched-pair
     confidence statistics for a batch of >= 2 items."""

@@ -21,6 +21,32 @@ from .errors import ConfigError, DimensionError
 from .factors import FactorSet
 
 
+TILE = 64  # items per block in tiled scoring and chunked encoding
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of at most TILE rows covering 0..n."""
+    return [(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
+
+
+def _row_blocks(tensors: list[Tensor]) -> list[list[Tensor]]:
+    """Split same-length tensors into TILE-row blocks: one list per block.
+    A single block holds the tensors themselves, so no slice is recorded."""
+    n = tensors[0].value.shape[0]
+    blocks = _blocks(n)
+    if len(blocks) == 1:
+        return [list(tensors)]
+    return [[ad.slice_rows(t, lo, hi) for t in tensors] for lo, hi in blocks]
+
+
+def _tiled(audio_blocks, text_blocks, score) -> Tensor:
+    """Assemble score(audio block, text block) tiles into one matrix."""
+    rows = [[score(a, t) for t in text_blocks] for a in audio_blocks]
+    if len(rows) == 1 and len(rows[0]) == 1:
+        return rows[0][0]
+    return ad.concat([ad.concat(row, axis=1) for row in rows], axis=0)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     embed_dim: int
@@ -119,10 +145,22 @@ class Model:
     # -- batched path --------------------------------------------------------
 
     def encode_pairs(self, items) -> EncodedBatch:
-        """Encode aligned (audio, text) items as one batch."""
-        audio = np.stack([np.asarray(it.audio, dtype=np.float64) for it in items])
-        text = np.stack([np.asarray(it.text, dtype=np.float64) for it in items])
-        return self.encode_arrays(audio, text)
+        """Encode aligned (audio, text) items as one batch, TILE items at a time."""
+        chunks = [
+            self.encode_arrays(
+                np.stack([np.asarray(it.audio, dtype=np.float64) for it in items[lo:hi]]),
+                np.stack([np.asarray(it.text, dtype=np.float64) for it in items[lo:hi]]),
+            )
+            for lo, hi in _blocks(len(items))
+        ]
+        if len(chunks) == 1:
+            return chunks[0]
+        return EncodedBatch(
+            audio_levels=[ad.concat(levels) for levels in zip(*(c.audio_levels for c in chunks))],
+            audio_global=ad.concat([c.audio_global for c in chunks]),
+            text_levels=[ad.concat(levels) for levels in zip(*(c.text_levels for c in chunks))],
+            text_global=ad.concat([c.text_global for c in chunks]),
+        )
 
     def encode_arrays(self, audio: np.ndarray, text: np.ndarray) -> EncodedBatch:
         a_levels, a_global = encoders.encode_audio_batch(audio, self.params)
@@ -150,16 +188,23 @@ class Model:
         return total
 
     def component_matrix(self, encoded: EncodedBatch, component: str) -> Tensor:
+        """All-pairs score of one component. THA and DCR are scored in
+        (audio block, text block) tiles of TILE items, which bounds their
+        intermediates; a batch of at most TILE items is a single tile."""
         if component == "DP":
             return attention.global_similarity_matrix(encoded.audio_global, encoded.text_global)
         if component == "THA":
-            return attention.hierarchical_similarity_matrix(
-                encoded.audio_levels, encoded.text_levels, self.cfg.attention
+            return _tiled(
+                _row_blocks(encoded.audio_levels),
+                _row_blocks(encoded.text_levels),
+                lambda a, t: attention.hierarchical_similarity_matrix(a, t, self.cfg.attention),
             )
         if component == "DCR":
             text_fs, audio_fs = self.batch_factors(encoded)
-            return factor_pair_similarity_matrix(
-                text_fs.factors, audio_fs.factors, self.params, self.cfg.squash
+            return _tiled(
+                _row_blocks(audio_fs.factors),
+                _row_blocks(text_fs.factors),
+                lambda a, t: factor_pair_similarity_matrix(t, a, self.params, self.cfg.squash),
             )
         raise ConfigError(f"unknown similarity component {component!r}")
 

@@ -157,6 +157,7 @@ def _clip_grads(grads: dict[str, np.ndarray], limit: float):
             grads[name] = grads[name] * scale
 
 
+@ad.no_grad()
 def _batch_covariance(model: Model, items) -> np.ndarray:
     encoded = model.encode_pairs(items)
     text_fs, audio_fs = model.batch_factors(encoded)

@@ -76,6 +76,11 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         probe = _spread(rng, 3, 6)
         return (lambda: ad.reduce_sum(ad.mul(ad.concat([x, y], axis=1), probe))), [x, y]
 
+    def build_slice_rows(rng):
+        x = ad.parameter(_spread(rng, 6, 4), "x")
+        probe = _spread(rng, 3, 4)
+        return (lambda: ad.reduce_sum(ad.mul(ad.slice_rows(x, 2, 5), probe))), [x]
+
     def build_permute(rng):
         x = ad.parameter(_spread(rng, 2, 3, 4), "x")
         probe = _spread(rng, 4, 2, 3)
@@ -131,6 +136,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("permute", build_permute),
         ("reshape", build_reshape),
         ("concat", build_concat),
+        ("slice_rows", build_slice_rows),
         ("exp", unary(ad.exp)),
         ("log", unary(ad.log, positive=True)),
         ("sqrt", unary(ad.sqrt, positive=True)),

@@ -253,3 +253,44 @@ def test_values_stay_finite_through_composites():
         m = rng.normal(size=(4, 4)) * 100.0
         out = ad.row_softmax(ad.normalize_rows(ad.Tensor(m)), 9.0)
         assert np.isfinite(out.value).all()
+
+
+def test_no_grad_records_no_parents_and_keeps_node_ids():
+    x = ad.parameter(np.arange(6.0).reshape(3, 2), "x")
+    with ad.no_grad():
+        first = next(ad._node_ids)
+        y = ad.reduce_sum(ad.mul(ad.slice_rows(x, 1, 3), 2.0))
+        z = ad.normalize_rows(ad.concat([x, x], axis=1))
+        leaf = ad.parameter(np.ones(2), "leaf")
+    for t in (y, z):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    assert leaf.requires_grad  # a leaf asked for a gradient keeps the flag
+    assert y._id > first and z._id > y._id  # ids still come from the shared counter
+    assert float(y.value) == 2.0 * (2 + 3 + 4 + 5)
+
+
+def test_no_grad_restores_recording_after_exception_and_nesting():
+    x = ad.parameter(np.ones(3), "x")
+    with pytest.raises(ValueError):
+        with ad.no_grad():
+            raise ValueError("boom")
+    assert ad.mul(x, 2.0)._parents != ()
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.mul(x, 2.0)._parents == ()  # the inner exit keeps the outer scope tape-free
+    assert ad.mul(x, 2.0)._parents != ()
+    assert float(ad.gradients(ad.reduce_sum(ad.mul(x, 2.0)), [x])["x"].sum()) == 6.0
+
+
+def test_slice_rows_value_gradient_and_bounds():
+    x = ad.parameter(np.arange(12.0).reshape(4, 3), "x")
+    s = ad.slice_rows(x, 1, 3)
+    assert np.array_equal(s.value, x.value[1:3])
+    g = ad.gradients(ad.reduce_sum(ad.mul(s, s)), [x])["x"]
+    expected = np.zeros((4, 3))
+    expected[1:3] = 2.0 * x.value[1:3]
+    assert np.array_equal(g, expected)
+    for start, stop in ((2, 2), (-1, 2), (0, 5)):
+        with pytest.raises(DimensionError):
+            ad.slice_rows(x, start, stop)

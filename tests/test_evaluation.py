@@ -1,8 +1,11 @@
 """R@k ranking semantics, diagnostics, and report files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from xmal import autodiff as ad, model as model_mod
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError
@@ -182,3 +185,70 @@ def test_report_files_round_trip_text_and_binary(tmp_path):
     # binary writer is deterministic
     write_report_binary(bpath, reports)
     assert open(bpath, "rb").read() == blob
+
+
+def _recall_at_k_loop(s, k, direction):
+    """Reference ranking: a stable descending argsort per query."""
+    n = s.shape[0]
+    hits = 0
+    for q in range(n):
+        scores = s[q, :] if direction == "audio_to_text" else s[:, q]
+        order = np.argsort(-scores, kind="stable")  # ties keep ascending index
+        rank = int(np.nonzero(order == q)[0][0])
+        hits += rank < k
+    return 100.0 * hits / n
+
+
+def test_recall_matches_stable_argsort_loop_with_ties_and_nan():
+    rng = np.random.default_rng(3)
+    cases = []
+    for n in (1, 2, 7, 31):
+        cases.append(rng.normal(size=(n, n)))
+        cases.append(rng.integers(0, 3, size=(n, n)).astype(float))  # many ties
+        with_nan = rng.integers(0, 4, size=(n, n)).astype(float)
+        with_nan[rng.random((n, n)) < 0.3] = np.nan
+        cases.append(with_nan)
+    cases.append(np.full((5, 5), np.nan))
+    cases.append(np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 0.0], [1.0, -0.0, 0.0]]))
+    for s in cases:
+        n = s.shape[0]
+        for direction in ("audio_to_text", "text_to_audio"):
+            for k in range(1, n + 1):
+                assert recall_at_k(s, k, direction) == _recall_at_k_loop(s, k, direction), (s, k)
+
+
+def _eval_set(pairs, seed=4):
+    cfg = SynthConfig(
+        pairs=pairs, concept_count=16, factor_count=8, embed_dim=32,
+        text_tokens=6, audio_tokens=8, noise_sigma=0.1, seed=seed,
+    )
+    return generate(cfg), Model.build(ModelConfig(embed_dim=32, factor_count=8), seed)
+
+
+def test_evaluate_matches_taped_similarity_matrices_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(model_mod, "TILE", 7)  # 20 pairs: three tiles per side
+    ds, model = _eval_set(20)
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    reports = evaluate(model, dataset=ds, modes=modes, ks=(1, 2, 5))
+    encoded = model.encode_pairs(ds.items)  # taped
+    assert encoded.audio_global._parents != ()
+    expected = []
+    for mode in modes:
+        s = model.similarity_matrix(encoded, mode).value
+        with ad.no_grad():
+            untaped = model.similarity_matrix(model.encode_pairs(ds.items), mode).value
+        assert np.array_equal(s, untaped), mode
+        for direction in ("text_to_audio", "audio_to_text"):
+            expected.append((mode, direction, {k: recall_at_k(s, k, direction) for k in (1, 2, 5)}))
+    assert [(r.mode, r.direction, r.r_at) for r in reports] == expected
+
+
+def test_evaluate_memory_is_bounded_by_the_tile():
+    ds, model = _eval_set(512)
+    tracemalloc.start()
+    try:
+        evaluate(model, dataset=ds, modes=("THA", "DCR", "THA+DCR"), ks=(1, 5, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad, objective as obj
+from xmal import autodiff as ad, model as model_mod, objective as obj
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
 from xmal.errors import ConfigError, DimensionError
@@ -179,3 +179,27 @@ def test_batch_similarity_dp_diagonal_for_identical_globals():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=0)
     s = model.similarity_matrix(encoded, "DP").value
     assert np.abs(np.diag(s) - 1.0).max() < 1e-12
+
+
+def test_tiled_scores_and_gradients_match_one_tile(monkeypatch):
+    cfg = SynthConfig(
+        pairs=12, concept_count=8, factor_count=4, embed_dim=16, text_tokens=5,
+        audio_tokens=8, noise_sigma=0.1, seed=8,
+    )
+    items = generate(cfg).items
+    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=8)
+    params = model.parameters()
+
+    def run(tile):
+        monkeypatch.setattr(model_mod, "TILE", tile)
+        encoded = model.encode_pairs(items)
+        scores = {c: model.component_matrix(encoded, c).value for c in ("THA", "DCR")}
+        loss = obj.nt_xent(model.similarity_matrix(encoded, "THA+DCR"), 0.07)
+        return scores, ad.gradients(loss, params)
+
+    whole, whole_grads = run(64)
+    tiled, tiled_grads = run(5)  # tiles of 5, 5 and a ragged 2
+    for c in ("THA", "DCR"):
+        assert np.abs(tiled[c] - whole[c]).max() < 1e-12, c
+    for name, g in whole_grads.items():
+        assert np.abs(tiled_grads[name] - g).max() < 1e-10, name
