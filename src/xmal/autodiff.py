@@ -45,6 +45,11 @@ def no_grad():
         _recording = previous
 
 
+def is_recording() -> bool:
+    """Whether new ops are recorded on the tape (False inside `no_grad()`)."""
+    return _recording
+
+
 class Tensor:
     """A value in the computation graph."""
 
@@ -386,6 +391,12 @@ def guarded_norm(x, axis=None, keepdims: bool = False, eps: float = EPS) -> Tens
     squares before the root so the gradient stays finite at zero vectors."""
     sumsq = reduce_sum(mul(x, x), axis=axis, keepdims=keepdims)
     return sqrt(guard_min(sumsq, eps * eps))
+
+
+def guarded_root(sumsq: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """The value of `guarded_norm` given the sum of squares, for forward-only
+    numpy kernels."""
+    return np.sqrt(np.maximum(sumsq - eps * eps, 0.0) + eps * eps)
 
 
 def row_softmax(m, scale: float = 1.0) -> Tensor:

@@ -118,13 +118,21 @@ def factor_pair_similarity_matrix(
     """All-pairs confidence-weighted factor similarity.
 
     Factor lists hold (B_t, d) text and (B_a, d) audio tensors; output entry
-    (i, j) scores audio item i against text item j. The B_a*B_t confidence
-    inputs per factor run through the network as one stack.
+    (i, j) scores audio item i against text item j. While a tape records, the
+    B_a*B_t confidence inputs per factor run through the network as one
+    stack; without one, `factor_pair_similarity_kernel` computes the scores
+    directly, within 1e-12.
     """
     if len(text_factors) != len(audio_factors):
         raise DimensionError(
             f"factor counts differ: {len(text_factors)} vs {len(audio_factors)}"
         )
+    if not ad.is_recording():
+        return Tensor(factor_pair_similarity_kernel(
+            np.stack([t.value for t in text_factors]),
+            np.stack([a.value for a in audio_factors]),
+            params, squash, eps,
+        ))
     bt = text_factors[0].value.shape[0]
     ba = audio_factors[0].value.shape[0]
     repeat = np.repeat(np.eye(ba), bt, axis=0)  # audio row i -> rows i*B_t..i*B_t+B_t-1
@@ -138,3 +146,38 @@ def factor_pair_similarity_matrix(
         term = ad.mul(g, cos)
         total = term if total is None else ad.add(total, term)
     return total
+
+
+def _normalize(x: np.ndarray, eps: float) -> np.ndarray:
+    """The value of `ad.normalize_rows`."""
+    return x / ad.guarded_root(np.sum(x * x, axis=-1, keepdims=True), eps)
+
+
+def factor_pair_similarity_kernel(
+    text: np.ndarray,
+    audio: np.ndarray,
+    params: dict[str, Tensor],
+    squash: str = "logistic",
+    eps: float = EPS,
+) -> np.ndarray:
+    """Forward-only `factor_pair_similarity_matrix` on stacked factors:
+    (K, B_t, d) text and (K, B_a, d) audio -> (B_a, B_t) scores.
+
+    The first layer is linear in [t; a], so each item is projected once by
+    its half of `conf.w1` and the halves are broadcast-added per pair."""
+    _check_squash(squash)
+    if text.shape[0] != audio.shape[0] or text.shape[2] != audio.shape[2]:
+        raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
+    w1 = params["conf.w1"].value
+    d = text.shape[2]
+    if w1.shape[1] != 2 * d:
+        raise DimensionError(
+            f"confidence input width {2 * d} does not match first layer {w1.shape}"
+        )
+    pre_t = text @ w1[:, :d].T  # (K, B_t, h)
+    pre_a = audio @ w1[:, d:].T + params["conf.b1"].value  # (K, B_a, h)
+    hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)  # (K, B_a, B_t, h)
+    y = hidden @ params["conf.w2"].value[0] + params["conf.b2"].value[0]
+    g = 0.5 * (1.0 + np.tanh(0.5 * y)) if squash == "logistic" else y
+    cos = _normalize(audio, eps) @ _normalize(text, eps).transpose(0, 2, 1)  # (K, B_a, B_t)
+    return np.sum(g * cos, axis=0)

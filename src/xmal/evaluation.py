@@ -110,9 +110,11 @@ def evaluate(
     """One report per (mode, direction). Either a dataset (encoded by the
     model) or a pre-computed embedding set feeds the similarity matrices.
 
-    Runs tape-free. Each distinct component (DP, THA, DCR) is scored once per
-    call, and a mode's matrix is the sum of its components in order, the
-    same arithmetic as `Model.similarity_matrix`."""
+    Runs tape-free, so THA and DCR are scored by their forward-only numpy
+    kernels. Each distinct component (DP, THA, DCR) is scored once per call,
+    and a mode's matrix is the sum of its components in order. The matrices
+    are within 1e-12 of those `Model.similarity_matrix` builds on a tape (DP
+    is bit-identical)."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)

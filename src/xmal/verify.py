@@ -12,7 +12,13 @@ from typing import Callable
 import numpy as np
 
 from . import attention, autodiff as ad, factors, objective as obj
-from .attention import AttentionConfig
+from .attention import COMBINES, DIRECTIONS, AttentionConfig
+from .confidence import (
+    SQUASHES,
+    factor_pair_similarity_kernel,
+    factor_pair_similarity_matrix,
+    init_confidence_params,
+)
 from .data import PairItem
 from .model import Model, ModelConfig
 
@@ -258,6 +264,41 @@ def _attend_oracle(queries: np.ndarray, contexts: np.ndarray, temperature: float
     return fused
 
 
+def _tha_kernel_gap(rng) -> float:
+    """Largest gap between the forward-only THA kernel and the composed ops
+    over every direction and combine, on ragged (3 x 5 item) blocks."""
+    audio = [rng.normal(size=(3, m, 8)) for m in (4, 2, 1)]
+    text = [rng.normal(size=(5, 3, 8)) for _ in range(3)]
+    worst = 0.0
+    for direction in DIRECTIONS:
+        for combine in COMBINES:
+            cfg = AttentionConfig(direction=direction, combine=combine)
+            composed = attention.hierarchical_similarity_matrix(
+                [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
+            ).value
+            kernel = attention.hierarchical_similarity_kernel(audio, text, cfg)
+            worst = max(worst, float(np.abs(kernel - composed).max()))
+    return worst
+
+
+def _dcr_kernel_gap(rng) -> float:
+    """Largest gap between the forward-only DCR kernel and the composed ops
+    under both squashes, on ragged (3 x 5 item) blocks with K = 4."""
+    params = init_confidence_params(3, 5, rng)
+    for name in ("conf.b1", "conf.b2"):
+        params[name].value[:] = rng.normal(size=params[name].value.shape)
+    text = rng.normal(size=(4, 5, 3))
+    audio = rng.normal(size=(4, 3, 3))
+    worst = 0.0
+    for squash in SQUASHES:
+        composed = factor_pair_similarity_matrix(
+            [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
+        ).value
+        kernel = factor_pair_similarity_kernel(text, audio, params, squash)
+        worst = max(worst, float(np.abs(kernel - composed).max()))
+    return worst
+
+
 def oracle_checks() -> list[CheckResult]:
     rng = np.random.default_rng(7)
     results = []
@@ -339,6 +380,8 @@ def oracle_checks() -> list[CheckResult]:
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
     )
+    results.append(CheckResult("tha_kernel_vs_composed", _tha_kernel_gap(rng), 1e-12))
+    results.append(CheckResult("dcr_kernel_vs_composed", _dcr_kernel_gap(rng), 1e-12))
     return results
 
 

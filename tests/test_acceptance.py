@@ -102,6 +102,7 @@ def test_criterion_2_oracle_equivalence():
         assert "attend_vs_composed_oracle" in names
         assert "hinge_normalize_vs_direct" in names
         assert "factor_covariance_vs_direct_sum" in names
+        assert {"tha_kernel_vs_composed", "dcr_kernel_vs_composed"} <= names
 
 
 def test_criterion_3_invariant_suite():

@@ -299,3 +299,63 @@ def test_hierarchical_similarity_gradient_vs_finite_differences():
         return attn.hierarchical_similarity(audio, text, CFG)
 
     assert ad.finite_difference_check(fn, audio + text, h=1e-5) < 1e-4
+
+
+# -- forward-only kernel against the composed ops ----------------------------------
+
+
+def _ragged_blocks(rng, audio_tokens=(4, 2, 1)):
+    """7 audio items against 12 text items, 8 wide."""
+    audio = [rng.normal(size=(7, m, 8)) for m in audio_tokens]
+    text = [rng.normal(size=(12, 3, 8)) for _ in audio_tokens]
+    return audio, text
+
+
+def _zero_token_rows(rng):
+    audio, text = _ragged_blocks(rng)
+    audio[0][2, 1] = 0.0  # one token of one item
+    audio[2][4] = 0.0  # a whole single-token level
+    text[1][5, 0] = 0.0
+    text[2][3] = 0.0  # every token of one text item
+    return audio, text
+
+
+def _no_positive_column(rng):
+    audio, text = _ragged_blocks(rng)
+    lead = np.zeros(8)
+    lead[0] = 5.0
+    for level in audio:
+        level += lead  # every audio token leans along +e0 ...
+    for level in text:
+        level[:, 0] = -lead - 0.1 * np.abs(rng.normal(size=(12, 8)))  # ... and text token 0 away
+    an = audio[0] / np.linalg.norm(audio[0], axis=-1, keepdims=True)
+    tn = text[0] / np.linalg.norm(text[0], axis=-1, keepdims=True)
+    assert (np.einsum("imd,jnd->ijmn", an, tn)[..., 0] < 0).all()  # in every pair
+    return audio, text
+
+
+KERNEL_CASES = {
+    "ragged": _ragged_blocks,
+    "single_token_audio": lambda rng: _ragged_blocks(rng, audio_tokens=(1, 1, 1)),
+    "zero_token_rows": _zero_token_rows,
+    "no_positive_column": _no_positive_column,
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_tha_kernel_matches_composed_ops(case):
+    audio, text = KERNEL_CASES[case](np.random.default_rng(30))
+    for direction in attn.DIRECTIONS:
+        for combine in attn.COMBINES:
+            cfg = AttentionConfig(direction=direction, combine=combine)
+            composed = attn.hierarchical_similarity_matrix(
+                [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
+            )
+            assert composed._parents != ()  # a tape records: the composed ops ran
+            with ad.no_grad():
+                fast = attn.hierarchical_similarity_matrix(
+                    [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
+                ).value
+            assert np.array_equal(fast, attn.hierarchical_similarity_kernel(audio, text, cfg))
+            assert fast.shape == (7, 12) and np.isfinite(fast).all()
+            assert np.abs(fast - composed.value).max() < 1e-12, (direction, combine)

@@ -283,6 +283,16 @@ def test_no_grad_restores_recording_after_exception_and_nesting():
     assert float(ad.gradients(ad.reduce_sum(ad.mul(x, 2.0)), [x])["x"].sum()) == 6.0
 
 
+def test_is_recording_follows_no_grad_scopes():
+    assert ad.is_recording()
+    with ad.no_grad():
+        assert not ad.is_recording()
+        with ad.no_grad():
+            assert not ad.is_recording()
+        assert not ad.is_recording()
+    assert ad.is_recording()
+
+
 def test_slice_rows_value_gradient_and_bounds():
     x = ad.parameter(np.arange(12.0).reshape(4, 3), "x")
     s = ad.slice_rows(x, 1, 3)

@@ -5,13 +5,15 @@ import pytest
 
 from xmal import autodiff as ad
 from xmal.confidence import (
+    SQUASHES,
     confidence,
     confidence_batch,
     factor_pair_similarity,
+    factor_pair_similarity_kernel,
     factor_pair_similarity_matrix,
     init_confidence_params,
 )
-from xmal.errors import DimensionError
+from xmal.errors import ConfigError, DimensionError
 
 
 def zero_params(factor_dim, hidden):
@@ -181,3 +183,44 @@ def test_gradients_vs_finite_differences():
         return factor_pair_similarity(text, audio, params)
 
     assert ad.finite_difference_check(fn, everything, h=1e-5) < 1e-4
+
+
+# -- forward-only kernel against the composed ops ----------------------------------
+
+
+@pytest.mark.parametrize("zero_rows", (False, True))
+def test_kernel_matches_composed_ops(zero_rows):
+    rng = np.random.default_rng(40)
+    params = init_confidence_params(4, 5, rng)
+    for name in ("conf.b1", "conf.b2"):
+        params[name].value[:] = rng.normal(size=params[name].value.shape)
+    text = rng.normal(size=(3, 12, 4))  # K = 3 factors of 12 text items
+    audio = rng.normal(size=(3, 7, 4))  # and of 7 audio items
+    if zero_rows:
+        text[1, 5] = 0.0
+        audio[:, 2] = 0.0  # every factor of one audio item
+    for squash in SQUASHES:
+        composed = factor_pair_similarity_matrix(
+            [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
+        )
+        assert composed._parents != ()  # a tape records: the composed ops ran
+        with ad.no_grad():
+            fast = factor_pair_similarity_matrix(
+                [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
+            ).value
+        assert np.array_equal(fast, factor_pair_similarity_kernel(text, audio, params, squash))
+        assert fast.shape == (7, 12)
+        assert np.abs(fast - composed.value).max() < 1e-12, squash
+        if zero_rows:
+            assert (fast[2] == 0.0).all()  # zero cosines weigh nothing
+
+
+def test_kernel_rejects_mismatched_stacks():
+    rng = np.random.default_rng(42)
+    params = init_confidence_params(4, 4, rng)
+    with pytest.raises(DimensionError):
+        factor_pair_similarity_kernel(np.zeros((3, 5, 4)), np.zeros((2, 5, 4)), params)
+    with pytest.raises(DimensionError):
+        factor_pair_similarity_kernel(np.zeros((3, 5, 3)), np.zeros((3, 5, 3)), params)
+    with pytest.raises(ConfigError):
+        factor_pair_similarity_kernel(np.zeros((3, 5, 4)), np.zeros((3, 5, 4)), params, "hard")

@@ -225,7 +225,7 @@ def _eval_set(pairs, seed=4):
     return generate(cfg), Model.build(ModelConfig(embed_dim=32, factor_count=8), seed)
 
 
-def test_evaluate_matches_taped_similarity_matrices_bit_for_bit(monkeypatch):
+def test_evaluate_matches_taped_similarity_matrices(monkeypatch):
     monkeypatch.setattr(model_mod, "TILE", 7)  # 20 pairs: three tiles per side
     ds, model = _eval_set(20)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
@@ -234,12 +234,17 @@ def test_evaluate_matches_taped_similarity_matrices_bit_for_bit(monkeypatch):
     assert encoded.audio_global._parents != ()
     expected = []
     for mode in modes:
-        s = model.similarity_matrix(encoded, mode).value
-        with ad.no_grad():
+        taped = model.similarity_matrix(encoded, mode).value
+        with ad.no_grad():  # THA and DCR run their forward-only kernels here
             untaped = model.similarity_matrix(model.encode_pairs(ds.items), mode).value
-        assert np.array_equal(s, untaped), mode
+        if mode == "DP":
+            assert np.array_equal(taped, untaped)
+        else:
+            assert np.abs(untaped - taped).max() < 1e-12, mode
         for direction in ("text_to_audio", "audio_to_text"):
-            expected.append((mode, direction, {k: recall_at_k(s, k, direction) for k in (1, 2, 5)}))
+            expected.append(
+                (mode, direction, {k: recall_at_k(untaped, k, direction) for k in (1, 2, 5)})
+            )
     assert [(r.mode, r.direction, r.r_at) for r in reports] == expected
 
 
