@@ -225,6 +225,30 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, _op="matmul", _parents=(a, b), _backward=backward)
 
 
+def merge_rows(p, x) -> Tensor:
+    """Apply the (r, m) map p to each consecutive group of m rows of x:
+    (p @ x.reshape(B, m, D)).reshape(B * r, D). The value of
+    matmul(kron(eye(B), p), x) without building that (B*r, B*m) matrix."""
+    p, x = as_tensor(p), as_tensor(x)
+    if p.value.ndim != 2 or x.value.ndim != 2 or p.value.shape[1] < 1:
+        raise DimensionError(
+            f"merge_rows needs (r,m) and (B*m,D); got {p.value.shape} and {x.value.shape}"
+        )
+    (r, m), (rows, dim) = p.value.shape, x.value.shape
+    if rows % m != 0:
+        raise DimensionError(f"merge_rows: {rows} rows do not split into groups of {m}")
+    b = rows // m
+    x3 = x.value.reshape(b, m, dim)
+    out = (p.value @ x3).reshape(b * r, dim)
+
+    def backward(g):
+        g3 = g.reshape(b, r, dim)
+        gp = np.einsum("brd,bmd->rm", g3, x3) if p.requires_grad else None
+        return gp, (p.value.T @ g3).reshape(rows, dim)
+
+    return Tensor(out, _op="merge_rows", _parents=(p, x), _backward=backward)
+
+
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.value.ndim != 2:
@@ -278,6 +302,33 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor(out, _op="concat", _parents=tuple(parts), _backward=backward)
+
+
+def block_matrix(tiles: Iterable, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
+    """The matrix whose block (i, j) is a (rows[i], cols[j]) tile, from tiles
+    given in row-major order. Each tile is written into one preallocated
+    array as it arrives, so when no tape records a tile can be freed once
+    written; the gradient of a tile is its slice of the output gradient."""
+    row_edges, col_edges = np.cumsum([0, *rows]), np.cumsum([0, *cols])
+    spans = [
+        (slice(r0, r1), slice(c0, c1))
+        for r0, r1 in zip(row_edges, row_edges[1:])
+        for c0, c1 in zip(col_edges, col_edges[1:])
+    ]
+    out = np.empty((row_edges[-1], col_edges[-1]))
+    parents = []
+    for (r, c), tile in zip(spans, tiles, strict=True):
+        tile = as_tensor(tile)
+        if tile.value.shape != out[r, c].shape:
+            raise DimensionError(f"tile shape {tile.value.shape}, expected {out[r, c].shape}")
+        out[r, c] = tile.value
+        if _recording:
+            parents.append(tile)
+
+    def backward(g):
+        return tuple(g[r, c] for r, c in spans)
+
+    return Tensor(out, _op="block_matrix", _parents=tuple(parents), _backward=backward)
 
 
 def exp(a) -> Tensor:

@@ -12,6 +12,7 @@ are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -128,26 +129,42 @@ _DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D,
 
 
 class _Reader:
-    def __init__(self, f, path: str):
-        self.f = f
-        self.path = path
+    """Little-endian fields read in order from a whole file, which is read
+    in one call. Reading past the end raises `CorruptedRecordError`."""
 
-    def exact(self, n: int) -> bytes:
-        chunk = self.f.read(n)
-        if len(chunk) != n:
-            raise CorruptedRecordError(f"{self.path}: needed {n} bytes, got {len(chunk)}")
-        return chunk
+    def __init__(self, path: str):
+        with open(path, "rb") as f:
+            self.buf = f.read()
+        self.path = path
+        self.pos = 0
+
+    def _advance(self, n: int) -> int:
+        """Offset of the next n bytes, which are then consumed."""
+        start = self.pos
+        if start + n > len(self.buf):
+            raise CorruptedRecordError(
+                f"{self.path}: needed {n} bytes, got {len(self.buf) - start}"
+            )
+        self.pos = start + n
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt)))
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.exact(4))[0]
+        return self.unpack("<I")[0]
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.exact(8 * n), dtype="<f8").reshape(shape).copy()
+        n = math.prod(shape)
+        return np.frombuffer(self.buf, "<f8", n, self._advance(8 * n)).reshape(shape).copy()
+
+    def check_end(self, what: str):
+        if self.pos != len(self.buf):
+            raise CorruptedRecordError(f"{self.path}: trailing bytes after last {what}")
 
 
 def _check_magic(reader: _Reader, expected: bytes):
-    magic = reader.exact(4)
+    (magic,) = reader.unpack("4s")
     if magic != expected:
         raise FormatError(f"{reader.path}: bad magic {magic!r}, expected {expected!r}")
 
@@ -203,36 +220,32 @@ def write_manifest(path: str, entries: dict[str, object]):
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "rb") as f:
-        reader = _Reader(f, path)
-        _check_magic(reader, DATASET_MAGIC)
-        version = reader.u32()
-        if version != SCHEMA_VERSION:
-            raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
-        rest = reader.exact(_DATASET_HEADER.size - 8)
-        pairs, k, dim, n, m, concepts, seed, sigma, shared = struct.unpack("<IIIIIIQdI", rest)
-        cfg = SynthConfig(
-            pairs=pairs,
-            concept_count=concepts,
-            factor_count=k,
-            embed_dim=dim,
-            text_tokens=n,
-            audio_tokens=m,
-            noise_sigma=sigma,
-            seed=seed,
-            shared_projection=bool(shared),
-        )
-        items = []
-        for pair_id in range(pairs):
-            count = reader.u32()
-            if count < 1 or count > k:
-                raise CorruptedRecordError(f"{path}: pair {pair_id} has {count} concept labels")
-            labels = struct.unpack(f"<{count}I", reader.exact(4 * count))
-            audio = reader.array((m, dim))
-            text = reader.array((n, dim))
-            items.append(PairItem(pair_id=pair_id, concepts=tuple(labels), audio=audio, text=text))
-        if f.read(1):
-            raise CorruptedRecordError(f"{path}: trailing bytes after last record")
+    reader = _Reader(path)
+    _check_magic(reader, DATASET_MAGIC)
+    version = reader.u32()
+    if version != SCHEMA_VERSION:
+        raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
+    pairs, k, dim, n, m, concepts, seed, sigma, shared = reader.unpack("<IIIIIIQdI")
+    cfg = SynthConfig(
+        pairs=pairs,
+        concept_count=concepts,
+        factor_count=k,
+        embed_dim=dim,
+        text_tokens=n,
+        audio_tokens=m,
+        noise_sigma=sigma,
+        seed=seed,
+        shared_projection=bool(shared),
+    )
+    items = []
+    for pair_id in range(pairs):
+        count = reader.u32()
+        if count < 1 or count > k:
+            raise CorruptedRecordError(f"{path}: pair {pair_id} has {count} concept labels")
+        labels = reader.unpack(f"<{count}I")
+        tokens = reader.array((m + n, dim))  # audio rows, then text rows
+        items.append(PairItem(pair_id=pair_id, concepts=labels, audio=tokens[:m], text=tokens[m:]))
+    reader.check_end("record")
     return Dataset(config=cfg, items=items)
 
 
@@ -292,33 +305,31 @@ def save_embeddings(es: EmbeddingSet, path: str):
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    with open(path, "rb") as f:
-        reader = _Reader(f, path)
-        _check_magic(reader, EMBEDDING_MAGIC)
-        version = reader.u32()
-        if version != SCHEMA_VERSION:
-            raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
-        count, dim, levels = reader.u32(), reader.u32(), reader.u32()
-        if levels != LEVELS:
-            raise FormatError(f"{path}: {levels} levels declared, expected {LEVELS}")
-        audio_counts = struct.unpack(f"<{LEVELS}I", reader.exact(4 * LEVELS))
-        text_counts = struct.unpack(f"<{LEVELS}I", reader.exact(4 * LEVELS))
-        es = EmbeddingSet(dim=dim, audio_counts=audio_counts, text_counts=text_counts)
-        for _ in range(count):
-            audio_levels = [reader.array((c, dim)) for c in audio_counts]
-            audio_global = reader.array((dim,))
-            text_levels = [reader.array((c, dim)) for c in text_counts]
-            text_global = reader.array((dim,))
-            es.items.append(
-                EmbeddingItem(
-                    audio_levels=audio_levels,
-                    audio_global=audio_global,
-                    text_levels=text_levels,
-                    text_global=text_global,
-                )
+    reader = _Reader(path)
+    _check_magic(reader, EMBEDDING_MAGIC)
+    version = reader.u32()
+    if version != SCHEMA_VERSION:
+        raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
+    count, dim, levels = reader.unpack("<III")
+    if levels != LEVELS:
+        raise FormatError(f"{path}: {levels} levels declared, expected {LEVELS}")
+    audio_counts = reader.unpack(f"<{LEVELS}I")
+    text_counts = reader.unpack(f"<{LEVELS}I")
+    es = EmbeddingSet(dim=dim, audio_counts=audio_counts, text_counts=text_counts)
+    for _ in range(count):
+        audio_levels = [reader.array((c, dim)) for c in audio_counts]
+        audio_global = reader.array((dim,))
+        text_levels = [reader.array((c, dim)) for c in text_counts]
+        text_global = reader.array((dim,))
+        es.items.append(
+            EmbeddingItem(
+                audio_levels=audio_levels,
+                audio_global=audio_global,
+                text_levels=text_levels,
+                text_global=text_global,
             )
-        if f.read(1):
-            raise CorruptedRecordError(f"{path}: trailing bytes after last item")
+        )
+    reader.check_end("item")
     return es
 
 

@@ -140,8 +140,10 @@ def encode_audio(frames, params: dict[str, Tensor]) -> TokenBlockSet:
 # -- batched variants ---------------------------------------------------------
 #
 # The residual blocks act token-wise, so a whole batch can run as one tall
-# matrix. These produce (B, tokens, D) level tensors and (B, D) globals and
-# agree with the per-item functions up to blocked-matmul rounding.
+# matrix. Audio token merging applies each item's pair-mean map to its own
+# rows (`ad.merge_rows`), so its cost is linear in B. These produce
+# (B, tokens, D) level tensors and (B, D) globals and agree with the
+# per-item functions up to blocked-matmul rounding.
 
 
 def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[list[Tensor], Tensor]:
@@ -173,10 +175,9 @@ def encode_audio_batch(frames: np.ndarray, params: dict[str, Tensor]) -> tuple[l
     tokens_now = m
     for stage, n_blocks in enumerate(AUDIO_STAGE_BLOCKS, start=1):
         if stage > 1:
-            p = _pair_mean_matrix(tokens_now)
-            merge = ad.Tensor(np.kron(np.eye(b), p))
-            x = ad.matmul(ad.matmul(merge, x), params[f"audio.merge{stage}.w"])
-            tokens_now = p.shape[0]
+            merge = ad.Tensor(_pair_mean_matrix(tokens_now))
+            x = ad.matmul(ad.merge_rows(merge, x), params[f"audio.merge{stage}.w"])
+            tokens_now = merge.value.shape[0]
         for _ in range(n_blocks):
             block += 1
             x = _block(x, params[f"audio.block{block:02d}.w"], params[f"audio.block{block:02d}.b"])

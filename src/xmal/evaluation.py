@@ -47,20 +47,25 @@ class DcrDiagnostics:
     confidence_mean: np.ndarray  # (K,)
 
 
-def recall_at_k(s: np.ndarray, k: int, direction: str) -> float:
+def recall_at_k(s: np.ndarray, k, direction: str):
     """Percentage of queries whose true match (index = query index) ranks in
-    the top k by descending score."""
+    the top k by descending score. `k` is an int, giving a float, or a
+    sequence of ints, giving {k: R@k}; the ranks are computed once per call."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
-    if not (1 <= k <= n):
-        raise ContractError(f"k must be in [1, {n}], got {k}")
+    single = isinstance(k, (int, np.integer))
+    ks = (k,) if single else tuple(k)
+    for kk in ks:
+        if not (1 <= kk <= n):
+            raise ContractError(f"k must be in [1, {n}], got {kk}")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     axis = 1 if direction == "audio_to_text" else 0  # the axis along a query's candidates
-    hits = int((_match_ranks(s, axis) < k).sum())
-    return 100.0 * hits / n
+    ranks = _match_ranks(s, axis)
+    r_at = {kk: 100.0 * int((ranks < kk).sum()) / n for kk in ks}
+    return r_at[k] if single else r_at
 
 
 def _match_ranks(s: np.ndarray, axis: int) -> np.ndarray:
@@ -68,17 +73,29 @@ def _match_ranks(s: np.ndarray, axis: int) -> np.ndarray:
     candidates, which lie along `axis`, are sorted by descending score, ties
     by ascending index and NaN last. That is the count of higher scores plus
     equal scores at a lower index; for a NaN match, the count of non-NaN
-    scores plus NaN scores at a lower index."""
+    scores plus NaN scores at a lower index.
+
+    A NaN candidate is neither higher than nor equal to a non-NaN match, so
+    the NaN terms are computed only when some match is NaN, and the tie term
+    only when some match equals another of its query's candidates."""
     diag = np.diagonal(s).copy()  # contiguous, so the broadcasts below stay fast
     match = np.expand_dims(diag, axis)
     index = np.arange(s.shape[0])
-    before = np.expand_dims(index, 1 - axis) < np.expand_dims(index, axis)
-    nan = np.isnan(s)
-    ranks = np.count_nonzero(s > match, axis=axis) + np.count_nonzero(
-        (s == match) & before, axis=axis
-    )
-    nan_ranks = np.count_nonzero(~nan, axis=axis) + np.count_nonzero(nan & before, axis=axis)
-    return np.where(np.isnan(diag), nan_ranks, ranks)
+
+    def before():  # candidates at a lower index than their query
+        return np.expand_dims(index, 1 - axis) < np.expand_dims(index, axis)
+
+    nan_match = np.isnan(diag)
+    ranks = np.count_nonzero(s > match, axis=axis)
+    equal = s == match
+    # Every non-NaN match equals itself; any further equal entry is a tie.
+    if np.count_nonzero(equal) > diag.size - np.count_nonzero(nan_match):
+        ranks += np.count_nonzero(equal & before(), axis=axis)
+    if nan_match.any():
+        nan = np.isnan(s)
+        nan_ranks = np.count_nonzero(~nan, axis=axis) + np.count_nonzero(nan & before(), axis=axis)
+        ranks = np.where(nan_match, nan_ranks, ranks)
+    return ranks
 
 
 def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
@@ -123,7 +140,6 @@ def evaluate(
     else:
         raise ContractError("evaluate needs a non-empty dataset or an embedding set")
     size = encoded.batch
-    ks = tuple(k for k in ks)
     for k in ks:
         if not (1 <= k <= size):
             raise ContractError(f"k must be in [1, {size}], got {k}")
@@ -138,12 +154,11 @@ def evaluate(
         for component in parts[1:]:
             s = s + scores[component]
         for direction in DIRECTIONS:
-            r_at = {k: recall_at_k(s, k, direction) for k in ks}
             reports.append(
                 RetrievalReport(
                     mode=mode,
                     direction=direction,
-                    r_at=r_at,
+                    r_at=recall_at_k(s, ks, direction),
                     size=size,
                     seed=seed,
                     config_hash=config_hash,

@@ -40,11 +40,16 @@ def _row_blocks(tensors: list[Tensor]) -> list[list[Tensor]]:
 
 
 def _tiled(audio_blocks, text_blocks, score) -> Tensor:
-    """Assemble score(audio block, text block) tiles into one matrix."""
-    rows = [[score(a, t) for t in text_blocks] for a in audio_blocks]
-    if len(rows) == 1 and len(rows[0]) == 1:
-        return rows[0][0]
-    return ad.concat([ad.concat(row, axis=1) for row in rows], axis=0)
+    """Assemble score(audio block, text block) tiles into one matrix, each
+    written into place as soon as it is scored. A single tile is the matrix
+    itself, so no op is recorded."""
+    if len(audio_blocks) == 1 and len(text_blocks) == 1:
+        return score(audio_blocks[0], text_blocks[0])
+    return ad.block_matrix(
+        (score(a, t) for a in audio_blocks for t in text_blocks),
+        [a[0].value.shape[0] for a in audio_blocks],
+        [t[0].value.shape[0] for t in text_blocks],
+    )
 
 
 @dataclass(frozen=True)

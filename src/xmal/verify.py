@@ -87,6 +87,20 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         probe = _spread(rng, 3, 4)
         return (lambda: ad.reduce_sum(ad.mul(ad.slice_rows(x, 2, 5), probe))), [x]
 
+    def build_merge_rows(rng):
+        p = ad.parameter(_spread(rng, 2, 3), "p")
+        x = ad.parameter(_spread(rng, 12, 4), "x")  # 4 groups of 3 rows
+        probe = _spread(rng, 8, 4)
+        return (lambda: ad.reduce_sum(ad.mul(ad.merge_rows(p, x), probe))), [p, x]
+
+    def build_block_matrix(rng):
+        rows, cols = (2, 3), (1, 4)
+        tiles = [ad.parameter(_spread(rng, r, c), f"t{r}{c}") for r in rows for c in cols]
+        probe = _spread(rng, 5, 5)
+        return (
+            lambda: ad.reduce_sum(ad.mul(ad.block_matrix(tiles, rows, cols), probe))
+        ), tiles
+
     def build_permute(rng):
         x = ad.parameter(_spread(rng, 2, 3, 4), "x")
         probe = _spread(rng, 4, 2, 3)
@@ -137,12 +151,14 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("mul", binary(ad.mul)),
         ("div", binary(ad.div)),
         ("matmul", build_matmul),
+        ("merge_rows", build_merge_rows),
         ("broadcast_add", build_broadcast),
         ("transpose", unary(ad.transpose)),
         ("permute", build_permute),
         ("reshape", build_reshape),
         ("concat", build_concat),
         ("slice_rows", build_slice_rows),
+        ("block_matrix", build_block_matrix),
         ("exp", unary(ad.exp)),
         ("log", unary(ad.log, positive=True)),
         ("sqrt", unary(ad.sqrt, positive=True)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xmal.data import (
+    _DATASET_HEADER,
     Dataset,
     EmbeddingItem,
     EmbeddingSet,
@@ -144,6 +145,46 @@ def test_truncated_dataset_raises_corrupted(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[: len(blob) - 17])
     with pytest.raises(CorruptedRecordError):
+        load_dataset(path)
+
+
+def _first_record_offsets(ds):
+    """Byte offsets of the first record's label count, labels, audio and text."""
+    count = _DATASET_HEADER.size
+    labels = count + 4
+    audio = labels + 4 * len(ds.items[0].concepts)
+    text = audio + ds.items[0].audio.nbytes
+    return count, labels, audio, text
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ("zero_labels", "pair 0 has 0 concept labels"),
+        ("too_many_labels", "pair 0 has 5 concept labels"),
+        ("trailing_byte", "trailing bytes"),
+        ("cut_in_labels", "needed"),
+        ("cut_in_audio", "needed"),
+        ("cut_in_text", "needed"),
+    ],
+)
+def test_corrupted_dataset_records_raise(tmp_path, corrupt, message):
+    ds = generate(small_cfg())
+    path = str(tmp_path / "d.xmal")
+    save_dataset(ds, path)
+    blob = bytearray(open(path, "rb").read())
+    count, labels, audio, text = _first_record_offsets(ds)
+    if corrupt == "zero_labels":
+        blob[count : count + 4] = struct.pack("<I", 0)
+    elif corrupt == "too_many_labels":
+        blob[count : count + 4] = struct.pack("<I", ds.config.factor_count + 1)
+    elif corrupt == "trailing_byte":
+        blob += b"\0"
+    else:
+        cut = {"cut_in_labels": labels, "cut_in_audio": audio, "cut_in_text": text}[corrupt]
+        blob = blob[: cut + 3]
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(CorruptedRecordError, match=message):
         load_dataset(path)
 
 

@@ -170,3 +170,37 @@ def test_encoder_gradients_vs_finite_differences():
         return ad.reduce_sum(ad.mul(ad.add(t.pooled, a.pooled), probe))
 
     assert ad.finite_difference_check(fn, checked, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("m", [4, 5, 7, 8])
+def test_batched_audio_merge_equals_kron_formulation_bit_for_bit(monkeypatch, m):
+    # The reference multiplies by kron(eye(B), P). Every entry of P is 1/2 or
+    # 1, so each merged row is one or two exact products either way.
+    calls = []
+
+    def kron_merge(p, x):
+        calls.append(p.value.shape)
+        b = x.value.shape[0] // p.value.shape[1]
+        return ad.matmul(ad.Tensor(np.kron(np.eye(b), p.value)), x)
+
+    params = random_params(16, seed=m)
+    rng = np.random.default_rng(m)
+    frames = rng.normal(size=(5, m, 16))
+    probe = rng.normal(size=16)
+    names = sorted(name for name in params if name.startswith("audio."))
+
+    def run():
+        levels, pooled = encode_audio_batch(frames, params)
+        loss = ad.reduce_sum(ad.mul(pooled, probe))
+        for lvl in levels:
+            loss = ad.add(loss, ad.reduce_sum(ad.mul(lvl, lvl)))
+        grads = ad.gradients(loss, [params[name] for name in names])
+        return [lvl.value for lvl in levels] + [pooled.value] + [grads[n] for n in names]
+
+    merged = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "merge_rows", kron_merge)
+        reference = run()
+    assert len(calls) == 3  # the encoder merges through ad.merge_rows at stages 2-4
+    for got, want in zip(merged, reference, strict=True):
+        assert got.tobytes() == want.tobytes()

@@ -69,6 +69,8 @@ def test_recall_bad_inputs():
     with pytest.raises(ContractError):
         recall_at_k(np.eye(3), 4, "audio_to_text")
     with pytest.raises(ContractError):
+        recall_at_k(np.eye(3), (1, 4), "audio_to_text")
+    with pytest.raises(ContractError):
         recall_at_k(np.eye(3), 1, "sideways")
     with pytest.raises(DimensionError):
         recall_at_k(np.ones((2, 3)), 1, "audio_to_text")
@@ -210,11 +212,29 @@ def test_recall_matches_stable_argsort_loop_with_ties_and_nan():
         cases.append(with_nan)
     cases.append(np.full((5, 5), np.nan))
     cases.append(np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 0.0], [1.0, -0.0, 0.0]]))
+    # A single off-diagonal score equal to its query's match, before it
+    # (row 9, column 7) or after it (rows 3 and 20), with nothing else tied.
+    single_ties = rng.normal(size=(40, 40))
+    single_ties[9, 4] = single_ties[9, 9]
+    single_ties[3, 30] = single_ties[3, 3]
+    single_ties[2, 7] = single_ties[7, 7]
+    single_ties[20, 5] = single_ties[5, 5]
+    cases.append(single_ties)
     for s in cases:
         n = s.shape[0]
         for direction in ("audio_to_text", "text_to_audio"):
-            for k in range(1, n + 1):
-                assert recall_at_k(s, k, direction) == _recall_at_k_loop(s, k, direction), (s, k)
+            ks = tuple(range(1, n + 1))
+            got = recall_at_k(s, ks, direction)  # every k from one ranking
+            assert list(got) == list(ks)
+            for k in ks:
+                want = _recall_at_k_loop(s, k, direction)
+                assert got[k] == want and recall_at_k(s, k, direction) == want, (s, k)
+    # Large, NaN-free and tie-free: only the count of higher scores is needed.
+    s = rng.normal(size=(300, 300)) + 3.0 * np.eye(300)
+    ks = (1, 2, 5, 10, 50, 300)
+    for direction in ("audio_to_text", "text_to_audio"):
+        got = recall_at_k(s, ks, direction)
+        assert got == {k: _recall_at_k_loop(s, k, direction) for k in ks}
 
 
 def _eval_set(pairs, seed=4):
