@@ -6,15 +6,7 @@ losses with a confidence-weighted factor similarity, a verified reverse-mode
 gradient engine, and a deterministic train/eval/CLI harness.
 """
 
-from .attention import (
-    AttentionConfig,
-    attend,
-    block_similarity,
-    global_similarity,
-    hierarchical_similarity,
-    hinge_normalize,
-    token_word_similarity,
-)
+from .attention import AttentionConfig, hinge_normalize
 from .autodiff import (
     Tensor,
     finite_difference_check,
@@ -25,7 +17,6 @@ from .autodiff import (
     parameter,
     row_softmax,
 )
-from .confidence import confidence, factor_pair_similarity
 from .data import Dataset, PairItem, SynthConfig, generate, load_dataset, save_dataset
 from .errors import XmalError
 from .evaluation import dcr_diagnostics, evaluate, recall_at_k
@@ -57,21 +48,15 @@ __all__ = [
     "TrainConfig",
     "XmalError",
     "alignment_loss",
-    "attend",
     "batch_similarity",
     "batch_standardize",
-    "block_similarity",
-    "confidence",
     "dcr_diagnostics",
     "decoupling_loss",
     "evaluate",
     "factor_covariance",
-    "factor_pair_similarity",
     "finite_difference_check",
     "generate",
-    "global_similarity",
     "gradients",
-    "hierarchical_similarity",
     "hinge",
     "hinge_normalize",
     "l2_normalize",
@@ -85,7 +70,6 @@ __all__ = [
     "row_softmax",
     "save_checkpoint",
     "save_dataset",
-    "token_word_similarity",
     "total_loss",
     "train",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS, Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 DIRECTIONS = ("text_enhanced", "audio_enhanced", "both")
 COMBINES = ("mean", "sum")
@@ -38,87 +38,21 @@ class AttentionConfig:
             raise ContractError(f"combine must be one of {COMBINES}, got {self.combine!r}")
 
 
-def token_word_similarity(queries, contexts, eps: float = EPS) -> Tensor:
-    """(M, D) x (N, D) -> (M, N) matrix of pairwise row cosines."""
-    q, c = ad.as_tensor(queries), ad.as_tensor(contexts)
-    if q.value.ndim != 2 or c.value.ndim != 2 or q.value.shape[1] != c.value.shape[1]:
-        raise DimensionError(
-            f"token similarity needs matching widths; got {q.value.shape} and {c.value.shape}"
-        )
-    return ad.matmul(ad.normalize_rows(q, eps), ad.transpose(ad.normalize_rows(c, eps)))
-
-
 def hinge_normalize(s, eps: float = EPS) -> Tensor:
-    """Clamp at zero, then scale each column to unit L2 norm.
+    """Clamp at zero, then scale each column to unit L2 norm along axis -2,
+    the query axis of a (..., Q, C) similarity stack (axis 0 of a matrix).
 
     Columns with no positive entry stay all-zero (the guarded denominator
     never divides by less than eps).
     """
     h = ad.hinge(s)
-    return ad.div(h, ad.guarded_norm(h, axis=0, keepdims=True, eps=eps))
+    return ad.div(h, ad.guarded_norm(h, axis=-2, keepdims=True, eps=eps))
 
 
-def attend(queries, contexts, cfg: AttentionConfig) -> Tensor:
-    """Fuse context rows for each query row; output rows are convex
-    combinations of context rows."""
-    q, c = ad.as_tensor(queries), ad.as_tensor(contexts)
-    if q.value.shape[0] < 1 or c.value.shape[0] < 1:
-        raise ContractError("attend needs at least one query and one context row")
-    sbar = hinge_normalize(token_word_similarity(q, c, cfg.eps), cfg.eps)
-    alpha = ad.row_softmax(sbar, cfg.temperature)
-    return ad.matmul(alpha, c)
-
-
-def block_similarity(queries, fused, eps: float = EPS) -> Tensor:
-    """Sum of row-wise cosines between a query matrix and its fused matrix."""
-    q, f = ad.as_tensor(queries), ad.as_tensor(fused)
-    if q.value.shape != f.value.shape:
-        raise DimensionError(f"shape mismatch: {q.value.shape} vs {f.value.shape}")
-    return ad.reduce_sum(ad.mul(ad.normalize_rows(q, eps), ad.normalize_rows(f, eps)))
-
-
-def _directional_score(queries, contexts, cfg: AttentionConfig) -> Tensor:
-    return block_similarity(queries, attend(queries, contexts, cfg), cfg.eps)
-
-
-def hierarchical_similarity(audio, text, cfg: AttentionConfig) -> Tensor:
-    """Sum over tap levels of the direction-combined cross-attention score.
-
-    `audio` and `text` carry 3 matching tap levels (TokenBlockSet or plain
-    lists). With direction "both" the text-enhanced and audio-enhanced scores
-    merge per level via cfg.combine.
-    """
-    audio_levels = audio.levels if hasattr(audio, "levels") else list(audio)
-    text_levels = text.levels if hasattr(text, "levels") else list(text)
-    if len(audio_levels) != len(text_levels):
-        raise ContractError(
-            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
-        )
-    total = None
-    for a_l, t_l in zip(audio_levels, text_levels):
-        if cfg.direction == "text_enhanced":
-            score = _directional_score(a_l, t_l, cfg)
-        elif cfg.direction == "audio_enhanced":
-            score = _directional_score(t_l, a_l, cfg)
-        else:
-            both = ad.add(_directional_score(a_l, t_l, cfg), _directional_score(t_l, a_l, cfg))
-            score = ad.mul(both, 0.5) if cfg.combine == "mean" else both
-        total = score if total is None else ad.add(total, score)
-    return total
-
-
-def global_similarity(a_vec, t_vec, eps: float = EPS) -> Tensor:
-    """Cosine of the two pooled vectors."""
-    an = ad.l2_normalize(ad.as_tensor(a_vec), eps)
-    tn = ad.l2_normalize(ad.as_tensor(t_vec), eps)
-    return ad.reduce_sum(ad.mul(an, tn))
-
-
-# -- all-pairs (B x B) variants ----------------------------------------------
+# -- all-pairs (B x B) scores -------------------------------------------------
 #
-# Used for batch losses and retrieval matrices. Entry (i, j) scores audio
-# item i against text item j; equivalent to calling the per-pair functions on
-# every (i, j) up to reduction-order rounding.
+# Used for batch losses, retrieval matrices and single-pair breakdowns (a
+# 1 x 1 batch). Entry (i, j) scores audio item i against text item j.
 
 
 def _enhanced_scores(
@@ -130,8 +64,7 @@ def _enhanced_scores(
     s4 is (B, B, Q, C) with query axis 2 and context axis 3; queries_n is the
     row-normalized query tensor and contexts_raw the raw context tensor.
     """
-    h = ad.hinge(s4)
-    sbar = ad.div(h, ad.guarded_norm(h, axis=2, keepdims=True, eps=cfg.eps))
+    sbar = hinge_normalize(s4, cfg.eps)
     alpha = ad.row_softmax(sbar, cfg.temperature)
     fused = ad.einsum(fuse_pattern, alpha, contexts_raw)
     fused_n = ad.normalize_rows(fused, cfg.eps)
@@ -146,6 +79,10 @@ def hierarchical_similarity_matrix(
 
     While a tape records, the score is built from differentiable ops; without
     one, `hierarchical_similarity_kernel` computes it directly, within 1e-12."""
+    if len(audio_levels) != len(text_levels):
+        raise ContractError(
+            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
+        )
     if not ad.is_recording():
         return Tensor(hierarchical_similarity_kernel(
             [a.value for a in audio_levels], [t.value for t in text_levels], cfg

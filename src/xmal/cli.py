@@ -9,10 +9,13 @@ settings plus the seed, and is deterministic given both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
+import numpy as np
+
 from . import autodiff as ad, evaluation, objective as obj, trainer, verify
-from .attention import AttentionConfig
+from .attention import AttentionConfig, hierarchical_similarity_kernel
 from .config import (
     SCHEMAS,
     canonical_text,
@@ -32,9 +35,9 @@ from .data import (
     save_dataset,
     save_embeddings,
 )
-from .encoders import TokenBlockSet
+from .confidence import factor_pair_kernel_terms
 from .errors import ConfigError, XmalError
-from .model import Model, ModelConfig
+from .model import EncodedBatch, Model, ModelConfig
 from .objective import ObjectiveConfig
 from .trainer import TrainConfig
 
@@ -302,30 +305,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _item_sets(model: Model, dataset, embeddings, index: int) -> tuple[TokenBlockSet, TokenBlockSet]:
+def _pair_batch(model: Model, dataset, embeddings, index_a: int, index_b: int) -> EncodedBatch:
+    """A 1-item batch of audio item index_a and text item index_b."""
+    items = embeddings.items if embeddings is not None else dataset.items
+    for index in (index_a, index_b):
+        if not (0 <= index < len(items)):
+            raise ConfigError(f"item {index} out of range (0..{len(items) - 1})")
+    a, t = items[index_a], items[index_b]
     if embeddings is not None:
-        if not (0 <= index < len(embeddings.items)):
-            raise ConfigError(f"item {index} out of range (0..{len(embeddings.items) - 1})")
-        item = embeddings.items[index]
-        audio = TokenBlockSet(
-            levels=[ad.Tensor(a) for a in item.audio_levels],
-            pooled=ad.Tensor(item.audio_global),
-            modality="audio",
+        return EncodedBatch(
+            audio_levels=[ad.Tensor(lvl[None]) for lvl in a.audio_levels],
+            audio_global=ad.Tensor(a.audio_global[None]),
+            text_levels=[ad.Tensor(lvl[None]) for lvl in t.text_levels],
+            text_global=ad.Tensor(t.text_global[None]),
         )
-        text = TokenBlockSet(
-            levels=[ad.Tensor(t) for t in item.text_levels],
-            pooled=ad.Tensor(item.text_global),
-            modality="text",
-        )
-        return audio, text
-    if not (0 <= index < len(dataset.items)):
-        raise ConfigError(f"item {index} out of range (0..{len(dataset.items) - 1})")
-    item = dataset.items[index]
-    return model.encode_audio(item.audio), model.encode_text(item.text)
+    return model.encode_arrays(
+        np.asarray(a.audio, dtype=np.float64)[None], np.asarray(t.text, dtype=np.float64)[None]
+    )
 
 
 @ad.no_grad()
 def cmd_sim(args) -> int:
+    """Score breakdown of one pair, scored as a 1 x 1 batch by the same
+    encoders and kernels that `eval` uses."""
     values = _config_section(args, "sim")
     _check_threads(values)
     if "ckpt" not in values or "item_a" not in values or "item_b" not in values:
@@ -335,11 +337,7 @@ def cmd_sim(args) -> int:
     if dataset is None and embeddings is None:
         raise ConfigError("sim needs --data or --embeddings")
     model, effective = _restore_model(values["ckpt"], dataset, embeddings)
-    audio_set, _ = _item_sets(model, dataset, embeddings, values["item_a"])
-    _, text_set = _item_sets(model, dataset, embeddings, values["item_b"])
-
-    from . import attention as attn
-    from .confidence import factor_pair_terms
+    encoded = _pair_batch(model, dataset, embeddings, values["item_a"], values["item_b"])
 
     resolved = {
         "ckpt": values["ckpt"],
@@ -353,14 +351,18 @@ def cmd_sim(args) -> int:
         f"config_hash={stamp} seed={effective.get('seed', 0)}",
         f"item_audio={values['item_a']} item_text={values['item_b']}",
     ]
-    dp = float(attn.global_similarity(audio_set.pooled, text_set.pooled).value)
+    dp = float(model.component_matrix(encoded, "DP").value[0, 0])
     lines.append(f"DP={dp!r}")
 
     cfg = model.cfg.attention
     tha_total = 0.0
-    for lvl, (a_l, t_l) in enumerate(zip(audio_set.levels, text_set.levels), start=1):
-        te = float(attn.block_similarity(a_l, attn.attend(a_l, t_l, cfg)).value)
-        ae = float(attn.block_similarity(t_l, attn.attend(t_l, a_l, cfg)).value)
+    for lvl, (a_l, t_l) in enumerate(zip(encoded.audio_levels, encoded.text_levels), start=1):
+        te, ae = [
+            float(hierarchical_similarity_kernel(
+                [a_l.value], [t_l.value], dataclasses.replace(cfg, direction=direction)
+            )[0, 0])
+            for direction in ("text_enhanced", "audio_enhanced")
+        ]
         if cfg.direction == "text_enhanced":
             level = te
         elif cfg.direction == "audio_enhanced":
@@ -373,14 +375,19 @@ def cmd_sim(args) -> int:
         lines.append(f"THA.level{lvl}={level!r}")
     lines.append(f"THA={tha_total!r}")
 
-    text_factors = model.item_factors(text_set.pooled, "text")
-    audio_factors = model.item_factors(audio_set.pooled, "audio")
-    terms = factor_pair_terms(text_factors, audio_factors, model.params, model.cfg.squash)
+    text_fs, audio_fs = model.batch_factors(encoded)
+    g, cos = factor_pair_kernel_terms(
+        np.stack([f.value for f in text_fs.factors]),
+        np.stack([f.value for f in audio_fs.factors]),
+        model.params,
+        model.cfg.squash,
+    )
     dcr_total = 0.0
-    for i, (g, cos) in enumerate(terms):
-        dcr_total += g * cos
-        lines.append(f"DCR.factor{i}.confidence={g!r}")
-        lines.append(f"DCR.factor{i}.cosine={cos!r}")
+    for i in range(g.shape[0]):
+        g_i, cos_i = float(g[i, 0, 0]), float(cos[i, 0, 0])
+        dcr_total += g_i * cos_i
+        lines.append(f"DCR.factor{i}.confidence={g_i!r}")
+        lines.append(f"DCR.factor{i}.cosine={cos_i!r}")
     lines.append(f"DCR={dcr_total!r}")
     lines.append(f"THA+DP={tha_total + dp!r}")
     lines.append(f"THA+DCR={tha_total + dcr_total!r}")

@@ -2,8 +2,10 @@
 
 A two-layer network with a ReLU scores each (text-factor, audio-factor) pair
 from their concatenation; the score is squashed into (0, 1) and weights the
-pair's cosine. The per-item score is the sum of weighted cosines over the K
-pairs; weights are independent per pair (no normalization across pairs).
+pair's cosine. An (audio item, text item) score is the sum of weighted
+cosines over the K factor pairs; weights are independent per pair (no
+normalization across pairs). Scores come as all-pairs matrices; a single
+pair is a 1 x 1 batch.
 """
 
 from __future__ import annotations
@@ -59,55 +61,6 @@ def confidence_batch(
     return ad.sigmoid(y) if squash == "logistic" else y
 
 
-def confidence(
-    e_text: Tensor, e_audio: Tensor, params: dict[str, Tensor], squash: str = "logistic"
-) -> Tensor:
-    """Score for one pair of factor vectors, in (0, 1) under the logistic squash."""
-    t, a = ad.as_tensor(e_text), ad.as_tensor(e_audio)
-    if t.value.ndim != 1 or t.value.shape != a.value.shape:
-        raise DimensionError(f"expected equal-length vectors, got {t.value.shape} and {a.value.shape}")
-    d = t.value.shape[0]
-    out = confidence_batch(ad.reshape(t, (1, d)), ad.reshape(a, (1, d)), params, squash)
-    return ad.reshape(out, ())
-
-
-def factor_pair_similarity(
-    text_factors: list[Tensor],
-    audio_factors: list[Tensor],
-    params: dict[str, Tensor],
-    squash: str = "logistic",
-    eps: float = EPS,
-) -> Tensor:
-    """One item pair: sum over K of confidence-weighted factor cosines."""
-    if len(text_factors) != len(audio_factors):
-        raise DimensionError(
-            f"factor counts differ: {len(text_factors)} vs {len(audio_factors)}"
-        )
-    total = None
-    for e_t, e_a in zip(text_factors, audio_factors):
-        g = confidence(e_t, e_a, params, squash)
-        cos = ad.reduce_sum(ad.mul(ad.l2_normalize(e_t, eps), ad.l2_normalize(e_a, eps)))
-        term = ad.mul(g, cos)
-        total = term if total is None else ad.add(total, term)
-    return total
-
-
-def factor_pair_terms(
-    text_factors: list[Tensor],
-    audio_factors: list[Tensor],
-    params: dict[str, Tensor],
-    squash: str = "logistic",
-    eps: float = EPS,
-) -> list[tuple[float, float]]:
-    """Per-factor (confidence, cosine) pairs for score breakdowns."""
-    terms = []
-    for e_t, e_a in zip(text_factors, audio_factors):
-        g = confidence(e_t, e_a, params, squash)
-        cos = ad.reduce_sum(ad.mul(ad.l2_normalize(e_t, eps), ad.l2_normalize(e_a, eps)))
-        terms.append((float(g.value), float(cos.value)))
-    return terms
-
-
 def factor_pair_similarity_matrix(
     text_factors: list[Tensor],
     audio_factors: list[Tensor],
@@ -153,15 +106,15 @@ def _normalize(x: np.ndarray, eps: float) -> np.ndarray:
     return x / ad.guarded_root(np.sum(x * x, axis=-1, keepdims=True), eps)
 
 
-def factor_pair_similarity_kernel(
+def factor_pair_kernel_terms(
     text: np.ndarray,
     audio: np.ndarray,
     params: dict[str, Tensor],
     squash: str = "logistic",
     eps: float = EPS,
-) -> np.ndarray:
-    """Forward-only `factor_pair_similarity_matrix` on stacked factors:
-    (K, B_t, d) text and (K, B_a, d) audio -> (B_a, B_t) scores.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-factor confidences and cosines on stacked factors: (K, B_t, d)
+    text and (K, B_a, d) audio -> (g, cos), each (K, B_a, B_t).
 
     The first layer is linear in [t; a], so each item is projected once by
     its half of `conf.w1` and the halves are broadcast-added per pair."""
@@ -180,4 +133,17 @@ def factor_pair_similarity_kernel(
     y = hidden @ params["conf.w2"].value[0] + params["conf.b2"].value[0]
     g = 0.5 * (1.0 + np.tanh(0.5 * y)) if squash == "logistic" else y
     cos = _normalize(audio, eps) @ _normalize(text, eps).transpose(0, 2, 1)  # (K, B_a, B_t)
+    return g, cos
+
+
+def factor_pair_similarity_kernel(
+    text: np.ndarray,
+    audio: np.ndarray,
+    params: dict[str, Tensor],
+    squash: str = "logistic",
+    eps: float = EPS,
+) -> np.ndarray:
+    """Forward-only `factor_pair_similarity_matrix` on stacked factors:
+    (K, B_t, d) text and (K, B_a, d) audio -> (B_a, B_t) scores."""
+    g, cos = factor_pair_kernel_terms(text, audio, params, squash, eps)
     return np.sum(g * cos, axis=0)

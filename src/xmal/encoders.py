@@ -11,7 +11,6 @@ a content-scored softmax readout for text, the token mean for audio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,7 @@ from .errors import ContractError
 TEXT_BLOCKS = 12
 TEXT_TAPS = (4, 10, 12)
 AUDIO_STAGE_BLOCKS = (2, 2, 6, 2)
-LEVEL_NAMES = ("low", "mid", "high")
 MIN_AUDIO_TOKENS = 4
-
-
-@dataclass
-class TokenBlockSet:
-    """Per-item token matrices at the three tap depths plus a pooled vector."""
-
-    levels: list[Tensor]  # low, mid, high; each (tokens, D)
-    pooled: Tensor  # (D,)
-    modality: str
-
-    def __post_init__(self):
-        if len(self.levels) != len(LEVEL_NAMES):
-            raise ContractError(f"expected {len(LEVEL_NAMES)} levels, got {len(self.levels)}")
 
 
 def audio_tap_counts(m: int) -> tuple[int, int, int]:
@@ -92,58 +77,13 @@ def _pair_mean_matrix(m: int) -> np.ndarray:
     return p
 
 
-def text_readout(tokens: Tensor, weights: Tensor) -> Tensor:
-    """Content-scored softmax pooling over token rows: invariant to row order."""
-    n, dim = tokens.value.shape
-    scores = ad.matmul(tokens, weights.reshape(dim, 1)).reshape(1, n)
-    attn = ad.row_softmax(scores, 1.0)
-    return ad.matmul(attn, tokens).reshape(dim)
-
-
-def encode_text(tokens, params: dict[str, Tensor]) -> TokenBlockSet:
-    """Run the text stack over an (N, D) token matrix."""
-    x = ad.as_tensor(tokens)
-    if x.value.ndim != 2 or x.value.shape[0] < 1:
-        raise ContractError(f"text input must be a non-empty (N, D) matrix, got {x.value.shape}")
-    taps = []
-    for i in range(1, TEXT_BLOCKS + 1):
-        x = _block(x, params[f"text.block{i:02d}.w"], params[f"text.block{i:02d}.b"])
-        if i in TEXT_TAPS:
-            taps.append(x)
-    pooled = text_readout(x, params["text.readout"])
-    return TokenBlockSet(levels=taps, pooled=pooled, modality="text")
-
-
-def encode_audio(frames, params: dict[str, Tensor]) -> TokenBlockSet:
-    """Run the audio stack over an (M, D) frame matrix, M >= 4."""
-    x = ad.as_tensor(frames)
-    if x.value.ndim != 2 or x.value.shape[0] < MIN_AUDIO_TOKENS:
-        raise ContractError(
-            f"audio input too short: need at least {MIN_AUDIO_TOKENS} tokens, got shape {x.value.shape}"
-        )
-    taps = []
-    block = 0
-    for stage, n_blocks in enumerate(AUDIO_STAGE_BLOCKS, start=1):
-        if stage > 1:
-            merge = ad.Tensor(_pair_mean_matrix(x.value.shape[0]))
-            x = ad.matmul(ad.matmul(merge, x), params[f"audio.merge{stage}.w"])
-        for _ in range(n_blocks):
-            block += 1
-            x = _block(x, params[f"audio.block{block:02d}.w"], params[f"audio.block{block:02d}.b"])
-        if stage > 1:
-            taps.append(x)
-    m_final = x.value.shape[0]
-    pooled = ad.reduce_sum(ad.mul(x, 1.0 / m_final), axis=0)
-    return TokenBlockSet(levels=taps, pooled=pooled, modality="audio")
-
-
-# -- batched variants ---------------------------------------------------------
+# -- batched encoders ---------------------------------------------------------
 #
-# The residual blocks act token-wise, so a whole batch can run as one tall
+# The residual blocks act token-wise, so a whole batch runs as one tall
 # matrix. Audio token merging applies each item's pair-mean map to its own
-# rows (`ad.merge_rows`), so its cost is linear in B. These produce
-# (B, tokens, D) level tensors and (B, D) globals and agree with the
-# per-item functions up to blocked-matmul rounding.
+# rows (`ad.merge_rows`), so its cost is linear in B. Both produce
+# (B, tokens, D) level tensors and (B, D) globals; a single item is a batch
+# of one.
 
 
 def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[list[Tensor], Tensor]:

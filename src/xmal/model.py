@@ -1,5 +1,6 @@
 """The trainable dual-stream model: encoder stacks, factor projection banks,
-and the confidence head, with per-pair and all-pairs scoring."""
+and the confidence head, with batched encoding and all-pairs scoring (one
+pair is a 1 x 1 batch)."""
 
 from __future__ import annotations
 
@@ -9,12 +10,7 @@ import numpy as np
 
 from . import attention, autodiff as ad, encoders, factors, objective
 from .attention import AttentionConfig
-from .confidence import (
-    SQUASHES,
-    factor_pair_similarity,
-    factor_pair_similarity_matrix,
-    init_confidence_params,
-)
+from .confidence import SQUASHES, factor_pair_similarity_matrix, init_confidence_params
 from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
@@ -111,43 +107,6 @@ class Model:
 
     def factor_bank(self, modality: str) -> list[Tensor]:
         return [self.params[f"factors.{modality}.k{i}"] for i in range(self.cfg.factor_count)]
-
-    # -- per-item path ------------------------------------------------------
-
-    def encode_text(self, tokens) -> encoders.TokenBlockSet:
-        return encoders.encode_text(tokens, self.params)
-
-    def encode_audio(self, frames) -> encoders.TokenBlockSet:
-        return encoders.encode_audio(frames, self.params)
-
-    def item_factors(self, pooled: Tensor, modality: str) -> list[Tensor]:
-        """K factor vectors of one item's pooled (D,) embedding."""
-        dim = self.cfg.embed_dim
-        col = ad.reshape(pooled, (dim, 1))
-        return [
-            ad.reshape(ad.matmul(w, col), (self.cfg.factor_dim,))
-            for w in self.factor_bank(modality)
-        ]
-
-    def score_pair(self, audio_set, text_set, mode: str) -> Tensor:
-        """Similarity of one encoded audio item against one encoded text item."""
-        total = None
-        for component in objective.mode_components(mode):
-            if component == "DP":
-                term = attention.global_similarity(audio_set.pooled, text_set.pooled)
-            elif component == "THA":
-                term = attention.hierarchical_similarity(audio_set, text_set, self.cfg.attention)
-            else:
-                term = factor_pair_similarity(
-                    self.item_factors(text_set.pooled, "text"),
-                    self.item_factors(audio_set.pooled, "audio"),
-                    self.params,
-                    self.cfg.squash,
-                )
-            total = term if total is None else ad.add(total, term)
-        return total
-
-    # -- batched path --------------------------------------------------------
 
     def encode_pairs(self, items) -> EncodedBatch:
         """Encode aligned (audio, text) items as one batch, TILE items at a time."""

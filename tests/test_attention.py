@@ -1,6 +1,7 @@
-"""Stacked cross attention ops against composed step-by-step oracles."""
+"""Stacked cross attention scores against step-by-step per-pair oracles."""
 
 import numpy as np
+import oracle
 import pytest
 
 from xmal import attention as attn, autodiff as ad
@@ -16,33 +17,27 @@ def pairwise_cosine_oracle(a, b):
     return out
 
 
-def attend_oracle(queries, contexts, temperature):
-    sims = pairwise_cosine_oracle(queries, contexts)
-    clipped = np.maximum(sims, 0.0)
-    sbar = np.zeros_like(clipped)
-    for j in range(contexts.shape[0]):
-        norm = np.sqrt((clipped[:, j] ** 2).sum())
-        if norm > 0:
-            sbar[:, j] = clipped[:, j] / norm
-    fused = np.zeros_like(queries)
-    for i in range(queries.shape[0]):
-        logits = temperature * sbar[i]
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        fused[i] = w @ contexts
-    return fused
+def tha(audio, text, cfg):
+    """All-pairs THA of (B_a, M_l, D) audio and (B_t, N, D) text level arrays,
+    through the differentiable ops (a tape records)."""
+    return attn.hierarchical_similarity_matrix(
+        [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
+    ).value
+
+
+# The pairwise row cosine of two matrices is `global_similarity_matrix`.
 
 
 def test_token_similarity_self_row_is_one():
     v = np.array([[1.0, 2.0, -1.0]])
-    out = attn.token_word_similarity(ad.Tensor(v), ad.Tensor(v)).value
+    out = attn.global_similarity_matrix(ad.Tensor(v), ad.Tensor(v)).value
     assert abs(out[0, 0] - 1.0) < 1e-12
 
 
 def test_token_similarity_orthogonal_rows():
     a = np.array([[1.0, 0.0]])
     b = np.array([[0.0, 5.0]])
-    out = attn.token_word_similarity(ad.Tensor(a), ad.Tensor(b)).value
+    out = attn.global_similarity_matrix(ad.Tensor(a), ad.Tensor(b)).value
     assert abs(out[0, 0]) < 1e-15
 
 
@@ -50,14 +45,14 @@ def test_token_similarity_matches_per_pair_oracle():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(2, 4))
-    out = attn.token_word_similarity(ad.Tensor(a), ad.Tensor(b)).value
+    out = attn.global_similarity_matrix(ad.Tensor(a), ad.Tensor(b)).value
     assert np.abs(out - pairwise_cosine_oracle(a, b)).max() < 1e-12
     assert (out <= 1 + 1e-12).all() and (out >= -1 - 1e-12).all()
 
 
 def test_token_similarity_width_mismatch():
     with pytest.raises(DimensionError):
-        attn.token_word_similarity(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4))))
+        attn.global_similarity_matrix(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 4))))
 
 
 def test_hinge_normalize_all_nonpositive_column():
@@ -86,50 +81,60 @@ def test_hinge_normalize_positive_columns_unit_norm():
                 assert abs((out[:, j] ** 2).sum() - 1.0) < 1e-10
             else:
                 assert np.array_equal(out[:, j], np.zeros(5))
+    # a (B_a, B_t, Q, C) stack normalizes each pair's columns over Q
+    s = rng.normal(size=(2, 3, 5, 4))
+    out = attn.hinge_normalize(ad.Tensor(s)).value
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], attn.hinge_normalize(ad.Tensor(s[i, j])).value)
 
 
 CFG = AttentionConfig(temperature=9.0, direction="both")
+TEXT_ENHANCED = AttentionConfig(temperature=9.0, direction="text_enhanced")
+AUDIO_ENHANCED = AttentionConfig(temperature=9.0, direction="audio_enhanced")
 
 
 def test_attend_single_context_row():
+    # one audio token per item: every fused text row is that token
     rng = np.random.default_rng(2)
-    q = rng.normal(size=(4, 3))
-    c = rng.normal(size=(1, 3))
-    out = attn.attend(ad.Tensor(q), ad.Tensor(c), CFG).value
-    for i in range(4):
-        assert np.abs(out[i] - c[0]).max() < 1e-12
+    audio = rng.normal(size=(2, 1, 3))
+    text = rng.normal(size=(3, 4, 3))
+    out = tha([audio], [text], AUDIO_ENHANCED)
+    for i in range(2):
+        for j in range(3):
+            direct = pairwise_cosine_oracle(text[j], audio[i]).sum()
+            assert abs(out[i, j] - direct) < 1e-12
 
 
 def test_attend_sharp_temperature_approaches_argmax_context():
     rng = np.random.default_rng(3)
     c = rng.normal(size=(3, 4))
-    # a query equal to one context row dominates that column after hinging
+    # a query equal to one context row dominates that column after hinging,
+    # so its fused row approaches that row and their cosine approaches 1
     q = np.stack([c[1]])
-    cfg = AttentionConfig(temperature=100.0, direction="both")
-    out = attn.attend(ad.Tensor(q), ad.Tensor(c), cfg).value
-    assert np.abs(out[0] - c[1]).max() < 1e-6
+    cfg = AttentionConfig(temperature=100.0, direction="text_enhanced")
+    out = tha([q[None]], [c[None]], cfg)
+    assert abs(out[0, 0] - 1.0) < 1e-6
 
 
 def test_attend_matches_composed_oracle():
     rng = np.random.default_rng(4)
-    q = rng.normal(size=(2, 4))
-    c = rng.normal(size=(3, 4))
-    out = attn.attend(ad.Tensor(q), ad.Tensor(c), CFG).value
-    assert np.abs(out - attend_oracle(q, c, 9.0)).max() < 1e-10
-
-
-def test_attend_rejects_empty():
-    with pytest.raises(ContractError):
-        attn.attend(ad.Tensor(np.zeros((0, 3))), ad.Tensor(np.ones((2, 3))), CFG)
+    audio = rng.normal(size=(2, 2, 4))
+    text = rng.normal(size=(3, 3, 4))
+    out = tha([audio], [text], TEXT_ENHANCED)
+    for i in range(2):
+        for j in range(3):
+            assert abs(out[i, j] - oracle.block_score(audio[i], text[j], 9.0)) < 1e-10
 
 
 def test_attend_rows_are_convex_combinations():
     rng = np.random.default_rng(5)
-    q = rng.normal(size=(3, 4))
-    c = rng.normal(size=(5, 4))
-    sbar = attn.hinge_normalize(attn.token_word_similarity(ad.Tensor(q), ad.Tensor(c)))
+    q = ad.normalize_rows(ad.Tensor(rng.normal(size=(2, 3, 4))))
+    c = ad.normalize_rows(ad.Tensor(rng.normal(size=(4, 5, 4))))
+    sbar = attn.hinge_normalize(ad.einsum("imd,jnd->ijmn", q, c))
     alpha = ad.row_softmax(sbar, CFG.temperature).value
-    assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
+    assert alpha.shape == (2, 4, 3, 5)
+    assert np.abs(alpha.sum(axis=-1) - 1.0).max() < 1e-12
     assert (alpha > 0).all()
 
 
@@ -137,148 +142,122 @@ def test_attend_invariant_to_context_permutation():
     # The context sum is order-free mathematically; floating reductions match
     # only to rounding, so this asserts agreement at ulp scale.
     rng = np.random.default_rng(6)
-    q = rng.normal(size=(3, 5))
-    c = rng.normal(size=(4, 5))
-    base = attn.attend(ad.Tensor(q), ad.Tensor(c), CFG).value
+    audio = rng.normal(size=(2, 3, 5))
+    text = rng.normal(size=(3, 4, 5))
+    base = tha([audio], [text], TEXT_ENHANCED)
     for _ in range(10):
-        perm = rng.permutation(4)
-        out = attn.attend(ad.Tensor(q), ad.Tensor(c[perm]), CFG).value
+        out = tha([audio], [text[:, rng.permutation(4)]], TEXT_ENHANCED)
         np.testing.assert_allclose(out, base, rtol=1e-13, atol=1e-14)
 
 
 def test_block_similarity_self_scores_row_count():
+    # three query rows along the one context row each fuse to it exactly
     rng = np.random.default_rng(7)
-    q = rng.normal(size=(3, 4))
-    out = attn.block_similarity(ad.Tensor(q), ad.Tensor(q)).value
-    assert abs(float(out) - 3.0) < 1e-12
+    c = rng.normal(size=(1, 1, 4))
+    q = c * np.array([0.5, 2.0, 7.0])[None, :, None]
+    out = tha([q], [c], TEXT_ENHANCED)
+    assert abs(float(out[0, 0]) - 3.0) < 1e-12
 
 
 def test_block_similarity_orthogonal_rows():
-    q = np.array([[1.0, 0.0], [0.0, 2.0]])
-    f = np.array([[0.0, 3.0], [4.0, 0.0]])
-    assert abs(float(attn.block_similarity(ad.Tensor(q), ad.Tensor(f)).value)) < 1e-15
+    # fused rows are combinations of context rows, all orthogonal to the queries
+    q = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]])
+    f = np.array([[[0.0, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 1.0, 1.0]]])
+    assert abs(float(tha([q], [f], TEXT_ENHANCED)[0, 0])) < 1e-15
+    assert abs(float(tha([q], [f], AUDIO_ENHANCED)[0, 0])) < 1e-15
 
 
 def test_block_similarity_matches_per_row_oracle():
+    # with one context row per text item the fused rows are exactly that row
     rng = np.random.default_rng(8)
-    q = rng.normal(size=(4, 5))
-    f = rng.normal(size=(4, 5))
-    expected = sum(
-        q[i] @ f[i] / (np.linalg.norm(q[i]) * np.linalg.norm(f[i])) for i in range(4)
-    )
-    assert abs(float(attn.block_similarity(ad.Tensor(q), ad.Tensor(f)).value) - expected) < 1e-12
+    audio = rng.normal(size=(2, 4, 5))
+    text = rng.normal(size=(3, 1, 5))
+    out = tha([audio], [text], TEXT_ENHANCED)
+    for i in range(2):
+        for j in range(3):
+            expected = sum(
+                q @ text[j, 0] / (np.linalg.norm(q) * np.linalg.norm(text[j, 0])) for q in audio[i]
+            )
+            assert abs(out[i, j] - expected) < 1e-12
 
 
-def test_block_similarity_shape_mismatch():
-    with pytest.raises(DimensionError):
-        attn.block_similarity(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
-
-
-def _random_levels(rng, counts, dim):
-    return [ad.Tensor(rng.normal(size=(c, dim))) for c in counts]
+def _random_levels(rng, counts, dim, items=1):
+    return [rng.normal(size=(items, c, dim)) for c in counts]
 
 
 def test_hierarchical_similarity_matches_composed_oracle_per_level():
     rng = np.random.default_rng(9)
-    audio = _random_levels(rng, (4, 2, 1), 6)
-    text = _random_levels(rng, (3, 3, 3), 6)
-    cfg = AttentionConfig(temperature=9.0, direction="text_enhanced")
-    total = float(attn.hierarchical_similarity(audio, text, cfg).value)
-    expected = 0.0
-    for a_l, t_l in zip(audio, text):
-        fused = attend_oracle(a_l.value, t_l.value, 9.0)
-        q = a_l.value
-        expected += sum(
-            q[i] @ fused[i] / (np.linalg.norm(q[i]) * np.linalg.norm(fused[i]))
-            for i in range(q.shape[0])
-        )
-    assert abs(total - expected) < 1e-10
+    audio = _random_levels(rng, (4, 2, 1), 6, items=2)
+    text = _random_levels(rng, (3, 3, 3), 6, items=3)
+    for cfg in (TEXT_ENHANCED, AUDIO_ENHANCED, CFG):
+        total = tha(audio, text, cfg)
+        for i in range(2):
+            for j in range(3):
+                expected = oracle.tha_score([a[i] for a in audio], [t[j] for t in text], cfg)
+                assert abs(total[i, j] - expected) < 1e-10
 
 
 def test_hierarchical_similarity_orthogonal_level_adds_zero():
     rng = np.random.default_rng(15)
-    cfg = AttentionConfig(temperature=9.0, direction="text_enhanced")
-    a1, t1 = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
-    a3, t3 = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+    a1, t1 = rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 3, 4))
+    a3, t3 = rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 3, 4))
     # middle level: queries along e3, contexts along e2 -> every cosine is 0
-    a2 = np.array([[0.0, 0.0, 1.0, 0.0]])
-    t2 = np.array([[0.0, 1.0, 0.0, 0.0]])
-    full = float(
-        attn.hierarchical_similarity(
-            [ad.Tensor(a1), ad.Tensor(a2), ad.Tensor(a3)],
-            [ad.Tensor(t1), ad.Tensor(t2), ad.Tensor(t3)],
-            cfg,
-        ).value
-    )
-    level1 = float(attn.block_similarity(ad.Tensor(a1), attn.attend(ad.Tensor(a1), ad.Tensor(t1), cfg)).value)
-    level3 = float(attn.block_similarity(ad.Tensor(a3), attn.attend(ad.Tensor(a3), ad.Tensor(t3), cfg)).value)
+    a2 = np.array([[[0.0, 0.0, 1.0, 0.0]]])
+    t2 = np.array([[[0.0, 1.0, 0.0, 0.0]]])
+    full = float(tha([a1, a2, a3], [t1, t2, t3], TEXT_ENHANCED)[0, 0])
+    level1 = float(tha([a1], [t1], TEXT_ENHANCED)[0, 0])
+    level3 = float(tha([a3], [t3], TEXT_ENHANCED)[0, 0])
     assert abs(full - (level1 + level3)) < 1e-12
 
 
 def test_hierarchical_similarity_both_is_mean_of_directions():
     rng = np.random.default_rng(10)
-    audio = _random_levels(rng, (4, 2, 1), 5)
-    text = _random_levels(rng, (3, 3, 3), 5)
-    te = float(
-        attn.hierarchical_similarity(
-            audio, text, AttentionConfig(temperature=9.0, direction="text_enhanced")
-        ).value
-    )
-    ae = float(
-        attn.hierarchical_similarity(
-            audio, text, AttentionConfig(temperature=9.0, direction="audio_enhanced")
-        ).value
-    )
-    both = float(
-        attn.hierarchical_similarity(
-            audio, text, AttentionConfig(temperature=9.0, direction="both", combine="mean")
-        ).value
-    )
-    assert abs(both - (te + ae) / 2.0) < 1e-12
-    both_sum = float(
-        attn.hierarchical_similarity(
-            audio, text, AttentionConfig(temperature=9.0, direction="both", combine="sum")
-        ).value
-    )
-    assert abs(both_sum - (te + ae)) < 1e-12
+    audio = _random_levels(rng, (4, 2, 1), 5, items=2)
+    text = _random_levels(rng, (3, 3, 3), 5, items=3)
+    te = tha(audio, text, TEXT_ENHANCED)
+    ae = tha(audio, text, AUDIO_ENHANCED)
+    both = tha(audio, text, AttentionConfig(temperature=9.0, direction="both", combine="mean"))
+    assert np.abs(both - (te + ae) / 2.0).max() < 1e-12
+    both_sum = tha(audio, text, AttentionConfig(temperature=9.0, direction="both", combine="sum"))
+    assert np.abs(both_sum - (te + ae)).max() < 1e-12
 
 
 def test_hierarchical_similarity_level_mismatch():
     rng = np.random.default_rng(11)
+    audio = [ad.Tensor(a) for a in _random_levels(rng, (4, 2), 5)]
+    text = [ad.Tensor(t) for t in _random_levels(rng, (3, 3, 3), 5)]
     with pytest.raises(ContractError):
-        attn.hierarchical_similarity(
-            _random_levels(rng, (4, 2), 5), _random_levels(rng, (3, 3, 3), 5), CFG
-        )
+        attn.hierarchical_similarity_matrix(audio, text, CFG)
+    with pytest.raises(ContractError), ad.no_grad():  # the forward-only kernel too
+        attn.hierarchical_similarity_matrix(audio, text, CFG)
 
 
 def test_hierarchical_similarity_invariant_to_audio_row_permutation():
     rng = np.random.default_rng(12)
-    cfg = AttentionConfig(temperature=9.0, direction="text_enhanced")
-    audio = [rng.normal(size=(c, 5)) for c in (4, 3, 2)]
-    text = _random_levels(rng, (3, 3, 3), 5)
-    base = float(attn.hierarchical_similarity([ad.Tensor(a) for a in audio], text, cfg).value)
+    audio = _random_levels(rng, (4, 3, 2), 5, items=2)
+    text = _random_levels(rng, (3, 3, 3), 5, items=2)
+    base = tha(audio, text, TEXT_ENHANCED)
     for _ in range(10):
-        permuted = [ad.Tensor(a[rng.permutation(a.shape[0])]) for a in audio]
-        out = float(attn.hierarchical_similarity(permuted, text, cfg).value)
-        np.testing.assert_allclose(out, base, rtol=1e-13)
+        permuted = [a[:, rng.permutation(a.shape[1])] for a in audio]
+        np.testing.assert_allclose(tha(permuted, text, TEXT_ENHANCED), base, rtol=1e-13)
 
 
 def test_global_similarity_identical_vectors():
-    v = np.array([0.3, -1.2, 0.7])
-    assert abs(float(attn.global_similarity(ad.Tensor(v), ad.Tensor(v)).value) - 1.0) < 1e-12
+    v = np.array([[0.3, -1.2, 0.7]])
+    assert abs(float(attn.global_similarity_matrix(ad.Tensor(v), ad.Tensor(v)).value[0, 0]) - 1.0) < 1e-12
 
 
 def test_global_similarity_positive_scale_invariance():
     rng = np.random.default_rng(13)
-    v = rng.normal(size=6)
-    for c in (0.5, 2.0, 117.0):
-        out = float(attn.global_similarity(ad.Tensor(v), ad.Tensor(c * v)).value)
-        assert abs(out - 1.0) < 1e-12
+    v = rng.normal(size=(1, 6))
+    scaled = np.concatenate([c * v for c in (0.5, 2.0, 117.0)])
+    out = attn.global_similarity_matrix(ad.Tensor(v), ad.Tensor(scaled)).value
+    assert np.abs(out - 1.0).max() < 1e-12
 
 
 def test_global_similarity_orthogonal():
-    out = attn.global_similarity(ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 1.0])).value
-    assert abs(float(out)) < 1e-15
+    out = attn.global_similarity_matrix(ad.Tensor([[1.0, 0.0]]), ad.Tensor([[0.0, 1.0]])).value
+    assert abs(float(out[0, 0])) < 1e-15
 
 
 def test_attention_config_validation():
@@ -292,11 +271,12 @@ def test_attention_config_validation():
 
 def test_hierarchical_similarity_gradient_vs_finite_differences():
     rng = np.random.default_rng(14)
-    audio = [ad.parameter(rng.normal(size=(c, 5)), f"a{i}") for i, c in enumerate((4, 2, 1))]
-    text = [ad.parameter(rng.normal(size=(3, 5)), f"t{i}") for i in range(3)]
+    audio = [ad.parameter(rng.normal(size=(2, c, 5)), f"a{i}") for i, c in enumerate((4, 2, 1))]
+    text = [ad.parameter(rng.normal(size=(2, 3, 5)), f"t{i}") for i in range(3)]
+    probe = rng.normal(size=(2, 2))
 
     def fn():
-        return attn.hierarchical_similarity(audio, text, CFG)
+        return ad.reduce_sum(ad.mul(attn.hierarchical_similarity_matrix(audio, text, CFG), probe))
 
     assert ad.finite_difference_check(fn, audio + text, h=1e-5) < 1e-4
 

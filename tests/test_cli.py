@@ -241,6 +241,35 @@ def test_sim_matches_diagnostics_confidences(trained, capsys):
         assert abs(printed[i] - diag.confidence_items[0, i]) < 1e-10
 
 
+def test_sim_matches_eval_component_matrices(trained, capsys):
+    from xmal.cli import _restore_model
+
+    data, ckpt = trained
+    ds = load_dataset(data)
+    model, _ = _restore_model(ckpt, ds)
+    with ad.no_grad():
+        encoded = model.encode_pairs(ds.items)
+        scores = {c: model.component_matrix(encoded, c).value for c in ("DP", "THA", "DCR")}
+    scores["THA+DCR"] = scores["THA"] + scores["DCR"]
+    keys = ["config_hash", "item_audio", "DP"]
+    for lvl in (1, 2, 3):
+        keys += [f"THA.level{lvl}.text_enhanced", f"THA.level{lvl}.audio_enhanced", f"THA.level{lvl}"]
+    keys.append("THA")
+    for i in range(4):
+        keys += [f"DCR.factor{i}.confidence", f"DCR.factor{i}.cosine"]
+    keys += ["DCR", "THA+DP", "THA+DCR"]
+    for a, b in ((0, 0), (1, 2), (17, 5)):
+        code, out, err = run(
+            capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", str(a), "--item-b", str(b),
+        )
+        assert code == 0, err
+        lines = out.splitlines()
+        assert [line.split("=", 1)[0] for line in lines] == keys
+        values = dict(line.split("=", 1) for line in lines[2:])
+        for name, matrix in scores.items():
+            assert abs(float(values[name]) - matrix[a, b]) < 1e-12, (name, a, b)
+
+
 def test_export_embeddings_round_trip(trained, tmp_path, capsys):
     data, ckpt = trained
     epath = str(tmp_path / "enc.xemb")

@@ -1,14 +1,14 @@
 """Confidence network and the weighted factor-pair similarity."""
 
 import numpy as np
+import oracle
 import pytest
 
 from xmal import autodiff as ad
 from xmal.confidence import (
     SQUASHES,
-    confidence,
     confidence_batch,
-    factor_pair_similarity,
+    factor_pair_kernel_terms,
     factor_pair_similarity_kernel,
     factor_pair_similarity_matrix,
     init_confidence_params,
@@ -25,73 +25,78 @@ def zero_params(factor_dim, hidden):
     }
 
 
+def pair(x):
+    return ad.Tensor(np.asarray(x, dtype=np.float64)[None])
+
+
 def test_zero_network_outputs_half():
     params = zero_params(3, 4)
-    g = confidence(ad.Tensor([1.0, -2.0, 0.5]), ad.Tensor([0.3, 0.0, 1.0]), params)
-    assert float(g.value) == 0.5
+    g = confidence_batch(pair([1.0, -2.0, 0.5]), pair([0.3, 0.0, 1.0]), params)
+    assert float(g.value[0]) == 0.5
 
 
 def test_large_output_bias_saturates_toward_one():
     params = zero_params(2, 3)
     params["conf.b2"].value = np.array([50.0])
-    g = confidence(ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0]), params)
-    assert float(g.value) > 0.999
+    g = confidence_batch(pair([1.0, 2.0]), pair([3.0, 4.0]), params)
+    assert float(g.value[0]) > 0.999
 
 
 def test_confidence_matches_layer_by_layer_oracle():
     rng = np.random.default_rng(0)
     d, hidden = 3, 5
     params = init_confidence_params(d, hidden, rng)
-    e_t = rng.normal(size=d)
-    e_a = rng.normal(size=d)
-    x = np.concatenate([e_t, e_a])
-    h = np.maximum(params["conf.w1"].value @ x + params["conf.b1"].value, 0.0)
-    y = params["conf.w2"].value @ h + params["conf.b2"].value
-    expected = 1.0 / (1.0 + np.exp(-y[0]))
-    got = float(confidence(ad.Tensor(e_t), ad.Tensor(e_a), params).value)
-    assert abs(got - expected) < 1e-12
+    e_t = rng.normal(size=(4, d))
+    e_a = rng.normal(size=(4, d))
+    got = confidence_batch(ad.Tensor(e_t), ad.Tensor(e_a), params).value
+    for p in range(4):
+        assert abs(got[p] - oracle.confidence(e_t[p], e_a[p], params)) < 1e-12
 
 
 def test_confidence_dim_mismatch():
     params = zero_params(3, 4)
     with pytest.raises(DimensionError):
-        confidence(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]), params)
+        confidence_batch(pair([1.0, 2.0]), pair([1.0, 2.0, 3.0]), params)
     with pytest.raises(DimensionError):
-        confidence(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0]), params)
+        confidence_batch(pair([1.0, 2.0]), pair([1.0, 2.0]), params)
 
 
 def test_confidence_bounded_in_unit_interval():
     rng = np.random.default_rng(1)
     params = init_confidence_params(4, 4, rng)
-    for _ in range(100):
-        g = float(
-            confidence(ad.Tensor(rng.normal(size=4) * 3), ad.Tensor(rng.normal(size=4) * 3), params).value
-        )
-        assert 0.0 < g < 1.0
+    g = confidence_batch(
+        ad.Tensor(rng.normal(size=(100, 4)) * 3), ad.Tensor(rng.normal(size=(100, 4)) * 3), params
+    ).value
+    assert ((0.0 < g) & (g < 1.0)).all()
     # far outside the operating range the squash may round to the endpoints
-    for _ in range(20):
-        g = float(
-            confidence(
-                ad.Tensor(rng.normal(size=4) * 1e4), ad.Tensor(rng.normal(size=4) * 1e4), params
-            ).value
-        )
-        assert 0.0 <= g <= 1.0
+    g = confidence_batch(
+        ad.Tensor(rng.normal(size=(20, 4)) * 1e4), ad.Tensor(rng.normal(size=(20, 4)) * 1e4), params
+    ).value
+    assert ((0.0 <= g) & (g <= 1.0)).all()
+
+
+def pair_similarity(text, audio, params):
+    """factor_pair_similarity_matrix of one (audio, text) item pair: lists of
+    K (d,) factor vectors -> a float."""
+    return float(
+        factor_pair_similarity_matrix([pair(t) for t in text], [pair(a) for a in audio], params)
+        .value[0, 0]
+    )
 
 
 def test_pair_similarity_saturated_identical_factor():
     params = zero_params(2, 3)
     params["conf.b2"].value = np.array([50.0])
-    v = ad.Tensor([0.6, -0.8])
-    s = float(factor_pair_similarity([v], [v], params).value)
-    assert abs(s - 1.0) < 1e-3
+    v = [0.6, -0.8]
+    assert abs(pair_similarity([v], [v], params) - 1.0) < 1e-3
 
 
 def test_pair_similarity_orthogonal_factors_zero():
     rng = np.random.default_rng(2)
     params = init_confidence_params(2, 2, rng)
-    text = [ad.Tensor([1.0, 0.0]), ad.Tensor([0.0, 2.0])]
-    audio = [ad.Tensor([0.0, 3.0]), ad.Tensor([-5.0, 0.0])]
-    assert abs(float(factor_pair_similarity(text, audio, params).value)) < 1e-15
+    text = [[1.0, 0.0], [0.0, 2.0]]
+    audio = [[0.0, 3.0], [-5.0, 0.0]]
+    assert abs(pair_similarity(text, audio, params)) < 1e-15
 
 
 def test_pair_similarity_matches_composed_oracle():
@@ -107,29 +112,23 @@ def test_pair_similarity_matches_composed_oracle():
         y = (params["conf.w2"].value @ h + params["conf.b2"].value)[0]
         g = 1.0 / (1.0 + np.exp(-y))
         expected += g * (e_t @ e_a) / (np.linalg.norm(e_t) * np.linalg.norm(e_a))
-    got = float(
-        factor_pair_similarity(
-            [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params
-        ).value
-    )
-    assert abs(got - expected) < 1e-10
+    assert abs(pair_similarity(text, audio, params) - expected) < 1e-10
 
 
 def test_pair_similarity_factor_count_mismatch():
     params = zero_params(2, 2)
     with pytest.raises(DimensionError):
-        factor_pair_similarity([ad.Tensor([1.0, 2.0])], [], params)
+        factor_pair_similarity_matrix([pair([1.0, 2.0])], [], params)
 
 
 def test_pair_similarity_bounded_by_factor_count():
     rng = np.random.default_rng(4)
-    k, d = 4, 3
+    k, d, b = 4, 3, 8
     params = init_confidence_params(d, d, rng)
-    for _ in range(50):
-        text = [ad.Tensor(rng.normal(size=d)) for _ in range(k)]
-        audio = [ad.Tensor(rng.normal(size=d)) for _ in range(k)]
-        s = float(factor_pair_similarity(text, audio, params).value)
-        assert abs(s) < k
+    text = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
+    audio = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
+    s = factor_pair_similarity_matrix(text, audio, params).value
+    assert (np.abs(s) < k).all()
 
 
 def test_cosine_scale_invariance_exact():
@@ -150,10 +149,10 @@ def test_cosine_scale_invariance_exact():
 def test_unsquashed_mode_returns_raw_output():
     rng = np.random.default_rng(6)
     params = init_confidence_params(3, 3, rng)
-    raw = confidence(ad.Tensor(rng.normal(size=3)), ad.Tensor(rng.normal(size=3)), params, squash="none")
-    assert np.isfinite(raw.value)
-    with pytest.raises(Exception):
-        confidence(ad.Tensor([1.0]), ad.Tensor([1.0]), zero_params(1, 2), squash="hard")
+    raw = confidence_batch(pair(rng.normal(size=3)), pair(rng.normal(size=3)), params, squash="none")
+    assert np.isfinite(raw.value).all()
+    with pytest.raises(ConfigError):
+        confidence_batch(pair([1.0]), pair([1.0]), zero_params(1, 2), squash="hard")
 
 
 def test_similarity_matrix_matches_per_pair_calls():
@@ -165,22 +164,22 @@ def test_similarity_matrix_matches_per_pair_calls():
     s = factor_pair_similarity_matrix(text, audio, params).value
     for i in range(b):
         for j in range(b):
-            t_item = [ad.Tensor(f.value[j]) for f in text]
-            a_item = [ad.Tensor(f.value[i]) for f in audio]
-            direct = float(factor_pair_similarity(t_item, a_item, params).value)
-            assert abs(s[i, j] - direct) < 1e-10
+            t_item = [f.value[j] for f in text]
+            a_item = [f.value[i] for f in audio]
+            assert abs(s[i, j] - oracle.dcr_score(t_item, a_item, params)) < 1e-10
 
 
 def test_gradients_vs_finite_differences():
     rng = np.random.default_rng(8)
     d, k = 2, 3
     params = init_confidence_params(d, d, rng)
-    text = [ad.parameter(rng.normal(size=d), f"t{i}") for i in range(k)]
-    audio = [ad.parameter(rng.normal(size=d), f"a{i}") for i in range(k)]
+    text = [ad.parameter(rng.normal(size=(3, d)), f"t{i}") for i in range(k)]
+    audio = [ad.parameter(rng.normal(size=(2, d)), f"a{i}") for i in range(k)]
+    probe = rng.normal(size=(2, 3))
     everything = text + audio + list(params.values())
 
     def fn():
-        return factor_pair_similarity(text, audio, params)
+        return ad.reduce_sum(ad.mul(factor_pair_similarity_matrix(text, audio, params), probe))
 
     assert ad.finite_difference_check(fn, everything, h=1e-5) < 1e-4
 
@@ -210,6 +209,13 @@ def test_kernel_matches_composed_ops(zero_rows):
             ).value
         assert np.array_equal(fast, factor_pair_similarity_kernel(text, audio, params, squash))
         assert fast.shape == (7, 12)
+        g, cos = factor_pair_kernel_terms(text, audio, params, squash)
+        assert g.shape == cos.shape == (3, 7, 12)
+        for i, j in ((0, 0), (6, 11)):
+            for k in range(3):
+                want_g = oracle.confidence(text[k, j], audio[k, i], params, squash)
+                assert abs(g[k, i, j] - want_g) < 1e-12
+                assert abs(cos[k, i, j] - oracle.cosine(text[k, j], audio[k, i])) < 1e-12
         assert np.abs(fast - composed.value).max() < 1e-12, squash
         if zero_rows:
             assert (fast[2] == 0.0).all()  # zero cosines weigh nothing

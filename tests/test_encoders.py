@@ -1,6 +1,7 @@
 """Dual-stream encoder stacks: tap structure, pooling, causal depth order."""
 
 import numpy as np
+import oracle
 import pytest
 
 from xmal import autodiff as ad, encoders
@@ -9,9 +10,7 @@ from xmal.encoders import (
     AUDIO_STAGE_BLOCKS,
     TEXT_TAPS,
     audio_tap_counts,
-    encode_audio,
     encode_audio_batch,
-    encode_text,
     encode_text_batch,
     init_audio_params,
     init_text_params,
@@ -45,52 +44,46 @@ def random_params(dim, seed=3):
 
 def test_text_shapes_and_level_count():
     params = random_params(16)
-    out = encode_text(np.random.default_rng(1).normal(size=(5, 16)), params)
-    assert [lvl.value.shape for lvl in out.levels] == [(5, 16)] * 3
-    assert out.pooled.value.shape == (16,)
-    assert out.modality == "text"
+    levels, pooled = encode_text_batch(np.random.default_rng(1).normal(size=(2, 5, 16)), params)
+    assert [lvl.value.shape for lvl in levels] == [(2, 5, 16)] * 3
+    assert pooled.value.shape == (2, 16)
 
 
 def test_text_identity_stack_passes_rows_through():
     params = identity_text_params(8)
-    row = np.random.default_rng(2).normal(size=(1, 8))
-    out = encode_text(row, params)
-    for lvl in out.levels:
+    row = np.random.default_rng(2).normal(size=(1, 1, 8))
+    levels, pooled = encode_text_batch(row, params)
+    for lvl in levels:
         assert np.array_equal(lvl.value, row)
     # zero readout scores make the pooled vector the token mean = that row
-    assert np.abs(out.pooled.value - row[0]).max() < 1e-15
-
-
-def test_text_rejects_empty_input():
-    with pytest.raises(ContractError):
-        encode_text(np.zeros((0, 8)), identity_text_params(8))
+    assert np.abs(pooled.value - row[:, 0]).max() < 1e-15
 
 
 def test_text_perturbing_block11_touches_only_deeper_taps():
     params = random_params(16, seed=5)
-    tokens = np.random.default_rng(3).normal(size=(4, 16))
-    base = encode_text(tokens, params)
+    tokens = np.random.default_rng(3).normal(size=(2, 4, 16))
+    base_levels, base_pooled = encode_text_batch(tokens, params)
     params["text.block11.w"].value = params["text.block11.w"].value + 0.05
-    bumped = encode_text(tokens, params)
-    assert np.array_equal(base.levels[0].value, bumped.levels[0].value)  # tap 4
-    assert np.array_equal(base.levels[1].value, bumped.levels[1].value)  # tap 10
-    assert not np.array_equal(base.levels[2].value, bumped.levels[2].value)  # tap 12
-    assert not np.array_equal(base.pooled.value, bumped.pooled.value)
+    bumped_levels, bumped_pooled = encode_text_batch(tokens, params)
+    assert np.array_equal(base_levels[0].value, bumped_levels[0].value)  # tap 4
+    assert np.array_equal(base_levels[1].value, bumped_levels[1].value)  # tap 10
+    assert not np.array_equal(base_levels[2].value, bumped_levels[2].value)  # tap 12
+    assert not np.array_equal(base_pooled.value, bumped_pooled.value)
 
 
 def test_text_permutation_equivariance_and_invariant_pooling():
     params = random_params(16, seed=7)
     rng = np.random.default_rng(4)
-    tokens = rng.normal(size=(6, 16))
-    base = encode_text(tokens, params)
+    tokens = rng.normal(size=(2, 6, 16))
+    base_levels, base_pooled = encode_text_batch(tokens, params)
     for _ in range(10):
         perm = rng.permutation(6)
-        out = encode_text(tokens[perm], params)
-        for lvl_base, lvl_out in zip(base.levels, out.levels):
-            np.testing.assert_allclose(lvl_out.value, lvl_base.value[perm], rtol=0, atol=0)
+        levels, pooled = encode_text_batch(tokens[:, perm], params)
+        for lvl_base, lvl_out in zip(base_levels, levels):
+            np.testing.assert_allclose(lvl_out.value, lvl_base.value[:, perm], rtol=0, atol=0)
         # pooled readout scores tokens by content, so ordering cannot matter
         # beyond reduction rounding
-        np.testing.assert_allclose(out.pooled.value, base.pooled.value, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(pooled.value, base_pooled.value, rtol=1e-12, atol=1e-13)
 
 
 def test_audio_tap_counts_follow_ceil_halving():
@@ -101,29 +94,29 @@ def test_audio_tap_counts_follow_ceil_halving():
 
 def test_audio_shapes_match_tap_counts():
     params = random_params(16)
-    out = encode_audio(np.random.default_rng(5).normal(size=(8, 16)), params)
-    assert [lvl.value.shape[0] for lvl in out.levels] == [4, 2, 1]
-    assert out.pooled.value.shape == (16,)
+    levels, pooled = encode_audio_batch(np.random.default_rng(5).normal(size=(2, 8, 16)), params)
+    assert [lvl.value.shape for lvl in levels] == [(2, 4, 16), (2, 2, 16), (2, 1, 16)]
+    assert pooled.value.shape == (2, 16)
 
 
 def test_audio_identity_stack_global_is_input_mean():
     params = identity_audio_params(8)
-    frames = np.random.default_rng(6).normal(size=(8, 8))
-    out = encode_audio(frames, params)
-    assert np.abs(out.pooled.value - frames.mean(axis=0)).max() < 1e-12
+    frames = np.random.default_rng(6).normal(size=(2, 8, 8))
+    _, pooled = encode_audio_batch(frames, params)
+    assert np.abs(pooled.value - frames.mean(axis=1)).max() < 1e-12
 
 
 def test_audio_rejects_short_input():
     with pytest.raises(ContractError):
-        encode_audio(np.ones((3, 8)), identity_audio_params(8))
+        encode_audio_batch(np.ones((1, 3, 8)), identity_audio_params(8))
 
 
 def test_audio_pooled_equals_final_level_mean_exactly():
     params = random_params(16, seed=9)
-    out = encode_audio(np.random.default_rng(7).normal(size=(8, 16)), params)
-    final = out.levels[-1].value
-    recomputed = (final * (1.0 / final.shape[0])).sum(axis=0)
-    assert np.array_equal(out.pooled.value, recomputed)
+    levels, pooled = encode_audio_batch(np.random.default_rng(7).normal(size=(2, 8, 16)), params)
+    final = levels[-1].value
+    recomputed = (final * (1.0 / final.shape[1])).sum(axis=1)
+    assert np.array_equal(pooled.value, recomputed)
 
 
 def test_audio_stage_structure_constants():
@@ -140,21 +133,21 @@ def test_batched_encoders_match_per_item():
     t_levels, t_global = encode_text_batch(text, params)
     a_levels, a_global = encode_audio_batch(audio, params)
     for b in range(3):
-        t_single = encode_text(text[b], params)
-        a_single = encode_audio(audio[b], params)
+        t_single_levels, t_single_pooled = oracle.encode_text(text[b], params)
+        a_single_levels, a_single_pooled = oracle.encode_audio(audio[b], params)
         for lvl in range(3):
-            assert np.abs(t_levels[lvl].value[b] - t_single.levels[lvl].value).max() < 1e-10
-            assert np.abs(a_levels[lvl].value[b] - a_single.levels[lvl].value).max() < 1e-10
-        assert np.abs(t_global.value[b] - t_single.pooled.value).max() < 1e-10
-        assert np.abs(a_global.value[b] - a_single.pooled.value).max() < 1e-10
+            assert np.abs(t_levels[lvl].value[b] - t_single_levels[lvl]).max() < 1e-10
+            assert np.abs(a_levels[lvl].value[b] - a_single_levels[lvl]).max() < 1e-10
+        assert np.abs(t_global.value[b] - t_single_pooled).max() < 1e-10
+        assert np.abs(a_global.value[b] - a_single_pooled).max() < 1e-10
 
 
 def test_encoder_gradients_vs_finite_differences():
     dim = 6
     params = random_params(dim, seed=13)
-    tokens = np.random.default_rng(9).normal(size=(3, dim))
-    frames = np.random.default_rng(10).normal(size=(4, dim))
-    probe = np.random.default_rng(11).normal(size=dim)
+    tokens = np.random.default_rng(9).normal(size=(2, 3, dim))
+    frames = np.random.default_rng(10).normal(size=(2, 4, dim))
+    probe = np.random.default_rng(11).normal(size=(2, dim))
     checked = [
         params["text.block01.w"],
         params["text.block12.b"],
@@ -165,9 +158,9 @@ def test_encoder_gradients_vs_finite_differences():
     ]
 
     def fn():
-        t = encode_text(tokens, params)
-        a = encode_audio(frames, params)
-        return ad.reduce_sum(ad.mul(ad.add(t.pooled, a.pooled), probe))
+        _, t_pooled = encode_text_batch(tokens, params)
+        _, a_pooled = encode_audio_batch(frames, params)
+        return ad.reduce_sum(ad.mul(ad.add(t_pooled, a_pooled), probe))
 
     assert ad.finite_difference_check(fn, checked, h=1e-5) < 1e-4
 

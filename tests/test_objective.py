@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
 
 from xmal import autodiff as ad, model as model_mod, objective as obj
@@ -154,13 +155,13 @@ def test_batch_similarity_mode_additivity(toy):
 
 def test_batch_similarity_matches_per_pair_oracle(toy):
     model, items = toy
-    audio_sets = [model.encode_audio(it.audio) for it in items]
-    text_sets = [model.encode_text(it.text) for it in items]
+    audio_sets = [oracle.encode_audio(it.audio, model.params) for it in items]
+    text_sets = [oracle.encode_text(it.text, model.params) for it in items]
     for mode in obj.MODES:
         s = obj.batch_similarity(model, items, mode).value
         for i in range(3):
             for j in range(3):
-                direct = float(model.score_pair(audio_sets[i], text_sets[j], mode).value)
+                direct = oracle.pair_score(model, audio_sets[i], text_sets[j], mode)
                 assert abs(s[i, j] - direct) < 1e-10, (mode, i, j)
 
 
