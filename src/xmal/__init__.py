@@ -12,7 +12,6 @@ from .autodiff import (
     finite_difference_check,
     gradients,
     hinge,
-    l2_normalize,
     matmul,
     parameter,
     row_softmax,
@@ -29,7 +28,7 @@ from .factors import (
     project_factors,
 )
 from .model import Model, ModelConfig
-from .objective import MODES, ObjectiveConfig, batch_similarity, nt_xent, total_loss
+from .objective import MODES, ObjectiveConfig, nt_xent, total_loss
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "TrainConfig",
     "XmalError",
     "alignment_loss",
-    "batch_similarity",
     "batch_standardize",
     "dcr_diagnostics",
     "decoupling_loss",
@@ -59,7 +57,6 @@ __all__ = [
     "gradients",
     "hinge",
     "hinge_normalize",
-    "l2_normalize",
     "load_checkpoint",
     "load_dataset",
     "matmul",

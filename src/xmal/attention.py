@@ -6,6 +6,12 @@ context column, softmaxed into attention weights, and used to fuse context
 rows for each query row. A block's score is the sum of query/fused cosines;
 the hierarchical score adds the three tap levels. A separate global score is
 the plain cosine of the two pooled vectors.
+
+Training records one fused op per level, `tha_level`, whose backward is
+closed form; forward-only scoring runs the same arithmetic without a tape.
+The same score composed from autodiff primitives
+(`verify.composed_hierarchical_similarity`) is the oracle both are checked
+against.
 """
 
 from __future__ import annotations
@@ -53,77 +59,40 @@ def hinge_normalize(s, eps: float = EPS) -> Tensor:
 #
 # Used for batch losses, retrieval matrices and single-pair breakdowns (a
 # 1 x 1 batch). Entry (i, j) scores audio item i against text item j.
-
-
-def _enhanced_scores(
-    s4: Tensor, queries_n: Tensor, contexts_raw: Tensor, cfg: AttentionConfig,
-    fuse_pattern: str, cos_pattern: str,
-) -> Tensor:
-    """Shared core of one attention direction over all pairs.
-
-    s4 is (B, B, Q, C) with query axis 2 and context axis 3; queries_n is the
-    row-normalized query tensor and contexts_raw the raw context tensor.
-    """
-    sbar = hinge_normalize(s4, cfg.eps)
-    alpha = ad.row_softmax(sbar, cfg.temperature)
-    fused = ad.einsum(fuse_pattern, alpha, contexts_raw)
-    fused_n = ad.normalize_rows(fused, cfg.eps)
-    return ad.reduce_sum(ad.einsum(cos_pattern, queries_n, fused_n), axis=2)
-
-
-def hierarchical_similarity_matrix(
-    audio_levels: list[Tensor], text_levels: list[Tensor], cfg: AttentionConfig
-) -> Tensor:
-    """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
-    text level tensors: a (B_a, B_t) matrix.
-
-    While a tape records, the score is built from differentiable ops; without
-    one, `hierarchical_similarity_kernel` computes it directly, within 1e-12."""
-    if len(audio_levels) != len(text_levels):
-        raise ContractError(
-            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
-        )
-    if not ad.is_recording():
-        return Tensor(hierarchical_similarity_kernel(
-            [a.value for a in audio_levels], [t.value for t in text_levels], cfg
-        ))
-    total = None
-    for a3, t3 in zip(audio_levels, text_levels):
-        an = ad.normalize_rows(a3, cfg.eps)
-        tn = ad.normalize_rows(t3, cfg.eps)
-        s4 = ad.einsum("imd,jnd->ijmn", an, tn)
-        if cfg.direction in ("text_enhanced", "both"):
-            te = _enhanced_scores(s4, an, t3, cfg, "ijmn,jnd->ijmd", "imd,ijmd->ijm")
-        if cfg.direction in ("audio_enhanced", "both"):
-            s4_swapped = ad.permute(s4, (0, 1, 3, 2))
-            ae = _enhanced_scores(s4_swapped, tn, a3, cfg, "ijnm,imd->ijnd", "jnd,ijnd->ijn")
-        if cfg.direction == "text_enhanced":
-            score = te
-        elif cfg.direction == "audio_enhanced":
-            score = ae
-        else:
-            both = ad.add(te, ae)
-            score = ad.mul(both, 0.5) if cfg.combine == "mean" else both
-        total = score if total is None else ad.add(total, score)
-    return total
-
-
-# -- forward-only kernel -----------------------------------------------------
 #
-# The same scores as the composed ops above, in plain numpy and without the
-# (B_a, B_t, Q, D) fused-context tensor. Similarities are laid out
-# (Q, C, I, J): query token, context token, query item, context item. With
-# context rows x_c = ||x_c|| * xn_c (guarded norm), the fused row f = sum_c
-# alpha_c x_c has
+# Similarities are laid out (Q, C, I, J): query token, context token, query
+# item, context item. The scores never build the (I, J, Q, D) fused-context
+# tensor. With context rows x_c = ||x_c|| * xn_c (guarded norm), the fused row
+# f = sum_c alpha_c x_c has
 #   qn . f = sum_c alpha_c s_c ||x_c||   and   ||f||^2 = sum_ck alpha_c alpha_k G_ck,
 # where s_c is the query/context cosine and G the context Gram matrix. The
-# work per pair is Q*C^2 instead of Q*C*D.
+# work per pair is Q*C^2 instead of Q*C*D. The backward differentiates the
+# same expressions in closed form from the saved alpha, cosines, norms and
+# Gram matrices.
 
 
-def _kernel_direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig) -> np.ndarray:
+def _root_grad(sumsq: np.ndarray, root: np.ndarray, eps: float) -> np.ndarray:
+    """d guarded_root / d sumsq: zero where the eps floor holds."""
+    return np.where(sumsq > eps * eps, 0.5 / root, 0.0)
+
+
+def _normalized(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x over their guarded L2 norms, and the rows' sums of squares."""
+    sumsq = np.sum(x * x, axis=-1, keepdims=True)
+    return x / ad.guarded_root(sumsq, eps), sumsq
+
+
+def _normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray, eps: float) -> np.ndarray:
+    """Gradient w.r.t. x of `_normalized`'s rows xn, given g w.r.t. xn."""
+    radial = np.sum(g * xn, axis=-1, keepdims=True) * (sumsq > eps * eps)
+    return (g - xn * radial) / ad.guarded_root(sumsq, eps)
+
+
+def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: bool):
     """One attention direction. s (Q, C, I, J) holds the cosine of query
     token q of item i with context token c of item j; contexts (J, C, D) are
-    the raw context rows. Returns (I, J) summed query/fused cosines."""
+    the raw context rows. Returns the (I, J) summed query/fused cosines and,
+    with `keep`, the state `_direction_grad` needs."""
     # contiguous (C, J) norms and (C, C, J) Gram matrices keep the einsums fast
     ctx_norms = np.ascontiguousarray(
         ad.guarded_root(np.sum(contexts * contexts, axis=-1), cfg.eps).T
@@ -137,7 +106,116 @@ def _kernel_direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig)
     alpha /= np.sum(alpha, axis=1, keepdims=True)
     dot = np.einsum("qcij,qcij,cj->qij", alpha, s, ctx_norms)
     sq = np.einsum("qcij,ckj,qkij->qij", alpha, gram, alpha)
-    return np.sum(dot / ad.guarded_root(sq, cfg.eps), axis=0)
+    state = (s, contexts, ctx_norms, gram, alpha, dot, sq) if keep else None
+    return np.sum(dot / ad.guarded_root(sq, cfg.eps), axis=0), state
+
+
+def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
+    """Gradients of `_direction`'s score w.r.t. s and the raw contexts, given
+    g (I, J) w.r.t. the score."""
+    s, contexts, ctx_norms, gram, alpha, dot, sq = state
+    eps = cfg.eps
+    # score = sum_q dot / ||f||, with ||f||^2 = sq
+    f_norm = ad.guarded_root(sq, eps)
+    g_dot = g / f_norm
+    g_sq = -g_dot * dot / f_norm * _root_grad(sq, f_norm, eps)
+    # dot = sum_c alpha s ||x||;  sq = sum_ck alpha_c G_ck alpha_k, where
+    # sum_c alpha_c G_ck = f . x_k is a (J, Q, I, C) @ (J, C, C) product
+    g_dot_norms = g_dot[:, None] * ctx_norms[:, None]
+    fused_dot_ctx = np.matmul(alpha.transpose(3, 0, 2, 1), gram.transpose(2, 0, 1)[:, None])
+    g_alpha = g_dot_norms * s + (2.0 * g_sq)[:, None] * fused_dot_ctx.transpose(1, 3, 2, 0)
+    # softmax over the context axis, then the guarded column norm and the hinge
+    g_sbar = cfg.temperature * alpha * (g_alpha - np.sum(alpha * g_alpha, axis=1, keepdims=True))
+    h = np.maximum(s, 0.0)
+    col_sumsq = np.einsum("qcij,qcij->cij", h, h)[None]
+    col = ad.guarded_root(col_sumsq, eps)
+    g_col = -np.sum(g_sbar * h, axis=0, keepdims=True) / (col * col)
+    g_h = g_sbar / col + 2.0 * h * g_col * _root_grad(col_sumsq, col, eps)
+    g_s = g_h * (s > 0.0) + g_dot_norms * alpha
+    # the context norms and Gram matrices
+    g_norms = np.einsum("qij,qcij,qcij->cj", g_dot, alpha, s)
+    q, c, i, j = alpha.shape
+    alpha_j = alpha.transpose(3, 1, 0, 2).reshape(j, c, q * i)
+    weighted_j = (g_sq[:, None] * alpha).transpose(3, 1, 0, 2).reshape(j, c, q * i)
+    g_gram = np.matmul(weighted_j, alpha_j.transpose(0, 2, 1))  # (J, C, C), symmetric
+    ctx_sumsq = np.sum(contexts * contexts, axis=-1).T
+    g_ctx = (2.0 * g_norms * _root_grad(ctx_sumsq, ctx_norms, eps)).T[:, :, None] * contexts
+    g_ctx += 2.0 * np.matmul(g_gram, contexts)
+    return g_s, g_ctx
+
+
+def _level(a3: np.ndarray, t3: np.ndarray, cfg: AttentionConfig, keep: bool):
+    """One level's (B_a, B_t) score from (B_a, M, D) audio and (B_t, N, D)
+    text rows and, with `keep`, the state `_level_grad` needs."""
+    an, a_sumsq = _normalized(a3, cfg.eps)
+    tn, t_sumsq = _normalized(t3, cfg.eps)
+    s = np.matmul(an.transpose(1, 0, 2)[:, None], tn.transpose(1, 2, 0)[None])  # (M, N, I, J)
+    te_state = ae_state = None
+    if cfg.direction in ("text_enhanced", "both"):
+        te, te_state = _direction(s, t3, cfg, keep)
+    if cfg.direction in ("audio_enhanced", "both"):
+        ae, ae_state = _direction(np.ascontiguousarray(s.transpose(1, 0, 3, 2)), a3, cfg, keep)
+        ae = ae.T
+    if cfg.direction == "text_enhanced":
+        score = te
+    elif cfg.direction == "audio_enhanced":
+        score = ae
+    else:
+        score = (te + ae) * 0.5 if cfg.combine == "mean" else te + ae
+    return score, (an, a_sumsq, tn, t_sumsq, te_state, ae_state) if keep else None
+
+
+def _level_grad(g: np.ndarray, state, cfg: AttentionConfig):
+    """Gradients of `_level`'s score w.r.t. the raw audio and text rows."""
+    an, a_sumsq, tn, t_sumsq, te_state, ae_state = state
+    if cfg.direction == "both" and cfg.combine == "mean":
+        g = g * 0.5
+    g_s = g_a3 = g_t3 = 0.0
+    if te_state is not None:
+        g_s, g_t3 = _direction_grad(g, te_state, cfg)
+    if ae_state is not None:
+        g_s_ae, g_a3 = _direction_grad(g.T, ae_state, cfg)
+        g_s = g_s + g_s_ae.transpose(1, 0, 3, 2)
+    # s[m, n, i, j] = an[i, m] . tn[j, n], contracted as 2-D matrix products
+    m, n, i, j = g_s.shape
+    g_an = g_s.transpose(2, 0, 1, 3).reshape(i * m, n * j) @ tn.transpose(1, 0, 2).reshape(n * j, -1)
+    g_tn = g_s.transpose(3, 1, 0, 2).reshape(j * n, m * i) @ an.transpose(1, 0, 2).reshape(m * i, -1)
+    return (
+        _normalized_grad(g_an.reshape(an.shape), an, a_sumsq, cfg.eps) + g_a3,
+        _normalized_grad(g_tn.reshape(tn.shape), tn, t_sumsq, cfg.eps) + g_t3,
+    )
+
+
+def tha_level(a3, t3, cfg: AttentionConfig) -> Tensor:
+    """One THA level as one taped op: (B_a, M, D) audio and (B_t, N, D) text
+    rows -> (B_a, B_t) scores. The backward is closed form; the forward's
+    state is kept only while a tape records."""
+    a3, t3 = ad.as_tensor(a3), ad.as_tensor(t3)
+    if not ad.is_recording():
+        return Tensor(_level(a3.value, t3.value, cfg, keep=False)[0])
+    score, state = _level(a3.value, t3.value, cfg, keep=True)
+
+    def backward(g):
+        return _level_grad(g, state, cfg)
+
+    return Tensor(score, _op="tha_level", _parents=(a3, t3), _backward=backward)
+
+
+def hierarchical_similarity_matrix(
+    audio_levels: list[Tensor], text_levels: list[Tensor], cfg: AttentionConfig
+) -> Tensor:
+    """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
+    text level tensors: a (B_a, B_t) matrix, the sum of one `tha_level` op
+    per level. Its value is `hierarchical_similarity_kernel`'s, bit for bit."""
+    if len(audio_levels) != len(text_levels):
+        raise ContractError(
+            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
+        )
+    total = None
+    for a3, t3 in zip(audio_levels, text_levels):
+        score = tha_level(a3, t3, cfg)
+        total = score if total is None else ad.add(total, score)
+    return total
 
 
 def hierarchical_similarity_kernel(
@@ -147,19 +225,7 @@ def hierarchical_similarity_kernel(
     (B_a, M_l, D) audio and (B_t, N, D) text levels -> (B_a, B_t) scores."""
     total = None
     for a3, t3 in zip(audio_levels, text_levels):
-        an = a3 / ad.guarded_root(np.sum(a3 * a3, axis=-1, keepdims=True), cfg.eps)
-        tn = t3 / ad.guarded_root(np.sum(t3 * t3, axis=-1, keepdims=True), cfg.eps)
-        s = np.matmul(an.transpose(1, 0, 2)[:, None], tn.transpose(1, 2, 0)[None])  # (M, N, I, J)
-        if cfg.direction in ("text_enhanced", "both"):
-            te = _kernel_direction(s, t3, cfg)
-        if cfg.direction in ("audio_enhanced", "both"):
-            ae = _kernel_direction(np.ascontiguousarray(s.transpose(1, 0, 3, 2)), a3, cfg).T
-        if cfg.direction == "text_enhanced":
-            score = te
-        elif cfg.direction == "audio_enhanced":
-            score = ae
-        else:
-            score = (te + ae) * 0.5 if cfg.combine == "mean" else te + ae
+        score = _level(a3, t3, cfg, keep=False)[0]
         total = score if total is None else total + score
     return total
 

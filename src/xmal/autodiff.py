@@ -102,9 +102,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -119,9 +116,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -177,11 +171,6 @@ def sub(a, b) -> Tensor:
         return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
 
     return Tensor(out, _op="sub", _parents=(a, b), _backward=backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.value, _op="neg", _parents=(a,), _backward=lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -348,17 +337,6 @@ def sqrt(a) -> Tensor:
     return Tensor(out, _op="sqrt", _parents=(a,), _backward=lambda g: (g * 0.5 / out,))
 
 
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    out = a.value**p
-
-    def backward(g):
-        return (g * p * a.value ** (p - 1.0),)
-
-    return Tensor(out, _op="power", _parents=(a,), _backward=backward)
-
-
 def hinge(a) -> Tensor:
     """Elementwise max(x, 0). Subgradient at exactly 0 is 0."""
     a = as_tensor(a)
@@ -465,18 +443,11 @@ def row_softmax(m, scale: float = 1.0) -> Tensor:
     return div(e, reduce_sum(e, axis=-1, keepdims=True))
 
 
-def l2_normalize(v, eps: float = EPS) -> Tensor:
-    """v / max(||v||_2, eps) for a 1-D vector."""
+def normalize_rows(m, eps: float = EPS) -> Tensor:
+    """Divide along the last axis by the guarded L2 norm, max(||row||_2, eps).
+    Works for any ndim, a single vector included."""
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    v = as_tensor(v)
-    if v.value.ndim != 1:
-        raise DimensionError(f"l2_normalize expects a vector, got shape {v.value.shape}")
-    return div(v, guarded_norm(v, eps=eps))
-
-
-def normalize_rows(m, eps: float = EPS) -> Tensor:
-    """Divide along the last axis by the guarded L2 norm. Works for any ndim."""
     m = as_tensor(m)
     return div(m, guarded_norm(m, axis=-1, keepdims=True, eps=eps))
 

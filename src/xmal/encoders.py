@@ -89,6 +89,8 @@ def _pair_mean_matrix(m: int) -> np.ndarray:
 def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[list[Tensor], Tensor]:
     """tokens (B, N, D) -> ([3 x (B, N, D)], (B, D))."""
     b, n, dim = tokens.shape
+    if n < 1:
+        raise ContractError("text input has no tokens")
     x = ad.Tensor(tokens.reshape(b * n, dim))
     taps = []
     for i in range(1, TEXT_BLOCKS + 1):

@@ -76,10 +76,3 @@ def total_loss(loss_s, loss_d, loss_a, cfg: ObjectiveConfig) -> Tensor:
     if cfg.beta > 0:
         total = ad.add(total, ad.mul(ad.as_tensor(loss_a), cfg.beta))
     return total
-
-
-def batch_similarity(model, items, mode: str) -> Tensor:
-    """Encode a batch of paired items and score every audio-text combination
-    under the chosen mode. Entry (i, j) is audio i against text j."""
-    encoded = model.encode_pairs(items)
-    return model.similarity_matrix(encoded, mode)

@@ -1,7 +1,11 @@
 """Self-verification: finite-difference checks for every primitive and for
 the full losses, oracle-equivalence checks against independent step-by-step
 recomputations, and the core numeric invariants. Backs the `grad-check`
-command and the acceptance suite."""
+command and the acceptance suite.
+
+THA's oracle is `composed_hierarchical_similarity`, the score built from
+autodiff primitives; the fused `attention.tha_level` op must match its values
+and its input gradients."""
 
 from __future__ import annotations
 
@@ -139,15 +143,27 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         probe = _spread(rng, 4, 5)
         return (lambda: ad.reduce_sum(ad.mul(ad.row_softmax(x, 1.3), probe))), [x]
 
-    def build_l2norm(rng):
-        x = ad.parameter(_spread(rng, 6), "x")
-        probe = _spread(rng, 6)
-        return (lambda: ad.reduce_sum(ad.mul(ad.l2_normalize(x), probe))), [x]
+    def tha_level(direction, combine):
+        def build(rng):
+            # Ragged: 2 audio items of 3 tokens against 3 text items of 2. A
+            # column of small positive cosines curves sharply under the column
+            # norm, so cosines stay 0.1 away from zero and the temperature is
+            # mild, which keeps the central-difference truncation error small.
+            cfg = AttentionConfig(temperature=3.0, direction=direction, combine=combine)
+            while True:
+                a, t = _spread(rng, 2, 3, 4), _spread(rng, 3, 2, 4)
+                an, tn = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in (a, t))
+                if np.abs(np.einsum("imd,jnd->ijmn", an, tn)).min() > 0.1:
+                    break
+            a, t = ad.parameter(a, "a"), ad.parameter(t, "t")
+            probe = _spread(rng, 2, 3)
+            return (lambda: ad.reduce_sum(ad.mul(attention.tha_level(a, t, cfg), probe))), [a, t]
+
+        return build
 
     return [
         ("add", binary(ad.add)),
         ("sub", binary(ad.sub)),
-        ("neg", unary(ad.neg)),
         ("mul", binary(ad.mul)),
         ("div", binary(ad.div)),
         ("matmul", build_matmul),
@@ -162,14 +178,17 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("exp", unary(ad.exp)),
         ("log", unary(ad.log, positive=True)),
         ("sqrt", unary(ad.sqrt, positive=True)),
-        ("power", unary(lambda t: ad.power(t, 3))),
         ("hinge", unary(ad.hinge)),
         ("sigmoid", unary(ad.sigmoid)),
         ("sum_axis", build_sum_axis),
         ("einsum", build_einsum),
         ("einsum_vec", build_einsum_vec),
         ("row_softmax", build_softmax),
-        ("l2_normalize", build_l2norm),
+        *(
+            (f"tha_level.{direction}.{combine}", tha_level(direction, combine))
+            for direction in DIRECTIONS
+            for combine in COMBINES
+        ),
     ]
 
 
@@ -256,6 +275,86 @@ def loss_gradient_checks(
 # -- oracle equivalences ---------------------------------------------------------
 
 
+def _enhanced_scores(
+    s4: ad.Tensor, queries_n: ad.Tensor, contexts_raw: ad.Tensor, cfg: AttentionConfig,
+    fuse_pattern: str, cos_pattern: str,
+) -> ad.Tensor:
+    """One attention direction over all pairs from differentiable primitives.
+
+    s4 is (B, B, Q, C) with query axis 2 and context axis 3; queries_n is the
+    row-normalized query tensor and contexts_raw the raw context tensor.
+    """
+    sbar = attention.hinge_normalize(s4, cfg.eps)
+    alpha = ad.row_softmax(sbar, cfg.temperature)
+    fused = ad.einsum(fuse_pattern, alpha, contexts_raw)
+    fused_n = ad.normalize_rows(fused, cfg.eps)
+    return ad.reduce_sum(ad.einsum(cos_pattern, queries_n, fused_n), axis=2)
+
+
+def composed_hierarchical_similarity(
+    audio_levels: list[ad.Tensor], text_levels: list[ad.Tensor], cfg: AttentionConfig
+) -> ad.Tensor:
+    """`attention.hierarchical_similarity_matrix` composed from primitives,
+    building the (B_a, B_t, Q, D) fused rows: the oracle of the fused
+    `attention.tha_level` op and of the forward-only kernel."""
+    total = None
+    for a3, t3 in zip(audio_levels, text_levels, strict=True):
+        an = ad.normalize_rows(a3, cfg.eps)
+        tn = ad.normalize_rows(t3, cfg.eps)
+        s4 = ad.einsum("imd,jnd->ijmn", an, tn)
+        if cfg.direction in ("text_enhanced", "both"):
+            te = _enhanced_scores(s4, an, t3, cfg, "ijmn,jnd->ijmd", "imd,ijmd->ijm")
+        if cfg.direction in ("audio_enhanced", "both"):
+            s4_swapped = ad.permute(s4, (0, 1, 3, 2))
+            ae = _enhanced_scores(s4_swapped, tn, a3, cfg, "ijnm,imd->ijnd", "jnd,ijnd->ijn")
+        if cfg.direction == "text_enhanced":
+            score = te
+        elif cfg.direction == "audio_enhanced":
+            score = ae
+        else:
+            both = ad.add(te, ae)
+            score = ad.mul(both, 0.5) if cfg.combine == "mean" else both
+        total = score if total is None else ad.add(total, score)
+    return total
+
+
+def _ragged_blocks(rng, audio_tokens=(4, 2, 1)):
+    """THA levels of 7 audio items against 12 text items, 8 wide."""
+    audio = [rng.normal(size=(7, m, 8)) for m in audio_tokens]
+    text = [rng.normal(size=(12, 3, 8)) for _ in audio_tokens]
+    return audio, text
+
+
+def _zero_token_rows(rng):
+    audio, text = _ragged_blocks(rng)
+    audio[0][2, 1] = 0.0  # one token of one item
+    audio[2][4] = 0.0  # a whole single-token level
+    text[1][5, 0] = 0.0
+    text[2][3] = 0.0  # every token of one text item
+    return audio, text
+
+
+def _no_positive_column(rng):
+    """Text token 0 of every item has a negative cosine with every audio token."""
+    audio, text = _ragged_blocks(rng)
+    lead = np.zeros(8)
+    lead[0] = 5.0
+    for level in audio:
+        level += lead  # every audio token leans along +e0 ...
+    for level in text:
+        level[:, 0] = -lead - 0.1 * np.abs(rng.normal(size=(12, 8)))  # ... and text token 0 away
+    return audio, text
+
+
+# name -> builder(rng) -> (audio levels, text levels) for THA equivalence checks
+THA_CASES = {
+    "ragged": _ragged_blocks,
+    "single_token_audio": lambda rng: _ragged_blocks(rng, audio_tokens=(1, 1, 1)),
+    "zero_token_rows": _zero_token_rows,
+    "no_positive_column": _no_positive_column,
+}
+
+
 def _attend_oracle(queries: np.ndarray, contexts: np.ndarray, temperature: float) -> np.ndarray:
     """Step-by-step recomputation: cosine -> hinge-column-normalize ->
     softmax -> weighted context sum."""
@@ -281,15 +380,16 @@ def _attend_oracle(queries: np.ndarray, contexts: np.ndarray, temperature: float
 
 
 def _attend_gap(rng) -> float:
-    """Largest gap between one text_enhanced level of the taped all-pairs THA
-    score (2 x 3 items) and the summed query/fused cosines built from
-    `_attend_oracle`'s fused rows."""
+    """Largest gap between one text_enhanced level of the all-pairs THA score
+    (2 x 3 items), both as the fused op and as the composed oracle, and the
+    summed query/fused cosines built from `_attend_oracle`'s fused rows."""
     audio = rng.normal(size=(2, 2, 4))
     text = rng.normal(size=(3, 3, 4))
     cfg = AttentionConfig(temperature=9.0, direction="text_enhanced")
-    taped = attention.hierarchical_similarity_matrix(
-        [ad.Tensor(audio)], [ad.Tensor(text)], cfg
-    ).value
+    scores = [
+        score([ad.Tensor(audio)], [ad.Tensor(text)], cfg).value
+        for score in (attention.hierarchical_similarity_matrix, composed_hierarchical_similarity)
+    ]
     worst = 0.0
     for i, queries in enumerate(audio):
         for j, contexts in enumerate(text):
@@ -297,25 +397,43 @@ def _attend_gap(rng) -> float:
             direct = sum(
                 q @ f / (np.linalg.norm(q) * np.linalg.norm(f)) for q, f in zip(queries, fused)
             )
-            worst = max(worst, abs(float(taped[i, j]) - direct))
+            worst = max(worst, *(abs(float(s[i, j]) - direct) for s in scores))
     return worst
 
 
-def _tha_kernel_gap(rng) -> float:
-    """Largest gap between the forward-only THA kernel and the composed ops
-    over every direction and combine, on ragged (3 x 5 item) blocks."""
-    audio = [rng.normal(size=(3, m, 8)) for m in (4, 2, 1)]
-    text = [rng.normal(size=(5, 3, 8)) for _ in range(3)]
-    worst = 0.0
-    for direction in DIRECTIONS:
-        for combine in COMBINES:
-            cfg = AttentionConfig(direction=direction, combine=combine)
-            composed = attention.hierarchical_similarity_matrix(
-                [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
-            ).value
-            kernel = attention.hierarchical_similarity_kernel(audio, text, cfg)
-            worst = max(worst, float(np.abs(kernel - composed).max()))
-    return worst
+def _tha_value_and_grads(score, audio, text, cfg, probe):
+    """THA scores of the level arrays under `score`, and the gradients of
+    their probe-weighted sum w.r.t. each level, audio levels first."""
+    levels = [ad.parameter(x, f"x{i}") for i, x in enumerate(audio + text)]
+    out = score(levels[: len(audio)], levels[len(audio):], cfg)
+    grads = ad.gradients(ad.reduce_sum(ad.mul(out, probe)), levels)
+    return out.value, [grads[p.name] for p in levels]
+
+
+def _tha_gaps() -> tuple[float, float]:
+    """Largest gaps to the composed oracle over every `THA_CASES` block,
+    direction and combine: of the forward-only kernel's scores, and of the
+    level inputs' gradients through the fused op, relative per token row."""
+    value_gap = grad_gap = 0.0
+    for build in THA_CASES.values():
+        rng = np.random.default_rng(30)
+        audio, text = build(rng)
+        probe = rng.normal(size=(audio[0].shape[0], text[0].shape[0]))
+        for direction in DIRECTIONS:
+            for combine in COMBINES:
+                cfg = AttentionConfig(direction=direction, combine=combine)
+                kernel = attention.hierarchical_similarity_kernel(audio, text, cfg)
+                composed, want = _tha_value_and_grads(
+                    composed_hierarchical_similarity, audio, text, cfg, probe
+                )
+                _, got = _tha_value_and_grads(
+                    attention.hierarchical_similarity_matrix, audio, text, cfg, probe
+                )
+                value_gap = max(value_gap, float(np.abs(kernel - composed).max()))
+                for g, w in zip(got, want):
+                    scale = np.maximum(np.abs(w).max(axis=-1), 1e-300)
+                    grad_gap = max(grad_gap, float((np.abs(g - w).max(axis=-1) / scale).max()))
+    return value_gap, grad_gap
 
 
 def _dcr_kernel_gap(rng) -> float:
@@ -407,7 +525,9 @@ def oracle_checks() -> list[CheckResult]:
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
     )
-    results.append(CheckResult("tha_kernel_vs_composed", _tha_kernel_gap(rng), 1e-12))
+    kernel_gap, grad_gap = _tha_gaps()
+    results.append(CheckResult("tha_kernel_vs_composed", kernel_gap, 1e-12))
+    results.append(CheckResult("tha_grad_vs_composed", grad_gap, 1e-10))
     results.append(CheckResult("dcr_kernel_vs_composed", _dcr_kernel_gap(rng), 1e-12))
     return results
 

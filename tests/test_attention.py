@@ -4,7 +4,7 @@ import numpy as np
 import oracle
 import pytest
 
-from xmal import attention as attn, autodiff as ad
+from xmal import attention as attn, autodiff as ad, verify
 from xmal.attention import AttentionConfig
 from xmal.errors import ContractError, DimensionError
 
@@ -19,7 +19,7 @@ def pairwise_cosine_oracle(a, b):
 
 def tha(audio, text, cfg):
     """All-pairs THA of (B_a, M_l, D) audio and (B_t, N, D) text level arrays,
-    through the differentiable ops (a tape records)."""
+    through the fused per-level op (a tape records)."""
     return attn.hierarchical_similarity_matrix(
         [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
     ).value
@@ -281,61 +281,62 @@ def test_hierarchical_similarity_gradient_vs_finite_differences():
     assert ad.finite_difference_check(fn, audio + text, h=1e-5) < 1e-4
 
 
-# -- forward-only kernel against the composed ops ----------------------------------
+# -- fused op and forward-only kernel against the composed oracle ------------------
 
 
-def _ragged_blocks(rng, audio_tokens=(4, 2, 1)):
-    """7 audio items against 12 text items, 8 wide."""
-    audio = [rng.normal(size=(7, m, 8)) for m in audio_tokens]
-    text = [rng.normal(size=(12, 3, 8)) for _ in audio_tokens]
-    return audio, text
-
-
-def _zero_token_rows(rng):
-    audio, text = _ragged_blocks(rng)
-    audio[0][2, 1] = 0.0  # one token of one item
-    audio[2][4] = 0.0  # a whole single-token level
-    text[1][5, 0] = 0.0
-    text[2][3] = 0.0  # every token of one text item
-    return audio, text
-
-
-def _no_positive_column(rng):
-    audio, text = _ragged_blocks(rng)
-    lead = np.zeros(8)
-    lead[0] = 5.0
-    for level in audio:
-        level += lead  # every audio token leans along +e0 ...
-    for level in text:
-        level[:, 0] = -lead - 0.1 * np.abs(rng.normal(size=(12, 8)))  # ... and text token 0 away
+def test_no_positive_column_case_has_no_positive_cosine():
+    audio, text = verify.THA_CASES["no_positive_column"](np.random.default_rng(30))
     an = audio[0] / np.linalg.norm(audio[0], axis=-1, keepdims=True)
     tn = text[0] / np.linalg.norm(text[0], axis=-1, keepdims=True)
     assert (np.einsum("imd,jnd->ijmn", an, tn)[..., 0] < 0).all()  # in every pair
-    return audio, text
 
 
-KERNEL_CASES = {
-    "ragged": _ragged_blocks,
-    "single_token_audio": lambda rng: _ragged_blocks(rng, audio_tokens=(1, 1, 1)),
-    "zero_token_rows": _zero_token_rows,
-    "no_positive_column": _no_positive_column,
-}
-
-
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("case", sorted(verify.THA_CASES))
 def test_tha_kernel_matches_composed_ops(case):
-    audio, text = KERNEL_CASES[case](np.random.default_rng(30))
+    audio, text = verify.THA_CASES[case](np.random.default_rng(30))
     for direction in attn.DIRECTIONS:
         for combine in attn.COMBINES:
             cfg = AttentionConfig(direction=direction, combine=combine)
-            composed = attn.hierarchical_similarity_matrix(
+            composed = verify.composed_hierarchical_similarity(
+                [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
+            ).value
+            taped = attn.hierarchical_similarity_matrix(
                 [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
             )
-            assert composed._parents != ()  # a tape records: the composed ops ran
+            assert taped._op == "add" and taped._parents[1]._op == "tha_level"
             with ad.no_grad():
                 fast = attn.hierarchical_similarity_matrix(
                     [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
                 ).value
             assert np.array_equal(fast, attn.hierarchical_similarity_kernel(audio, text, cfg))
+            assert np.array_equal(taped.value, fast)  # one implementation, taped or not
             assert fast.shape == (7, 12) and np.isfinite(fast).all()
-            assert np.abs(fast - composed.value).max() < 1e-12, (direction, combine)
+            assert np.abs(fast - composed).max() < 1e-12, (direction, combine)
+
+
+def test_taped_tha_records_one_op_per_level():
+    rng = np.random.default_rng(16)
+    audio = [ad.parameter(a, f"a{i}") for i, a in enumerate(_random_levels(rng, (4, 2, 1), 5, 3))]
+    text = [ad.parameter(t, f"t{i}") for i, t in enumerate(_random_levels(rng, (3, 3, 3), 5, 4))]
+    first = ad.Tensor(0.0)._id + 1
+    out = attn.hierarchical_similarity_matrix(audio, text, CFG)
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if t._id >= first and t._id not in nodes:
+            nodes[t._id] = t
+            stack.extend(t._parents)
+    ops = sorted(t._op for t in nodes.values())
+    assert ops == ["add", "add", "tha_level", "tha_level", "tha_level"]
+    assert out._id - first + 1 == 5  # nothing else was recorded on the way
+
+
+def test_planted_tha_level_gradient_fails_the_difference_check():
+    build = dict(verify._primitive_cases())["tha_level.both.mean"]
+    fn, params = build(np.random.default_rng(1000))
+    assert ad.finite_difference_check(fn, params) < 1e-6
+    ad.GRAD_OVERRIDES["tha_level"] = 1.5
+    try:
+        assert ad.finite_difference_check(fn, params) > 0.3
+    finally:
+        ad.GRAD_OVERRIDES.clear()

@@ -138,7 +138,7 @@ def test_cosine_scale_invariance_exact():
 
     def cos(x, y):
         return float(
-            ad.reduce_sum(ad.mul(ad.l2_normalize(ad.Tensor(x)), ad.l2_normalize(ad.Tensor(y)))).value
+            ad.reduce_sum(ad.mul(ad.normalize_rows(ad.Tensor(x)), ad.normalize_rows(ad.Tensor(y)))).value
         )
 
     base = cos(e_t, e_a)

@@ -111,6 +111,14 @@ def test_audio_rejects_short_input():
         encode_audio_batch(np.ones((1, 3, 8)), identity_audio_params(8))
 
 
+def test_text_rejects_input_without_tokens():
+    from xmal.model import Model, ModelConfig
+
+    model = Model.build(ModelConfig(embed_dim=8, factor_count=4), seed=0)
+    with pytest.raises(ContractError, match="no tokens"):
+        model.encode_arrays(np.ones((2, 8, 8)), np.ones((2, 0, 8)))
+
+
 def test_audio_pooled_equals_final_level_mean_exactly():
     params = random_params(16, seed=9)
     levels, pooled = encode_audio_batch(np.random.default_rng(7).normal(size=(2, 8, 16)), params)

@@ -158,7 +158,7 @@ def test_batch_similarity_matches_per_pair_oracle(toy):
     audio_sets = [oracle.encode_audio(it.audio, model.params) for it in items]
     text_sets = [oracle.encode_text(it.text, model.params) for it in items]
     for mode in obj.MODES:
-        s = obj.batch_similarity(model, items, mode).value
+        s = model.similarity_matrix(model.encode_pairs(items), mode).value
         for i in range(3):
             for j in range(3):
                 direct = oracle.pair_score(model, audio_sets[i], text_sets[j], mode)
