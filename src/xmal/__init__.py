@@ -20,7 +20,6 @@ from .data import Dataset, PairItem, SynthConfig, generate, load_dataset, save_d
 from .errors import XmalError
 from .evaluation import dcr_diagnostics, evaluate, recall_at_k
 from .factors import (
-    FactorSet,
     alignment_loss,
     batch_standardize,
     decoupling_loss,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionConfig",
     "Dataset",
-    "FactorSet",
     "MODES",
     "Model",
     "ModelConfig",

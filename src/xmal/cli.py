@@ -375,13 +375,8 @@ def cmd_sim(args) -> int:
         lines.append(f"THA.level{lvl}={level!r}")
     lines.append(f"THA={tha_total!r}")
 
-    text_fs, audio_fs = model.batch_factors(encoded)
-    g, cos = factor_pair_kernel_terms(
-        np.stack([f.value for f in text_fs.factors]),
-        np.stack([f.value for f in audio_fs.factors]),
-        model.params,
-        model.cfg.squash,
-    )
+    text_z, audio_z = model.batch_factors(encoded)
+    g, cos = factor_pair_kernel_terms(text_z.value, audio_z.value, model.params, model.cfg.squash)
     dcr_total = 0.0
     for i in range(g.shape[0]):
         g_i, cos_i = float(g[i, 0, 0]), float(cos[i, 0, 0])

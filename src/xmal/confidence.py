@@ -61,44 +61,51 @@ def confidence_batch(
     return ad.sigmoid(y) if squash == "logistic" else y
 
 
+def _check_stacks(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor], squash: str) -> int:
+    """Validate (B_t, K, d) and (B_a, K, d) factor stacks against the network;
+    returns d."""
+    _check_squash(squash)
+    if text.ndim != 3 or audio.ndim != 3 or text.shape[1:] != audio.shape[1:]:
+        raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
+    d = text.shape[2]
+    if params["conf.w1"].value.shape[1] != 2 * d:
+        raise DimensionError(
+            f"confidence input width {2 * d} does not match first layer "
+            f"{params['conf.w1'].value.shape}"
+        )
+    return d
+
+
 def factor_pair_similarity_matrix(
-    text_factors: list[Tensor],
-    audio_factors: list[Tensor],
+    text: Tensor,
+    audio: Tensor,
     params: dict[str, Tensor],
     squash: str = "logistic",
     eps: float = EPS,
 ) -> Tensor:
-    """All-pairs confidence-weighted factor similarity.
+    """All-pairs confidence-weighted factor similarity of (B_t, K, d) text
+    and (B_a, K, d) audio factor stacks; entry (i, j) scores audio item i
+    against text item j.
 
-    Factor lists hold (B_t, d) text and (B_a, d) audio tensors; output entry
-    (i, j) scores audio item i against text item j. While a tape records, the
-    B_a*B_t confidence inputs per factor run through the network as one
-    stack; without one, `factor_pair_similarity_kernel` computes the scores
-    directly, within 1e-12.
-    """
-    if len(text_factors) != len(audio_factors):
-        raise DimensionError(
-            f"factor counts differ: {len(text_factors)} vs {len(audio_factors)}"
-        )
+    While a tape records, the ops follow `factor_pair_kernel_terms`: each
+    item is projected once through its half of `conf.w1`, and the halves are
+    broadcast-added per pair as (K, B_a, 1, h) + (K, 1, B_t, h). Without a
+    tape, `factor_pair_similarity_kernel` computes the scores directly,
+    within 1e-12."""
+    t, a = ad.as_tensor(text), ad.as_tensor(audio)
     if not ad.is_recording():
-        return Tensor(factor_pair_similarity_kernel(
-            np.stack([t.value for t in text_factors]),
-            np.stack([a.value for a in audio_factors]),
-            params, squash, eps,
-        ))
-    bt = text_factors[0].value.shape[0]
-    ba = audio_factors[0].value.shape[0]
-    repeat = np.repeat(np.eye(ba), bt, axis=0)  # audio row i -> rows i*B_t..i*B_t+B_t-1
-    tile = np.tile(np.eye(bt), (ba, 1))  # text row j -> rows j, B_t+j, ...
-    total = None
-    for e_t, e_a in zip(text_factors, audio_factors):
-        t_all = ad.matmul(ad.Tensor(tile), e_t)
-        a_all = ad.matmul(ad.Tensor(repeat), e_a)
-        g = ad.reshape(confidence_batch(t_all, a_all, params, squash), (ba, bt))
-        cos = ad.matmul(ad.normalize_rows(e_a, eps), ad.transpose(ad.normalize_rows(e_t, eps)))
-        term = ad.mul(g, cos)
-        total = term if total is None else ad.add(total, term)
-    return total
+        return Tensor(factor_pair_similarity_kernel(t.value, a.value, params, squash, eps))
+    d = _check_stacks(t.value, a.value, params, squash)
+    (bt, k, _), ba = t.value.shape, a.value.shape[0]
+    w1 = ad.transpose(params["conf.w1"])  # (2d, h): text rows, then audio rows
+    h = w1.value.shape[1]
+    pre_t = ad.einsum("bkd,dh->kbh", t, ad.slice_rows(w1, 0, d))
+    pre_a = ad.add(ad.einsum("bkd,dh->kbh", a, ad.slice_rows(w1, d, 2 * d)), params["conf.b1"])
+    hidden = ad.hinge(ad.add(ad.reshape(pre_a, (k, ba, 1, h)), ad.reshape(pre_t, (k, 1, bt, h))))
+    y = ad.add(ad.einsum("kabh,h->kab", hidden, ad.reshape(params["conf.w2"], (h,))), params["conf.b2"])
+    g = ad.sigmoid(y) if squash == "logistic" else y
+    cos = ad.einsum("akd,bkd->kab", ad.normalize_rows(a, eps), ad.normalize_rows(t, eps))
+    return ad.reduce_sum(ad.mul(g, cos), axis=0)
 
 
 def _normalize(x: np.ndarray, eps: float) -> np.ndarray:
@@ -113,27 +120,24 @@ def factor_pair_kernel_terms(
     squash: str = "logistic",
     eps: float = EPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-factor confidences and cosines on stacked factors: (K, B_t, d)
-    text and (K, B_a, d) audio -> (g, cos), each (K, B_a, B_t).
+    """Per-factor confidences and cosines of (B_t, K, d) text and (B_a, K, d)
+    audio factor stacks -> (g, cos), each (K, B_a, B_t).
 
     The first layer is linear in [t; a], so each item is projected once by
     its half of `conf.w1` and the halves are broadcast-added per pair."""
-    _check_squash(squash)
-    if text.shape[0] != audio.shape[0] or text.shape[2] != audio.shape[2]:
-        raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
+    d = _check_stacks(text, audio, params, squash)
     w1 = params["conf.w1"].value
-    d = text.shape[2]
-    if w1.shape[1] != 2 * d:
-        raise DimensionError(
-            f"confidence input width {2 * d} does not match first layer {w1.shape}"
-        )
-    pre_t = text @ w1[:, :d].T  # (K, B_t, h)
-    pre_a = audio @ w1[:, d:].T + params["conf.b1"].value  # (K, B_a, h)
+    (bt, k, _), ba, h = text.shape, audio.shape[0], w1.shape[0]
+    # One (B*K, d) product per modality; the (K, B, h) views need no copy.
+    pre_t = (text.reshape(bt * k, d) @ w1[:, :d].T).reshape(bt, k, h).transpose(1, 0, 2)
+    pre_a = audio.reshape(ba * k, d) @ w1[:, d:].T + params["conf.b1"].value
+    pre_a = pre_a.reshape(ba, k, h).transpose(1, 0, 2)
     hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)  # (K, B_a, B_t, h)
     y = hidden @ params["conf.w2"].value[0] + params["conf.b2"].value[0]
     g = 0.5 * (1.0 + np.tanh(0.5 * y)) if squash == "logistic" else y
-    cos = _normalize(audio, eps) @ _normalize(text, eps).transpose(0, 2, 1)  # (K, B_a, B_t)
-    return g, cos
+    an = _normalize(audio, eps).transpose(1, 0, 2)  # (K, B_a, d)
+    tn = _normalize(text, eps).transpose(1, 2, 0)  # (K, d, B_t)
+    return g, an @ tn
 
 
 def factor_pair_similarity_kernel(
@@ -143,7 +147,7 @@ def factor_pair_similarity_kernel(
     squash: str = "logistic",
     eps: float = EPS,
 ) -> np.ndarray:
-    """Forward-only `factor_pair_similarity_matrix` on stacked factors:
-    (K, B_t, d) text and (K, B_a, d) audio -> (B_a, B_t) scores."""
+    """Forward-only `factor_pair_similarity_matrix` on (B_t, K, d) text and
+    (B_a, K, d) audio factor stacks -> (B_a, B_t) scores."""
     g, cos = factor_pair_kernel_terms(text, audio, params, squash, eps)
     return np.sum(g * cos, axis=0)

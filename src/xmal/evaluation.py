@@ -174,16 +174,16 @@ def dcr_diagnostics(model: Model, items) -> DcrDiagnostics:
     if len(items) < 2:
         raise BatchTooSmallError(f"diagnostics need a batch of >= 2, got {len(items)}")
     encoded = model.encode_pairs(items)
-    text_fs, audio_fs = model.batch_factors(encoded)
-    cov = factors.factor_covariance(
-        factors.batch_standardize(text_fs), factors.batch_standardize(audio_fs)
-    ).value
+    cov = model.factor_covariance(encoded).value
     probs, defined = factors.match_probabilities(cov)
-    cols = []
-    for e_t, e_a in zip(text_fs.factors, audio_fs.factors):
-        g = confidence_batch(e_t, e_a, model.params, model.cfg.squash)
-        cols.append(g.value)
-    confidence_items = np.stack(cols, axis=1)
+    text_z, audio_z = model.batch_factors(encoded)
+    b, k, width = text_z.value.shape
+    # The B*K matched (item, factor) pairs scored as one stack.
+    g = confidence_batch(
+        text_z.value.reshape(b * k, width), audio_z.value.reshape(b * k, width),
+        model.params, model.cfg.squash,
+    )
+    confidence_items = g.value.reshape(b, k)
     return DcrDiagnostics(
         covariance=cov,
         probabilities=probs,

@@ -1,16 +1,15 @@
 """Latent-factor decomposition of pooled embeddings and the covariance-based
 decoupling/alignment losses.
 
-A global D-vector splits into K factors of width D/K through per-factor
-trainable projections. Factors are standardized per dimension over the batch
+A global D-vector splits into K factors of width D/K through one trainable
+(K, D/K, D) bank per modality. A batch of factors is a (B, K, D/K) stack,
+batch axis first. Factors are standardized per dimension over the batch
 (biased variance), and the K x K cross-modal covariance is the mean over
 batch and dimension of products of standardized factors, so perfectly
 correlated factors read exactly 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,89 +20,67 @@ from .errors import BatchTooSmallError, ConfigError, DimensionError
 DIAG_GUARD = 1e-8  # column-sum magnitude below which match probabilities are undefined
 
 
-@dataclass
-class FactorSet:
-    """A batch of K factor matrices, each (B, D/K)."""
-
-    factors: list[Tensor]
-    modality: str
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
-
-    @property
-    def batch(self) -> int:
-        return self.factors[0].value.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.factors[0].value.shape[1]
-
-
 def factor_width(dim: int, k: int) -> int:
     if k < 1 or dim % k != 0:
         raise ConfigError(f"embed dim {dim} must be divisible by factor count {k}")
     return dim // k
 
 
-def init_factor_params(
-    dim: int, k: int, rng: np.random.Generator, prefix: str
-) -> dict[str, Tensor]:
+def init_factor_bank(dim: int, k: int, rng: np.random.Generator, name: str) -> Tensor:
+    """A (K, D/K, D) bank drawn in one call: the same values, in the same
+    generator order, as K sequential (D/K, D) draws."""
     width = factor_width(dim, k)
     bound = 1.0 / np.sqrt(dim)
-    params = {}
-    for i in range(k):
-        name = f"{prefix}.k{i}"
-        params[name] = ad.parameter(rng.uniform(-bound, bound, size=(width, dim)), name)
-    return params
+    return ad.parameter(rng.uniform(-bound, bound, size=(k, width, dim)), name)
 
 
-def project_factors(globals_: Tensor, bank: list[Tensor], modality: str) -> FactorSet:
-    """(B, D) globals through K (D/K, D) projections -> FactorSet."""
-    g = ad.as_tensor(globals_)
+def project_factors(globals_: Tensor, bank: Tensor) -> Tensor:
+    """(B, D) globals through a (K, D/K, D) bank -> (B, K, D/K) factors."""
+    g, bank = ad.as_tensor(globals_), ad.as_tensor(bank)
     if g.value.ndim != 2 or g.value.shape[0] < 1:
         raise DimensionError(f"globals must be (B, D), got {g.value.shape}")
-    factor_width(g.value.shape[1], len(bank))  # validates divisibility
-    return FactorSet(
-        factors=[ad.matmul(g, ad.transpose(w)) for w in bank],
-        modality=modality,
-    )
+    dim = g.value.shape[1]
+    if bank.value.ndim != 3:
+        raise DimensionError(f"factor bank must be (K, D/K, D), got {bank.value.shape}")
+    width = factor_width(dim, bank.value.shape[0])
+    if bank.value.shape[1:] != (width, dim):
+        raise DimensionError(
+            f"factor bank {bank.value.shape} does not split width {dim} into "
+            f"{bank.value.shape[0]} factors"
+        )
+    return ad.einsum("bd,kwd->bkw", g, bank)
 
 
-def batch_standardize(fs: FactorSet, eps: float = EPS) -> FactorSet:
-    """Whiten each factor dimension over the batch to mean 0, variance 1.
+def batch_standardize(z: Tensor, eps: float = EPS) -> Tensor:
+    """Whiten each factor dimension of a (B, K, w) stack over the batch to
+    mean 0, variance 1.
 
     Biased (1/B) variance keeps self-covariance exactly 1; a constant
     dimension maps to zeros through the eps guard.
     """
-    b = fs.batch
+    z = ad.as_tensor(z)
+    b = z.value.shape[0]
     if b < 2:
         raise BatchTooSmallError(f"standardization needs a batch of >= 2, got {b}")
-    out = []
     inv_b = 1.0 / b
-    for e in fs.factors:
-        mean = ad.mul(ad.reduce_sum(e, axis=0, keepdims=True), inv_b)
-        centered = ad.sub(e, mean)
-        var = ad.mul(ad.reduce_sum(ad.mul(centered, centered), axis=0, keepdims=True), inv_b)
-        out.append(ad.div(centered, ad.sqrt(ad.add(var, eps))))
-    return FactorSet(factors=out, modality=fs.modality)
+    mean = ad.mul(ad.reduce_sum(z, axis=0, keepdims=True), inv_b)
+    centered = ad.sub(z, mean)
+    var = ad.mul(ad.reduce_sum(ad.mul(centered, centered), axis=0, keepdims=True), inv_b)
+    return ad.div(centered, ad.sqrt(ad.add(var, eps)))
 
 
-def factor_covariance(z_text: FactorSet, z_audio: FactorSet) -> Tensor:
-    """K x K cross-covariance, entry (i, j) = mean over batch and dimension of
-    z_text_i . z_audio_j."""
-    if z_text.count != z_audio.count:
-        raise DimensionError(f"factor counts differ: {z_text.count} vs {z_audio.count}")
-    if z_text.factors[0].value.shape != z_audio.factors[0].value.shape:
+def factor_covariance(z_text: Tensor, z_audio: Tensor) -> Tensor:
+    """K x K cross-covariance of two (B, K, w) stacks, entry (i, j) = mean
+    over batch and dimension of z_text_i . z_audio_j: one cross-correlation
+    contraction."""
+    z_text, z_audio = ad.as_tensor(z_text), ad.as_tensor(z_audio)
+    if z_text.value.ndim != 3 or z_text.value.shape != z_audio.value.shape:
         raise DimensionError(
-            f"factor shapes differ: {z_text.factors[0].value.shape} vs "
-            f"{z_audio.factors[0].value.shape}"
+            f"factor stacks must share one (B, K, w) shape: {z_text.value.shape} vs "
+            f"{z_audio.value.shape}"
         )
-    b, width = z_text.factors[0].value.shape
-    flat_t = ad.concat([ad.reshape(f, (1, b * width)) for f in z_text.factors], axis=0)
-    flat_a = ad.concat([ad.reshape(f, (1, b * width)) for f in z_audio.factors], axis=0)
-    return ad.mul(ad.matmul(flat_t, ad.transpose(flat_a)), 1.0 / (b * width))
+    b, _, width = z_text.value.shape
+    return ad.mul(ad.einsum("bkw,bjw->kj", z_text, z_audio), 1.0 / (b * width))
 
 
 def decoupling_loss(c: Tensor) -> Tensor:
@@ -140,9 +117,7 @@ def match_probabilities(c: np.ndarray, guard: float = DIAG_GUARD) -> tuple[np.nd
     c = np.asarray(c, dtype=np.float64)
     sums = c.sum(axis=0)
     defined = np.abs(sums) > guard
-    p = np.zeros_like(c)
-    for j in np.nonzero(defined)[0]:
-        p[:, j] = c[:, j] / sums[j]
+    p = np.divide(c, sums, out=np.zeros_like(c), where=defined)
     return p, defined
 
 

@@ -14,7 +14,6 @@ from .confidence import SQUASHES, factor_pair_similarity_matrix, init_confidence
 from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
-from .factors import FactorSet
 
 
 TILE = 64  # items per block in tiled scoring and chunked encoding
@@ -74,12 +73,16 @@ class ModelConfig:
 
 @dataclass
 class EncodedBatch:
-    """Batched encoder outputs: 3 level tensors and a global per modality."""
+    """Batched encoder outputs: 3 level tensors and a global per modality,
+    plus the raw factor stacks, filled on first use by `Model.batch_factors`
+    so that a step projects each modality once. The stacks hold the bank
+    values of that first use, so a batch serves one set of parameters."""
 
     audio_levels: list[Tensor]  # (B, M_l, D) each
     audio_global: Tensor  # (B, D)
     text_levels: list[Tensor]  # (B, N, D) each
     text_global: Tensor  # (B, D)
+    factors: tuple[Tensor, Tensor] | None = None  # (text, audio), (B, K, D/K) each
 
     @property
     def batch(self) -> int:
@@ -97,16 +100,13 @@ class Model:
         params: dict[str, Tensor] = {}
         params.update(encoders.init_text_params(cfg.embed_dim, rng))
         params.update(encoders.init_audio_params(cfg.embed_dim, rng))
-        params.update(factors.init_factor_params(cfg.embed_dim, cfg.factor_count, rng, "factors.text"))
-        params.update(factors.init_factor_params(cfg.embed_dim, cfg.factor_count, rng, "factors.audio"))
+        for name in ("factors.text", "factors.audio"):
+            params[name] = factors.init_factor_bank(cfg.embed_dim, cfg.factor_count, rng, name)
         params.update(init_confidence_params(cfg.factor_dim, cfg.hidden_width, rng))
         return cls(cfg, params)
 
     def parameters(self) -> list[Tensor]:
         return [self.params[name] for name in sorted(self.params)]
-
-    def factor_bank(self, modality: str) -> list[Tensor]:
-        return [self.params[f"factors.{modality}.k{i}"] for i in range(self.cfg.factor_count)]
 
     def encode_pairs(self, items) -> EncodedBatch:
         """Encode aligned (audio, text) items as one batch, TILE items at a time."""
@@ -136,11 +136,21 @@ class Model:
             text_global=t_global,
         )
 
-    def batch_factors(self, encoded: EncodedBatch) -> tuple[FactorSet, FactorSet]:
-        """Raw (unstandardized) factor sets of the batch globals: (text, audio)."""
-        return (
-            factors.project_factors(encoded.text_global, self.factor_bank("text"), "text"),
-            factors.project_factors(encoded.audio_global, self.factor_bank("audio"), "audio"),
+    def batch_factors(self, encoded: EncodedBatch) -> tuple[Tensor, Tensor]:
+        """Raw (unstandardized) (B, K, D/K) factor stacks of the batch globals,
+        (text, audio), projected on the first call and kept on `encoded`."""
+        if encoded.factors is None:
+            encoded.factors = (
+                factors.project_factors(encoded.text_global, self.params["factors.text"]),
+                factors.project_factors(encoded.audio_global, self.params["factors.audio"]),
+            )
+        return encoded.factors
+
+    def factor_covariance(self, encoded: EncodedBatch) -> Tensor:
+        """K x K cross-modal covariance of the batch's standardized factors."""
+        text_z, audio_z = self.batch_factors(encoded)
+        return factors.factor_covariance(
+            factors.batch_standardize(text_z), factors.batch_standardize(audio_z)
         )
 
     def similarity_matrix(self, encoded: EncodedBatch, mode: str) -> Tensor:
@@ -164,11 +174,11 @@ class Model:
                 lambda a, t: attention.hierarchical_similarity_matrix(a, t, self.cfg.attention),
             )
         if component == "DCR":
-            text_fs, audio_fs = self.batch_factors(encoded)
+            text_z, audio_z = self.batch_factors(encoded)
             return _tiled(
-                _row_blocks(audio_fs.factors),
-                _row_blocks(text_fs.factors),
-                lambda a, t: factor_pair_similarity_matrix(t, a, self.params, self.cfg.squash),
+                _row_blocks([audio_z]),
+                _row_blocks([text_z]),
+                lambda a, t: factor_pair_similarity_matrix(t[0], a[0], self.params, self.cfg.squash),
             )
         raise ConfigError(f"unknown similarity component {component!r}")
 

@@ -24,7 +24,7 @@ from .model import Model
 from .objective import ObjectiveConfig
 
 CHECKPOINT_MAGIC = b"XCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: one (K, D/K, D) bank per modality, `factors.text`/`factors.audio`
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,7 @@ def _clip_grads(grads: dict[str, np.ndarray], limit: float):
 
 @ad.no_grad()
 def _batch_covariance(model: Model, items) -> np.ndarray:
-    encoded = model.encode_pairs(items)
-    text_fs, audio_fs = model.batch_factors(encoded)
-    c = factors.factor_covariance(
-        factors.batch_standardize(text_fs), factors.batch_standardize(audio_fs)
-    )
-    return c.value
+    return model.factor_covariance(model.encode_pairs(items)).value
 
 
 def train(
@@ -222,10 +217,7 @@ def train(
             s_matrix = model.similarity_matrix(encoded, ocfg.similarity_mode)
             loss_s = obj.nt_xent(s_matrix, ocfg.tau)
             if want_factor_losses:
-                text_fs, audio_fs = model.batch_factors(encoded)
-                cov = factors.factor_covariance(
-                    factors.batch_standardize(text_fs), factors.batch_standardize(audio_fs)
-                )
+                cov = model.factor_covariance(encoded)  # shares the DCR score's projections
                 loss_d = factors.decoupling_loss(cov)
                 loss_a = factors.alignment_loss(cov)
             else:

@@ -122,19 +122,13 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             lambda: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=0, keepdims=True), probe))
         ), [x]
 
-    def build_einsum(rng):
-        a = ad.parameter(_spread(rng, 2, 3, 4), "a")
-        b = ad.parameter(_spread(rng, 5, 3, 4), "b")
-        probe = _spread(rng, 2, 5, 3, 3)
-        return (
-            lambda: ad.reduce_sum(ad.mul(ad.einsum("imd,jnd->ijmn", a, b), probe))
-        ), [a, b]
+    def einsum_case(pattern, *shapes):
+        def build(rng):
+            a, b = (ad.parameter(_spread(rng, *shape), n) for shape, n in zip(shapes, "ab"))
+            probe = _spread(rng, *np.einsum(pattern, a.value, b.value).shape)
+            return (lambda: ad.reduce_sum(ad.mul(ad.einsum(pattern, a, b), probe))), [a, b]
 
-    def build_einsum_vec(rng):
-        a = ad.parameter(_spread(rng, 3, 4, 5), "a")
-        w = ad.parameter(_spread(rng, 5), "w")
-        probe = _spread(rng, 3, 4)
-        return (lambda: ad.reduce_sum(ad.mul(ad.einsum("bnd,d->bn", a, w), probe))), [a, w]
+        return build
 
     def build_softmax(rng):
         # bounded logits keep all probabilities, hence all gradient entries,
@@ -181,8 +175,19 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("hinge", unary(ad.hinge)),
         ("sigmoid", unary(ad.sigmoid)),
         ("sum_axis", build_sum_axis),
-        ("einsum", build_einsum),
-        ("einsum_vec", build_einsum_vec),
+        ("einsum", einsum_case("imd,jnd->ijmn", (2, 3, 4), (5, 3, 4))),
+        ("einsum_vec", einsum_case("bnd,d->bn", (3, 4, 5), (5,))),
+        # the factor path and the taped DCR score
+        *(
+            (f"einsum[{pattern}]", einsum_case(pattern, *shapes))
+            for pattern, shapes in (
+                ("bd,kwd->bkw", ((3, 6), (2, 3, 6))),
+                ("bkw,bjw->kj", ((4, 3, 2), (4, 3, 2))),
+                ("bkd,dh->kbh", ((3, 2, 4), (4, 5))),
+                ("kabh,h->kab", ((2, 3, 4, 5), (5,))),
+                ("akd,bkd->kab", ((3, 2, 4), (5, 2, 4))),
+            )
+        ),
         ("row_softmax", build_softmax),
         *(
             (f"tha_level.{direction}.{combine}", tha_level(direction, combine))
@@ -230,17 +235,11 @@ def _loss_builders(model: Model, items, tau: float, alpha: float, beta: float, m
         s = model.similarity_matrix(model.encode_pairs(items), mode)
         return obj.nt_xent(s, tau)
 
-    def covariance():
-        text_fs, audio_fs = model.batch_factors(model.encode_pairs(items))
-        return factors.factor_covariance(
-            factors.batch_standardize(text_fs), factors.batch_standardize(audio_fs)
-        )
-
     def loss_d():
-        return factors.decoupling_loss(covariance())
+        return factors.decoupling_loss(model.factor_covariance(model.encode_pairs(items)))
 
     def loss_a():
-        return factors.alignment_loss(covariance())
+        return factors.alignment_loss(model.factor_covariance(model.encode_pairs(items)))
 
     def loss_total():
         return obj.total_loss(
@@ -442,12 +441,12 @@ def _dcr_kernel_gap(rng) -> float:
     params = init_confidence_params(3, 5, rng)
     for name in ("conf.b1", "conf.b2"):
         params[name].value[:] = rng.normal(size=params[name].value.shape)
-    text = rng.normal(size=(4, 5, 3))
-    audio = rng.normal(size=(4, 3, 3))
+    text = rng.normal(size=(5, 4, 3))
+    audio = rng.normal(size=(3, 4, 3))
     worst = 0.0
     for squash in SQUASHES:
         composed = factor_pair_similarity_matrix(
-            [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
+            ad.Tensor(text), ad.Tensor(audio), params, squash
         ).value
         kernel = factor_pair_similarity_kernel(text, audio, params, squash)
         worst = max(worst, float(np.abs(kernel - composed).max()))
@@ -507,20 +506,15 @@ def oracle_checks() -> list[CheckResult]:
         results.append(CheckResult(f"nt_xent_direct_b{b_size}", abs(ours - direct), 1e-10))
 
     b_size, k, width = 5, 3, 2
-    zt = rng.normal(size=(k, b_size, width))
-    za = rng.normal(size=(k, b_size, width))
-    from .factors import FactorSet
-
-    cov = factors.factor_covariance(
-        FactorSet([ad.Tensor(zt[i]) for i in range(k)], "text"),
-        FactorSet([ad.Tensor(za[i]) for i in range(k)], "audio"),
-    ).value
+    zt = rng.normal(size=(b_size, k, width))
+    za = rng.normal(size=(b_size, k, width))
+    cov = factors.factor_covariance(ad.Tensor(zt), ad.Tensor(za)).value
     direct = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
             acc = 0.0
             for bb in range(b_size):
-                acc += zt[i, bb] @ za[j, bb]
+                acc += zt[bb, i] @ za[bb, j]
             direct[i, j] = acc / (b_size * width)
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
@@ -561,13 +555,10 @@ def invariant_checks(instances: int = 100) -> list[CheckResult]:
                 worst = max(worst, abs(float((hn[:, j] ** 2).sum()) - 1.0))
     results.append(CheckResult("hinge_normalize_unit_columns", worst, 1e-10))
 
-    from .factors import FactorSet
-
     worst = 0.0
     for _ in range(instances):
-        z = [ad.Tensor(rng.normal(size=(8, 2))) for _ in range(4)]
-        zs = factors.batch_standardize(FactorSet(z, "text"))
-        cov = factors.factor_covariance(zs, FactorSet(zs.factors, "audio")).value
+        zs = factors.batch_standardize(ad.Tensor(rng.normal(size=(8, 4, 2))))
+        cov = factors.factor_covariance(zs, zs).value
         worst = max(worst, float(np.abs(np.diag(cov) - 1.0).max()))
     results.append(CheckResult("self_covariance_diag_one", worst, 1e-10))
 

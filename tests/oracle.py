@@ -93,9 +93,11 @@ def dcr_score(text_factors, audio_factors, params, squash="logistic"):
     )
 
 
-def item_factors(pooled, params, modality, count):
-    """K factor vectors of one item's pooled (D,) embedding."""
-    return [params[f"factors.{modality}.k{i}"].value @ pooled for i in range(count)]
+def item_factors(pooled, params, modality):
+    """K factor vectors of one item's pooled (D,) embedding: row i is the
+    i-th (D/K, D) slice of the modality's bank times the embedding."""
+    bank = params[f"factors.{modality}"].value
+    return [bank[i] @ pooled for i in range(bank.shape[0])]
 
 
 def pair_score(model, audio, text, mode):
@@ -108,10 +110,9 @@ def pair_score(model, audio, text, mode):
         elif component == "THA":
             total += tha_score(audio[0], text[0], model.cfg.attention)
         else:
-            k = model.cfg.factor_count
             total += dcr_score(
-                item_factors(text[1], model.params, "text", k),
-                item_factors(audio[1], model.params, "audio", k),
+                item_factors(text[1], model.params, "text"),
+                item_factors(audio[1], model.params, "audio"),
                 model.params,
                 model.cfg.squash,
             )

@@ -270,6 +270,37 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
             assert abs(float(values[name]) - matrix[a, b]) < 1e-12, (name, a, b)
 
 
+def test_version_1_checkpoint_is_rejected(trained, tmp_path, capsys, monkeypatch):
+    """A checkpoint in the version-1 layout, one (D/K, D) tensor per factor
+    named `factors.{modality}.k{i}`, fails to load with VersionError, and
+    `xmal eval` on it exits 1 naming the version."""
+    from types import SimpleNamespace
+
+    from xmal import trainer
+    from xmal.errors import VersionError
+
+    data, ckpt = trained
+    current = trainer.load_checkpoint(ckpt)
+    tensors = {}
+    for name, value in current.tensors.items():  # parameters and Adam moments alike
+        if name.endswith(("factors.text", "factors.audio")):
+            tensors.update({f"{name}.k{i}": factor for i, factor in enumerate(value)})
+        else:
+            tensors[name] = value
+    assert "factors.text.k3" in tensors and "opt.m.factors.audio.k0" in tensors
+    old = SimpleNamespace(params={name: ad.Tensor(v) for name, v in tensors.items()})
+    path = str(tmp_path / "v1.xckp")
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "CHECKPOINT_VERSION", 1)
+        trainer.save_checkpoint(path, old, trainer.Optimizer(), current.step, current.config_text)
+    assert open(path, "rb").read()[4:8] == (1).to_bytes(4, "little")
+    with pytest.raises(VersionError, match="checkpoint version 1, expected 2"):
+        trainer.load_checkpoint(path)
+    code, out, err = run(capsys, "eval", "--ckpt", path, "--data", data, "--modes", "DP", "--k", "1")
+    assert code == 1
+    assert "checkpoint version 1, expected 2" in err
+
+
 def test_export_embeddings_round_trip(trained, tmp_path, capsys):
     data, ckpt = trained
     epath = str(tmp_path / "enc.xemb")

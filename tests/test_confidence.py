@@ -75,13 +75,15 @@ def test_confidence_bounded_in_unit_interval():
     assert ((0.0 <= g) & (g <= 1.0)).all()
 
 
+def stack(factor_list):
+    """A (1, K, d) factor stack of one item from K (d,) factor vectors."""
+    return ad.Tensor(np.asarray(factor_list, dtype=np.float64)[None])
+
+
 def pair_similarity(text, audio, params):
     """factor_pair_similarity_matrix of one (audio, text) item pair: lists of
     K (d,) factor vectors -> a float."""
-    return float(
-        factor_pair_similarity_matrix([pair(t) for t in text], [pair(a) for a in audio], params)
-        .value[0, 0]
-    )
+    return float(factor_pair_similarity_matrix(stack(text), stack(audio), params).value[0, 0])
 
 
 def test_pair_similarity_saturated_identical_factor():
@@ -118,15 +120,15 @@ def test_pair_similarity_matches_composed_oracle():
 def test_pair_similarity_factor_count_mismatch():
     params = zero_params(2, 2)
     with pytest.raises(DimensionError):
-        factor_pair_similarity_matrix([pair([1.0, 2.0])], [], params)
+        factor_pair_similarity_matrix(stack([[1.0, 2.0]]), stack([[1.0, 2.0]] * 2), params)
 
 
 def test_pair_similarity_bounded_by_factor_count():
     rng = np.random.default_rng(4)
     k, d, b = 4, 3, 8
     params = init_confidence_params(d, d, rng)
-    text = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
-    audio = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
+    text = ad.Tensor(rng.normal(size=(b, k, d)))
+    audio = ad.Tensor(rng.normal(size=(b, k, d)))
     s = factor_pair_similarity_matrix(text, audio, params).value
     assert (np.abs(s) < k).all()
 
@@ -159,13 +161,12 @@ def test_similarity_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(7)
     b, d, k = 3, 2, 3
     params = init_confidence_params(d, d, rng)
-    text = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
-    audio = [ad.Tensor(rng.normal(size=(b, d))) for _ in range(k)]
-    s = factor_pair_similarity_matrix(text, audio, params).value
+    text = rng.normal(size=(b, k, d))
+    audio = rng.normal(size=(b, k, d))
+    s = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params).value
     for i in range(b):
         for j in range(b):
-            t_item = [f.value[j] for f in text]
-            a_item = [f.value[i] for f in audio]
+            t_item, a_item = list(text[j]), list(audio[i])
             assert abs(s[i, j] - oracle.dcr_score(t_item, a_item, params)) < 1e-10
 
 
@@ -173,10 +174,10 @@ def test_gradients_vs_finite_differences():
     rng = np.random.default_rng(8)
     d, k = 2, 3
     params = init_confidence_params(d, d, rng)
-    text = [ad.parameter(rng.normal(size=(3, d)), f"t{i}") for i in range(k)]
-    audio = [ad.parameter(rng.normal(size=(2, d)), f"a{i}") for i in range(k)]
+    text = ad.parameter(rng.normal(size=(3, k, d)), "t")
+    audio = ad.parameter(rng.normal(size=(2, k, d)), "a")
     probe = rng.normal(size=(2, 3))
-    everything = text + audio + list(params.values())
+    everything = [text, audio, *params.values()]
 
     def fn():
         return ad.reduce_sum(ad.mul(factor_pair_similarity_matrix(text, audio, params), probe))
@@ -193,19 +194,17 @@ def test_kernel_matches_composed_ops(zero_rows):
     params = init_confidence_params(4, 5, rng)
     for name in ("conf.b1", "conf.b2"):
         params[name].value[:] = rng.normal(size=params[name].value.shape)
-    text = rng.normal(size=(3, 12, 4))  # K = 3 factors of 12 text items
-    audio = rng.normal(size=(3, 7, 4))  # and of 7 audio items
+    text = rng.normal(size=(12, 3, 4))  # K = 3 factors of 12 text items
+    audio = rng.normal(size=(7, 3, 4))  # and of 7 audio items
     if zero_rows:
-        text[1, 5] = 0.0
-        audio[:, 2] = 0.0  # every factor of one audio item
+        text[5, 1] = 0.0
+        audio[2] = 0.0  # every factor of one audio item
     for squash in SQUASHES:
-        composed = factor_pair_similarity_matrix(
-            [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
-        )
+        composed = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params, squash)
         assert composed._parents != ()  # a tape records: the composed ops ran
         with ad.no_grad():
             fast = factor_pair_similarity_matrix(
-                [ad.Tensor(t) for t in text], [ad.Tensor(a) for a in audio], params, squash
+                ad.Tensor(text), ad.Tensor(audio), params, squash
             ).value
         assert np.array_equal(fast, factor_pair_similarity_kernel(text, audio, params, squash))
         assert fast.shape == (7, 12)
@@ -213,9 +212,9 @@ def test_kernel_matches_composed_ops(zero_rows):
         assert g.shape == cos.shape == (3, 7, 12)
         for i, j in ((0, 0), (6, 11)):
             for k in range(3):
-                want_g = oracle.confidence(text[k, j], audio[k, i], params, squash)
+                want_g = oracle.confidence(text[j, k], audio[i, k], params, squash)
                 assert abs(g[k, i, j] - want_g) < 1e-12
-                assert abs(cos[k, i, j] - oracle.cosine(text[k, j], audio[k, i])) < 1e-12
+                assert abs(cos[k, i, j] - oracle.cosine(text[j, k], audio[i, k])) < 1e-12
         assert np.abs(fast - composed.value).max() < 1e-12, squash
         if zero_rows:
             assert (fast[2] == 0.0).all()  # zero cosines weigh nothing
@@ -225,8 +224,36 @@ def test_kernel_rejects_mismatched_stacks():
     rng = np.random.default_rng(42)
     params = init_confidence_params(4, 4, rng)
     with pytest.raises(DimensionError):
-        factor_pair_similarity_kernel(np.zeros((3, 5, 4)), np.zeros((2, 5, 4)), params)
+        factor_pair_similarity_kernel(np.zeros((5, 3, 4)), np.zeros((5, 2, 4)), params)
     with pytest.raises(DimensionError):
-        factor_pair_similarity_kernel(np.zeros((3, 5, 3)), np.zeros((3, 5, 3)), params)
+        factor_pair_similarity_kernel(np.zeros((5, 3, 3)), np.zeros((5, 3, 3)), params)
     with pytest.raises(ConfigError):
-        factor_pair_similarity_kernel(np.zeros((3, 5, 4)), np.zeros((3, 5, 4)), params, "hard")
+        factor_pair_similarity_kernel(np.zeros((5, 3, 4)), np.zeros((5, 3, 4)), params, "hard")
+
+
+def _taped_dcr_nodes(k, b_t, b_a, d=3, hidden=4):
+    """The nodes a taped DCR score of random (B_t, K, d) and (B_a, K, d)
+    stacks records, found by walking back from its output."""
+    rng = np.random.default_rng(k * 100 + b_t)
+    params = init_confidence_params(d, hidden, rng)
+    text = ad.parameter(rng.normal(size=(b_t, k, d)), "t")
+    audio = ad.parameter(rng.normal(size=(b_a, k, d)), "a")
+    first = ad.Tensor(0.0)._id + 1
+    out = factor_pair_similarity_matrix(text, audio, params)
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if t._id >= first and t._id not in nodes:
+            nodes[t._id] = t
+            stack.extend(t._parents)
+    return list(nodes.values())
+
+
+def test_taped_dcr_is_one_op_chain_for_all_factors_and_pairs():
+    counts = set()
+    for k, b_t, b_a in ((1, 2, 3), (4, 5, 3), (8, 16, 16)):
+        nodes = _taped_dcr_nodes(k, b_t, b_a)
+        counts.add(len(nodes))
+        # the largest value is the (K, B_a, B_t, h) hidden layer: no (B_a*B_t, B) gather matrix
+        assert max(t.value.size for t in nodes) == k * b_a * b_t * 4
+    assert len(counts) == 1  # independent of K and of the batch sizes

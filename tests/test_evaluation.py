@@ -7,6 +7,7 @@ import pytest
 
 from xmal import autodiff as ad, model as model_mod
 from xmal.attention import AttentionConfig
+from xmal.confidence import confidence_batch
 from xmal.data import SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError
 from xmal.evaluation import (
@@ -150,6 +151,26 @@ def test_diagnostics_probability_columns():
         else:
             assert np.array_equal(diag.probabilities[:, j], np.zeros(4))
     assert np.isfinite(diag.probabilities).all()
+
+
+def test_diagnostics_confidences_equal_per_factor_calls():
+    """The one stacked confidence call over all B*K matched pairs gives the
+    bits of one call per factor."""
+    cfg = SynthConfig(
+        pairs=40, concept_count=8, factor_count=4, embed_dim=16,
+        text_tokens=5, audio_tokens=8, seed=9,
+    )
+    ds = generate(cfg)
+    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 11)
+    diag = dcr_diagnostics(model, ds.items)
+    with ad.no_grad():
+        text_z, audio_z = model.batch_factors(model.encode_pairs(ds.items))
+        cols = [
+            confidence_batch(text_z.value[:, i], audio_z.value[:, i], model.params).value
+            for i in range(4)
+        ]
+    assert np.array_equal(diag.confidence_items, np.stack(cols, axis=1))
+    assert np.array_equal(diag.confidence_mean, np.stack(cols, axis=1).mean(axis=0))
 
 
 def test_diagnostics_require_two_items():

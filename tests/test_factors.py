@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad, factors
+from xmal import autodiff as ad, encoders, factors
+from xmal.config import subsystem_rng
+from xmal.confidence import init_confidence_params
 from xmal.errors import BatchTooSmallError, ConfigError, DimensionError
-from xmal.factors import FactorSet
+from xmal.model import Model, ModelConfig
 
 
-def make_set(arrays, modality="text"):
-    return FactorSet([ad.Tensor(a) for a in arrays], modality)
+def make_set(arrays):
+    """A (B, K, w) factor stack from K (B, w) arrays."""
+    return ad.Tensor(np.stack(arrays, axis=1))
 
 
 def test_project_single_identity_factor():
     g = np.array([[1.0, -2.0, 3.0]])
-    bank = [ad.Tensor(np.eye(3))]
-    fs = factors.project_factors(ad.Tensor(g), bank, "text")
-    assert np.array_equal(fs.factors[0].value, g)
+    z = factors.project_factors(ad.Tensor(g), ad.Tensor(np.eye(3)[None]))
+    assert np.array_equal(z.value[:, 0], g)
 
 
 def test_project_coordinate_selecting_banks():
@@ -25,46 +27,92 @@ def test_project_coordinate_selecting_banks():
     first[0, 0] = first[1, 1] = 1.0
     last = np.zeros((2, 4))
     last[0, 2] = last[1, 3] = 1.0
-    fs = factors.project_factors(ad.Tensor(g), [ad.Tensor(first), ad.Tensor(last)], "text")
-    assert np.array_equal(fs.factors[0].value, [[1.0, 2.0]])
-    assert np.array_equal(fs.factors[1].value, [[3.0, 4.0]])
+    z = factors.project_factors(ad.Tensor(g), ad.Tensor(np.stack([first, last])))
+    assert np.array_equal(z.value, [[[1.0, 2.0], [3.0, 4.0]]])
 
 
 def test_project_matches_per_factor_matmul_oracle():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(3, 8))
-    bank = [ad.Tensor(rng.normal(size=(2, 8))) for _ in range(4)]
-    fs = factors.project_factors(ad.Tensor(g), bank, "audio")
+    bank = rng.normal(size=(4, 2, 8))
+    z = factors.project_factors(ad.Tensor(g), ad.Tensor(bank)).value
+    assert z.shape == (3, 4, 2)
     for k in range(4):
         expected = np.zeros((3, 2))
         for b in range(3):
-            expected[b] = bank[k].value @ g[b]
-        assert np.abs(fs.factors[k].value - expected).max() < 1e-12
+            expected[b] = bank[k] @ g[b]
+        assert np.abs(z[:, k] - expected).max() < 1e-12
 
 
 def test_project_rejects_indivisible_width():
     with pytest.raises(ConfigError):
-        factors.project_factors(
-            ad.Tensor(np.ones((2, 16))), [ad.Tensor(np.ones((5, 16)))] * 3, "text"
-        )
+        factors.project_factors(ad.Tensor(np.ones((2, 16))), ad.Tensor(np.ones((3, 5, 16))))
+    with pytest.raises(DimensionError):  # a bank that does not tile the width
+        factors.project_factors(ad.Tensor(np.ones((2, 16))), ad.Tensor(np.ones((4, 5, 16))))
+
+
+def test_model_banks_equal_sequential_per_factor_draws():
+    """Bank slice i of a built model is bit-equal to the i-th of K sequential
+    (D/K, D) draws, replaying the init generator in per-factor order."""
+    for seed in (0, 4, 11):
+        cfg = ModelConfig(embed_dim=32, factor_count=8)
+        model = Model.build(cfg, seed)
+        rng = subsystem_rng(seed, "init")
+        encoders.init_text_params(cfg.embed_dim, rng)
+        encoders.init_audio_params(cfg.embed_dim, rng)
+        bound = 1.0 / np.sqrt(cfg.embed_dim)
+        for modality in ("text", "audio"):
+            bank = model.params[f"factors.{modality}"].value
+            assert bank.shape == (8, 4, 32)
+            for i in range(cfg.factor_count):
+                draw = rng.uniform(-bound, bound, size=(cfg.factor_dim, cfg.embed_dim))
+                assert np.array_equal(bank[i], draw)
+        conf = init_confidence_params(cfg.factor_dim, cfg.hidden_width, rng)
+        for name, param in conf.items():
+            assert np.array_equal(model.params[name].value, param.value)
+
+
+def test_stacked_ops_match_per_factor_loop():
+    """Projection, standardization and covariance on (B, K, w) stacks against
+    the per-factor (B, w) formulas they replace."""
+    rng = np.random.default_rng(9)
+    b, k, w, dim = 6, 4, 2, 8
+    g_t, g_a = rng.normal(size=(b, dim)), rng.normal(size=(b, dim))
+    bank_t, bank_a = rng.normal(size=(k, w, dim)), rng.normal(size=(k, w, dim))
+
+    def standardized(g, bank):
+        out = []
+        for i in range(k):
+            e = g @ bank[i].T
+            centered = e - e.mean(axis=0)
+            out.append(centered / np.sqrt((centered**2).mean(axis=0) + ad.EPS))
+        return out
+
+    loop_t, loop_a = standardized(g_t, bank_t), standardized(g_a, bank_a)
+    z_t = factors.batch_standardize(factors.project_factors(ad.Tensor(g_t), ad.Tensor(bank_t)))
+    z_a = factors.batch_standardize(factors.project_factors(ad.Tensor(g_a), ad.Tensor(bank_a)))
+    for i in range(k):
+        assert np.abs(z_t.value[:, i] - loop_t[i]).max() < 1e-12
+    want = np.array([[(loop_t[i] * loop_a[j]).mean() for j in range(k)] for i in range(k)])
+    assert np.abs(factors.factor_covariance(z_t, z_a).value - want).max() < 1e-12
 
 
 def test_standardize_two_point_batch():
     fs = make_set([np.array([[1.0], [3.0]])])
     z = factors.batch_standardize(fs)
-    assert np.abs(z.factors[0].value - [[-1.0], [1.0]]).max() < 1e-6
+    assert np.abs(z.value[:, 0] - [[-1.0], [1.0]]).max() < 1e-6
 
 
 def test_standardize_constant_dimension_maps_to_zero():
     fs = make_set([np.array([[2.0, 1.0], [2.0, 3.0]])])
-    z = factors.batch_standardize(fs).factors[0].value
+    z = factors.batch_standardize(fs).value[:, 0]
     assert np.array_equal(z[:, 0], [0.0, 0.0])
 
 
 def test_standardize_moments():
     rng = np.random.default_rng(1)
     fs = make_set([rng.normal(loc=3.0, scale=2.5, size=(8, 4))])
-    z = factors.batch_standardize(fs).factors[0].value
+    z = factors.batch_standardize(fs).value[:, 0]
     assert np.abs(z.mean(axis=0)).max() < 1e-10
     assert np.abs(z.var(axis=0) - 1.0).max() < 1e-8
 
@@ -77,10 +125,10 @@ def test_standardize_rejects_singleton_batch():
 def test_standardize_affine_shift_invariance():
     rng = np.random.default_rng(2)
     e = rng.normal(size=(6, 3))
-    z = factors.batch_standardize(make_set([e])).factors[0].value
+    z = factors.batch_standardize(make_set([e])).value[:, 0]
     # |a| >= 0.1 keeps the variance guard's eps negligible next to a^2 var
     for a, c in ((2.0, 1.5), (-0.7, -4.0), (0.1, 100.0), (-35.0, 0.3)):
-        z2 = factors.batch_standardize(make_set([a * e + c])).factors[0].value
+        z2 = factors.batch_standardize(make_set([a * e + c])).value[:, 0]
         assert np.abs(z2 - np.sign(a) * z).max() < 1e-8
 
 
@@ -88,7 +136,7 @@ def test_covariance_diag_one_for_identical_standardized_sets():
     rng = np.random.default_rng(3)
     raw = [rng.normal(size=(8, 2)) for _ in range(4)]
     z = factors.batch_standardize(make_set(raw))
-    c = factors.factor_covariance(z, FactorSet(z.factors, "audio")).value
+    c = factors.factor_covariance(z, z).value
     assert np.abs(np.diag(c) - 1.0).max() < 1e-10
 
 
@@ -96,17 +144,14 @@ def test_covariance_sign_flip():
     rng = np.random.default_rng(4)
     raw = [rng.normal(size=(8, 2)) for _ in range(3)]
     z = factors.batch_standardize(make_set(raw))
-    negs = FactorSet([ad.mul(f, -1.0) for f in z.factors], "audio")
-    c = factors.factor_covariance(z, negs).value
+    c = factors.factor_covariance(z, ad.mul(z, -1.0)).value
     assert np.abs(np.diag(c) + 1.0).max() < 1e-10
 
 
 def test_covariance_independent_factors_concentrate():
     rng = np.random.default_rng(5)
     zt = factors.batch_standardize(make_set([rng.normal(size=(512, 2)) for _ in range(4)]))
-    za = factors.batch_standardize(
-        make_set([rng.normal(size=(512, 2)) for _ in range(4)], "audio")
-    )
+    za = factors.batch_standardize(make_set([rng.normal(size=(512, 2)) for _ in range(4)]))
     c = factors.factor_covariance(zt, za).value
     off = c[~np.eye(4, dtype=bool)]
     assert np.abs(off).max() < 0.2
@@ -119,21 +164,19 @@ def test_covariance_bilinear_in_inputs():
     other = [rng.normal(size=(5, 2)) for _ in range(3)]
     lam, mu = 0.7, -1.3
     mix = make_set([lam * x + mu * y for x, y in zip(a, b)])
-    c_mix = factors.factor_covariance(mix, make_set(other, "audio")).value
-    c_a = factors.factor_covariance(make_set(a), make_set(other, "audio")).value
-    c_b = factors.factor_covariance(make_set(b), make_set(other, "audio")).value
+    c_mix = factors.factor_covariance(mix, make_set(other)).value
+    c_a = factors.factor_covariance(make_set(a), make_set(other)).value
+    c_b = factors.factor_covariance(make_set(b), make_set(other)).value
     assert np.abs(c_mix - (lam * c_a + mu * c_b)).max() < 1e-12
 
 
 def test_covariance_shape_mismatch():
     with pytest.raises(DimensionError):
         factors.factor_covariance(
-            make_set([np.ones((4, 2))]), make_set([np.ones((4, 2)), np.ones((4, 2))], "audio")
+            make_set([np.ones((4, 2))]), make_set([np.ones((4, 2)), np.ones((4, 2))])
         )
     with pytest.raises(DimensionError):
-        factors.factor_covariance(
-            make_set([np.ones((4, 2))]), make_set([np.ones((5, 2))], "audio")
-        )
+        factors.factor_covariance(make_set([np.ones((4, 2))]), make_set([np.ones((5, 2))]))
 
 
 def test_decoupling_loss_cases():
@@ -172,22 +215,38 @@ def test_match_probability_columns():
     assert not defined.any() and np.isfinite(p).all()
 
 
+def test_match_probabilities_equal_the_per_column_loop():
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        c = rng.normal(size=(5, 5))
+        c[:, rng.integers(5)] = 0.0  # an undefined column
+        c[:, rng.integers(5)] *= 1e-9  # a column sum near the guard
+        sums = c.sum(axis=0)
+        want = np.zeros_like(c)
+        for j in range(5):
+            if abs(sums[j]) > factors.DIAG_GUARD:
+                want[:, j] = c[:, j] / sums[j]
+        p, defined = factors.match_probabilities(c)
+        assert np.array_equal(p, want)
+        assert np.array_equal(defined, np.abs(sums) > factors.DIAG_GUARD)
+
+
 def test_losses_gradient_through_pipeline_vs_finite_differences():
     rng = np.random.default_rng(8)
     text_globals = ad.Tensor(rng.normal(size=(6, 8)))
     audio_globals = ad.Tensor(rng.normal(size=(6, 8)))
-    bank_t = [ad.parameter(rng.normal(size=(2, 8)), f"wt{k}") for k in range(4)]
-    bank_a = [ad.parameter(rng.normal(size=(2, 8)), f"wa{k}") for k in range(4)]
+    bank_t = ad.parameter(rng.normal(size=(4, 2, 8)), "wt")
+    bank_a = ad.parameter(rng.normal(size=(4, 2, 8)), "wa")
 
     def cov():
-        ft = factors.project_factors(text_globals, bank_t, "text")
-        fa = factors.project_factors(audio_globals, bank_a, "audio")
+        ft = factors.project_factors(text_globals, bank_t)
+        fa = factors.project_factors(audio_globals, bank_a)
         return factors.factor_covariance(
             factors.batch_standardize(ft), factors.batch_standardize(fa)
         )
 
-    err_d = ad.finite_difference_check(lambda: factors.decoupling_loss(cov()), bank_t + bank_a)
-    err_a = ad.finite_difference_check(lambda: factors.alignment_loss(cov()), bank_t + bank_a)
+    err_d = ad.finite_difference_check(lambda: factors.decoupling_loss(cov()), [bank_t, bank_a])
+    err_a = ad.finite_difference_check(lambda: factors.alignment_loss(cov()), [bank_t, bank_a])
     assert err_d < 1e-4 and err_a < 1e-4
 
 
@@ -197,13 +256,13 @@ def test_gradient_descent_on_banks_decouples_and_aligns():
     b, dim, k = 32, 16, 4
     text_globals = ad.Tensor(rng.normal(size=(b, dim)))
     audio_globals = ad.Tensor(rng.normal(size=(b, dim)))
-    bank_t = list(factors.init_factor_params(dim, k, np.random.default_rng(1), "bt").values())
-    bank_a = list(factors.init_factor_params(dim, k, np.random.default_rng(2), "ba").values())
-    params = bank_t + bank_a
+    bank_t = factors.init_factor_bank(dim, k, np.random.default_rng(1), "bt")
+    bank_a = factors.init_factor_bank(dim, k, np.random.default_rng(2), "ba")
+    params = [bank_t, bank_a]
 
     def cov():
-        ft = factors.project_factors(text_globals, bank_t, "text")
-        fa = factors.project_factors(audio_globals, bank_a, "audio")
+        ft = factors.project_factors(text_globals, bank_t)
+        fa = factors.project_factors(audio_globals, bank_a)
         return factors.factor_covariance(
             factors.batch_standardize(ft), factors.batch_standardize(fa)
         )
