@@ -7,10 +7,10 @@ rows for each query row. A block's score is the sum of query/fused cosines;
 the hierarchical score adds the three tap levels. A separate global score is
 the plain cosine of the two pooled vectors.
 
-Training records one fused op per level, `tha_level`, whose backward is
-closed form; forward-only scoring runs the same arithmetic without a tape.
-The same score composed from autodiff primitives
-(`verify.composed_hierarchical_similarity`) is the oracle both are checked
+Each level is one fused op, `tha_level`, whose backward is closed form.
+Training and forward-only scoring run the same op; under `no_grad` it keeps
+no backward state. The same score composed from autodiff primitives
+(`verify.composed_hierarchical_similarity`) is the oracle it is checked
 against.
 """
 
@@ -76,18 +76,6 @@ def _root_grad(sumsq: np.ndarray, root: np.ndarray, eps: float) -> np.ndarray:
     return np.where(sumsq > eps * eps, 0.5 / root, 0.0)
 
 
-def _normalized(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of x over their guarded L2 norms, and the rows' sums of squares."""
-    sumsq = np.sum(x * x, axis=-1, keepdims=True)
-    return x / ad.guarded_root(sumsq, eps), sumsq
-
-
-def _normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray, eps: float) -> np.ndarray:
-    """Gradient w.r.t. x of `_normalized`'s rows xn, given g w.r.t. xn."""
-    radial = np.sum(g * xn, axis=-1, keepdims=True) * (sumsq > eps * eps)
-    return (g - xn * radial) / ad.guarded_root(sumsq, eps)
-
-
 def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: bool):
     """One attention direction. s (Q, C, I, J) holds the cosine of query
     token q of item i with context token c of item j; contexts (J, C, D) are
@@ -147,8 +135,8 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
 def _level(a3: np.ndarray, t3: np.ndarray, cfg: AttentionConfig, keep: bool):
     """One level's (B_a, B_t) score from (B_a, M, D) audio and (B_t, N, D)
     text rows and, with `keep`, the state `_level_grad` needs."""
-    an, a_sumsq = _normalized(a3, cfg.eps)
-    tn, t_sumsq = _normalized(t3, cfg.eps)
+    an, a_sumsq = ad.normalized(a3, cfg.eps)
+    tn, t_sumsq = ad.normalized(t3, cfg.eps)
     s = np.matmul(an.transpose(1, 0, 2)[:, None], tn.transpose(1, 2, 0)[None])  # (M, N, I, J)
     te_state = ae_state = None
     if cfg.direction in ("text_enhanced", "both"):
@@ -181,8 +169,8 @@ def _level_grad(g: np.ndarray, state, cfg: AttentionConfig):
     g_an = g_s.transpose(2, 0, 1, 3).reshape(i * m, n * j) @ tn.transpose(1, 0, 2).reshape(n * j, -1)
     g_tn = g_s.transpose(3, 1, 0, 2).reshape(j * n, m * i) @ an.transpose(1, 0, 2).reshape(m * i, -1)
     return (
-        _normalized_grad(g_an.reshape(an.shape), an, a_sumsq, cfg.eps) + g_a3,
-        _normalized_grad(g_tn.reshape(tn.shape), tn, t_sumsq, cfg.eps) + g_t3,
+        ad.normalized_grad(g_an.reshape(an.shape), an, a_sumsq, cfg.eps) + g_a3,
+        ad.normalized_grad(g_tn.reshape(tn.shape), tn, t_sumsq, cfg.eps) + g_t3,
     )
 
 
@@ -191,9 +179,7 @@ def tha_level(a3, t3, cfg: AttentionConfig) -> Tensor:
     rows -> (B_a, B_t) scores. The backward is closed form; the forward's
     state is kept only while a tape records."""
     a3, t3 = ad.as_tensor(a3), ad.as_tensor(t3)
-    if not ad.is_recording():
-        return Tensor(_level(a3.value, t3.value, cfg, keep=False)[0])
-    score, state = _level(a3.value, t3.value, cfg, keep=True)
+    score, state = _level(a3.value, t3.value, cfg, keep=ad.is_recording())
 
     def backward(g):
         return _level_grad(g, state, cfg)
@@ -206,7 +192,7 @@ def hierarchical_similarity_matrix(
 ) -> Tensor:
     """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
     text level tensors: a (B_a, B_t) matrix, the sum of one `tha_level` op
-    per level. Its value is `hierarchical_similarity_kernel`'s, bit for bit."""
+    per level."""
     if len(audio_levels) != len(text_levels):
         raise ContractError(
             f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
@@ -215,18 +201,6 @@ def hierarchical_similarity_matrix(
     for a3, t3 in zip(audio_levels, text_levels):
         score = tha_level(a3, t3, cfg)
         total = score if total is None else ad.add(total, score)
-    return total
-
-
-def hierarchical_similarity_kernel(
-    audio_levels: list[np.ndarray], text_levels: list[np.ndarray], cfg: AttentionConfig
-) -> np.ndarray:
-    """Forward-only `hierarchical_similarity_matrix` on plain arrays:
-    (B_a, M_l, D) audio and (B_t, N, D) text levels -> (B_a, B_t) scores."""
-    total = None
-    for a3, t3 in zip(audio_levels, text_levels):
-        score = _level(a3, t3, cfg, keep=False)[0]
-        total = score if total is None else total + score
     return total
 
 

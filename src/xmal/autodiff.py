@@ -423,9 +423,22 @@ def guarded_norm(x, axis=None, keepdims: bool = False, eps: float = EPS) -> Tens
 
 
 def guarded_root(sumsq: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """The value of `guarded_norm` given the sum of squares, for forward-only
-    numpy kernels."""
+    """The value of `guarded_norm` given the sum of squares, for the fused
+    ops' numpy arithmetic."""
     return np.sqrt(np.maximum(sumsq - eps * eps, 0.0) + eps * eps)
+
+
+def normalized(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of x over their guarded L2 norms (the value of `normalize_rows`),
+    and the rows' sums of squares, for the fused ops' closed-form backwards."""
+    sumsq = np.sum(x * x, axis=-1, keepdims=True)
+    return x / guarded_root(sumsq, eps), sumsq
+
+
+def normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """Gradient w.r.t. x of `normalized`'s rows xn, given g w.r.t. xn."""
+    radial = np.sum(g * xn, axis=-1, keepdims=True) * (sumsq > eps * eps)
+    return (g - xn * radial) / guarded_root(sumsq, eps)
 
 
 def row_softmax(m, scale: float = 1.0) -> Tensor:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad, evaluation, objective as obj, trainer, verify
-from .attention import AttentionConfig, hierarchical_similarity_kernel
+from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
     SCHEMAS,
     canonical_text,
@@ -35,7 +35,7 @@ from .data import (
     save_dataset,
     save_embeddings,
 )
-from .confidence import factor_pair_kernel_terms
+from .confidence import factor_pair_terms
 from .errors import ConfigError, XmalError
 from .model import EncodedBatch, Model, ModelConfig
 from .objective import ObjectiveConfig
@@ -66,19 +66,16 @@ def _config_section(args, section: str) -> dict:
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config).get(section)
     flag_values = {key: getattr(args, key, None) for key in SCHEMAS[section]}
-    return merge_config(section, file_values, flag_values)
-
-
-def _check_threads(values: dict):
+    values = merge_config(section, file_values, flag_values)
     threads = values.get("threads", 1)
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     # Compute is vectorized and single-threaded; the cap never changes results.
+    return values
 
 
 def cmd_gen_data(args) -> int:
     values = _config_section(args, "data")
-    _check_threads(values)
     if "out" not in values:
         raise ConfigError("gen-data needs --out")
     if "pairs" not in values:
@@ -185,7 +182,6 @@ def write_loss_log(path: str, stamp: str, effective: dict, result):
 
 def cmd_train(args) -> int:
     values = _config_section(args, "train")
-    _check_threads(values)
     if "data" not in values or "out" not in values:
         raise ConfigError("train needs --data and --out")
     dataset = load_dataset(values["data"])
@@ -264,7 +260,6 @@ def _restore_model(ckpt_path: str, dataset=None, embeddings=None) -> tuple[Model
 
 def cmd_eval(args) -> int:
     values = _config_section(args, "eval")
-    _check_threads(values)
     if "ckpt" not in values:
         raise ConfigError("eval needs --ckpt")
     dataset = load_dataset(values["data"]) if values.get("data") else None
@@ -275,7 +270,10 @@ def cmd_eval(args) -> int:
     modes = tuple(values.get("modes", "THA+DCR").split(","))
     for mode in modes:
         obj.mode_components(mode)
-    ks = tuple(int(x) for x in str(values.get("k", "1,5,10")).split(","))
+    try:
+        ks = tuple(int(x) for x in str(values.get("k", "1,5,10")).split(","))
+    except ValueError as e:
+        raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
     seed = values.get("seed", 0)
     resolved = {
         "ckpt": values["ckpt"],
@@ -327,9 +325,8 @@ def _pair_batch(model: Model, dataset, embeddings, index_a: int, index_b: int) -
 @ad.no_grad()
 def cmd_sim(args) -> int:
     """Score breakdown of one pair, scored as a 1 x 1 batch by the same
-    encoders and kernels that `eval` uses."""
+    encoders and fused ops that `eval` uses."""
     values = _config_section(args, "sim")
-    _check_threads(values)
     if "ckpt" not in values or "item_a" not in values or "item_b" not in values:
         raise ConfigError("sim needs --ckpt and two item indices (--item-a, --item-b)")
     dataset = load_dataset(values["data"]) if values.get("data") else None
@@ -357,18 +354,12 @@ def cmd_sim(args) -> int:
     cfg = model.cfg.attention
     tha_total = 0.0
     for lvl, (a_l, t_l) in enumerate(zip(encoded.audio_levels, encoded.text_levels), start=1):
-        te, ae = [
-            float(hierarchical_similarity_kernel(
-                [a_l.value], [t_l.value], dataclasses.replace(cfg, direction=direction)
-            )[0, 0])
-            for direction in ("text_enhanced", "audio_enhanced")
-        ]
-        if cfg.direction == "text_enhanced":
-            level = te
-        elif cfg.direction == "audio_enhanced":
-            level = ae
-        else:
-            level = (te + ae) / 2.0 if cfg.combine == "mean" else te + ae
+        te, ae, level = (
+            float(hierarchical_similarity_matrix(
+                [a_l], [t_l], dataclasses.replace(cfg, direction=direction)
+            ).value[0, 0])
+            for direction in ("text_enhanced", "audio_enhanced", cfg.direction)
+        )
         tha_total += level
         lines.append(f"THA.level{lvl}.text_enhanced={te!r}")
         lines.append(f"THA.level{lvl}.audio_enhanced={ae!r}")
@@ -376,7 +367,7 @@ def cmd_sim(args) -> int:
     lines.append(f"THA={tha_total!r}")
 
     text_z, audio_z = model.batch_factors(encoded)
-    g, cos = factor_pair_kernel_terms(text_z.value, audio_z.value, model.params, model.cfg.squash)
+    g, cos, _ = factor_pair_terms(text_z.value, audio_z.value, model.params)
     dcr_total = 0.0
     for i in range(g.shape[0]):
         g_i, cos_i = float(g[i, 0, 0]), float(cos[i, 0, 0])
@@ -392,7 +383,6 @@ def cmd_sim(args) -> int:
 
 def cmd_verify(args) -> int:
     values = _config_section(args, "verify")
-    _check_threads(values)
     h = values.get("h", 1e-5)
     tol = values.get("tol", 1e-6)
     seeds = values.get("seeds", 3)
@@ -416,7 +406,6 @@ def cmd_verify(args) -> int:
 def cmd_export_embeddings(args) -> int:
     """Encode a dataset with a checkpoint and write the embedding container."""
     values = _config_section(args, "eval")
-    _check_threads(values)
     if "ckpt" not in values or "data" not in values or "out" not in values:
         raise ConfigError("export-embeddings needs --ckpt, --data and --out")
     dataset = load_dataset(values["data"])

@@ -1,11 +1,17 @@
 """Confidence-weighted factor-pair similarity.
 
 A two-layer network with a ReLU scores each (text-factor, audio-factor) pair
-from their concatenation; the score is squashed into (0, 1) and weights the
-pair's cosine. An (audio item, text item) score is the sum of weighted
-cosines over the K factor pairs; weights are independent per pair (no
-normalization across pairs). Scores come as all-pairs matrices; a single
+from their concatenation; a logistic maps the score into (0, 1) and it
+weights the pair's cosine. An (audio item, text item) score is the sum of
+weighted cosines over the K factor pairs; weights are independent per pair
+(no normalization across pairs). Scores come as all-pairs matrices; a single
 pair is a 1 x 1 batch.
+
+The score is one fused op, `factor_pair_similarity_matrix`, whose backward
+is closed form. Training and forward-only scoring run the same op. The same
+score composed from autodiff primitives
+(`verify.composed_factor_pair_similarity`) is the oracle it is checked
+against.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS, Tensor
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 
-SQUASHES = ("logistic", "none")
+PARAM_NAMES = ("conf.w1", "conf.b1", "conf.w2", "conf.b2")
 
 
 def init_confidence_params(
@@ -36,118 +42,92 @@ def init_confidence_params(
     return params
 
 
-def _check_squash(squash: str):
-    if squash not in SQUASHES:
-        raise ConfigError(f"squash must be one of {SQUASHES}, got {squash!r}")
-
-
-def confidence_batch(
-    text_factors: Tensor, audio_factors: Tensor, params: dict[str, Tensor], squash: str = "logistic"
-) -> Tensor:
-    """Scores for a stack of pairs: (P, d) x (P, d) -> (P,)."""
-    _check_squash(squash)
-    t, a = ad.as_tensor(text_factors), ad.as_tensor(audio_factors)
-    if t.value.shape != a.value.shape:
-        raise DimensionError(f"factor shapes differ: {t.value.shape} vs {a.value.shape}")
-    x = ad.concat([t, a], axis=1)
-    if x.value.shape[1] != params["conf.w1"].value.shape[1]:
-        raise DimensionError(
-            f"confidence input width {x.value.shape[1]} does not match "
-            f"first layer {params['conf.w1'].value.shape}"
-        )
-    h = ad.hinge(ad.add(ad.matmul(x, ad.transpose(params["conf.w1"])), params["conf.b1"]))
-    y = ad.add(ad.matmul(h, ad.transpose(params["conf.w2"])), params["conf.b2"])
-    y = ad.reshape(y, (t.value.shape[0],))
-    return ad.sigmoid(y) if squash == "logistic" else y
-
-
-def _check_stacks(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor], squash: str) -> int:
-    """Validate (B_t, K, d) and (B_a, K, d) factor stacks against the network;
-    returns d."""
-    _check_squash(squash)
+def _first_layer(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]):
+    """Validate (B_t, K, d) text and (B_a, K, d) audio factor stacks against
+    the network. The first layer is linear in [t; a], so each item is
+    projected once by its half of `conf.w1`: returns (K, B_t, h) text and
+    (K, B_a, h) audio terms, the bias on the audio side. A pair's
+    pre-activation is the sum of its two terms."""
+    w1 = params["conf.w1"].value
     if text.ndim != 3 or audio.ndim != 3 or text.shape[1:] != audio.shape[1:]:
         raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
-    d = text.shape[2]
-    if params["conf.w1"].value.shape[1] != 2 * d:
-        raise DimensionError(
-            f"confidence input width {2 * d} does not match first layer "
-            f"{params['conf.w1'].value.shape}"
-        )
-    return d
-
-
-def factor_pair_similarity_matrix(
-    text: Tensor,
-    audio: Tensor,
-    params: dict[str, Tensor],
-    squash: str = "logistic",
-    eps: float = EPS,
-) -> Tensor:
-    """All-pairs confidence-weighted factor similarity of (B_t, K, d) text
-    and (B_a, K, d) audio factor stacks; entry (i, j) scores audio item i
-    against text item j.
-
-    While a tape records, the ops follow `factor_pair_kernel_terms`: each
-    item is projected once through its half of `conf.w1`, and the halves are
-    broadcast-added per pair as (K, B_a, 1, h) + (K, 1, B_t, h). Without a
-    tape, `factor_pair_similarity_kernel` computes the scores directly,
-    within 1e-12."""
-    t, a = ad.as_tensor(text), ad.as_tensor(audio)
-    if not ad.is_recording():
-        return Tensor(factor_pair_similarity_kernel(t.value, a.value, params, squash, eps))
-    d = _check_stacks(t.value, a.value, params, squash)
-    (bt, k, _), ba = t.value.shape, a.value.shape[0]
-    w1 = ad.transpose(params["conf.w1"])  # (2d, h): text rows, then audio rows
-    h = w1.value.shape[1]
-    pre_t = ad.einsum("bkd,dh->kbh", t, ad.slice_rows(w1, 0, d))
-    pre_a = ad.add(ad.einsum("bkd,dh->kbh", a, ad.slice_rows(w1, d, 2 * d)), params["conf.b1"])
-    hidden = ad.hinge(ad.add(ad.reshape(pre_a, (k, ba, 1, h)), ad.reshape(pre_t, (k, 1, bt, h))))
-    y = ad.add(ad.einsum("kabh,h->kab", hidden, ad.reshape(params["conf.w2"], (h,))), params["conf.b2"])
-    g = ad.sigmoid(y) if squash == "logistic" else y
-    cos = ad.einsum("akd,bkd->kab", ad.normalize_rows(a, eps), ad.normalize_rows(t, eps))
-    return ad.reduce_sum(ad.mul(g, cos), axis=0)
-
-
-def _normalize(x: np.ndarray, eps: float) -> np.ndarray:
-    """The value of `ad.normalize_rows`."""
-    return x / ad.guarded_root(np.sum(x * x, axis=-1, keepdims=True), eps)
-
-
-def factor_pair_kernel_terms(
-    text: np.ndarray,
-    audio: np.ndarray,
-    params: dict[str, Tensor],
-    squash: str = "logistic",
-    eps: float = EPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-factor confidences and cosines of (B_t, K, d) text and (B_a, K, d)
-    audio factor stacks -> (g, cos), each (K, B_a, B_t).
-
-    The first layer is linear in [t; a], so each item is projected once by
-    its half of `conf.w1` and the halves are broadcast-added per pair."""
-    d = _check_stacks(text, audio, params, squash)
-    w1 = params["conf.w1"].value
-    (bt, k, _), ba, h = text.shape, audio.shape[0], w1.shape[0]
+    (bt, k, d), ba, h = text.shape, audio.shape[0], w1.shape[0]
+    if w1.shape[1] != 2 * d:
+        raise DimensionError(f"confidence input width {2 * d} does not match first layer {w1.shape}")
     # One (B*K, d) product per modality; the (K, B, h) views need no copy.
     pre_t = (text.reshape(bt * k, d) @ w1[:, :d].T).reshape(bt, k, h).transpose(1, 0, 2)
     pre_a = audio.reshape(ba * k, d) @ w1[:, d:].T + params["conf.b1"].value
-    pre_a = pre_a.reshape(ba, k, h).transpose(1, 0, 2)
-    hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)  # (K, B_a, B_t, h)
+    return pre_t, pre_a.reshape(ba, k, h).transpose(1, 0, 2)
+
+
+def _confidence(hidden: np.ndarray, params: dict[str, Tensor]) -> np.ndarray:
+    """Logistic of the second layer over the last (hidden) axis."""
     y = hidden @ params["conf.w2"].value[0] + params["conf.b2"].value[0]
-    g = 0.5 * (1.0 + np.tanh(0.5 * y)) if squash == "logistic" else y
-    an = _normalize(audio, eps).transpose(1, 0, 2)  # (K, B_a, d)
-    tn = _normalize(text, eps).transpose(1, 2, 0)  # (K, d, B_t)
-    return g, an @ tn
+    return 0.5 * (1.0 + np.tanh(0.5 * y))
 
 
-def factor_pair_similarity_kernel(
-    text: np.ndarray,
-    audio: np.ndarray,
-    params: dict[str, Tensor],
-    squash: str = "logistic",
-    eps: float = EPS,
+def matched_confidences(
+    text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]
 ) -> np.ndarray:
-    """Forward-only `factor_pair_similarity_matrix` on (B_t, K, d) text and
-    (B_a, K, d) audio factor stacks -> (B_a, B_t) scores."""
-    g, cos = factor_pair_kernel_terms(text, audio, params, squash, eps)
-    return np.sum(g * cos, axis=0)
+    """Confidences of the matched pairs of (B, K, d) text and audio factor
+    stacks: entry (b, k) scores text factor k of item b against audio factor
+    k of the same item -> (B, K)."""
+    if text.shape != audio.shape:
+        raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
+    pre_t, pre_a = _first_layer(text, audio, params)
+    # C order, so a reduction over items adds them in the same order as a stack
+    return np.ascontiguousarray(_confidence(np.maximum(pre_a + pre_t, 0.0), params).T)
+
+
+def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor], eps=EPS):
+    """Per-factor confidences g and cosines cos of (B_t, K, d) text and
+    (B_a, K, d) audio factor stacks, each (K, B_a, B_t), and the state the
+    closed-form backward reads: the (K, B_a, B_t, h) hidden layer and the
+    normalized rows with their sums of squares."""
+    pre_t, pre_a = _first_layer(text, audio, params)
+    hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)
+    g = _confidence(hidden, params)
+    an, a_sumsq = ad.normalized(audio, eps)
+    tn, t_sumsq = ad.normalized(text, eps)
+    cos = an.transpose(1, 0, 2) @ tn.transpose(1, 2, 0)  # (K, B_a, d) @ (K, d, B_t)
+    return g, cos, (hidden, an, a_sumsq, tn, t_sumsq)
+
+
+def factor_pair_similarity_matrix(
+    text, audio, params: dict[str, Tensor], eps: float = EPS
+) -> Tensor:
+    """All-pairs confidence-weighted factor similarity of (B_t, K, d) text
+    and (B_a, K, d) audio factor stacks as one taped op; entry (i, j) scores
+    audio item i against text item j. The op's parents are the two stacks
+    and the four `conf.*` parameters."""
+    t, a = ad.as_tensor(text), ad.as_tensor(audio)
+    weights = [params[name] for name in PARAM_NAMES]
+    g, cos, (hidden, an, a_sumsq, tn, t_sumsq) = factor_pair_terms(t.value, a.value, params, eps)
+
+    def backward(grad):
+        w1, w2 = params["conf.w1"].value, params["conf.w2"].value[0]
+        (k, ba, bt, h), d = hidden.shape, t.value.shape[2]
+        # score = sum_k g * cos, g = logistic(y), y = relu(pre_a + pre_t) . w2 + b2
+        g_y = grad * cos * g * (1.0 - g)
+        g_cos = grad * g
+        g_hidden = (hidden > 0.0) * w2
+        g_hidden *= g_y[..., None]
+        g_pre_a = g_hidden.sum(axis=2).transpose(1, 0, 2).reshape(ba * k, h)
+        g_pre_t = g_hidden.sum(axis=1).transpose(1, 0, 2).reshape(bt * k, h)
+        t2, a2 = t.value.reshape(bt * k, d), a.value.reshape(ba * k, d)
+        g_w1 = np.concatenate([g_pre_t.T @ t2, g_pre_a.T @ a2], axis=1)
+        g_w2 = (g_y.reshape(-1) @ hidden.reshape(-1, h))[None]
+        # cos[k] = an[:, k] @ tn[:, k].T
+        g_an = np.matmul(g_cos, tn.transpose(1, 0, 2)).transpose(1, 0, 2)
+        g_tn = np.matmul(g_cos.transpose(0, 2, 1), an.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return (
+            (g_pre_t @ w1[:, :d]).reshape(bt, k, d) + ad.normalized_grad(g_tn, tn, t_sumsq, eps),
+            (g_pre_a @ w1[:, d:]).reshape(ba, k, d) + ad.normalized_grad(g_an, an, a_sumsq, eps),
+            g_w1,
+            g_pre_a.sum(axis=0),
+            g_w2,
+            np.array([g_y.sum()]),
+        )
+
+    out = np.sum(g * cos, axis=0)
+    return Tensor(out, _op="factor_pair_similarity", _parents=(t, a, *weights), _backward=backward)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import factors
 from .autodiff import Tensor, no_grad
-from .confidence import confidence_batch
+from .confidence import matched_confidences
 from .data import EmbeddingSet
 from .errors import BatchTooSmallError, ContractError, DimensionError
 from .model import EncodedBatch, Model
@@ -127,11 +127,10 @@ def evaluate(
     """One report per (mode, direction). Either a dataset (encoded by the
     model) or a pre-computed embedding set feeds the similarity matrices.
 
-    Runs tape-free, so THA and DCR are scored by their forward-only numpy
-    kernels. Each distinct component (DP, THA, DCR) is scored once per call,
-    and a mode's matrix is the sum of its components in order. The matrices
-    are within 1e-12 of those `Model.similarity_matrix` builds on a tape (DP
-    is bit-identical)."""
+    Runs tape-free, so the fused THA and DCR ops keep no backward state.
+    Each distinct component (DP, THA, DCR) is scored once per call, and a
+    mode's matrix is the sum of its components in order. The matrices equal
+    those `Model.similarity_matrix` builds on a tape bit for bit."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)
@@ -177,13 +176,7 @@ def dcr_diagnostics(model: Model, items) -> DcrDiagnostics:
     cov = model.factor_covariance(encoded).value
     probs, defined = factors.match_probabilities(cov)
     text_z, audio_z = model.batch_factors(encoded)
-    b, k, width = text_z.value.shape
-    # The B*K matched (item, factor) pairs scored as one stack.
-    g = confidence_batch(
-        text_z.value.reshape(b * k, width), audio_z.value.reshape(b * k, width),
-        model.params, model.cfg.squash,
-    )
-    confidence_items = g.value.reshape(b, k)
+    confidence_items = matched_confidences(text_z.value, audio_z.value, model.params)
     return DcrDiagnostics(
         covariance=cov,
         probabilities=probs,

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import attention, autodiff as ad, encoders, factors, objective
 from .attention import AttentionConfig
-from .confidence import SQUASHES, factor_pair_similarity_matrix, init_confidence_params
+from .confidence import factor_pair_similarity_matrix, init_confidence_params
 from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
@@ -53,12 +53,9 @@ class ModelConfig:
     factor_count: int = 8
     hidden: int | None = None  # confidence hidden width; defaults to D/K
     attention: AttentionConfig = field(default_factory=AttentionConfig)
-    squash: str = "logistic"
 
     def __post_init__(self):
         factors.factor_width(self.embed_dim, self.factor_count)
-        if self.squash not in SQUASHES:
-            raise ConfigError(f"squash must be one of {SQUASHES}, got {self.squash!r}")
         if self.hidden is not None and self.hidden < 1:
             raise ConfigError(f"hidden width must be >= 1, got {self.hidden}")
 
@@ -178,7 +175,7 @@ class Model:
             return _tiled(
                 _row_blocks([audio_z]),
                 _row_blocks([text_z]),
-                lambda a, t: factor_pair_similarity_matrix(t[0], a[0], self.params, self.cfg.squash),
+                lambda a, t: factor_pair_similarity_matrix(t[0], a[0], self.params),
             )
         raise ConfigError(f"unknown similarity component {component!r}")
 

@@ -3,9 +3,10 @@ the full losses, oracle-equivalence checks against independent step-by-step
 recomputations, and the core numeric invariants. Backs the `grad-check`
 command and the acceptance suite.
 
-THA's oracle is `composed_hierarchical_similarity`, the score built from
-autodiff primitives; the fused `attention.tha_level` op must match its values
-and its input gradients."""
+THA and DCR are each one fused op with a closed-form backward, checked
+against the same score built from autodiff primitives:
+`composed_hierarchical_similarity` and `composed_factor_pair_similarity`.
+Each op must match its oracle's values and gradients."""
 
 from __future__ import annotations
 
@@ -15,14 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import attention, autodiff as ad, factors, objective as obj
+from . import attention, autodiff as ad, confidence, factors, objective as obj
 from .attention import COMBINES, DIRECTIONS, AttentionConfig
-from .confidence import (
-    SQUASHES,
-    factor_pair_similarity_kernel,
-    factor_pair_similarity_matrix,
-    init_confidence_params,
-)
+from .autodiff import EPS
+from .confidence import factor_pair_similarity_matrix, init_confidence_params
 from .data import PairItem
 from .model import Model, ModelConfig
 
@@ -155,6 +152,27 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
 
         return build
 
+    def build_factor_pair_similarity(rng):
+        # Ragged: 2 audio items against 3 text items, K = 2 factors of width
+        # 3. The initial weight scale keeps the logistic off its flat tails;
+        # every first-layer pre-activation stays 0.1 away from the ReLU kink
+        # and every cosine 0.2 away from zero, so no gradient entry is small
+        # enough for rounding in the central differences to dominate.
+        while True:
+            params = init_confidence_params(3, 4, rng)
+            for name in ("conf.b1", "conf.b2"):
+                params[name].value[:] = 0.5 * _spread(rng, *params[name].value.shape)
+            t, a = _spread(rng, 3, 2, 3), _spread(rng, 2, 2, 3)
+            pre_t, pre_a = confidence._first_layer(t, a, params)
+            _, cos, _ = confidence.factor_pair_terms(t, a, params)
+            if np.abs(pre_a[:, :, None] + pre_t[:, None]).min() > 0.1 and np.abs(cos).min() > 0.2:
+                break
+        t, a = ad.parameter(t, "t"), ad.parameter(a, "a")
+        probe = _spread(rng, 2, 3)
+        return (
+            lambda: ad.reduce_sum(ad.mul(factor_pair_similarity_matrix(t, a, params), probe))
+        ), [t, a, *params.values()]
+
     return [
         ("add", binary(ad.add)),
         ("sub", binary(ad.sub)),
@@ -177,7 +195,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("sum_axis", build_sum_axis),
         ("einsum", einsum_case("imd,jnd->ijmn", (2, 3, 4), (5, 3, 4))),
         ("einsum_vec", einsum_case("bnd,d->bn", (3, 4, 5), (5,))),
-        # the factor path and the taped DCR score
+        # the factor path and the composed DCR oracle
         *(
             (f"einsum[{pattern}]", einsum_case(pattern, *shapes))
             for pattern, shapes in (
@@ -194,6 +212,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             for direction in DIRECTIONS
             for combine in COMBINES
         ),
+        ("factor_pair_similarity", build_factor_pair_similarity),
     ]
 
 
@@ -295,7 +314,7 @@ def composed_hierarchical_similarity(
 ) -> ad.Tensor:
     """`attention.hierarchical_similarity_matrix` composed from primitives,
     building the (B_a, B_t, Q, D) fused rows: the oracle of the fused
-    `attention.tha_level` op and of the forward-only kernel."""
+    `attention.tha_level` op."""
     total = None
     for a3, t3 in zip(audio_levels, text_levels, strict=True):
         an = ad.normalize_rows(a3, cfg.eps)
@@ -315,6 +334,25 @@ def composed_hierarchical_similarity(
             score = ad.mul(both, 0.5) if cfg.combine == "mean" else both
         total = score if total is None else ad.add(total, score)
     return total
+
+
+def composed_factor_pair_similarity(
+    text: ad.Tensor, audio: ad.Tensor, params: dict[str, ad.Tensor], eps: float = EPS
+) -> ad.Tensor:
+    """`confidence.factor_pair_similarity_matrix` composed from primitives:
+    the oracle of the fused op. Each item is projected once through its half
+    of `conf.w1`, and the halves are broadcast-added per pair as
+    (K, B_a, 1, h) + (K, 1, B_t, h)."""
+    t, a = ad.as_tensor(text), ad.as_tensor(audio)
+    (bt, k, d), ba = t.value.shape, a.value.shape[0]
+    w1 = ad.transpose(params["conf.w1"])  # (2d, h): text rows, then audio rows
+    h = w1.value.shape[1]
+    pre_t = ad.einsum("bkd,dh->kbh", t, ad.slice_rows(w1, 0, d))
+    pre_a = ad.add(ad.einsum("bkd,dh->kbh", a, ad.slice_rows(w1, d, 2 * d)), params["conf.b1"])
+    hidden = ad.hinge(ad.add(ad.reshape(pre_a, (k, ba, 1, h)), ad.reshape(pre_t, (k, 1, bt, h))))
+    y = ad.add(ad.einsum("kabh,h->kab", hidden, ad.reshape(params["conf.w2"], (h,))), params["conf.b2"])
+    cos = ad.einsum("akd,bkd->kab", ad.normalize_rows(a, eps), ad.normalize_rows(t, eps))
+    return ad.reduce_sum(ad.mul(ad.sigmoid(y), cos), axis=0)
 
 
 def _ragged_blocks(rng, audio_tokens=(4, 2, 1)):
@@ -400,57 +438,65 @@ def _attend_gap(rng) -> float:
     return worst
 
 
-def _tha_value_and_grads(score, audio, text, cfg, probe):
-    """THA scores of the level arrays under `score`, and the gradients of
-    their probe-weighted sum w.r.t. each level, audio levels first."""
-    levels = [ad.parameter(x, f"x{i}") for i, x in enumerate(audio + text)]
-    out = score(levels[: len(audio)], levels[len(audio):], cfg)
-    grads = ad.gradients(ad.reduce_sum(ad.mul(out, probe)), levels)
-    return out.value, [grads[p.name] for p in levels]
+def _oracle_gaps(op, oracle, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
+    """Largest gaps between a fused op and its composed oracle, each built
+    by a no-argument call over the parameters `wrt`: of the op's forward-only
+    values, and of the gradients of the probe-weighted scores w.r.t. `wrt`,
+    relative to the largest entry of each of the oracle's gradient rows."""
+    with ad.no_grad():
+        fast = op().value
+    composed = oracle()
+    want = ad.gradients(ad.reduce_sum(ad.mul(composed, probe)), wrt)
+    got = ad.gradients(ad.reduce_sum(ad.mul(op(), probe)), wrt)
+    grad_gap = 0.0
+    for name, w in want.items():
+        scale = np.maximum(np.abs(w).max(axis=-1), 1e-300)
+        grad_gap = max(grad_gap, float((np.abs(got[name] - w).max(axis=-1) / scale).max()))
+    return float(np.abs(fast - composed.value).max()), grad_gap
 
 
 def _tha_gaps() -> tuple[float, float]:
-    """Largest gaps to the composed oracle over every `THA_CASES` block,
-    direction and combine: of the forward-only kernel's scores, and of the
-    level inputs' gradients through the fused op, relative per token row."""
+    """`_oracle_gaps` of THA, worst over every `THA_CASES` block, direction
+    and combine, w.r.t. every level."""
     value_gap = grad_gap = 0.0
     for build in THA_CASES.values():
         rng = np.random.default_rng(30)
         audio, text = build(rng)
         probe = rng.normal(size=(audio[0].shape[0], text[0].shape[0]))
+        levels = [ad.parameter(x, f"x{i}") for i, x in enumerate(audio + text)]
+        a, t = levels[: len(audio)], levels[len(audio):]
         for direction in DIRECTIONS:
             for combine in COMBINES:
                 cfg = AttentionConfig(direction=direction, combine=combine)
-                kernel = attention.hierarchical_similarity_kernel(audio, text, cfg)
-                composed, want = _tha_value_and_grads(
-                    composed_hierarchical_similarity, audio, text, cfg, probe
+                gaps = _oracle_gaps(
+                    lambda: attention.hierarchical_similarity_matrix(a, t, cfg),
+                    lambda: composed_hierarchical_similarity(a, t, cfg),
+                    levels,
+                    probe,
                 )
-                _, got = _tha_value_and_grads(
-                    attention.hierarchical_similarity_matrix, audio, text, cfg, probe
-                )
-                value_gap = max(value_gap, float(np.abs(kernel - composed).max()))
-                for g, w in zip(got, want):
-                    scale = np.maximum(np.abs(w).max(axis=-1), 1e-300)
-                    grad_gap = max(grad_gap, float((np.abs(g - w).max(axis=-1) / scale).max()))
+                value_gap, grad_gap = max(value_gap, gaps[0]), max(grad_gap, gaps[1])
     return value_gap, grad_gap
 
 
-def _dcr_kernel_gap(rng) -> float:
-    """Largest gap between the forward-only DCR kernel and the composed ops
-    under both squashes, on ragged (3 x 5 item) blocks with K = 4."""
-    params = init_confidence_params(3, 5, rng)
+def _dcr_gaps() -> tuple[float, float]:
+    """`_oracle_gaps` of DCR w.r.t. both stacks and the four `conf.*`
+    parameters, on ragged (7 x 12 item) stacks with K = 3, one all-zero
+    factor row and one all-zero audio item."""
+    rng = np.random.default_rng(40)
+    params = init_confidence_params(4, 5, rng)
     for name in ("conf.b1", "conf.b2"):
         params[name].value[:] = rng.normal(size=params[name].value.shape)
-    text = rng.normal(size=(5, 4, 3))
-    audio = rng.normal(size=(3, 4, 3))
-    worst = 0.0
-    for squash in SQUASHES:
-        composed = factor_pair_similarity_matrix(
-            ad.Tensor(text), ad.Tensor(audio), params, squash
-        ).value
-        kernel = factor_pair_similarity_kernel(text, audio, params, squash)
-        worst = max(worst, float(np.abs(kernel - composed).max()))
-    return worst
+    text = rng.normal(size=(12, 3, 4))
+    audio = rng.normal(size=(7, 3, 4))
+    text[5, 1] = 0.0
+    audio[2] = 0.0
+    t, a = ad.parameter(text, "t"), ad.parameter(audio, "a")
+    return _oracle_gaps(
+        lambda: factor_pair_similarity_matrix(t, a, params),
+        lambda: composed_factor_pair_similarity(t, a, params),
+        [t, a, *params.values()],
+        rng.normal(size=(7, 12)),
+    )
 
 
 def oracle_checks() -> list[CheckResult]:
@@ -519,10 +565,12 @@ def oracle_checks() -> list[CheckResult]:
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
     )
-    kernel_gap, grad_gap = _tha_gaps()
-    results.append(CheckResult("tha_kernel_vs_composed", kernel_gap, 1e-12))
+    value_gap, grad_gap = _tha_gaps()
+    results.append(CheckResult("tha_kernel_vs_composed", value_gap, 1e-12))
     results.append(CheckResult("tha_grad_vs_composed", grad_gap, 1e-10))
-    results.append(CheckResult("dcr_kernel_vs_composed", _dcr_kernel_gap(rng), 1e-12))
+    value_gap, grad_gap = _dcr_gaps()
+    results.append(CheckResult("dcr_kernel_vs_composed", value_gap, 1e-12))
+    results.append(CheckResult("dcr_grad_vs_composed", grad_gap, 1e-10))
     return results
 
 

@@ -77,18 +77,18 @@ def tha_score(audio_levels, text_levels, cfg):
     return total
 
 
-def confidence(e_text, e_audio, params, squash="logistic"):
+def confidence(e_text, e_audio, params):
     """Confidence network output for one (text factor, audio factor) pair."""
     x = np.concatenate([e_text, e_audio])
     h = np.maximum(params["conf.w1"].value @ x + params["conf.b1"].value, 0.0)
     y = float((params["conf.w2"].value @ h + params["conf.b2"].value)[0])
-    return 1.0 / (1.0 + np.exp(-y)) if squash == "logistic" else y
+    return 1.0 / (1.0 + np.exp(-y))
 
 
-def dcr_score(text_factors, audio_factors, params, squash="logistic"):
+def dcr_score(text_factors, audio_factors, params):
     """Sum over factor pairs of confidence-weighted cosines."""
     return sum(
-        confidence(t, a, params, squash) * cosine(t, a)
+        confidence(t, a, params) * cosine(t, a)
         for t, a in zip(text_factors, audio_factors, strict=True)
     )
 
@@ -114,6 +114,5 @@ def pair_score(model, audio, text, mode):
                 item_factors(text[1], model.params, "text"),
                 item_factors(audio[1], model.params, "audio"),
                 model.params,
-                model.cfg.squash,
             )
     return total

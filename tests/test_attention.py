@@ -281,7 +281,7 @@ def test_hierarchical_similarity_gradient_vs_finite_differences():
     assert ad.finite_difference_check(fn, audio + text, h=1e-5) < 1e-4
 
 
-# -- fused op and forward-only kernel against the composed oracle ------------------
+# -- the fused op against the composed oracle ------------------
 
 
 def test_no_positive_column_case_has_no_positive_cosine():
@@ -308,7 +308,6 @@ def test_tha_kernel_matches_composed_ops(case):
                 fast = attn.hierarchical_similarity_matrix(
                     [ad.Tensor(a) for a in audio], [ad.Tensor(t) for t in text], cfg
                 ).value
-            assert np.array_equal(fast, attn.hierarchical_similarity_kernel(audio, text, cfg))
             assert np.array_equal(taped.value, fast)  # one implementation, taped or not
             assert fast.shape == (7, 12) and np.isfinite(fast).all()
             assert np.abs(fast - composed).max() < 1e-12, (direction, combine)

@@ -128,6 +128,17 @@ def test_eval_unknown_mode_rejected(trained, capsys):
     assert "mode" in err.lower()
 
 
+def test_eval_bad_k_rejected(trained, tmp_path, capsys):
+    data, ckpt = trained
+    cfg_path = str(tmp_path / "k.cfg")
+    with open(cfg_path, "w") as f:
+        f.write("[eval]\nk=1,x\n")
+    for extra in (("--k", "1,x"), ("--config", cfg_path)):
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, *extra)
+        assert code == 1
+        assert err.startswith("error: --k") and "'1,x'" in err
+
+
 def test_eval_reports_are_reproducible(trained, tmp_path, capsys):
     data, ckpt = trained
     out1 = str(tmp_path / "r1")
@@ -410,9 +421,11 @@ def test_log_levels_accepted(tmp_path, capsys, monkeypatch):
 
 
 def test_threads_flag_validated(tmp_path, capsys):
-    code, out, err = run(
-        capsys, "gen-data", "--pairs", "4", "--K", "4", "--D", "16",
-        "--out", str(tmp_path / "t.xmal"), "--threads", "0",
-    )
-    assert code != 0
-    assert "threads" in err
+    for argv in (
+        ("gen-data", "--pairs", "4", "--K", "4", "--D", "16", "--out", str(tmp_path / "t.xmal")),
+        ("eval", "--ckpt", str(tmp_path / "none.xckp"), "--data", str(tmp_path / "none.xmal")),
+        ("verify", "--seeds", "1"),
+    ):
+        code, out, err = run(capsys, *argv, "--threads", "0")
+        assert code != 0
+        assert "threads" in err, argv

@@ -4,16 +4,15 @@ import numpy as np
 import oracle
 import pytest
 
-from xmal import autodiff as ad
+from xmal import autodiff as ad, verify
 from xmal.confidence import (
-    SQUASHES,
-    confidence_batch,
-    factor_pair_kernel_terms,
-    factor_pair_similarity_kernel,
+    PARAM_NAMES,
     factor_pair_similarity_matrix,
+    factor_pair_terms,
     init_confidence_params,
+    matched_confidences,
 )
-from xmal.errors import ConfigError, DimensionError
+from xmal.errors import DimensionError
 
 
 def zero_params(factor_dim, hidden):
@@ -26,52 +25,57 @@ def zero_params(factor_dim, hidden):
 
 
 def pair(x):
-    return ad.Tensor(np.asarray(x, dtype=np.float64)[None])
+    """A (1, 1, d) factor stack: one item with one factor."""
+    return np.asarray(x, dtype=np.float64)[None, None]
 
 
 def test_zero_network_outputs_half():
     params = zero_params(3, 4)
-    g = confidence_batch(pair([1.0, -2.0, 0.5]), pair([0.3, 0.0, 1.0]), params)
-    assert float(g.value[0]) == 0.5
+    g = matched_confidences(pair([1.0, -2.0, 0.5]), pair([0.3, 0.0, 1.0]), params)
+    assert g.shape == (1, 1) and float(g[0, 0]) == 0.5
 
 
 def test_large_output_bias_saturates_toward_one():
     params = zero_params(2, 3)
     params["conf.b2"].value = np.array([50.0])
-    g = confidence_batch(pair([1.0, 2.0]), pair([3.0, 4.0]), params)
-    assert float(g.value[0]) > 0.999
+    g = matched_confidences(pair([1.0, 2.0]), pair([3.0, 4.0]), params)
+    assert float(g[0, 0]) > 0.999
 
 
 def test_confidence_matches_layer_by_layer_oracle():
     rng = np.random.default_rng(0)
     d, hidden = 3, 5
     params = init_confidence_params(d, hidden, rng)
-    e_t = rng.normal(size=(4, d))
-    e_a = rng.normal(size=(4, d))
-    got = confidence_batch(ad.Tensor(e_t), ad.Tensor(e_a), params).value
-    for p in range(4):
-        assert abs(got[p] - oracle.confidence(e_t[p], e_a[p], params)) < 1e-12
+    e_t = rng.normal(size=(4, 2, d))
+    e_a = rng.normal(size=(4, 2, d))
+    got = matched_confidences(e_t, e_a, params)
+    assert got.shape == (4, 2)
+    for b in range(4):
+        for k in range(2):
+            assert abs(got[b, k] - oracle.confidence(e_t[b, k], e_a[b, k], params)) < 1e-12
 
 
 def test_confidence_dim_mismatch():
     params = zero_params(3, 4)
     with pytest.raises(DimensionError):
-        confidence_batch(pair([1.0, 2.0]), pair([1.0, 2.0, 3.0]), params)
+        matched_confidences(pair([1.0, 2.0]), pair([1.0, 2.0, 3.0]), params)
     with pytest.raises(DimensionError):
-        confidence_batch(pair([1.0, 2.0]), pair([1.0, 2.0]), params)
+        matched_confidences(pair([1.0, 2.0]), pair([1.0, 2.0]), params)
+    with pytest.raises(DimensionError):
+        matched_confidences(np.zeros((2, 1, 3)), np.zeros((3, 1, 3)), params)
 
 
 def test_confidence_bounded_in_unit_interval():
     rng = np.random.default_rng(1)
     params = init_confidence_params(4, 4, rng)
-    g = confidence_batch(
-        ad.Tensor(rng.normal(size=(100, 4)) * 3), ad.Tensor(rng.normal(size=(100, 4)) * 3), params
-    ).value
+    g = matched_confidences(
+        rng.normal(size=(50, 2, 4)) * 3, rng.normal(size=(50, 2, 4)) * 3, params
+    )
     assert ((0.0 < g) & (g < 1.0)).all()
-    # far outside the operating range the squash may round to the endpoints
-    g = confidence_batch(
-        ad.Tensor(rng.normal(size=(20, 4)) * 1e4), ad.Tensor(rng.normal(size=(20, 4)) * 1e4), params
-    ).value
+    # far outside the operating range the logistic may round to the endpoints
+    g = matched_confidences(
+        rng.normal(size=(10, 2, 4)) * 1e4, rng.normal(size=(10, 2, 4)) * 1e4, params
+    )
     assert ((0.0 <= g) & (g <= 1.0)).all()
 
 
@@ -148,15 +152,6 @@ def test_cosine_scale_invariance_exact():
         assert abs(cos(c * e_t, c * e_a) - base) < 1e-12
 
 
-def test_unsquashed_mode_returns_raw_output():
-    rng = np.random.default_rng(6)
-    params = init_confidence_params(3, 3, rng)
-    raw = confidence_batch(pair(rng.normal(size=3)), pair(rng.normal(size=3)), params, squash="none")
-    assert np.isfinite(raw.value).all()
-    with pytest.raises(ConfigError):
-        confidence_batch(pair([1.0]), pair([1.0]), zero_params(1, 2), squash="hard")
-
-
 def test_similarity_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(7)
     b, d, k = 3, 2, 3
@@ -185,7 +180,7 @@ def test_gradients_vs_finite_differences():
     assert ad.finite_difference_check(fn, everything, h=1e-5) < 1e-4
 
 
-# -- forward-only kernel against the composed ops ----------------------------------
+# -- the fused op against the composed oracle ------------------------------------
 
 
 @pytest.mark.parametrize("zero_rows", (False, True))
@@ -199,61 +194,63 @@ def test_kernel_matches_composed_ops(zero_rows):
     if zero_rows:
         text[5, 1] = 0.0
         audio[2] = 0.0  # every factor of one audio item
-    for squash in SQUASHES:
-        composed = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params, squash)
-        assert composed._parents != ()  # a tape records: the composed ops ran
-        with ad.no_grad():
-            fast = factor_pair_similarity_matrix(
-                ad.Tensor(text), ad.Tensor(audio), params, squash
-            ).value
-        assert np.array_equal(fast, factor_pair_similarity_kernel(text, audio, params, squash))
-        assert fast.shape == (7, 12)
-        g, cos = factor_pair_kernel_terms(text, audio, params, squash)
-        assert g.shape == cos.shape == (3, 7, 12)
-        for i, j in ((0, 0), (6, 11)):
-            for k in range(3):
-                want_g = oracle.confidence(text[j, k], audio[i, k], params, squash)
-                assert abs(g[k, i, j] - want_g) < 1e-12
-                assert abs(cos[k, i, j] - oracle.cosine(text[j, k], audio[i, k])) < 1e-12
-        assert np.abs(fast - composed.value).max() < 1e-12, squash
-        if zero_rows:
-            assert (fast[2] == 0.0).all()  # zero cosines weigh nothing
+    composed = verify.composed_factor_pair_similarity(ad.Tensor(text), ad.Tensor(audio), params)
+    taped = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params)
+    assert taped._op == "factor_pair_similarity"
+    with ad.no_grad():
+        untaped = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params)
+    assert untaped._parents == () and untaped._backward is None
+    fast = untaped.value
+    assert np.array_equal(taped.value, fast)  # one implementation, taped or not
+    assert fast.shape == (7, 12)
+    g, cos, _ = factor_pair_terms(text, audio, params)
+    assert g.shape == cos.shape == (3, 7, 12)
+    for i, j in ((0, 0), (6, 11)):
+        for k in range(3):
+            assert abs(g[k, i, j] - oracle.confidence(text[j, k], audio[i, k], params)) < 1e-12
+            assert abs(cos[k, i, j] - oracle.cosine(text[j, k], audio[i, k])) < 1e-12
+    assert np.abs(fast - composed.value).max() < 1e-12
+    if zero_rows:
+        assert (fast[2] == 0.0).all()  # zero cosines weigh nothing
 
 
 def test_kernel_rejects_mismatched_stacks():
     rng = np.random.default_rng(42)
     params = init_confidence_params(4, 4, rng)
     with pytest.raises(DimensionError):
-        factor_pair_similarity_kernel(np.zeros((5, 3, 4)), np.zeros((5, 2, 4)), params)
+        factor_pair_similarity_matrix(np.zeros((5, 3, 4)), np.zeros((5, 2, 4)), params)
     with pytest.raises(DimensionError):
-        factor_pair_similarity_kernel(np.zeros((5, 3, 3)), np.zeros((5, 3, 3)), params)
-    with pytest.raises(ConfigError):
-        factor_pair_similarity_kernel(np.zeros((5, 3, 4)), np.zeros((5, 3, 4)), params, "hard")
+        factor_pair_similarity_matrix(np.zeros((5, 3, 3)), np.zeros((5, 3, 3)), params)
 
 
-def _taped_dcr_nodes(k, b_t, b_a, d=3, hidden=4):
-    """The nodes a taped DCR score of random (B_t, K, d) and (B_a, K, d)
-    stacks records, found by walking back from its output."""
-    rng = np.random.default_rng(k * 100 + b_t)
-    params = init_confidence_params(d, hidden, rng)
-    text = ad.parameter(rng.normal(size=(b_t, k, d)), "t")
-    audio = ad.parameter(rng.normal(size=(b_a, k, d)), "a")
-    first = ad.Tensor(0.0)._id + 1
-    out = factor_pair_similarity_matrix(text, audio, params)
-    nodes, stack = {}, [out]
-    while stack:
-        t = stack.pop()
-        if t._id >= first and t._id not in nodes:
-            nodes[t._id] = t
-            stack.extend(t._parents)
-    return list(nodes.values())
+def test_verify_dcr_gaps_to_composed_oracle():
+    """Values within 1e-12 and gradients of both stacks and all four conf.*
+    parameters within 1e-10 relative, with zero rows and a zero item."""
+    value_gap, grad_gap = verify._dcr_gaps()
+    assert value_gap < 1e-12
+    assert grad_gap < 1e-10
 
 
-def test_taped_dcr_is_one_op_chain_for_all_factors_and_pairs():
-    counts = set()
-    for k, b_t, b_a in ((1, 2, 3), (4, 5, 3), (8, 16, 16)):
-        nodes = _taped_dcr_nodes(k, b_t, b_a)
-        counts.add(len(nodes))
-        # the largest value is the (K, B_a, B_t, h) hidden layer: no (B_a*B_t, B) gather matrix
-        assert max(t.value.size for t in nodes) == k * b_a * b_t * 4
-    assert len(counts) == 1  # independent of K and of the batch sizes
+def test_fused_dcr_difference_check_catches_planted_gradient():
+    build = dict(verify._primitive_cases())["factor_pair_similarity"]
+    fn, params = build(np.random.default_rng(1000))
+    assert len(params) == 6  # both stacks and the four conf.* parameters
+    assert ad.finite_difference_check(fn, params) < 1e-6
+    ad.GRAD_OVERRIDES["factor_pair_similarity"] = 1.5
+    try:
+        assert ad.finite_difference_check(fn, params) > 0.3
+    finally:
+        ad.GRAD_OVERRIDES.clear()
+
+
+def test_taped_dcr_records_one_op_for_every_shape():
+    for k, b_t, b_a in ((1, 2, 3), (4, 5, 3), (8, 16, 16), (3, 1, 1)):
+        rng = np.random.default_rng(k * 100 + b_t)
+        params = init_confidence_params(3, 4, rng)
+        text = ad.parameter(rng.normal(size=(b_t, k, 3)), "t")
+        audio = ad.parameter(rng.normal(size=(b_a, k, 3)), "a")
+        first = ad.Tensor(0.0)._id + 1
+        out = factor_pair_similarity_matrix(text, audio, params)
+        assert out._id == first  # nothing else was recorded on the way
+        assert out._op == "factor_pair_similarity" and out.value.shape == (b_a, b_t)
+        assert out._parents == (text, audio, *(params[name] for name in PARAM_NAMES))

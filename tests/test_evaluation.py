@@ -7,7 +7,7 @@ import pytest
 
 from xmal import autodiff as ad, model as model_mod
 from xmal.attention import AttentionConfig
-from xmal.confidence import confidence_batch
+from xmal.confidence import matched_confidences
 from xmal.data import SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError
 from xmal.evaluation import (
@@ -154,7 +154,7 @@ def test_diagnostics_probability_columns():
 
 
 def test_diagnostics_confidences_equal_per_factor_calls():
-    """The one stacked confidence call over all B*K matched pairs gives the
+    """The one matched-pair confidence call over all K factors gives the
     bits of one call per factor."""
     cfg = SynthConfig(
         pairs=40, concept_count=8, factor_count=4, embed_dim=16,
@@ -166,7 +166,9 @@ def test_diagnostics_confidences_equal_per_factor_calls():
     with ad.no_grad():
         text_z, audio_z = model.batch_factors(model.encode_pairs(ds.items))
         cols = [
-            confidence_batch(text_z.value[:, i], audio_z.value[:, i], model.params).value
+            matched_confidences(
+                text_z.value[:, i:i + 1], audio_z.value[:, i:i + 1], model.params
+            )[:, 0]
             for i in range(4)
         ]
     assert np.array_equal(diag.confidence_items, np.stack(cols, axis=1))
