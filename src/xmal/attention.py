@@ -33,7 +33,6 @@ class AttentionConfig:
     temperature: float = 9.0  # sharpness applied to normalized similarities
     direction: str = "both"
     combine: str = "mean"  # how the two directions merge when direction == both
-    eps: float = EPS
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -44,15 +43,15 @@ class AttentionConfig:
             raise ContractError(f"combine must be one of {COMBINES}, got {self.combine!r}")
 
 
-def hinge_normalize(s, eps: float = EPS) -> Tensor:
+def hinge_normalize(s) -> Tensor:
     """Clamp at zero, then scale each column to unit L2 norm along axis -2,
     the query axis of a (..., Q, C) similarity stack (axis 0 of a matrix).
 
     Columns with no positive entry stay all-zero (the guarded denominator
-    never divides by less than eps).
+    never divides by less than EPS).
     """
     h = ad.hinge(s)
-    return ad.div(h, ad.guarded_norm(h, axis=-2, keepdims=True, eps=eps))
+    return ad.div(h, ad.guarded_norm(h, axis=-2, keepdims=True))
 
 
 # -- all-pairs (B x B) scores -------------------------------------------------
@@ -71,9 +70,9 @@ def hinge_normalize(s, eps: float = EPS) -> Tensor:
 # Gram matrices.
 
 
-def _root_grad(sumsq: np.ndarray, root: np.ndarray, eps: float) -> np.ndarray:
-    """d guarded_root / d sumsq: zero where the eps floor holds."""
-    return np.where(sumsq > eps * eps, 0.5 / root, 0.0)
+def _root_grad(sumsq: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """d guarded_root / d sumsq: zero where the EPS floor holds."""
+    return np.where(sumsq > EPS * EPS, 0.5 / root, 0.0)
 
 
 def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: bool):
@@ -83,11 +82,11 @@ def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: 
     with `keep`, the state `_direction_grad` needs."""
     # contiguous (C, J) norms and (C, C, J) Gram matrices keep the einsums fast
     ctx_norms = np.ascontiguousarray(
-        ad.guarded_root(np.sum(contexts * contexts, axis=-1), cfg.eps).T
+        ad.guarded_root(np.sum(contexts * contexts, axis=-1)).T
     )
     gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", contexts, contexts))
     h = np.maximum(s, 0.0)
-    alpha = h / ad.guarded_root(np.einsum("qcij,qcij->cij", h, h)[None], cfg.eps)
+    alpha = h / ad.guarded_root(np.einsum("qcij,qcij->cij", h, h)[None])
     alpha *= cfg.temperature  # softmax over the context axis, in place
     alpha -= np.max(alpha, axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
@@ -95,18 +94,17 @@ def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: 
     dot = np.einsum("qcij,qcij,cj->qij", alpha, s, ctx_norms)
     sq = np.einsum("qcij,ckj,qkij->qij", alpha, gram, alpha)
     state = (s, contexts, ctx_norms, gram, alpha, dot, sq) if keep else None
-    return np.sum(dot / ad.guarded_root(sq, cfg.eps), axis=0), state
+    return np.sum(dot / ad.guarded_root(sq), axis=0), state
 
 
 def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
     """Gradients of `_direction`'s score w.r.t. s and the raw contexts, given
     g (I, J) w.r.t. the score."""
     s, contexts, ctx_norms, gram, alpha, dot, sq = state
-    eps = cfg.eps
     # score = sum_q dot / ||f||, with ||f||^2 = sq
-    f_norm = ad.guarded_root(sq, eps)
+    f_norm = ad.guarded_root(sq)
     g_dot = g / f_norm
-    g_sq = -g_dot * dot / f_norm * _root_grad(sq, f_norm, eps)
+    g_sq = -g_dot * dot / f_norm * _root_grad(sq, f_norm)
     # dot = sum_c alpha s ||x||;  sq = sum_ck alpha_c G_ck alpha_k, where
     # sum_c alpha_c G_ck = f . x_k is a (J, Q, I, C) @ (J, C, C) product
     g_dot_norms = g_dot[:, None] * ctx_norms[:, None]
@@ -116,9 +114,9 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
     g_sbar = cfg.temperature * alpha * (g_alpha - np.sum(alpha * g_alpha, axis=1, keepdims=True))
     h = np.maximum(s, 0.0)
     col_sumsq = np.einsum("qcij,qcij->cij", h, h)[None]
-    col = ad.guarded_root(col_sumsq, eps)
+    col = ad.guarded_root(col_sumsq)
     g_col = -np.sum(g_sbar * h, axis=0, keepdims=True) / (col * col)
-    g_h = g_sbar / col + 2.0 * h * g_col * _root_grad(col_sumsq, col, eps)
+    g_h = g_sbar / col + 2.0 * h * g_col * _root_grad(col_sumsq, col)
     g_s = g_h * (s > 0.0) + g_dot_norms * alpha
     # the context norms and Gram matrices
     g_norms = np.einsum("qij,qcij,qcij->cj", g_dot, alpha, s)
@@ -127,7 +125,7 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
     weighted_j = (g_sq[:, None] * alpha).transpose(3, 1, 0, 2).reshape(j, c, q * i)
     g_gram = np.matmul(weighted_j, alpha_j.transpose(0, 2, 1))  # (J, C, C), symmetric
     ctx_sumsq = np.sum(contexts * contexts, axis=-1).T
-    g_ctx = (2.0 * g_norms * _root_grad(ctx_sumsq, ctx_norms, eps)).T[:, :, None] * contexts
+    g_ctx = (2.0 * g_norms * _root_grad(ctx_sumsq, ctx_norms)).T[:, :, None] * contexts
     g_ctx += 2.0 * np.matmul(g_gram, contexts)
     return g_s, g_ctx
 
@@ -135,8 +133,8 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
 def _level(a3: np.ndarray, t3: np.ndarray, cfg: AttentionConfig, keep: bool):
     """One level's (B_a, B_t) score from (B_a, M, D) audio and (B_t, N, D)
     text rows and, with `keep`, the state `_level_grad` needs."""
-    an, a_sumsq = ad.normalized(a3, cfg.eps)
-    tn, t_sumsq = ad.normalized(t3, cfg.eps)
+    an, a_sumsq = ad.normalized(a3)
+    tn, t_sumsq = ad.normalized(t3)
     s = np.matmul(an.transpose(1, 0, 2)[:, None], tn.transpose(1, 2, 0)[None])  # (M, N, I, J)
     te_state = ae_state = None
     if cfg.direction in ("text_enhanced", "both"):
@@ -169,8 +167,8 @@ def _level_grad(g: np.ndarray, state, cfg: AttentionConfig):
     g_an = g_s.transpose(2, 0, 1, 3).reshape(i * m, n * j) @ tn.transpose(1, 0, 2).reshape(n * j, -1)
     g_tn = g_s.transpose(3, 1, 0, 2).reshape(j * n, m * i) @ an.transpose(1, 0, 2).reshape(m * i, -1)
     return (
-        ad.normalized_grad(g_an.reshape(an.shape), an, a_sumsq, cfg.eps) + g_a3,
-        ad.normalized_grad(g_tn.reshape(tn.shape), tn, t_sumsq, cfg.eps) + g_t3,
+        ad.normalized_grad(g_an.reshape(an.shape), an, a_sumsq) + g_a3,
+        ad.normalized_grad(g_tn.reshape(tn.shape), tn, t_sumsq) + g_t3,
     )
 
 
@@ -204,8 +202,8 @@ def hierarchical_similarity_matrix(
     return total
 
 
-def global_similarity_matrix(a_globals: Tensor, t_globals: Tensor, eps: float = EPS) -> Tensor:
+def global_similarity_matrix(a_globals: Tensor, t_globals: Tensor) -> Tensor:
     """All-pairs cosine of pooled vectors: (B, D) x (B, D) -> (B, B)."""
-    an = ad.normalize_rows(a_globals, eps)
-    tn = ad.normalize_rows(t_globals, eps)
+    an = ad.normalize_rows(a_globals)
+    tn = ad.normalize_rows(t_globals)
     return ad.matmul(an, ad.transpose(tn))

@@ -281,45 +281,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return Tensor(a.value[start:stop], _op="slice_rows", _parents=(a,), _backward=backward)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(out, _op="concat", _parents=tuple(parts), _backward=backward)
-
-
-def block_matrix(tiles: Iterable, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """The matrix whose block (i, j) is a (rows[i], cols[j]) tile, from tiles
-    given in row-major order. Each tile is written into one preallocated
-    array as it arrives, so when no tape records a tile can be freed once
-    written; the gradient of a tile is its slice of the output gradient."""
-    row_edges, col_edges = np.cumsum([0, *rows]), np.cumsum([0, *cols])
-    spans = [
-        (slice(r0, r1), slice(c0, c1))
-        for r0, r1 in zip(row_edges, row_edges[1:])
-        for c0, c1 in zip(col_edges, col_edges[1:])
-    ]
-    out = np.empty((row_edges[-1], col_edges[-1]))
-    parents = []
-    for (r, c), tile in zip(spans, tiles, strict=True):
-        tile = as_tensor(tile)
-        if tile.value.shape != out[r, c].shape:
-            raise DimensionError(f"tile shape {tile.value.shape}, expected {out[r, c].shape}")
-        out[r, c] = tile.value
-        if _recording:
-            parents.append(tile)
-
-    def backward(g):
-        return tuple(g[r, c] for r, c in spans)
-
-    return Tensor(out, _op="block_matrix", _parents=tuple(parents), _backward=backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.value)
@@ -422,23 +383,23 @@ def guarded_norm(x, axis=None, keepdims: bool = False, eps: float = EPS) -> Tens
     return sqrt(guard_min(sumsq, eps * eps))
 
 
-def guarded_root(sumsq: np.ndarray, eps: float = EPS) -> np.ndarray:
+def guarded_root(sumsq: np.ndarray) -> np.ndarray:
     """The value of `guarded_norm` given the sum of squares, for the fused
     ops' numpy arithmetic."""
-    return np.sqrt(np.maximum(sumsq - eps * eps, 0.0) + eps * eps)
+    return np.sqrt(np.maximum(sumsq - EPS * EPS, 0.0) + EPS * EPS)
 
 
-def normalized(x: np.ndarray, eps: float = EPS) -> tuple[np.ndarray, np.ndarray]:
+def normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x over their guarded L2 norms (the value of `normalize_rows`),
     and the rows' sums of squares, for the fused ops' closed-form backwards."""
     sumsq = np.sum(x * x, axis=-1, keepdims=True)
-    return x / guarded_root(sumsq, eps), sumsq
+    return x / guarded_root(sumsq), sumsq
 
 
-def normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray, eps: float = EPS) -> np.ndarray:
+def normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. x of `normalized`'s rows xn, given g w.r.t. xn."""
-    radial = np.sum(g * xn, axis=-1, keepdims=True) * (sumsq > eps * eps)
-    return (g - xn * radial) / guarded_root(sumsq, eps)
+    radial = np.sum(g * xn, axis=-1, keepdims=True) * (sumsq > EPS * EPS)
+    return (g - xn * radial) / guarded_root(sumsq)
 
 
 def row_softmax(m, scale: float = 1.0) -> Tensor:

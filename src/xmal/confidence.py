@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS, Tensor
+from .autodiff import Tensor
 from .errors import DimensionError
 
 PARAM_NAMES = ("conf.w1", "conf.b1", "conf.w2", "conf.b2")
@@ -79,7 +79,7 @@ def matched_confidences(
     return np.ascontiguousarray(_confidence(np.maximum(pre_a + pre_t, 0.0), params).T)
 
 
-def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor], eps=EPS):
+def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]):
     """Per-factor confidences g and cosines cos of (B_t, K, d) text and
     (B_a, K, d) audio factor stacks, each (K, B_a, B_t), and the state the
     closed-form backward reads: the (K, B_a, B_t, h) hidden layer and the
@@ -87,22 +87,20 @@ def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Ten
     pre_t, pre_a = _first_layer(text, audio, params)
     hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)
     g = _confidence(hidden, params)
-    an, a_sumsq = ad.normalized(audio, eps)
-    tn, t_sumsq = ad.normalized(text, eps)
+    an, a_sumsq = ad.normalized(audio)
+    tn, t_sumsq = ad.normalized(text)
     cos = an.transpose(1, 0, 2) @ tn.transpose(1, 2, 0)  # (K, B_a, d) @ (K, d, B_t)
     return g, cos, (hidden, an, a_sumsq, tn, t_sumsq)
 
 
-def factor_pair_similarity_matrix(
-    text, audio, params: dict[str, Tensor], eps: float = EPS
-) -> Tensor:
+def factor_pair_similarity_matrix(text, audio, params: dict[str, Tensor]) -> Tensor:
     """All-pairs confidence-weighted factor similarity of (B_t, K, d) text
     and (B_a, K, d) audio factor stacks as one taped op; entry (i, j) scores
     audio item i against text item j. The op's parents are the two stacks
     and the four `conf.*` parameters."""
     t, a = ad.as_tensor(text), ad.as_tensor(audio)
     weights = [params[name] for name in PARAM_NAMES]
-    g, cos, (hidden, an, a_sumsq, tn, t_sumsq) = factor_pair_terms(t.value, a.value, params, eps)
+    g, cos, (hidden, an, a_sumsq, tn, t_sumsq) = factor_pair_terms(t.value, a.value, params)
 
     def backward(grad):
         w1, w2 = params["conf.w1"].value, params["conf.w2"].value[0]
@@ -121,8 +119,8 @@ def factor_pair_similarity_matrix(
         g_an = np.matmul(g_cos, tn.transpose(1, 0, 2)).transpose(1, 0, 2)
         g_tn = np.matmul(g_cos.transpose(0, 2, 1), an.transpose(1, 0, 2)).transpose(1, 0, 2)
         return (
-            (g_pre_t @ w1[:, :d]).reshape(bt, k, d) + ad.normalized_grad(g_tn, tn, t_sumsq, eps),
-            (g_pre_a @ w1[:, d:]).reshape(ba, k, d) + ad.normalized_grad(g_an, an, a_sumsq, eps),
+            (g_pre_t @ w1[:, :d]).reshape(bt, k, d) + ad.normalized_grad(g_tn, tn, t_sumsq),
+            (g_pre_a @ w1[:, d:]).reshape(ba, k, d) + ad.normalized_grad(g_an, an, a_sumsq),
             g_w1,
             g_pre_a.sum(axis=0),
             g_w2,

@@ -25,6 +25,7 @@ DIRECTIONS = ("text_to_audio", "audio_to_text")
 REPORT_MAGIC = b"XRPT"
 REPORT_VERSION = 1
 PROTOCOL_NOTE = "one_caption_per_audio"
+TILE = 64  # items per side of a THA or DCR score tile
 
 
 @dataclass
@@ -114,6 +115,47 @@ def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
     )
 
 
+def _blocks(n: int) -> list[slice]:
+    """Row ranges of at most TILE rows covering 0..n."""
+    return [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
+
+
+def _tile(encoded: EncodedBatch, a: slice, t: slice) -> EncodedBatch:
+    """Audio rows `a` against text rows `t` of a batch, as views, with the
+    factor stacks when the batch has them projected."""
+
+    def rows(x: Tensor, r: slice) -> Tensor:
+        return Tensor(x.value[r])
+
+    tile = EncodedBatch(
+        audio_levels=[rows(x, a) for x in encoded.audio_levels],
+        audio_global=rows(encoded.audio_global, a),
+        text_levels=[rows(x, t) for x in encoded.text_levels],
+        text_global=rows(encoded.text_global, t),
+    )
+    if encoded.factors is not None:
+        text_z, audio_z = encoded.factors
+        tile.factors = (rows(text_z, t), rows(audio_z, a))
+    return tile
+
+
+def _component_scores(model: Model, encoded: EncodedBatch, component: str) -> np.ndarray:
+    """(B, B) scores of one component. DP is one op; THA and DCR are scored
+    in (audio block, text block) tiles of TILE items, which bounds their
+    intermediates, and each tile is written into one preallocated matrix.
+    DCR projects the factors once, and every tile slices the stacks."""
+    if component == "DP":
+        return model.component_matrix(encoded, component).value
+    if component == "DCR":
+        model.batch_factors(encoded)
+    size = encoded.batch
+    out = np.empty((size, size))
+    for a in _blocks(size):
+        for t in _blocks(size):
+            out[a, t] = model.component_matrix(_tile(encoded, a, t), component).value
+    return out
+
+
 @no_grad()
 def evaluate(
     model: Model,
@@ -128,9 +170,12 @@ def evaluate(
     model) or a pre-computed embedding set feeds the similarity matrices.
 
     Runs tape-free, so the fused THA and DCR ops keep no backward state.
-    Each distinct component (DP, THA, DCR) is scored once per call, and a
-    mode's matrix is the sum of its components in order. The matrices equal
-    those `Model.similarity_matrix` builds on a tape bit for bit."""
+    Each distinct component (DP, THA, DCR) is scored once per call and kept
+    only until the last mode that needs it. A mode's matrix is the sum of
+    its components in order, accumulated in place into its first term when
+    no later mode needs that term, else into one buffer that every
+    multi-component mode reuses. The matrices equal those
+    `Model.similarity_matrix` builds on a tape bit for bit."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)
@@ -142,16 +187,27 @@ def evaluate(
     for k in ks:
         if not (1 <= k <= size):
             raise ContractError(f"k must be in [1, {size}], got {k}")
+    last_use = {c: i for i, mode in enumerate(modes) for c in mode_components(mode)}
     scores: dict[str, np.ndarray] = {}
+    total = None  # the sum buffer of multi-component modes whose first term is kept
     reports = []
-    for mode in modes:
+    for i, mode in enumerate(modes):
         parts = mode_components(mode)
         for component in parts:
             if component not in scores:
-                scores[component] = model.component_matrix(encoded, component).value
+                scores[component] = _component_scores(model, encoded, component)
         s = scores[parts[0]]
-        for component in parts[1:]:
-            s = s + scores[component]
+        if len(parts) > 1:
+            if last_use[parts[0]] > i:  # a later mode needs the first term as it is
+                if total is None:
+                    total = np.empty((size, size))
+                total[...] = s
+                s = total
+            for component in parts[1:]:
+                s += scores[component]
+        for component in parts:
+            if last_use[component] == i:
+                del scores[component]
         for direction in DIRECTIONS:
             reports.append(
                 RetrievalReport(
@@ -163,6 +219,7 @@ def evaluate(
                     config_hash=config_hash,
                 )
             )
+        del s  # a single component's matrix is freed before the next mode scores
     return reports
 
 

@@ -16,37 +16,6 @@ from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
 
 
-TILE = 64  # items per block in tiled scoring and chunked encoding
-
-
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of at most TILE rows covering 0..n."""
-    return [(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
-
-
-def _row_blocks(tensors: list[Tensor]) -> list[list[Tensor]]:
-    """Split same-length tensors into TILE-row blocks: one list per block.
-    A single block holds the tensors themselves, so no slice is recorded."""
-    n = tensors[0].value.shape[0]
-    blocks = _blocks(n)
-    if len(blocks) == 1:
-        return [list(tensors)]
-    return [[ad.slice_rows(t, lo, hi) for t in tensors] for lo, hi in blocks]
-
-
-def _tiled(audio_blocks, text_blocks, score) -> Tensor:
-    """Assemble score(audio block, text block) tiles into one matrix, each
-    written into place as soon as it is scored. A single tile is the matrix
-    itself, so no op is recorded."""
-    if len(audio_blocks) == 1 and len(text_blocks) == 1:
-        return score(audio_blocks[0], text_blocks[0])
-    return ad.block_matrix(
-        (score(a, t) for a in audio_blocks for t in text_blocks),
-        [a[0].value.shape[0] for a in audio_blocks],
-        [t[0].value.shape[0] for t in text_blocks],
-    )
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     embed_dim: int
@@ -106,21 +75,10 @@ class Model:
         return [self.params[name] for name in sorted(self.params)]
 
     def encode_pairs(self, items) -> EncodedBatch:
-        """Encode aligned (audio, text) items as one batch, TILE items at a time."""
-        chunks = [
-            self.encode_arrays(
-                np.stack([np.asarray(it.audio, dtype=np.float64) for it in items[lo:hi]]),
-                np.stack([np.asarray(it.text, dtype=np.float64) for it in items[lo:hi]]),
-            )
-            for lo, hi in _blocks(len(items))
-        ]
-        if len(chunks) == 1:
-            return chunks[0]
-        return EncodedBatch(
-            audio_levels=[ad.concat(levels) for levels in zip(*(c.audio_levels for c in chunks))],
-            audio_global=ad.concat([c.audio_global for c in chunks]),
-            text_levels=[ad.concat(levels) for levels in zip(*(c.text_levels for c in chunks))],
-            text_global=ad.concat([c.text_global for c in chunks]),
+        """Encode aligned (audio, text) items as one batch."""
+        return self.encode_arrays(
+            np.stack([np.asarray(it.audio, dtype=np.float64) for it in items]),
+            np.stack([np.asarray(it.text, dtype=np.float64) for it in items]),
         )
 
     def encode_arrays(self, audio: np.ndarray, text: np.ndarray) -> EncodedBatch:
@@ -159,24 +117,17 @@ class Model:
         return total
 
     def component_matrix(self, encoded: EncodedBatch, component: str) -> Tensor:
-        """All-pairs score of one component. THA and DCR are scored in
-        (audio block, text block) tiles of TILE items, which bounds their
-        intermediates; a batch of at most TILE items is a single tile."""
+        """All-pairs score of one component over the whole batch, as one op
+        per level (THA) or one op (DP, DCR)."""
         if component == "DP":
             return attention.global_similarity_matrix(encoded.audio_global, encoded.text_global)
         if component == "THA":
-            return _tiled(
-                _row_blocks(encoded.audio_levels),
-                _row_blocks(encoded.text_levels),
-                lambda a, t: attention.hierarchical_similarity_matrix(a, t, self.cfg.attention),
+            return attention.hierarchical_similarity_matrix(
+                encoded.audio_levels, encoded.text_levels, self.cfg.attention
             )
         if component == "DCR":
             text_z, audio_z = self.batch_factors(encoded)
-            return _tiled(
-                _row_blocks([audio_z]),
-                _row_blocks([text_z]),
-                lambda a, t: factor_pair_similarity_matrix(t[0], a[0], self.params),
-            )
+            return factor_pair_similarity_matrix(text_z, audio_z, self.params)
         raise ConfigError(f"unknown similarity component {component!r}")
 
     def check_embedding_dim(self, dim: int):

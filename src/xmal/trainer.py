@@ -184,7 +184,7 @@ def train(
     params = model.parameters()
     optimizer = optimizer or make_optimizer(cfg)
     ocfg = cfg.objective
-    want_factor_losses = (ocfg.alpha > 0 or ocfg.beta > 0) and cfg.batch_size >= 2
+    want_factor_losses = ocfg.alpha > 0 or ocfg.beta > 0
 
     log: list[StepRecord] = []
     diagnostics: list[EpochDiagnostics] = []

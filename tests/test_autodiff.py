@@ -260,7 +260,7 @@ def test_no_grad_records_no_parents_and_keeps_node_ids():
     with ad.no_grad():
         first = next(ad._node_ids)
         y = ad.reduce_sum(ad.mul(ad.slice_rows(x, 1, 3), 2.0))
-        z = ad.normalize_rows(ad.concat([x, x], axis=1))
+        z = ad.normalize_rows(ad.matmul(x, ad.transpose(x)))
         leaf = ad.parameter(np.ones(2), "leaf")
     for t in (y, z):
         assert t._parents == () and t._backward is None and not t.requires_grad
@@ -306,30 +306,8 @@ def test_slice_rows_value_gradient_and_bounds():
             ad.slice_rows(x, start, stop)
 
 
-def test_block_matrix_value_gradient_and_tape_free_assembly():
-    rng = np.random.default_rng(12)
-    rows, cols = (2, 1), (3, 2)
-    shapes = [(r, c) for r in rows for c in cols]
-    tiles = [ad.parameter(rng.normal(size=shape), f"t{i}") for i, shape in enumerate(shapes)]
-    out = ad.block_matrix(iter(tiles), rows, cols)
-    values = [t.value for t in tiles]
-    assert np.array_equal(out.value, np.block([values[:2], values[2:]]))
-    probe = rng.normal(size=(3, 5))
-    grads = ad.gradients(ad.reduce_sum(ad.mul(out, probe)), tiles)
-    expected = [probe[:2, :3], probe[:2, 3:], probe[2:, :3], probe[2:, 3:]]
-    for t, want in zip(tiles, expected):
-        assert np.array_equal(grads[t.name], want)
-    with ad.no_grad():
-        free = ad.block_matrix(iter(tiles), rows, cols)
-    assert free._parents == () and np.array_equal(free.value, out.value)
-
-
-def test_merge_rows_and_block_matrix_reject_bad_shapes():
+def test_merge_rows_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         ad.merge_rows(np.ones((2, 3)), np.ones((7, 4)))  # 7 rows are not groups of 3
     with pytest.raises(DimensionError):
         ad.merge_rows(np.ones((2, 3, 1)), np.ones((6, 4)))
-    with pytest.raises(DimensionError):
-        ad.block_matrix([np.ones((2, 2)), np.ones((2, 3))], (2,), (2, 2))
-    with pytest.raises(ValueError):  # one tile short
-        ad.block_matrix([np.ones((2, 2))], (2,), (2, 2))

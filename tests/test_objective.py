@@ -6,7 +6,7 @@ import numpy as np
 import oracle
 import pytest
 
-from xmal import autodiff as ad, model as model_mod, objective as obj
+from xmal import autodiff as ad, evaluation, objective as obj
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
 from xmal.errors import ConfigError, DimensionError
@@ -182,25 +182,46 @@ def test_batch_similarity_dp_diagonal_for_identical_globals():
     assert np.abs(np.diag(s) - 1.0).max() < 1e-12
 
 
-def test_tiled_scores_and_gradients_match_one_tile(monkeypatch):
+def _tape_ops(*roots) -> list[str]:
+    """Op names of the nodes reachable from `roots`, each node once."""
+    ops, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if t._id not in ops:
+            ops[t._id] = t._op
+            stack.extend(t._parents)
+    return list(ops.values())
+
+
+def _items(pairs):
     cfg = SynthConfig(
-        pairs=12, concept_count=8, factor_count=4, embed_dim=16, text_tokens=5,
+        pairs=pairs, concept_count=8, factor_count=4, embed_dim=16, text_tokens=5,
         audio_tokens=8, noise_sigma=0.1, seed=8,
     )
-    items = generate(cfg).items
+    return generate(cfg).items
+
+
+def test_taped_scores_are_one_op_per_level_whatever_the_eval_tile(monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", 7)  # only tape-free eval tiles
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=8)
-    params = model.parameters()
+    encoded = model.encode_pairs(_items(20))
+    loss = obj.nt_xent(model.similarity_matrix(encoded, "THA+DCR"), 0.07)
+    ops = _tape_ops(loss)
+    assert ops.count("tha_level") == 3
+    assert ops.count("factor_pair_similarity") == 1
+    assert not {"slice_rows", "concat", "block_matrix"} & set(ops)
 
-    def run(tile):
-        monkeypatch.setattr(model_mod, "TILE", tile)
-        encoded = model.encode_pairs(items)
-        scores = {c: model.component_matrix(encoded, c).value for c in ("THA", "DCR")}
-        loss = obj.nt_xent(model.similarity_matrix(encoded, "THA+DCR"), 0.07)
-        return scores, ad.gradients(loss, params)
 
-    whole, whole_grads = run(64)
-    tiled, tiled_grads = run(5)  # tiles of 5, 5 and a ragged 2
-    for c in ("THA", "DCR"):
-        assert np.abs(tiled[c] - whole[c]).max() < 1e-12, c
-    for name, g in whole_grads.items():
-        assert np.abs(tiled_grads[name] - g).max() < 1e-10, name
+def test_encoding_in_one_call_equals_encoding_in_chunks_bit_for_bit():
+    items = _items(150)
+    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=8)
+    whole = model.encode_pairs(items)
+    chunks = [model.encode_pairs(items[lo:hi]) for lo, hi in ((0, 64), (64, 128), (128, 150))]
+
+    def outputs(e):
+        return [*e.audio_levels, e.audio_global, *e.text_levels, e.text_global]
+
+    assert not {"slice_rows", "concat"} & set(_tape_ops(*outputs(whole)))
+    for i, got in enumerate(outputs(whole)):
+        want = np.concatenate([outputs(c)[i].value for c in chunks])
+        assert got.value.shape == want.shape and got.value.tobytes() == want.tobytes(), i
