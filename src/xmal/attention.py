@@ -7,21 +7,24 @@ rows for each query row. A block's score is the sum of query/fused cosines;
 the hierarchical score adds the three tap levels. A separate global score is
 the plain cosine of the two pooled vectors.
 
-Each level is one fused op, `tha_level`, whose backward is closed form.
-Training and forward-only scoring run the same op; under `no_grad` it keeps
-no backward state. The same score composed from autodiff primitives
-(`verify.composed_hierarchical_similarity`) is the oracle it is checked
-against.
+Each level is one fused op, `tha_level`, whose backward is closed form;
+under `no_grad` it keeps no backward state. Eval's tiles run the same
+arithmetic on raw arrays through `hierarchical_scores`, with the per-item
+terms (`level_rows`) computed once per block and every intermediate in a
+reused `autodiff.Workspace`. The same score composed from autodiff
+primitives (`verify.composed_hierarchical_similarity`) is the oracle both
+are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS, Tensor
+from .autodiff import EPS, FRESH, Tensor, Workspace
 from .errors import ContractError
 
 DIRECTIONS = ("text_enhanced", "audio_enhanced", "both")
@@ -75,26 +78,56 @@ def _root_grad(sumsq: np.ndarray, root: np.ndarray) -> np.ndarray:
     return np.where(sumsq > EPS * EPS, 0.5 / root, 0.0)
 
 
-def _direction(s: np.ndarray, contexts: np.ndarray, cfg: AttentionConfig, keep: bool):
+class LevelRows(NamedTuple):
+    """One side's (B, T, D) rows at one level, with the per-item terms every
+    score against them reads, so a tile loop can compute them once per block
+    of items."""
+
+    raw: np.ndarray
+    unit: np.ndarray  # rows over their guarded norms
+    sumsq: np.ndarray  # (B, T, 1) sums of squares
+    norms: np.ndarray | None  # (T, B) guarded norms, contiguous; context sides only
+    gram: np.ndarray | None  # (T, T, B) Gram matrices, contiguous; context sides only
+
+
+def level_rows(
+    x: np.ndarray, cfg: AttentionConfig, side: str, ws: Workspace = FRESH, name: str = "rows"
+) -> LevelRows:
+    """The `LevelRows` of (B, T, D) "audio" or "text" rows; the unit rows
+    and sums of squares are `ws` buffers under `name`. The norms and Gram
+    matrices are computed only if `cfg.direction` attends over this side."""
+    unit, sumsq = ad.normalized(x, ws, name)
+    if cfg.direction not in ("both", f"{side}_enhanced"):
+        return LevelRows(x, unit, sumsq, None, None)
+    # contiguous (T, B) norms and (T, T, B) Gram matrices keep the einsums fast
+    norms = np.ascontiguousarray(ad.guarded_root(sumsq[..., 0]).T)
+    gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", x, x))
+    return LevelRows(x, unit, sumsq, norms, gram)
+
+
+def _direction(s: np.ndarray, ctx: LevelRows, cfg: AttentionConfig, keep: bool, ws: Workspace):
     """One attention direction. s (Q, C, I, J) holds the cosine of query
-    token q of item i with context token c of item j; contexts (J, C, D) are
-    the raw context rows. Returns the (I, J) summed query/fused cosines and,
-    with `keep`, the state `_direction_grad` needs."""
-    # contiguous (C, J) norms and (C, C, J) Gram matrices keep the einsums fast
-    ctx_norms = np.ascontiguousarray(
-        ad.guarded_root(np.sum(contexts * contexts, axis=-1)).T
-    )
-    gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", contexts, contexts))
-    h = np.maximum(s, 0.0)
-    alpha = h / ad.guarded_root(np.einsum("qcij,qcij->cij", h, h)[None])
-    alpha *= cfg.temperature  # softmax over the context axis, in place
-    alpha -= np.max(alpha, axis=1, keepdims=True)
+    token q of item i with context token c of item j; `ctx` holds the
+    (J, C, D) context rows. Returns the (I, J) summed query/fused cosines
+    and, with `keep`, the state `_direction_grad` needs. Intermediates are
+    `ws` buffers; the score is a fresh array."""
+    q, c, i, j = s.shape
+    alpha = np.maximum(s, 0.0, out=ws.array("alpha", s.shape))  # the hinge, softmaxed in place
+    col = np.einsum("qcij,qcij->cij", alpha, alpha, out=ws.array("col", (c, i, j)))
+    alpha /= ad.guarded_root(col, out=col)[None]
+    alpha *= cfg.temperature  # softmax over the context axis
+    reduced = ws.array("reduced", (q, 1, i, j))
+    alpha -= np.max(alpha, axis=1, keepdims=True, out=reduced)
     np.exp(alpha, out=alpha)
-    alpha /= np.sum(alpha, axis=1, keepdims=True)
-    dot = np.einsum("qcij,qcij,cj->qij", alpha, s, ctx_norms)
-    sq = np.einsum("qcij,ckj,qkij->qij", alpha, gram, alpha)
-    state = (s, contexts, ctx_norms, gram, alpha, dot, sq) if keep else None
-    return np.sum(dot / ad.guarded_root(sq), axis=0), state
+    alpha /= np.sum(alpha, axis=1, keepdims=True, out=reduced)
+    dot = np.einsum("qcij,qcij,cj->qij", alpha, s, ctx.norms, out=ws.array("dot", (q, i, j)))
+    sq = np.einsum("qcij,ckj,qkij->qij", alpha, ctx.gram, alpha, out=ws.array("sq", (q, i, j)))
+    if keep:
+        state = (s, ctx.raw, ctx.norms, ctx.gram, alpha, dot, sq)
+        ratio = ad.guarded_root(sq)  # dot and sq are saved intact
+    else:
+        state, ratio = None, ad.guarded_root(sq, out=sq)
+    return np.sum(np.divide(dot, ratio, out=ratio), axis=0), state
 
 
 def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
@@ -130,17 +163,22 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
     return g_s, g_ctx
 
 
-def _level(a3: np.ndarray, t3: np.ndarray, cfg: AttentionConfig, keep: bool):
+def _level(a: LevelRows, t: LevelRows, cfg: AttentionConfig, keep: bool, ws: Workspace = FRESH):
     """One level's (B_a, B_t) score from (B_a, M, D) audio and (B_t, N, D)
-    text rows and, with `keep`, the state `_level_grad` needs."""
-    an, a_sumsq = ad.normalized(a3)
-    tn, t_sumsq = ad.normalized(t3)
-    s = np.matmul(an.transpose(1, 0, 2)[:, None], tn.transpose(1, 2, 0)[None])  # (M, N, I, J)
+    text rows and, with `keep`, the state `_level_grad` needs. Intermediates
+    are `ws` buffers; the score is a fresh array."""
+    (i, m, _), (j, n, _) = a.raw.shape, t.raw.shape
+    s = np.matmul(  # (M, N, I, J)
+        a.unit.transpose(1, 0, 2)[:, None], t.unit.transpose(1, 2, 0)[None],
+        out=ws.array("s", (m, n, i, j)),
+    )
     te_state = ae_state = None
     if cfg.direction in ("text_enhanced", "both"):
-        te, te_state = _direction(s, t3, cfg, keep)
+        te, te_state = _direction(s, t, cfg, keep, ws)
     if cfg.direction in ("audio_enhanced", "both"):
-        ae, ae_state = _direction(np.ascontiguousarray(s.transpose(1, 0, 3, 2)), a3, cfg, keep)
+        s_t = ws.array("s.T", (n, m, j, i))
+        np.copyto(s_t, s.transpose(1, 0, 3, 2))
+        ae, ae_state = _direction(s_t, a, cfg, keep, ws)
         ae = ae.T
     if cfg.direction == "text_enhanced":
         score = te
@@ -148,7 +186,7 @@ def _level(a3: np.ndarray, t3: np.ndarray, cfg: AttentionConfig, keep: bool):
         score = ae
     else:
         score = (te + ae) * 0.5 if cfg.combine == "mean" else te + ae
-    return score, (an, a_sumsq, tn, t_sumsq, te_state, ae_state) if keep else None
+    return score, (a.unit, a.sumsq, t.unit, t.sumsq, te_state, ae_state) if keep else None
 
 
 def _level_grad(g: np.ndarray, state, cfg: AttentionConfig):
@@ -177,12 +215,20 @@ def tha_level(a3, t3, cfg: AttentionConfig) -> Tensor:
     rows -> (B_a, B_t) scores. The backward is closed form; the forward's
     state is kept only while a tape records."""
     a3, t3 = ad.as_tensor(a3), ad.as_tensor(t3)
-    score, state = _level(a3.value, t3.value, cfg, keep=ad.is_recording())
+    a, t = level_rows(a3.value, cfg, "audio"), level_rows(t3.value, cfg, "text")
+    score, state = _level(a, t, cfg, keep=ad.is_recording())
 
     def backward(g):
         return _level_grad(g, state, cfg)
 
     return Tensor(score, _op="tha_level", _parents=(a3, t3), _backward=backward)
+
+
+def _check_levels(audio_levels, text_levels):
+    if len(audio_levels) != len(text_levels):
+        raise ContractError(
+            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
+        )
 
 
 def hierarchical_similarity_matrix(
@@ -191,14 +237,29 @@ def hierarchical_similarity_matrix(
     """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
     text level tensors: a (B_a, B_t) matrix, the sum of one `tha_level` op
     per level."""
-    if len(audio_levels) != len(text_levels):
-        raise ContractError(
-            f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
-        )
+    _check_levels(audio_levels, text_levels)
     total = None
     for a3, t3 in zip(audio_levels, text_levels):
         score = tha_level(a3, t3, cfg)
         total = score if total is None else ad.add(total, score)
+    return total
+
+
+def hierarchical_scores(
+    audio_levels: list[LevelRows], text_levels: list[LevelRows], cfg: AttentionConfig,
+    ws: Workspace,
+) -> np.ndarray:
+    """The value of `hierarchical_similarity_matrix` from the levels'
+    `level_rows`, bit for bit, with no tape and every intermediate in `ws`;
+    the returned matrix is a fresh array."""
+    _check_levels(audio_levels, text_levels)
+    total = None
+    for a, t in zip(audio_levels, text_levels):
+        score, _ = _level(a, t, cfg, keep=False, ws=ws)
+        if total is None:
+            total = score
+        else:
+            total += score
     return total
 
 

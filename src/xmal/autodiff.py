@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -368,6 +369,37 @@ def einsum(pattern: str, a, b) -> Tensor:
     return Tensor(out, _op="einsum", _parents=(a, b), _backward=backward)
 
 
+# -- scratch buffers for forward-only arithmetic -----------------------------
+
+
+class Workspace:
+    """Named float64 scratch buffers for the fused ops' numpy arithmetic.
+
+    `array(name, shape)` returns a C-contiguous view of the flat buffer kept
+    under `name`, grown when it is too small and never shrunk, so a loop over
+    tiles of one size allocates only on its first pass. A view holds whatever
+    its last user left, and the next request for the same name overwrites it,
+    so nothing that outlives a call may be a view. With `reuse=False` every
+    request is a fresh array: `FRESH`, the default provider, is what taped ops
+    use, because they save arrays for their backward."""
+
+    def __init__(self, reuse: bool = True):
+        self.reuse = reuse
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        if not self.reuse:
+            return np.empty(shape)
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+FRESH = Workspace(reuse=False)
+
+
 # -- composed helpers -------------------------------------------------------
 
 
@@ -383,17 +415,25 @@ def guarded_norm(x, axis=None, keepdims: bool = False, eps: float = EPS) -> Tens
     return sqrt(guard_min(sumsq, eps * eps))
 
 
-def guarded_root(sumsq: np.ndarray) -> np.ndarray:
+def guarded_root(sumsq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The value of `guarded_norm` given the sum of squares, for the fused
-    ops' numpy arithmetic."""
-    return np.sqrt(np.maximum(sumsq - EPS * EPS, 0.0) + EPS * EPS)
+    ops' numpy arithmetic; written into `out` (which may be `sumsq`) if given."""
+    out = np.subtract(sumsq, EPS * EPS, out=out)
+    np.maximum(out, 0.0, out=out)
+    out += EPS * EPS
+    return np.sqrt(out, out=out)
 
 
-def normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalized(
+    x: np.ndarray, ws: Workspace = FRESH, name: str = "rows"
+) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x over their guarded L2 norms (the value of `normalize_rows`),
-    and the rows' sums of squares, for the fused ops' closed-form backwards."""
-    sumsq = np.sum(x * x, axis=-1, keepdims=True)
-    return x / guarded_root(sumsq), sumsq
+    and the rows' sums of squares, for the fused ops' closed-form backwards.
+    Both are `ws` buffers under `name`."""
+    rows = np.multiply(x, x, out=ws.array(name, x.shape))
+    sumsq = np.sum(rows, axis=-1, keepdims=True, out=ws.array(name + ".sumsq", x.shape[:-1] + (1,)))
+    root = guarded_root(sumsq, out=ws.array(name + ".root", sumsq.shape))
+    return np.divide(x, root, out=rows), sumsq
 
 
 def normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray) -> np.ndarray:

@@ -8,18 +8,22 @@ weighted cosines over the K factor pairs; weights are independent per pair
 pair is a 1 x 1 batch.
 
 The score is one fused op, `factor_pair_similarity_matrix`, whose backward
-is closed form. Training and forward-only scoring run the same op. The same
+is closed form. Eval's tiles run the same arithmetic on raw arrays through
+`factor_pair_scores`, with the per-item terms (`factor_rows`) computed once
+per block and every intermediate in a reused `autodiff.Workspace`. The same
 score composed from autodiff primitives
-(`verify.composed_factor_pair_similarity`) is the oracle it is checked
+(`verify.composed_factor_pair_similarity`) is the oracle both are checked
 against.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import FRESH, Tensor, Workspace
 from .errors import DimensionError
 
 PARAM_NAMES = ("conf.w1", "conf.b1", "conf.w2", "conf.b2")
@@ -42,28 +46,62 @@ def init_confidence_params(
     return params
 
 
-def _first_layer(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]):
-    """Validate (B_t, K, d) text and (B_a, K, d) audio factor stacks against
-    the network. The first layer is linear in [t; a], so each item is
-    projected once by its half of `conf.w1`: returns (K, B_t, h) text and
-    (K, B_a, h) audio terms, the bias on the audio side. A pair's
-    pre-activation is the sum of its two terms."""
-    w1 = params["conf.w1"].value
+def _check_pair(text: np.ndarray, audio: np.ndarray):
     if text.ndim != 3 or audio.ndim != 3 or text.shape[1:] != audio.shape[1:]:
         raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
-    (bt, k, d), ba, h = text.shape, audio.shape[0], w1.shape[0]
+
+
+def _first_layer_term(x: np.ndarray, params: dict[str, Tensor], side: str) -> np.ndarray:
+    """The first layer is linear in [t; a], so each item is projected once
+    by its half of `conf.w1`: the (K, B, h) term of a (B, K, d) text or
+    audio stack, the bias on the audio side. A pair's pre-activation is the
+    sum of its two terms."""
+    w1 = params["conf.w1"].value
+    (b, k, d), h = x.shape, w1.shape[0]
     if w1.shape[1] != 2 * d:
-        raise DimensionError(f"confidence input width {2 * d} does not match first layer {w1.shape}")
-    # One (B*K, d) product per modality; the (K, B, h) views need no copy.
-    pre_t = (text.reshape(bt * k, d) @ w1[:, :d].T).reshape(bt, k, h).transpose(1, 0, 2)
-    pre_a = audio.reshape(ba * k, d) @ w1[:, d:].T + params["conf.b1"].value
-    return pre_t, pre_a.reshape(ba, k, h).transpose(1, 0, 2)
+        raise DimensionError(
+            f"confidence input width {2 * d} does not match first layer {w1.shape}"
+        )
+    # One (B*K, d) product; the (K, B, h) view needs no copy.
+    if side == "text":
+        pre = x.reshape(b * k, d) @ w1[:, :d].T
+    else:
+        pre = x.reshape(b * k, d) @ w1[:, d:].T + params["conf.b1"].value
+    return pre.reshape(b, k, h).transpose(1, 0, 2)
 
 
-def _confidence(hidden: np.ndarray, params: dict[str, Tensor]) -> np.ndarray:
-    """Logistic of the second layer over the last (hidden) axis."""
-    y = hidden @ params["conf.w2"].value[0] + params["conf.b2"].value[0]
-    return 0.5 * (1.0 + np.tanh(0.5 * y))
+class FactorRows(NamedTuple):
+    """One side's (B, K, d) factor stack with the per-item terms every score
+    against it reads, so a tile loop can compute them once per block of
+    items."""
+
+    raw: np.ndarray
+    pre: np.ndarray  # (K, B, h) first-layer term
+    unit: np.ndarray  # rows over their guarded norms
+    sumsq: np.ndarray  # (B, K, 1) sums of squares
+
+
+def factor_rows(
+    x: np.ndarray, params: dict[str, Tensor], side: str, ws: Workspace = FRESH, name: str = "rows"
+) -> FactorRows:
+    """The `FactorRows` of a "text" or "audio" factor stack; the unit rows
+    and sums of squares are `ws` buffers under `name`."""
+    if x.ndim != 3:
+        raise DimensionError(f"factor stack must be (B, K, d), got {x.shape}")
+    unit, sumsq = ad.normalized(x, ws, name)
+    return FactorRows(x, _first_layer_term(x, params, side), unit, sumsq)
+
+
+def _confidence(hidden: np.ndarray, params: dict[str, Tensor], out: np.ndarray | None = None):
+    """Logistic of the second layer over the last (hidden) axis, computed in
+    `out` if given."""
+    y = np.matmul(hidden, params["conf.w2"].value[0], out=out)
+    y += params["conf.b2"].value[0]
+    y *= 0.5  # 0.5 * (1 + tanh(y / 2))
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def matched_confidences(
@@ -72,9 +110,10 @@ def matched_confidences(
     """Confidences of the matched pairs of (B, K, d) text and audio factor
     stacks: entry (b, k) scores text factor k of item b against audio factor
     k of the same item -> (B, K)."""
-    if text.shape != audio.shape:
+    if text.ndim != 3 or text.shape != audio.shape:
         raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
-    pre_t, pre_a = _first_layer(text, audio, params)
+    pre_t = _first_layer_term(text, params, "text")
+    pre_a = _first_layer_term(audio, params, "audio")
     # C order, so a reduction over items adds them in the same order as a stack
     return np.ascontiguousarray(_confidence(np.maximum(pre_a + pre_t, 0.0), params).T)
 
@@ -83,14 +122,32 @@ def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Ten
     """Per-factor confidences g and cosines cos of (B_t, K, d) text and
     (B_a, K, d) audio factor stacks, each (K, B_a, B_t), and the state the
     closed-form backward reads: the (K, B_a, B_t, h) hidden layer and the
-    normalized rows with their sums of squares."""
-    pre_t, pre_a = _first_layer(text, audio, params)
-    hidden = np.maximum(pre_a[:, :, None, :] + pre_t[:, None, :, :], 0.0)
-    g = _confidence(hidden, params)
-    an, a_sumsq = ad.normalized(audio)
-    tn, t_sumsq = ad.normalized(text)
-    cos = an.transpose(1, 0, 2) @ tn.transpose(1, 2, 0)  # (K, B_a, d) @ (K, d, B_t)
-    return g, cos, (hidden, an, a_sumsq, tn, t_sumsq)
+    normalized rows with their sums of squares, all fresh arrays."""
+    _check_pair(text, audio)
+    t, a = factor_rows(text, params, "text"), factor_rows(audio, params, "audio")
+    return _pair_terms(t, a, params, FRESH)
+
+
+def _pair_terms(t: FactorRows, a: FactorRows, params: dict[str, Tensor], ws: Workspace):
+    (k, bt, h), ba = t.pre.shape, a.pre.shape[1]
+    hidden = ws.array("hidden", (k, ba, bt, h))
+    np.add(a.pre[:, :, None, :], t.pre[:, None, :, :], out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    g = _confidence(hidden, params, out=ws.array("g", (k, ba, bt)))
+    cos = ws.array("cos", (k, ba, bt))  # (K, B_a, d) @ (K, d, B_t)
+    np.matmul(a.unit.transpose(1, 0, 2), t.unit.transpose(1, 2, 0), out=cos)
+    return g, cos, (hidden, a.unit, a.sumsq, t.unit, t.sumsq)
+
+
+def factor_pair_scores(
+    text: FactorRows, audio: FactorRows, params: dict[str, Tensor], ws: Workspace
+) -> np.ndarray:
+    """The value of `factor_pair_similarity_matrix` from the stacks'
+    `factor_rows`, bit for bit, with no tape and every intermediate in `ws`;
+    the returned (B_a, B_t) matrix is a fresh array."""
+    _check_pair(text.raw, audio.raw)
+    g, cos, _ = _pair_terms(text, audio, params, ws)
+    return np.sum(np.multiply(g, cos, out=cos), axis=0)
 
 
 def factor_pair_similarity_matrix(text, audio, params: dict[str, Tensor]) -> Tensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factors
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, Workspace, no_grad
 from .confidence import matched_confidences
 from .data import EmbeddingSet
 from .errors import BatchTooSmallError, ContractError, DimensionError
@@ -120,39 +120,22 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
 
 
-def _tile(encoded: EncodedBatch, a: slice, t: slice) -> EncodedBatch:
-    """Audio rows `a` against text rows `t` of a batch, as views, with the
-    factor stacks when the batch has them projected."""
-
-    def rows(x: Tensor, r: slice) -> Tensor:
-        return Tensor(x.value[r])
-
-    tile = EncodedBatch(
-        audio_levels=[rows(x, a) for x in encoded.audio_levels],
-        audio_global=rows(encoded.audio_global, a),
-        text_levels=[rows(x, t) for x in encoded.text_levels],
-        text_global=rows(encoded.text_global, t),
-    )
-    if encoded.factors is not None:
-        text_z, audio_z = encoded.factors
-        tile.factors = (rows(text_z, t), rows(audio_z, a))
-    return tile
-
-
 def _component_scores(model: Model, encoded: EncodedBatch, component: str) -> np.ndarray:
-    """(B, B) scores of one component. DP is one op; THA and DCR are scored
-    in (audio block, text block) tiles of TILE items, which bounds their
-    intermediates, and each tile is written into one preallocated matrix.
-    DCR projects the factors once, and every tile slices the stacks."""
+    """(B, B) scores of one component. DP is one op. THA and DCR are scored
+    tape-free in TILE x TILE tiles through `Model.strip_scorer`, which
+    bounds their intermediates: strip by strip of TILE audio rows, each
+    against every text block, with one workspace for the whole component,
+    into one preallocated matrix."""
     if component == "DP":
         return model.component_matrix(encoded, component).value
-    if component == "DCR":
-        model.batch_factors(encoded)
-    size = encoded.batch
-    out = np.empty((size, size))
-    for a in _blocks(size):
-        for t in _blocks(size):
-            out[a, t] = model.component_matrix(_tile(encoded, a, t), component).value
+    blocks = _blocks(encoded.batch)
+    strip = model.strip_scorer(encoded, component, blocks)
+    out = np.empty((encoded.batch, encoded.batch))
+    ws = Workspace()
+    for a in blocks:
+        tile = strip(a, ws)
+        for t in blocks:
+            out[a, t] = tile(t)
     return out
 
 
@@ -169,13 +152,17 @@ def evaluate(
     """One report per (mode, direction). Either a dataset (encoded by the
     model) or a pre-computed embedding set feeds the similarity matrices.
 
-    Runs tape-free, so the fused THA and DCR ops keep no backward state.
+    Runs tape-free: THA and DCR are scored by their array-level scorers in
+    tiles, strip by strip (see `_component_scores`).
     Each distinct component (DP, THA, DCR) is scored once per call and kept
     only until the last mode that needs it. A mode's matrix is the sum of
     its components in order, accumulated in place into its first term when
     no later mode needs that term, else into one buffer that every
-    multi-component mode reuses. The matrices equal those
-    `Model.similarity_matrix` builds on a tape bit for bit."""
+    multi-component mode reuses. The matrices equal bit for bit what
+    `Model.similarity_matrix` gives on the same tiles, taped or not. One
+    whole-batch THA op differs from them by BLAS rounding (a few 1e-15) in
+    a ragged last text block, because the bits of the cosine matmul depend
+    on its shape."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)

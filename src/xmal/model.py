@@ -10,7 +10,12 @@ import numpy as np
 
 from . import attention, autodiff as ad, encoders, factors, objective
 from .attention import AttentionConfig
-from .confidence import factor_pair_similarity_matrix, init_confidence_params
+from .confidence import (
+    factor_pair_scores,
+    factor_pair_similarity_matrix,
+    factor_rows,
+    init_confidence_params,
+)
 from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
@@ -129,6 +134,42 @@ class Model:
             text_z, audio_z = self.batch_factors(encoded)
             return factor_pair_similarity_matrix(text_z, audio_z, self.params)
         raise ConfigError(f"unknown similarity component {component!r}")
+
+    def strip_scorer(self, encoded: EncodedBatch, component: str, blocks: list[slice]):
+        """Tape-free THA or DCR scoring in tiles, for eval: returns
+        `strip(a, ws)`, which prepares audio rows `a` in workspace `ws` and
+        returns `tile(t)`, the scores of those rows against text rows `t`,
+        one of `blocks`. Each text block's per-item terms are prepared once
+        here. A tile's intermediates are `ws` buffers, the tile is a fresh
+        array, and it equals `component_matrix` on the same rows bit for
+        bit. DCR projects the factors once, and the tiles slice the stacks."""
+        if component == "THA":
+            cfg = self.cfg.attention
+            text = {
+                t.start: [
+                    attention.level_rows(x.value[t], cfg, "text") for x in encoded.text_levels
+                ]
+                for t in blocks
+            }
+
+            def strip(a: slice, ws: ad.Workspace):
+                audio = [
+                    attention.level_rows(x.value[a], cfg, "audio", ws, f"audio{n}")
+                    for n, x in enumerate(encoded.audio_levels)
+                ]
+                return lambda t: attention.hierarchical_scores(audio, text[t.start], cfg, ws)
+
+            return strip
+        if component == "DCR":
+            text_z, audio_z = (z.value for z in self.batch_factors(encoded))
+            text = {t.start: factor_rows(text_z[t], self.params, "text") for t in blocks}
+
+            def strip(a: slice, ws: ad.Workspace):
+                audio = factor_rows(audio_z[a], self.params, "audio", ws, "audio")
+                return lambda t: factor_pair_scores(text[t.start], audio, self.params, ws)
+
+            return strip
+        raise ConfigError(f"no strip scorer for similarity component {component!r}")
 
     def check_embedding_dim(self, dim: int):
         if dim != self.cfg.embed_dim:

@@ -148,7 +148,8 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             for name in ("conf.b1", "conf.b2"):
                 params[name].value[:] = 0.5 * _spread(rng, *params[name].value.shape)
             t, a = _spread(rng, 3, 2, 3), _spread(rng, 2, 2, 3)
-            pre_t, pre_a = confidence._first_layer(t, a, params)
+            pre_t = confidence._first_layer_term(t, params, "text")
+            pre_a = confidence._first_layer_term(a, params, "audio")
             _, cos, _ = confidence.factor_pair_terms(t, a, params)
             if np.abs(pre_a[:, :, None] + pre_t[:, None]).min() > 0.1 and np.abs(cos).min() > 0.2:
                 break
@@ -421,27 +422,31 @@ def _attend_gap(rng) -> float:
     return worst
 
 
-def _oracle_gaps(op, oracle, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
+def _oracle_gaps(op, oracle, scores, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
     """Largest gaps between a fused op and its composed oracle, each built
     by a no-argument call over the parameters `wrt`: of the op's forward-only
-    values, and of the gradients of the probe-weighted scores w.r.t. `wrt`,
-    relative to the largest entry of each of the oracle's gradient rows."""
+    values and of its array-level `scores` (eval's path), and of the
+    gradients of the probe-weighted scores w.r.t. `wrt`, relative to the
+    largest entry of each of the oracle's gradient rows."""
     with ad.no_grad():
         fast = op().value
     composed = oracle()
+    value_gap = max(float(np.abs(v - composed.value).max()) for v in (fast, scores()))
     want = ad.gradients(ad.reduce_sum(ad.mul(composed, probe)), wrt)
     got = ad.gradients(ad.reduce_sum(ad.mul(op(), probe)), wrt)
     grad_gap = 0.0
     for name, w in want.items():
         scale = np.maximum(np.abs(w).max(axis=-1), 1e-300)
         grad_gap = max(grad_gap, float((np.abs(got[name] - w).max(axis=-1) / scale).max()))
-    return float(np.abs(fast - composed.value).max()), grad_gap
+    return value_gap, grad_gap
 
 
 def _tha_gaps() -> tuple[float, float]:
     """`_oracle_gaps` of THA, worst over every `THA_CASES` block, direction
-    and combine, w.r.t. every level."""
+    and combine, w.r.t. every level. The array-level scores share one
+    workspace across all of them."""
     value_gap = grad_gap = 0.0
+    ws = ad.Workspace()
     for build in THA_CASES.values():
         rng = np.random.default_rng(30)
         audio, text = build(rng)
@@ -454,6 +459,15 @@ def _tha_gaps() -> tuple[float, float]:
                 gaps = _oracle_gaps(
                     lambda: attention.hierarchical_similarity_matrix(a, t, cfg),
                     lambda: composed_hierarchical_similarity(a, t, cfg),
+                    lambda: attention.hierarchical_scores(
+                        [
+                            attention.level_rows(x.value, cfg, "audio", ws, f"a{i}")
+                            for i, x in enumerate(a)
+                        ],
+                        [attention.level_rows(x.value, cfg, "text") for x in t],
+                        cfg,
+                        ws,
+                    ),
                     levels,
                     probe,
                 )
@@ -474,9 +488,16 @@ def _dcr_gaps() -> tuple[float, float]:
     text[5, 1] = 0.0
     audio[2] = 0.0
     t, a = ad.parameter(text, "t"), ad.parameter(audio, "a")
+    ws = ad.Workspace()
     return _oracle_gaps(
         lambda: factor_pair_similarity_matrix(t, a, params),
         lambda: composed_factor_pair_similarity(t, a, params),
+        lambda: confidence.factor_pair_scores(
+            confidence.factor_rows(text, params, "text"),
+            confidence.factor_rows(audio, params, "audio", ws, "audio"),
+            params,
+            ws,
+        ),
         [t, a, *params.values()],
         rng.normal(size=(7, 12)),
     )

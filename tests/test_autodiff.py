@@ -311,3 +311,16 @@ def test_merge_rows_rejects_bad_shapes():
         ad.merge_rows(np.ones((2, 3)), np.ones((7, 4)))  # 7 rows are not groups of 3
     with pytest.raises(DimensionError):
         ad.merge_rows(np.ones((2, 3, 1)), np.ones((6, 4)))
+
+
+def test_workspace_grows_never_shrinks_and_fresh_never_reuses():
+    ws = ad.Workspace()
+    a = ws.array("x", (4, 5))
+    assert a.shape == (4, 5) and a.flags.c_contiguous and a.dtype == np.float64
+    small = ws.array("x", (2, 3))
+    assert np.shares_memory(a, small) and ws.buffers["x"].size == 20  # reused, not shrunk
+    big = ws.array("x", (6, 6))
+    assert ws.buffers["x"].size == 36 and not np.shares_memory(a, big)  # grown
+    assert not np.shares_memory(big, ws.array("y", (6, 6)))  # one buffer per name
+    first, second = ad.FRESH.array("x", (3,)), ad.FRESH.array("x", (3,))
+    assert not np.shares_memory(first, second) and ad.FRESH.buffers == {}

@@ -420,6 +420,31 @@ def test_log_levels_accepted(tmp_path, capsys, monkeypatch):
         assert code == 0, err
 
 
+def test_eval_threads_flag_starts_no_thread_and_changes_nothing(tmp_path, capsys, monkeypatch):
+    """`eval --threads 64` on 150 pairs scores on the calling thread alone
+    and prints what `--threads 1` prints."""
+    import threading
+
+    data = gen(tmp_path, capsys, "e.xmal", **{"--pairs": "150"})
+    ckpt = str(tmp_path / "e.xckp")
+    code, _, err = run(
+        capsys, "train", "--data", data, "--out", ckpt, "--epochs", "1", "--batch-size", "50",
+        "--mode", "DP", "--seed", "3",
+    )
+    assert code == 0, err
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: starts.append(t) or start(t))
+    printed = {}
+    for threads in ("1", "64"):
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "THA+DCR",
+                             "--threads", threads)
+        assert code == 0, err
+        printed[threads] = out
+    assert starts == []
+    assert printed["1"] == printed["64"]
+
+
 def test_threads_flag_validated(tmp_path, capsys):
     for argv in (
         ("gen-data", "--pairs", "4", "--K", "4", "--D", "16", "--out", str(tmp_path / "t.xmal")),

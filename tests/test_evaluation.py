@@ -6,8 +6,19 @@ import numpy as np
 import pytest
 
 from xmal import autodiff as ad, evaluation
-from xmal.attention import AttentionConfig
-from xmal.confidence import matched_confidences
+from xmal.attention import (
+    AttentionConfig,
+    hierarchical_scores,
+    hierarchical_similarity_matrix,
+    level_rows,
+)
+from xmal.confidence import (
+    factor_pair_scores,
+    factor_pair_similarity_matrix,
+    factor_rows,
+    init_confidence_params,
+    matched_confidences,
+)
 from xmal.data import SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError
 from xmal.evaluation import (
@@ -18,7 +29,7 @@ from xmal.evaluation import (
     write_report_binary,
     write_report_text,
 )
-from xmal.model import Model, ModelConfig
+from xmal.model import EncodedBatch, Model, ModelConfig
 
 
 def test_recall_diagonal_dominant_is_perfect():
@@ -318,3 +329,154 @@ def test_evaluate_frees_components_and_reuses_one_sum_buffer():
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 2**20, f"{modes}: peak {peak / 2**20:.1f} MB"
+
+
+# -- strips and workspaces --------------------------------------------------------
+
+
+def _captured_matrices(monkeypatch):
+    """Record a copy of every matrix `evaluate` ranks, keyed (mode, direction)
+    in call order."""
+    seen = []
+    rank = evaluation.recall_at_k
+    monkeypatch.setattr(
+        evaluation, "recall_at_k", lambda s, k, d: seen.append(np.array(s)) or rank(s, k, d)
+    )
+    return seen
+
+
+def _taped_tile_matrix(model, items, mode):
+    """`Model.similarity_matrix` on a tape, over the whole batch for DP and
+    one TILE x TILE tile at a time otherwise, with the factors projected
+    once for the whole batch, as eval scores. (A whole-batch THA op differs
+    from its tiles in ragged blocks by BLAS rounding: the cosine matmul's
+    bits depend on its shape.)"""
+    encoded = model.encode_pairs(items)
+    if mode == "DP":
+        return model.similarity_matrix(encoded, mode).value
+    text_z, audio_z = model.batch_factors(encoded)
+    blocks = evaluation._blocks(encoded.batch)
+    out = np.empty((encoded.batch, encoded.batch))
+    for a in blocks:
+        for t in blocks:
+            tile = EncodedBatch(
+                audio_levels=[ad.Tensor(x.value[a]) for x in encoded.audio_levels],
+                audio_global=ad.Tensor(encoded.audio_global.value[a]),
+                text_levels=[ad.Tensor(x.value[t]) for x in encoded.text_levels],
+                text_global=ad.Tensor(encoded.text_global.value[t]),
+                factors=(ad.Tensor(text_z.value[t]), ad.Tensor(audio_z.value[a])),
+            )
+            out[a, t] = model.similarity_matrix(tile, mode).value
+    return out
+
+
+@pytest.mark.parametrize("pairs", (150, 300))  # 3 strips; 5 strips, the last ragged
+def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
+    modes = ("DP", "THA", "DCR", "THA+DCR")
+    ds = generate(SynthConfig(
+        pairs=pairs, concept_count=16, factor_count=8, embed_dim=32,
+        text_tokens=6, audio_tokens=8, noise_sigma=0.1, seed=pairs,
+    ))
+    configs = (
+        AttentionConfig(direction="text_enhanced"),
+        AttentionConfig(direction="audio_enhanced"),
+        AttentionConfig(combine="sum"),
+    )
+    for n, attention_cfg in enumerate(configs):
+        model = Model.build(ModelConfig(embed_dim=32, factor_count=8, attention=attention_cfg), n)
+        expected = [_taped_tile_matrix(model, ds.items, mode) for mode in modes]
+        seen = _captured_matrices(monkeypatch)
+        evaluate(model, dataset=ds, modes=modes, ks=(1, 5, 10))
+        for i, want in enumerate(expected):  # two directions rank each mode's matrix
+            assert np.array_equal(seen[2 * i], want), (attention_cfg, modes[i])
+            assert np.array_equal(seen[2 * i + 1], want), (attention_cfg, modes[i])
+
+
+def test_level_rows_prepare_context_terms_only_for_attended_sides():
+    x = np.random.default_rng(5).normal(size=(3, 4, 8))
+    for direction, context in (
+        ("text_enhanced", {"text"}), ("audio_enhanced", {"audio"}), ("both", {"audio", "text"})
+    ):
+        cfg = AttentionConfig(direction=direction)
+        for side in ("audio", "text"):
+            rows = level_rows(x, cfg, side)
+            assert (rows.norms is not None) == (rows.gram is not None) == (side in context)
+
+
+def _tile_inputs(rng, items=64):
+    """Raw text and audio levels and factor stacks of one tile's two sides."""
+    text = [rng.normal(size=(items, 6, 32)) for _ in range(3)]
+    audio = [rng.normal(size=(items, m, 32)) for m in (4, 2, 1)]
+    return text, audio, rng.normal(size=(items, 8, 4)), rng.normal(size=(items, 8, 4))
+
+
+def test_tile_scorers_allocate_nothing_large_once_warm():
+    """After one warm-up tile, another 64 x 64 THA tile (3 levels) and DCR
+    tile on the same workspace stay within 256 KB of new allocations, and
+    no returned score is a view of a workspace buffer."""
+    rng = np.random.default_rng(7)
+    model = Model.build(ModelConfig(embed_dim=32, factor_count=8), 7)
+    cfg, params, ws = model.cfg.attention, model.params, ad.Workspace()
+
+    def sides(text, audio, text_z, audio_z):
+        return (
+            [level_rows(x, cfg, "text") for x in text],
+            [level_rows(x, cfg, "audio", ws, f"audio{n}") for n, x in enumerate(audio)],
+            factor_rows(text_z, params, "text"),
+            factor_rows(audio_z, params, "audio", ws, "audio"),
+        )
+
+    def score(text, audio, text_z, audio_z):
+        tha = hierarchical_scores(audio, text, cfg, ws)
+        return tha, factor_pair_scores(text_z, audio_z, params, ws)
+
+    score(*sides(*_tile_inputs(rng)))
+    warm = {name: buf.size for name, buf in ws.buffers.items()}
+    prepared = sides(*_tile_inputs(rng))
+    tracemalloc.start()
+    try:
+        tha, dcr = score(*prepared)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10, f"peak {peak / 2**10:.0f} KB"
+    assert {name: buf.size for name, buf in ws.buffers.items()} == warm
+    for result in (tha, dcr):
+        assert result.shape == (64, 64)
+        assert not any(np.shares_memory(result, buf) for buf in ws.buffers.values())
+    text, audio, text_z, audio_z = prepared
+    with ad.no_grad():  # the fused ops, which allocate fresh arrays, agree bit for bit
+        op_tha = hierarchical_similarity_matrix(
+            [ad.Tensor(a.raw) for a in audio], [ad.Tensor(t.raw) for t in text], cfg
+        )
+        op_dcr = factor_pair_similarity_matrix(text_z.raw, audio_z.raw, params)
+    assert np.array_equal(tha, op_tha.value) and np.array_equal(dcr, op_dcr.value)
+
+
+def test_taped_op_gradients_survive_another_ops_forward():
+    """Taped ops save fresh arrays, so a later op's forward cannot overwrite
+    what an earlier op's backward reads."""
+    params = init_confidence_params(4, 4, np.random.default_rng(8))
+    cfg = AttentionConfig()
+
+    def tha(seed):
+        rng = np.random.default_rng(seed)
+        a = [ad.parameter(rng.normal(size=(3, m, 8)), f"a{m}") for m in (4, 2)]
+        t = [ad.parameter(rng.normal(size=(5, 6, 8)), f"t{n}") for n in range(2)]
+        score = hierarchical_similarity_matrix(a, t, cfg)
+        return ad.reduce_sum(ad.mul(score, rng.normal(size=(3, 5)))), a + t
+
+    def dcr(seed):
+        rng = np.random.default_rng(seed)
+        tz = ad.parameter(rng.normal(size=(5, 2, 4)), "tz")
+        az = ad.parameter(rng.normal(size=(3, 2, 4)), "az")
+        score = factor_pair_similarity_matrix(tz, az, params)
+        return ad.reduce_sum(ad.mul(score, rng.normal(size=(3, 5)))), [tz, az, *params.values()]
+
+    for op in (tha, dcr):
+        alone = ad.gradients(*op(1))
+        first = op(1)
+        tha(2), dcr(2)  # other forwards on other inputs, before the first op's backward
+        interleaved = ad.gradients(*first)
+        assert alone.keys() == interleaved.keys()
+        assert all(np.array_equal(alone[k], interleaved[k]) for k in alone)
