@@ -25,7 +25,9 @@ _node_ids = itertools.count()
 # Multiplicative overrides applied to an op's outgoing gradient, keyed by op
 # name. Empty in normal operation; the self-check suite plants a wrong factor
 # here as a negative control to prove finite differences catch broken
-# gradients.
+# gradients. A fused op also applies the entry of each primitive it fuses to
+# that stage of its own backward: `residual_blocks` scales its ReLU stage by
+# the "hinge" entry, so planting "hinge" still breaks the encoder blocks.
 GRAD_OVERRIDES: dict[str, float] = {}
 
 _recording = True  # False inside no_grad()
@@ -76,59 +78,14 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self._op}, shape={self.value.shape}{tag})"
-
-    # -- arithmetic sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 def parameter(value, name: str) -> Tensor:
@@ -154,50 +111,57 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- primitives -----------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value + b.value
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _binary(op: str, out: np.ndarray, a, b, grad_a, grad_b) -> Tensor:
+    """A node for an elementwise op over operands a and b. A raw float or
+    array operand is a closure constant: it takes no node, and its gradient
+    (`grad_a` or `grad_b` of the incoming gradient) is never computed."""
+    parents, grads = [], []
+    for operand, grad in ((a, grad_a), (b, grad_b)):
+        if isinstance(operand, Tensor):
+            parents.append(operand)
+            grads.append(grad)
 
     def backward(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return tuple(grad(g) for grad in grads)
 
-    return Tensor(out, _op="add", _parents=(a, b), _backward=backward)
+    return Tensor(out, _op=op, _parents=tuple(parents), _backward=backward)
+
+
+def add(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
+    return _binary(
+        "add", av + bv, a, b,
+        lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(g, bv.shape),
+    )
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value - b.value
-
-    def backward(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Tensor(out, _op="sub", _parents=(a, b), _backward=backward)
+    av, bv = _value(a), _value(b)
+    return _binary(
+        "sub", av - bv, a, b,
+        lambda g: _unbroadcast(g, av.shape), lambda g: _unbroadcast(-g, bv.shape),
+    )
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value * b.value
-
-    def backward(g):
-        return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
-        )
-
-    return Tensor(out, _op="mul", _parents=(a, b), _backward=backward)
+    av, bv = _value(a), _value(b)
+    return _binary(
+        "mul", av * bv, a, b,
+        lambda g: _unbroadcast(g * bv, av.shape), lambda g: _unbroadcast(g * av, bv.shape),
+    )
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.value / b.value
-
-    def backward(g):
-        return (
-            _unbroadcast(g / b.value, a.value.shape),
-            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape),
-        )
-
-    return Tensor(out, _op="div", _parents=(a, b), _backward=backward)
+    av, bv = _value(a), _value(b)
+    return _binary(
+        "div", av / bv, a, b,
+        lambda g: _unbroadcast(g / bv, av.shape),
+        lambda g: _unbroadcast(-g * av / (bv * bv), bv.shape),
+    )
 
 
 def matmul(a, b) -> Tensor:
@@ -367,6 +331,74 @@ def einsum(pattern: str, a, b) -> Tensor:
         return ga, gb
 
     return Tensor(out, _op="einsum", _parents=(a, b), _backward=backward)
+
+
+def residual_blocks(x, w, b, lo: int, hi: int, merge=None) -> Tensor:
+    """Blocks lo..hi-1 of a residual stack as one op: for each l,
+    x <- x + relu(x @ w[l] + b[l]), with (L, D, D) weight and (L, D) bias
+    banks w and b and (rows, D) x. With `merge = (p, m, k)`, x first becomes
+    merge_rows(p, x) @ m[k]: the constant (r, n) map p applied to each group
+    of n rows, then slice k of the (S, D, D) bank m.
+
+    The backward is closed form from each block's input and ReLU mask,
+    which are kept only while a tape records. The ReLU stage honours
+    `GRAD_OVERRIDES["hinge"]` as well as this op's own name."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    rows, dim = x.value.shape if x.value.ndim == 2 else (0, 0)
+    if (
+        x.value.ndim != 2
+        or w.value.ndim != 3
+        or w.value.shape[1:] != (dim, dim)
+        or b.value.shape != w.value.shape[:2]
+        or not (0 <= lo < hi <= w.value.shape[0])
+    ):
+        raise DimensionError(
+            f"residual_blocks {lo}:{hi} needs (rows, D) x, (L, D, D) w and (L, D) b; got "
+            f"{x.value.shape}, {w.value.shape} and {b.value.shape}"
+        )
+    keep = _recording
+    h = x.value
+    parents = (x, w, b)
+    if merge is not None:
+        p, m, k = merge
+        m = as_tensor(m)
+        r, n = p.shape
+        if rows % n != 0 or m.value.shape[1:] != (dim, dim):
+            raise DimensionError(
+                f"residual_blocks merge: {rows} rows do not split into groups of {n}, "
+                f"or bank {m.value.shape} is not (S, {dim}, {dim})"
+            )
+        groups = rows // n
+        h = (p @ h.reshape(groups, n, dim)).reshape(groups * r, dim)
+        merged = h if keep else None
+        h = h @ m.value[k]
+        parents += (m,)
+    saved = []  # (block input, ReLU mask) per block, on a tape only
+    for l in range(lo, hi):
+        pre = h @ w.value[l]
+        pre += b.value[l]
+        if keep:
+            saved.append((h, pre > 0.0))
+        np.maximum(pre, 0.0, out=pre)
+        h = np.add(h, pre, out=pre)
+
+    def backward(g):
+        gw, gb = np.zeros_like(w.value), np.zeros_like(b.value)
+        scale = GRAD_OVERRIDES.get("hinge")
+        for l in range(hi - 1, lo - 1, -1):
+            h_in, mask = saved[l - lo]
+            g_pre = (g if scale is None else g * scale) * mask
+            gb[l] = g_pre.sum(axis=0)
+            gw[l] = h_in.T @ g_pre
+            g = g + g_pre @ w.value[l].T
+        if merge is None:
+            return g, gw, gb
+        gm = np.zeros_like(m.value)
+        gm[k] = merged.T @ g
+        g3 = (g @ m.value[k].T).reshape(groups, r, dim)
+        return (p.T @ g3).reshape(rows, dim), gw, gb, gm
+
+    return Tensor(h, _op="residual_blocks", _parents=parents, _backward=backward)
 
 
 # -- scratch buffers for forward-only arithmetic -----------------------------

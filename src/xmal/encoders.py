@@ -6,6 +6,14 @@ stream has 4 stages of (2, 2, 6, 2) blocks with pair-merging of tokens at the
 entry of stages 2-4, tapped at the same cumulative block depths (4, 10, 12);
 stage 1 output is discarded. Each stream also yields a pooled global vector:
 a content-scored softmax readout for text, the token mean for audio.
+
+A stream's weights live in banks: one (12, D, D) weight bank and one
+(12, D) bias bank (`text.w`, `text.b`, `audio.w`, `audio.b`), and the three
+audio merge maps in one (3, D, D) bank (`audio.merge`). Each tap segment
+runs as one `autodiff.residual_blocks` op: text blocks 1-4, 5-10 and 11-12,
+and each audio stage with its entry merge. Under `no_grad` the op keeps no
+per-block state. `verify.composed_residual_blocks`, the same blocks
+composed from autodiff primitives, is the op's oracle.
 """
 
 from __future__ import annotations
@@ -38,32 +46,27 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def init_text_params(dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    for i in range(1, TEXT_BLOCKS + 1):
-        params[f"text.block{i:02d}.w"] = ad.parameter(
-            _uniform(rng, (dim, dim), dim), f"text.block{i:02d}.w"
-        )
-        params[f"text.block{i:02d}.b"] = ad.parameter(np.zeros(dim), f"text.block{i:02d}.b")
-    params["text.readout"] = ad.parameter(np.zeros(dim), "text.readout")
-    return params
+    """The text banks. The weight bank is drawn in one call, so slice l holds
+    the same values, in the same generator order, as the l-th of 12
+    sequential (D, D) draws."""
+    return {
+        "text.w": ad.parameter(_uniform(rng, (TEXT_BLOCKS, dim, dim), dim), "text.w"),
+        "text.b": ad.parameter(np.zeros((TEXT_BLOCKS, dim)), "text.b"),
+        "text.readout": ad.parameter(np.zeros(dim), "text.readout"),
+    }
 
 
 def init_audio_params(dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    for i in range(1, sum(AUDIO_STAGE_BLOCKS) + 1):
-        params[f"audio.block{i:02d}.w"] = ad.parameter(
-            _uniform(rng, (dim, dim), dim), f"audio.block{i:02d}.w"
-        )
-        params[f"audio.block{i:02d}.b"] = ad.parameter(np.zeros(dim), f"audio.block{i:02d}.b")
+    """The audio banks, the weight bank drawn in one call as for text."""
+    blocks = sum(AUDIO_STAGE_BLOCKS)
     # Identity start keeps merged tokens in the same space as text tokens;
     # a small random map here would scramble directions before training begins.
-    for s in (2, 3, 4):
-        params[f"audio.merge{s}.w"] = ad.parameter(np.eye(dim), f"audio.merge{s}.w")
-    return params
-
-
-def _block(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(x, ad.hinge(ad.add(ad.matmul(x, w), b)))
+    merges = np.tile(np.eye(dim), (len(AUDIO_STAGE_BLOCKS) - 1, 1, 1))
+    return {
+        "audio.w": ad.parameter(_uniform(rng, (blocks, dim, dim), dim), "audio.w"),
+        "audio.b": ad.parameter(np.zeros((blocks, dim)), "audio.b"),
+        "audio.merge": ad.parameter(merges, "audio.merge"),
+    }
 
 
 def _pair_mean_matrix(m: int) -> np.ndarray:
@@ -81,9 +84,9 @@ def _pair_mean_matrix(m: int) -> np.ndarray:
 #
 # The residual blocks act token-wise, so a whole batch runs as one tall
 # matrix. Audio token merging applies each item's pair-mean map to its own
-# rows (`ad.merge_rows`), so its cost is linear in B. Both produce
-# (B, tokens, D) level tensors and (B, D) globals; a single item is a batch
-# of one.
+# rows (the `merge` of `ad.residual_blocks`), so its cost is linear in B.
+# Both produce (B, tokens, D) level tensors and (B, D) globals; a single
+# item is a batch of one.
 
 
 def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[list[Tensor], Tensor]:
@@ -93,10 +96,11 @@ def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[li
         raise ContractError("text input has no tokens")
     x = ad.Tensor(tokens.reshape(b * n, dim))
     taps = []
-    for i in range(1, TEXT_BLOCKS + 1):
-        x = _block(x, params[f"text.block{i:02d}.w"], params[f"text.block{i:02d}.b"])
-        if i in TEXT_TAPS:
-            taps.append(x.reshape(b, n, dim))
+    lo = 0
+    for hi in TEXT_TAPS:
+        x = ad.residual_blocks(x, params["text.w"], params["text.b"], lo, hi)
+        taps.append(x.reshape(b, n, dim))
+        lo = hi
     x3 = x.reshape(b, n, dim)
     scores = ad.einsum("bnd,d->bn", x3, params["text.readout"])
     attn = ad.row_softmax(scores, 1.0)
@@ -113,17 +117,17 @@ def encode_audio_batch(frames: np.ndarray, params: dict[str, Tensor]) -> tuple[l
         )
     x = ad.Tensor(frames.reshape(b * m, dim))
     taps = []
-    block = 0
+    lo = 0
     tokens_now = m
-    for stage, n_blocks in enumerate(AUDIO_STAGE_BLOCKS, start=1):
-        if stage > 1:
-            merge = ad.Tensor(_pair_mean_matrix(tokens_now))
-            x = ad.matmul(ad.merge_rows(merge, x), params[f"audio.merge{stage}.w"])
-            tokens_now = merge.value.shape[0]
-        for _ in range(n_blocks):
-            block += 1
-            x = _block(x, params[f"audio.block{block:02d}.w"], params[f"audio.block{block:02d}.b"])
-        if stage > 1:
+    for stage, n_blocks in enumerate(AUDIO_STAGE_BLOCKS):
+        merge = None
+        if stage > 0:
+            pair_mean = _pair_mean_matrix(tokens_now)
+            merge = (pair_mean, params["audio.merge"], stage - 1)
+            tokens_now = pair_mean.shape[0]
+        x = ad.residual_blocks(x, params["audio.w"], params["audio.b"], lo, lo + n_blocks, merge)
+        lo += n_blocks
+        if stage > 0:
             taps.append(x.reshape(b, tokens_now, dim))
     pooled = ad.reduce_sum(ad.mul(x.reshape(b, tokens_now, dim), 1.0 / tokens_now), axis=1)
     return taps, pooled

@@ -7,9 +7,16 @@ batch axis first. Factors are standardized per dimension over the batch
 (biased variance), and the K x K cross-modal covariance is the mean over
 batch and dimension of products of standardized factors, so perfectly
 correlated factors read exactly 1.
+
+The covariance of two raw stacks is one op, `factor_covariance`, and each
+loss on it is one op; their backwards are closed form. The same statistics
+composed from autodiff primitives (`verify.composed_factor_losses`) are
+their oracle.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,28 +58,49 @@ def project_factors(globals_: Tensor, bank: Tensor) -> Tensor:
     return ad.einsum("bd,kwd->bkw", g, bank)
 
 
-def batch_standardize(z: Tensor, eps: float = EPS) -> Tensor:
+class Standardized(NamedTuple):
+    """A (B, K, w) stack standardized over the batch, with the centered stack
+    and the (1, K, w) root sqrt(var + eps) that the covariance op's backward
+    reads."""
+
+    value: np.ndarray
+    centered: np.ndarray
+    root: np.ndarray
+
+
+def batch_standardize(z: np.ndarray, eps: float = EPS) -> Standardized:
     """Whiten each factor dimension of a (B, K, w) stack over the batch to
     mean 0, variance 1.
 
     Biased (1/B) variance keeps self-covariance exactly 1; a constant
     dimension maps to zeros through the eps guard.
     """
-    z = ad.as_tensor(z)
-    b = z.value.shape[0]
+    z = np.asarray(z, dtype=np.float64)
+    b = z.shape[0]
     if b < 2:
         raise BatchTooSmallError(f"standardization needs a batch of >= 2, got {b}")
     inv_b = 1.0 / b
-    mean = ad.mul(ad.reduce_sum(z, axis=0, keepdims=True), inv_b)
-    centered = ad.sub(z, mean)
-    var = ad.mul(ad.reduce_sum(ad.mul(centered, centered), axis=0, keepdims=True), inv_b)
-    return ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    centered = z - np.sum(z, axis=0, keepdims=True) * inv_b
+    root = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True) * inv_b + eps)
+    return Standardized(centered / root, centered, root)
+
+
+def _standardize_grad(g: np.ndarray, s: Standardized) -> np.ndarray:
+    """Gradient w.r.t. the raw stack of `batch_standardize`'s value, given g
+    w.r.t. that value. The terms are summed in the order the composed chain
+    accumulates them, so the two agree bit for bit."""
+    inv_b = 1.0 / g.shape[0]
+    c, r = s.centered, s.root
+    g_sumsq = np.sum(-g * c / (r * r), axis=0, keepdims=True) * 0.5 / r * inv_b
+    g_c = g / r + g_sumsq * c + g_sumsq * c
+    return g_c + np.sum(-g_c, axis=0, keepdims=True) * inv_b
 
 
 def factor_covariance(z_text: Tensor, z_audio: Tensor) -> Tensor:
-    """K x K cross-covariance of two (B, K, w) stacks, entry (i, j) = mean
-    over batch and dimension of z_text_i . z_audio_j: one cross-correlation
-    contraction."""
+    """K x K cross-covariance of two raw (B, K, w) stacks as one op: each
+    stack is standardized over the batch (`batch_standardize`), and entry
+    (i, j) is the mean over batch and dimension of text factor i times audio
+    factor j. The backward is closed form from the standardized stacks."""
     z_text, z_audio = ad.as_tensor(z_text), ad.as_tensor(z_audio)
     if z_text.value.ndim != 3 or z_text.value.shape != z_audio.value.shape:
         raise DimensionError(
@@ -80,25 +108,44 @@ def factor_covariance(z_text: Tensor, z_audio: Tensor) -> Tensor:
             f"{z_audio.value.shape}"
         )
     b, _, width = z_text.value.shape
-    return ad.mul(ad.einsum("bkw,bjw->kj", z_text, z_audio), 1.0 / (b * width))
+    text, audio = batch_standardize(z_text.value), batch_standardize(z_audio.value)
+    scale = 1.0 / (b * width)
+    c = np.einsum("bkw,bjw->kj", text.value, audio.value) * scale
+
+    def backward(g):
+        g = g * scale
+        return (
+            _standardize_grad(np.einsum("kj,bjw->bkw", g, audio.value), text),
+            _standardize_grad(np.einsum("kj,bkw->bjw", g, text.value), audio),
+        )
+
+    return Tensor(c, _op="factor_covariance", _parents=(z_text, z_audio), _backward=backward)
 
 
 def decoupling_loss(c: Tensor) -> Tensor:
-    """Sum of squared off-diagonal covariance entries."""
+    """Sum of squared off-diagonal covariance entries, as one op."""
     c = ad.as_tensor(c)
-    k = _square_side(c)
-    off_mask = 1.0 - np.eye(k)
-    off = ad.mul(c, off_mask)
-    return ad.reduce_sum(ad.mul(off, off))
+    mask = 1.0 - np.eye(_square_side(c))
+    off = c.value * mask
+
+    def backward(g):
+        t = g * off
+        return ((t + t) * mask,)
+
+    return Tensor(np.sum(off * off), _op="decoupling_loss", _parents=(c,), _backward=backward)
 
 
 def alignment_loss(c: Tensor) -> Tensor:
-    """Sum of squared deviations of the covariance diagonal from 1."""
+    """Sum of squared deviations of the covariance diagonal from 1, as one op."""
     c = ad.as_tensor(c)
-    k = _square_side(c)
-    diag = ad.reduce_sum(ad.mul(c, np.eye(k)), axis=1)
-    dev = ad.sub(1.0, diag)
-    return ad.reduce_sum(ad.mul(dev, dev))
+    eye = np.eye(_square_side(c))
+    dev = 1.0 - np.sum(c.value * eye, axis=1)
+
+    def backward(g):
+        t = g * dev
+        return (-(t + t)[:, None] * eye,)
+
+    return Tensor(np.sum(dev * dev), _op="alignment_loss", _parents=(c,), _backward=backward)
 
 
 def _square_side(c: Tensor) -> int:

@@ -107,11 +107,9 @@ class Model:
         return encoded.factors
 
     def factor_covariance(self, encoded: EncodedBatch) -> Tensor:
-        """K x K cross-modal covariance of the batch's standardized factors."""
-        text_z, audio_z = self.batch_factors(encoded)
-        return factors.factor_covariance(
-            factors.batch_standardize(text_z), factors.batch_standardize(audio_z)
-        )
+        """K x K cross-modal covariance of the batch's standardized factors,
+        one op over the raw stacks."""
+        return factors.factor_covariance(*self.batch_factors(encoded))
 
     def similarity_matrix(self, encoded: EncodedBatch, mode: str) -> Tensor:
         """All-pairs similarity under `mode`; entry (i, j) is audio i vs text j."""

@@ -24,7 +24,10 @@ from .model import Model
 from .objective import ObjectiveConfig
 
 CHECKPOINT_MAGIC = b"XCKP"
-CHECKPOINT_VERSION = 2  # 2: one (K, D/K, D) bank per modality, `factors.text`/`factors.audio`
+# 2: one (K, D/K, D) factor bank per modality, `factors.text`/`factors.audio`;
+# 3: one encoder weight and bias bank per stream, `text.w`, `text.b`, `audio.w`,
+#    `audio.b`, and the audio merges as `audio.merge`
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

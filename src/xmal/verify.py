@@ -3,10 +3,12 @@ the full losses, oracle-equivalence checks against independent step-by-step
 recomputations, and the core numeric invariants. Backs the `grad-check`
 command and the acceptance suite.
 
-THA and DCR are each one fused op with a closed-form backward, checked
-against the same score built from autodiff primitives:
-`composed_hierarchical_similarity` and `composed_factor_pair_similarity`.
-Each op must match its oracle's values and gradients."""
+THA, DCR, the encoder blocks and the factor statistics are fused ops with
+closed-form backwards, each checked against the same computation built from
+autodiff primitives: `composed_hierarchical_similarity`,
+`composed_factor_pair_similarity`, `composed_residual_blocks` and
+`composed_factor_losses`. Each op must match its oracle's values and
+gradients."""
 
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import attention, autodiff as ad, confidence, factors, objective as obj
+from . import attention, autodiff as ad, confidence, encoders, factors, objective as obj
 from .attention import COMBINES, DIRECTIONS, AttentionConfig
+from .autodiff import EPS
 from .confidence import factor_pair_similarity_matrix, init_confidence_params
 from .data import PairItem
 from .model import Model, ModelConfig
@@ -159,6 +162,56 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             lambda: ad.reduce_sum(ad.mul(factor_pair_similarity_matrix(t, a, params), probe))
         ), [t, a, *params.values()]
 
+    def residual_blocks(merge: bool):
+        def build(rng):
+            # Blocks 1-2 of a 3-block bank over 6 rows, D = 3; with an entry
+            # merge, the pair-mean map of 3 rows and slice 1 of a 2-slice bank
+            # first take the rows to 4. Every pre-activation stays 0.1 away
+            # from the ReLU kink.
+            pair_mean = encoders._pair_mean_matrix(3)
+            while True:
+                x, w, b = _spread(rng, 6, 3), 0.5 * _spread(rng, 3, 3, 3), _spread(rng, 3, 3)
+                m = 0.5 * _spread(rng, 2, 3, 3)
+                h = (pair_mean @ x.reshape(2, 3, 3)).reshape(4, 3) @ m[1] if merge else x
+                pre = []
+                for l in (1, 2):
+                    pre.append(h @ w[l] + b[l])
+                    h = h + np.maximum(pre[-1], 0.0)
+                if np.abs(np.concatenate(pre)).min() > 0.1:
+                    break
+            params = [ad.parameter(v, n) for v, n in ((x, "x"), (w, "w"), (b, "b"), (m, "m"))]
+            x, w, b, m = params
+            entry = (pair_mean, m, 1) if merge else None
+            probe = _spread(rng, *h.shape)
+            return (
+                lambda: ad.reduce_sum(ad.mul(ad.residual_blocks(x, w, b, 1, 3, entry), probe))
+            ), params if merge else params[:3]
+
+        return build
+
+    def build_factor_covariance(rng):
+        # The gradient w.r.t. a raw stack sums to zero over the batch, so some
+        # entries can land near zero, where rounding in the central
+        # differences dominates; redraw until every entry is 0.02 away.
+        while True:
+            zt = ad.parameter(_spread(rng, 5, 3, 2), "zt")
+            za = ad.parameter(_spread(rng, 5, 3, 2), "za")
+            probe = _spread(rng, 3, 3)
+
+            def fn():
+                return ad.reduce_sum(ad.mul(factors.factor_covariance(zt, za), probe))
+
+            grads = ad.gradients(fn(), [zt, za])
+            if min(np.abs(g).min() for g in grads.values()) > 0.02:
+                return fn, [zt, za]
+
+    def covariance_loss(loss):
+        def build(rng):
+            c = ad.parameter(_spread(rng, 3, 3), "c")
+            return (lambda: loss(c)), [c]
+
+        return build
+
     return [
         ("add", binary(ad.add)),
         ("sub", binary(ad.sub)),
@@ -197,6 +250,11 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             for combine in COMBINES
         ),
         ("factor_pair_similarity", build_factor_pair_similarity),
+        ("residual_blocks", residual_blocks(merge=False)),
+        ("residual_blocks.merge", residual_blocks(merge=True)),
+        ("factor_covariance", build_factor_covariance),
+        ("decoupling_loss", covariance_loss(factors.decoupling_loss)),
+        ("alignment_loss", covariance_loss(factors.alignment_loss)),
     ]
 
 
@@ -339,6 +397,43 @@ def composed_factor_pair_similarity(
     return ad.reduce_sum(ad.mul(ad.sigmoid(y), cos), axis=0)
 
 
+def _bank_slice(bank: ad.Tensor, l: int) -> ad.Tensor:
+    return ad.reshape(ad.slice_rows(bank, l, l + 1), bank.value.shape[1:])
+
+
+def composed_residual_blocks(x, w, b, lo: int, hi: int, merge=None) -> ad.Tensor:
+    """`autodiff.residual_blocks` composed from primitives, one
+    add(x, hinge(add(matmul(x, w_l), b_l))) chain per block, with the entry
+    merge as merge_rows and a matmul: the oracle of the fused op."""
+    if merge is not None:
+        pair_map, m, k = merge
+        x = ad.matmul(ad.merge_rows(ad.Tensor(pair_map), x), _bank_slice(m, k))
+    for l in range(lo, hi):
+        x = ad.add(x, ad.hinge(ad.add(ad.matmul(x, _bank_slice(w, l)), _bank_slice(b, l))))
+    return x
+
+
+def composed_factor_losses(z_text, z_audio) -> tuple[ad.Tensor, ad.Tensor, ad.Tensor]:
+    """The covariance of `factors.factor_covariance` and the losses
+    `factors.decoupling_loss` and `factors.alignment_loss` on it, composed
+    from primitives: the oracle of the three fused ops."""
+
+    def standardize(z):
+        inv_b = 1.0 / z.value.shape[0]
+        mean = ad.mul(ad.reduce_sum(z, axis=0, keepdims=True), inv_b)
+        centered = ad.sub(z, mean)
+        var = ad.mul(ad.reduce_sum(ad.mul(centered, centered), axis=0, keepdims=True), inv_b)
+        return ad.div(centered, ad.sqrt(ad.add(var, EPS)))
+
+    b, k, width = z_text.value.shape
+    c = ad.mul(
+        ad.einsum("bkw,bjw->kj", standardize(z_text), standardize(z_audio)), 1.0 / (b * width)
+    )
+    off = ad.mul(c, 1.0 - np.eye(k))
+    dev = ad.sub(1.0, ad.reduce_sum(ad.mul(c, np.eye(k)), axis=1))
+    return c, ad.reduce_sum(ad.mul(off, off)), ad.reduce_sum(ad.mul(dev, dev))
+
+
 def _ragged_blocks(rng, audio_tokens=(4, 2, 1)):
     """THA levels of 7 audio items against 12 text items, 8 wide."""
     audio = [rng.normal(size=(7, m, 8)) for m in audio_tokens]
@@ -425,13 +520,15 @@ def _attend_gap(rng) -> float:
 def _oracle_gaps(op, oracle, scores, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
     """Largest gaps between a fused op and its composed oracle, each built
     by a no-argument call over the parameters `wrt`: of the op's forward-only
-    values and of its array-level `scores` (eval's path), and of the
-    gradients of the probe-weighted scores w.r.t. `wrt`, relative to the
-    largest entry of each of the oracle's gradient rows."""
+    values and of its array-level `scores` (eval's path, if it has one), and
+    of the gradients of the probe-weighted scores w.r.t. `wrt`, relative to
+    the largest entry of each of the oracle's gradient rows."""
     with ad.no_grad():
-        fast = op().value
+        values = [op().value]
+    if scores is not None:
+        values.append(scores())
     composed = oracle()
-    value_gap = max(float(np.abs(v - composed.value).max()) for v in (fast, scores()))
+    value_gap = max(float(np.abs(v - composed.value).max()) for v in values)
     want = ad.gradients(ad.reduce_sum(ad.mul(composed, probe)), wrt)
     got = ad.gradients(ad.reduce_sum(ad.mul(op(), probe)), wrt)
     grad_gap = 0.0
@@ -503,6 +600,63 @@ def _dcr_gaps() -> tuple[float, float]:
     )
 
 
+def _max_gaps(gaps) -> tuple[float, float]:
+    gaps = list(gaps)
+    return max(g[0] for g in gaps), max(g[1] for g in gaps)
+
+
+def _residual_blocks_gaps() -> tuple[float, float]:
+    """`_oracle_gaps` of the encoder blocks w.r.t. the rows and every bank:
+    a 3-block text-style segment, and a 2-block audio-style stage whose
+    entry merge takes 5-token items (an odd tail) to 3 tokens; 4 items of
+    width 6, with one all-zero item."""
+    rng = np.random.default_rng(50)
+    dim = 6
+    w = ad.parameter(rng.uniform(-0.4, 0.4, size=(5, dim, dim)), "w")
+    b = ad.parameter(0.3 * rng.normal(size=(5, dim)), "b")
+    m = ad.parameter(np.eye(dim) + 0.2 * rng.normal(size=(2, dim, dim)), "m")
+    cases = []
+    for rows, merge, lo, hi in (
+        (4 * 3, None, 0, 3),
+        (4 * 5, (encoders._pair_mean_matrix(5), m, 1), 3, 5),
+    ):
+        raw = rng.normal(size=(rows, dim))
+        raw[: rows // 4] = 0.0
+        x = ad.parameter(raw, "x")
+        wrt = [x, w, b] + ([m] if merge else [])
+        cases.append(
+            _oracle_gaps(
+                lambda: ad.residual_blocks(x, w, b, lo, hi, merge),
+                lambda: composed_residual_blocks(x, w, b, lo, hi, merge),
+                None,
+                wrt,
+                rng.normal(size=(rows if merge is None else 4 * 3, dim)),
+            )
+        )
+    return _max_gaps(cases)
+
+
+def _factor_stat_gaps() -> tuple[float, float]:
+    """`_oracle_gaps` of the covariance and of both losses on it, w.r.t. both
+    raw stacks: B = 7, K = 3, w = 2, with one constant text dimension."""
+    rng = np.random.default_rng(60)
+    text, audio = rng.normal(size=(7, 3, 2)), rng.normal(size=(7, 3, 2))
+    text[:, 1, 0] = 0.5
+    t, a = ad.parameter(text, "t"), ad.parameter(audio, "a")
+    fused = (
+        lambda: factors.factor_covariance(t, a),
+        lambda: factors.decoupling_loss(factors.factor_covariance(t, a)),
+        lambda: factors.alignment_loss(factors.factor_covariance(t, a)),
+    )
+    return _max_gaps(
+        _oracle_gaps(
+            op, lambda i=i: composed_factor_losses(t, a)[i], None, [t, a],
+            rng.normal(size=op().value.shape),
+        )
+        for i, op in enumerate(fused)
+    )
+
+
 def oracle_checks() -> list[CheckResult]:
     rng = np.random.default_rng(7)
     results = []
@@ -559,12 +713,22 @@ def oracle_checks() -> list[CheckResult]:
     zt = rng.normal(size=(b_size, k, width))
     za = rng.normal(size=(b_size, k, width))
     cov = factors.factor_covariance(ad.Tensor(zt), ad.Tensor(za)).value
+    standardized = []
+    for z in (zt, za):
+        out = np.zeros_like(z)
+        for i in range(k):
+            for d in range(width):
+                col = z[:, i, d]
+                mean = sum(col) / b_size
+                var = sum((v - mean) ** 2 for v in col) / b_size
+                out[:, i, d] = (col - mean) / math.sqrt(var + EPS)
+        standardized.append(out)
     direct = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
             acc = 0.0
             for bb in range(b_size):
-                acc += zt[bb, i] @ za[bb, j]
+                acc += standardized[0][bb, i] @ standardized[1][bb, j]
             direct[i, j] = acc / (b_size * width)
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
@@ -575,6 +739,12 @@ def oracle_checks() -> list[CheckResult]:
     value_gap, grad_gap = _dcr_gaps()
     results.append(CheckResult("dcr_kernel_vs_composed", value_gap, 1e-12))
     results.append(CheckResult("dcr_grad_vs_composed", grad_gap, 1e-10))
+    value_gap, grad_gap = _residual_blocks_gaps()
+    results.append(CheckResult("residual_blocks_vs_composed", value_gap, 1e-12))
+    results.append(CheckResult("residual_blocks_grad_vs_composed", grad_gap, 1e-10))
+    value_gap, grad_gap = _factor_stat_gaps()
+    results.append(CheckResult("factor_stats_vs_composed", value_gap, 1e-12))
+    results.append(CheckResult("factor_stats_grad_vs_composed", grad_gap, 1e-10))
     return results
 
 
@@ -609,8 +779,8 @@ def invariant_checks(instances: int = 100) -> list[CheckResult]:
 
     worst = 0.0
     for _ in range(instances):
-        zs = factors.batch_standardize(ad.Tensor(rng.normal(size=(8, 4, 2))))
-        cov = factors.factor_covariance(zs, zs).value
+        z = ad.Tensor(rng.normal(size=(8, 4, 2)))
+        cov = factors.factor_covariance(z, z).value
         worst = max(worst, float(np.abs(np.diag(cov) - 1.0).max()))
     results.append(CheckResult("self_covariance_diag_one", worst, 1e-10))
 

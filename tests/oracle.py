@@ -17,8 +17,10 @@ def cosine(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def _block(x, params, name):
-    return x + np.maximum(x @ params[f"{name}.w"].value + params[f"{name}.b"].value, 0.0)
+def _block(x, params, stream, index):
+    """Block `index` (from 1) of a stream: slice index - 1 of its banks."""
+    w = params[f"{stream}.w"].value[index - 1]
+    return x + np.maximum(x @ w + params[f"{stream}.b"].value[index - 1], 0.0)
 
 
 def encode_text(tokens, params):
@@ -26,7 +28,7 @@ def encode_text(tokens, params):
     x = np.asarray(tokens, dtype=np.float64)
     levels = []
     for i in range(1, TEXT_BLOCKS + 1):
-        x = _block(x, params, f"text.block{i:02d}")
+        x = _block(x, params, "text", i)
         if i in TEXT_TAPS:
             levels.append(x)
     scores = x @ params["text.readout"].value
@@ -47,10 +49,10 @@ def encode_audio(frames, params):
     block = 0
     for stage, n_blocks in enumerate(AUDIO_STAGE_BLOCKS, start=1):
         if stage > 1:
-            x = _pair_mean(x) @ params[f"audio.merge{stage}.w"].value
+            x = _pair_mean(x) @ params["audio.merge"].value[stage - 2]
         for _ in range(n_blocks):
             block += 1
-            x = _block(x, params, f"audio.block{block:02d}")
+            x = _block(x, params, "audio", block)
         if stage > 1:
             levels.append(x)
     return levels, x.mean(axis=0)

@@ -1,11 +1,13 @@
 """Gradient engine: op contracts, independent oracles, FD verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xmal import autodiff as ad
 from xmal.errors import ContractError, DimensionError
-from xmal.verify import primitive_checks
+from xmal.verify import _primitive_cases, primitive_checks
 
 
 def test_matmul_identity():
@@ -324,3 +326,82 @@ def test_workspace_grows_never_shrinks_and_fresh_never_reuses():
     assert not np.shares_memory(big, ws.array("y", (6, 6)))  # one buffer per name
     first, second = ad.FRESH.array("x", (3,)), ad.FRESH.array("x", (3,))
     assert not np.shares_memory(first, second) and ad.FRESH.buffers == {}
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_raw_operands_stay_closure_constants(op):
+    """A float or array operand takes no node and is no parent, and the
+    gradient w.r.t. the tensor operand equals the one through a constant
+    leaf bit for bit."""
+    rng = np.random.default_rng(12)
+    x = ad.parameter(rng.uniform(0.5, 2.0, size=(3, 4)), "x")
+    probe = rng.normal(size=(3, 4))
+    for const in (1.7, rng.uniform(0.5, 2.0, size=(1, 4))):
+        for args in ((x, const), (const, x)):
+            first = next(ad._node_ids) + 1
+            out = op(*args)
+            assert out._parents == (x,)
+            assert out._id == first  # the op's node is the only one recorded
+            leaf_args = tuple(a if a is x else ad.Tensor(a) for a in args)
+            got, want = (
+                ad.gradients(ad.reduce_sum(ad.mul(op(*a), probe)), [x])["x"]
+                for a in (args, leaf_args)
+            )
+            assert np.array_equal(out.value, op(*leaf_args).value)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_residual_blocks_keep_no_block_state_without_a_tape():
+    """Outside a tape the blocks run in two (rows, D) buffers; on a tape they
+    keep each block's input and ReLU mask for the backward."""
+    rng = np.random.default_rng(13)
+    rows, dim, blocks = 2048, 16, 10
+    x = ad.Tensor(rng.normal(size=(rows, dim)))
+    w = ad.parameter(rng.uniform(-0.25, 0.25, size=(blocks, dim, dim)), "w")
+    b = ad.parameter(np.zeros((blocks, dim)), "b")
+    array = rows * dim * 8
+
+    def peak(recording):
+        tracemalloc.start()
+        try:
+            if recording:
+                out = ad.residual_blocks(x, w, b, 0, blocks)
+            else:
+                with ad.no_grad():
+                    out = ad.residual_blocks(x, w, b, 0, blocks)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    free_peak, free = peak(False)
+    taped_peak, taped = peak(True)
+    assert free._backward is None and free._parents == ()
+    assert np.array_equal(free.value, taped.value)
+    assert free_peak < 2.5 * array
+    assert taped_peak > 0.8 * blocks * array
+
+
+def test_planted_residual_blocks_gradient_fails_the_difference_check():
+    build = dict(_primitive_cases())["residual_blocks.merge"]
+    fn, params = build(np.random.default_rng(1000))
+    assert ad.finite_difference_check(fn, params) < 1e-6
+    for name in ("residual_blocks", "hinge"):  # its own name, and the ReLU stage's
+        ad.GRAD_OVERRIDES[name] = 1.5
+        try:
+            assert ad.finite_difference_check(fn, params) > 0.1
+        finally:
+            ad.GRAD_OVERRIDES.clear()
+
+
+def test_residual_blocks_rejects_bad_shapes_and_ranges():
+    x, w, b = np.ones((6, 4)), np.ones((3, 4, 4)), np.ones((3, 4))
+    with pytest.raises(DimensionError):
+        ad.residual_blocks(x, w, b, 2, 2)  # an empty block range
+    with pytest.raises(DimensionError):
+        ad.residual_blocks(x, w, b, 0, 4)  # past the bank
+    with pytest.raises(DimensionError):
+        ad.residual_blocks(x, w, np.ones((2, 4)), 0, 1)  # bias bank of another depth
+    with pytest.raises(DimensionError):
+        ad.residual_blocks(np.ones((6, 3)), w, b, 0, 1)  # rows of another width
+    with pytest.raises(DimensionError):  # 6 rows are not groups of 4
+        ad.residual_blocks(x, w, b, 0, 1, (np.ones((2, 4)), np.ones((1, 4, 4)), 0))

@@ -281,35 +281,75 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
             assert abs(float(values[name]) - matrix[a, b]) < 1e-12, (name, a, b)
 
 
+def _write_old_checkpoint(trained, tmp_path, monkeypatch, version, rename):
+    """The trained checkpoint written as `version` with every tensor name,
+    parameters and Adam moments alike, mapped through `rename(name, value)`
+    to a dict of old-layout tensors."""
+    from types import SimpleNamespace
+
+    from xmal import trainer
+
+    _, ckpt = trained
+    current = trainer.load_checkpoint(ckpt)
+    tensors = {}
+    for name, value in current.tensors.items():
+        tensors.update(rename(name, value))
+    old = SimpleNamespace(params={name: ad.Tensor(v) for name, v in tensors.items()})
+    path = str(tmp_path / f"v{version}.xckp")
+    with monkeypatch.context() as m:
+        m.setattr(trainer, "CHECKPOINT_VERSION", version)
+        trainer.save_checkpoint(path, old, trainer.Optimizer(), current.step, current.config_text)
+    assert open(path, "rb").read()[4:8] == version.to_bytes(4, "little")
+    return path, tensors
+
+
+def _assert_version_rejected(trained, path, version, capsys):
+    from xmal import trainer
+    from xmal.errors import VersionError
+
+    data, _ = trained
+    message = f"checkpoint version {version}, expected 3"
+    with pytest.raises(VersionError, match=message):
+        trainer.load_checkpoint(path)
+    code, out, err = run(capsys, "eval", "--ckpt", path, "--data", data, "--modes", "DP", "--k", "1")
+    assert code == 1
+    assert message in err
+
+
 def test_version_1_checkpoint_is_rejected(trained, tmp_path, capsys, monkeypatch):
     """A checkpoint in the version-1 layout, one (D/K, D) tensor per factor
     named `factors.{modality}.k{i}`, fails to load with VersionError, and
     `xmal eval` on it exits 1 naming the version."""
-    from types import SimpleNamespace
 
-    from xmal import trainer
-    from xmal.errors import VersionError
-
-    data, ckpt = trained
-    current = trainer.load_checkpoint(ckpt)
-    tensors = {}
-    for name, value in current.tensors.items():  # parameters and Adam moments alike
+    def per_factor(name, value):
         if name.endswith(("factors.text", "factors.audio")):
-            tensors.update({f"{name}.k{i}": factor for i, factor in enumerate(value)})
-        else:
-            tensors[name] = value
+            return {f"{name}.k{i}": factor for i, factor in enumerate(value)}
+        return {name: value}
+
+    path, tensors = _write_old_checkpoint(trained, tmp_path, monkeypatch, 1, per_factor)
     assert "factors.text.k3" in tensors and "opt.m.factors.audio.k0" in tensors
-    old = SimpleNamespace(params={name: ad.Tensor(v) for name, v in tensors.items()})
-    path = str(tmp_path / "v1.xckp")
-    with monkeypatch.context() as m:
-        m.setattr(trainer, "CHECKPOINT_VERSION", 1)
-        trainer.save_checkpoint(path, old, trainer.Optimizer(), current.step, current.config_text)
-    assert open(path, "rb").read()[4:8] == (1).to_bytes(4, "little")
-    with pytest.raises(VersionError, match="checkpoint version 1, expected 2"):
-        trainer.load_checkpoint(path)
-    code, out, err = run(capsys, "eval", "--ckpt", path, "--data", data, "--modes", "DP", "--k", "1")
-    assert code == 1
-    assert "checkpoint version 1, expected 2" in err
+    _assert_version_rejected(trained, path, 1, capsys)
+
+
+def test_version_2_checkpoint_is_rejected(trained, tmp_path, capsys, monkeypatch):
+    """A checkpoint in the version-2 layout, one tensor per encoder block
+    named `text.block01.w` and so on and one per audio merge named
+    `audio.merge2.w` to `audio.merge4.w`, fails to load with VersionError,
+    and `xmal eval` on it exits 1 naming the version."""
+
+    def per_block(name, value):
+        stream, _, kind = name.rpartition(".")
+        if stream.endswith(("text", "audio")) and kind in ("w", "b"):
+            return {f"{stream}.block{i + 1:02d}.{kind}": v for i, v in enumerate(value)}
+        if name.endswith("audio.merge"):
+            return {f"{name}{i + 2}.w": v for i, v in enumerate(value)}
+        return {name: value}
+
+    path, tensors = _write_old_checkpoint(trained, tmp_path, monkeypatch, 2, per_block)
+    for name in ("text.block01.w", "audio.block12.b", "audio.merge4.w", "opt.v.text.block11.w"):
+        assert name in tensors
+    assert "text.w" not in tensors and "opt.m.audio.merge" not in tensors
+    _assert_version_rejected(trained, path, 2, capsys)
 
 
 def test_export_embeddings_round_trip(trained, tmp_path, capsys):

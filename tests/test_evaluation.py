@@ -91,9 +91,9 @@ def test_recall_bad_inputs():
 def _identity_model(dim=16, k=4):
     model = Model.build(ModelConfig(embed_dim=dim, factor_count=k, attention=AttentionConfig()), 0)
     for name, p in model.params.items():
-        if ".merge" in name:
-            p.value = np.eye(dim)
-        elif name.startswith(("text.block", "audio.block")) or name == "text.readout":
+        if name == "audio.merge":
+            p.value = np.tile(np.eye(dim), (3, 1, 1))
+        elif name in ("text.w", "text.b", "audio.w", "audio.b", "text.readout"):
             p.value = np.zeros_like(p.value)
     return model
 

@@ -10,9 +10,13 @@ from xmal.errors import BatchTooSmallError, ConfigError, DimensionError
 from xmal.model import Model, ModelConfig
 
 
-def make_set(arrays):
+def stack(arrays):
     """A (B, K, w) factor stack from K (B, w) arrays."""
-    return ad.Tensor(np.stack(arrays, axis=1))
+    return np.stack(arrays, axis=1)
+
+
+def make_set(arrays):
+    return ad.Tensor(stack(arrays))
 
 
 def test_project_single_identity_factor():
@@ -89,29 +93,30 @@ def test_stacked_ops_match_per_factor_loop():
         return out
 
     loop_t, loop_a = standardized(g_t, bank_t), standardized(g_a, bank_a)
-    z_t = factors.batch_standardize(factors.project_factors(ad.Tensor(g_t), ad.Tensor(bank_t)))
-    z_a = factors.batch_standardize(factors.project_factors(ad.Tensor(g_a), ad.Tensor(bank_a)))
+    f_t = factors.project_factors(ad.Tensor(g_t), ad.Tensor(bank_t))
+    f_a = factors.project_factors(ad.Tensor(g_a), ad.Tensor(bank_a))
+    z_t = factors.batch_standardize(f_t.value).value
     for i in range(k):
-        assert np.abs(z_t.value[:, i] - loop_t[i]).max() < 1e-12
+        assert np.abs(z_t[:, i] - loop_t[i]).max() < 1e-12
     want = np.array([[(loop_t[i] * loop_a[j]).mean() for j in range(k)] for i in range(k)])
-    assert np.abs(factors.factor_covariance(z_t, z_a).value - want).max() < 1e-12
+    assert np.abs(factors.factor_covariance(f_t, f_a).value - want).max() < 1e-12
 
 
 def test_standardize_two_point_batch():
-    fs = make_set([np.array([[1.0], [3.0]])])
+    fs = stack([np.array([[1.0], [3.0]])])
     z = factors.batch_standardize(fs)
     assert np.abs(z.value[:, 0] - [[-1.0], [1.0]]).max() < 1e-6
 
 
 def test_standardize_constant_dimension_maps_to_zero():
-    fs = make_set([np.array([[2.0, 1.0], [2.0, 3.0]])])
+    fs = stack([np.array([[2.0, 1.0], [2.0, 3.0]])])
     z = factors.batch_standardize(fs).value[:, 0]
     assert np.array_equal(z[:, 0], [0.0, 0.0])
 
 
 def test_standardize_moments():
     rng = np.random.default_rng(1)
-    fs = make_set([rng.normal(loc=3.0, scale=2.5, size=(8, 4))])
+    fs = stack([rng.normal(loc=3.0, scale=2.5, size=(8, 4))])
     z = factors.batch_standardize(fs).value[:, 0]
     assert np.abs(z.mean(axis=0)).max() < 1e-10
     assert np.abs(z.var(axis=0) - 1.0).max() < 1e-8
@@ -119,23 +124,25 @@ def test_standardize_moments():
 
 def test_standardize_rejects_singleton_batch():
     with pytest.raises(BatchTooSmallError):
-        factors.batch_standardize(make_set([np.ones((1, 3))]))
+        factors.batch_standardize(stack([np.ones((1, 3))]))
+    with pytest.raises(BatchTooSmallError):  # the covariance standardizes its stacks
+        factors.factor_covariance(make_set([np.ones((1, 3))]), make_set([np.ones((1, 3))]))
 
 
 def test_standardize_affine_shift_invariance():
     rng = np.random.default_rng(2)
     e = rng.normal(size=(6, 3))
-    z = factors.batch_standardize(make_set([e])).value[:, 0]
+    z = factors.batch_standardize(stack([e])).value[:, 0]
     # |a| >= 0.1 keeps the variance guard's eps negligible next to a^2 var
     for a, c in ((2.0, 1.5), (-0.7, -4.0), (0.1, 100.0), (-35.0, 0.3)):
-        z2 = factors.batch_standardize(make_set([a * e + c])).value[:, 0]
+        z2 = factors.batch_standardize(stack([a * e + c])).value[:, 0]
         assert np.abs(z2 - np.sign(a) * z).max() < 1e-8
 
 
 def test_covariance_diag_one_for_identical_standardized_sets():
     rng = np.random.default_rng(3)
     raw = [rng.normal(size=(8, 2)) for _ in range(4)]
-    z = factors.batch_standardize(make_set(raw))
+    z = make_set(raw)
     c = factors.factor_covariance(z, z).value
     assert np.abs(np.diag(c) - 1.0).max() < 1e-10
 
@@ -143,31 +150,34 @@ def test_covariance_diag_one_for_identical_standardized_sets():
 def test_covariance_sign_flip():
     rng = np.random.default_rng(4)
     raw = [rng.normal(size=(8, 2)) for _ in range(3)]
-    z = factors.batch_standardize(make_set(raw))
+    z = make_set(raw)
     c = factors.factor_covariance(z, ad.mul(z, -1.0)).value
     assert np.abs(np.diag(c) + 1.0).max() < 1e-10
 
 
 def test_covariance_independent_factors_concentrate():
     rng = np.random.default_rng(5)
-    zt = factors.batch_standardize(make_set([rng.normal(size=(512, 2)) for _ in range(4)]))
-    za = factors.batch_standardize(make_set([rng.normal(size=(512, 2)) for _ in range(4)]))
+    zt = make_set([rng.normal(size=(512, 2)) for _ in range(4)])
+    za = make_set([rng.normal(size=(512, 2)) for _ in range(4)])
     c = factors.factor_covariance(zt, za).value
     off = c[~np.eye(4, dtype=bool)]
     assert np.abs(off).max() < 0.2
 
 
-def test_covariance_bilinear_in_inputs():
+def test_covariance_invariant_to_per_dimension_affine_maps():
+    """The covariance standardizes its raw stacks, so a positive scale and a
+    shift per factor dimension leave it unchanged, and a negated stack
+    negates it."""
     rng = np.random.default_rng(6)
-    a = [rng.normal(size=(5, 2)) for _ in range(3)]
-    b = [rng.normal(size=(5, 2)) for _ in range(3)]
-    other = [rng.normal(size=(5, 2)) for _ in range(3)]
-    lam, mu = 0.7, -1.3
-    mix = make_set([lam * x + mu * y for x, y in zip(a, b)])
-    c_mix = factors.factor_covariance(mix, make_set(other)).value
-    c_a = factors.factor_covariance(make_set(a), make_set(other)).value
-    c_b = factors.factor_covariance(make_set(b), make_set(other)).value
-    assert np.abs(c_mix - (lam * c_a + mu * c_b)).max() < 1e-12
+    a = stack([rng.normal(size=(5, 2)) for _ in range(3)])
+    other = make_set([rng.normal(size=(5, 2)) for _ in range(3)])
+    scale = rng.uniform(0.5, 2.0, size=(1, 3, 2))
+    shift = rng.normal(size=(1, 3, 2))
+    c = factors.factor_covariance(ad.Tensor(a), other).value
+    c_mapped = factors.factor_covariance(ad.Tensor(a * scale + shift), other).value
+    c_negated = factors.factor_covariance(ad.Tensor(-a), other).value
+    assert np.abs(c_mapped - c).max() < 1e-12
+    assert np.array_equal(c_negated, -c)
 
 
 def test_covariance_shape_mismatch():
@@ -241,9 +251,7 @@ def test_losses_gradient_through_pipeline_vs_finite_differences():
     def cov():
         ft = factors.project_factors(text_globals, bank_t)
         fa = factors.project_factors(audio_globals, bank_a)
-        return factors.factor_covariance(
-            factors.batch_standardize(ft), factors.batch_standardize(fa)
-        )
+        return factors.factor_covariance(ft, fa)
 
     err_d = ad.finite_difference_check(lambda: factors.decoupling_loss(cov()), [bank_t, bank_a])
     err_a = ad.finite_difference_check(lambda: factors.alignment_loss(cov()), [bank_t, bank_a])
@@ -263,9 +271,7 @@ def test_gradient_descent_on_banks_decouples_and_aligns():
     def cov():
         ft = factors.project_factors(text_globals, bank_t)
         fa = factors.project_factors(audio_globals, bank_a)
-        return factors.factor_covariance(
-            factors.batch_standardize(ft), factors.batch_standardize(fa)
-        )
+        return factors.factor_covariance(ft, fa)
 
     c0 = cov().value
     e0 = factors.offdiag_energy(c0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad
+from xmal import autodiff as ad, factors, objective
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
 from xmal.errors import ConfigError, DimensionError, TrainingDiverged, VersionError
@@ -258,3 +258,39 @@ def test_gradient_clipping_bounds_update():
     )
     # two sgd steps, each clipped to 1e-6 global norm
     assert np.sqrt(moved) < 3e-6
+
+
+def test_planted_hinge_gradient_changes_every_step_after_the_first():
+    """The encoder blocks are one fused op per tap segment, which records no
+    `hinge` node; it scales its ReLU stage by GRAD_OVERRIDES["hinge"], so a
+    planted factor still reaches every update of a THA+DCR run."""
+    ds = toy_dataset(pairs=32)
+    cfg = make_cfg(epochs=1, batch_size=8)
+
+    def losses():
+        return [rec.loss for rec in train(toy_model(), ds, cfg).log]
+
+    clean = losses()
+    ad.GRAD_OVERRIDES["hinge"] = 1.5
+    try:
+        planted = losses()
+    finally:
+        ad.GRAD_OVERRIDES.clear()
+    assert len(clean) == len(planted) == 4
+    assert clean[0] == planted[0]  # step 1 runs before any update
+    assert all(abs(a - b) > 1e-6 * abs(a) for a, b in zip(clean[1:], planted[1:]))
+
+
+def test_a_batch16_train_step_records_at_most_80_tape_nodes():
+    ds = toy_dataset(pairs=16)
+    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=0)
+    ocfg = ObjectiveConfig(alpha=0.01, beta=0.005, similarity_mode="THA+DCR")
+    first = next(ad._node_ids) + 1
+    encoded = model.encode_pairs(ds.items)
+    s = model.similarity_matrix(encoded, ocfg.similarity_mode)
+    cov = model.factor_covariance(encoded)
+    loss = objective.total_loss(
+        objective.nt_xent(s, ocfg.tau), factors.decoupling_loss(cov), factors.alignment_loss(cov),
+        ocfg,
+    )
+    assert loss._id - first + 1 <= 80
