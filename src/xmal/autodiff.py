@@ -440,11 +440,11 @@ def guard_min(x, floor: float) -> Tensor:
     return add(hinge(sub(x, floor)), floor)
 
 
-def guarded_norm(x, axis=None, keepdims: bool = False, eps: float = EPS) -> Tensor:
-    """max(||x||_2, eps) along `axis`. The floor is applied to the sum of
+def guarded_norm(x, axis=None, keepdims: bool = False) -> Tensor:
+    """max(||x||_2, EPS) along `axis`. The floor is applied to the sum of
     squares before the root so the gradient stays finite at zero vectors."""
     sumsq = reduce_sum(mul(x, x), axis=axis, keepdims=keepdims)
-    return sqrt(guard_min(sumsq, eps * eps))
+    return sqrt(guard_min(sumsq, EPS * EPS))
 
 
 def guarded_root(sumsq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -489,13 +489,11 @@ def row_softmax(m, scale: float = 1.0) -> Tensor:
     return div(e, reduce_sum(e, axis=-1, keepdims=True))
 
 
-def normalize_rows(m, eps: float = EPS) -> Tensor:
-    """Divide along the last axis by the guarded L2 norm, max(||row||_2, eps).
+def normalize_rows(m) -> Tensor:
+    """Divide along the last axis by the guarded L2 norm, max(||row||_2, EPS).
     Works for any ndim, a single vector included."""
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
     m = as_tensor(m)
-    return div(m, guarded_norm(m, axis=-1, keepdims=True, eps=eps))
+    return div(m, guarded_norm(m, axis=-1, keepdims=True))
 
 
 # -- backward pass -----------------------------------------------------------

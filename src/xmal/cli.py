@@ -1,6 +1,8 @@
 """Command-line front door: data generation, training, evaluation, pairwise
 score breakdowns, and self-verification.
 
+Every setting is declared once, in `SETTINGS`: that table builds each
+command's flags and gives each config section its keys and their types.
 Every command resolves its settings from an optional `--config` file section
 overridden by flags, stamps outputs with a content hash of the resolved
 settings plus the seed, and is deterministic given both.
@@ -11,18 +13,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad, evaluation, objective as obj, trainer, verify
 from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
-    SCHEMAS,
     canonical_text,
-    coerce,
+    coerce_section,
     config_hash,
-    merge_config,
     parse_config_file,
+    parse_sections,
     setup_logging,
 )
 from .data import (
@@ -41,67 +43,142 @@ from .model import EncodedBatch, Model, ModelConfig
 from .objective import ObjectiveConfig
 from .trainer import TrainConfig
 
-TRAIN_DEFAULTS = {
-    "epochs": 50,
-    "batch_size": 8,
-    "lr": 1e-3,
-    "optimizer": "adam",
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "opt_eps": 1e-8,
-    "tau": 0.07,
-    "alpha": 0.01,
-    "beta": 0.005,
-    "mode": "THA+DCR",
-    "temperature": 9.0,
-    "direction": "both",
-    "combine": "mean",
-    "seed": 0,
-    "checkpoint_interval": 0,
+
+class Flag(NamedTuple):
+    """One setting: its flag, value type, help and the default its command
+    applies when neither the flag nor the config file sets it. Its config
+    key is the flag's name with `-` turned into `_`, unless `key` names another."""
+
+    name: str
+    type: type = str
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    key: str | None = None
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.key or self.name[2:].replace("-", "_")
+
+
+THREADS = Flag(
+    "--threads", int, "accepted, but changes nothing yet (compute is single-threaded)", default=1
+)
+
+# config section -> its settings; every command of a section also takes
+# --threads, and `[eval]` also serves `export-embeddings`
+SETTINGS: dict[str, tuple[Flag, ...]] = {
+    "data": (
+        Flag("--out", help="dataset file to write"),
+        Flag("--pairs", int),
+        Flag("--concepts", int),
+        Flag("--K", int),
+        Flag("--D", int),
+        Flag("--N", int),
+        Flag("--M", int),
+        Flag("--sigma", float),
+        Flag("--seed", int),
+        Flag("--shared-projection", bool),
+    ),
+    "train": (
+        Flag("--data"),
+        Flag("--out", help="checkpoint file to write"),
+        Flag("--log", help="loss log path (default: <out>.log)"),
+        Flag("--resume", help="checkpoint to continue from (uses its stored config)"),
+        Flag("--epochs", int, default=50),
+        Flag("--batch-size", int, default=8),
+        Flag("--lr", float, default=1e-3),
+        Flag("--optimizer", choices=("adam", "sgd"), default="adam"),
+        Flag("--beta1", float, default=0.9),
+        Flag("--beta2", float, default=0.999),
+        Flag("--opt-eps", float, default=1e-8),
+        Flag("--tau", float, default=0.07),
+        Flag("--alpha", float, default=0.01),
+        Flag("--beta", float, default=0.005),
+        Flag("--mode", choices=obj.MODES, default="THA+DCR"),
+        Flag("--lambda", float, "attention sharpness", key="temperature", default=9.0),
+        Flag("--direction", choices=("text_enhanced", "audio_enhanced", "both"), default="both"),
+        Flag("--combine", choices=("mean", "sum"), default="mean"),
+        Flag("--K", int),
+        Flag("--hidden", int),
+        Flag("--clip-norm", float),
+        Flag("--checkpoint-interval", int, default=0),
+        Flag("--seed", int, default=0),
+    ),
+    "eval": (
+        Flag("--ckpt"),
+        Flag("--data"),
+        Flag("--embeddings", help="embedding container replacing the encoders"),
+        Flag("--modes", help="comma-separated similarity modes", default="THA+DCR"),
+        Flag("--k", help="comma-separated ranks, e.g. 1,5,10", default="1,5,10"),
+        Flag("--out", help="eval: report prefix, writes <out>.txt and <out>.xrpt; "
+             "export-embeddings: embedding container to write"),
+        Flag("--seed", int, default=0),
+    ),
+    "sim": (
+        Flag("--ckpt"),
+        Flag("--data"),
+        Flag("--embeddings"),
+        Flag("--item-a", int, "audio item index"),
+        Flag("--item-b", int, "text item index"),
+    ),
+    "verify": (
+        Flag("--h", float, "central-difference step", default=1e-5),
+        Flag("--tol", float, "primitive-check tolerance", default=1e-6),
+        Flag("--seeds", int, default=3),
+    ),
+}
+
+# section -> key -> type, for config files and stored train configs
+KEY_TYPES = {
+    section: {flag.dest: flag.type for flag in (THREADS, *flags)}
+    for section, flags in SETTINGS.items()
+}
+
+# a train run's settings that neither flag nor file set; K defaults to the dataset's
+TRAIN_DEFAULTS = {flag.dest: flag.default for flag in SETTINGS["train"] if flag.default is not None}
+
+# gen-data's config keys -> the SynthConfig fields they set
+SYNTH_FIELDS = {
+    "pairs": "pairs",
+    "concepts": "concept_count",
+    "K": "factor_count",
+    "D": "embed_dim",
+    "N": "text_tokens",
+    "M": "audio_tokens",
+    "sigma": "noise_sigma",
+    "seed": "seed",
+    "shared_projection": "shared_projection",
 }
 
 
-def _config_section(args, section: str) -> dict:
-    file_values = None
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config).get(section)
-    flag_values = {key: getattr(args, key, None) for key in SCHEMAS[section]}
-    values = merge_config(section, file_values, flag_values)
-    threads = values.get("threads", 1)
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+def _config_section(args) -> dict:
+    """The command's settings: their defaults, overridden by its section of
+    the --config file, overridden by its flags."""
+    flags = (THREADS, *SETTINGS[args.section])
+    values = {flag.dest: flag.default for flag in flags if flag.default is not None}
+    if args.config:
+        file_values = parse_config_file(args.config, KEY_TYPES).get(args.section, {})
+        values.update(coerce_section(args.section, KEY_TYPES[args.section], file_values))
+    for flag in flags:
+        flag_value = getattr(args, flag.dest, None)  # export-embeddings lacks some [eval] flags
+        if flag_value is not None:
+            values[flag.dest] = flag_value
+    if values["threads"] < 1:
+        raise ConfigError(f"--threads must be >= 1, got {values['threads']}")
     # Compute is vectorized and single-threaded; the cap never changes results.
     return values
 
 
 def cmd_gen_data(args) -> int:
-    values = _config_section(args, "data")
+    values = _config_section(args)
     if "out" not in values:
         raise ConfigError("gen-data needs --out")
     if "pairs" not in values:
         raise ConfigError("gen-data needs --pairs")
-    cfg = SynthConfig(
-        pairs=values["pairs"],
-        concept_count=values.get("concepts", 16),
-        factor_count=values.get("K", 8),
-        embed_dim=values.get("D", 32),
-        text_tokens=values.get("N", 6),
-        audio_tokens=values.get("M", 8),
-        noise_sigma=values.get("sigma", 0.1),
-        seed=values.get("seed", 0),
-        shared_projection=values.get("shared_projection", False),
-    )
-    resolved = {
-        "pairs": cfg.pairs,
-        "concepts": cfg.concept_count,
-        "K": cfg.factor_count,
-        "D": cfg.embed_dim,
-        "N": cfg.text_tokens,
-        "M": cfg.audio_tokens,
-        "sigma": cfg.noise_sigma,
-        "seed": cfg.seed,
-        "shared_projection": cfg.shared_projection,
-    }
+    given = {field: values[key] for key, field in SYNTH_FIELDS.items() if key in values}
+    cfg = SynthConfig(**given)
+    resolved = {key: getattr(cfg, field) for key, field in SYNTH_FIELDS.items()}
     stamp = config_hash("data", resolved)
     ds = generate(cfg)
     save_dataset(ds, values["out"], manifest_extra={"config_hash": stamp})
@@ -113,63 +190,58 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_effective(values: dict) -> dict:
-    skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
-    effective = dict(TRAIN_DEFAULTS)
-    effective.update({k: v for k, v in values.items() if k not in skip})
-    return effective
+def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
+    """A checkpoint's train config, read like a config file's [train] section."""
+    types = KEY_TYPES["train"]
+    sections = parse_sections(ckpt.config_text.splitlines(), {"train": types}, ckpt_path)
+    return coerce_section("train", types, sections.get("train", {}))
 
 
-def _build_train_configs(effective: dict, dataset) -> tuple[ModelConfig, TrainConfig]:
-    k = effective.get("K", dataset.config.factor_count)
-    model_cfg = ModelConfig(
-        embed_dim=dataset.config.embed_dim,
-        factor_count=k,
-        hidden=effective.get("hidden"),
+def _model_config(effective: dict, embed_dim: int, factor_count: int = 8) -> ModelConfig:
+    """The model a train config describes. A setting it lacks takes its
+    TRAIN_DEFAULTS value, and a missing K takes `factor_count`."""
+    settings = {**TRAIN_DEFAULTS, "K": factor_count, **effective}
+    return ModelConfig(
+        embed_dim=embed_dim,
+        factor_count=settings["K"],
+        hidden=settings.get("hidden"),
         attention=AttentionConfig(
-            temperature=effective["temperature"],
-            direction=effective["direction"],
-            combine=effective["combine"],
+            temperature=settings["temperature"],
+            direction=settings["direction"],
+            combine=settings["combine"],
         ),
     )
-    train_cfg = TrainConfig(
-        epochs=effective["epochs"],
-        batch_size=effective["batch_size"],
-        learning_rate=effective["lr"],
-        optimizer=effective["optimizer"],
-        beta1=effective["beta1"],
-        beta2=effective["beta2"],
-        opt_eps=effective["opt_eps"],
-        seed=effective["seed"],
+
+
+def _train_config(effective: dict) -> TrainConfig:
+    """The training run a train config describes, with TRAIN_DEFAULTS for
+    the settings it lacks."""
+    settings = {**TRAIN_DEFAULTS, **effective}
+    return TrainConfig(
+        epochs=settings["epochs"],
+        batch_size=settings["batch_size"],
+        learning_rate=settings["lr"],
+        optimizer=settings["optimizer"],
+        beta1=settings["beta1"],
+        beta2=settings["beta2"],
+        opt_eps=settings["opt_eps"],
+        seed=settings["seed"],
         objective=ObjectiveConfig(
-            tau=effective["tau"],
-            alpha=effective["alpha"],
-            beta=effective["beta"],
-            similarity_mode=effective["mode"],
+            tau=settings["tau"],
+            alpha=settings["alpha"],
+            beta=settings["beta"],
+            similarity_mode=settings["mode"],
         ),
-        clip_norm=effective.get("clip_norm"),
-        checkpoint_interval=effective["checkpoint_interval"],
+        clip_norm=settings.get("clip_norm"),
+        checkpoint_interval=settings["checkpoint_interval"],
     )
-    return model_cfg, train_cfg
 
 
-def _parse_train_blob(blob: str) -> dict:
-    effective = {}
-    for line in blob.strip().splitlines():
-        if line.startswith("["):
-            continue
-        key, _, value = line.partition("=")
-        if value == "None":
-            continue
-        effective[key] = coerce("train", key, value)
-    return effective
-
-
-def write_loss_log(path: str, stamp: str, effective: dict, result):
+def write_loss_log(path: str, stamp: str, cfg: TrainConfig, result):
     lines = [
         f"config_hash={stamp}",
-        f"seed={effective['seed']}",
-        f"mode={effective['mode']}",
+        f"seed={cfg.seed}",
+        f"mode={cfg.objective.similarity_mode}",
     ]
     for rec in result.log:
         lines.append(
@@ -181,28 +253,30 @@ def write_loss_log(path: str, stamp: str, effective: dict, result):
 
 
 def cmd_train(args) -> int:
-    values = _config_section(args, "train")
+    values = _config_section(args)
     if "data" not in values or "out" not in values:
         raise ConfigError("train needs --data and --out")
     dataset = load_dataset(values["data"])
 
-    start_step = 0
-    optimizer = None
+    ckpt = None
     if values.get("resume"):
         ckpt = trainer.load_checkpoint(values["resume"])
-        effective = _parse_train_blob(ckpt.config_text)
+        effective = _stored_config(values["resume"], ckpt)
         print(f"resuming from {values['resume']} at step {ckpt.step} with its stored config")
-        model_cfg, train_cfg = _build_train_configs(effective, dataset)
-        model = Model.build(model_cfg, train_cfg.seed)
+    else:
+        skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
+        effective = {k: v for k, v in values.items() if k not in skip}
+        effective.setdefault("K", dataset.config.factor_count)
+    model_cfg = _model_config(effective, dataset.config.embed_dim, dataset.config.factor_count)
+    train_cfg = _train_config(effective)
+    model = Model.build(model_cfg, train_cfg.seed)
+    start_step = 0
+    optimizer = None
+    if ckpt is not None:
         trainer.restore_params(model, ckpt.tensors)
         optimizer = trainer.make_optimizer(train_cfg)
         optimizer.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
         start_step = ckpt.step
-    else:
-        effective = _train_effective(values)
-        effective.setdefault("K", dataset.config.factor_count)
-        model_cfg, train_cfg = _build_train_configs(effective, dataset)
-        model = Model.build(model_cfg, train_cfg.seed)
 
     stamp = config_hash("train", effective)
     blob = canonical_text("train", effective)
@@ -221,10 +295,10 @@ def cmd_train(args) -> int:
     )
     trainer.save_checkpoint(out, model, result.optimizer, _total_steps(train_cfg, dataset), blob)
     log_path = values.get("log", out + ".log")
-    write_loss_log(log_path, stamp, effective, result)
+    write_loss_log(log_path, stamp, train_cfg, result)
     print(
         f"trained {len(result.log)} steps -> {out} (log {log_path}) "
-        f"config_hash={stamp} seed={effective['seed']}"
+        f"config_hash={stamp} seed={train_cfg.seed}"
     )
     return 0
 
@@ -235,46 +309,37 @@ def _total_steps(cfg: TrainConfig, dataset) -> int:
 
 def _restore_model(ckpt_path: str, dataset=None, embeddings=None) -> tuple[Model, dict]:
     ckpt = trainer.load_checkpoint(ckpt_path)
-    effective = _parse_train_blob(ckpt.config_text)
-    dim = None
-    if dataset is not None:
-        dim = dataset.config.embed_dim
-    elif embeddings is not None:
-        dim = embeddings.dim
-    if dim is None:
-        raise ConfigError("need a dataset or embeddings to size the model")
-    model_cfg = ModelConfig(
-        embed_dim=dim,
-        factor_count=effective.get("K", 8),
-        hidden=effective.get("hidden"),
-        attention=AttentionConfig(
-            temperature=effective.get("temperature", 9.0),
-            direction=effective.get("direction", "both"),
-            combine=effective.get("combine", "mean"),
-        ),
-    )
-    model = Model.build(model_cfg, effective.get("seed", 0))
+    effective = _stored_config(ckpt_path, ckpt)
+    dim = dataset.config.embed_dim if dataset is not None else embeddings.dim
+    model = Model.build(_model_config(effective, dim), effective.get("seed", 0))
     trainer.restore_params(model, ckpt.tensors)
     return model, effective
 
 
-def cmd_eval(args) -> int:
-    values = _config_section(args, "eval")
-    if "ckpt" not in values:
-        raise ConfigError("eval needs --ckpt")
+def _load_inputs(values: dict, command: str) -> tuple:
+    """The dataset and the embedding set that --data and --embeddings name;
+    at least one of them is needed."""
     dataset = load_dataset(values["data"]) if values.get("data") else None
     embeddings = load_embeddings(values["embeddings"]) if values.get("embeddings") else None
     if dataset is None and embeddings is None:
-        raise ConfigError("eval needs --data or --embeddings")
+        raise ConfigError(f"{command} needs --data or --embeddings")
+    return dataset, embeddings
+
+
+def cmd_eval(args) -> int:
+    values = _config_section(args)
+    if "ckpt" not in values:
+        raise ConfigError("eval needs --ckpt")
+    dataset, embeddings = _load_inputs(values, "eval")
     model, _ = _restore_model(values["ckpt"], dataset, embeddings)
-    modes = tuple(values.get("modes", "THA+DCR").split(","))
+    modes = tuple(values["modes"].split(","))
     for mode in modes:
         obj.mode_components(mode)
     try:
-        ks = tuple(int(x) for x in str(values.get("k", "1,5,10")).split(","))
+        ks = tuple(int(x) for x in values["k"].split(","))
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
-    seed = values.get("seed", 0)
+    seed = values["seed"]
     resolved = {
         "ckpt": values["ckpt"],
         "data": values.get("data", ""),
@@ -326,13 +391,10 @@ def _pair_batch(model: Model, dataset, embeddings, index_a: int, index_b: int) -
 def cmd_sim(args) -> int:
     """Score breakdown of one pair, scored as a 1 x 1 batch by the same
     encoders and fused ops that `eval` uses."""
-    values = _config_section(args, "sim")
+    values = _config_section(args)
     if "ckpt" not in values or "item_a" not in values or "item_b" not in values:
         raise ConfigError("sim needs --ckpt and two item indices (--item-a, --item-b)")
-    dataset = load_dataset(values["data"]) if values.get("data") else None
-    embeddings = load_embeddings(values["embeddings"]) if values.get("embeddings") else None
-    if dataset is None and embeddings is None:
-        raise ConfigError("sim needs --data or --embeddings")
+    dataset, embeddings = _load_inputs(values, "sim")
     model, effective = _restore_model(values["ckpt"], dataset, embeddings)
     encoded = _pair_batch(model, dataset, embeddings, values["item_a"], values["item_b"])
 
@@ -382,10 +444,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    values = _config_section(args, "verify")
-    h = values.get("h", 1e-5)
-    tol = values.get("tol", 1e-6)
-    seeds = values.get("seeds", 3)
+    values = _config_section(args)
+    h, tol, seeds = values["h"], values["tol"], values["seeds"]
     results = verify.run_all(seeds=seeds, h=h, tol=tol)
     stamp = config_hash("verify", {"h": h, "tol": tol, "seeds": seeds})
     print(f"settings: h={h} tol={tol} seeds={seeds} config_hash={stamp}")
@@ -405,7 +465,7 @@ def cmd_verify(args) -> int:
 @ad.no_grad()
 def cmd_export_embeddings(args) -> int:
     """Encode a dataset with a checkpoint and write the embedding container."""
-    values = _config_section(args, "eval")
+    values = _config_section(args)
     if "ckpt" not in values or "data" not in values or "out" not in values:
         raise ConfigError("export-embeddings needs --ckpt, --data and --out")
     dataset = load_dataset(values["data"])
@@ -432,6 +492,40 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+def _argument(flag: Flag) -> tuple[str, dict]:
+    """The add_argument call that declares `flag`; unset flags parse as None."""
+    if flag.type is bool:
+        kwargs = dict(action="store_const", const=True)
+    else:
+        kwargs = dict(type=flag.type, choices=flag.choices)
+    kwargs.update(dest=flag.dest, help=flag.help)
+    return flag.name, {key: value for key, value in kwargs.items() if value is not None}
+
+
+def _command(name: str, help_text: str, section: str, func, keys=None) -> tuple:
+    """A subcommand with the add_argument calls of its section's flags (of
+    those in `keys`, if given), worked out once per process because `main`
+    builds a parser on every call."""
+    flags = [flag for flag in (THREADS, *SETTINGS[section]) if keys is None or flag.dest in keys]
+    return name, help_text, section, func, tuple(_argument(flag) for flag in flags)
+
+
+COMMANDS = (
+    _command("gen-data", "generate a synthetic paired dataset", "data", cmd_gen_data),
+    _command("train", "train on a generated dataset", "train", cmd_train),
+    _command("eval", "retrieval metrics from a checkpoint", "eval", cmd_eval),
+    _command("sim", "score breakdown for one audio/text item pair", "sim", cmd_sim),
+    *(
+        _command(name, "finite-difference, oracle and invariant self-checks", "verify", cmd_verify)
+        for name in ("grad-check", "verify")
+    ),
+    _command(
+        "export-embeddings", "write encoder outputs to an embedding container", "eval",
+        cmd_export_embeddings, keys=("threads", "ckpt", "data", "out"),
+    ),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmal",
@@ -439,89 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluation, score breakdowns, and numeric self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text, section, func, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument(
-            "--threads", type=int, help="accepted, but changes nothing yet (compute is single-threaded)"
-        )
-
-    p = sub.add_parser("gen-data", help="generate a synthetic paired dataset")
-    common(p)
-    p.add_argument("--out", help="dataset file to write")
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--concepts", type=int)
-    p.add_argument("--K", type=int, dest="K")
-    p.add_argument("--D", type=int, dest="D")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--M", type=int, dest="M")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shared-projection", dest="shared_projection", action="store_const", const=True)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train on a generated dataset")
-    common(p)
-    p.add_argument("--data")
-    p.add_argument("--out", help="checkpoint file to write")
-    p.add_argument("--log", help="loss log path (default: <out>.log)")
-    p.add_argument("--resume", help="checkpoint to continue from (uses its stored config)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--opt-eps", type=float, dest="opt_eps")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--mode", choices=obj.MODES)
-    p.add_argument("--lambda", type=float, dest="temperature", help="attention sharpness")
-    p.add_argument("--direction", choices=("text_enhanced", "audio_enhanced", "both"))
-    p.add_argument("--combine", choices=("mean", "sum"))
-    p.add_argument("--K", type=int, dest="K")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--clip-norm", type=float, dest="clip_norm")
-    p.add_argument("--checkpoint-interval", type=int, dest="checkpoint_interval")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="retrieval metrics from a checkpoint")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--embeddings", help="embedding container replacing the encoders")
-    p.add_argument("--modes", help="comma-separated similarity modes")
-    p.add_argument("--k", help="comma-separated ranks, e.g. 1,5,10")
-    p.add_argument("--out", help="report prefix; writes <out>.txt and <out>.xrpt")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sim", help="score breakdown for one audio/text item pair")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--embeddings")
-    p.add_argument("--item-a", type=int, dest="item_a", help="audio item index")
-    p.add_argument("--item-b", type=int, dest="item_b", help="text item index")
-    p.set_defaults(func=cmd_sim)
-
-    for name in ("grad-check", "verify"):
-        p = sub.add_parser(name, help="finite-difference, oracle and invariant self-checks")
-        common(p)
-        p.add_argument("--h", type=float, help="central-difference step")
-        p.add_argument("--tol", type=float, help="primitive-check tolerance")
-        p.add_argument("--seeds", type=int)
-        p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("export-embeddings", help="write encoder outputs to an embedding container")
-    common(p)
-    p.add_argument("--ckpt")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_export_embeddings)
-
+        for flag_name, kwargs in arguments:
+            p.add_argument(flag_name, **kwargs)
+        p.set_defaults(func=func, section=section)
     return parser
 
 

@@ -1,9 +1,11 @@
-"""Run configuration: key=value config files, flag merging, content hashing,
+"""Run configuration: sectioned key=value text, content hashing,
 deterministic seed splitting, and logging setup.
 
-Config files are line-oriented: `[section]` headers and `key=value` pairs,
-with `#` comments. Every section and key is checked against an explicit
-schema; unknown names are hard errors so typos never pass silently.
+Config text is line-oriented: `[section]` headers and `key=value` pairs,
+with `#` comments. Config files and a checkpoint's stored train config are
+read by the same strict reader, against a schema that the command line
+derives from its flag declarations; unknown names are hard errors so typos
+never pass silently.
 """
 
 from __future__ import annotations
@@ -11,137 +13,62 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import ConfigError
 
-# section -> key -> coercion type
-SCHEMAS: dict[str, dict[str, type]] = {
-    "data": {
-        "pairs": int,
-        "concepts": int,
-        "K": int,
-        "D": int,
-        "N": int,
-        "M": int,
-        "sigma": float,
-        "seed": int,
-        "shared_projection": bool,
-        "out": str,
-        "threads": int,
-    },
-    "train": {
-        "data": str,
-        "out": str,
-        "log": str,
-        "epochs": int,
-        "batch_size": int,
-        "lr": float,
-        "optimizer": str,
-        "beta1": float,
-        "beta2": float,
-        "opt_eps": float,
-        "tau": float,
-        "alpha": float,
-        "beta": float,
-        "mode": str,
-        "temperature": float,
-        "direction": str,
-        "combine": str,
-        "K": int,
-        "hidden": int,
-        "clip_norm": float,
-        "checkpoint_interval": int,
-        "seed": int,
-        "resume": str,
-        "threads": int,
-    },
-    "eval": {
-        "ckpt": str,
-        "data": str,
-        "embeddings": str,
-        "modes": str,
-        "k": str,
-        "out": str,
-        "seed": int,
-        "threads": int,
-    },
-    "sim": {
-        "ckpt": str,
-        "data": str,
-        "embeddings": str,
-        "item_a": int,
-        "item_b": int,
-        "threads": int,
-    },
-    "verify": {
-        "h": float,
-        "tol": float,
-        "seeds": int,
-        "threads": int,
-    },
-}
+# section -> key -> value type; callers derive it from their flag declarations
+Schema = dict[str, dict[str, type]]
 
 
-def parse_config_file(path: str) -> dict[str, dict[str, str]]:
-    """Read a sectioned key=value file, rejecting unknown sections and keys."""
+def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[str, dict[str, str]]:
+    """Read `[section]` headers and key=value lines, rejecting unknown
+    sections and keys and duplicate keys; errors name `source` and the line."""
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                if current not in SCHEMAS:
-                    raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if current is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in SCHEMAS[current]:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{current}]")
-            if key in sections[current]:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} in [{current}]")
-            sections[current][key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in schemas:
+                raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
+        if current is None:
+            raise ConfigError(f"{source}:{lineno}: key outside any [section]")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in schemas[current]:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{current}]")
+        sections[current][key] = value
     return sections
 
 
-def coerce(section: str, key: str, raw) -> object:
-    kind = SCHEMAS[section][key]
-    if isinstance(raw, kind) and not (kind is int and isinstance(raw, bool)):
-        return raw
-    text = str(raw)
-    try:
-        if kind is bool:
-            lowered = text.lower()
-            if lowered in ("1", "true", "yes"):
-                return True
-            if lowered in ("0", "false", "no"):
-                return False
-            raise ValueError(text)
-        return kind(text)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key}: cannot read {text!r} as {kind.__name__}") from e
+def parse_config_file(path: str, schemas: Schema) -> dict[str, dict[str, str]]:
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_sections(f, schemas, path)
 
 
-def merge_config(section: str, file_values: dict[str, str] | None, flag_values: dict) -> dict:
-    """File values coerced per schema, then overridden by non-None flags."""
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def coerce_section(section: str, types: dict[str, type], raw: dict[str, str]) -> dict:
+    """A section's values read as their keys' types."""
     out: dict = {}
-    for key, raw in (file_values or {}).items():
-        out[key] = coerce(section, key, raw)
-    for key, val in flag_values.items():
-        if val is None:
-            continue
-        if key not in SCHEMAS[section]:
-            raise ConfigError(f"unknown key {key!r} for section [{section}]")
-        out[key] = coerce(section, key, val)
+    for key, text in raw.items():
+        kind = types[key]
+        try:
+            out[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError) as e:
+            raise ConfigError(f"[{section}] {key}: cannot read {text!r} as {kind.__name__}") from e
     return out
 
 

@@ -128,9 +128,10 @@ _DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D,
 # concepts, seed, sigma, shared flag
 
 
-class _Reader:
-    """Little-endian fields read in order from a whole file, which is read
-    in one call. Reading past the end raises `CorruptedRecordError`."""
+class Reader:
+    """Little-endian fields read in order from a whole container file (a
+    dataset, an embedding set or a checkpoint), which is read in one call.
+    Reading past the end raises `CorruptedRecordError`."""
 
     def __init__(self, path: str):
         with open(path, "rb") as f:
@@ -160,10 +161,10 @@ class _Reader:
 
     def check_end(self, what: str):
         if self.pos != len(self.buf):
-            raise CorruptedRecordError(f"{self.path}: trailing bytes after last {what}")
+            raise CorruptedRecordError(f"{self.path}: trailing bytes after the {what}")
 
 
-def _check_magic(reader: _Reader, expected: bytes):
+def check_magic(reader: Reader, expected: bytes):
     (magic,) = reader.unpack("4s")
     if magic != expected:
         raise FormatError(f"{reader.path}: bad magic {magic!r}, expected {expected!r}")
@@ -220,8 +221,8 @@ def write_manifest(path: str, entries: dict[str, object]):
 
 
 def load_dataset(path: str) -> Dataset:
-    reader = _Reader(path)
-    _check_magic(reader, DATASET_MAGIC)
+    reader = Reader(path)
+    check_magic(reader, DATASET_MAGIC)
     version = reader.u32()
     if version != SCHEMA_VERSION:
         raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
@@ -245,7 +246,7 @@ def load_dataset(path: str) -> Dataset:
         labels = reader.unpack(f"<{count}I")
         tokens = reader.array((m + n, dim))  # audio rows, then text rows
         items.append(PairItem(pair_id=pair_id, concepts=labels, audio=tokens[:m], text=tokens[m:]))
-    reader.check_end("record")
+    reader.check_end("last record")
     return Dataset(config=cfg, items=items)
 
 
@@ -305,8 +306,8 @@ def save_embeddings(es: EmbeddingSet, path: str):
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    reader = _Reader(path)
-    _check_magic(reader, EMBEDDING_MAGIC)
+    reader = Reader(path)
+    check_magic(reader, EMBEDDING_MAGIC)
     version = reader.u32()
     if version != SCHEMA_VERSION:
         raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
@@ -329,7 +330,7 @@ def load_embeddings(path: str) -> EmbeddingSet:
                 text_global=text_global,
             )
         )
-    reader.check_end("item")
+    reader.check_end("last item")
     return es
 
 

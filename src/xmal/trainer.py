@@ -12,14 +12,8 @@ import numpy as np
 from . import autodiff as ad, factors, objective as obj
 from .autodiff import Tensor
 from .config import subsystem_rng
-from .errors import (
-    ConfigError,
-    CorruptedRecordError,
-    DimensionError,
-    FormatError,
-    TrainingDiverged,
-    VersionError,
-)
+from .data import Reader, check_magic
+from .errors import ConfigError, DimensionError, TrainingDiverged, VersionError
 from .model import Model
 from .objective import ObjectiveConfig
 
@@ -274,33 +268,19 @@ def save_checkpoint(path: str, model: Model, optimizer: Optimizer, step: int, co
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-
-        def exact(n):
-            chunk = f.read(n)
-            if len(chunk) != n:
-                raise CorruptedRecordError(f"{path}: needed {n} bytes, got {len(chunk)}")
-            return chunk
-
-        version, step, count = struct.unpack("<IQI", exact(16))
-        if version != CHECKPOINT_VERSION:
-            raise VersionError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", exact(4))
-            name = exact(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", exact(4))
-            shape = struct.unpack(f"<{ndim}I", exact(4 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if shape else 1
-            tensors[name] = np.frombuffer(exact(8 * size), dtype="<f8").reshape(shape).copy()
-        (blob_len,) = struct.unpack("<I", exact(4))
-        config_text = exact(blob_len).decode("utf-8")
-        if f.read(1):
-            raise CorruptedRecordError(f"{path}: trailing bytes")
-    return Checkpoint(step=step, tensors=tensors, config_text=config_text)
+    reader = Reader(path)
+    check_magic(reader, CHECKPOINT_MAGIC)
+    version, step, count = reader.unpack("<IQI")
+    if version != CHECKPOINT_VERSION:
+        raise VersionError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name,) = reader.unpack(f"{reader.u32()}s")
+        shape = reader.unpack(f"<{reader.u32()}I")
+        tensors[name.decode("utf-8")] = reader.array(shape)
+    (config_text,) = reader.unpack(f"{reader.u32()}s")
+    reader.check_end("config text")
+    return Checkpoint(step=step, tensors=tensors, config_text=config_text.decode("utf-8"))
 
 
 def restore_params(model: Model, tensors: dict[str, np.ndarray]):

@@ -1,11 +1,15 @@
 """Command-line surface: flags, config files, output stamping, exit codes."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad
-from xmal.cli import main
+from xmal import autodiff as ad, evaluation, trainer, verify
+from xmal.cli import _restore_model, main
 from xmal.data import EmbeddingItem, EmbeddingSet, load_dataset, save_embeddings
+from xmal.errors import ConfigError
 
 
 def run(capsys, *argv):
@@ -230,7 +234,6 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
 
 
 def test_sim_matches_diagnostics_confidences(trained, capsys):
-    from xmal.cli import _restore_model
     from xmal.evaluation import dcr_diagnostics
 
     data, ckpt = trained
@@ -253,8 +256,6 @@ def test_sim_matches_diagnostics_confidences(trained, capsys):
 
 
 def test_sim_matches_eval_component_matrices(trained, capsys):
-    from xmal.cli import _restore_model
-
     data, ckpt = trained
     ds = load_dataset(data)
     model, _ = _restore_model(ckpt, ds)
@@ -494,3 +495,154 @@ def test_threads_flag_validated(tmp_path, capsys):
         code, out, err = run(capsys, *argv, "--threads", "0")
         assert code != 0
         assert "threads" in err, argv
+
+
+def _with_config_text(src: str, dst: str, text: str):
+    """Write to dst a copy of checkpoint src whose stored config is `text`."""
+    blob = open(src, "rb").read()
+    old = trainer.load_checkpoint(src).config_text.encode("utf-8")
+    new = text.encode("utf-8")
+    open(dst, "wb").write(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)
+
+
+def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
+    """A stored train config is read as strictly as a config file: a key no
+    flag declares makes eval, sim and train --resume exit 1 naming it."""
+    data, ckpt = trained
+    bad = str(tmp_path / "bogus.xckp")
+    _with_config_text(ckpt, bad, trainer.load_checkpoint(ckpt).config_text + "bogus=1\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'bogus' in \[train\]"):
+        _restore_model(bad, load_dataset(data))
+    for argv in (
+        ("eval", "--ckpt", bad, "--data", data, "--modes", "DP", "--k", "1"),
+        ("sim", "--ckpt", bad, "--data", data, "--item-a", "0", "--item-b", "0"),
+        ("train", "--data", data, "--out", str(tmp_path / "r.xckp"), "--resume", bad),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and "unknown key 'bogus'" in err, argv
+
+
+def test_train_config_file_settings_reach_checkpoint_and_restore(
+    trained, tmp_path, capsys, monkeypatch
+):
+    """direction, K and hidden set in a [train] file are stored in the
+    checkpoint, and eval and sim rebuild the model with them."""
+    data, _ = trained
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(
+        "[train]\ndirection=text_enhanced\nK=2\nhidden=3\nepochs=1\nbatch_size=8\nseed=3\n"
+    )
+    ckpt = str(tmp_path / "cfg.xckp")
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--data", data, "--out", ckpt)
+    assert code == 0, err
+    stored = set(trainer.load_checkpoint(ckpt).config_text.splitlines())
+    assert {"direction=text_enhanced", "K=2", "hidden=3"} <= stored
+
+    restored = []
+    evaluate = evaluation.evaluate
+    monkeypatch.setattr(
+        evaluation, "evaluate",
+        lambda model, **kw: restored.append(model.cfg) or evaluate(model, **kw),
+    )
+    code, _, err = run(
+        capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "THA,DCR", "--k", "1"
+    )
+    assert code == 0, err
+    [cfg] = restored
+    assert (cfg.factor_count, cfg.hidden, cfg.attention.direction) == (2, 3, "text_enhanced")
+
+    code, out, err = run(
+        capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", "1", "--item-b", "2"
+    )
+    assert code == 0, err
+    values = dict(line.split("=", 1) for line in out.splitlines()[2:])
+    cosines = [key for key in values if key.endswith(".cosine")]
+    assert cosines == ["DCR.factor0.cosine", "DCR.factor1.cosine"]
+    for lvl in (1, 2, 3):
+        assert values[f"THA.level{lvl}"] == values[f"THA.level{lvl}.text_enhanced"]
+        assert values[f"THA.level{lvl}"] != values[f"THA.level{lvl}.audio_enhanced"]
+
+
+def test_one_eval_section_serves_eval_and_export_embeddings(trained, tmp_path, capsys):
+    data, ckpt = trained
+    cfg_path = str(tmp_path / "eval.cfg")
+    with open(cfg_path, "w") as f:
+        f.write(f"[eval]\nckpt={ckpt}\ndata={data}\nmodes=DP\nk=1\n")
+    by_flags, by_file = str(tmp_path / "flags.xemb"), str(tmp_path / "file.xemb")
+    code, _, err = run(
+        capsys, "export-embeddings", "--ckpt", ckpt, "--data", data, "--out", by_flags
+    )
+    assert code == 0, err
+    code, _, err = run(capsys, "export-embeddings", "--config", cfg_path, "--out", by_file)
+    assert code == 0, err
+    assert open(by_flags, "rb").read() == open(by_file, "rb").read()
+    code, via_file, err = run(capsys, "eval", "--config", cfg_path)
+    assert code == 0, err
+    code, via_flags, err = run(
+        capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "DP", "--k", "1"
+    )
+    assert code == 0, err
+    assert via_file == via_flags
+
+
+# command, config section, its stamp, and the settings it is run with
+PINNED_STAMPS = (
+    ("gen-data", "data", "37fb9c18caf1",
+     dict(pairs=24, K=4, D=16, N=5, M=8, sigma=0.1, seed=7, out="d.xmal")),
+    ("train", "train", "9fde3227190d",
+     dict(data="d.xmal", out="ck.xckp", epochs=1, batch_size=8, seed=3, mode="DP")),
+    ("eval", "eval", "aba88ec381d5", dict(ckpt="ck.xckp", data="d.xmal", modes="DP", k=1)),
+    ("sim", "sim", "c800df648453", dict(ckpt="ck.xckp", data="d.xmal", item_a=1, item_b=2)),
+    ("grad-check", "verify", "44c95cadc9f2", dict(seeds=1)),
+)
+
+
+@pytest.mark.parametrize("via", ("flags", "config"))
+def test_config_hash_stamps_are_pinned(via, tmp_path, capsys, monkeypatch):
+    """Fixed settings, given as flags or as a config file with relative
+    paths, print the same config_hash stamps from release to release."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "run_all", lambda **kw: [])  # the stamp needs no checks run
+    for command, section, stamp, settings in PINNED_STAMPS:
+        if via == "flags":
+            argv = [x for k, v in settings.items() for x in (f"--{k.replace('_', '-')}", str(v))]
+        else:
+            body = "".join(f"{k}={v}\n" for k, v in settings.items())
+            (tmp_path / "run.cfg").write_text(f"[{section}]\n{body}")
+            argv = ["--config", "run.cfg"]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 0, err
+        assert f"config_hash={stamp}" in out.split(), command
+
+
+SUBCOMMAND_FLAGS = {
+    "gen-data": ("--config", "--threads", "--out", "--pairs", "--concepts", "--K", "--D", "--N",
+                 "--M", "--sigma", "--seed", "--shared-projection"),
+    "train": ("--config", "--threads", "--data", "--out", "--log", "--resume", "--epochs",
+              "--batch-size", "--lr", "--optimizer", "--beta1", "--beta2", "--opt-eps", "--tau",
+              "--alpha", "--beta", "--mode", "--lambda", "--direction", "--combine", "--K",
+              "--hidden", "--clip-norm", "--checkpoint-interval", "--seed"),
+    "eval": ("--config", "--threads", "--ckpt", "--data", "--embeddings", "--modes", "--k",
+             "--out", "--seed"),
+    "sim": ("--config", "--threads", "--ckpt", "--data", "--embeddings", "--item-a", "--item-b"),
+    "grad-check": ("--config", "--threads", "--h", "--tol", "--seeds"),
+    "verify": ("--config", "--threads", "--h", "--tol", "--seeds"),
+    "export-embeddings": ("--config", "--threads", "--ckpt", "--data", "--out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help", *SUBCOMMAND_FLAGS[command]}
+
+
+def test_choices_rejection_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--mode", "XYZ"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'XYZ'" in capsys.readouterr().err

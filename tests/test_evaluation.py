@@ -289,7 +289,7 @@ def test_evaluate_matches_taped_similarity_matrices(monkeypatch):
     expected = []
     for mode in modes:
         taped = model.similarity_matrix(encoded, mode).value
-        with ad.no_grad():  # THA and DCR run their forward-only kernels here
+        with ad.no_grad():  # the same fused ops, with no tape recording
             untaped = model.similarity_matrix(model.encode_pairs(ds.items), mode).value
         if mode == "DP":
             assert np.array_equal(taped, untaped)

@@ -6,7 +6,14 @@ import pytest
 from xmal import autodiff as ad, factors, objective
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
-from xmal.errors import ConfigError, DimensionError, TrainingDiverged, VersionError
+from xmal.errors import (
+    ConfigError,
+    CorruptedRecordError,
+    DimensionError,
+    FormatError,
+    TrainingDiverged,
+    VersionError,
+)
 from xmal.model import Model, ModelConfig
 from xmal.objective import ObjectiveConfig
 from xmal.trainer import (
@@ -187,6 +194,33 @@ def test_checkpoint_version_check(tmp_path):
     open(path, "wb").write(bytes(blob))
     with pytest.raises(VersionError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "damage, error, message",
+    [
+        ("cut_in_header", CorruptedRecordError, "needed 16 bytes, got 6"),
+        ("cut_in_tensors", CorruptedRecordError, "needed"),
+        ("cut_in_config", CorruptedRecordError, "needed 15 bytes, got 14"),
+        ("trailing_byte", CorruptedRecordError, "trailing bytes"),
+        ("bad_magic", FormatError, "bad magic b'NOPE'"),
+    ],
+)
+def test_damaged_checkpoint_raises(tmp_path, damage, error, message):
+    path = str(tmp_path / "a.xckp")
+    save_checkpoint(path, toy_model(), Adam(1e-3), 0, "[train]\nseed=1\n")
+    blob = open(path, "rb").read()
+    blob = {
+        "cut_in_header": blob[:10],
+        "cut_in_tensors": blob[: len(blob) // 2],
+        "cut_in_config": blob[:-1],
+        "trailing_byte": blob + b"\0",
+        "bad_magic": b"NOPE" + blob[4:],
+    }[damage]
+    open(path, "wb").write(blob)
+    with pytest.raises(FormatError, match=message) as info:
+        load_checkpoint(path)
+    assert type(info.value) is error
 
 
 def test_resume_reproduces_uninterrupted_log(tmp_path):
