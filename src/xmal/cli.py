@@ -21,7 +21,6 @@ from . import autodiff as ad, evaluation, objective as obj, trainer, verify
 from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
     canonical_text,
-    coerce_section,
     config_hash,
     parse_config_file,
     parse_sections,
@@ -158,8 +157,7 @@ def _config_section(args) -> dict:
     flags = (THREADS, *SETTINGS[args.section])
     values = {flag.dest: flag.default for flag in flags if flag.default is not None}
     if args.config:
-        file_values = parse_config_file(args.config, KEY_TYPES).get(args.section, {})
-        values.update(coerce_section(args.section, KEY_TYPES[args.section], file_values))
+        values.update(parse_config_file(args.config, KEY_TYPES).get(args.section, {}))
     for flag in flags:
         flag_value = getattr(args, flag.dest, None)  # export-embeddings lacks some [eval] flags
         if flag_value is not None:
@@ -192,9 +190,8 @@ def cmd_gen_data(args) -> int:
 
 def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
     """A checkpoint's train config, read like a config file's [train] section."""
-    types = KEY_TYPES["train"]
-    sections = parse_sections(ckpt.config_text.splitlines(), {"train": types}, ckpt_path)
-    return coerce_section("train", types, sections.get("train", {}))
+    schema = {"train": KEY_TYPES["train"]}
+    return parse_sections(ckpt.config_text.splitlines(), schema, ckpt_path).get("train", {})
 
 
 def _model_config(effective: dict, embed_dim: int, factor_count: int = 8) -> ModelConfig:

@@ -23,10 +23,15 @@ from .errors import ConfigError
 Schema = dict[str, dict[str, type]]
 
 
-def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[str, dict[str, str]]:
-    """Read `[section]` headers and key=value lines, rejecting unknown
-    sections and keys and duplicate keys; errors name `source` and the line."""
-    sections: dict[str, dict[str, str]] = {}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[str, dict]:
+    """Read `[section]` headers and key=value lines, each value as its key's
+    type, rejecting unknown sections and keys, duplicate keys and values
+    that do not read as their type, in every section; errors name `source`
+    and the line."""
+    sections: dict[str, dict] = {}
     current: str | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -48,28 +53,22 @@ def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[s
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = value
+        kind = schemas[current][key]
+        try:
+            sections[current][key] = _BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError) as e:
+            raise ConfigError(
+                f"{source}:{lineno}: [{current}] {key}: cannot read {value!r} as {kind.__name__}"
+            ) from e
     return sections
 
 
-def parse_config_file(path: str, schemas: Schema) -> dict[str, dict[str, str]]:
+def parse_config_file(path: str, schemas: Schema) -> dict[str, dict]:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_sections(f, schemas, path)
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def coerce_section(section: str, types: dict[str, type], raw: dict[str, str]) -> dict:
-    """A section's values read as their keys' types."""
-    out: dict = {}
-    for key, text in raw.items():
-        kind = types[key]
         try:
-            out[key] = _BOOLS[text.lower()] if kind is bool else kind(text)
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"[{section}] {key}: cannot read {text!r} as {kind.__name__}") from e
-    return out
+            return parse_sections(f, schemas, path)
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not valid UTF-8 ({e.reason})") from e
 
 
 def canonical_text(section: str, values: dict) -> str:

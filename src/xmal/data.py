@@ -155,6 +155,16 @@ class Reader:
     def u32(self) -> int:
         return self.unpack("<I")[0]
 
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string; `what` names it in errors."""
+        (blob,) = self.unpack(f"{self.u32()}s")
+        try:
+            return blob.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptedRecordError(
+                f"{self.path}: {what} is not valid UTF-8 ({e.reason})"
+            ) from e
+
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
         n = math.prod(shape)
         return np.frombuffer(self.buf, "<f8", n, self._advance(8 * n)).reshape(shape).copy()

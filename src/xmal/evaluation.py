@@ -51,52 +51,92 @@ class DcrDiagnostics:
 def recall_at_k(s: np.ndarray, k, direction: str):
     """Percentage of queries whose true match (index = query index) ranks in
     the top k by descending score. `k` is an int, giving a float, or a
-    sequence of ints, giving {k: R@k}; the ranks are computed once per call."""
+    sequence of ints, giving {k: R@k}; the ranks are computed once per call.
+    `evaluate` ranks the same way strip by strip; this is its whole-matrix
+    oracle."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {s.shape}")
     n = s.shape[0]
     single = isinstance(k, (int, np.integer))
     ks = (k,) if single else tuple(k)
-    for kk in ks:
-        if not (1 <= kk <= n):
-            raise ContractError(f"k must be in [1, {n}], got {kk}")
+    _check_ks(ks, n)
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     axis = 1 if direction == "audio_to_text" else 0  # the axis along a query's candidates
-    ranks = _match_ranks(s, axis)
-    r_at = {kk: 100.0 * int((ranks < kk).sum()) / n for kk in ks}
+    every = slice(0, n)
+    r_at = _recall(_match_ranks(s, np.diagonal(s).copy(), every, every, axis), ks)
     return r_at[k] if single else r_at
 
 
-def _match_ranks(s: np.ndarray, axis: int) -> np.ndarray:
-    """Position of each query's true match (its diagonal entry) when its
-    candidates, which lie along `axis`, are sorted by descending score, ties
-    by ascending index and NaN last. That is the count of higher scores plus
-    equal scores at a lower index; for a NaN match, the count of non-NaN
-    scores plus NaN scores at a lower index.
+def _check_ks(ks, n: int):
+    for k in ks:
+        if not (1 <= k <= n):
+            raise ContractError(f"k must be in [1, {n}], got {k}")
+
+
+def _recall(ranks: np.ndarray, ks) -> dict[int, float]:
+    return {k: 100.0 * int((ranks < k).sum()) / ranks.size for k in ks}
+
+
+def _match_ranks(
+    s: np.ndarray, match: np.ndarray, queries: slice, candidates: slice, axis: int
+) -> np.ndarray:
+    """The share of block `s` in each query's rank: the position of its true
+    match (the candidate with the query's own index) when its candidates are
+    sorted by descending score, ties by ascending index and NaN last.
+
+    The queries `queries` lie across `axis` and have the matched scores
+    `match`; the candidates `candidates` lie along it. A query's rank is the
+    count of higher scores plus equal scores at a lower index; for a NaN
+    match, the count of non-NaN scores plus NaN scores at a lower index. Both
+    counts add up over blocks that split the candidates.
 
     A NaN candidate is neither higher than nor equal to a non-NaN match, so
     the NaN terms are computed only when some match is NaN, and the tie term
     only when some match equals another of its query's candidates."""
-    diag = np.diagonal(s).copy()  # contiguous, so the broadcasts below stay fast
-    match = np.expand_dims(diag, axis)
-    index = np.arange(s.shape[0])
+    m = np.expand_dims(match, axis)
 
     def before():  # candidates at a lower index than their query
-        return np.expand_dims(index, 1 - axis) < np.expand_dims(index, axis)
+        q = np.arange(queries.start, queries.stop)
+        c = np.arange(candidates.start, candidates.stop)
+        return np.expand_dims(c, 1 - axis) < np.expand_dims(q, axis)
 
-    nan_match = np.isnan(diag)
-    ranks = np.count_nonzero(s > match, axis=axis)
-    equal = s == match
-    # Every non-NaN match equals itself; any further equal entry is a tie.
-    if np.count_nonzero(equal) > diag.size - np.count_nonzero(nan_match):
+    nan_match = np.isnan(match)
+    ranks = np.count_nonzero(s > m, axis=axis)
+    equal = s == m
+    # A non-NaN match equals its own entry where the block holds that entry;
+    # any further equal entry is a tie.
+    lo = queries.start
+    own = nan_match[max(candidates.start - lo, 0):max(candidates.stop - lo, 0)]
+    if np.count_nonzero(equal) > own.size - np.count_nonzero(own):
         ranks += np.count_nonzero(equal & before(), axis=axis)
     if nan_match.any():
         nan = np.isnan(s)
         nan_ranks = np.count_nonzero(~nan, axis=axis) + np.count_nonzero(nan & before(), axis=axis)
         ranks = np.where(nan_match, nan_ranks, ranks)
     return ranks
+
+
+def _rank_strip(s: np.ndarray, a: slice, match: np.ndarray, ranks: dict[str, np.ndarray]):
+    """Rank strip `s`, audio rows `a` of one mode's matrix against every text
+    item: the audio_to_text ranks of rows `a` are complete within it, and
+    each text item's text_to_audio rank gains the strip's share."""
+    every = slice(0, s.shape[1])
+    ranks["audio_to_text"][a] = _match_ranks(s, match[a], a, every, axis=1)
+    ranks["text_to_audio"] += _match_ranks(s, match, every, a, axis=0)
+
+
+def _mode_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """The terms added left to right, as `Model.similarity_matrix` adds a
+    mode's components, so the bits match; into `out` if there are two or
+    more, else the one term itself."""
+    if len(terms) == 1:
+        return terms[0]
+    total = np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        total += term
+    return total
 
 
 def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
@@ -120,25 +160,6 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
 
 
-def _component_scores(model: Model, encoded: EncodedBatch, component: str) -> np.ndarray:
-    """(B, B) scores of one component. DP is one op. THA and DCR are scored
-    tape-free in TILE x TILE tiles through `Model.strip_scorer`, which
-    bounds their intermediates: strip by strip of TILE audio rows, each
-    against every text block, with one workspace for the whole component,
-    into one preallocated matrix."""
-    if component == "DP":
-        return model.component_matrix(encoded, component).value
-    blocks = _blocks(encoded.batch)
-    strip = model.strip_scorer(encoded, component, blocks)
-    out = np.empty((encoded.batch, encoded.batch))
-    ws = Workspace()
-    for a in blocks:
-        tile = strip(a, ws)
-        for t in blocks:
-            out[a, t] = tile(t)
-    return out
-
-
 @no_grad()
 def evaluate(
     model: Model,
@@ -150,19 +171,25 @@ def evaluate(
     config_hash: str = "",
 ) -> list[RetrievalReport]:
     """One report per (mode, direction). Either a dataset (encoded by the
-    model) or a pre-computed embedding set feeds the similarity matrices.
+    model) or a pre-computed embedding set feeds the scores.
 
-    Runs tape-free: THA and DCR are scored by their array-level scorers in
-    tiles, strip by strip (see `_component_scores`).
-    Each distinct component (DP, THA, DCR) is scored once per call and kept
-    only until the last mode that needs it. A mode's matrix is the sum of
-    its components in order, accumulated in place into its first term when
-    no later mode needs that term, else into one buffer that every
-    multi-component mode reuses. The matrices equal bit for bit what
-    `Model.similarity_matrix` gives on the same tiles, taped or not. One
-    whole-batch THA op differs from them by BLAS rounding (a few 1e-15) in
-    a ragged last text block, because the bits of the cosine matmul depend
-    on its shape."""
+    Runs tape-free and never holds a B x B array. Every component (DP, THA,
+    DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, with one
+    workspace per component, in two passes over the audio strips:
+    1. Each component scores its diagonal tiles (a, a), which are kept. A
+       mode's matched scores are the diagonal of their sum.
+    2. Each strip of audio rows is built against every text block from its
+       tiles, the kept diagonal tile included, and each mode sums its
+       components' strips in order into one reused buffer. Ranking a strip
+       completes its audio_to_text ranks, and adds its share to every text
+       item's text_to_audio rank (see `_match_ranks`).
+    Memory is O(components x TILE x B) on top of the encoded batch. A mode's
+    scores equal bit for bit what `Model.similarity_matrix` gives tile by
+    tile, taped or not; a matched score is read from the same tile as its
+    row's and column's other scores, so it equals its own entry. One
+    whole-batch op differs from the tiles by BLAS rounding (a few 1e-16 for
+    DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
+    its shape."""
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)
@@ -171,43 +198,38 @@ def evaluate(
     else:
         raise ContractError("evaluate needs a non-empty dataset or an embedding set")
     size = encoded.batch
-    for k in ks:
-        if not (1 <= k <= size):
-            raise ContractError(f"k must be in [1, {size}], got {k}")
-    last_use = {c: i for i, mode in enumerate(modes) for c in mode_components(mode)}
-    scores: dict[str, np.ndarray] = {}
-    total = None  # the sum buffer of multi-component modes whose first term is kept
-    reports = []
-    for i, mode in enumerate(modes):
-        parts = mode_components(mode)
-        for component in parts:
-            if component not in scores:
-                scores[component] = _component_scores(model, encoded, component)
-        s = scores[parts[0]]
-        if len(parts) > 1:
-            if last_use[parts[0]] > i:  # a later mode needs the first term as it is
-                if total is None:
-                    total = np.empty((size, size))
-                total[...] = s
-                s = total
-            for component in parts[1:]:
-                s += scores[component]
-        for component in parts:
-            if last_use[component] == i:
-                del scores[component]
-        for direction in DIRECTIONS:
-            reports.append(
-                RetrievalReport(
-                    mode=mode,
-                    direction=direction,
-                    r_at=recall_at_k(s, ks, direction),
-                    size=size,
-                    seed=seed,
-                    config_hash=config_hash,
-                )
-            )
-        del s  # a single component's matrix is freed before the next mode scores
-    return reports
+    _check_ks(ks, size)
+    parts = {mode: mode_components(mode) for mode in modes}
+    blocks = _blocks(size)
+    components = dict.fromkeys(c for mode in modes for c in parts[mode])
+    scorers = {c: (model.strip_scorer(encoded, c, blocks), Workspace()) for c in components}
+    diagonal = {c: [strip(a, ws)(a) for a in blocks] for c, (strip, ws) in scorers.items()}
+    matched = {c: np.concatenate([np.diagonal(tile) for tile in diagonal[c]]) for c in scorers}
+    match = {mode: _mode_sum([matched[c] for c in parts[mode]], np.empty(size)) for mode in modes}
+    ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in modes}
+    rows = {c: np.empty((blocks[0].stop, size)) for c in scorers}
+    total = np.empty((blocks[0].stop, size))  # pages are touched only by multi-component modes
+    for n, a in enumerate(blocks):
+        height = a.stop - a.start
+        for c, (strip, ws) in scorers.items():
+            tile = strip(a, ws)
+            for m, t in enumerate(blocks):
+                rows[c][:height, t] = diagonal[c][n] if m == n else tile(t)
+        for mode in modes:
+            s = _mode_sum([rows[c][:height] for c in parts[mode]], total[:height])
+            _rank_strip(s, a, match[mode], ranks[mode])
+    return [
+        RetrievalReport(
+            mode=mode,
+            direction=direction,
+            r_at=_recall(ranks[mode][direction], ks),
+            size=size,
+            seed=seed,
+            config_hash=config_hash,
+        )
+        for mode in modes
+        for direction in DIRECTIONS
+    ]
 
 
 @no_grad()

@@ -134,13 +134,18 @@ class Model:
         raise ConfigError(f"unknown similarity component {component!r}")
 
     def strip_scorer(self, encoded: EncodedBatch, component: str, blocks: list[slice]):
-        """Tape-free THA or DCR scoring in tiles, for eval: returns
+        """Tape-free scoring of one component in tiles, for eval: returns
         `strip(a, ws)`, which prepares audio rows `a` in workspace `ws` and
         returns `tile(t)`, the scores of those rows against text rows `t`,
         one of `blocks`. Each text block's per-item terms are prepared once
         here. A tile's intermediates are `ws` buffers, the tile is a fresh
         array, and it equals `component_matrix` on the same rows bit for
-        bit. DCR projects the factors once, and the tiles slice the stacks."""
+        bit. DP normalizes the globals once and a tile is one matmul; DCR
+        projects the factors once, and the tiles slice the stacks."""
+        if component == "DP":
+            an = ad.normalize_rows(encoded.audio_global).value
+            tn = ad.normalize_rows(encoded.text_global).value
+            return lambda a, ws: lambda t: an[a] @ tn[t].T
         if component == "THA":
             cfg = self.cfg.attention
             text = {

@@ -275,12 +275,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise VersionError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name,) = reader.unpack(f"{reader.u32()}s")
+        name = reader.text("a tensor name")
         shape = reader.unpack(f"<{reader.u32()}I")
-        tensors[name.decode("utf-8")] = reader.array(shape)
-    (config_text,) = reader.unpack(f"{reader.u32()}s")
+        tensors[name] = reader.array(shape)
+    config_text = reader.text("the config text")
     reader.check_end("config text")
-    return Checkpoint(step=step, tensors=tensors, config_text=config_text.decode("utf-8"))
+    return Checkpoint(step=step, tensors=tensors, config_text=config_text)
 
 
 def restore_params(model: Model, tensors: dict[str, np.ndarray]):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from xmal import autodiff as ad, evaluation, trainer, verify
-from xmal.cli import _restore_model, main
-from xmal.data import EmbeddingItem, EmbeddingSet, load_dataset, save_embeddings
-from xmal.errors import ConfigError
+from xmal.cli import KEY_TYPES, _restore_model, main
+from xmal.config import parse_config_file
+from xmal.data import (
+    EmbeddingItem, EmbeddingSet, load_dataset, load_embeddings, save_embeddings,
+)
+from xmal.errors import ConfigError, CorruptedRecordError
 
 
 def run(capsys, *argv):
@@ -521,6 +524,75 @@ def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: ") and "unknown key 'bogus'" in err, argv
+
+
+def test_config_file_with_undecodable_bytes_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"[data]\npairs=8\n# \xff\n")
+    with pytest.raises(ConfigError, match=re.escape(str(cfg_path)) + ": not valid UTF-8"):
+        parse_config_file(str(cfg_path), KEY_TYPES)
+    code, out, err = run(capsys, "gen-data", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "x.xmal"))
+    assert code == 1 and err.startswith("error: ") and "not valid UTF-8" in err
+
+
+def test_config_file_values_are_checked_in_every_section(tmp_path, capsys):
+    """A value that does not read as its type fails the run, whichever
+    command reads the file."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[data]\npairs=8\nK=4\nD=16\n[train]\nepochs=x\n")
+    code, out, err = run(capsys, "gen-data", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "x.xmal"))
+    assert code == 1
+    assert err.startswith("error: ") and "run.cfg:6: [train] epochs: cannot read 'x' as int" in err
+    assert not (tmp_path / "x.xmal").exists()
+
+
+@pytest.mark.parametrize("part", ("tensor name", "config text"))
+def test_checkpoint_with_undecodable_text_is_a_corrupted_record(part, trained, tmp_path, capsys):
+    data, ckpt = trained
+    bad = str(tmp_path / "bad.xckp")
+    blob = open(ckpt, "rb").read()
+    if part == "tensor name":  # 0xff over the first byte of the name audio.b
+        at = blob.index(b"audio.b")
+        open(bad, "wb").write(blob[:at] + b"\xff" + blob[at + 1:])
+    else:
+        old = trainer.load_checkpoint(ckpt).config_text.encode("utf-8")
+        open(bad, "wb").write(blob[: -4 - len(old)] + struct.pack("<I", 2) + b"\xff[")
+    with pytest.raises(CorruptedRecordError, match=re.escape(bad) + f": .*{part} is not valid UTF-8"):
+        trainer.load_checkpoint(bad)
+    code, out, err = run(capsys, "eval", "--ckpt", bad, "--data", data, "--modes", "DP", "--k", "1")
+    assert code == 1 and err.startswith("error: ") and "not valid UTF-8" in err
+
+
+def test_embedding_set_reports_are_byte_identical_to_the_dataset_path(trained, tmp_path, capsys):
+    """At a ragged size (300 pairs: 4 full strips and one of 44), eval over
+    an exported embedding set writes the same text and binary reports as
+    eval over the dataset the set was exported from."""
+    _, ckpt = trained
+    data = gen(tmp_path, capsys, name="e.xmal", **{"--pairs": "300", "--seed": "8"})
+    epath = str(tmp_path / "e.xemb")
+    code, _, err = run(capsys, "export-embeddings", "--ckpt", ckpt, "--data", data, "--out", epath)
+    assert code == 0, err
+    dataset = load_dataset(data)
+    model, _ = _restore_model(ckpt, dataset)
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    blobs = []
+    for name, source in (("d", dict(dataset=dataset)), ("e", dict(embeddings=load_embeddings(epath)))):
+        reports = evaluation.evaluate(
+            model, modes=modes, ks=(1, 5, 10), seed=3, config_hash="stamp", **source
+        )
+        evaluation.write_report_text(str(tmp_path / f"{name}.txt"), reports)
+        evaluation.write_report_binary(str(tmp_path / f"{name}.xrpt"), reports)
+        blobs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("txt", "xrpt")])
+    assert blobs[0] == blobs[1]
+    assert b"eval_size=300" in blobs[0][0]
+    outs = []
+    for source in (("--data", data), ("--embeddings", epath)):
+        code, out, err = run(capsys, "eval", "--ckpt", ckpt, *source, "--modes", ",".join(modes))
+        assert code == 0, err
+        outs.append([line.split(" config_hash=")[0] for line in out.splitlines()])
+    assert outs[0] == outs[1] and len(outs[0]) == 2 * len(modes)
 
 
 def test_train_config_file_settings_reach_checkpoint_and_restore(

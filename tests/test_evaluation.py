@@ -313,15 +313,15 @@ def test_evaluate_memory_is_bounded_by_the_tile():
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_evaluate_frees_components_and_reuses_one_sum_buffer():
-    # 1024 pairs: one B x B matrix is 8 MB and the encoded batch about 9 MB.
-    # Keeping every component for the whole call plus a new array per mode
-    # sum peaked at 40.4 MB over DP, DCR, THA+DCR, THA and at 32.4 MB over
-    # THA+DCR alone. Dropping each component after its last mode and summing
-    # into one reused buffer, or into the first term when no later mode
-    # needs it, peaks at 31.3 MB and 25.3 MB.
+def test_evaluate_holds_no_square_matrix():
+    # 1024 pairs: one B x B matrix is 8 MB, the encoded batch 6.8 MB, and
+    # encoding peaks at 11.6 MB. Holding a matrix per component and one per
+    # mode sum peaked at 32.3 MB over DP, DCR, THA+DCR, THA and at 25.5 MB
+    # over THA+DCR alone. Ranking strip by strip peaks at 22.5 MB and 20.9 MB:
+    # the encoded batch, the text blocks' prepared terms, the kept diagonal
+    # tiles and one strip per component.
     ds, model = _eval_set(1024)
-    for modes, bound_mb in ((("DP", "DCR", "THA+DCR", "THA"), 35), (("THA+DCR",), 29)):
+    for modes, bound_mb in ((("DP", "DCR", "THA+DCR", "THA"), 26), (("THA+DCR",), 24)):
         tracemalloc.start()
         try:
             evaluate(model, dataset=ds, modes=modes, ks=(1, 5, 10))
@@ -331,29 +331,61 @@ def test_evaluate_frees_components_and_reuses_one_sum_buffer():
         assert peak < bound_mb * 2**20, f"{modes}: peak {peak / 2**20:.1f} MB"
 
 
+def test_evaluate_memory_grows_linearly_with_the_pair_count():
+    # DP at 2048 pairs peaked at 49.6 MB with its B x B matrix and at 4096
+    # pairs at 171.2 MB (3.4x). Streamed, the peaks are 23.1 and 46.1 MB.
+    peaks = []
+    for pairs in (2048, 4096):
+        ds, model = _eval_set(pairs)
+        tracemalloc.start()
+        try:
+            evaluate(model, dataset=ds, modes=("DP",), ks=(1, 5, 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        del ds, model
+    assert peaks[1] < 2.5 * peaks[0], [f"{p / 2**20:.1f} MB" for p in peaks]
+
+
 # -- strips and workspaces --------------------------------------------------------
 
 
-def _captured_matrices(monkeypatch):
-    """Record a copy of every matrix `evaluate` ranks, keyed (mode, direction)
-    in call order."""
+def _captured_matrices(monkeypatch, modes, size):
+    """Hook the strip ranking of `evaluate`: returns `assemble()`, which gives
+    each mode's matrix assembled from the strips ranked so far (each strip
+    ranks every mode, in order), after checking that the strips cover every
+    row once and that each matched score is its own entry, bit for bit."""
     seen = []
-    rank = evaluation.recall_at_k
-    monkeypatch.setattr(
-        evaluation, "recall_at_k", lambda s, k, d: seen.append(np.array(s)) or rank(s, k, d)
-    )
-    return seen
+    rank = evaluation._rank_strip
+
+    def hook(s, a, match, ranks):
+        seen.append((a, np.array(s), match.copy()))
+        return rank(s, a, match, ranks)
+
+    monkeypatch.setattr(evaluation, "_rank_strip", hook)
+
+    def assemble():
+        assert len(seen) % len(modes) == 0
+        out = [np.full((size, size), np.inf) for _ in modes]
+        for i, (a, s, match) in enumerate(seen):
+            m = out[i % len(modes)]
+            assert s.shape == (a.stop - a.start, size) and np.isinf(m[a]).all()
+            m[a] = s
+            assert np.array_equal(np.diagonal(s[:, a]), match[a], equal_nan=True)
+        assert not any(np.isinf(m).any() for m in out)
+        seen.clear()
+        return out
+
+    return assemble
 
 
 def _taped_tile_matrix(model, items, mode):
-    """`Model.similarity_matrix` on a tape, over the whole batch for DP and
-    one TILE x TILE tile at a time otherwise, with the factors projected
-    once for the whole batch, as eval scores. (A whole-batch THA op differs
-    from its tiles in ragged blocks by BLAS rounding: the cosine matmul's
-    bits depend on its shape.)"""
+    """`Model.similarity_matrix` on a tape, one TILE x TILE tile at a time,
+    with the factors projected once for the whole batch, as eval scores. (A
+    whole-batch op differs from its tiles in ragged blocks by BLAS rounding:
+    a matmul's bits depend on its shape.)"""
     encoded = model.encode_pairs(items)
-    if mode == "DP":
-        return model.similarity_matrix(encoded, mode).value
     text_z, audio_z = model.batch_factors(encoded)
     blocks = evaluation._blocks(encoded.batch)
     out = np.empty((encoded.batch, encoded.batch))
@@ -372,7 +404,8 @@ def _taped_tile_matrix(model, items, mode):
 
 @pytest.mark.parametrize("pairs", (150, 300))  # 3 strips; 5 strips, the last ragged
 def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
-    modes = ("DP", "THA", "DCR", "THA+DCR")
+    modes = ("DP", "THA", "DCR", "THA+DCR", "THA+DP")
+    ks = (1, 5, 10)
     ds = generate(SynthConfig(
         pairs=pairs, concept_count=16, factor_count=8, embed_dim=32,
         text_tokens=6, audio_tokens=8, noise_sigma=0.1, seed=pairs,
@@ -382,14 +415,85 @@ def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
         AttentionConfig(direction="audio_enhanced"),
         AttentionConfig(combine="sum"),
     )
+    assemble = _captured_matrices(monkeypatch, modes, pairs)
     for n, attention_cfg in enumerate(configs):
         model = Model.build(ModelConfig(embed_dim=32, factor_count=8, attention=attention_cfg), n)
         expected = [_taped_tile_matrix(model, ds.items, mode) for mode in modes]
-        seen = _captured_matrices(monkeypatch)
-        evaluate(model, dataset=ds, modes=modes, ks=(1, 5, 10))
-        for i, want in enumerate(expected):  # two directions rank each mode's matrix
-            assert np.array_equal(seen[2 * i], want), (attention_cfg, modes[i])
-            assert np.array_equal(seen[2 * i + 1], want), (attention_cfg, modes[i])
+        reports = evaluate(model, dataset=ds, modes=modes, ks=ks)
+        for mode, got, want in zip(modes, assemble(), expected):
+            assert np.array_equal(got, want), (attention_cfg, mode)
+        assert [(r.mode, r.direction, r.r_at) for r in reports] == [
+            (mode, d, recall_at_k(want, ks, d)) for mode, want in zip(modes, expected)
+            for d in ("text_to_audio", "audio_to_text")
+        ]
+
+
+def _stub_strip_scorers(monkeypatch, matrices):
+    """Make every component's tiles slices of its given full matrix; returns
+    the list of tiles scored, as (component, audio start, text start)."""
+    scored = []
+
+    def strip_scorer(self, encoded, component, blocks):
+        s = matrices[component]
+
+        def tile(a, t):
+            scored.append((component, a.start, t.start))
+            return s[a, t].copy()
+
+        return lambda a, ws: lambda t: tile(a, t)
+
+    monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
+    return scored
+
+
+def _stub_cases(rng, n):
+    """(DP, THA, DCR) full matrices with many ties and with NaNs."""
+    ties = [rng.integers(0, 3, size=(n, n)).astype(float) for _ in range(3)]
+    nans = [rng.integers(0, 4, size=(n, n)).astype(float) for _ in range(3)]
+    for m in nans:
+        m[rng.random((n, n)) < 0.2] = np.nan
+    nans[0][np.diag_indices(n)] = np.nan  # every DP match NaN
+    yield ties
+    yield nans
+    yield [np.ones((n, n)), np.full((n, n), np.nan), np.zeros((n, n))]
+    if n < 20:
+        return
+    # Ties across strip boundaries (TILE 7): column 8's match equals row 3's
+    # score, which ranks before it, and row 15's, which does not; row 9's
+    # match equals columns 2 and 19; item 19 lies in the ragged last strip.
+    crossing = rng.normal(size=(n, n))
+    crossing[3, 8] = crossing[15, 8] = crossing[8, 8]
+    crossing[9, 2] = crossing[9, 19] = crossing[9, 9]
+    crossing[19, 0] = crossing[0, 19] = crossing[19, 19]
+    crossing[12, 12] = np.nan
+    yield [crossing, np.zeros((n, n)), np.zeros((n, n))]
+
+
+@pytest.mark.parametrize("pairs", (20, 5))  # strips of 7, 7 and 6 pairs; one strip of 5
+def test_streamed_ranks_equal_the_assembled_matrix_with_ties_and_nans(pairs, monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", 7)
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    ks = tuple(range(1, pairs + 1))
+    ds, model = _eval_set(pairs)
+    rng = np.random.default_rng(pairs)
+    for case in _stub_cases(rng, pairs):
+        matrices = dict(zip(("DP", "THA", "DCR"), case))
+        scored = _stub_strip_scorers(monkeypatch, matrices)
+        reports = evaluate(model, dataset=ds, modes=modes, ks=ks)
+        starts = range(0, pairs, 7)
+        # every tile is scored once: the diagonal ones are kept from the first pass
+        assert sorted(scored) == [(c, a, t) for c in sorted(matrices) for a in starts for t in starts]
+        expected = []
+        for mode in modes:
+            first, *rest = mode.split("+")
+            s = matrices[first].copy()
+            for c in rest:
+                s += matrices[c]
+            for direction in ("text_to_audio", "audio_to_text"):
+                expected.append((mode, direction, recall_at_k(s, ks, direction)))
+                for k in (1, 2, pairs):
+                    assert expected[-1][2][k] == _recall_at_k_loop(s, k, direction)
+        assert [(r.mode, r.direction, r.r_at) for r in reports] == expected
 
 
 def test_level_rows_prepare_context_terms_only_for_attended_sides():
