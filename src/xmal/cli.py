@@ -27,7 +27,6 @@ from .config import (
     setup_logging,
 )
 from .data import (
-    EmbeddingItem,
     EmbeddingSet,
     SynthConfig,
     generate,
@@ -367,18 +366,19 @@ def cmd_eval(args) -> int:
 
 def _pair_batch(model: Model, dataset, embeddings, index_a: int, index_b: int) -> EncodedBatch:
     """A 1-item batch of audio item index_a and text item index_b."""
-    items = embeddings.items if embeddings is not None else dataset.items
+    count = len(embeddings) if embeddings is not None else len(dataset)
     for index in (index_a, index_b):
-        if not (0 <= index < len(items)):
-            raise ConfigError(f"item {index} out of range (0..{len(items) - 1})")
-    a, t = items[index_a], items[index_b]
+        if not (0 <= index < count):
+            raise ConfigError(f"item {index} out of range (0..{count - 1})")
     if embeddings is not None:
+        a, t = slice(index_a, index_a + 1), slice(index_b, index_b + 1)
         return EncodedBatch(
-            audio_levels=[ad.Tensor(lvl[None]) for lvl in a.audio_levels],
-            audio_global=ad.Tensor(a.audio_global[None]),
-            text_levels=[ad.Tensor(lvl[None]) for lvl in t.text_levels],
-            text_global=ad.Tensor(t.text_global[None]),
+            audio_levels=[ad.Tensor(x[a]) for x in embeddings.audio_levels],
+            audio_global=ad.Tensor(embeddings.audio_global[a]),
+            text_levels=[ad.Tensor(x[t]) for x in embeddings.text_levels],
+            text_global=ad.Tensor(embeddings.text_global[t]),
         )
+    a, t = dataset.items[index_a], dataset.items[index_b]
     return model.encode_arrays(
         np.asarray(a.audio, dtype=np.float64)[None], np.asarray(t.text, dtype=np.float64)[None]
     )
@@ -468,24 +468,14 @@ def cmd_export_embeddings(args) -> int:
     dataset = load_dataset(values["data"])
     model, _ = _restore_model(values["ckpt"], dataset)
     encoded = model.encode_pairs(dataset.items)
-    items = []
-    for i in range(encoded.batch):
-        items.append(
-            EmbeddingItem(
-                audio_levels=[lvl.value[i].copy() for lvl in encoded.audio_levels],
-                audio_global=encoded.audio_global.value[i].copy(),
-                text_levels=[lvl.value[i].copy() for lvl in encoded.text_levels],
-                text_global=encoded.text_global.value[i].copy(),
-            )
-        )
     es = EmbeddingSet(
-        dim=model.cfg.embed_dim,
-        audio_counts=tuple(lvl.value.shape[1] for lvl in encoded.audio_levels),
-        text_counts=tuple(lvl.value.shape[1] for lvl in encoded.text_levels),
-        items=items,
+        audio_levels=[lvl.value for lvl in encoded.audio_levels],
+        audio_global=encoded.audio_global.value,
+        text_levels=[lvl.value for lvl in encoded.text_levels],
+        text_global=encoded.text_global.value,
     )
     save_embeddings(es, values["out"])
-    print(f"wrote {values['out']}: items={len(items)} D={es.dim}")
+    print(f"wrote {values['out']}: items={len(es)} D={es.dim}")
     return 0
 
 

@@ -8,6 +8,10 @@ orthogonal text map and its audio tokens through a (normally distinct) audio
 map, cycled to fill the requested token counts, plus isotropic gaussian
 noise. All containers are little-endian with fixed headers so round-trips
 are bit-exact.
+
+An embedding file holds one fixed-size record per item (3 audio levels, audio
+global, 3 text levels, text global), written and read as one (items, record
+width) block.
 """
 
 from __future__ import annotations
@@ -264,55 +268,51 @@ def load_dataset(path: str) -> Dataset:
 
 
 @dataclass
-class EmbeddingItem:
-    audio_levels: list[np.ndarray]  # 3 x (M_l, D)
-    audio_global: np.ndarray  # (D,)
-    text_levels: list[np.ndarray]  # 3 x (N_l, D)
-    text_global: np.ndarray  # (D,)
-
-
-@dataclass
 class EmbeddingSet:
-    dim: int
-    audio_counts: tuple[int, ...]
-    text_counts: tuple[int, ...]
-    items: list[EmbeddingItem] = field(default_factory=list)
+    """Encoder outputs of B items, stacked as `model.EncodedBatch` holds them.
+    The item count, width D and token counts are the arrays' shapes."""
+
+    audio_levels: list[np.ndarray]  # 3 x (B, M_l, D)
+    audio_global: np.ndarray  # (B, D)
+    text_levels: list[np.ndarray]  # 3 x (B, N_l, D)
+    text_global: np.ndarray  # (B, D)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.audio_global.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.audio_global.shape[1]
 
 
 def save_embeddings(es: EmbeddingSet, path: str):
-    if len(es.audio_counts) != LEVELS or len(es.text_counts) != LEVELS:
+    if len(es.audio_levels) != LEVELS or len(es.text_levels) != LEVELS:
         raise DimensionError(
-            f"embedding sets carry {LEVELS} levels, got {len(es.audio_counts)} audio "
-            f"and {len(es.text_counts)} text"
+            f"embedding sets carry {LEVELS} levels, got {len(es.audio_levels)} audio "
+            f"and {len(es.text_levels)} text"
         )
-    for item in es.items:
-        for lvl, arr in enumerate(item.audio_levels):
-            if arr.shape != (es.audio_counts[lvl], es.dim):
+    if es.audio_global.ndim != 2 or es.text_global.shape != es.audio_global.shape:
+        raise DimensionError(
+            f"globals must be (items, D) alike, got audio {es.audio_global.shape} "
+            f"and text {es.text_global.shape}"
+        )
+    items, dim = es.audio_global.shape
+    for side, levels in (("audio", es.audio_levels), ("text", es.text_levels)):
+        for lvl, arr in enumerate(levels):
+            if arr.ndim != 3 or arr.shape[0] != items or arr.shape[2] != dim or arr.shape[1] < 1:
                 raise DimensionError(
-                    f"audio level {lvl} shape {arr.shape} != {(es.audio_counts[lvl], es.dim)}"
+                    f"{side} level {lvl} shape {arr.shape} is not ({items}, tokens >= 1, {dim})"
                 )
-        for lvl, arr in enumerate(item.text_levels):
-            if arr.shape != (es.text_counts[lvl], es.dim):
-                raise DimensionError(
-                    f"text level {lvl} shape {arr.shape} != {(es.text_counts[lvl], es.dim)}"
-                )
-        if item.audio_global.shape != (es.dim,) or item.text_global.shape != (es.dim,):
-            raise DimensionError("global vector width does not match header dim")
+    fields = [*es.audio_levels, es.audio_global, *es.text_levels, es.text_global]
+    records = np.concatenate(
+        [x.reshape(items, math.prod(x.shape[1:])) for x in fields], axis=1, dtype="<f8"
+    )
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<IIII", SCHEMA_VERSION, len(es.items), es.dim, LEVELS))
-        f.write(struct.pack(f"<{LEVELS}I", *es.audio_counts))
-        f.write(struct.pack(f"<{LEVELS}I", *es.text_counts))
-        for item in es.items:
-            for arr in item.audio_levels:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(item.audio_global, dtype="<f8").tobytes())
-            for arr in item.text_levels:
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(item.text_global, dtype="<f8").tobytes())
+        f.write(struct.pack("<IIII", SCHEMA_VERSION, items, dim, LEVELS))
+        f.write(struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.audio_levels)))
+        f.write(struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.text_levels)))
+        f.write(records.tobytes())
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
@@ -326,22 +326,23 @@ def load_embeddings(path: str) -> EmbeddingSet:
         raise FormatError(f"{path}: {levels} levels declared, expected {LEVELS}")
     audio_counts = reader.unpack(f"<{LEVELS}I")
     text_counts = reader.unpack(f"<{LEVELS}I")
-    es = EmbeddingSet(dim=dim, audio_counts=audio_counts, text_counts=text_counts)
-    for _ in range(count):
-        audio_levels = [reader.array((c, dim)) for c in audio_counts]
-        audio_global = reader.array((dim,))
-        text_levels = [reader.array((c, dim)) for c in text_counts]
-        text_global = reader.array((dim,))
-        es.items.append(
-            EmbeddingItem(
-                audio_levels=audio_levels,
-                audio_global=audio_global,
-                text_levels=text_levels,
-                text_global=text_global,
-            )
+    if 0 in audio_counts or 0 in text_counts:
+        raise FormatError(
+            f"{path}: every level needs a token, got audio {audio_counts} and text {text_counts}"
         )
+    shapes = [*((c, dim) for c in audio_counts), (dim,), *((c, dim) for c in text_counts), (dim,)]
+    widths = [math.prod(shape) for shape in shapes]
+    records = reader.array((count, sum(widths)))
     reader.check_end("last item")
-    return es
+    del reader  # frees the file's bytes before the columns are copied out
+    columns = np.split(records, np.cumsum(widths)[:-1], axis=1)
+    fields = [np.ascontiguousarray(x).reshape(count, *shape) for x, shape in zip(columns, shapes)]
+    return EmbeddingSet(
+        audio_levels=fields[:LEVELS],
+        audio_global=fields[LEVELS],
+        text_levels=fields[LEVELS + 1 : -1],
+        text_global=fields[-1],
+    )
 
 
 def shared_concepts(a: PairItem, b: PairItem) -> int:

@@ -140,18 +140,12 @@ def _mode_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 
 
 def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
-    """Stack a loaded embedding file into batched constants."""
-    audio_levels = [
-        Tensor(np.stack([item.audio_levels[lvl] for item in es.items])) for lvl in range(3)
-    ]
-    text_levels = [
-        Tensor(np.stack([item.text_levels[lvl] for item in es.items])) for lvl in range(3)
-    ]
+    """A loaded embedding set as batched constants."""
     return EncodedBatch(
-        audio_levels=audio_levels,
-        audio_global=Tensor(np.stack([item.audio_global for item in es.items])),
-        text_levels=text_levels,
-        text_global=Tensor(np.stack([item.text_global for item in es.items])),
+        audio_levels=[Tensor(x) for x in es.audio_levels],
+        audio_global=Tensor(es.audio_global),
+        text_levels=[Tensor(x) for x in es.text_levels],
+        text_global=Tensor(es.text_global),
     )
 
 
@@ -190,13 +184,14 @@ def evaluate(
     whole-batch op differs from the tiles by BLAS rounding (a few 1e-16 for
     DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
     its shape."""
+    source = embeddings if embeddings is not None else dataset
+    if source is None or len(source) == 0:
+        raise ContractError("evaluate needs a non-empty dataset or embedding set")
     if embeddings is not None:
         model.check_embedding_dim(embeddings.dim)
         encoded = encoded_from_embeddings(embeddings)
-    elif dataset is not None and len(dataset.items) > 0:
-        encoded = model.encode_pairs(dataset.items)
     else:
-        raise ContractError("evaluate needs a non-empty dataset or an embedding set")
+        encoded = model.encode_pairs(dataset.items)
     size = encoded.batch
     _check_ks(ks, size)
     parts = {mode: mode_components(mode) for mode in modes}

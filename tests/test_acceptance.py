@@ -265,23 +265,14 @@ def test_criterion_7_serialization_and_resume(tmp_path):
         assert merged == reference
         print("  resumed training reproduces the uninterrupted loss log exactly")
 
-        from xmal.data import EmbeddingItem, EmbeddingSet, load_embeddings, save_embeddings
+        from xmal.data import EmbeddingSet, load_embeddings, save_embeddings
 
         encoded = resumed_model.encode_pairs(ds.items[:4])
-        items = [
-            EmbeddingItem(
-                audio_levels=[lvl.value[i].copy() for lvl in encoded.audio_levels],
-                audio_global=encoded.audio_global.value[i].copy(),
-                text_levels=[lvl.value[i].copy() for lvl in encoded.text_levels],
-                text_global=encoded.text_global.value[i].copy(),
-            )
-            for i in range(4)
-        ]
         es = EmbeddingSet(
-            dim=16,
-            audio_counts=tuple(lvl.value.shape[1] for lvl in encoded.audio_levels),
-            text_counts=tuple(lvl.value.shape[1] for lvl in encoded.text_levels),
-            items=items,
+            audio_levels=[lvl.value for lvl in encoded.audio_levels],
+            audio_global=encoded.audio_global.value,
+            text_levels=[lvl.value for lvl in encoded.text_levels],
+            text_global=encoded.text_global.value,
         )
         epath = str(tmp_path / "e.xemb")
         save_embeddings(es, epath)

@@ -9,9 +9,7 @@ import pytest
 from xmal import autodiff as ad, evaluation, trainer, verify
 from xmal.cli import KEY_TYPES, _restore_model, main
 from xmal.config import parse_config_file
-from xmal.data import (
-    EmbeddingItem, EmbeddingSet, load_dataset, load_embeddings, save_embeddings,
-)
+from xmal.data import EmbeddingSet, load_dataset, load_embeddings, save_embeddings
 from xmal.errors import ConfigError, CorruptedRecordError
 
 
@@ -217,15 +215,14 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
     _, ckpt = trained
     rng = np.random.default_rng(4)
     dim = 16
-    shared_levels = [rng.normal(size=(c, dim)) for c in (4, 2, 1)]
-    shared_global = rng.normal(size=dim)
-    item = EmbeddingItem(
+    shared_levels = [rng.normal(size=(1, c, dim)) for c in (4, 2, 1)]
+    shared_global = rng.normal(size=(1, dim))
+    es = EmbeddingSet(
         audio_levels=[a.copy() for a in shared_levels],
         audio_global=shared_global.copy(),
         text_levels=[a.copy() for a in shared_levels],
         text_global=shared_global.copy(),
     )
-    es = EmbeddingSet(dim=dim, audio_counts=(4, 2, 1), text_counts=(4, 2, 1), items=[item])
     epath = str(tmp_path / "same.xemb")
     save_embeddings(es, epath)
     code, out, err = run(
@@ -234,6 +231,26 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
     assert code == 0, err
     dp = float([l for l in out.splitlines() if l.startswith("DP=")][0].split("=")[1])
     assert abs(dp - 1.0) < 1e-12
+
+
+def test_eval_on_an_empty_embedding_set_is_a_contract_error(trained, tmp_path, capsys):
+    _, ckpt = trained
+    dim = 16
+    es = EmbeddingSet(
+        audio_levels=[np.zeros((0, c, dim)) for c in (4, 2, 1)],
+        audio_global=np.zeros((0, dim)),
+        text_levels=[np.zeros((0, c, dim)) for c in (4, 2, 1)],
+        text_global=np.zeros((0, dim)),
+    )
+    epath = str(tmp_path / "empty.xemb")
+    save_embeddings(es, epath)
+    code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--embeddings", epath, "--modes", "DP")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "non-empty" in err
+    code, _, err = run(
+        capsys, "sim", "--ckpt", ckpt, "--embeddings", epath, "--item-a", "0", "--item-b", "0",
+    )
+    assert code == 1 and "out of range" in err
 
 
 def test_sim_matches_diagnostics_confidences(trained, capsys):

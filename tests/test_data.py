@@ -1,5 +1,6 @@
 """Synthetic generation determinism and container round-trips."""
 
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from xmal.data import (
     _DATASET_HEADER,
     Dataset,
-    EmbeddingItem,
     EmbeddingSet,
     PairItem,
     SynthConfig,
@@ -20,7 +20,9 @@ from xmal.data import (
     save_embeddings,
     shared_concepts,
 )
-from xmal.errors import ConfigError, CorruptedRecordError, FormatError, VersionError
+from xmal.errors import (
+    ConfigError, CorruptedRecordError, DimensionError, FormatError, VersionError,
+)
 
 
 def small_cfg(**overrides):
@@ -213,19 +215,26 @@ def test_missing_file_is_distinct_error(tmp_path):
         load_dataset(str(tmp_path / "absent.xmal"))
 
 
+AUDIO_COUNTS, TEXT_COUNTS = (4, 2, 1), (3, 3, 3)
+
+
 def _embedding_set(rng, items=2, dim=6):
-    audio_counts, text_counts = (4, 2, 1), (3, 3, 3)
-    out = []
-    for _ in range(items):
-        out.append(
-            EmbeddingItem(
-                audio_levels=[rng.normal(size=(c, dim)) for c in audio_counts],
-                audio_global=rng.normal(size=dim),
-                text_levels=[rng.normal(size=(c, dim)) for c in text_counts],
-                text_global=rng.normal(size=dim),
-            )
-        )
-    return EmbeddingSet(dim=dim, audio_counts=audio_counts, text_counts=text_counts, items=out)
+    return EmbeddingSet(
+        audio_levels=[rng.normal(size=(items, c, dim)) for c in AUDIO_COUNTS],
+        audio_global=rng.normal(size=(items, dim)),
+        text_levels=[rng.normal(size=(items, c, dim)) for c in TEXT_COUNTS],
+        text_global=rng.normal(size=(items, dim)),
+    )
+
+
+def _assert_same_set(a: EmbeddingSet, b: EmbeddingSet):
+    for side in ("audio_levels", "text_levels"):
+        assert len(getattr(a, side)) == len(getattr(b, side)) == 3
+        for x, y in zip(getattr(a, side), getattr(b, side)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+    for side in ("audio_global", "text_global"):
+        x, y = getattr(a, side), getattr(b, side)
+        assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def test_embeddings_round_trip(tmp_path):
@@ -234,12 +243,10 @@ def test_embeddings_round_trip(tmp_path):
     path = str(tmp_path / "e.xemb")
     save_embeddings(es, path)
     loaded = load_embeddings(path)
-    assert loaded.dim == es.dim
-    assert loaded.audio_counts == es.audio_counts
-    for a, b in zip(es.items, loaded.items):
-        for x, y in zip(a.audio_levels, b.audio_levels):
-            assert np.array_equal(x, y)
-        assert np.array_equal(a.text_global, b.text_global)
+    assert len(loaded) == 2 and loaded.dim == es.dim
+    assert tuple(x.shape[1] for x in loaded.audio_levels) == AUDIO_COUNTS
+    assert tuple(x.shape[1] for x in loaded.text_levels) == TEXT_COUNTS
+    _assert_same_set(es, loaded)
 
 
 def test_embeddings_reject_two_level_file(tmp_path):
@@ -268,9 +275,96 @@ def test_embeddings_hand_written_single_item(tmp_path):
             f.write(np.full((1, dim), float(value + 10)).tobytes())
         f.write(np.array([7.0, 7.0]).tobytes())  # text global
     es = load_embeddings(path)
-    assert len(es.items) == 1 and es.dim == 2
-    assert np.array_equal(es.items[0].audio_levels[2], [[2.0, 2.0]])
-    assert np.array_equal(es.items[0].text_global, [7.0, 7.0])
+    assert len(es) == 1 and es.dim == 2
+    assert np.array_equal(es.audio_levels[2], [[[2.0, 2.0]]])
+    assert np.array_equal(es.text_global, [[7.0, 7.0]])
+
+
+def _ragged_pair_file(path: str) -> EmbeddingSet:
+    """Write a 2-item file with audio token counts (4, 2, 1) and text counts
+    (3, 3, 3) field by field in the documented record layout, and return the
+    stacks it holds. Entry values encode (item, field, token, column)."""
+    dim = 2
+    fields = []  # per item, in record order
+    for item in range(2):
+        shapes = [(c, dim) for c in AUDIO_COUNTS] + [(dim,)]
+        shapes += [(c, dim) for c in TEXT_COUNTS] + [(dim,)]
+        fields.append([
+            1000 * item + 100 * f + np.arange(np.prod(shape), dtype=float).reshape(shape)
+            for f, shape in enumerate(shapes)
+        ])
+    with open(path, "wb") as f:
+        f.write(b"XEMB")
+        f.write(struct.pack("<IIII", 1, 2, dim, 3))  # version, items, D, levels
+        f.write(struct.pack("<III", *AUDIO_COUNTS))
+        f.write(struct.pack("<III", *TEXT_COUNTS))
+        for record in fields:
+            for x in record:
+                f.write(x.astype("<f8").tobytes())
+    stacked = [np.stack([record[i] for record in fields]) for i in range(8)]
+    return EmbeddingSet(
+        audio_levels=stacked[0:3], audio_global=stacked[3],
+        text_levels=stacked[4:7], text_global=stacked[7],
+    )
+
+
+def test_embeddings_hand_written_ragged_pair_pins_both_directions(tmp_path):
+    """The layout is pinned from the read side (the hand-written file loads
+    as the expected stacks) and from the write side (saving those stacks
+    reproduces the file byte for byte)."""
+    path = str(tmp_path / "hand.xemb")
+    expected = _ragged_pair_file(path)
+    loaded = load_embeddings(path)
+    _assert_same_set(loaded, expected)
+    assert loaded.audio_levels[0][1, 3, 1] == 1000 + 7
+    assert loaded.text_global[0, 1] == 700 + 1
+    again = str(tmp_path / "again.xemb")
+    save_embeddings(expected, again)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_empty_embedding_set_round_trips(tmp_path):
+    es = _embedding_set(np.random.default_rng(3), items=0)
+    path = str(tmp_path / "empty.xemb")
+    save_embeddings(es, path)
+    loaded = load_embeddings(path)
+    assert len(loaded) == 0 and loaded.dim == 6
+    _assert_same_set(es, loaded)
+
+
+def test_embeddings_zero_token_level_is_rejected_on_load(tmp_path):
+    path = str(tmp_path / "e.xemb")
+    with open(path, "wb") as f:
+        f.write(b"XEMB")
+        f.write(struct.pack("<IIII", 1, 1, 2, 3))
+        f.write(struct.pack("<III", 4, 0, 1))  # audio level 1 has no token
+        f.write(struct.pack("<III", 3, 3, 3))
+        f.write(np.zeros(2 * (4 + 0 + 1 + 1 + 9 + 1)).tobytes())
+    with pytest.raises(FormatError, match=re.escape(path)):
+        load_embeddings(path)
+
+
+def test_embeddings_zero_token_level_is_refused_on_save(tmp_path):
+    es = _embedding_set(np.random.default_rng(5))
+    es.audio_levels[1] = es.audio_levels[1][:, :0]
+    path = str(tmp_path / "e.xemb")
+    with pytest.raises(DimensionError, match="audio level 1"):
+        save_embeddings(es, path)
+
+
+@pytest.mark.parametrize(
+    "field, shape",
+    [("audio_levels", (2, 4, 5)), ("text_levels", (3, 3, 6)), ("text_global", (2, 5)), ("audio_global", (6,))],
+)
+def test_embeddings_mismatched_shapes_are_refused_on_save(tmp_path, field, shape):
+    es = _embedding_set(np.random.default_rng(6))
+    value = np.zeros(shape)
+    if field.endswith("levels"):
+        getattr(es, field)[0] = value
+    else:
+        setattr(es, field, value)
+    with pytest.raises(DimensionError):
+        save_embeddings(es, str(tmp_path / "e.xemb"))
 
 
 def test_truncated_embeddings_raise(tmp_path):
