@@ -6,6 +6,10 @@ command's flags and gives each config section its keys and their types.
 Every command resolves its settings from an optional `--config` file section
 overridden by flags, stamps outputs with a content hash of the resolved
 settings plus the seed, and is deterministic given both.
+
+A checkpoint alone rebuilds its model (`_restore_model`), and `eval`, `sim`
+and `export-embeddings` read `--data` or `--embeddings` as the encoded batch
+they need through one function, `_encoded_input`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .data import (
     save_embeddings,
 )
 from .confidence import factor_pair_terms
-from .errors import ConfigError, XmalError
+from .errors import ConfigError, ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model, ModelConfig
 from .objective import ObjectiveConfig
 from .trainer import TrainConfig
@@ -60,7 +64,7 @@ class Flag(NamedTuple):
 
 
 THREADS = Flag(
-    "--threads", int, "accepted, but changes nothing yet (compute is single-threaded)", default=1
+    "--threads", int, "checked, but compute stays on one thread (measured fastest)", default=1
 )
 
 # config section -> its settings; every command of a section also takes
@@ -193,13 +197,13 @@ def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
     return parse_sections(ckpt.config_text.splitlines(), schema, ckpt_path).get("train", {})
 
 
-def _model_config(effective: dict, embed_dim: int, factor_count: int = 8) -> ModelConfig:
+def _model_config(effective: dict, embed_dim: int) -> ModelConfig:
     """The model a train config describes. A setting it lacks takes its
-    TRAIN_DEFAULTS value, and a missing K takes `factor_count`."""
-    settings = {**TRAIN_DEFAULTS, "K": factor_count, **effective}
+    TRAIN_DEFAULTS value, and a missing K the ModelConfig default."""
+    settings = {**TRAIN_DEFAULTS, **effective}
     return ModelConfig(
         embed_dim=embed_dim,
-        factor_count=settings["K"],
+        factor_count=settings.get("K", ModelConfig.factor_count),
         hidden=settings.get("hidden"),
         attention=AttentionConfig(
             temperature=settings["temperature"],
@@ -256,20 +260,17 @@ def cmd_train(args) -> int:
 
     ckpt = None
     if values.get("resume"):
-        ckpt = trainer.load_checkpoint(values["resume"])
-        effective = _stored_config(values["resume"], ckpt)
+        model, effective, ckpt = _restore_model(values["resume"])
+        _check_width(values["data"], dataset.config.embed_dim, model)
         print(f"resuming from {values['resume']} at step {ckpt.step} with its stored config")
     else:
         skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
         effective = {k: v for k, v in values.items() if k not in skip}
         effective.setdefault("K", dataset.config.factor_count)
-    model_cfg = _model_config(effective, dataset.config.embed_dim, dataset.config.factor_count)
+        model = Model.build(_model_config(effective, dataset.config.embed_dim), effective["seed"])
     train_cfg = _train_config(effective)
-    model = Model.build(model_cfg, train_cfg.seed)
-    start_step = 0
-    optimizer = None
+    start_step, optimizer = 0, None
     if ckpt is not None:
-        trainer.restore_params(model, ckpt.tensors)
         optimizer = trainer.make_optimizer(train_cfg)
         optimizer.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
         start_step = ckpt.step
@@ -303,31 +304,56 @@ def _total_steps(cfg: TrainConfig, dataset) -> int:
     return (len(dataset.items) // cfg.batch_size) * cfg.epochs
 
 
-def _restore_model(ckpt_path: str, dataset=None, embeddings=None) -> tuple[Model, dict]:
+def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
+    """The model a checkpoint holds, at the width of its tensors and with the
+    rest of its stored train config; also that config and the checkpoint."""
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
-    dim = dataset.config.embed_dim if dataset is not None else embeddings.dim
-    model = Model.build(_model_config(effective, dim), effective.get("seed", 0))
+    model = Model.build(_model_config(effective, ckpt.embed_dim), effective.get("seed", 0))
     trainer.restore_params(model, ckpt.tensors)
-    return model, effective
+    return model, effective, ckpt
 
 
-def _load_inputs(values: dict, command: str) -> tuple:
-    """The dataset and the embedding set that --data and --embeddings name;
-    at least one of them is needed."""
-    dataset = load_dataset(values["data"]) if values.get("data") else None
-    embeddings = load_embeddings(values["embeddings"]) if values.get("embeddings") else None
-    if dataset is None and embeddings is None:
+def _check_width(path: str, width: int, model: Model):
+    if width != (expected := model.cfg.embed_dim):
+        raise DimensionError(f"{path}: width {width} does not match the checkpoint's {expected}")
+
+
+def _encoded_input(
+    command: str, model: Model, data: str | None, embeddings: str | None = None,
+    pair: tuple[int, int] | None = None,
+) -> EncodedBatch:
+    """The batch that `command` scores or writes: the embedding set at
+    `embeddings`, else the dataset at `data` encoded by `model`, checked
+    against the model's width. It holds every item, or with `pair` = (audio
+    item, text item) that 1 x 1 pair, of which a dataset encodes only the two
+    items."""
+    path = embeddings or data
+    if not path:
         raise ConfigError(f"{command} needs --data or --embeddings")
-    return dataset, embeddings
+    source = load_embeddings(path) if embeddings else load_dataset(path)
+    _check_width(path, source.dim if embeddings else source.config.embed_dim, model)
+    count = len(source)
+    if count == 0:  # datasets hold at least one pair
+        raise ContractError(f"{path}: the embedding set is empty; {command} needs a non-empty one")
+    for index in pair or ():
+        if not (0 <= index < count):
+            raise ConfigError(f"item {index} out of range (0..{count - 1})")
+    audio, text = (slice(i, i + 1) for i in pair) if pair else (slice(None), slice(None))
+    if embeddings:
+        return evaluation.encoded_from_embeddings(source, audio, text)
+    return model.encode_arrays(
+        np.stack([item.audio for item in source.items[audio]]),
+        np.stack([item.text for item in source.items[text]]),
+    )
 
 
+@ad.no_grad()
 def cmd_eval(args) -> int:
     values = _config_section(args)
     if "ckpt" not in values:
         raise ConfigError("eval needs --ckpt")
-    dataset, embeddings = _load_inputs(values, "eval")
-    model, _ = _restore_model(values["ckpt"], dataset, embeddings)
+    model = _restore_model(values["ckpt"])[0]  # the checkpoint's arrays are freed
     modes = tuple(values["modes"].split(","))
     for mode in modes:
         obj.mode_components(mode)
@@ -345,15 +371,8 @@ def cmd_eval(args) -> int:
         "seed": seed,
     }
     stamp = config_hash("eval", resolved)
-    reports = evaluation.evaluate(
-        model,
-        dataset=dataset,
-        embeddings=embeddings,
-        modes=modes,
-        ks=ks,
-        seed=seed,
-        config_hash=stamp,
-    )
+    encoded = _encoded_input("eval", model, values.get("data"), values.get("embeddings"))
+    reports = evaluation.evaluate(model, encoded, modes=modes, ks=ks, seed=seed, config_hash=stamp)
     out = values.get("out")
     if out:
         evaluation.write_report_text(out + ".txt", reports)
@@ -364,26 +383,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _pair_batch(model: Model, dataset, embeddings, index_a: int, index_b: int) -> EncodedBatch:
-    """A 1-item batch of audio item index_a and text item index_b."""
-    count = len(embeddings) if embeddings is not None else len(dataset)
-    for index in (index_a, index_b):
-        if not (0 <= index < count):
-            raise ConfigError(f"item {index} out of range (0..{count - 1})")
-    if embeddings is not None:
-        a, t = slice(index_a, index_a + 1), slice(index_b, index_b + 1)
-        return EncodedBatch(
-            audio_levels=[ad.Tensor(x[a]) for x in embeddings.audio_levels],
-            audio_global=ad.Tensor(embeddings.audio_global[a]),
-            text_levels=[ad.Tensor(x[t]) for x in embeddings.text_levels],
-            text_global=ad.Tensor(embeddings.text_global[t]),
-        )
-    a, t = dataset.items[index_a], dataset.items[index_b]
-    return model.encode_arrays(
-        np.asarray(a.audio, dtype=np.float64)[None], np.asarray(t.text, dtype=np.float64)[None]
-    )
-
-
 @ad.no_grad()
 def cmd_sim(args) -> int:
     """Score breakdown of one pair, scored as a 1 x 1 batch by the same
@@ -391,9 +390,11 @@ def cmd_sim(args) -> int:
     values = _config_section(args)
     if "ckpt" not in values or "item_a" not in values or "item_b" not in values:
         raise ConfigError("sim needs --ckpt and two item indices (--item-a, --item-b)")
-    dataset, embeddings = _load_inputs(values, "sim")
-    model, effective = _restore_model(values["ckpt"], dataset, embeddings)
-    encoded = _pair_batch(model, dataset, embeddings, values["item_a"], values["item_b"])
+    model, effective = _restore_model(values["ckpt"])[:2]
+    encoded = _encoded_input(
+        "sim", model, values.get("data"), values.get("embeddings"),
+        pair=(values["item_a"], values["item_b"]),
+    )
 
     resolved = {
         "ckpt": values["ckpt"],
@@ -465,9 +466,8 @@ def cmd_export_embeddings(args) -> int:
     values = _config_section(args)
     if "ckpt" not in values or "data" not in values or "out" not in values:
         raise ConfigError("export-embeddings needs --ckpt, --data and --out")
-    dataset = load_dataset(values["data"])
-    model, _ = _restore_model(values["ckpt"], dataset)
-    encoded = model.encode_pairs(dataset.items)
+    model = _restore_model(values["ckpt"])[0]  # the checkpoint's arrays are freed
+    encoded = _encoded_input("export-embeddings", model, values["data"])
     es = EmbeddingSet(
         audio_levels=[lvl.value for lvl in encoded.audio_levels],
         audio_global=encoded.audio_global.value,

@@ -139,13 +139,16 @@ def _mode_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     return total
 
 
-def encoded_from_embeddings(es: EmbeddingSet) -> EncodedBatch:
-    """A loaded embedding set as batched constants."""
+def encoded_from_embeddings(
+    es: EmbeddingSet, audio: slice = slice(None), text: slice = slice(None)
+) -> EncodedBatch:
+    """A loaded embedding set's audio items `audio` and text items `text`
+    (by default all) as batched constants."""
     return EncodedBatch(
-        audio_levels=[Tensor(x) for x in es.audio_levels],
-        audio_global=Tensor(es.audio_global),
-        text_levels=[Tensor(x) for x in es.text_levels],
-        text_global=Tensor(es.text_global),
+        audio_levels=[Tensor(x[audio]) for x in es.audio_levels],
+        audio_global=Tensor(es.audio_global[audio]),
+        text_levels=[Tensor(x[text]) for x in es.text_levels],
+        text_global=Tensor(es.text_global[text]),
     )
 
 
@@ -157,15 +160,15 @@ def _blocks(n: int) -> list[slice]:
 @no_grad()
 def evaluate(
     model: Model,
-    dataset=None,
-    embeddings: EmbeddingSet | None = None,
+    encoded: EncodedBatch,
     modes: tuple[str, ...] = ("THA+DCR",),
     ks: tuple[int, ...] = (1, 5, 10),
     seed: int = 0,
     config_hash: str = "",
 ) -> list[RetrievalReport]:
-    """One report per (mode, direction). Either a dataset (encoded by the
-    model) or a pre-computed embedding set feeds the scores.
+    """One report per (mode, direction) over the encoded pairs, audio item i
+    matching text item i: a dataset encoded by the model, or an embedding set
+    (`encoded_from_embeddings`).
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, with one
@@ -184,15 +187,9 @@ def evaluate(
     whole-batch op differs from the tiles by BLAS rounding (a few 1e-16 for
     DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
     its shape."""
-    source = embeddings if embeddings is not None else dataset
-    if source is None or len(source) == 0:
-        raise ContractError("evaluate needs a non-empty dataset or embedding set")
-    if embeddings is not None:
-        model.check_embedding_dim(embeddings.dim)
-        encoded = encoded_from_embeddings(embeddings)
-    else:
-        encoded = model.encode_pairs(dataset.items)
     size = encoded.batch
+    if size == 0:
+        raise ContractError("evaluate needs a non-empty batch")
     _check_ks(ks, size)
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)

@@ -18,7 +18,7 @@ from .confidence import (
 )
 from .autodiff import Tensor
 from .config import subsystem_rng
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,3 @@ class Model:
 
             return strip
         raise ConfigError(f"no strip scorer for similarity component {component!r}")
-
-    def check_embedding_dim(self, dim: int):
-        if dim != self.cfg.embed_dim:
-            raise DimensionError(
-                f"embedding width {dim} does not match model width {self.cfg.embed_dim}"
-            )

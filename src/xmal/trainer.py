@@ -247,6 +247,13 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     config_text: str
 
+    @property
+    def embed_dim(self) -> int:
+        """The model width D: the size of the (D,) text readout."""
+        if "text.readout" not in self.tensors:
+            raise DimensionError("checkpoint is missing parameter 'text.readout'")
+        return self.tensors["text.readout"].size
+
 
 def save_checkpoint(path: str, model: Model, optimizer: Optimizer, step: int, config_text: str):
     tensors = {name: model.params[name].value for name in sorted(model.params)}

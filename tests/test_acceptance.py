@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import binom
 
 from xmal import evaluation, verify
+from xmal.autodiff import no_grad
 from xmal.attention import AttentionConfig
 from xmal.cli import main
 from xmal.data import Dataset, SynthConfig, generate, load_dataset, save_dataset
@@ -142,9 +143,11 @@ def test_criterion_4_disentanglement_behavior(toy_run):
 
 def test_criterion_5_retrieval_learning(toy_run):
     with criterion(5, "trained retrieval beats 10x chance; untrained sits at chance"):
+        items = toy_run["eval_ds"].items
+        with no_grad():
+            encoded = toy_run["model"].encode_pairs(items)
         reports = evaluation.evaluate(
-            toy_run["model"], dataset=toy_run["eval_ds"], modes=("THA+DCR",), ks=(1,),
-            seed=SEED,
+            toy_run["model"], encoded, modes=("THA+DCR",), ks=(1,), seed=SEED
         )
         for r in reports:
             print(f"  trained {r.direction}: R@1 = {r.r_at[1]:.2f}% (need >= {10 * CHANCE:.2f}%)")
@@ -157,9 +160,9 @@ def test_criterion_5_retrieval_learning(toy_run):
                 ModelConfig(embed_dim=32, factor_count=8, attention=AttentionConfig()),
                 seed=1000 + seed,
             )
-            for r in evaluation.evaluate(
-                untrained, dataset=toy_run["eval_ds"], modes=("THA+DCR",), ks=(1,)
-            ):
+            with no_grad():
+                encoded = untrained.encode_pairs(items)
+            for r in evaluation.evaluate(untrained, encoded, modes=("THA+DCR",), ks=(1,)):
                 hits[r.direction] += round(r.r_at[1] * EVAL_SIZE / 100.0)
         for direction, count in hits.items():
             print(f"  untrained {direction}: {count} hits over 10 seeds, 99% band [{lo:.0f}, {hi:.0f}]")

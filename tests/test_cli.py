@@ -247,10 +247,86 @@ def test_eval_on_an_empty_embedding_set_is_a_contract_error(trained, tmp_path, c
     code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--embeddings", epath, "--modes", "DP")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "non-empty" in err
-    code, _, err = run(
+    code, out, err = run(
         capsys, "sim", "--ckpt", ckpt, "--embeddings", epath, "--item-a", "0", "--item-b", "0",
     )
-    assert code == 1 and "out of range" in err
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {epath}: the embedding set is empty") and "out of range" not in err
+
+
+def test_an_input_of_another_width_is_one_error_in_every_command(trained, tmp_path, capsys):
+    """The model is rebuilt from the checkpoint alone, so a dataset or an
+    embedding set of another width fails each command the same way, naming
+    the input, its width and the checkpoint's."""
+    _, ckpt = trained  # D=16
+    data = gen(tmp_path, capsys, "wide.xmal", **{"--D": "32"})
+    rng = np.random.default_rng(2)
+    epath = str(tmp_path / "wide.xemb")
+    save_embeddings(EmbeddingSet(
+        audio_levels=[rng.normal(size=(3, c, 32)) for c in (4, 2, 1)],
+        audio_global=rng.normal(size=(3, 32)),
+        text_levels=[rng.normal(size=(3, c, 32)) for c in (5, 3, 2)],
+        text_global=rng.normal(size=(3, 32)),
+    ), epath)
+    written = str(tmp_path / "out.xemb")
+    pair = ("--item-a", "0", "--item-b", "1")
+    for path, argv in (
+        (data, ("eval", "--ckpt", ckpt, "--data", data, "--modes", "DP", "--k", "1")),
+        (epath, ("eval", "--ckpt", ckpt, "--embeddings", epath, "--modes", "DP", "--k", "1")),
+        (data, ("sim", "--ckpt", ckpt, "--data", data, *pair)),
+        (epath, ("sim", "--ckpt", ckpt, "--embeddings", epath, *pair)),
+        (data, ("export-embeddings", "--ckpt", ckpt, "--data", data, "--out", written)),
+        (data, ("train", "--data", data, "--out", str(tmp_path / "r.xckp"), "--resume", ckpt)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {path}: width 32 does not match the checkpoint's 16\n", argv
+    assert not (tmp_path / "out.xemb").exists() and not (tmp_path / "r.xckp").exists()
+
+
+def test_eval_records_no_tape_while_it_encodes(trained, capsys, monkeypatch):
+    """`residual_blocks` keeps each block's input and ReLU mask while a tape
+    records, so `xmal eval` encodes under `no_grad`."""
+    from xmal import encoders
+
+    data, ckpt = trained
+    recording = []
+    for name in ("encode_text_batch", "encode_audio_batch"):
+        encode = getattr(encoders, name)
+        monkeypatch.setattr(
+            encoders, name,
+            lambda *args, encode=encode: recording.append(ad.is_recording()) or encode(*args),
+        )
+    code, _, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "DP", "--k", "1")
+    assert code == 0, err
+    assert recording == [False, False]
+
+
+def test_sim_breakdowns_agree_from_a_dataset_and_its_exported_embeddings(
+    trained, tmp_path, capsys
+):
+    """sim encodes only the pair's two items of a dataset and slices the pair
+    out of an embedding set. Both print the same breakdown: the same lines,
+    with values equal up to BLAS rounding (1-item encodes differ from the
+    exported whole-batch encode by about 1e-15)."""
+    data, ckpt = trained
+    epath = str(tmp_path / "d.xemb")
+    code, _, err = run(capsys, "export-embeddings", "--ckpt", ckpt, "--data", data, "--out", epath)
+    assert code == 0, err
+    for a, b in ((0, 0), (3, 7), (23, 12)):  # the last item against the middle one
+        printed = []
+        for source in (("--data", data), ("--embeddings", epath)):
+            code, out, err = run(
+                capsys, "sim", "--ckpt", ckpt, *source, "--item-a", str(a), "--item-b", str(b)
+            )
+            assert code == 0, err
+            stamp, pair, *values = out.splitlines()
+            assert stamp.startswith("config_hash=") and pair == f"item_audio={a} item_text={b}"
+            printed.append(dict(line.split("=") for line in values))
+        from_data, from_file = printed
+        assert list(from_data) == list(from_file) and len(from_data) == 22
+        for key, value in from_data.items():
+            assert abs(float(value) - float(from_file[key])) < 1e-12, (a, b, key)
 
 
 def test_sim_matches_diagnostics_confidences(trained, capsys):
@@ -258,7 +334,7 @@ def test_sim_matches_diagnostics_confidences(trained, capsys):
 
     data, ckpt = trained
     ds = load_dataset(data)
-    model, _ = _restore_model(ckpt, ds)
+    model, *_ = _restore_model(ckpt)
     code, out, err = run(
         capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", "0", "--item-b", "0",
     )
@@ -278,7 +354,7 @@ def test_sim_matches_diagnostics_confidences(trained, capsys):
 def test_sim_matches_eval_component_matrices(trained, capsys):
     data, ckpt = trained
     ds = load_dataset(data)
-    model, _ = _restore_model(ckpt, ds)
+    model, *_ = _restore_model(ckpt)
     with ad.no_grad():
         encoded = model.encode_pairs(ds.items)
         scores = {c: model.component_matrix(encoded, c).value for c in ("DP", "THA", "DCR")}
@@ -532,7 +608,7 @@ def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
     bad = str(tmp_path / "bogus.xckp")
     _with_config_text(ckpt, bad, trainer.load_checkpoint(ckpt).config_text + "bogus=1\n")
     with pytest.raises(ConfigError, match=r"unknown key 'bogus' in \[train\]"):
-        _restore_model(bad, load_dataset(data))
+        _restore_model(bad)
     for argv in (
         ("eval", "--ckpt", bad, "--data", data, "--modes", "DP", "--k", "1"),
         ("sim", "--ckpt", bad, "--data", data, "--item-a", "0", "--item-b", "0"),
@@ -591,13 +667,16 @@ def test_embedding_set_reports_are_byte_identical_to_the_dataset_path(trained, t
     epath = str(tmp_path / "e.xemb")
     code, _, err = run(capsys, "export-embeddings", "--ckpt", ckpt, "--data", data, "--out", epath)
     assert code == 0, err
-    dataset = load_dataset(data)
-    model, _ = _restore_model(ckpt, dataset)
+    model, *_ = _restore_model(ckpt)
+    with ad.no_grad():
+        from_data = model.encode_pairs(load_dataset(data).items)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     blobs = []
-    for name, source in (("d", dict(dataset=dataset)), ("e", dict(embeddings=load_embeddings(epath)))):
+    for name, encoded in (
+        ("d", from_data), ("e", evaluation.encoded_from_embeddings(load_embeddings(epath)))
+    ):
         reports = evaluation.evaluate(
-            model, modes=modes, ks=(1, 5, 10), seed=3, config_hash="stamp", **source
+            model, encoded, modes=modes, ks=(1, 5, 10), seed=3, config_hash="stamp"
         )
         evaluation.write_report_text(str(tmp_path / f"{name}.txt"), reports)
         evaluation.write_report_binary(str(tmp_path / f"{name}.xrpt"), reports)
@@ -632,7 +711,7 @@ def test_train_config_file_settings_reach_checkpoint_and_restore(
     evaluate = evaluation.evaluate
     monkeypatch.setattr(
         evaluation, "evaluate",
-        lambda model, **kw: restored.append(model.cfg) or evaluate(model, **kw),
+        lambda model, *args, **kw: restored.append(model.cfg) or evaluate(model, *args, **kw),
     )
     code, _, err = run(
         capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "THA,DCR", "--k", "1"

@@ -19,7 +19,7 @@ from xmal.confidence import (
     init_confidence_params,
     matched_confidences,
 )
-from xmal.data import SynthConfig, generate
+from xmal.data import EmbeddingSet, SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError
 from xmal.evaluation import (
     RetrievalReport,
@@ -88,6 +88,12 @@ def test_recall_bad_inputs():
         recall_at_k(np.ones((2, 3)), 1, "audio_to_text")
 
 
+def _encoded(model, ds):
+    """The dataset encoded tape-free, as `xmal eval` encodes it."""
+    with ad.no_grad():
+        return model.encode_pairs(ds.items)
+
+
 def _identity_model(dim=16, k=4):
     model = Model.build(ModelConfig(embed_dim=dim, factor_count=k, attention=AttentionConfig()), 0)
     for name, p in model.params.items():
@@ -108,7 +114,7 @@ def test_perfect_similarity_on_noiseless_identity_setup():
     ds = generate(cfg)
     assert len({it.concepts for it in ds.items}) == 32  # all concept sets distinct
     model = _identity_model()
-    reports = evaluate(model, dataset=ds, modes=("DP",), ks=(1, 5), seed=1, config_hash="t")
+    reports = evaluate(model, _encoded(model, ds), modes=("DP",), ks=(1, 5), seed=1, config_hash="t")
     assert len(reports) == 2
     for r in reports:
         assert r.r_at[1] == 100.0
@@ -122,16 +128,22 @@ def test_evaluate_report_cardinality_and_determinism():
     )
     ds = generate(cfg)
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
-    a = evaluate(model, dataset=ds, modes=("DP", "THA+DCR"), ks=(1, 5), seed=5)
-    b = evaluate(model, dataset=ds, modes=("DP", "THA+DCR"), ks=(1, 5), seed=5)
+    a = evaluate(model, _encoded(model, ds), modes=("DP", "THA+DCR"), ks=(1, 5), seed=5)
+    b = evaluate(model, _encoded(model, ds), modes=("DP", "THA+DCR"), ks=(1, 5), seed=5)
     assert len(a) == 4
     assert [(r.mode, r.direction, r.r_at) for r in a] == [(r.mode, r.direction, r.r_at) for r in b]
 
 
 def test_evaluate_rejects_empty_inputs():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
+    empty = EmbeddingSet(
+        audio_levels=[np.zeros((0, c, 16)) for c in (4, 2, 1)],
+        audio_global=np.zeros((0, 16)),
+        text_levels=[np.zeros((0, c, 16)) for c in (3, 2, 1)],
+        text_global=np.zeros((0, 16)),
+    )
     with pytest.raises(ContractError):
-        evaluate(model, dataset=None, embeddings=None)
+        evaluate(model, evaluation.encoded_from_embeddings(empty))
 
 
 def test_evaluate_rejects_out_of_range_k():
@@ -142,7 +154,7 @@ def test_evaluate_rejects_out_of_range_k():
     ds = generate(cfg)
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
     with pytest.raises(ContractError):
-        evaluate(model, dataset=ds, ks=(5,))
+        evaluate(model, _encoded(model, ds), ks=(5,))
 
 
 def test_diagnostics_probability_columns():
@@ -283,7 +295,7 @@ def test_evaluate_matches_taped_similarity_matrices(monkeypatch):
     monkeypatch.setattr(evaluation, "TILE", 7)  # 20 pairs: three tiles per side
     ds, model = _eval_set(20)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
-    reports = evaluate(model, dataset=ds, modes=modes, ks=(1, 2, 5))
+    reports = evaluate(model, _encoded(model, ds), modes=modes, ks=(1, 2, 5))
     encoded = model.encode_pairs(ds.items)  # taped
     assert encoded.audio_global._parents != ()
     expected = []
@@ -306,7 +318,7 @@ def test_evaluate_memory_is_bounded_by_the_tile():
     ds, model = _eval_set(512)
     tracemalloc.start()
     try:
-        evaluate(model, dataset=ds, modes=("THA", "DCR", "THA+DCR"), ks=(1, 5, 10))
+        evaluate(model, _encoded(model, ds), modes=("THA", "DCR", "THA+DCR"), ks=(1, 5, 10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -324,7 +336,7 @@ def test_evaluate_holds_no_square_matrix():
     for modes, bound_mb in ((("DP", "DCR", "THA+DCR", "THA"), 26), (("THA+DCR",), 24)):
         tracemalloc.start()
         try:
-            evaluate(model, dataset=ds, modes=modes, ks=(1, 5, 10))
+            evaluate(model, _encoded(model, ds), modes=modes, ks=(1, 5, 10))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -339,7 +351,7 @@ def test_evaluate_memory_grows_linearly_with_the_pair_count():
         ds, model = _eval_set(pairs)
         tracemalloc.start()
         try:
-            evaluate(model, dataset=ds, modes=("DP",), ks=(1, 5, 10))
+            evaluate(model, _encoded(model, ds), modes=("DP",), ks=(1, 5, 10))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -419,7 +431,7 @@ def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
     for n, attention_cfg in enumerate(configs):
         model = Model.build(ModelConfig(embed_dim=32, factor_count=8, attention=attention_cfg), n)
         expected = [_taped_tile_matrix(model, ds.items, mode) for mode in modes]
-        reports = evaluate(model, dataset=ds, modes=modes, ks=ks)
+        reports = evaluate(model, _encoded(model, ds), modes=modes, ks=ks)
         for mode, got, want in zip(modes, assemble(), expected):
             assert np.array_equal(got, want), (attention_cfg, mode)
         assert [(r.mode, r.direction, r.r_at) for r in reports] == [
@@ -479,7 +491,7 @@ def test_streamed_ranks_equal_the_assembled_matrix_with_ties_and_nans(pairs, mon
     for case in _stub_cases(rng, pairs):
         matrices = dict(zip(("DP", "THA", "DCR"), case))
         scored = _stub_strip_scorers(monkeypatch, matrices)
-        reports = evaluate(model, dataset=ds, modes=modes, ks=ks)
+        reports = evaluate(model, _encoded(model, ds), modes=modes, ks=ks)
         starts = range(0, pairs, 7)
         # every tile is scored once: the diagonal ones are kept from the first pass
         assert sorted(scored) == [(c, a, t) for c in sorted(matrices) for a in starts for t in starts]

@@ -277,7 +277,9 @@ def test_factor_count_axis_trains_and_evaluates(k, dim):
     model = Model.build(ModelConfig(embed_dim=dim, factor_count=k), seed=k)
     result = train(model, ds, make_cfg(epochs=1, batch_size=4))
     assert all(np.isfinite(r.loss) for r in result.log)
-    reports = evaluate(model, dataset=ds, modes=("THA+DCR",), ks=(1,))
+    with ad.no_grad():
+        encoded = model.encode_pairs(ds.items)
+    reports = evaluate(model, encoded, modes=("THA+DCR",), ks=(1,))
     assert all(0.0 <= r.r_at[1] <= 100.0 for r in reports)
 
 
