@@ -16,7 +16,7 @@ from .autodiff import (
     parameter,
     row_softmax,
 )
-from .data import Dataset, PairItem, SynthConfig, generate, load_dataset, save_dataset
+from .data import Dataset, Pairs, SynthConfig, generate, load_dataset, save_dataset
 from .errors import XmalError
 from .evaluation import dcr_diagnostics, evaluate, recall_at_k
 from .factors import (
@@ -39,7 +39,7 @@ __all__ = [
     "Model",
     "ModelConfig",
     "ObjectiveConfig",
-    "PairItem",
+    "Pairs",
     "SynthConfig",
     "Tensor",
     "TrainConfig",

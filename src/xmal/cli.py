@@ -19,8 +19,6 @@ import dataclasses
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import autodiff as ad, evaluation, objective as obj, trainer, verify
 from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
@@ -198,12 +196,12 @@ def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
 
 
 def _model_config(effective: dict, embed_dim: int) -> ModelConfig:
-    """The model a train config describes. A setting it lacks takes its
-    TRAIN_DEFAULTS value, and a missing K the ModelConfig default."""
+    """The model a train config that sets K describes. A setting it lacks
+    takes its TRAIN_DEFAULTS value."""
     settings = {**TRAIN_DEFAULTS, **effective}
     return ModelConfig(
         embed_dim=embed_dim,
-        factor_count=settings.get("K", ModelConfig.factor_count),
+        factor_count=settings["K"],
         hidden=settings.get("hidden"),
         attention=AttentionConfig(
             temperature=settings["temperature"],
@@ -301,15 +299,19 @@ def cmd_train(args) -> int:
 
 
 def _total_steps(cfg: TrainConfig, dataset) -> int:
-    return (len(dataset.items) // cfg.batch_size) * cfg.epochs
+    return (len(dataset) // cfg.batch_size) * cfg.epochs
 
 
 def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
-    """The model a checkpoint holds, at the width of its tensors and with the
-    rest of its stored train config; also that config and the checkpoint."""
+    """The model a checkpoint holds: its width, factor count and confidence
+    hidden width read off its tensors, its attention settings and init seed
+    from its stored train config; also that config and the checkpoint."""
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
-    model = Model.build(_model_config(effective, ckpt.embed_dim), effective.get("seed", 0))
+    dim, k, hidden = ckpt.dims()
+    model = Model.build(
+        _model_config({**effective, "K": k, "hidden": hidden}, dim), effective.get("seed", 0)
+    )
     trainer.restore_params(model, ckpt.tensors)
     return model, effective, ckpt
 
@@ -342,10 +344,7 @@ def _encoded_input(
     audio, text = (slice(i, i + 1) for i in pair) if pair else (slice(None), slice(None))
     if embeddings:
         return evaluation.encoded_from_embeddings(source, audio, text)
-    return model.encode_arrays(
-        np.stack([item.audio for item in source.items[audio]]),
-        np.stack([item.text for item in source.items[text]]),
-    )
+    return model.encode_arrays(source.items.audio[audio], source.items.text[text])
 
 
 @ad.no_grad()

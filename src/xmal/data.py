@@ -6,19 +6,24 @@ latent space (slots assigned round-robin). A pair samples 1..K distinct
 concepts; its text tokens render those concept vectors through a fixed
 orthogonal text map and its audio tokens through a (normally distinct) audio
 map, cycled to fill the requested token counts, plus isotropic gaussian
-noise. All containers are little-endian with fixed headers so round-trips
-are bit-exact.
+noise. A dataset holds its P pairs as stacks (`Pairs`): `(P, M, D)` audio,
+`(P, N, D)` text and a `(P, C)` concept mask; a pair's id is its row.
 
-An embedding file holds one fixed-size record per item (3 audio levels, audio
-global, 3 text levels, text global), written and read as one (items, record
-width) block.
+All containers are little-endian with fixed headers so round-trips are
+bit-exact, and each ends in a CRC32 of every byte before it, which `Reader`
+checks once when it opens the file. After its header, a dataset file holds
+the concept mask as one u8 block, then the audio block, then the text block.
+An embedding file holds one fixed-size record per item (3 audio levels,
+audio global, 3 text levels, text global), written and read as one (items,
+record width) block.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +32,12 @@ from .errors import ConfigError, CorruptedRecordError, DimensionError, FormatErr
 
 DATASET_MAGIC = b"XMAL"
 EMBEDDING_MAGIC = b"XEMB"
-SCHEMA_VERSION = 1
+# 2: stacked concept mask, audio and text blocks, and a CRC32 trailer
+DATASET_VERSION = 2
+# 2: a CRC32 trailer
+EMBEDDING_VERSION = 2
 LEVELS = 3
+_CHECKSUM = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -66,17 +75,27 @@ class SynthConfig:
 
 
 @dataclass
-class PairItem:
-    pair_id: int
-    concepts: tuple[int, ...]  # ground-truth concept labels, sorted
-    audio: np.ndarray  # (M, D)
-    text: np.ndarray  # (N, D)
+class Pairs:
+    """P aligned (audio, text) pairs, stacked; a pair's id is its row."""
+
+    audio: np.ndarray  # (P, M, D)
+    text: np.ndarray  # (P, N, D)
+    concepts: np.ndarray  # (P, C) bool: the ground-truth concept labels of each pair
+
+    def __len__(self) -> int:
+        return self.audio.shape[0]
+
+    def __getitem__(self, rows) -> Pairs:
+        """The pairs at `rows`, a slice (views) or an index array (copies);
+        an int row i is taken as [i], so the result is always a stack."""
+        rows = [rows] if isinstance(rows, (int, np.integer)) else rows
+        return Pairs(audio=self.audio[rows], text=self.text[rows], concepts=self.concepts[rows])
 
 
 @dataclass
 class Dataset:
     config: SynthConfig
-    items: list[PairItem] = field(default_factory=list)
+    items: Pairs
 
     def __len__(self) -> int:
         return len(self.items)
@@ -108,22 +127,23 @@ def generate(cfg: SynthConfig) -> Dataset:
     if cfg.shared_projection:
         audio_map = text_map
 
-    items = []
-    for pair_id in range(cfg.pairs):
+    def render(latent, projection, tokens):
+        rows = latent[np.arange(tokens) % len(latent)] @ projection.T
+        if cfg.noise_sigma > 0:
+            rows = rows + cfg.noise_sigma * rng.normal(size=rows.shape)
+        return rows
+
+    audio = np.empty((cfg.pairs, cfg.audio_tokens, dim))
+    text = np.empty((cfg.pairs, cfg.text_tokens, dim))
+    concepts = np.zeros((cfg.pairs, cfg.concept_count), dtype=bool)
+    for p in range(cfg.pairs):  # a pair draws its labels, then its text and audio noise
         count = int(rng.integers(1, k + 1))
-        concepts = tuple(sorted(rng.choice(cfg.concept_count, size=count, replace=False).tolist()))
-        latent = concept_vecs[list(concepts)]  # (count, D)
-
-        def render(projection, tokens):
-            rows = latent[np.arange(tokens) % count] @ projection.T
-            if cfg.noise_sigma > 0:
-                rows = rows + cfg.noise_sigma * rng.normal(size=rows.shape)
-            return rows
-
-        text = render(text_map, cfg.text_tokens)
-        audio = render(audio_map, cfg.audio_tokens)
-        items.append(PairItem(pair_id=pair_id, concepts=concepts, audio=audio, text=text))
-    return Dataset(config=cfg, items=items)
+        labels = np.sort(rng.choice(cfg.concept_count, size=count, replace=False))
+        concepts[p, labels] = True
+        latent = concept_vecs[labels]  # (count, D)
+        text[p] = render(latent, text_map, cfg.text_tokens)
+        audio[p] = render(latent, audio_map, cfg.audio_tokens)
+    return Dataset(config=cfg, items=Pairs(audio=audio, text=text, concepts=concepts))
 
 
 # -- container I/O ------------------------------------------------------------
@@ -135,21 +155,34 @@ _DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D,
 class Reader:
     """Little-endian fields read in order from a whole container file (a
     dataset, an embedding set or a checkpoint), which is read in one call.
-    Reading past the end raises `CorruptedRecordError`."""
+    Opening it checks the magic (`FormatError`), the format version
+    (`VersionError`), then the CRC32 trailer over every byte before it
+    (`CorruptedRecordError`). Reading into the trailer raises
+    `CorruptedRecordError`."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, magic: bytes, version: int, what: str):
         with open(path, "rb") as f:
             self.buf = f.read()
         self.path = path
         self.pos = 0
+        self.end = len(self.buf)
+        (found,) = self.unpack("4s")
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        if (found := self.u32()) != version:
+            raise VersionError(f"{path}: {what} version {found}, expected {version}")
+        if self.end - self.pos < _CHECKSUM.size:
+            raise CorruptedRecordError(f"{path}: no room for the checksum")
+        self.end -= _CHECKSUM.size
+        (stored,) = _CHECKSUM.unpack_from(self.buf, self.end)
+        if zlib.crc32(memoryview(self.buf)[: self.end]) != stored:
+            raise CorruptedRecordError(f"{path}: checksum mismatch, the {what} is damaged")
 
     def _advance(self, n: int) -> int:
         """Offset of the next n bytes, which are then consumed."""
         start = self.pos
-        if start + n > len(self.buf):
-            raise CorruptedRecordError(
-                f"{self.path}: needed {n} bytes, got {len(self.buf) - start}"
-            )
+        if start + n > self.end:
+            raise CorruptedRecordError(f"{self.path}: needed {n} bytes, got {self.end - start}")
         self.pos = start + n
         return start
 
@@ -169,44 +202,56 @@ class Reader:
                 f"{self.path}: {what} is not valid UTF-8 ({e.reason})"
             ) from e
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = math.prod(shape)
-        return np.frombuffer(self.buf, "<f8", n, self._advance(8 * n)).reshape(shape).copy()
+    def array(self, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
+        n, size = math.prod(shape), np.dtype(dtype).itemsize
+        return np.frombuffer(self.buf, dtype, n, self._advance(size * n)).reshape(shape).copy()
 
     def check_end(self, what: str):
-        if self.pos != len(self.buf):
+        if self.pos != self.end:
             raise CorruptedRecordError(f"{self.path}: trailing bytes after the {what}")
 
 
-def check_magic(reader: Reader, expected: bytes):
-    (magic,) = reader.unpack("4s")
-    if magic != expected:
-        raise FormatError(f"{reader.path}: bad magic {magic!r}, expected {expected!r}")
+def write_container(path: str, chunks: list):
+    """Write `chunks` (bytes or contiguous arrays) and their CRC32 trailer to
+    `path` in one call."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    with open(path, "wb") as f:
+        f.writelines([*chunks, _CHECKSUM.pack(crc)])
 
 
 def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
-    cfg = ds.config
-    with open(path, "wb") as f:
-        f.write(
-            _DATASET_HEADER.pack(
-                DATASET_MAGIC,
-                SCHEMA_VERSION,
-                cfg.pairs,
-                cfg.factor_count,
-                cfg.embed_dim,
-                cfg.text_tokens,
-                cfg.audio_tokens,
-                cfg.concept_count,
-                cfg.seed,
-                cfg.noise_sigma,
-                int(cfg.shared_projection),
+    cfg, pairs = ds.config, ds.items
+    expected = {
+        "concepts": (cfg.pairs, cfg.concept_count),
+        "audio": (cfg.pairs, cfg.audio_tokens, cfg.embed_dim),
+        "text": (cfg.pairs, cfg.text_tokens, cfg.embed_dim),
+    }
+    for name, shape in expected.items():
+        if getattr(pairs, name).shape != shape:
+            raise DimensionError(
+                f"{name} stack has shape {getattr(pairs, name).shape}, the config says {shape}"
             )
-        )
-        for item in ds.items:
-            f.write(struct.pack("<I", len(item.concepts)))
-            f.write(struct.pack(f"<{len(item.concepts)}I", *item.concepts))
-            f.write(np.ascontiguousarray(item.audio, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(item.text, dtype="<f8").tobytes())
+    header = _DATASET_HEADER.pack(
+        DATASET_MAGIC,
+        DATASET_VERSION,
+        cfg.pairs,
+        cfg.factor_count,
+        cfg.embed_dim,
+        cfg.text_tokens,
+        cfg.audio_tokens,
+        cfg.concept_count,
+        cfg.seed,
+        cfg.noise_sigma,
+        int(cfg.shared_projection),
+    )
+    write_container(path, [
+        header,
+        np.ascontiguousarray(pairs.concepts, dtype="u1"),
+        np.ascontiguousarray(pairs.audio, dtype="<f8"),
+        np.ascontiguousarray(pairs.text, dtype="<f8"),
+    ])
     manifest = dataset_manifest(cfg)
     manifest.update(manifest_extra or {})
     write_manifest(path + ".manifest", manifest)
@@ -215,7 +260,7 @@ def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
 def dataset_manifest(cfg: SynthConfig) -> dict[str, object]:
     return {
         "magic": DATASET_MAGIC.decode(),
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": DATASET_VERSION,
         "pairs": cfg.pairs,
         "K": cfg.factor_count,
         "D": cfg.embed_dim,
@@ -235,11 +280,7 @@ def write_manifest(path: str, entries: dict[str, object]):
 
 
 def load_dataset(path: str) -> Dataset:
-    reader = Reader(path)
-    check_magic(reader, DATASET_MAGIC)
-    version = reader.u32()
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
+    reader = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
     pairs, k, dim, n, m, concepts, seed, sigma, shared = reader.unpack("<IIIIIIQdI")
     cfg = SynthConfig(
         pairs=pairs,
@@ -252,16 +293,18 @@ def load_dataset(path: str) -> Dataset:
         seed=seed,
         shared_projection=bool(shared),
     )
-    items = []
-    for pair_id in range(pairs):
-        count = reader.u32()
-        if count < 1 or count > k:
-            raise CorruptedRecordError(f"{path}: pair {pair_id} has {count} concept labels")
-        labels = reader.unpack(f"<{count}I")
-        tokens = reader.array((m + n, dim))  # audio rows, then text rows
-        items.append(PairItem(pair_id=pair_id, concepts=labels, audio=tokens[:m], text=tokens[m:]))
-    reader.check_end("last record")
-    return Dataset(config=cfg, items=items)
+    mask = reader.array((pairs, concepts), "u1")
+    audio = reader.array((pairs, m, dim))
+    text = reader.array((pairs, n, dim))
+    reader.check_end("text block")
+    counts = mask.sum(axis=1)
+    bad = (mask > 1).any(axis=1) | (counts < 1) | (counts > k)
+    if bad.any():
+        p = int(bad.argmax())
+        top = mask[p].max()
+        what = f"concept mask byte {top}" if top > 1 else f"{counts[p]} concept labels"
+        raise CorruptedRecordError(f"{path}: pair {p} has {what}")
+    return Dataset(config=cfg, items=Pairs(audio=audio, text=text, concepts=mask.astype(bool)))
 
 
 # -- embedding containers ------------------------------------------------------
@@ -307,20 +350,17 @@ def save_embeddings(es: EmbeddingSet, path: str):
     records = np.concatenate(
         [x.reshape(items, math.prod(x.shape[1:])) for x in fields], axis=1, dtype="<f8"
     )
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<IIII", SCHEMA_VERSION, items, dim, LEVELS))
-        f.write(struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.audio_levels)))
-        f.write(struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.text_levels)))
-        f.write(records.tobytes())
+    write_container(path, [
+        EMBEDDING_MAGIC,
+        struct.pack("<IIII", EMBEDDING_VERSION, items, dim, LEVELS),
+        struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.audio_levels)),
+        struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.text_levels)),
+        records,
+    ])
 
 
 def load_embeddings(path: str) -> EmbeddingSet:
-    reader = Reader(path)
-    check_magic(reader, EMBEDDING_MAGIC)
-    version = reader.u32()
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"{path}: schema version {version}, expected {SCHEMA_VERSION}")
+    reader = Reader(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding set")
     count, dim, levels = reader.unpack("<III")
     if levels != LEVELS:
         raise FormatError(f"{path}: {levels} levels declared, expected {LEVELS}")
@@ -345,6 +385,8 @@ def load_embeddings(path: str) -> EmbeddingSet:
     )
 
 
-def shared_concepts(a: PairItem, b: PairItem) -> int:
-    """Ground-truth overlap oracle used by separability checks."""
-    return len(set(a.concepts) & set(b.concepts))
+def shared_concepts(pairs: Pairs) -> np.ndarray:
+    """(P, P) ground-truth overlap oracle used by separability checks: entry
+    (a, b) counts the concepts pairs a and b share."""
+    mask = pairs.concepts.astype(np.int64)
+    return mask @ mask.T

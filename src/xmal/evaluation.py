@@ -16,7 +16,7 @@ import numpy as np
 from . import factors
 from .autodiff import Tensor, Workspace, no_grad
 from .confidence import matched_confidences
-from .data import EmbeddingSet
+from .data import EmbeddingSet, Pairs
 from .errors import BatchTooSmallError, ContractError, DimensionError
 from .model import EncodedBatch, Model
 from .objective import mode_components
@@ -225,12 +225,12 @@ def evaluate(
 
 
 @no_grad()
-def dcr_diagnostics(model: Model, items) -> DcrDiagnostics:
+def dcr_diagnostics(model: Model, pairs: Pairs) -> DcrDiagnostics:
     """Covariance heat values, match probabilities, and matched-pair
-    confidence statistics for a batch of >= 2 items."""
-    if len(items) < 2:
-        raise BatchTooSmallError(f"diagnostics need a batch of >= 2, got {len(items)}")
-    encoded = model.encode_pairs(items)
+    confidence statistics for a batch of >= 2 pairs."""
+    if len(pairs) < 2:
+        raise BatchTooSmallError(f"diagnostics need a batch of >= 2, got {len(pairs)}")
+    encoded = model.encode_arrays(pairs.audio, pairs.text)
     cov = model.factor_covariance(encoded).value
     probs, defined = factors.match_probabilities(cov)
     text_z, audio_z = model.batch_factors(encoded)

@@ -79,14 +79,8 @@ class Model:
     def parameters(self) -> list[Tensor]:
         return [self.params[name] for name in sorted(self.params)]
 
-    def encode_pairs(self, items) -> EncodedBatch:
-        """Encode aligned (audio, text) items as one batch."""
-        return self.encode_arrays(
-            np.stack([np.asarray(it.audio, dtype=np.float64) for it in items]),
-            np.stack([np.asarray(it.text, dtype=np.float64) for it in items]),
-        )
-
     def encode_arrays(self, audio: np.ndarray, text: np.ndarray) -> EncodedBatch:
+        """Encode (B, M, D) audio and (B, N, D) text stacks as one batch."""
         a_levels, a_global = encoders.encode_audio_batch(audio, self.params)
         t_levels, t_global = encoders.encode_text_batch(text, self.params)
         return EncodedBatch(

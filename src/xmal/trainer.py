@@ -12,16 +12,17 @@ import numpy as np
 from . import autodiff as ad, factors, objective as obj
 from .autodiff import Tensor
 from .config import subsystem_rng
-from .data import Reader, check_magic
-from .errors import ConfigError, DimensionError, TrainingDiverged, VersionError
+from .data import Pairs, Reader, write_container
+from .errors import ConfigError, DimensionError, TrainingDiverged
 from .model import Model
 from .objective import ObjectiveConfig
 
 CHECKPOINT_MAGIC = b"XCKP"
 # 2: one (K, D/K, D) factor bank per modality, `factors.text`/`factors.audio`;
 # 3: one encoder weight and bias bank per stream, `text.w`, `text.b`, `audio.w`,
-#    `audio.b`, and the audio merges as `audio.merge`
-CHECKPOINT_VERSION = 3
+#    `audio.b`, and the audio merges as `audio.merge`;
+# 4: a CRC32 trailer
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def _clip_grads(grads: dict[str, np.ndarray], limit: float):
 
 
 @ad.no_grad()
-def _batch_covariance(model: Model, items) -> np.ndarray:
-    return model.factor_covariance(model.encode_pairs(items)).value
+def _batch_covariance(model: Model, pairs: Pairs) -> np.ndarray:
+    return model.factor_covariance(model.encode_arrays(pairs.audio, pairs.text)).value
 
 
 def train(
@@ -165,7 +166,7 @@ def train(
     cfg: TrainConfig,
     start_step: int = 0,
     optimizer: Optimizer | None = None,
-    diagnostics_items=None,
+    diagnostics_items: Pairs | None = None,
     on_step=None,
 ) -> TrainResult:
     """Run the loop from `start_step` (exclusive); deterministic in (cfg, seed).
@@ -174,7 +175,7 @@ def train(
     batch is summarized before training and after every epoch. `on_step(step,
     optimizer)` fires every `cfg.checkpoint_interval` steps when set.
     """
-    n = len(dataset.items)
+    n = len(dataset)
     if n < cfg.batch_size:
         raise ConfigError(f"dataset has {n} pairs, need at least batch_size={cfg.batch_size}")
     steps_per_epoch = n // cfg.batch_size
@@ -209,8 +210,8 @@ def train(
             step = epoch * steps_per_epoch + s + 1
             if step <= start_step:
                 continue
-            batch = [dataset.items[i] for i in perm[s * cfg.batch_size : (s + 1) * cfg.batch_size]]
-            encoded = model.encode_pairs(batch)
+            batch = dataset.items[perm[s * cfg.batch_size : (s + 1) * cfg.batch_size]]
+            encoded = model.encode_arrays(batch.audio, batch.text)
             s_matrix = model.similarity_matrix(encoded, ocfg.similarity_mode)
             loss_s = obj.nt_xent(s_matrix, ocfg.tau)
             if want_factor_losses:
@@ -247,39 +248,37 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     config_text: str
 
-    @property
-    def embed_dim(self) -> int:
-        """The model width D: the size of the (D,) text readout."""
-        if "text.readout" not in self.tensors:
-            raise DimensionError("checkpoint is missing parameter 'text.readout'")
-        return self.tensors["text.readout"].size
+    def dims(self) -> tuple[int, int, int]:
+        """The model width D, factor count K and confidence hidden width h:
+        the first axes of the (D,) text readout, the (K, D/K, D) text factor
+        bank and the (h, 2D/K) first confidence layer."""
+        dims = []
+        for name, axes in (("text.readout", 1), ("factors.text", 3), ("conf.w1", 2)):
+            if name not in self.tensors:
+                raise DimensionError(f"checkpoint is missing parameter {name!r}")
+            if len(shape := self.tensors[name].shape) != axes:
+                raise DimensionError(f"checkpoint parameter {name!r} has shape {shape}, not {axes}-d")
+            dims.append(shape[0])
+        return tuple(dims)
 
 
 def save_checkpoint(path: str, model: Model, optimizer: Optimizer, step: int, config_text: str):
     tensors = {name: model.params[name].value for name in sorted(model.params)}
     tensors.update(optimizer.state_tensors())
     blob = config_text.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IQI", CHECKPOINT_VERSION, step, len(tensors)))
-        for name in sorted(tensors):
-            encoded = name.encode("utf-8")
-            arr = np.asarray(tensors[name], dtype="<f8")  # keeps 0-d shape intact
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, step, len(tensors))]
+    for name in sorted(tensors):
+        encoded = name.encode("utf-8")
+        arr = np.asarray(tensors[name], dtype="<f8")  # keeps 0-d shape intact
+        chunks += [struct.pack("<I", len(encoded)), encoded]
+        chunks += [struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    chunks += [struct.pack("<I", len(blob)), blob]
+    write_container(path, chunks)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    reader = Reader(path)
-    check_magic(reader, CHECKPOINT_MAGIC)
-    version, step, count = reader.unpack("<IQI")
-    if version != CHECKPOINT_VERSION:
-        raise VersionError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+    reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    step, count = reader.unpack("<QI")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name = reader.text("a tensor name")

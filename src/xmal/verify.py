@@ -22,7 +22,7 @@ from . import attention, autodiff as ad, confidence, encoders, factors, objectiv
 from .attention import COMBINES, DIRECTIONS, AttentionConfig
 from .autodiff import EPS
 from .confidence import factor_pair_similarity_matrix, init_confidence_params
-from .data import PairItem
+from .data import Pairs
 from .model import Model, ModelConfig
 
 
@@ -279,28 +279,25 @@ def _toy_setup(seed: int, batch: int = 4, dim: int = 16, k: int = 4, m: int = 8,
     model = Model.build(
         ModelConfig(embed_dim=dim, factor_count=k, attention=AttentionConfig()), seed=seed
     )
-    items = [
-        PairItem(
-            pair_id=i,
-            concepts=(i,),
-            audio=rng.normal(size=(m, dim)),
-            text=rng.normal(size=(n, dim)),
-        )
-        for i in range(batch)
-    ]
-    return model, items
+    audio, text = np.empty((batch, m, dim)), np.empty((batch, n, dim))
+    for i in range(batch):  # pair by pair: its audio draw, then its text draw
+        audio[i] = rng.normal(size=(m, dim))
+        text[i] = rng.normal(size=(n, dim))
+    return model, Pairs(audio=audio, text=text, concepts=np.eye(batch, dtype=bool))
 
 
-def _loss_builders(model: Model, items, tau: float, alpha: float, beta: float, mode: str):
+def _loss_builders(model: Model, pairs: Pairs, tau: float, alpha: float, beta: float, mode: str):
+    def encode():
+        return model.encode_arrays(pairs.audio, pairs.text)
+
     def loss_s():
-        s = model.similarity_matrix(model.encode_pairs(items), mode)
-        return obj.nt_xent(s, tau)
+        return obj.nt_xent(model.similarity_matrix(encode(), mode), tau)
 
     def loss_d():
-        return factors.decoupling_loss(model.factor_covariance(model.encode_pairs(items)))
+        return factors.decoupling_loss(model.factor_covariance(encode()))
 
     def loss_a():
-        return factors.alignment_loss(model.factor_covariance(model.encode_pairs(items)))
+        return factors.alignment_loss(model.factor_covariance(encode()))
 
     def loss_total():
         return obj.total_loss(
@@ -322,8 +319,8 @@ def loss_gradient_checks(
     models. Every parameter tensor is probed at a seeded sample of entries."""
     worst = {name: 0.0 for name in ("loss_s", "loss_d", "loss_a", "loss_total")}
     for seed in range(seeds):
-        model, items = _toy_setup(seed)
-        builders = _loss_builders(model, items, tau=0.07, alpha=0.01, beta=0.005, mode=mode)
+        model, pairs = _toy_setup(seed)
+        builders = _loss_builders(model, pairs, tau=0.07, alpha=0.01, beta=0.005, mode=mode)
         for name, fn in builders.items():
             err = ad.finite_difference_check(
                 fn, model.parameters(), h=h, max_entries=entries_per_tensor, seed=seed

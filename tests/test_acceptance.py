@@ -145,7 +145,7 @@ def test_criterion_5_retrieval_learning(toy_run):
     with criterion(5, "trained retrieval beats 10x chance; untrained sits at chance"):
         items = toy_run["eval_ds"].items
         with no_grad():
-            encoded = toy_run["model"].encode_pairs(items)
+            encoded = toy_run["model"].encode_arrays(items.audio, items.text)
         reports = evaluation.evaluate(
             toy_run["model"], encoded, modes=("THA+DCR",), ks=(1,), seed=SEED
         )
@@ -161,7 +161,7 @@ def test_criterion_5_retrieval_learning(toy_run):
                 seed=1000 + seed,
             )
             with no_grad():
-                encoded = untrained.encode_pairs(items)
+                encoded = untrained.encode_arrays(items.audio, items.text)
             for r in evaluation.evaluate(untrained, encoded, modes=("THA+DCR",), ks=(1,)):
                 hits[r.direction] += round(r.r_at[1] * EVAL_SIZE / 100.0)
         for direction, count in hits.items():
@@ -172,7 +172,8 @@ def test_criterion_5_retrieval_learning(toy_run):
 def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path):
     with criterion(6, "mode additivity and byte-identical reruns"):
         model = toy_run["model"]
-        encoded = model.encode_pairs(toy_run["eval_ds"].items)
+        items = toy_run["eval_ds"].items
+        encoded = model.encode_arrays(items.audio, items.text)
         combined = model.similarity_matrix(encoded, "THA+DCR").value
         parts = (
             model.similarity_matrix(encoded, "THA").value
@@ -270,7 +271,7 @@ def test_criterion_7_serialization_and_resume(tmp_path):
 
         from xmal.data import EmbeddingSet, load_embeddings, save_embeddings
 
-        encoded = resumed_model.encode_pairs(ds.items[:4])
+        encoded = resumed_model.encode_arrays(ds.items.audio[:4], ds.items.text[:4])
         es = EmbeddingSet(
             audio_levels=[lvl.value for lvl in encoded.audio_levels],
             audio_global=encoded.audio_global.value,

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from containers import body, sealed
 from xmal import autodiff as ad, evaluation, trainer, verify
 from xmal.cli import KEY_TYPES, _restore_model, main
 from xmal.config import parse_config_file
@@ -356,7 +357,7 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
     ds = load_dataset(data)
     model, *_ = _restore_model(ckpt)
     with ad.no_grad():
-        encoded = model.encode_pairs(ds.items)
+        encoded = model.encode_arrays(ds.items.audio, ds.items.text)
         scores = {c: model.component_matrix(encoded, c).value for c in ("DP", "THA", "DCR")}
     scores["THA+DCR"] = scores["THA"] + scores["DCR"]
     keys = ["config_hash", "item_audio", "DP"]
@@ -381,7 +382,8 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
 def _write_old_checkpoint(trained, tmp_path, monkeypatch, version, rename):
     """The trained checkpoint written as `version` with every tensor name,
     parameters and Adam moments alike, mapped through `rename(name, value)`
-    to a dict of old-layout tensors."""
+    to a dict of old-layout tensors, and without the CRC32 trailer that
+    versions before 4 lacked."""
     from types import SimpleNamespace
 
     from xmal import trainer
@@ -396,7 +398,9 @@ def _write_old_checkpoint(trained, tmp_path, monkeypatch, version, rename):
     with monkeypatch.context() as m:
         m.setattr(trainer, "CHECKPOINT_VERSION", version)
         trainer.save_checkpoint(path, old, trainer.Optimizer(), current.step, current.config_text)
-    assert open(path, "rb").read()[4:8] == version.to_bytes(4, "little")
+    blob = body(open(path, "rb").read())
+    open(path, "wb").write(blob)
+    assert blob[4:8] == version.to_bytes(4, "little")
     return path, tensors
 
 
@@ -405,7 +409,7 @@ def _assert_version_rejected(trained, path, version, capsys):
     from xmal.errors import VersionError
 
     data, _ = trained
-    message = f"checkpoint version {version}, expected 3"
+    message = f"checkpoint version {version}, expected 4"
     with pytest.raises(VersionError, match=message):
         trainer.load_checkpoint(path)
     code, out, err = run(capsys, "eval", "--ckpt", path, "--data", data, "--modes", "DP", "--k", "1")
@@ -447,6 +451,14 @@ def test_version_2_checkpoint_is_rejected(trained, tmp_path, capsys, monkeypatch
         assert name in tensors
     assert "text.w" not in tensors and "opt.m.audio.merge" not in tensors
     _assert_version_rejected(trained, path, 2, capsys)
+
+
+def test_version_3_checkpoint_is_rejected(trained, tmp_path, capsys, monkeypatch):
+    """A checkpoint in the version-3 layout, today's tensors without the
+    CRC32 trailer, fails to load with VersionError, and `xmal eval` on it
+    exits 1 naming the version."""
+    path, _ = _write_old_checkpoint(trained, tmp_path, monkeypatch, 3, lambda n, v: {n: v})
+    _assert_version_rejected(trained, path, 3, capsys)
 
 
 def test_export_embeddings_round_trip(trained, tmp_path, capsys):
@@ -595,10 +607,10 @@ def test_threads_flag_validated(tmp_path, capsys):
 
 def _with_config_text(src: str, dst: str, text: str):
     """Write to dst a copy of checkpoint src whose stored config is `text`."""
-    blob = open(src, "rb").read()
+    blob = body(open(src, "rb").read())
     old = trainer.load_checkpoint(src).config_text.encode("utf-8")
     new = text.encode("utf-8")
-    open(dst, "wb").write(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new)
+    open(dst, "wb").write(sealed(blob[: -4 - len(old)] + struct.pack("<I", len(new)) + new))
 
 
 def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
@@ -645,17 +657,85 @@ def test_config_file_values_are_checked_in_every_section(tmp_path, capsys):
 def test_checkpoint_with_undecodable_text_is_a_corrupted_record(part, trained, tmp_path, capsys):
     data, ckpt = trained
     bad = str(tmp_path / "bad.xckp")
-    blob = open(ckpt, "rb").read()
+    blob = body(open(ckpt, "rb").read())  # rewritten below under a checksum that holds
     if part == "tensor name":  # 0xff over the first byte of the name audio.b
         at = blob.index(b"audio.b")
-        open(bad, "wb").write(blob[:at] + b"\xff" + blob[at + 1:])
+        open(bad, "wb").write(sealed(blob[:at] + b"\xff" + blob[at + 1:]))
     else:
         old = trainer.load_checkpoint(ckpt).config_text.encode("utf-8")
-        open(bad, "wb").write(blob[: -4 - len(old)] + struct.pack("<I", 2) + b"\xff[")
+        open(bad, "wb").write(sealed(blob[: -4 - len(old)] + struct.pack("<I", 2) + b"\xff["))
     with pytest.raises(CorruptedRecordError, match=re.escape(bad) + f": .*{part} is not valid UTF-8"):
         trainer.load_checkpoint(bad)
     code, out, err = run(capsys, "eval", "--ckpt", bad, "--data", data, "--modes", "DP", "--k", "1")
     assert code == 1 and err.startswith("error: ") and "not valid UTF-8" in err
+
+
+def test_a_stored_config_without_k_restores_k_from_the_tensors(trained, tmp_path, capsys):
+    """K and the confidence hidden width are read off the checkpoint's
+    tensors, so the D=16, K=4 checkpoint with the `K=4` line removed from
+    its stored config evaluates to the same reports as with the line kept."""
+    data, ckpt = trained
+    lines = trainer.load_checkpoint(ckpt).config_text.splitlines(keepends=True)
+    assert "K=4\n" in lines
+    stripped = str(tmp_path / "no_k.xckp")
+    _with_config_text(ckpt, stripped, "".join(line for line in lines if line != "K=4\n"))
+    reports = []
+    for name, path in (("kept", ckpt), ("removed", stripped)):
+        out_prefix = str(tmp_path / name)
+        code, out, err = run(
+            capsys, "eval", "--ckpt", path, "--data", data, "--modes", "DP,THA,DCR,THA+DCR",
+            "--out", out_prefix,
+        )
+        assert code == 0, err
+        text = open(out_prefix + ".txt").read().splitlines()
+        reports.append((
+            [line.split(" config_hash=")[0] for line in out.splitlines()],
+            [line for line in text if not line.startswith("config_hash=")],
+        ))
+    assert reports[0] == reports[1] and len(reports[0][0]) == 8
+
+
+def _mutations(blob: bytes, header: int, seed: int):
+    """20 seeded damaged copies of a container file: 6 changed header bytes,
+    7 truncations and 7 single-byte flips past the header."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for at in rng.integers(0, header, size=6):
+        damaged = bytearray(blob)
+        damaged[at] = (damaged[at] + int(rng.integers(1, 256))) % 256
+        out.append(("header", int(at), bytes(damaged)))
+    for cut in rng.integers(0, len(blob), size=7):
+        out.append(("cut", int(cut), blob[:cut]))
+    for at in rng.integers(header, len(blob), size=7):
+        damaged = bytearray(blob)
+        damaged[at] ^= 1 << int(rng.integers(0, 8))
+        out.append(("flip", int(at), bytes(damaged)))
+    return out
+
+
+@pytest.mark.parametrize("fmt", ("dataset", "checkpoint", "embeddings"))
+def test_every_mutated_container_is_one_error_line(trained, tmp_path, capsys, fmt):
+    """Through `xmal eval`, each damaged copy of a dataset, checkpoint or
+    embedding set exits 1 with one `error: ...` line: no traceback, no
+    report, and no flipped payload byte accepted."""
+    data, ckpt = trained
+    epath = str(tmp_path / "e.xemb")
+    code, _, err = run(capsys, "export-embeddings", "--ckpt", ckpt, "--data", data, "--out", epath)
+    assert code == 0, err
+    source, flag, header, seed = {
+        "dataset": (data, "--data", 52, 11),
+        "checkpoint": (ckpt, "--ckpt", 20, 12),
+        "embeddings": (epath, "--embeddings", 44, 13),
+    }[fmt]
+    inputs = {"--ckpt": ckpt, "--data": data} if fmt != "embeddings" else {"--ckpt": ckpt}
+    bad = str(tmp_path / f"bad.{fmt}")
+    blob = open(source, "rb").read()
+    for kind, at, damaged in _mutations(blob, header, seed):
+        open(bad, "wb").write(damaged)
+        argv = [arg for pair in {**inputs, flag: bad}.items() for arg in pair]
+        code, out, err = run(capsys, "eval", *argv, "--modes", "DP", "--k", "1")
+        assert (code, out) == (1, ""), (kind, at, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, (kind, at, err)
 
 
 def test_embedding_set_reports_are_byte_identical_to_the_dataset_path(trained, tmp_path, capsys):
@@ -669,7 +749,8 @@ def test_embedding_set_reports_are_byte_identical_to_the_dataset_path(trained, t
     assert code == 0, err
     model, *_ = _restore_model(ckpt)
     with ad.no_grad():
-        from_data = model.encode_pairs(load_dataset(data).items)
+        pairs = load_dataset(data).items
+        from_data = model.encode_arrays(pairs.audio, pairs.text)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     blobs = []
     for name, encoded in (

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
+from containers import body, sealed, sealed_file
 from xmal.data import (
     _DATASET_HEADER,
     Dataset,
     EmbeddingSet,
-    PairItem,
+    Pairs,
     SynthConfig,
     concept_slot,
     generate,
@@ -35,14 +36,16 @@ def small_cfg(**overrides):
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    if a.config != b.config or len(a.items) != len(b.items):
+    if a.config != b.config:
         return False
-    for x, y in zip(a.items, b.items):
-        if x.pair_id != y.pair_id or x.concepts != y.concepts:
-            return False
-        if not (np.array_equal(x.audio, y.audio) and np.array_equal(x.text, y.text)):
-            return False
-    return True
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in (
+            (a.items.audio, b.items.audio),
+            (a.items.text, b.items.text),
+            (a.items.concepts, b.items.concepts),
+        )
+    )
 
 
 def test_config_validation():
@@ -78,21 +81,30 @@ def test_round_robin_concept_slots():
     assert counts == [4, 4, 4, 4]
     ds = generate(cfg)
     assert len(ds.items) == 256
-    for it in ds.items:
-        assert 1 <= len(it.concepts) <= 4
-        assert len(set(it.concepts)) == len(it.concepts)
-        assert all(0 <= c < 16 for c in it.concepts)
+    mask = ds.items.concepts
+    assert mask.dtype == bool and mask.shape == (256, 16)  # labels are distinct and < 16
+    counts = mask.sum(axis=1)
+    assert counts.min() >= 1 and counts.max() <= 4
+
+
+def test_pairs_rows_are_stacks():
+    pairs = generate(small_cfg()).items
+    for rows, expected in ((slice(1, 4), [1, 2, 3]), (np.array([5, 0]), [5, 0]), (2, [2])):
+        picked = pairs[rows]
+        assert len(picked) == len(expected)
+        for name in ("audio", "text", "concepts"):
+            assert np.array_equal(getattr(picked, name), getattr(pairs, name)[expected])
 
 
 def test_noiseless_shared_projection_tokens_span_same_subspace():
     cfg = small_cfg(noise_sigma=0.0, shared_projection=True, text_tokens=8, audio_tokens=8)
     ds = generate(cfg)
-    for it in ds.items:
+    for audio, text in zip(ds.items.audio, ds.items.text):
         # every text row must lie in the span of the audio rows
-        coeffs, residuals, *_ = np.linalg.lstsq(it.audio.T, it.text.T, rcond=None)
-        recon = it.audio.T @ coeffs
-        assert np.abs(recon - it.text.T).max() < 1e-10
-        assert np.array_equal(it.audio, it.text)  # same fill order, same map
+        coeffs, residuals, *_ = np.linalg.lstsq(audio.T, text.T, rcond=None)
+        recon = audio.T @ coeffs
+        assert np.abs(recon - text.T).max() < 1e-10
+        assert np.array_equal(audio, text)  # same fill order, same map
 
 
 def test_concept_overlap_oracle_attains_max_at_true_pair():
@@ -104,12 +116,11 @@ def test_concept_overlap_oracle_attains_max_at_true_pair():
         text_tokens=5, audio_tokens=8, noise_sigma=0.0, seed=0,
     )
     items = generate(cfg).items
+    overlap = shared_concepts(items)
     strict = 0
-    for i, it in enumerate(items):
-        own = shared_concepts(it, it)
-        best_other = max(
-            shared_concepts(it, other) for j, other in enumerate(items) if j != i
-        )
+    for i in range(len(items)):
+        own = overlap[i, i]
+        best_other = max(overlap[i, j] for j in range(len(items)) if j != i)
         assert own >= best_other
         strict += own > best_other
     assert strict >= 0.7 * len(items)
@@ -150,13 +161,12 @@ def test_truncated_dataset_raises_corrupted(tmp_path):
         load_dataset(path)
 
 
-def _first_record_offsets(ds):
-    """Byte offsets of the first record's label count, labels, audio and text."""
-    count = _DATASET_HEADER.size
-    labels = count + 4
-    audio = labels + 4 * len(ds.items[0].concepts)
-    text = audio + ds.items[0].audio.nbytes
-    return count, labels, audio, text
+def _block_offsets(ds):
+    """Byte offsets of the concept mask, audio and text blocks."""
+    mask = _DATASET_HEADER.size
+    audio = mask + ds.items.concepts.size
+    text = audio + ds.items.audio.nbytes
+    return mask, audio, text
 
 
 @pytest.mark.parametrize(
@@ -164,6 +174,7 @@ def _first_record_offsets(ds):
     [
         ("zero_labels", "pair 0 has 0 concept labels"),
         ("too_many_labels", "pair 0 has 5 concept labels"),
+        ("mask_byte_2", "pair 3 has concept mask byte 2"),
         ("trailing_byte", "trailing bytes"),
         ("cut_in_labels", "needed"),
         ("cut_in_audio", "needed"),
@@ -171,23 +182,103 @@ def _first_record_offsets(ds):
     ],
 )
 def test_corrupted_dataset_records_raise(tmp_path, corrupt, message):
+    """A damaged body under a checksum that holds (the file was rewritten,
+    not flipped in transit) still fails to load, naming the first bad pair."""
+    ds = generate(small_cfg())
+    path = str(tmp_path / "d.xmal")
+    save_dataset(ds, path)
+    blob = bytearray(body(open(path, "rb").read()))
+    mask, audio, text = _block_offsets(ds)
+    width = ds.config.concept_count
+    if corrupt == "zero_labels":
+        blob[mask : mask + width] = bytes(width)
+    elif corrupt == "too_many_labels":
+        blob[mask : mask + width] = bytes([1] * (ds.config.factor_count + 1) + [0] * 3)
+    elif corrupt == "mask_byte_2":
+        row = mask + 3 * width
+        blob[row + blob[row : row + width].index(1)] = 2
+    elif corrupt == "trailing_byte":
+        blob += b"\0"
+    else:
+        cut = {"cut_in_labels": mask, "cut_in_audio": audio, "cut_in_text": text}[corrupt]
+        blob = blob[: cut + 3]
+    open(path, "wb").write(sealed(blob))
+    with pytest.raises(CorruptedRecordError, match=re.escape(path) + ": .*" + message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("where", ("header", "mask", "audio", "text", "checksum"))
+def test_flipped_dataset_byte_fails_the_checksum(tmp_path, where):
     ds = generate(small_cfg())
     path = str(tmp_path / "d.xmal")
     save_dataset(ds, path)
     blob = bytearray(open(path, "rb").read())
-    count, labels, audio, text = _first_record_offsets(ds)
-    if corrupt == "zero_labels":
-        blob[count : count + 4] = struct.pack("<I", 0)
-    elif corrupt == "too_many_labels":
-        blob[count : count + 4] = struct.pack("<I", ds.config.factor_count + 1)
-    elif corrupt == "trailing_byte":
-        blob += b"\0"
-    else:
-        cut = {"cut_in_labels": labels, "cut_in_audio": audio, "cut_in_text": text}[corrupt]
-        blob = blob[: cut + 3]
+    mask, audio, text = _block_offsets(ds)
+    at = {"header": 8, "mask": mask, "audio": audio + 5, "text": text + 7, "checksum": -1}[where]
+    blob[at] ^= 0x10
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(CorruptedRecordError, match=message):
+    with pytest.raises(CorruptedRecordError, match=re.escape(path) + ": checksum mismatch"):
         load_dataset(path)
+
+
+def test_version_1_dataset_is_rejected(tmp_path):
+    path = str(tmp_path / "v1.xmal")
+    save_dataset(generate(small_cfg()), path)
+    blob = bytearray(body(open(path, "rb").read()))
+    blob[4:8] = struct.pack("<I", 1)
+    open(path, "wb").write(bytes(blob))  # as v1 wrote it: no trailer
+    with pytest.raises(VersionError, match="dataset version 1, expected 2"):
+        load_dataset(path)
+
+
+def _hand_written_pair_file(path: str) -> Pairs:
+    """Write a 2-pair v2 file (K=2, D=2, N=1, M=4, 3 concepts) block by
+    block in the documented layout, and return the stacks it holds. Entry
+    values encode (pair, token, column)."""
+    mask = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
+    audio = 100 * np.arange(2)[:, None, None] + 10 * np.arange(4)[:, None] + np.arange(2)
+    text = 1000 + 100 * np.arange(2)[:, None, None] + np.arange(2.0).reshape(1, 1, 2)
+    header = b"XMAL" + struct.pack("<IIIIIIIQdI", 2, 2, 2, 2, 1, 4, 3, 9, 0.25, 0)
+    payload = header + mask.tobytes() + audio.astype("<f8").tobytes() + text.astype("<f8").tobytes()
+    with open(path, "wb") as f:
+        f.write(sealed(payload))
+    return Pairs(audio=audio.astype(float), text=text, concepts=mask.astype(bool))
+
+
+def test_dataset_hand_written_pair_pins_both_directions(tmp_path):
+    """The v2 layout is pinned from the read side (the hand-written file
+    loads as the expected stacks and mask) and from the write side (saving
+    those stacks reproduces the file byte for byte)."""
+    path = str(tmp_path / "hand.xmal")
+    expected = _hand_written_pair_file(path)
+    loaded = load_dataset(path)
+    cfg = SynthConfig(
+        pairs=2, concept_count=3, factor_count=2, embed_dim=2, text_tokens=1, audio_tokens=4,
+        noise_sigma=0.25, seed=9,
+    )
+    assert datasets_equal(loaded, Dataset(config=cfg, items=expected))
+    assert loaded.items.audio[1, 3, 1] == 131 and loaded.items.text[1, 0, 0] == 1100
+    assert np.flatnonzero(loaded.items.concepts[0]).tolist() == [0, 2]
+    again = str(tmp_path / "again.xmal")
+    save_dataset(Dataset(config=cfg, items=expected), again)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+@pytest.mark.parametrize("axis", ("P", "M", "N", "D", "C"))
+def test_save_dataset_refuses_stacks_that_disagree_with_the_config(tmp_path, axis):
+    ds = generate(small_cfg())
+    stack, cut = {
+        "P": ("audio", np.s_[:5]),
+        "M": ("audio", np.s_[:, :7]),
+        "N": ("text", np.s_[:, :4]),
+        "D": ("text", np.s_[:, :, :8]),
+        "C": ("concepts", np.s_[:, :5]),
+    }[axis]
+    setattr(ds.items, stack, getattr(ds.items, stack)[cut])
+    path = tmp_path / "d.xmal"
+    with pytest.raises(DimensionError, match=f"{stack} stack has shape"):
+        save_dataset(ds, str(path))
+    assert not path.exists()
 
 
 def test_wrong_schema_version_raises(tmp_path):
@@ -251,9 +342,9 @@ def test_embeddings_round_trip(tmp_path):
 
 def test_embeddings_reject_two_level_file(tmp_path):
     path = str(tmp_path / "e.xemb")
-    with open(path, "wb") as f:
+    with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 1, 0, 6, 2))  # declares 2 levels
+        f.write(struct.pack("<IIII", 2, 0, 6, 2))  # declares 2 levels
         f.write(struct.pack("<II", 3, 3))
         f.write(struct.pack("<II", 3, 3))
     with pytest.raises(FormatError):
@@ -263,9 +354,9 @@ def test_embeddings_reject_two_level_file(tmp_path):
 def test_embeddings_hand_written_single_item(tmp_path):
     dim = 2
     path = str(tmp_path / "e.xemb")
-    with open(path, "wb") as f:
+    with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 1, 1, dim, 3))
+        f.write(struct.pack("<IIII", 2, 1, dim, 3))
         f.write(struct.pack("<III", 1, 1, 1))  # audio level token counts
         f.write(struct.pack("<III", 1, 1, 1))  # text level token counts
         for value in range(3):  # audio levels
@@ -293,9 +384,9 @@ def _ragged_pair_file(path: str) -> EmbeddingSet:
             1000 * item + 100 * f + np.arange(np.prod(shape), dtype=float).reshape(shape)
             for f, shape in enumerate(shapes)
         ])
-    with open(path, "wb") as f:
+    with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 1, 2, dim, 3))  # version, items, D, levels
+        f.write(struct.pack("<IIII", 2, 2, dim, 3))  # version, items, D, levels
         f.write(struct.pack("<III", *AUDIO_COUNTS))
         f.write(struct.pack("<III", *TEXT_COUNTS))
         for record in fields:
@@ -334,9 +425,9 @@ def test_empty_embedding_set_round_trips(tmp_path):
 
 def test_embeddings_zero_token_level_is_rejected_on_load(tmp_path):
     path = str(tmp_path / "e.xemb")
-    with open(path, "wb") as f:
+    with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 1, 1, 2, 3))
+        f.write(struct.pack("<IIII", 2, 1, 2, 3))
         f.write(struct.pack("<III", 4, 0, 1))  # audio level 1 has no token
         f.write(struct.pack("<III", 3, 3, 3))
         f.write(np.zeros(2 * (4 + 0 + 1 + 1 + 9 + 1)).tobytes())
@@ -374,6 +465,16 @@ def test_truncated_embeddings_raise(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-9])
     with pytest.raises(CorruptedRecordError):
+        load_embeddings(path)
+
+
+def test_version_1_embedding_set_is_rejected(tmp_path):
+    path = str(tmp_path / "v1.xemb")
+    save_embeddings(_embedding_set(np.random.default_rng(4)), path)
+    blob = bytearray(body(open(path, "rb").read()))
+    blob[4:8] = struct.pack("<I", 1)
+    open(path, "wb").write(bytes(blob))  # as v1 wrote it: no trailer
+    with pytest.raises(VersionError, match="embedding set version 1, expected 2"):
         load_embeddings(path)
 
 

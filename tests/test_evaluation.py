@@ -91,7 +91,7 @@ def test_recall_bad_inputs():
 def _encoded(model, ds):
     """The dataset encoded tape-free, as `xmal eval` encodes it."""
     with ad.no_grad():
-        return model.encode_pairs(ds.items)
+        return model.encode_arrays(ds.items.audio, ds.items.text)
 
 
 def _identity_model(dim=16, k=4):
@@ -112,7 +112,7 @@ def test_perfect_similarity_on_noiseless_identity_setup():
         text_tokens=8, audio_tokens=8, noise_sigma=0.0, seed=1, shared_projection=True,
     )
     ds = generate(cfg)
-    assert len({it.concepts for it in ds.items}) == 32  # all concept sets distinct
+    assert len(np.unique(ds.items.concepts, axis=0)) == 32  # all concept sets distinct
     model = _identity_model()
     reports = evaluate(model, _encoded(model, ds), modes=("DP",), ks=(1, 5), seed=1, config_hash="t")
     assert len(reports) == 2
@@ -187,7 +187,7 @@ def test_diagnostics_confidences_equal_per_factor_calls():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 11)
     diag = dcr_diagnostics(model, ds.items)
     with ad.no_grad():
-        text_z, audio_z = model.batch_factors(model.encode_pairs(ds.items))
+        text_z, audio_z = model.batch_factors(model.encode_arrays(ds.items.audio, ds.items.text))
         cols = [
             matched_confidences(
                 text_z.value[:, i:i + 1], audio_z.value[:, i:i + 1], model.params
@@ -296,13 +296,13 @@ def test_evaluate_matches_taped_similarity_matrices(monkeypatch):
     ds, model = _eval_set(20)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     reports = evaluate(model, _encoded(model, ds), modes=modes, ks=(1, 2, 5))
-    encoded = model.encode_pairs(ds.items)  # taped
+    encoded = model.encode_arrays(ds.items.audio, ds.items.text)  # taped
     assert encoded.audio_global._parents != ()
     expected = []
     for mode in modes:
         taped = model.similarity_matrix(encoded, mode).value
         with ad.no_grad():  # the same fused ops, with no tape recording
-            untaped = model.similarity_matrix(model.encode_pairs(ds.items), mode).value
+            untaped = model.similarity_matrix(_encoded(model, ds), mode).value
         if mode == "DP":
             assert np.array_equal(taped, untaped)
         else:
@@ -397,7 +397,7 @@ def _taped_tile_matrix(model, items, mode):
     with the factors projected once for the whole batch, as eval scores. (A
     whole-batch op differs from its tiles in ragged blocks by BLAS rounding:
     a matmul's bits depend on its shape.)"""
-    encoded = model.encode_pairs(items)
+    encoded = model.encode_arrays(items.audio, items.text)
     text_z, audio_z = model.batch_factors(encoded)
     blocks = evaluation._blocks(encoded.batch)
     out = np.empty((encoded.batch, encoded.batch))

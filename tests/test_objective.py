@@ -144,7 +144,7 @@ def toy():
 
 def test_batch_similarity_mode_additivity(toy):
     model, items = toy
-    encoded = model.encode_pairs(items)
+    encoded = model.encode_arrays(items.audio, items.text)
     combined = model.similarity_matrix(encoded, "THA+DCR").value
     parts = model.similarity_matrix(encoded, "THA").value + model.similarity_matrix(encoded, "DCR").value
     assert np.abs(combined - parts).max() < 1e-12
@@ -155,10 +155,10 @@ def test_batch_similarity_mode_additivity(toy):
 
 def test_batch_similarity_matches_per_pair_oracle(toy):
     model, items = toy
-    audio_sets = [oracle.encode_audio(it.audio, model.params) for it in items]
-    text_sets = [oracle.encode_text(it.text, model.params) for it in items]
+    audio_sets = [oracle.encode_audio(audio, model.params) for audio in items.audio]
+    text_sets = [oracle.encode_text(text, model.params) for text in items.text]
     for mode in obj.MODES:
-        s = model.similarity_matrix(model.encode_pairs(items), mode).value
+        s = model.similarity_matrix(model.encode_arrays(items.audio, items.text), mode).value
         for i in range(3):
             for j in range(3):
                 direct = oracle.pair_score(model, audio_sets[i], text_sets[j], mode)
@@ -204,7 +204,8 @@ def _items(pairs):
 def test_taped_scores_are_one_op_per_level_whatever_the_eval_tile(monkeypatch):
     monkeypatch.setattr(evaluation, "TILE", 7)  # only tape-free eval tiles
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=8)
-    encoded = model.encode_pairs(_items(20))
+    items = _items(20)
+    encoded = model.encode_arrays(items.audio, items.text)
     loss = obj.nt_xent(model.similarity_matrix(encoded, "THA+DCR"), 0.07)
     ops = _tape_ops(loss)
     assert ops.count("tha_level") == 3
@@ -215,8 +216,11 @@ def test_taped_scores_are_one_op_per_level_whatever_the_eval_tile(monkeypatch):
 def test_encoding_in_one_call_equals_encoding_in_chunks_bit_for_bit():
     items = _items(150)
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=8)
-    whole = model.encode_pairs(items)
-    chunks = [model.encode_pairs(items[lo:hi]) for lo, hi in ((0, 64), (64, 128), (128, 150))]
+    whole = model.encode_arrays(items.audio, items.text)
+    chunks = [
+        model.encode_arrays(items.audio[lo:hi], items.text[lo:hi])
+        for lo, hi in ((0, 64), (64, 128), (128, 150))
+    ]
 
     def outputs(e):
         return [*e.audio_levels, e.audio_global, *e.text_levels, e.text_global]

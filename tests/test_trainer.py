@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from containers import body, sealed
 from xmal import autodiff as ad, factors, objective
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
@@ -199,23 +200,35 @@ def test_checkpoint_version_check(tmp_path):
 @pytest.mark.parametrize(
     "damage, error, message",
     [
-        ("cut_in_header", CorruptedRecordError, "needed 16 bytes, got 6"),
+        ("cut_in_header", CorruptedRecordError, "needed 12 bytes, got 6"),
         ("cut_in_tensors", CorruptedRecordError, "needed"),
         ("cut_in_config", CorruptedRecordError, "needed 15 bytes, got 14"),
         ("trailing_byte", CorruptedRecordError, "trailing bytes"),
         ("bad_magic", FormatError, "bad magic b'NOPE'"),
+        ("flipped_byte", CorruptedRecordError, "checksum mismatch, the checkpoint is damaged"),
+        ("no_checksum", CorruptedRecordError, "no room for the checksum"),
+        ("version_3", VersionError, "checkpoint version 3, expected 4"),
     ],
 )
 def test_damaged_checkpoint_raises(tmp_path, damage, error, message):
+    """Cuts and trailing bytes under a checksum that holds are caught by
+    the reader's bounds; a flipped byte by the checksum; a version-3 file,
+    which has no trailer, by its version."""
     path = str(tmp_path / "a.xckp")
     save_checkpoint(path, toy_model(), Adam(1e-3), 0, "[train]\nseed=1\n")
     blob = open(path, "rb").read()
+    payload = body(blob)
+    flipped = bytearray(blob)
+    flipped[len(blob) // 3] ^= 0x01
     blob = {
-        "cut_in_header": blob[:10],
-        "cut_in_tensors": blob[: len(blob) // 2],
-        "cut_in_config": blob[:-1],
-        "trailing_byte": blob + b"\0",
+        "cut_in_header": sealed(payload[:14]),
+        "cut_in_tensors": sealed(payload[: len(payload) // 2]),
+        "cut_in_config": sealed(payload[:-1]),
+        "trailing_byte": sealed(payload + b"\0"),
         "bad_magic": b"NOPE" + blob[4:],
+        "flipped_byte": bytes(flipped),
+        "no_checksum": blob[:10],
+        "version_3": payload[:4] + (3).to_bytes(4, "little") + payload[8:],
     }[damage]
     open(path, "wb").write(blob)
     with pytest.raises(FormatError, match=message) as info:
@@ -278,7 +291,7 @@ def test_factor_count_axis_trains_and_evaluates(k, dim):
     result = train(model, ds, make_cfg(epochs=1, batch_size=4))
     assert all(np.isfinite(r.loss) for r in result.log)
     with ad.no_grad():
-        encoded = model.encode_pairs(ds.items)
+        encoded = model.encode_arrays(ds.items.audio, ds.items.text)
     reports = evaluate(model, encoded, modes=("THA+DCR",), ks=(1,))
     assert all(0.0 <= r.r_at[1] <= 100.0 for r in reports)
 
@@ -322,7 +335,7 @@ def test_a_batch16_train_step_records_at_most_80_tape_nodes():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=0)
     ocfg = ObjectiveConfig(alpha=0.01, beta=0.005, similarity_mode="THA+DCR")
     first = next(ad._node_ids) + 1
-    encoded = model.encode_pairs(ds.items)
+    encoded = model.encode_arrays(ds.items.audio, ds.items.text)
     s = model.similarity_matrix(encoded, ocfg.similarity_mode)
     cov = model.factor_covariance(encoded)
     loss = objective.total_loss(
