@@ -62,7 +62,10 @@ class Flag(NamedTuple):
 
 
 THREADS = Flag(
-    "--threads", int, "checked, but compute stays on one thread (measured fastest)", default=1
+    "--threads", int,
+    "eval: rank in up to N processes, one per CPU, never changing results; "
+    "other commands: checked only",
+    default=1,
 )
 
 # config section -> its settings; every command of a section also takes
@@ -165,7 +168,6 @@ def _config_section(args) -> dict:
             values[flag.dest] = flag_value
     if values["threads"] < 1:
         raise ConfigError(f"--threads must be >= 1, got {values['threads']}")
-    # Compute is vectorized and single-threaded; the cap never changes results.
     return values
 
 
@@ -371,7 +373,9 @@ def cmd_eval(args) -> int:
     }
     stamp = config_hash("eval", resolved)
     encoded = _encoded_input("eval", model, values.get("data"), values.get("embeddings"))
-    reports = evaluation.evaluate(model, encoded, modes=modes, ks=ks, seed=seed, config_hash=stamp)
+    reports = evaluation.evaluate(
+        model, encoded, modes=modes, ks=ks, seed=seed, config_hash=stamp, threads=values["threads"]
+    )
     out = values.get("out")
     if out:
         evaluation.write_report_text(out + ".txt", reports)

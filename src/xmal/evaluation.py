@@ -8,8 +8,17 @@ per audio clip; reports carry that note plus the config hash and seed.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import logging
+import os
+import pickle
+import resource
+import signal
 import struct
+import threading
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -17,7 +26,7 @@ from . import factors
 from .autodiff import Tensor, Workspace, no_grad
 from .confidence import matched_confidences
 from .data import EmbeddingSet, Pairs
-from .errors import BatchTooSmallError, ContractError, DimensionError
+from .errors import BatchTooSmallError, ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
 from .objective import mode_components
 
@@ -26,6 +35,8 @@ REPORT_MAGIC = b"XRPT"
 REPORT_VERSION = 1
 PROTOCOL_NOTE = "one_caption_per_audio"
 TILE = 64  # items per side of a THA or DCR score tile
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -157,6 +168,182 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
 
 
+def _worker_count(threads: int, strips: int) -> int:
+    """How many processes rank `strips` strips: at most `threads`, one per
+    CPU this process may run on, and at least two strips each. The calling
+    process alone where a fork is unsafe (a second thread is alive) or where
+    `os.fork` or `os.sched_setaffinity` does not exist."""
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+    if not forkable or threading.active_count() != 1:
+        return 1
+    return max(1, min(threads, len(os.sched_getaffinity(0)), strips // 2))
+
+
+def _rank_strips(scorers: dict, parts: dict, blocks: list[slice], own: range, exchange):
+    """One worker's share of `evaluate`: the strips `own` (indices into
+    `blocks`) of every mode, in two passes.
+    1. Each component scores the diagonal tiles (a, a) of the own strips,
+       which are kept. `exchange` takes their diagonals, {component: {strip:
+       scores}}, and returns each component's matched scores over all rows.
+       A mode's matched scores are the sum of its components'.
+    2. Each own strip of audio rows is built against every text block from
+       its tiles, the kept diagonal tile included; each mode sums its
+       components' strips in order into one reused buffer and ranks it.
+    Returns {mode: {direction: ranks}}: the own rows' complete audio_to_text
+    ranks (0 elsewhere) and the own strips' share of every text_to_audio
+    rank, so the workers' ranks add up to the whole batch's."""
+    size = blocks[-1].stop
+    diagonal = {
+        c: {n: strip(blocks[n], ws)(blocks[n]) for n in own} for c, (strip, ws) in scorers.items()
+    }
+    matched = exchange({c: {n: np.diagonal(t) for n, t in d.items()} for c, d in diagonal.items()})
+    match = {m: _mode_sum([matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()}
+    ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in parts}
+    rows = {c: np.empty((blocks[0].stop, size)) for c in scorers}
+    total = np.empty((blocks[0].stop, size))  # pages are touched only by multi-component modes
+    for n in own:
+        a = blocks[n]
+        height = a.stop - a.start
+        for c, (strip, ws) in scorers.items():
+            tile = strip(a, ws)
+            for m, t in enumerate(blocks):
+                rows[c][:height, t] = diagonal[c][n] if m == n else tile(t)
+        for mode, comps in parts.items():
+            s = _mode_sum([rows[c][:height] for c in comps], total[:height])
+            _rank_strip(s, a, match[mode], ranks[mode])
+    return ranks
+
+
+def _matched(blocks: list[slice], shares) -> dict[str, np.ndarray]:
+    """Each component's matched scores over all rows, put together by slice
+    assignment from the workers' diagonals, {component: {strip: scores}}."""
+    out: dict[str, np.ndarray] = {}
+    for share in shares:
+        for c, diagonals in share.items():
+            whole = out.setdefault(c, np.empty(blocks[-1].stop))
+            for n, scores in diagonals.items():
+                whole[blocks[n]] = scores
+    return out
+
+
+def _send(f: BinaryIO, obj):
+    pickle.dump(obj, f, protocol=pickle.HIGHEST_PROTOCOL)
+    f.flush()
+
+
+@dataclass
+class _Child:
+    """The parent's end of forked worker `number`: its pid and its pipes."""
+
+    number: int
+    pid: int
+    reader: BinaryIO
+    writer: BinaryIO
+
+    def receive(self):
+        try:
+            kind, body = pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError) as e:
+            raise XmalError(f"eval worker {self.number} ended without sending its result") from e
+        if kind == "error":
+            raise XmalError(f"eval worker {self.number} failed: {body}")
+        return body
+
+    def send(self, obj):
+        try:
+            _send(self.writer, obj)
+        except BrokenPipeError as e:
+            raise XmalError(f"eval worker {self.number} ended before the exchange") from e
+
+
+def _fork(number: int, cpu: int, rank) -> _Child:
+    """Fork worker `number`, pinned to `cpu`, which runs `rank(exchange)`
+    and sends back the ranks it returns."""
+    up_r, up_w = os.pipe()
+    down_r, down_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (up_r, up_w, down_r, down_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(up_r)
+        os.close(down_w)
+        _child(cpu, rank, os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
+    os.close(up_w)
+    os.close(down_r)
+    return _Child(number, pid, os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb"))
+
+
+def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
+    """A forked worker's whole life. It leaves only through `os._exit`, so it
+    never returns into the frames it shares with its parent: 0 once its
+    ranks are sent; 1 after it sends the type and message of what it raised
+    (or fails to, because the parent is gone)."""
+    code = 1
+    try:
+        os.sched_setaffinity(0, {cpu})
+
+        def exchange(share):
+            _send(up, ("ok", share))
+            return pickle.load(down)
+
+        _send(up, ("ok", rank(exchange)))
+        code = 0
+    except BaseException as e:  # reported; the child exits below either way
+        with contextlib.suppress(OSError):
+            _send(up, ("error", f"{type(e).__name__}: {e}"))
+    finally:
+        os._exit(code)
+
+
+def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int):
+    """`_rank_strips` split over `workers` processes: worker w ranks strips
+    w::workers. The calling process is worker 0; workers 1.. are forked after
+    the scorers have prepared the text blocks, which they share
+    copy-on-write. Each process runs pinned to its own CPU, because a forked
+    child starts on its parent's CPU and may stay there. In the one exchange
+    each child sends its diagonals, and the parent sends every worker the
+    matched scores put together; each child then sends its ranks, which the
+    parent adds to its own. A child that raised or ended early is an
+    XmalError naming it. Every child is reaped before this returns, and
+    killed first unless the call succeeded."""
+    saved = os.sched_getaffinity(0)
+    cpus = sorted(saved)
+    strips = range(len(blocks))
+    children: list[_Child] = []
+    done = False
+    os.sched_setaffinity(0, {cpus[0]})
+    try:
+        for w in range(1, workers):
+            rank = functools.partial(_rank_strips, scorers, parts, blocks, strips[w::workers])
+            children.append(_fork(w, cpus[w], rank))
+
+        def exchange(share):
+            matched = _matched(blocks, [share, *(child.receive() for child in children)])
+            for child in children:
+                child.send(matched)
+            return matched
+
+        ranks = _rank_strips(scorers, parts, blocks, strips[::workers], exchange)
+        for child in children:
+            for mode, share in child.receive().items():
+                for d in DIRECTIONS:
+                    ranks[mode][d] += share[d]
+        done = True
+    finally:
+        os.sched_setaffinity(0, saved)
+        for child in children:
+            child.reader.close()
+            with contextlib.suppress(OSError):  # a failed send leaves unflushed bytes
+                child.writer.close()
+            if not done:
+                os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+    return ranks
+
+
 @no_grad()
 def evaluate(
     model: Model,
@@ -165,6 +352,7 @@ def evaluate(
     ks: tuple[int, ...] = (1, 5, 10),
     seed: int = 0,
     config_hash: str = "",
+    threads: int = 1,
 ) -> list[RetrievalReport]:
     """One report per (mode, direction) over the encoded pairs, audio item i
     matching text item i: a dataset encoded by the model, or an embedding set
@@ -172,20 +360,23 @@ def evaluate(
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, with one
-    workspace per component, in two passes over the audio strips:
-    1. Each component scores its diagonal tiles (a, a), which are kept. A
-       mode's matched scores are the diagonal of their sum.
-    2. Each strip of audio rows is built against every text block from its
-       tiles, the kept diagonal tile included, and each mode sums its
-       components' strips in order into one reused buffer. Ranking a strip
-       completes its audio_to_text ranks, and adds its share to every text
-       item's text_to_audio rank (see `_match_ranks`).
-    Memory is O(components x TILE x B) on top of the encoded batch. A mode's
-    scores equal bit for bit what `Model.similarity_matrix` gives tile by
-    tile, taped or not; a matched score is read from the same tile as its
-    row's and column's other scores, so it equals its own entry. One
-    whole-batch op differs from the tiles by BLAS rounding (a few 1e-16 for
-    DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
+    workspace per component, in two passes over the audio strips (see
+    `_rank_strips`): the diagonal tiles first, which give the matched
+    scores, then each strip against every text block. Ranking a strip
+    completes its audio_to_text ranks, and adds its share to every text
+    item's text_to_audio rank (see `_match_ranks`).
+
+    `threads` caps the processes that rank the strips (`_worker_count`: one
+    per usable CPU, at least two strips each). With more than one, workers
+    are forked over alternate strips (`_forked_ranks`); their ranks add up
+    exactly, so the reports do not depend on `threads`.
+
+    Memory is O(components x TILE x B) per worker on top of the encoded
+    batch. A mode's scores equal bit for bit what `Model.similarity_matrix`
+    gives tile by tile, taped or not; a matched score is read from the same
+    tile as its row's and column's other scores, so it equals its own entry.
+    One whole-batch op differs from the tiles by BLAS rounding (a few 1e-16
+    for DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
     its shape."""
     size = encoded.batch
     if size == 0:
@@ -195,21 +386,16 @@ def evaluate(
     blocks = _blocks(size)
     components = dict.fromkeys(c for mode in modes for c in parts[mode])
     scorers = {c: (model.strip_scorer(encoded, c, blocks), Workspace()) for c in components}
-    diagonal = {c: [strip(a, ws)(a) for a in blocks] for c, (strip, ws) in scorers.items()}
-    matched = {c: np.concatenate([np.diagonal(tile) for tile in diagonal[c]]) for c in scorers}
-    match = {mode: _mode_sum([matched[c] for c in parts[mode]], np.empty(size)) for mode in modes}
-    ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in modes}
-    rows = {c: np.empty((blocks[0].stop, size)) for c in scorers}
-    total = np.empty((blocks[0].stop, size))  # pages are touched only by multi-component modes
-    for n, a in enumerate(blocks):
-        height = a.stop - a.start
-        for c, (strip, ws) in scorers.items():
-            tile = strip(a, ws)
-            for m, t in enumerate(blocks):
-                rows[c][:height, t] = diagonal[c][n] if m == n else tile(t)
-        for mode in modes:
-            s = _mode_sum([rows[c][:height] for c in parts[mode]], total[:height])
-            _rank_strip(s, a, match[mode], ranks[mode])
+    workers = _worker_count(threads, len(blocks))
+    if workers == 1:
+        every = range(len(blocks))
+        ranks = _rank_strips(scorers, parts, blocks, every, lambda share: _matched(blocks, [share]))
+    else:
+        ranks = _forked_ranks(scorers, parts, blocks, workers)
+    logger.info(  # the largest ru_maxrss (KiB on Linux) of any child this process has reaped
+        "%d strips, %d workers, workers' peak RSS %.1f MB (RUSAGE_CHILDREN)",
+        len(blocks), workers, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    )
     return [
         RetrievalReport(
             mode=mode,

@@ -169,7 +169,7 @@ def test_criterion_5_retrieval_learning(toy_run):
             assert lo <= count <= hi
 
 
-def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path):
+def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monkeypatch):
     with criterion(6, "mode additivity and byte-identical reruns"):
         model = toy_run["model"]
         items = toy_run["eval_ds"].items
@@ -205,19 +205,39 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path):
                     "--modes", "DP,THA+DCR", "--k", "1,5", "--out", "rep",
                     "--threads", threads,
                 ]) == 0
+                # 300 pairs are 5 strips, enough to fork an eval worker per CPU
+                assert main([
+                    "gen-data", "--pairs", "300", "--K", "4", "--D", "16", "--N", "5",
+                    "--M", "8", "--seed", "8", "--out", "d300.xmal", "--threads", threads,
+                ]) == 0
+                assert main([
+                    "eval", "--ckpt", "ck.xckp", "--data", "d300.xmal",
+                    "--modes", "DP,THA,DCR,THA+DCR,THA+DP", "--out", "rep300",
+                    "--threads", threads,
+                ]) == 0
             finally:
                 os.chdir(cwd)
             return workdir
 
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         w1 = run_pipeline("a", "1")
+        assert forks == []
         w2 = run_pipeline("b", "4")
+        workers = min(4, len(os.sched_getaffinity(0)), 5 // 2)
+        assert len(forks) == workers - 1
         for name, binary in (
             ("d.xmal", True), ("d.xmal.manifest", False), ("ck.xckp", True),
             ("ck.xckp.log", False), ("rep.txt", False), ("rep.xrpt", True),
+            ("d300.xmal", True), ("rep300.txt", False), ("rep300.xrpt", True),
         ):
             mode = "rb" if binary else "r"
             assert open(w1 / name, mode).read() == open(w2 / name, mode).read(), name
-        print("  gen-data/train/eval reruns byte-identical across --threads 1 vs 4")
+        print(
+            "  gen-data/train/eval reruns byte-identical across --threads 1 vs 4, "
+            f"and so is a 300-pair eval on {workers} workers"
+        )
 
 
 def test_criterion_7_serialization_and_resume(tmp_path):

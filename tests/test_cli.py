@@ -1,13 +1,15 @@
 """Command-line surface: flags, config files, output stamping, exit codes."""
 
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from containers import body, sealed
-from xmal import autodiff as ad, evaluation, trainer, verify
+from xmal import attention, autodiff as ad, evaluation, trainer, verify
 from xmal.cli import KEY_TYPES, _restore_model, main
 from xmal.config import parse_config_file
 from xmal.data import EmbeddingSet, load_dataset, load_embeddings, save_embeddings
@@ -592,6 +594,89 @@ def test_eval_threads_flag_starts_no_thread_and_changes_nothing(tmp_path, capsys
         printed[threads] = out
     assert starts == []
     assert printed["1"] == printed["64"]
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+ALL_MODES = "DP,THA,DCR,THA+DCR,THA+DP"
+
+
+@pytest.fixture(scope="module")
+def eval_300(tmp_path_factory):
+    """A 300-pair dataset (5 strips, the last ragged) and a DP checkpoint."""
+    d = tmp_path_factory.mktemp("eval300")
+    data, ckpt = str(d / "e.xmal"), str(d / "e.xckp")
+    assert main([
+        "gen-data", "--pairs", "300", "--K", "4", "--D", "16", "--N", "5", "--M", "8",
+        "--sigma", "0.1", "--seed", "7", "--out", data,
+    ]) == 0
+    assert main([
+        "train", "--data", data, "--out", ckpt, "--epochs", "1", "--batch-size", "50",
+        "--mode", "DP", "--seed", "3",
+    ]) == 0
+    return data, ckpt
+
+
+def _eval_outputs(capsys, eval_300, out, *flags):
+    data, ckpt = eval_300
+    code, stdout, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, "--out", out, *flags)
+    assert code == 0, err
+    return stdout, Path(out + ".txt").read_text(), Path(out + ".xrpt").read_bytes()
+
+
+def test_eval_forks_workers_and_reports_byte_identical_across_threads(
+    eval_300, tmp_path, capsys, monkeypatch
+):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    outputs = {}
+    for threads in (1, 2, 64):
+        forks.clear()
+        outputs[threads] = _eval_outputs(
+            capsys, eval_300, str(tmp_path / f"r{threads}"), "--modes", ALL_MODES,
+            "--threads", str(threads),
+        )
+        assert len(forks) == min(threads, CPUS, 5 // 2) - 1, threads
+    assert outputs[1] == outputs[2] == outputs[64]
+
+
+@pytest.mark.skipif(CPUS < 2, reason="eval forks only with two usable CPUs")
+def test_eval_worker_failure_is_one_error_line_and_leaves_no_child(eval_300, capsys, monkeypatch):
+    parent = os.getpid()
+    scores = attention.hierarchical_scores
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("tile failed")
+        return scores(*args)
+
+    monkeypatch.setattr(attention, "hierarchical_scores", fails_in_a_child)
+    data, ckpt = eval_300
+    code, out, err = run(
+        capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "THA", "--threads", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: eval worker 1 failed: RuntimeError: tile failed"]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_eval_info_log_line_changes_no_output(eval_300, tmp_path, capsys, caplog, monkeypatch):
+    quiet = _eval_outputs(
+        capsys, eval_300, str(tmp_path / "quiet"), "--modes", ALL_MODES, "--threads", "2"
+    )
+    assert not [r for r in caplog.records if r.name == "xmal.evaluation"]
+    monkeypatch.setenv("XMAL_LOG", "info")
+    logged = _eval_outputs(
+        capsys, eval_300, str(tmp_path / "logged"), "--modes", ALL_MODES, "--threads", "2"
+    )
+    assert logged == quiet
+    lines = [r.getMessage() for r in caplog.records if r.name == "xmal.evaluation"]
+    assert len(lines) == 1
+    workers = min(2, CPUS)
+    assert re.fullmatch(
+        rf"5 strips, {workers} workers, workers' peak RSS [0-9.]+ MB \(RUSAGE_CHILDREN\)", lines[0]
+    )
 
 
 def test_threads_flag_validated(tmp_path, capsys):

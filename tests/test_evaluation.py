@@ -1,5 +1,8 @@
 """R@k ranking semantics, diagnostics, and report files."""
 
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +23,7 @@ from xmal.confidence import (
     matched_confidences,
 )
 from xmal.data import EmbeddingSet, SynthConfig, generate
-from xmal.errors import BatchTooSmallError, ContractError, DimensionError
+from xmal.errors import BatchTooSmallError, ContractError, DimensionError, XmalError
 from xmal.evaluation import (
     RetrievalReport,
     dcr_diagnostics,
@@ -506,6 +509,130 @@ def test_streamed_ranks_equal_the_assembled_matrix_with_ties_and_nans(pairs, mon
                 for k in (1, 2, pairs):
                     assert expected[-1][2][k] == _recall_at_k_loop(s, k, direction)
         assert [(r.mode, r.direction, r.r_at) for r in reports] == expected
+
+
+# -- forked strip workers ------------------------------------------------------
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="eval forks only with two usable CPUs")
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record each `os.fork` call made by this process, then fork."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_worker_count_caps_at_threads_cpus_and_strips(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    count = evaluation._worker_count
+    assert count(10**9, 5) == 2  # two strips per worker at least
+    assert count(10**9, 300) == 8  # one worker per usable CPU
+    assert (count(3, 300), count(1, 300), count(10**9, 1), count(10**9, 3)) == (3, 1, 1, 1)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert count(10**9, 300) == 1
+    assert forks == []
+
+
+def _reports(model, ds, modes, threads, ks=(1, 5, 10)):
+    return [
+        (r.mode, r.direction, r.r_at)
+        for r in evaluate(model, _encoded(model, ds), modes=modes, ks=ks, threads=threads)
+    ]
+
+
+def test_forked_ranks_equal_serial_with_ties_and_nans(monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, the ties cross strips
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    ks = tuple(range(1, 21))
+    ds, model = _eval_set(20)
+    forks = _count_forks(monkeypatch)
+    for case in _stub_cases(np.random.default_rng(20), 20):
+        _stub_strip_scorers(monkeypatch, dict(zip(("DP", "THA", "DCR"), case)))
+        serial = _reports(model, ds, modes, 1, ks)
+        assert forks == []
+        assert _reports(model, ds, modes, 2, ks) == serial
+        assert len(forks) == min(2, CPUS) - 1
+        forks.clear()
+
+
+def test_a_live_thread_keeps_eval_in_one_process(monkeypatch):
+    """Forking with a second thread alive is unsafe, so eval stays serial."""
+    ds, model = _eval_set(300)
+    serial = _reports(model, ds, ("THA+DCR",), 1)
+    forks = _count_forks(monkeypatch)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        assert _reports(model, ds, ("THA+DCR",), 64) == serial
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def _failing_tiles(monkeypatch, fail):
+    """DP tiles from a fixed matrix, where `fail(parent)` runs before each."""
+    parent = os.getpid()
+    s = np.random.default_rng(3).normal(size=(20, 20))
+
+    def strip_scorer(self, encoded, component, blocks):
+        def tile(a, t):
+            fail(parent)
+            return s[a, t].copy()
+
+        return lambda a, ws: lambda t: tile(a, t)
+
+    monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
+
+
+def _raise_in_child(parent):
+    if os.getpid() != parent:
+        raise RuntimeError("tile failed")
+
+
+def _killed_in_child(parent):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupted_parent(parent):
+    if os.getpid() == parent:
+        raise KeyboardInterrupt
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fail, error, match", [
+    (_raise_in_child, XmalError, "^eval worker 1 failed: RuntimeError: tile failed$"),
+    (_killed_in_child, XmalError, "^eval worker 1 ended without sending its result$"),
+    (_interrupted_parent, KeyboardInterrupt, None),
+])
+def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, match, monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, 2 workers
+    ds, model = _eval_set(20)
+    _failing_tiles(monkeypatch, fail)
+    affinity = os.sched_getaffinity(0)
+    with pytest.raises(error, match=match):
+        evaluate(model, _encoded(model, ds), modes=("DP",), threads=2)
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == affinity
+
+
+def test_repeated_modes_are_ranked_once():
+    ds, model = _eval_set(20)
+    once = _reports(model, ds, ("DP", "THA"), 1)
+    assert _reports(model, ds, ("DP", "THA", "DP"), 1) == once + once[:2]
 
 
 def test_level_rows_prepare_context_terms_only_for_attended_sides():
