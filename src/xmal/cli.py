@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import NamedTuple
 
@@ -63,9 +64,10 @@ class Flag(NamedTuple):
 
 THREADS = Flag(
     "--threads", int,
-    "eval: rank in up to N processes, one per CPU, never changing results; "
-    "other commands: checked only",
-    default=1,
+    "eval: rank in up to N processes (default: one per CPU), at most one per usable CPU "
+    "and only as many as the work pays for, never changing results; other commands: "
+    "checked only",
+    default=os.cpu_count() or 1,
 )
 
 # config section -> its settings; every command of a section also takes

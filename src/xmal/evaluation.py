@@ -13,7 +13,6 @@ import functools
 import logging
 import os
 import pickle
-import resource
 import signal
 import struct
 import threading
@@ -35,6 +34,14 @@ REPORT_MAGIC = b"XRPT"
 REPORT_VERSION = 1
 PROTOCOL_NOTE = "one_caption_per_audio"
 TILE = 64  # items per side of a THA or DCR score tile
+# The estimated serial cost of one TILE x TILE tile per component, and the
+# tile work each forked eval worker must get to pay for its fork and the
+# exchange (about 5 ms), in ms on 2 cores with 1 BLAS thread. With them, 2
+# workers won where the rule forks (THA 128 pairs -12%, DCR 512 -23%, DP
+# 2048 -13%), and eval stays in one process where forking lost (DP 256 pairs
+# +38%, DP 1024 +18%, DCR 192 +10%).
+TILE_MS = {"DP": 0.08, "THA": 7.0, "DCR": 1.5}
+WORKER_MIN_MS = 14.0
 
 logger = logging.getLogger(__name__)
 
@@ -168,15 +175,18 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
 
 
-def _worker_count(threads: int, strips: int) -> int:
-    """How many processes rank `strips` strips: at most `threads`, one per
-    CPU this process may run on, and at least two strips each. The calling
-    process alone where a fork is unsafe (a second thread is alive) or where
-    `os.fork` or `os.sched_setaffinity` does not exist."""
+def _worker_count(threads: int, strips: int, components) -> int:
+    """How many processes rank `strips` strips of `components`: at most
+    `threads`, one per CPU this process may run on, one strip each at least,
+    and `WORKER_MIN_MS` of estimated tile work each at least (`TILE_MS`), so
+    that every worker pays for its fork. The calling process alone where a
+    fork is unsafe (a second thread is alive) or where `os.fork` or
+    `os.sched_setaffinity` does not exist."""
     forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
     if not forkable or threading.active_count() != 1:
         return 1
-    return max(1, min(threads, len(os.sched_getaffinity(0)), strips // 2))
+    work = strips * strips * sum(TILE_MS[c] for c in components)
+    return max(1, min(threads, len(os.sched_getaffinity(0)), strips, int(work // WORKER_MIN_MS)))
 
 
 def _rank_strips(scorers: dict, parts: dict, blocks: list[slice], own: range, exchange):
@@ -283,7 +293,8 @@ def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
     (or fails to, because the parent is gone)."""
     code = 1
     try:
-        os.sched_setaffinity(0, {cpu})
+        with contextlib.suppress(OSError):  # unpinned, it still ranks its strips
+            os.sched_setaffinity(0, {cpu})
 
         def exchange(share):
             _send(up, ("ok", share))
@@ -306,19 +317,30 @@ def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int)
     child starts on its parent's CPU and may stay there. In the one exchange
     each child sends its diagonals, and the parent sends every worker the
     matched scores put together; each child then sends its ranks, which the
-    parent adds to its own. A child that raised or ended early is an
-    XmalError naming it. Every child is reaped before this returns, and
-    killed first unless the call succeeded."""
+    parent adds to its own.
+
+    Returns the ranks and the largest peak RSS of the children (KiB, as
+    `os.wait4` gives it), or None if not even worker 1 could be forked, for
+    the caller to rank in one process. A child that raised or ended early,
+    or a later worker that could not be forked, is an XmalError naming it.
+    Every child is reaped before this returns, and killed first unless the
+    call succeeded."""
     saved = os.sched_getaffinity(0)
     cpus = sorted(saved)
     strips = range(len(blocks))
     children: list[_Child] = []
     done = False
+    peak = 0
     os.sched_setaffinity(0, {cpus[0]})
     try:
         for w in range(1, workers):
             rank = functools.partial(_rank_strips, scorers, parts, blocks, strips[w::workers])
-            children.append(_fork(w, cpus[w], rank))
+            try:
+                children.append(_fork(w, cpus[w], rank))
+            except OSError as e:  # EAGAIN at a process limit, ENOMEM
+                if not children:
+                    return None
+                raise XmalError(f"eval worker {w} could not start: {e}") from e
 
         def exchange(share):
             matched = _matched(blocks, [share, *(child.receive() for child in children)])
@@ -340,8 +362,8 @@ def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int)
                 child.writer.close()
             if not done:
                 os.kill(child.pid, signal.SIGKILL)
-            os.waitpid(child.pid, 0)
-    return ranks
+            peak = max(peak, os.wait4(child.pid, 0)[2].ru_maxrss)
+    return ranks, peak
 
 
 @no_grad()
@@ -367,9 +389,10 @@ def evaluate(
     item's text_to_audio rank (see `_match_ranks`).
 
     `threads` caps the processes that rank the strips (`_worker_count`: one
-    per usable CPU, at least two strips each). With more than one, workers
-    are forked over alternate strips (`_forked_ranks`); their ranks add up
-    exactly, so the reports do not depend on `threads`.
+    per usable CPU, and only as many as the estimated tile work pays for).
+    With more than one, workers are forked over alternate strips
+    (`_forked_ranks`); their ranks add up exactly, so the reports do not
+    depend on `threads`. If no worker can be forked, one process ranks them.
 
     Memory is O(components x TILE x B) per worker on top of the encoded
     batch. A mode's scores equal bit for bit what `Model.similarity_matrix`
@@ -386,16 +409,18 @@ def evaluate(
     blocks = _blocks(size)
     components = dict.fromkeys(c for mode in modes for c in parts[mode])
     scorers = {c: (model.strip_scorer(encoded, c, blocks), Workspace()) for c in components}
-    workers = _worker_count(threads, len(blocks))
-    if workers == 1:
+    workers = _worker_count(threads, len(blocks), components)
+    forked = _forked_ranks(scorers, parts, blocks, workers) if workers > 1 else None
+    if forked is None:
         every = range(len(blocks))
         ranks = _rank_strips(scorers, parts, blocks, every, lambda share: _matched(blocks, [share]))
+        logger.info("%d strips, 1 worker", len(blocks))
     else:
-        ranks = _forked_ranks(scorers, parts, blocks, workers)
-    logger.info(  # the largest ru_maxrss (KiB on Linux) of any child this process has reaped
-        "%d strips, %d workers, workers' peak RSS %.1f MB (RUSAGE_CHILDREN)",
-        len(blocks), workers, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
-    )
+        ranks, peak = forked
+        logger.info(  # ru_maxrss counts the pages a child shares with its parent
+            "%d strips, %d workers, largest forked worker's peak RSS %.1f MB",
+            len(blocks), workers, peak / 1024,
+        )
     return [
         RetrievalReport(
             mode=mode,

@@ -225,7 +225,7 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monk
         w1 = run_pipeline("a", "1")
         assert forks == []
         w2 = run_pipeline("b", "4")
-        workers = min(4, len(os.sched_getaffinity(0)), 5 // 2)
+        workers = min(4, len(os.sched_getaffinity(0)), 5)  # ample THA and DCR work
         assert len(forks) == workers - 1
         for name, binary in (
             ("d.xmal", True), ("d.xmal.manifest", False), ("ck.xckp", True),

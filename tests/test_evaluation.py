@@ -1,5 +1,6 @@
 """R@k ranking semantics, diagnostics, and report files."""
 
+import errno
 import os
 import signal
 import threading
@@ -530,15 +531,20 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
-def test_worker_count_caps_at_threads_cpus_and_strips(monkeypatch):
+def test_worker_count_caps_at_threads_cpus_strips_and_work(monkeypatch):
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     count = evaluation._worker_count
-    assert count(10**9, 5) == 2  # two strips per worker at least
-    assert count(10**9, 300) == 8  # one worker per usable CPU
-    assert (count(3, 300), count(1, 300), count(10**9, 1), count(10**9, 3)) == (3, 1, 1, 1)
+    every = ("DP", "THA", "DCR")
+    assert count(10**9, 300, every) == 8  # one worker per usable CPU
+    assert (count(3, 300, every), count(1, 300, every)) == (3, 1)
+    assert (count(10**9, 1, every), count(10**9, 2, ("THA",))) == (1, 2)  # one strip each
+    # each worker needs WORKER_MIN_MS of tile work: DP tiles are cheap, so
+    # 16 strips (1024 pairs) stay in one process and 32 strips fork
+    assert (count(10**9, 16, ("DP",)), count(10**9, 32, ("DP",))) == (1, 5)
+    assert (count(10**9, 3, ("DCR",)), count(10**9, 8, ("DCR",))) == (1, 6)
     monkeypatch.delattr(os, "sched_setaffinity")
-    assert count(10**9, 300) == 1
+    assert count(10**9, 300, every) == 1
     assert forks == []
 
 
@@ -611,6 +617,62 @@ def _interrupted_parent(parent):
         raise KeyboardInterrupt
 
 
+def _failing_forks(monkeypatch, fails_from: int) -> list:
+    """Three usable CPUs, pinning that does nothing, and an `os.fork` that
+    raises EAGAIN from its `fails_from`-th call on; returns the calls."""
+    calls = []
+    fork = os.fork
+
+    def failing():
+        calls.append(os.getpid())
+        if len(calls) >= fails_from:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    return calls
+
+
+def test_a_first_fork_that_fails_leaves_eval_in_one_process(monkeypatch):
+    ds, model = _eval_set(300)
+    serial = _reports(model, ds, ("THA+DCR",), 1)
+    calls = _failing_forks(monkeypatch, fails_from=1)
+    assert _reports(model, ds, ("THA+DCR",), 3) == serial
+    assert len(calls) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_later_fork_that_fails_is_one_error_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, 3 workers
+    ds, model = _eval_set(20)
+    calls = _failing_forks(monkeypatch, fails_from=2)
+    with pytest.raises(XmalError, match="^eval worker 2 could not start: .*Resource temporarily"):
+        evaluate(model, _encoded(model, ds), modes=("THA",), threads=3)
+    assert len(calls) == 2
+    with pytest.raises(ChildProcessError):  # worker 1 was killed and reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_cannot_pin_itself_still_ranks(monkeypatch):
+    ds, model = _eval_set(300)
+    serial = _reports(model, ds, ("THA+DCR",), 1)
+    parent = os.getpid()
+    pin = os.sched_setaffinity
+
+    def pin_in_parent_only(pid, cpus):
+        if os.getpid() != parent:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin_in_parent_only)
+    forks = _count_forks(monkeypatch)
+    assert _reports(model, ds, ("THA+DCR",), 2) == serial
+    assert len(forks) == min(2, CPUS) - 1
+
+
 @needs_two_cpus
 @pytest.mark.parametrize("fail, error, match", [
     (_raise_in_child, XmalError, "^eval worker 1 failed: RuntimeError: tile failed$"),
@@ -623,7 +685,7 @@ def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, ma
     _failing_tiles(monkeypatch, fail)
     affinity = os.sched_getaffinity(0)
     with pytest.raises(error, match=match):
-        evaluate(model, _encoded(model, ds), modes=("DP",), threads=2)
+        evaluate(model, _encoded(model, ds), modes=("THA",), threads=2)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == affinity
