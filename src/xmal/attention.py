@@ -10,10 +10,11 @@ the plain cosine of the two pooled vectors.
 Each level is one fused op, `tha_level`, whose backward is closed form;
 under `no_grad` it keeps no backward state. Eval's tiles run the same
 arithmetic on raw arrays through `hierarchical_scores`, with the per-item
-terms (`level_rows`) computed once per block and every intermediate in a
-reused `autodiff.Workspace`. The same score composed from autodiff
-primitives (`verify.composed_hierarchical_similarity`) is the oracle both
-are checked against.
+terms (`level_rows`) computed once per block and every intermediate in the
+`autodiff.Workspace` that the tile scorer (`Model.strip_scorer`) owns. The
+same score composed from autodiff primitives
+(`verify.composed_hierarchical_similarity`) is the oracle both are checked
+against.
 """
 
 from __future__ import annotations
@@ -90,13 +91,11 @@ class LevelRows(NamedTuple):
     gram: np.ndarray | None  # (T, T, B) Gram matrices, contiguous; context sides only
 
 
-def level_rows(
-    x: np.ndarray, cfg: AttentionConfig, side: str, ws: Workspace = FRESH, name: str = "rows"
-) -> LevelRows:
-    """The `LevelRows` of (B, T, D) "audio" or "text" rows; the unit rows
-    and sums of squares are `ws` buffers under `name`. The norms and Gram
-    matrices are computed only if `cfg.direction` attends over this side."""
-    unit, sumsq = ad.normalized(x, ws, name)
+def level_rows(x: np.ndarray, cfg: AttentionConfig, side: str) -> LevelRows:
+    """The `LevelRows` of (B, T, D) "audio" or "text" rows. The norms and
+    Gram matrices are computed only if `cfg.direction` attends over this
+    side."""
+    unit, sumsq = ad.normalized(x)
     if cfg.direction not in ("both", f"{side}_enhanced"):
         return LevelRows(x, unit, sumsq, None, None)
     # contiguous (T, B) norms and (T, T, B) Gram matrices keep the einsums fast

@@ -405,7 +405,8 @@ def residual_blocks(x, w, b, lo: int, hi: int, merge=None) -> Tensor:
 
 
 class Workspace:
-    """Named float64 scratch buffers for the fused ops' numpy arithmetic.
+    """Named float64 scratch buffers for the THA and DCR kernels' numpy
+    arithmetic; each eval tile scorer (`Model.strip_scorer`) owns one.
 
     `array(name, shape)` returns a C-contiguous view of the flat buffer kept
     under `name`, grown when it is too small and never shrunk, so a loop over
@@ -456,16 +457,12 @@ def guarded_root(sumsq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.sqrt(out, out=out)
 
 
-def normalized(
-    x: np.ndarray, ws: Workspace = FRESH, name: str = "rows"
-) -> tuple[np.ndarray, np.ndarray]:
+def normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of x over their guarded L2 norms (the value of `normalize_rows`),
-    and the rows' sums of squares, for the fused ops' closed-form backwards.
-    Both are `ws` buffers under `name`."""
-    rows = np.multiply(x, x, out=ws.array(name, x.shape))
-    sumsq = np.sum(rows, axis=-1, keepdims=True, out=ws.array(name + ".sumsq", x.shape[:-1] + (1,)))
-    root = guarded_root(sumsq, out=ws.array(name + ".root", sumsq.shape))
-    return np.divide(x, root, out=rows), sumsq
+    and the rows' sums of squares, for the fused ops' closed-form backwards."""
+    rows = np.multiply(x, x)
+    sumsq = np.sum(rows, axis=-1, keepdims=True)
+    return np.divide(x, guarded_root(sumsq), out=rows), sumsq
 
 
 def normalized_grad(g: np.ndarray, xn: np.ndarray, sumsq: np.ndarray) -> np.ndarray:

@@ -365,6 +365,8 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
     seed = values["seed"]
+    if not (0 <= seed < 2**64):  # the report stores it as a u64
+        raise ConfigError(f"--seed must fit in u64, got {seed}")
     resolved = {
         "ckpt": values["ckpt"],
         "data": values.get("data", ""),
@@ -542,10 +544,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         logger.debug("%s finished with exit code %d", args.command, code)
         return code
-    except XmalError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (XmalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -10,10 +10,10 @@ pair is a 1 x 1 batch.
 The score is one fused op, `factor_pair_similarity_matrix`, whose backward
 is closed form. Eval's tiles run the same arithmetic on raw arrays through
 `factor_pair_scores`, with the per-item terms (`factor_rows`) computed once
-per block and every intermediate in a reused `autodiff.Workspace`. The same
-score composed from autodiff primitives
-(`verify.composed_factor_pair_similarity`) is the oracle both are checked
-against.
+per block and every intermediate in the `autodiff.Workspace` that the tile
+scorer (`Model.strip_scorer`) owns. The same score composed from autodiff
+primitives (`verify.composed_factor_pair_similarity`) is the oracle both are
+checked against.
 """
 
 from __future__ import annotations
@@ -81,14 +81,11 @@ class FactorRows(NamedTuple):
     sumsq: np.ndarray  # (B, K, 1) sums of squares
 
 
-def factor_rows(
-    x: np.ndarray, params: dict[str, Tensor], side: str, ws: Workspace = FRESH, name: str = "rows"
-) -> FactorRows:
-    """The `FactorRows` of a "text" or "audio" factor stack; the unit rows
-    and sums of squares are `ws` buffers under `name`."""
+def factor_rows(x: np.ndarray, params: dict[str, Tensor], side: str) -> FactorRows:
+    """The `FactorRows` of a "text" or "audio" factor stack."""
     if x.ndim != 3:
         raise DimensionError(f"factor stack must be (B, K, d), got {x.shape}")
-    unit, sumsq = ad.normalized(x, ws, name)
+    unit, sumsq = ad.normalized(x)
     return FactorRows(x, _first_layer_term(x, params, side), unit, sumsq)
 
 

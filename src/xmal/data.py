@@ -21,6 +21,7 @@ record width) block.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -154,18 +155,19 @@ _DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D,
 
 class Reader:
     """Little-endian fields read in order from a whole container file (a
-    dataset, an embedding set or a checkpoint), which is read in one call.
-    Opening it checks the magic (`FormatError`), the format version
-    (`VersionError`), then the CRC32 trailer over every byte before it
-    (`CorruptedRecordError`). Reading into the trailer raises
+    dataset, an embedding set or a checkpoint), which is read in one call
+    into one buffer. Its arrays are writable views of that buffer, so a load
+    holds one copy of the file. Opening it checks the magic (`FormatError`),
+    the format version (`VersionError`), then the CRC32 trailer over every
+    byte before it (`CorruptedRecordError`). Reading into the trailer raises
     `CorruptedRecordError`."""
 
     def __init__(self, path: str, magic: bytes, version: int, what: str):
         with open(path, "rb") as f:
-            self.buf = f.read()
+            self.buf = bytearray(os.fstat(f.fileno()).st_size)
+            self.end = f.readinto(self.buf)
         self.path = path
         self.pos = 0
-        self.end = len(self.buf)
         (found,) = self.unpack("4s")
         if found != magic:
             raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
@@ -204,7 +206,7 @@ class Reader:
 
     def array(self, shape: tuple[int, ...], dtype: str = "<f8") -> np.ndarray:
         n, size = math.prod(shape), np.dtype(dtype).itemsize
-        return np.frombuffer(self.buf, dtype, n, self._advance(size * n)).reshape(shape).copy()
+        return np.frombuffer(self.buf, dtype, n, self._advance(size * n)).reshape(shape)
 
     def check_end(self, what: str):
         if self.pos != self.end:
@@ -374,7 +376,7 @@ def load_embeddings(path: str) -> EmbeddingSet:
     widths = [math.prod(shape) for shape in shapes]
     records = reader.array((count, sum(widths)))
     reader.check_end("last item")
-    del reader  # frees the file's bytes before the columns are copied out
+    # each field is copied out of the file's buffer, which is freed on return
     columns = np.split(records, np.cumsum(widths)[:-1], axis=1)
     fields = [np.ascontiguousarray(x).reshape(count, *shape) for x, shape in zip(columns, shapes)]
     return EmbeddingSet(

@@ -22,7 +22,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import factors
-from .autodiff import Tensor, Workspace, no_grad
+from .autodiff import Tensor, no_grad
 from .confidence import matched_confidences
 from .data import EmbeddingSet, Pairs
 from .errors import BatchTooSmallError, ContractError, DimensionError, XmalError
@@ -203,9 +203,7 @@ def _rank_strips(scorers: dict, parts: dict, blocks: list[slice], own: range, ex
     ranks (0 elsewhere) and the own strips' share of every text_to_audio
     rank, so the workers' ranks add up to the whole batch's."""
     size = blocks[-1].stop
-    diagonal = {
-        c: {n: strip(blocks[n], ws)(blocks[n]) for n in own} for c, (strip, ws) in scorers.items()
-    }
+    diagonal = {c: {n: strip(blocks[n])(blocks[n]) for n in own} for c, strip in scorers.items()}
     matched = exchange({c: {n: np.diagonal(t) for n, t in d.items()} for c, d in diagonal.items()})
     match = {m: _mode_sum([matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()}
     ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in parts}
@@ -214,8 +212,8 @@ def _rank_strips(scorers: dict, parts: dict, blocks: list[slice], own: range, ex
     for n in own:
         a = blocks[n]
         height = a.stop - a.start
-        for c, (strip, ws) in scorers.items():
-            tile = strip(a, ws)
+        for c, strip in scorers.items():
+            tile = strip(a)
             for m, t in enumerate(blocks):
                 rows[c][:height, t] = diagonal[c][n] if m == n else tile(t)
         for mode, comps in parts.items():
@@ -381,12 +379,11 @@ def evaluate(
     (`encoded_from_embeddings`).
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
-    DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, with one
-    workspace per component, in two passes over the audio strips (see
-    `_rank_strips`): the diagonal tiles first, which give the matched
-    scores, then each strip against every text block. Ranking a strip
-    completes its audio_to_text ranks, and adds its share to every text
-    item's text_to_audio rank (see `_match_ranks`).
+    DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, in two
+    passes over the audio strips (see `_rank_strips`): the diagonal tiles
+    first, which give the matched scores, then each strip against every
+    text block. Ranking a strip completes its audio_to_text ranks, and adds
+    its share to every text item's text_to_audio rank (see `_match_ranks`).
 
     `threads` caps the processes that rank the strips (`_worker_count`: one
     per usable CPU, and only as many as the estimated tile work pays for).
@@ -408,7 +405,7 @@ def evaluate(
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)
     components = dict.fromkeys(c for mode in modes for c in parts[mode])
-    scorers = {c: (model.strip_scorer(encoded, c, blocks), Workspace()) for c in components}
+    scorers = {c: model.strip_scorer(encoded, c, blocks) for c in components}
     workers = _worker_count(threads, len(blocks), components)
     forked = _forked_ranks(scorers, parts, blocks, workers) if workers > 1 else None
     if forked is None:

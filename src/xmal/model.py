@@ -129,17 +129,19 @@ class Model:
 
     def strip_scorer(self, encoded: EncodedBatch, component: str, blocks: list[slice]):
         """Tape-free scoring of one component in tiles, for eval: returns
-        `strip(a, ws)`, which prepares audio rows `a` in workspace `ws` and
-        returns `tile(t)`, the scores of those rows against text rows `t`,
-        one of `blocks`. Each text block's per-item terms are prepared once
-        here. A tile's intermediates are `ws` buffers, the tile is a fresh
+        `strip(a)`, which prepares audio rows `a` and returns `tile(t)`, the
+        scores of those rows against text rows `t`, one of `blocks`. Each
+        text block's per-item terms are prepared once here. A THA or DCR
+        scorer owns one workspace, which holds every tile's intermediates,
+        so its tiles allocate only on the first pass; a tile is a fresh
         array, and it equals `component_matrix` on the same rows bit for
         bit. DP normalizes the globals once and a tile is one matmul; DCR
         projects the factors once, and the tiles slice the stacks."""
         if component == "DP":
             an = ad.normalize_rows(encoded.audio_global).value
             tn = ad.normalize_rows(encoded.text_global).value
-            return lambda a, ws: lambda t: an[a] @ tn[t].T
+            return lambda a: lambda t: an[a] @ tn[t].T
+        ws = ad.Workspace()
         if component == "THA":
             cfg = self.cfg.attention
             text = {
@@ -149,10 +151,9 @@ class Model:
                 for t in blocks
             }
 
-            def strip(a: slice, ws: ad.Workspace):
+            def strip(a: slice):
                 audio = [
-                    attention.level_rows(x.value[a], cfg, "audio", ws, f"audio{n}")
-                    for n, x in enumerate(encoded.audio_levels)
+                    attention.level_rows(x.value[a], cfg, "audio") for x in encoded.audio_levels
                 ]
                 return lambda t: attention.hierarchical_scores(audio, text[t.start], cfg, ws)
 
@@ -161,8 +162,8 @@ class Model:
             text_z, audio_z = (z.value for z in self.batch_factors(encoded))
             text = {t.start: factor_rows(text_z[t], self.params, "text") for t in blocks}
 
-            def strip(a: slice, ws: ad.Workspace):
-                audio = factor_rows(audio_z[a], self.params, "audio", ws, "audio")
+            def strip(a: slice):
+                audio = factor_rows(audio_z[a], self.params, "audio")
                 return lambda t: factor_pair_scores(text[t.start], audio, self.params, ws)
 
             return strip

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 when the factor losses are weighted")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.checkpoint_interval < 0:
+            raise ConfigError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .attention import COMBINES, DIRECTIONS, AttentionConfig
 from .autodiff import EPS
 from .confidence import factor_pair_similarity_matrix, init_confidence_params
 from .data import Pairs
+from .errors import ContractError
 from .model import Model, ModelConfig
 
 
@@ -259,7 +260,10 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
 
 
 def primitive_checks(seeds: int = 10, h: float = 1e-5, tol: float = 1e-6) -> list[CheckResult]:
-    """Randomized gradient check per registered primitive."""
+    """Randomized gradient check per registered primitive, over `seeds`
+    draws each (at least one, so that no check passes unrun)."""
+    if seeds < 1:
+        raise ContractError(f"primitive checks need seeds >= 1, got {seeds}")
     results = []
     for name, build in _primitive_cases():
         worst = 0.0
@@ -554,10 +558,7 @@ def _tha_gaps() -> tuple[float, float]:
                     lambda: attention.hierarchical_similarity_matrix(a, t, cfg),
                     lambda: composed_hierarchical_similarity(a, t, cfg),
                     lambda: attention.hierarchical_scores(
-                        [
-                            attention.level_rows(x.value, cfg, "audio", ws, f"a{i}")
-                            for i, x in enumerate(a)
-                        ],
+                        [attention.level_rows(x.value, cfg, "audio") for x in a],
                         [attention.level_rows(x.value, cfg, "text") for x in t],
                         cfg,
                         ws,
@@ -588,7 +589,7 @@ def _dcr_gaps() -> tuple[float, float]:
         lambda: composed_factor_pair_similarity(t, a, params),
         lambda: confidence.factor_pair_scores(
             confidence.factor_rows(text, params, "text"),
-            confidence.factor_rows(audio, params, "audio", ws, "audio"),
+            confidence.factor_rows(audio, params, "audio"),
             params,
             ws,
         ),

@@ -104,6 +104,18 @@ def test_train_zero_weights_logs_zero_components(tmp_path, capsys):
             assert "loss_d=0.0" in line and "loss_a=0.0" in line
 
 
+def test_train_rejects_a_negative_checkpoint_interval(tmp_path, capsys):
+    data = gen(tmp_path, capsys)
+    ckpt = tmp_path / "ck.xckp"
+    code, out, err = run(
+        capsys, "train", "--data", data, "--out", str(ckpt), "--epochs", "1",
+        "--checkpoint-interval", "-1",
+    )
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "checkpoint_interval must be >= 0" in err, err
+    assert list(tmp_path.glob("ck.xckp*")) == []
+
+
 def test_train_missing_dataset_nonzero_exit(tmp_path, capsys):
     code, out, err = run(
         capsys, "train", "--data", str(tmp_path / "none.xmal"), "--out", str(tmp_path / "x"),
@@ -145,6 +157,33 @@ def test_eval_bad_k_rejected(trained, tmp_path, capsys):
         code, out, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, *extra)
         assert code == 1
         assert err.startswith("error: --k") and "'1,x'" in err
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_os_error_is_one_error_line(trained, tmp_path, capsys):
+    data, ckpt = trained
+    for argv in (
+        ("--ckpt", ckpt, "--data", str(tmp_path)),
+        ("--ckpt", ckpt, "--data", data, "--config", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 1 and out == "", argv
+        assert _one_error_line(err) and "directory" in err, err
+
+
+@pytest.mark.parametrize("seed", ("-5", str(2**64)))
+def test_eval_seed_outside_u64_writes_no_report(trained, tmp_path, capsys, seed):
+    data, ckpt = trained
+    out = tmp_path / "r"
+    code, stdout, err = run(
+        capsys, "eval", "--ckpt", ckpt, "--data", data, "--seed", seed, "--out", str(out)
+    )
+    assert code == 1 and stdout == ""
+    assert _one_error_line(err) and err.startswith("error: --seed"), err
+    assert not (tmp_path / "r.txt").exists() and not (tmp_path / "r.xrpt").exists()
 
 
 def test_eval_reports_are_reproducible(trained, tmp_path, capsys):
@@ -527,6 +566,13 @@ def test_grad_check_flag_overrides_echoed(capsys):
     code, out, err = run(capsys, "grad-check", "--seeds", "1", "--h", "2e-05", "--tol", "1e-4")
     assert code == 0, err
     assert "h=2e-05" in out and "tol=0.0001" in out
+
+
+@pytest.mark.parametrize("seeds", ("0", "-1"))
+def test_grad_check_without_a_draw_is_one_error_line(capsys, seeds):
+    code, out, err = run(capsys, "grad-check", "--seeds", seeds)
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and "seeds >= 1" in err, err
 
 
 def test_grad_check_fails_on_injected_gradient_bug(capsys):

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,22 @@ def test_dataset_round_trip_identity(tmp_path):
     save_dataset(ds, path)
     loaded = load_dataset(path)
     assert datasets_equal(ds, loaded)
+
+
+def test_dataset_load_holds_one_copy_of_the_file(tmp_path):
+    """The blocks are views of the one buffer the file is read into, so a
+    load peaks near the file size, not at twice it."""
+    path = tmp_path / "d.xmal"
+    save_dataset(generate(small_cfg(pairs=512, embed_dim=32)), str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
+    assert loaded.items.audio.flags.writeable and loaded.items.text.flags.writeable
 
 
 def test_dataset_save_is_byte_deterministic(tmp_path):

@@ -456,7 +456,7 @@ def _stub_strip_scorers(monkeypatch, matrices):
             scored.append((component, a.start, t.start))
             return s[a, t].copy()
 
-        return lambda a, ws: lambda t: tile(a, t)
+        return lambda a: lambda t: tile(a, t)
 
     monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
     return scored
@@ -597,7 +597,7 @@ def _failing_tiles(monkeypatch, fail):
             fail(parent)
             return s[a, t].copy()
 
-        return lambda a, ws: lambda t: tile(a, t)
+        return lambda a: lambda t: tile(a, t)
 
     monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
 
@@ -726,9 +726,9 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
     def sides(text, audio, text_z, audio_z):
         return (
             [level_rows(x, cfg, "text") for x in text],
-            [level_rows(x, cfg, "audio", ws, f"audio{n}") for n, x in enumerate(audio)],
+            [level_rows(x, cfg, "audio") for x in audio],
             factor_rows(text_z, params, "text"),
-            factor_rows(audio_z, params, "audio", ws, "audio"),
+            factor_rows(audio_z, params, "audio"),
         )
 
     def score(text, audio, text_z, audio_z):
