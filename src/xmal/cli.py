@@ -25,12 +25,12 @@ from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
     canonical_text,
     config_hash,
+    finite_float,
     parse_config_file,
     parse_sections,
     setup_logging,
 )
 from .data import (
-    EmbeddingSet,
     SynthConfig,
     generate,
     load_dataset,
@@ -81,7 +81,7 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--D", int),
         Flag("--N", int),
         Flag("--M", int),
-        Flag("--sigma", float),
+        Flag("--sigma", finite_float),
         Flag("--seed", int),
         Flag("--shared-projection", bool),
     ),
@@ -92,21 +92,21 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--resume", help="checkpoint to continue from (uses its stored config)"),
         Flag("--epochs", int, default=50),
         Flag("--batch-size", int, default=8),
-        Flag("--lr", float, default=1e-3),
+        Flag("--lr", finite_float, default=1e-3),
         Flag("--optimizer", choices=("adam", "sgd"), default="adam"),
-        Flag("--beta1", float, default=0.9),
-        Flag("--beta2", float, default=0.999),
-        Flag("--opt-eps", float, default=1e-8),
-        Flag("--tau", float, default=0.07),
-        Flag("--alpha", float, default=0.01),
-        Flag("--beta", float, default=0.005),
+        Flag("--beta1", finite_float, default=0.9),
+        Flag("--beta2", finite_float, default=0.999),
+        Flag("--opt-eps", finite_float, default=1e-8),
+        Flag("--tau", finite_float, default=0.07),
+        Flag("--alpha", finite_float, default=0.01),
+        Flag("--beta", finite_float, default=0.005),
         Flag("--mode", choices=obj.MODES, default="THA+DCR"),
-        Flag("--lambda", float, "attention sharpness", key="temperature", default=9.0),
+        Flag("--lambda", finite_float, "attention sharpness", key="temperature", default=9.0),
         Flag("--direction", choices=("text_enhanced", "audio_enhanced", "both"), default="both"),
         Flag("--combine", choices=("mean", "sum"), default="mean"),
         Flag("--K", int),
         Flag("--hidden", int),
-        Flag("--clip-norm", float),
+        Flag("--clip-norm", finite_float),
         Flag("--checkpoint-interval", int, default=0),
         Flag("--seed", int, default=0),
     ),
@@ -128,8 +128,8 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--item-b", int, "text item index"),
     ),
     "verify": (
-        Flag("--h", float, "central-difference step", default=1e-5),
-        Flag("--tol", float, "primitive-check tolerance", default=1e-6),
+        Flag("--h", finite_float, "central-difference step", default=1e-5),
+        Flag("--tol", finite_float, "primitive-check tolerance", default=1e-6),
         Flag("--seeds", int, default=3),
     ),
 }
@@ -339,7 +339,7 @@ def _encoded_input(
         raise ConfigError(f"{command} needs --data or --embeddings")
     source = load_embeddings(path) if embeddings else load_dataset(path)
     _check_width(path, source.dim if embeddings else source.config.embed_dim, model)
-    count = len(source)
+    count = source.batch if embeddings else len(source)
     if count == 0:  # datasets hold at least one pair
         raise ContractError(f"{path}: the embedding set is empty; {command} needs a non-empty one")
     for index in pair or ():
@@ -347,7 +347,7 @@ def _encoded_input(
             raise ConfigError(f"item {index} out of range (0..{count - 1})")
     audio, text = (slice(i, i + 1) for i in pair) if pair else (slice(None), slice(None))
     if embeddings:
-        return evaluation.encoded_from_embeddings(source, audio, text)
+        return source.rows(audio, text)
     return model.encode_arrays(source.items.audio[audio], source.items.text[text])
 
 
@@ -475,14 +475,8 @@ def cmd_export_embeddings(args) -> int:
         raise ConfigError("export-embeddings needs --ckpt, --data and --out")
     model = _restore_model(values["ckpt"])[0]  # the checkpoint's arrays are freed
     encoded = _encoded_input("export-embeddings", model, values["data"])
-    es = EmbeddingSet(
-        audio_levels=[lvl.value for lvl in encoded.audio_levels],
-        audio_global=encoded.audio_global.value,
-        text_levels=[lvl.value for lvl in encoded.text_levels],
-        text_global=encoded.text_global.value,
-    )
-    save_embeddings(es, values["out"])
-    print(f"wrote {values['out']}: items={len(es)} D={es.dim}")
+    save_embeddings(encoded, values["out"])
+    print(f"wrote {values['out']}: items={encoded.batch} D={encoded.dim}")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from collections.abc import Iterable
 
@@ -24,6 +25,16 @@ Schema = dict[str, dict[str, type]]
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def finite_float(text: str) -> float:
+    """The value type of every float setting. NaN and the infinities are
+    refused: they slip past range checks such as `sigma > 0` and end in a
+    silent no-op or in non-finite parameters."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[str, dict]:

@@ -13,9 +13,10 @@ All containers are little-endian with fixed headers so round-trips are
 bit-exact, and each ends in a CRC32 of every byte before it, which `Reader`
 checks once when it opens the file. After its header, a dataset file holds
 the concept mask as one u8 block, then the audio block, then the text block.
-An embedding file holds one fixed-size record per item (3 audio levels,
-audio global, 3 text levels, text global), written and read as one (items,
-record width) block.
+An embedding file is a `model.EncodedBatch` on disk: after its 40-byte
+header, one f8 block per array in `EncodedBatch` order (3 audio levels,
+audio global, 3 text levels, text global), so every block starts 8-aligned
+and loads as a view of the file's buffer.
 """
 
 from __future__ import annotations
@@ -28,15 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, CorruptedRecordError, DimensionError, FormatError, VersionError
+from .factors import factor_width
+from .model import EncodedBatch
 
 DATASET_MAGIC = b"XMAL"
 EMBEDDING_MAGIC = b"XEMB"
 # 2: stacked concept mask, audio and text blocks, and a CRC32 trailer
 DATASET_VERSION = 2
-# 2: a CRC32 trailer
-EMBEDDING_VERSION = 2
+# 2: a CRC32 trailer; 3: one block per array and no level count
+EMBEDDING_VERSION = 3
 LEVELS = 3
 _CHECKSUM = struct.Struct("<I")
 
@@ -56,10 +60,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {self.pairs}")
-        if self.factor_count < 1 or self.embed_dim % self.factor_count != 0:
-            raise ConfigError(
-                f"embed dim {self.embed_dim} must be divisible by factor count {self.factor_count}"
-            )
+        factor_width(self.embed_dim, self.factor_count)
         if self.concept_count < self.factor_count:
             raise ConfigError(
                 f"need at least one concept per factor slot: "
@@ -312,79 +313,55 @@ def load_dataset(path: str) -> Dataset:
 # -- embedding containers ------------------------------------------------------
 
 
-@dataclass
-class EmbeddingSet:
-    """Encoder outputs of B items, stacked as `model.EncodedBatch` holds them.
-    The item count, width D and token counts are the arrays' shapes."""
-
-    audio_levels: list[np.ndarray]  # 3 x (B, M_l, D)
-    audio_global: np.ndarray  # (B, D)
-    text_levels: list[np.ndarray]  # 3 x (B, N_l, D)
-    text_global: np.ndarray  # (B, D)
-
-    def __len__(self) -> int:
-        return self.audio_global.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.audio_global.shape[1]
-
-
-def save_embeddings(es: EmbeddingSet, path: str):
-    if len(es.audio_levels) != LEVELS or len(es.text_levels) != LEVELS:
+def save_embeddings(encoded: EncodedBatch, path: str):
+    """Write the batch's eight arrays in `EncodedBatch` order, one block each."""
+    if len(encoded.audio_levels) != LEVELS or len(encoded.text_levels) != LEVELS:
         raise DimensionError(
-            f"embedding sets carry {LEVELS} levels, got {len(es.audio_levels)} audio "
-            f"and {len(es.text_levels)} text"
+            f"embedding sets carry {LEVELS} levels, got {len(encoded.audio_levels)} audio "
+            f"and {len(encoded.text_levels)} text"
         )
-    if es.audio_global.ndim != 2 or es.text_global.shape != es.audio_global.shape:
+    audio, text = encoded.audio_global.value, encoded.text_global.value
+    if audio.ndim != 2 or text.shape != audio.shape:
         raise DimensionError(
-            f"globals must be (items, D) alike, got audio {es.audio_global.shape} "
-            f"and text {es.text_global.shape}"
+            f"globals must be (items, D) alike, got audio {audio.shape} and text {text.shape}"
         )
-    items, dim = es.audio_global.shape
-    for side, levels in (("audio", es.audio_levels), ("text", es.text_levels)):
-        for lvl, arr in enumerate(levels):
-            if arr.ndim != 3 or arr.shape[0] != items or arr.shape[2] != dim or arr.shape[1] < 1:
+    items, dim = audio.shape
+    for side, levels in (("audio", encoded.audio_levels), ("text", encoded.text_levels)):
+        for lvl, x in enumerate(levels):
+            shape = x.value.shape
+            if len(shape) != 3 or shape[0] != items or shape[2] != dim or shape[1] < 1:
                 raise DimensionError(
-                    f"{side} level {lvl} shape {arr.shape} is not ({items}, tokens >= 1, {dim})"
+                    f"{side} level {lvl} shape {shape} is not ({items}, tokens >= 1, {dim})"
                 )
-    fields = [*es.audio_levels, es.audio_global, *es.text_levels, es.text_global]
-    records = np.concatenate(
-        [x.reshape(items, math.prod(x.shape[1:])) for x in fields], axis=1, dtype="<f8"
-    )
+    fields = [
+        *encoded.audio_levels, encoded.audio_global, *encoded.text_levels, encoded.text_global
+    ]
     write_container(path, [
         EMBEDDING_MAGIC,
-        struct.pack("<IIII", EMBEDDING_VERSION, items, dim, LEVELS),
-        struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.audio_levels)),
-        struct.pack(f"<{LEVELS}I", *(x.shape[1] for x in es.text_levels)),
-        records,
+        struct.pack("<III", EMBEDDING_VERSION, items, dim),
+        struct.pack(f"<{LEVELS}I", *(x.value.shape[1] for x in encoded.audio_levels)),
+        struct.pack(f"<{LEVELS}I", *(x.value.shape[1] for x in encoded.text_levels)),
+        *(np.ascontiguousarray(x.value, dtype="<f8") for x in fields),
     ])
 
 
-def load_embeddings(path: str) -> EmbeddingSet:
+def load_embeddings(path: str) -> EncodedBatch:
+    """The batch a `save_embeddings` file holds, as constant tensors over
+    views of the file's buffer."""
     reader = Reader(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding set")
-    count, dim, levels = reader.unpack("<III")
-    if levels != LEVELS:
-        raise FormatError(f"{path}: {levels} levels declared, expected {LEVELS}")
+    items, dim = reader.unpack("<II")
     audio_counts = reader.unpack(f"<{LEVELS}I")
     text_counts = reader.unpack(f"<{LEVELS}I")
     if 0 in audio_counts or 0 in text_counts:
         raise FormatError(
             f"{path}: every level needs a token, got audio {audio_counts} and text {text_counts}"
         )
-    shapes = [*((c, dim) for c in audio_counts), (dim,), *((c, dim) for c in text_counts), (dim,)]
-    widths = [math.prod(shape) for shape in shapes]
-    records = reader.array((count, sum(widths)))
-    reader.check_end("last item")
-    # each field is copied out of the file's buffer, which is freed on return
-    columns = np.split(records, np.cumsum(widths)[:-1], axis=1)
-    fields = [np.ascontiguousarray(x).reshape(count, *shape) for x, shape in zip(columns, shapes)]
-    return EmbeddingSet(
-        audio_levels=fields[:LEVELS],
-        audio_global=fields[LEVELS],
-        text_levels=fields[LEVELS + 1 : -1],
-        text_global=fields[-1],
-    )
+    audio_levels = [Tensor(reader.array((items, c, dim))) for c in audio_counts]
+    audio_global = Tensor(reader.array((items, dim)))
+    text_levels = [Tensor(reader.array((items, c, dim))) for c in text_counts]
+    text_global = Tensor(reader.array((items, dim)))
+    reader.check_end("text global block")
+    return EncodedBatch(audio_levels, audio_global, text_levels, text_global)
 
 
 def shared_concepts(pairs: Pairs) -> np.ndarray:

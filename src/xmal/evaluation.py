@@ -22,9 +22,9 @@ from typing import BinaryIO
 import numpy as np
 
 from . import factors
-from .autodiff import Tensor, no_grad
+from .autodiff import no_grad
 from .confidence import matched_confidences
-from .data import EmbeddingSet, Pairs
+from .data import Pairs
 from .errors import BatchTooSmallError, ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
 from .objective import mode_components
@@ -155,19 +155,6 @@ def _mode_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
     for term in terms[2:]:
         total += term
     return total
-
-
-def encoded_from_embeddings(
-    es: EmbeddingSet, audio: slice = slice(None), text: slice = slice(None)
-) -> EncodedBatch:
-    """A loaded embedding set's audio items `audio` and text items `text`
-    (by default all) as batched constants."""
-    return EncodedBatch(
-        audio_levels=[Tensor(x[audio]) for x in es.audio_levels],
-        audio_global=Tensor(es.audio_global[audio]),
-        text_levels=[Tensor(x[text]) for x in es.text_levels],
-        text_global=Tensor(es.text_global[text]),
-    )
 
 
 def _blocks(n: int) -> list[slice]:
@@ -376,7 +363,7 @@ def evaluate(
 ) -> list[RetrievalReport]:
     """One report per (mode, direction) over the encoded pairs, audio item i
     matching text item i: a dataset encoded by the model, or an embedding set
-    (`encoded_from_embeddings`).
+    as `data.load_embeddings` returns it.
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, in two

@@ -28,6 +28,8 @@ DIAG_GUARD = 1e-8  # column-sum magnitude below which match probabilities are un
 
 
 def factor_width(dim: int, k: int) -> int:
+    if dim < 1:
+        raise ConfigError(f"embed dim must be >= 1, got {dim}")
     if k < 1 or dim % k != 0:
         raise ConfigError(f"embed dim {dim} must be divisible by factor count {k}")
     return dim // k

@@ -59,6 +59,19 @@ class EncodedBatch:
     def batch(self) -> int:
         return self.audio_global.value.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.audio_global.value.shape[1]
+
+    def rows(self, audio: slice, text: slice) -> EncodedBatch:
+        """Audio items `audio` and text items `text` as a batch of constants."""
+        return EncodedBatch(
+            audio_levels=[Tensor(x.value[audio]) for x in self.audio_levels],
+            audio_global=Tensor(self.audio_global.value[audio]),
+            text_levels=[Tensor(x.value[text]) for x in self.text_levels],
+            text_global=Tensor(self.text_global.value[text]),
+        )
+
 
 class Model:
     def __init__(self, cfg: ModelConfig, params: dict[str, Tensor]):

@@ -48,6 +48,11 @@ class TrainConfig:
             raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        for name in ("beta1", "beta2"):  # written so that NaN fails too
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.opt_eps > 0:
+            raise ConfigError(f"opt_eps must be > 0, got {self.opt_eps}")
         if (self.objective.alpha > 0 or self.objective.beta > 0) and self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 when the factor losses are weighted")
         if self.clip_norm is not None and self.clip_norm <= 0:
@@ -133,6 +138,14 @@ class Adam(Optimizer):
         return out
 
     def load_state(self, tensors):
+        """Restore `state_tensors` output: `opt.t` and an `opt.m.*` and
+        `opt.v.*` pair per parameter stepped so far; a missing one, as in a
+        checkpoint that another optimizer wrote, is a DimensionError."""
+        moments = ("opt.m.", "opt.v.")
+        stepped = sorted({k[len("opt.m.") :] for k in tensors if k.startswith(moments)})
+        for name in ("opt.t", *(moment + p for p in stepped for moment in moments)):
+            if name not in tensors:
+                raise DimensionError(f"the adam optimizer state has no {name!r} tensor")
         self.t = int(np.asarray(tensors["opt.t"]).reshape(-1)[0])
         self.m = {k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")}
         self.v = {k[len("opt.v.") :]: v for k, v in tensors.items() if k.startswith("opt.v.")}

@@ -289,19 +289,12 @@ def test_criterion_7_serialization_and_resume(tmp_path):
         assert merged == reference
         print("  resumed training reproduces the uninterrupted loss log exactly")
 
-        from xmal.data import EmbeddingSet, load_embeddings, save_embeddings
+        from xmal.data import load_embeddings, save_embeddings
 
         encoded = resumed_model.encode_arrays(ds.items.audio[:4], ds.items.text[:4])
-        es = EmbeddingSet(
-            audio_levels=[lvl.value for lvl in encoded.audio_levels],
-            audio_global=encoded.audio_global.value,
-            text_levels=[lvl.value for lvl in encoded.text_levels],
-            text_global=encoded.text_global.value,
-        )
         epath = str(tmp_path / "e.xemb")
-        save_embeddings(es, epath)
-        es2 = load_embeddings(epath)
+        save_embeddings(encoded, epath)
         epath2 = str(tmp_path / "e2.xemb")
-        save_embeddings(es2, epath2)
+        save_embeddings(load_embeddings(epath), epath2)
         assert open(epath, "rb").read() == open(epath2, "rb").read()
         print("  embeddings save -> load -> save: byte-identical")

@@ -10,10 +10,12 @@ import pytest
 
 from containers import body, sealed
 from xmal import attention, autodiff as ad, evaluation, trainer, verify
-from xmal.cli import KEY_TYPES, _restore_model, main
-from xmal.config import parse_config_file
-from xmal.data import EmbeddingSet, load_dataset, load_embeddings, save_embeddings
+from xmal.autodiff import Tensor
+from xmal.cli import KEY_TYPES, SETTINGS, _restore_model, main
+from xmal.config import finite_float, parse_config_file
+from xmal.data import load_dataset, load_embeddings, save_embeddings
 from xmal.errors import ConfigError, CorruptedRecordError
+from xmal.model import EncodedBatch
 
 
 def run(capsys, *argv):
@@ -114,6 +116,54 @@ def test_train_rejects_a_negative_checkpoint_interval(tmp_path, capsys):
     assert code == 1 and out == ""
     assert _one_error_line(err) and "checkpoint_interval must be >= 0" in err, err
     assert list(tmp_path.glob("ck.xckp*")) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--beta1", "1", "beta1 must be in [0, 1), got 1.0"),
+        ("--beta2", "1", "beta2 must be in [0, 1), got 1.0"),
+        ("--opt-eps", "0", "opt_eps must be > 0, got 0.0"),
+    ],
+)
+def test_train_rejects_adam_settings_that_make_every_parameter_nan(
+    tmp_path, capsys, flag, value, message
+):
+    data = gen(tmp_path, capsys)
+    ckpt = tmp_path / "ck.xckp"
+    code, out, err = run(
+        capsys, "train", "--data", data, "--out", str(ckpt), "--epochs", "1", flag, value,
+    )
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and message in err, err
+    assert list(tmp_path.glob("ck.xckp*")) == []
+
+
+@pytest.mark.parametrize("dim, k", [("0", "1"), ("-8", "2")])
+def test_gen_data_rejects_a_width_below_one(tmp_path, capsys, dim, k):
+    out_path = tmp_path / "d.xmal"
+    code, out, err = run(
+        capsys, "gen-data", "--pairs", "4", "--concepts", "4", f"--D={dim}", "--K", k,
+        "--out", str(out_path),
+    )
+    assert code == 1 and out == ""
+    assert _one_error_line(err) and f"embed dim must be >= 1, got {dim}" in err, err
+    assert not out_path.exists()
+
+
+def test_resume_from_a_checkpoint_without_adam_state_is_one_error_line(trained, tmp_path, capsys):
+    """A checkpoint that holds SGD's (empty) optimizer state under a stored
+    config that says adam cannot resume: the missing tensor is named."""
+    data, ckpt = trained
+    model, _, stored = _restore_model(ckpt)
+    assert "optimizer=adam" in stored.config_text.splitlines()
+    bad = str(tmp_path / "sgd.xckp")
+    trainer.save_checkpoint(bad, model, trainer.Sgd(0.1), stored.step, stored.config_text)
+    resumed = tmp_path / "r.xckp"
+    code, out, err = run(capsys, "train", "--data", data, "--out", str(resumed), "--resume", bad)
+    assert code == 1
+    assert _one_error_line(err) and "'opt.t'" in err, err
+    assert not resumed.exists()
 
 
 def test_train_missing_dataset_nonzero_exit(tmp_path, capsys):
@@ -259,11 +309,11 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
     dim = 16
     shared_levels = [rng.normal(size=(1, c, dim)) for c in (4, 2, 1)]
     shared_global = rng.normal(size=(1, dim))
-    es = EmbeddingSet(
-        audio_levels=[a.copy() for a in shared_levels],
-        audio_global=shared_global.copy(),
-        text_levels=[a.copy() for a in shared_levels],
-        text_global=shared_global.copy(),
+    es = EncodedBatch(
+        audio_levels=[Tensor(a.copy()) for a in shared_levels],
+        audio_global=Tensor(shared_global.copy()),
+        text_levels=[Tensor(a.copy()) for a in shared_levels],
+        text_global=Tensor(shared_global.copy()),
     )
     epath = str(tmp_path / "same.xemb")
     save_embeddings(es, epath)
@@ -278,11 +328,11 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
 def test_eval_on_an_empty_embedding_set_is_a_contract_error(trained, tmp_path, capsys):
     _, ckpt = trained
     dim = 16
-    es = EmbeddingSet(
-        audio_levels=[np.zeros((0, c, dim)) for c in (4, 2, 1)],
-        audio_global=np.zeros((0, dim)),
-        text_levels=[np.zeros((0, c, dim)) for c in (4, 2, 1)],
-        text_global=np.zeros((0, dim)),
+    es = EncodedBatch(
+        audio_levels=[Tensor(np.zeros((0, c, dim))) for c in (4, 2, 1)],
+        audio_global=Tensor(np.zeros((0, dim))),
+        text_levels=[Tensor(np.zeros((0, c, dim))) for c in (4, 2, 1)],
+        text_global=Tensor(np.zeros((0, dim))),
     )
     epath = str(tmp_path / "empty.xemb")
     save_embeddings(es, epath)
@@ -304,11 +354,11 @@ def test_an_input_of_another_width_is_one_error_in_every_command(trained, tmp_pa
     data = gen(tmp_path, capsys, "wide.xmal", **{"--D": "32"})
     rng = np.random.default_rng(2)
     epath = str(tmp_path / "wide.xemb")
-    save_embeddings(EmbeddingSet(
-        audio_levels=[rng.normal(size=(3, c, 32)) for c in (4, 2, 1)],
-        audio_global=rng.normal(size=(3, 32)),
-        text_levels=[rng.normal(size=(3, c, 32)) for c in (5, 3, 2)],
-        text_global=rng.normal(size=(3, 32)),
+    save_embeddings(EncodedBatch(
+        audio_levels=[Tensor(rng.normal(size=(3, c, 32))) for c in (4, 2, 1)],
+        audio_global=Tensor(rng.normal(size=(3, 32))),
+        text_levels=[Tensor(rng.normal(size=(3, c, 32))) for c in (5, 3, 2)],
+        text_global=Tensor(rng.normal(size=(3, 32))),
     ), epath)
     written = str(tmp_path / "out.xemb")
     pair = ("--item-a", "0", "--item-b", "1")
@@ -770,6 +820,41 @@ def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
         assert err.startswith("error: ") and "unknown key 'bogus'" in err, argv
 
 
+FLOAT_SETTINGS = [
+    pytest.param(section, flag, id=f"{section}{flag.name}")
+    for section, flags in SETTINGS.items()
+    for flag in flags
+    if flag.type in (float, finite_float)
+]
+FLOAT_COMMANDS = {"data": "gen-data", "train": "train", "verify": "grad-check"}
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("section, flag", FLOAT_SETTINGS)
+def test_a_non_finite_float_setting_is_refused_wherever_it_is_read(
+    trained, tmp_path, capsys, section, flag, value
+):
+    """NaN and the infinities are refused as a flag (exit 2), in a config
+    file and in a checkpoint's stored train config (one error line, exit
+    1), each time naming the setting."""
+    command = FLOAT_COMMANDS[section]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, f"{flag.name}={value}"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag.name}: invalid" in capsys.readouterr().err
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"[{section}]\n{flag.dest}={value}\n")
+    code, out, err = run(capsys, command, "--config", str(cfg_path))
+    named = f"[{section}] {flag.dest}: cannot read {value!r}"
+    assert code == 1 and _one_error_line(err) and named in err, err
+    if section == "train":
+        data, ckpt = trained
+        bad = str(tmp_path / "bad.xckp")
+        _with_config_text(ckpt, bad, f"[train]\n{flag.dest}={value}\n")
+        code, out, err = run(capsys, "eval", "--ckpt", bad, "--data", data, "--modes", "DP")
+        assert code == 1 and _one_error_line(err) and named in err, err
+
+
 def test_config_file_with_undecodable_bytes_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_bytes(b"[data]\npairs=8\n# \xff\n")
@@ -864,7 +949,7 @@ def test_every_mutated_container_is_one_error_line(trained, tmp_path, capsys, fm
     source, flag, header, seed = {
         "dataset": (data, "--data", 52, 11),
         "checkpoint": (ckpt, "--ckpt", 20, 12),
-        "embeddings": (epath, "--embeddings", 44, 13),
+        "embeddings": (epath, "--embeddings", 40, 13),
     }[fmt]
     inputs = {"--ckpt": ckpt, "--data": data} if fmt != "embeddings" else {"--ckpt": ckpt}
     bad = str(tmp_path / f"bad.{fmt}")
@@ -893,7 +978,7 @@ def test_embedding_set_reports_are_byte_identical_to_the_dataset_path(trained, t
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     blobs = []
     for name, encoded in (
-        ("d", from_data), ("e", evaluation.encoded_from_embeddings(load_embeddings(epath)))
+        ("d", from_data), ("e", load_embeddings(epath))
     ):
         reports = evaluation.evaluate(
             model, encoded, modes=modes, ks=(1, 5, 10), seed=3, config_hash="stamp"

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from containers import body, sealed, sealed_file
+from xmal.autodiff import Tensor
 from xmal.data import (
     _DATASET_HEADER,
     Dataset,
-    EmbeddingSet,
     Pairs,
     SynthConfig,
     concept_slot,
@@ -22,6 +22,8 @@ from xmal.data import (
     save_embeddings,
     shared_concepts,
 )
+from xmal.factors import factor_width
+from xmal.model import EncodedBatch
 from xmal.errors import (
     ConfigError, CorruptedRecordError, DimensionError, FormatError, VersionError,
 )
@@ -60,6 +62,22 @@ def test_config_validation():
         small_cfg(noise_sigma=-0.5)
     with pytest.raises(ConfigError):
         small_cfg(pairs=0)
+
+
+@pytest.mark.parametrize("dim, k", [(0, 1), (-8, 2)])
+def test_a_width_below_one_is_rejected(dim, k):
+    with pytest.raises(ConfigError, match=f"embed dim must be >= 1, got {dim}"):
+        factor_width(dim, k)
+    with pytest.raises(ConfigError, match=f"embed dim must be >= 1, got {dim}"):
+        small_cfg(embed_dim=dim, factor_count=k)
+
+
+def test_a_dataset_file_of_width_zero_is_rejected(tmp_path):
+    path = tmp_path / "d.xmal"  # one pair, one factor, empty audio and text blocks
+    header = _DATASET_HEADER.pack(b"XMAL", 2, 1, 1, 0, 1, 4, 8, 0, 0.1, 0)
+    path.write_bytes(sealed(header + bytes([1] + [0] * 7)))
+    with pytest.raises(ConfigError, match="embed dim must be >= 1, got 0"):
+        load_dataset(str(path))
 
 
 def test_generation_is_bit_deterministic():
@@ -326,22 +344,31 @@ def test_missing_file_is_distinct_error(tmp_path):
 AUDIO_COUNTS, TEXT_COUNTS = (4, 2, 1), (3, 3, 3)
 
 
-def _embedding_set(rng, items=2, dim=6):
-    return EmbeddingSet(
-        audio_levels=[rng.normal(size=(items, c, dim)) for c in AUDIO_COUNTS],
-        audio_global=rng.normal(size=(items, dim)),
-        text_levels=[rng.normal(size=(items, c, dim)) for c in TEXT_COUNTS],
-        text_global=rng.normal(size=(items, dim)),
-    )
+def _encoded(arrays: list[np.ndarray]) -> EncodedBatch:
+    """The batch of eight arrays in `EncodedBatch` order, as constants."""
+    tensors = [Tensor(x) for x in arrays]
+    return EncodedBatch(tensors[0:3], tensors[3], tensors[4:7], tensors[7])
 
 
-def _assert_same_set(a: EmbeddingSet, b: EmbeddingSet):
-    for side in ("audio_levels", "text_levels"):
-        assert len(getattr(a, side)) == len(getattr(b, side)) == 3
-        for x, y in zip(getattr(a, side), getattr(b, side)):
-            assert x.shape == y.shape and np.array_equal(x, y)
-    for side in ("audio_global", "text_global"):
-        x, y = getattr(a, side), getattr(b, side)
+def _embedding_set(rng, items=2, dim=6) -> EncodedBatch:
+    return _encoded([
+        *(rng.normal(size=(items, c, dim)) for c in AUDIO_COUNTS), rng.normal(size=(items, dim)),
+        *(rng.normal(size=(items, c, dim)) for c in TEXT_COUNTS), rng.normal(size=(items, dim)),
+    ])
+
+
+def _tensors(encoded: EncodedBatch) -> list[Tensor]:
+    return [*encoded.audio_levels, encoded.audio_global, *encoded.text_levels, encoded.text_global]
+
+
+def _arrays(encoded: EncodedBatch) -> list[np.ndarray]:
+    return [x.value for x in _tensors(encoded)]
+
+
+def _assert_same_set(a: EncodedBatch, b: EncodedBatch):
+    assert len(a.audio_levels) == len(b.audio_levels) == 3
+    assert len(a.text_levels) == len(b.text_levels) == 3
+    for x, y in zip(_arrays(a), _arrays(b)):
         assert x.shape == y.shape and np.array_equal(x, y)
 
 
@@ -351,20 +378,48 @@ def test_embeddings_round_trip(tmp_path):
     path = str(tmp_path / "e.xemb")
     save_embeddings(es, path)
     loaded = load_embeddings(path)
-    assert len(loaded) == 2 and loaded.dim == es.dim
-    assert tuple(x.shape[1] for x in loaded.audio_levels) == AUDIO_COUNTS
-    assert tuple(x.shape[1] for x in loaded.text_levels) == TEXT_COUNTS
+    assert loaded.batch == 2 and loaded.dim == es.dim == 6
+    assert tuple(x.value.shape[1] for x in loaded.audio_levels) == AUDIO_COUNTS
+    assert tuple(x.value.shape[1] for x in loaded.text_levels) == TEXT_COUNTS
+    assert not any(x.requires_grad for x in _tensors(loaded))
     _assert_same_set(es, loaded)
 
 
-def test_embeddings_reject_two_level_file(tmp_path):
-    path = str(tmp_path / "e.xemb")
+def test_embedding_load_holds_one_copy_of_the_file(tmp_path):
+    """Every array is a view of the one buffer the file is read into, each
+    block 8-aligned, so a load peaks near the file size, not at twice it."""
+    path = tmp_path / "e.xemb"
+    save_embeddings(_embedding_set(np.random.default_rng(7), items=512, dim=32), str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_embeddings(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak <= 1.1 * size, f"peak {peak} bytes for a {size}-byte file"
+    roots = []
+    for x in _arrays(loaded):
+        assert x.flags.aligned and x.flags.c_contiguous
+        root = x
+        while isinstance(root, np.ndarray):
+            root = root.base
+        roots.append(root.obj if isinstance(root, memoryview) else root)
+    assert all(root is roots[0] for root in roots) and len(roots[0]) == size
+    whole = np.frombuffer(roots[0], np.uint8)
+    assert all(np.shares_memory(x, whole) for x in _arrays(loaded))
+
+
+def test_version_2_embedding_set_is_rejected(tmp_path):
+    """A file as version 2 wrote it: a level count, then one record per item."""
+    path = str(tmp_path / "v2.xemb")
     with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 2, 0, 6, 2))  # declares 2 levels
-        f.write(struct.pack("<II", 3, 3))
-        f.write(struct.pack("<II", 3, 3))
-    with pytest.raises(FormatError):
+        f.write(struct.pack("<IIII", 2, 1, 2, 3))  # version, items, D, levels
+        f.write(struct.pack("<III", 1, 1, 1))
+        f.write(struct.pack("<III", 1, 1, 1))
+        f.write(np.zeros(8 * 2).tobytes())
+    with pytest.raises(VersionError, match="embedding set version 2, expected 3"):
         load_embeddings(path)
 
 
@@ -373,7 +428,7 @@ def test_embeddings_hand_written_single_item(tmp_path):
     path = str(tmp_path / "e.xemb")
     with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 2, 1, dim, 3))
+        f.write(struct.pack("<III", 3, 1, dim))  # version, items, D
         f.write(struct.pack("<III", 1, 1, 1))  # audio level token counts
         f.write(struct.pack("<III", 1, 1, 1))  # text level token counts
         for value in range(3):  # audio levels
@@ -383,49 +438,46 @@ def test_embeddings_hand_written_single_item(tmp_path):
             f.write(np.full((1, dim), float(value + 10)).tobytes())
         f.write(np.array([7.0, 7.0]).tobytes())  # text global
     es = load_embeddings(path)
-    assert len(es) == 1 and es.dim == 2
-    assert np.array_equal(es.audio_levels[2], [[[2.0, 2.0]]])
-    assert np.array_equal(es.text_global, [[7.0, 7.0]])
+    assert es.batch == 1 and es.dim == 2
+    assert np.array_equal(es.audio_levels[2].value, [[[2.0, 2.0]]])
+    assert np.array_equal(es.text_global.value, [[7.0, 7.0]])
 
 
-def _ragged_pair_file(path: str) -> EmbeddingSet:
+def _ragged_pair_file(path: str) -> EncodedBatch:
     """Write a 2-item file with audio token counts (4, 2, 1) and text counts
-    (3, 3, 3) field by field in the documented record layout, and return the
-    stacks it holds. Entry values encode (item, field, token, column)."""
+    (3, 3, 3) block by block in the documented layout, and return the batch
+    it holds. Entry values encode (item, field, token, column)."""
     dim = 2
-    fields = []  # per item, in record order
-    for item in range(2):
-        shapes = [(c, dim) for c in AUDIO_COUNTS] + [(dim,)]
-        shapes += [(c, dim) for c in TEXT_COUNTS] + [(dim,)]
-        fields.append([
+    shapes = [(c, dim) for c in AUDIO_COUNTS] + [(dim,)]
+    shapes += [(c, dim) for c in TEXT_COUNTS] + [(dim,)]
+    blocks = [  # one (items, *shape) block per field, in file order
+        np.stack([
             1000 * item + 100 * f + np.arange(np.prod(shape), dtype=float).reshape(shape)
-            for f, shape in enumerate(shapes)
+            for item in range(2)
         ])
+        for f, shape in enumerate(shapes)
+    ]
     with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 2, 2, dim, 3))  # version, items, D, levels
+        f.write(struct.pack("<III", 3, 2, dim))  # version, items, D
         f.write(struct.pack("<III", *AUDIO_COUNTS))
         f.write(struct.pack("<III", *TEXT_COUNTS))
-        for record in fields:
-            for x in record:
-                f.write(x.astype("<f8").tobytes())
-    stacked = [np.stack([record[i] for record in fields]) for i in range(8)]
-    return EmbeddingSet(
-        audio_levels=stacked[0:3], audio_global=stacked[3],
-        text_levels=stacked[4:7], text_global=stacked[7],
-    )
+        assert f.tell() == 40  # so every f8 block starts 8-aligned
+        for block in blocks:
+            f.write(block.astype("<f8").tobytes())
+    return _encoded(blocks)
 
 
 def test_embeddings_hand_written_ragged_pair_pins_both_directions(tmp_path):
     """The layout is pinned from the read side (the hand-written file loads
-    as the expected stacks) and from the write side (saving those stacks
+    as the expected batch) and from the write side (saving that batch
     reproduces the file byte for byte)."""
     path = str(tmp_path / "hand.xemb")
     expected = _ragged_pair_file(path)
     loaded = load_embeddings(path)
     _assert_same_set(loaded, expected)
-    assert loaded.audio_levels[0][1, 3, 1] == 1000 + 7
-    assert loaded.text_global[0, 1] == 700 + 1
+    assert loaded.audio_levels[0].value[1, 3, 1] == 1000 + 7
+    assert loaded.text_global.value[0, 1] == 700 + 1
     again = str(tmp_path / "again.xemb")
     save_embeddings(expected, again)
     assert open(again, "rb").read() == open(path, "rb").read()
@@ -436,7 +488,7 @@ def test_empty_embedding_set_round_trips(tmp_path):
     path = str(tmp_path / "empty.xemb")
     save_embeddings(es, path)
     loaded = load_embeddings(path)
-    assert len(loaded) == 0 and loaded.dim == 6
+    assert loaded.batch == 0 and loaded.dim == 6
     _assert_same_set(es, loaded)
 
 
@@ -444,7 +496,7 @@ def test_embeddings_zero_token_level_is_rejected_on_load(tmp_path):
     path = str(tmp_path / "e.xemb")
     with sealed_file(path) as f:
         f.write(b"XEMB")
-        f.write(struct.pack("<IIII", 2, 1, 2, 3))
+        f.write(struct.pack("<III", 3, 1, 2))
         f.write(struct.pack("<III", 4, 0, 1))  # audio level 1 has no token
         f.write(struct.pack("<III", 3, 3, 3))
         f.write(np.zeros(2 * (4 + 0 + 1 + 1 + 9 + 1)).tobytes())
@@ -454,7 +506,7 @@ def test_embeddings_zero_token_level_is_rejected_on_load(tmp_path):
 
 def test_embeddings_zero_token_level_is_refused_on_save(tmp_path):
     es = _embedding_set(np.random.default_rng(5))
-    es.audio_levels[1] = es.audio_levels[1][:, :0]
+    es.audio_levels[1] = Tensor(es.audio_levels[1].value[:, :0])
     path = str(tmp_path / "e.xemb")
     with pytest.raises(DimensionError, match="audio level 1"):
         save_embeddings(es, path)
@@ -466,7 +518,7 @@ def test_embeddings_zero_token_level_is_refused_on_save(tmp_path):
 )
 def test_embeddings_mismatched_shapes_are_refused_on_save(tmp_path, field, shape):
     es = _embedding_set(np.random.default_rng(6))
-    value = np.zeros(shape)
+    value = Tensor(np.zeros(shape))
     if field.endswith("levels"):
         getattr(es, field)[0] = value
     else:
@@ -491,7 +543,7 @@ def test_version_1_embedding_set_is_rejected(tmp_path):
     blob = bytearray(body(open(path, "rb").read()))
     blob[4:8] = struct.pack("<I", 1)
     open(path, "wb").write(bytes(blob))  # as v1 wrote it: no trailer
-    with pytest.raises(VersionError, match="embedding set version 1, expected 2"):
+    with pytest.raises(VersionError, match="embedding set version 1, expected 3"):
         load_embeddings(path)
 
 

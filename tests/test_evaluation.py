@@ -23,7 +23,7 @@ from xmal.confidence import (
     init_confidence_params,
     matched_confidences,
 )
-from xmal.data import EmbeddingSet, SynthConfig, generate
+from xmal.data import SynthConfig, generate
 from xmal.errors import BatchTooSmallError, ContractError, DimensionError, XmalError
 from xmal.evaluation import (
     RetrievalReport,
@@ -140,14 +140,14 @@ def test_evaluate_report_cardinality_and_determinism():
 
 def test_evaluate_rejects_empty_inputs():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
-    empty = EmbeddingSet(
-        audio_levels=[np.zeros((0, c, 16)) for c in (4, 2, 1)],
-        audio_global=np.zeros((0, 16)),
-        text_levels=[np.zeros((0, c, 16)) for c in (3, 2, 1)],
-        text_global=np.zeros((0, 16)),
+    empty = EncodedBatch(
+        audio_levels=[ad.Tensor(np.zeros((0, c, 16))) for c in (4, 2, 1)],
+        audio_global=ad.Tensor(np.zeros((0, 16))),
+        text_levels=[ad.Tensor(np.zeros((0, c, 16))) for c in (3, 2, 1)],
+        text_global=ad.Tensor(np.zeros((0, 16))),
     )
     with pytest.raises(ContractError):
-        evaluate(model, evaluation.encoded_from_embeddings(empty))
+        evaluate(model, empty)
 
 
 def test_evaluate_rejects_out_of_range_k():

@@ -116,6 +116,26 @@ def test_batch_size_validation_with_factor_losses():
     make_cfg(batch_size=1, objective=ObjectiveConfig(alpha=0.0, beta=0.0, similarity_mode="DP"))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", -0.1), ("beta2", float("nan")),
+        ("opt_eps", 0.0), ("opt_eps", -1e-8), ("opt_eps", float("nan")),
+    ],
+)
+def test_adam_settings_outside_their_range_are_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        make_cfg(**{field: value})
+
+
+def test_adam_state_without_a_tensor_names_it():
+    with pytest.raises(DimensionError, match="'opt.t'"):
+        Adam(0.1).load_state({})
+    with pytest.raises(DimensionError, match="'opt.v.x'"):
+        Adam(0.1).load_state({"opt.t": np.array(1.0), "opt.m.x": np.zeros(2)})
+
+
 def test_dataset_smaller_than_batch_rejected():
     with pytest.raises(ConfigError):
         train(toy_model(), toy_dataset(pairs=4), make_cfg(batch_size=8))
