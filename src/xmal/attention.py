@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS, FRESH, Tensor, Workspace
+from .config import check_finite
 from .errors import ContractError
 
 DIRECTIONS = ("text_enhanced", "audio_enhanced", "both")
@@ -39,6 +40,7 @@ class AttentionConfig:
     combine: str = "mean"  # how the two directions merge when direction == both
 
     def __post_init__(self):
+        check_finite(self)
         if self.temperature <= 0:
             raise ContractError(f"attention temperature must be positive, got {self.temperature}")
         if self.direction not in DIRECTIONS:

@@ -72,7 +72,6 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64)
         self.name = name
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self.grad: np.ndarray | None = None
         self._id = next(_node_ids)
         self._op = _op
         self._parents = _parents
@@ -499,8 +498,7 @@ def normalize_rows(m) -> Tensor:
 def gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of a scalar w.r.t. named parameters.
 
-    Parameters not reached by the loss get exact-zero gradients. Also stores
-    each gradient on the parameter's .grad.
+    Parameters not reached by the loss get exact-zero gradients.
     """
     if loss.value.size != 1:
         raise ContractError(f"gradient target must be scalar, got shape {loss.value.shape}")
@@ -536,7 +534,6 @@ def gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
         g = table.get(p._id)
         if g is None:
             g = np.zeros_like(p.value)
-        p.grad = g
         result[p.name or f"param{p._id}"] = g
     return result
 

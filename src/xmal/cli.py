@@ -7,9 +7,11 @@ Every command resolves its settings from an optional `--config` file section
 overridden by flags, stamps outputs with a content hash of the resolved
 settings plus the seed, and is deterministic given both.
 
-A checkpoint alone rebuilds its model (`_restore_model`), and `eval`, `sim`
-and `export-embeddings` read `--data` or `--embeddings` as the encoded batch
-they need through one function, `_encoded_input`.
+A checkpoint alone restores its model (`_restore_model`): its tensors give
+the parameters and dimensions, and its stored config the attention settings,
+with no init draw and no seed. `eval`, `sim` and `export-embeddings` read
+`--data` or `--embeddings` as the encoded batch they need through one
+function, `_encoded_input`.
 """
 
 from __future__ import annotations
@@ -199,19 +201,14 @@ def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
     return parse_sections(ckpt.config_text.splitlines(), schema, ckpt_path).get("train", {})
 
 
-def _model_config(effective: dict, embed_dim: int) -> ModelConfig:
-    """The model a train config that sets K describes. A setting it lacks
-    takes its TRAIN_DEFAULTS value."""
+def _attention_config(effective: dict) -> AttentionConfig:
+    """The attention settings of a train config, with TRAIN_DEFAULTS for
+    those it lacks."""
     settings = {**TRAIN_DEFAULTS, **effective}
-    return ModelConfig(
-        embed_dim=embed_dim,
-        factor_count=settings["K"],
-        hidden=settings.get("hidden"),
-        attention=AttentionConfig(
-            temperature=settings["temperature"],
-            direction=settings["direction"],
-            combine=settings["combine"],
-        ),
+    return AttentionConfig(
+        temperature=settings["temperature"],
+        direction=settings["direction"],
+        combine=settings["combine"],
     )
 
 
@@ -269,7 +266,11 @@ def cmd_train(args) -> int:
         skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
         effective = {k: v for k, v in values.items() if k not in skip}
         effective.setdefault("K", dataset.config.factor_count)
-        model = Model.build(_model_config(effective, dataset.config.embed_dim), effective["seed"])
+        cfg = ModelConfig(
+            dataset.config.embed_dim, effective["K"], effective.get("hidden"),
+            _attention_config(effective),
+        )
+        model = Model.build(cfg, effective["seed"])
     train_cfg = _train_config(effective)
     start_step, optimizer = 0, None
     if ckpt is not None:
@@ -307,17 +308,12 @@ def _total_steps(cfg: TrainConfig, dataset) -> int:
 
 
 def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
-    """The model a checkpoint holds: its width, factor count and confidence
-    hidden width read off its tensors, its attention settings and init seed
-    from its stored train config; also that config and the checkpoint."""
+    """The model a checkpoint holds: its parameters and dimensions from its
+    tensors, its attention settings from its stored train config; also that
+    config and the checkpoint."""
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
-    dim, k, hidden = ckpt.dims()
-    model = Model.build(
-        _model_config({**effective, "K": k, "hidden": hidden}, dim), effective.get("seed", 0)
-    )
-    trainer.restore_params(model, ckpt.tensors)
-    return model, effective, ckpt
+    return Model.from_tensors(ckpt.tensors, _attention_config(effective)), effective, ckpt
 
 
 def _check_width(path: str, width: int, model: Model):
@@ -365,8 +361,6 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
     seed = values["seed"]
-    if not (0 <= seed < 2**64):  # the report stores it as a u64
-        raise ConfigError(f"--seed must fit in u64, got {seed}")
     resolved = {
         "ckpt": values["ckpt"],
         "data": values.get("data", ""),

@@ -29,23 +29,6 @@ from .errors import DimensionError
 PARAM_NAMES = ("conf.w1", "conf.b1", "conf.w2", "conf.b2")
 
 
-def init_confidence_params(
-    factor_dim: int, hidden: int, rng: np.random.Generator
-) -> dict[str, Tensor]:
-    fan1 = 2 * factor_dim
-    params = {
-        "conf.w1": ad.parameter(
-            rng.uniform(-1 / np.sqrt(fan1), 1 / np.sqrt(fan1), size=(hidden, fan1)), "conf.w1"
-        ),
-        "conf.b1": ad.parameter(np.zeros(hidden), "conf.b1"),
-        "conf.w2": ad.parameter(
-            rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(1, hidden)), "conf.w2"
-        ),
-        "conf.b2": ad.parameter(np.zeros(1), "conf.b2"),
-    }
-    return params
-
-
 def _check_pair(text: np.ndarray, audio: np.ndarray):
     if text.ndim != 3 or audio.ndim != 3 or text.shape[1:] != audio.shape[1:]:
         raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")

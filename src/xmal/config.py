@@ -10,6 +10,7 @@ never pass silently.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 import math
@@ -35,6 +36,17 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def check_finite(settings) -> None:
+    """Refuse a NaN or infinite float field of the dataclass `settings`,
+    naming the field. A config dataclass calls this first, so that its range
+    checks, such as `sigma < 0`, see finite values only: NaN fails every
+    comparison and would pass them silently."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def parse_sections(lines: Iterable[str], schemas: Schema, source: str) -> dict[str, dict]:

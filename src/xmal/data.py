@@ -11,12 +11,14 @@ noise. A dataset holds its P pairs as stacks (`Pairs`): `(P, M, D)` audio,
 
 All containers are little-endian with fixed headers so round-trips are
 bit-exact, and each ends in a CRC32 of every byte before it, which `Reader`
-checks once when it opens the file. After its header, a dataset file holds
-the concept mask as one u8 block, then the audio block, then the text block.
-An embedding file is a `model.EncodedBatch` on disk: after its 40-byte
-header, one f8 block per array in `EncodedBatch` order (3 audio levels,
-audio global, 3 text levels, text global), so every block starts 8-aligned
-and loads as a view of the file's buffer.
+checks once when it opens the file. After its 52-byte header, a dataset file
+holds the concept mask as one u8 block, then the audio block, then the text
+block, each starting 8-aligned after zero padding, so the audio and text
+blocks load as aligned views of the file's buffer. An embedding file is a
+`model.EncodedBatch` on disk: after its 40-byte header, one f8 block per
+array in `EncodedBatch` order (3 audio levels, audio global, 3 text levels,
+text global), so every block starts 8-aligned and loads as a view of the
+file's buffer.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .config import subsystem_rng
+from .config import check_finite, subsystem_rng
 from .errors import ConfigError, CorruptedRecordError, DimensionError, FormatError, VersionError
 from .factors import factor_width
 from .model import EncodedBatch
 
 DATASET_MAGIC = b"XMAL"
 EMBEDDING_MAGIC = b"XEMB"
-# 2: stacked concept mask, audio and text blocks, and a CRC32 trailer
-DATASET_VERSION = 2
+# 2: stacked concept mask, audio and text blocks, and a CRC32 trailer;
+# 3: zero padding to 8-aligned blocks
+DATASET_VERSION = 3
 # 2: a CRC32 trailer; 3: one block per array and no level count
 EMBEDDING_VERSION = 3
 LEVELS = 3
@@ -58,6 +61,7 @@ class SynthConfig:
     shared_projection: bool = False
 
     def __post_init__(self):
+        check_finite(self)
         if self.pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {self.pairs}")
         factor_width(self.embed_dim, self.factor_count)
@@ -152,6 +156,13 @@ def generate(cfg: SynthConfig) -> Dataset:
 
 _DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D, N, M,
 # concepts, seed, sigma, shared flag
+ALIGN = 8
+
+
+def _padding(size: int) -> bytes:
+    """The zero bytes that take a block of `size` bytes, which starts
+    aligned, to the next ALIGN boundary."""
+    return bytes(-size % ALIGN)
 
 
 class Reader:
@@ -209,6 +220,13 @@ class Reader:
         n, size = math.prod(shape), np.dtype(dtype).itemsize
         return np.frombuffer(self.buf, dtype, n, self._advance(size * n)).reshape(shape)
 
+    def align(self):
+        """Skip the zero padding up to the next ALIGN boundary; a nonzero
+        padding byte raises `CorruptedRecordError`."""
+        start = self._advance(-self.pos % ALIGN)
+        if any(self.buf[start : self.pos]):
+            raise CorruptedRecordError(f"{self.path}: nonzero padding at byte {start}")
+
     def check_end(self, what: str):
         if self.pos != self.end:
             raise CorruptedRecordError(f"{self.path}: trailing bytes after the {what}")
@@ -249,9 +267,12 @@ def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
         cfg.noise_sigma,
         int(cfg.shared_projection),
     )
+    mask = np.ascontiguousarray(pairs.concepts, dtype="u1")
     write_container(path, [
         header,
-        np.ascontiguousarray(pairs.concepts, dtype="u1"),
+        _padding(len(header)),
+        mask,
+        _padding(mask.nbytes),
         np.ascontiguousarray(pairs.audio, dtype="<f8"),
         np.ascontiguousarray(pairs.text, dtype="<f8"),
     ])
@@ -296,7 +317,9 @@ def load_dataset(path: str) -> Dataset:
         seed=seed,
         shared_projection=bool(shared),
     )
+    reader.align()
     mask = reader.array((pairs, concepts), "u1")
+    reader.align()
     audio = reader.array((pairs, m, dim))
     text = reader.array((pairs, n, dim))
     reader.check_end("text block")

@@ -9,10 +9,11 @@ a content-scored softmax readout for text, the token mean for audio.
 
 A stream's weights live in banks: one (12, D, D) weight bank and one
 (12, D) bias bank (`text.w`, `text.b`, `audio.w`, `audio.b`), and the three
-audio merge maps in one (3, D, D) bank (`audio.merge`). Each tap segment
-runs as one `autodiff.residual_blocks` op: text blocks 1-4, 5-10 and 11-12,
-and each audio stage with its entry merge. Under `no_grad` the op keeps no
-per-block state. `verify.composed_residual_blocks`, the same blocks
+audio merge maps in one (3, D, D) bank (`audio.merge`). Their shapes and
+inits are rows of the model's parameter table, `model.param_specs`. Each tap
+segment runs as one `autodiff.residual_blocks` op: text blocks 1-4, 5-10
+and 11-12, and each audio stage with its entry merge. Under `no_grad` the op
+keeps no per-block state. `verify.composed_residual_blocks`, the same blocks
 composed from autodiff primitives, is the op's oracle.
 """
 
@@ -38,35 +39,6 @@ def audio_tap_counts(m: int) -> tuple[int, int, int]:
     m3 = math.ceil(m2 / 2)
     m4 = math.ceil(m3 / 2)
     return m2, m3, m4
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_text_params(dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The text banks. The weight bank is drawn in one call, so slice l holds
-    the same values, in the same generator order, as the l-th of 12
-    sequential (D, D) draws."""
-    return {
-        "text.w": ad.parameter(_uniform(rng, (TEXT_BLOCKS, dim, dim), dim), "text.w"),
-        "text.b": ad.parameter(np.zeros((TEXT_BLOCKS, dim)), "text.b"),
-        "text.readout": ad.parameter(np.zeros(dim), "text.readout"),
-    }
-
-
-def init_audio_params(dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The audio banks, the weight bank drawn in one call as for text."""
-    blocks = sum(AUDIO_STAGE_BLOCKS)
-    # Identity start keeps merged tokens in the same space as text tokens;
-    # a small random map here would scramble directions before training begins.
-    merges = np.tile(np.eye(dim), (len(AUDIO_STAGE_BLOCKS) - 1, 1, 1))
-    return {
-        "audio.w": ad.parameter(_uniform(rng, (blocks, dim, dim), dim), "audio.w"),
-        "audio.b": ad.parameter(np.zeros((blocks, dim)), "audio.b"),
-        "audio.merge": ad.parameter(merges, "audio.merge"),
-    }
 
 
 def _pair_mean_matrix(m: int) -> np.ndarray:

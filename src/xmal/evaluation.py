@@ -363,7 +363,9 @@ def evaluate(
 ) -> list[RetrievalReport]:
     """One report per (mode, direction) over the encoded pairs, audio item i
     matching text item i: a dataset encoded by the model, or an embedding set
-    as `data.load_embeddings` returns it.
+    as `data.load_embeddings` returns it. The reports carry `seed`, the run's
+    `--seed`, which must fit in the binary report's u64 (else ContractError,
+    before any scoring).
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, in two
@@ -388,6 +390,8 @@ def evaluate(
     size = encoded.batch
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")
+    if not (0 <= seed < 2**64):
+        raise ContractError(f"--seed must fit in u64, got {seed}")
     _check_ks(ks, size)
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)

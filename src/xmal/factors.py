@@ -35,14 +35,6 @@ def factor_width(dim: int, k: int) -> int:
     return dim // k
 
 
-def init_factor_bank(dim: int, k: int, rng: np.random.Generator, name: str) -> Tensor:
-    """A (K, D/K, D) bank drawn in one call: the same values, in the same
-    generator order, as K sequential (D/K, D) draws."""
-    width = factor_width(dim, k)
-    bound = 1.0 / np.sqrt(dim)
-    return ad.parameter(rng.uniform(-bound, bound, size=(k, width, dim)), name)
-
-
 def project_factors(globals_: Tensor, bank: Tensor) -> Tensor:
     """(B, D) globals through a (K, D/K, D) bank -> (B, K, D/K) factors."""
     g, bank = ad.as_tensor(globals_), ad.as_tensor(bank)

@@ -4,21 +4,17 @@ pair is a 1 x 1 batch)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import attention, autodiff as ad, encoders, factors, objective
 from .attention import AttentionConfig
-from .confidence import (
-    factor_pair_scores,
-    factor_pair_similarity_matrix,
-    factor_rows,
-    init_confidence_params,
-)
+from .confidence import factor_pair_scores, factor_pair_similarity_matrix, factor_rows
 from .autodiff import Tensor
 from .config import subsystem_rng
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -40,6 +36,46 @@ class ModelConfig:
     @property
     def hidden_width(self) -> int:
         return self.hidden if self.hidden is not None else self.factor_dim
+
+
+def param_specs(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | str]]:
+    """Every parameter of the model, in draw order: name -> (shape, init),
+    where init is a fan-in (a uniform draw in +-1/sqrt(fan-in)), "zeros" or
+    "identity" (a stack of identity matrices)."""
+    d, k, w, h = cfg.embed_dim, cfg.factor_count, cfg.factor_dim, cfg.hidden_width
+    text, audio = encoders.TEXT_BLOCKS, sum(encoders.AUDIO_STAGE_BLOCKS)
+    return {
+        "text.w": ((text, d, d), d),
+        "text.b": ((text, d), "zeros"),
+        "text.readout": ((d,), "zeros"),
+        "audio.w": ((audio, d, d), d),
+        "audio.b": ((audio, d), "zeros"),
+        # An identity start keeps merged tokens in the same space as text
+        # tokens; a small random map would scramble directions before training.
+        "audio.merge": ((len(encoders.AUDIO_STAGE_BLOCKS) - 1, d, d), "identity"),
+        "factors.text": ((k, w, d), d),
+        "factors.audio": ((k, w, d), d),
+        "conf.w1": ((h, 2 * w), 2 * w),
+        "conf.b1": ((h,), "zeros"),
+        "conf.w2": ((1, h), h),
+        "conf.b2": ((1,), "zeros"),
+    }
+
+
+def init_parameters(specs: dict, rng: np.random.Generator) -> dict[str, Tensor]:
+    """The parameters of `specs`, each random bank drawn from `rng` in one
+    call, in table order."""
+    params = {}
+    for name, (shape, init) in specs.items():
+        if init == "zeros":
+            value = np.zeros(shape)
+        elif init == "identity":
+            value = np.tile(np.eye(shape[-1]), (shape[0], 1, 1))
+        else:
+            bound = 1.0 / math.sqrt(init)
+            value = rng.uniform(-bound, bound, size=shape)
+        params[name] = ad.parameter(value, name)
+    return params
 
 
 @dataclass
@@ -80,13 +116,35 @@ class Model:
 
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int) -> "Model":
-        rng = subsystem_rng(seed, "init")
-        params: dict[str, Tensor] = {}
-        params.update(encoders.init_text_params(cfg.embed_dim, rng))
-        params.update(encoders.init_audio_params(cfg.embed_dim, rng))
-        for name in ("factors.text", "factors.audio"):
-            params[name] = factors.init_factor_bank(cfg.embed_dim, cfg.factor_count, rng, name)
-        params.update(init_confidence_params(cfg.factor_dim, cfg.hidden_width, rng))
+        """A freshly initialized model: `param_specs(cfg)` drawn from the
+        seed's "init" generator."""
+        return cls(cfg, init_parameters(param_specs(cfg), subsystem_rng(seed, "init")))
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], attention: AttentionConfig) -> "Model":
+        """The model whose parameters are copies of `tensors` (a checkpoint's):
+        D, K and h are the first axes of the text readout, the text factor
+        bank and the first confidence layer, and a DimensionError names any
+        row of `param_specs` that is missing or of another shape."""
+
+        def tensor(name: str) -> np.ndarray:
+            if name not in tensors:
+                raise DimensionError(f"checkpoint is missing parameter {name!r}")
+            return tensors[name]
+
+        dims = []
+        for name, axes in (("text.readout", 1), ("factors.text", 3), ("conf.w1", 2)):
+            if len(shape := tensor(name).shape) != axes:
+                raise DimensionError(f"checkpoint parameter {name!r} has shape {shape}, not {axes}-d")
+            dims.append(shape[0])
+        cfg = ModelConfig(*dims, attention=attention)
+        params = {}
+        for name, (shape, _) in param_specs(cfg).items():
+            if (arr := tensor(name)).shape != shape:
+                raise DimensionError(
+                    f"checkpoint parameter {name!r} has shape {arr.shape}, model expects {shape}"
+                )
+            params[name] = ad.parameter(arr.copy(), name)
         return cls(cfg, params)
 
     def parameters(self) -> list[Tensor]:

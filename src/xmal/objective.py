@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_finite
 from .errors import ConfigError, ContractError, DimensionError
 
 MODES = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
@@ -29,6 +30,7 @@ class ObjectiveConfig:
     similarity_mode: str = "THA+DCR"
 
     def __post_init__(self):
+        check_finite(self)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0 or self.beta < 0:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad, factors, objective as obj
 from .autodiff import Tensor
-from .config import subsystem_rng
+from .config import check_finite, subsystem_rng
 from .data import Pairs, Reader, write_container
 from .errors import ConfigError, DimensionError, TrainingDiverged
 from .model import Model
@@ -40,6 +40,7 @@ class TrainConfig:
     checkpoint_interval: int = 0  # steps between mid-run snapshots; 0 = end only
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -82,7 +83,6 @@ class TrainResult:
     log: list[StepRecord]
     diagnostics: list[EpochDiagnostics]
     optimizer: "Optimizer"
-    steps_per_epoch: int
 
 
 class Optimizer:
@@ -249,9 +249,7 @@ def train(
                 on_step(step, optimizer)
         record_diagnostics(epoch + 1)
 
-    return TrainResult(
-        log=log, diagnostics=diagnostics, optimizer=optimizer, steps_per_epoch=steps_per_epoch
-    )
+    return TrainResult(log=log, diagnostics=diagnostics, optimizer=optimizer)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -262,19 +260,6 @@ class Checkpoint:
     step: int
     tensors: dict[str, np.ndarray]
     config_text: str
-
-    def dims(self) -> tuple[int, int, int]:
-        """The model width D, factor count K and confidence hidden width h:
-        the first axes of the (D,) text readout, the (K, D/K, D) text factor
-        bank and the (h, 2D/K) first confidence layer."""
-        dims = []
-        for name, axes in (("text.readout", 1), ("factors.text", 3), ("conf.w1", 2)):
-            if name not in self.tensors:
-                raise DimensionError(f"checkpoint is missing parameter {name!r}")
-            if len(shape := self.tensors[name].shape) != axes:
-                raise DimensionError(f"checkpoint parameter {name!r} has shape {shape}, not {axes}-d")
-            dims.append(shape[0])
-        return tuple(dims)
 
 
 def save_checkpoint(path: str, model: Model, optimizer: Optimizer, step: int, config_text: str):
@@ -302,17 +287,3 @@ def load_checkpoint(path: str) -> Checkpoint:
     config_text = reader.text("the config text")
     reader.check_end("config text")
     return Checkpoint(step=step, tensors=tensors, config_text=config_text)
-
-
-def restore_params(model: Model, tensors: dict[str, np.ndarray]):
-    """Load parameter values into an existing model, checking names and shapes."""
-    for name, param in model.params.items():
-        if name not in tensors:
-            raise DimensionError(f"checkpoint is missing parameter {name!r}")
-        arr = tensors[name]
-        if arr.shape != param.value.shape:
-            raise DimensionError(
-                f"checkpoint parameter {name!r} has shape {arr.shape}, "
-                f"model expects {param.value.shape}"
-            )
-        param.value = arr.copy()

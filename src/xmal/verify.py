@@ -21,10 +21,17 @@ import numpy as np
 from . import attention, autodiff as ad, confidence, encoders, factors, objective as obj
 from .attention import COMBINES, DIRECTIONS, AttentionConfig
 from .autodiff import EPS
-from .confidence import factor_pair_similarity_matrix, init_confidence_params
+from .confidence import factor_pair_similarity_matrix
 from .data import Pairs
 from .errors import ContractError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, init_parameters, param_specs
+
+
+def drawn_rows(cfg: ModelConfig, prefix, rng: np.random.Generator) -> dict[str, ad.Tensor]:
+    """The parameters of `cfg`'s table whose names start with `prefix` (a
+    string or a tuple of them), drawn from `rng` in table order."""
+    specs = param_specs(cfg)
+    return init_parameters({n: s for n, s in specs.items() if n.startswith(prefix)}, rng)
 
 
 @dataclass
@@ -148,7 +155,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         # and every cosine 0.2 away from zero, so no gradient entry is small
         # enough for rounding in the central differences to dominate.
         while True:
-            params = init_confidence_params(3, 4, rng)
+            params = drawn_rows(ModelConfig(3, 1, hidden=4), "conf.", rng)
             for name in ("conf.b1", "conf.b2"):
                 params[name].value[:] = 0.5 * _spread(rng, *params[name].value.shape)
             t, a = _spread(rng, 3, 2, 3), _spread(rng, 2, 2, 3)
@@ -575,7 +582,7 @@ def _dcr_gaps() -> tuple[float, float]:
     parameters, on ragged (7 x 12 item) stacks with K = 3, one all-zero
     factor row and one all-zero audio item."""
     rng = np.random.default_rng(40)
-    params = init_confidence_params(4, 5, rng)
+    params = drawn_rows(ModelConfig(4, 1, hidden=5), "conf.", rng)
     for name in ("conf.b1", "conf.b2"):
         params[name].value[:] = rng.normal(size=params[name].value.shape)
     text = rng.normal(size=(12, 3, 4))

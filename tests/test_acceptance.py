@@ -25,7 +25,6 @@ from xmal.trainer import (
     TrainConfig,
     load_checkpoint,
     make_optimizer,
-    restore_params,
     save_checkpoint,
     train,
 )
@@ -275,8 +274,7 @@ def test_criterion_7_serialization_and_resume(tmp_path):
 
         ckpt = load_checkpoint(cpath)
         cpath2 = str(tmp_path / "mid2.xckp")
-        resumed_model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 99)
-        restore_params(resumed_model, ckpt.tensors)
+        resumed_model = Model.from_tensors(ckpt.tensors, AttentionConfig())
         opt = make_optimizer(cfg)
         opt.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
         save_checkpoint(cpath2, resumed_model, opt, ckpt.step, ckpt.config_text)

@@ -15,7 +15,7 @@ from xmal.cli import KEY_TYPES, SETTINGS, _restore_model, main
 from xmal.config import finite_float, parse_config_file
 from xmal.data import load_dataset, load_embeddings, save_embeddings
 from xmal.errors import ConfigError, CorruptedRecordError
-from xmal.model import EncodedBatch
+from xmal.model import EncodedBatch, Model
 
 
 def run(capsys, *argv):
@@ -248,6 +248,34 @@ def test_eval_reports_are_reproducible(trained, tmp_path, capsys):
         assert code == 0, err
     assert open(out1 + ".txt").read() == open(out2 + ".txt").read()
     assert open(out1 + ".xrpt", "rb").read() == open(out2 + ".xrpt", "rb").read()
+
+
+def test_a_checkpoint_restores_without_an_init_draw(tmp_path, capsys, monkeypatch):
+    """eval, sim, export-embeddings and train --resume restore the model
+    from the checkpoint's tensors alone: each succeeds with `Model.build`
+    made to raise, and the resumed run ends on the uninterrupted checkpoint."""
+    data = gen(tmp_path, capsys, name="d.xmal")
+    full = str(tmp_path / "full.xckp")
+    code, _, err = run(
+        capsys, "train", "--data", data, "--out", full, "--epochs", "2", "--batch-size", "8",
+        "--hidden", "3", "--checkpoint-interval", "3",
+    )
+    assert code == 0, err
+
+    def no_build(*args):
+        raise AssertionError("Model.build called")
+
+    monkeypatch.setattr(Model, "build", no_build)
+    half = str(tmp_path / "half.xckp")
+    for argv in (
+        ("eval", "--ckpt", full, "--data", data, "--modes", "DP,DCR"),
+        ("sim", "--ckpt", full, "--data", data, "--item-a", "1", "--item-b", "2"),
+        ("export-embeddings", "--ckpt", full, "--data", data, "--out", str(tmp_path / "e.xemb")),
+        ("train", "--data", data, "--out", half, "--resume", full + ".step000003"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert open(full, "rb").read() == open(half, "rb").read()
 
 
 def test_train_resume_reproduces_log(tmp_path, capsys):

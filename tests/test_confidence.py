@@ -9,10 +9,15 @@ from xmal.confidence import (
     PARAM_NAMES,
     factor_pair_similarity_matrix,
     factor_pair_terms,
-    init_confidence_params,
     matched_confidences,
 )
 from xmal.errors import DimensionError
+from xmal.model import ModelConfig
+
+
+def confidence_params(factor_dim, hidden, rng):
+    """The `conf.*` rows of the model's parameter table, drawn from `rng`."""
+    return verify.drawn_rows(ModelConfig(factor_dim, 1, hidden=hidden), "conf.", rng)
 
 
 def zero_params(factor_dim, hidden):
@@ -45,7 +50,7 @@ def test_large_output_bias_saturates_toward_one():
 def test_confidence_matches_layer_by_layer_oracle():
     rng = np.random.default_rng(0)
     d, hidden = 3, 5
-    params = init_confidence_params(d, hidden, rng)
+    params = confidence_params(d, hidden, rng)
     e_t = rng.normal(size=(4, 2, d))
     e_a = rng.normal(size=(4, 2, d))
     got = matched_confidences(e_t, e_a, params)
@@ -67,7 +72,7 @@ def test_confidence_dim_mismatch():
 
 def test_confidence_bounded_in_unit_interval():
     rng = np.random.default_rng(1)
-    params = init_confidence_params(4, 4, rng)
+    params = confidence_params(4, 4, rng)
     g = matched_confidences(
         rng.normal(size=(50, 2, 4)) * 3, rng.normal(size=(50, 2, 4)) * 3, params
     )
@@ -99,7 +104,7 @@ def test_pair_similarity_saturated_identical_factor():
 
 def test_pair_similarity_orthogonal_factors_zero():
     rng = np.random.default_rng(2)
-    params = init_confidence_params(2, 2, rng)
+    params = confidence_params(2, 2, rng)
     text = [[1.0, 0.0], [0.0, 2.0]]
     audio = [[0.0, 3.0], [-5.0, 0.0]]
     assert abs(pair_similarity(text, audio, params)) < 1e-15
@@ -108,7 +113,7 @@ def test_pair_similarity_orthogonal_factors_zero():
 def test_pair_similarity_matches_composed_oracle():
     rng = np.random.default_rng(3)
     d, k = 3, 4
-    params = init_confidence_params(d, d, rng)
+    params = confidence_params(d, d, rng)
     text = [rng.normal(size=d) for _ in range(k)]
     audio = [rng.normal(size=d) for _ in range(k)]
     expected = 0.0
@@ -130,7 +135,7 @@ def test_pair_similarity_factor_count_mismatch():
 def test_pair_similarity_bounded_by_factor_count():
     rng = np.random.default_rng(4)
     k, d, b = 4, 3, 8
-    params = init_confidence_params(d, d, rng)
+    params = confidence_params(d, d, rng)
     text = ad.Tensor(rng.normal(size=(b, k, d)))
     audio = ad.Tensor(rng.normal(size=(b, k, d)))
     s = factor_pair_similarity_matrix(text, audio, params).value
@@ -155,7 +160,7 @@ def test_cosine_scale_invariance_exact():
 def test_similarity_matrix_matches_per_pair_calls():
     rng = np.random.default_rng(7)
     b, d, k = 3, 2, 3
-    params = init_confidence_params(d, d, rng)
+    params = confidence_params(d, d, rng)
     text = rng.normal(size=(b, k, d))
     audio = rng.normal(size=(b, k, d))
     s = factor_pair_similarity_matrix(ad.Tensor(text), ad.Tensor(audio), params).value
@@ -168,7 +173,7 @@ def test_similarity_matrix_matches_per_pair_calls():
 def test_gradients_vs_finite_differences():
     rng = np.random.default_rng(8)
     d, k = 2, 3
-    params = init_confidence_params(d, d, rng)
+    params = confidence_params(d, d, rng)
     text = ad.parameter(rng.normal(size=(3, k, d)), "t")
     audio = ad.parameter(rng.normal(size=(2, k, d)), "a")
     probe = rng.normal(size=(2, 3))
@@ -186,7 +191,7 @@ def test_gradients_vs_finite_differences():
 @pytest.mark.parametrize("zero_rows", (False, True))
 def test_kernel_matches_composed_ops(zero_rows):
     rng = np.random.default_rng(40)
-    params = init_confidence_params(4, 5, rng)
+    params = confidence_params(4, 5, rng)
     for name in ("conf.b1", "conf.b2"):
         params[name].value[:] = rng.normal(size=params[name].value.shape)
     text = rng.normal(size=(12, 3, 4))  # K = 3 factors of 12 text items
@@ -216,7 +221,7 @@ def test_kernel_matches_composed_ops(zero_rows):
 
 def test_kernel_rejects_mismatched_stacks():
     rng = np.random.default_rng(42)
-    params = init_confidence_params(4, 4, rng)
+    params = confidence_params(4, 4, rng)
     with pytest.raises(DimensionError):
         factor_pair_similarity_matrix(np.zeros((5, 3, 4)), np.zeros((5, 2, 4)), params)
     with pytest.raises(DimensionError):
@@ -246,7 +251,7 @@ def test_fused_dcr_difference_check_catches_planted_gradient():
 def test_taped_dcr_records_one_op_for_every_shape():
     for k, b_t, b_a in ((1, 2, 3), (4, 5, 3), (8, 16, 16), (3, 1, 1)):
         rng = np.random.default_rng(k * 100 + b_t)
-        params = init_confidence_params(3, 4, rng)
+        params = confidence_params(3, 4, rng)
         text = ad.parameter(rng.normal(size=(b_t, k, 3)), "t")
         audio = ad.parameter(rng.normal(size=(b_a, k, 3)), "a")
         first = ad.Tensor(0.0)._id + 1

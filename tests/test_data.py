@@ -74,10 +74,21 @@ def test_a_width_below_one_is_rejected(dim, k):
 
 def test_a_dataset_file_of_width_zero_is_rejected(tmp_path):
     path = tmp_path / "d.xmal"  # one pair, one factor, empty audio and text blocks
-    header = _DATASET_HEADER.pack(b"XMAL", 2, 1, 1, 0, 1, 4, 8, 0, 0.1, 0)
-    path.write_bytes(sealed(header + bytes([1] + [0] * 7)))
+    header = _DATASET_HEADER.pack(b"XMAL", 3, 1, 1, 0, 1, 4, 8, 0, 0.1, 0)
+    path.write_bytes(sealed(header + bytes(4) + bytes([1] + [0] * 7)))
     with pytest.raises(ConfigError, match="embed dim must be >= 1, got 0"):
         load_dataset(str(path))
+
+
+def test_a_dataset_file_with_a_nan_sigma_is_rejected(tmp_path):
+    """A saved dataset whose stored sigma is rewritten to NaN, resealed."""
+    path = str(tmp_path / "d.xmal")
+    save_dataset(generate(small_cfg()), path)
+    blob = bytearray(body(open(path, "rb").read()))
+    struct.pack_into("<d", blob, 40, float("nan"))  # after magic, 7 u32s and the u64 seed
+    open(path, "wb").write(sealed(blob))
+    with pytest.raises(ConfigError, match="noise_sigma must be finite, got nan"):
+        load_dataset(path)
 
 
 def test_generation_is_bit_deterministic():
@@ -169,6 +180,28 @@ def test_dataset_load_holds_one_copy_of_the_file(tmp_path):
     assert loaded.items.audio.flags.writeable and loaded.items.text.flags.writeable
 
 
+@pytest.mark.parametrize("concepts", (8, 5))
+def test_dataset_blocks_load_as_aligned_views_of_the_file(tmp_path, concepts):
+    """The audio and text blocks start 8-aligned whatever the mask's size,
+    so they are aligned views of the one buffer the file is read into."""
+    path = tmp_path / "d.xmal"
+    save_dataset(generate(small_cfg(concept_count=concepts)), str(path))
+    items = load_dataset(str(path)).items
+    blocks = (items.audio, items.text)
+    assert all(x.flags.aligned and x.flags.c_contiguous for x in blocks)
+    root = _file_buffer(items.audio)
+    assert _file_buffer(items.text) is root and len(root) == path.stat().st_size
+    whole = np.frombuffer(root, np.uint8)
+    assert all(np.shares_memory(x, whole) for x in blocks)
+
+
+def _file_buffer(x: np.ndarray):
+    """The buffer that array `x` is a view of."""
+    while isinstance(x, np.ndarray):
+        x = x.base
+    return x.obj if isinstance(x, memoryview) else x
+
+
 def test_dataset_save_is_byte_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.xmal"), str(tmp_path / "b.xmal")
     save_dataset(generate(small_cfg()), p1)
@@ -196,10 +229,14 @@ def test_truncated_dataset_raises_corrupted(tmp_path):
         load_dataset(path)
 
 
+def _aligned(offset: int) -> int:
+    return -(-offset // 8) * 8
+
+
 def _block_offsets(ds):
     """Byte offsets of the concept mask, audio and text blocks."""
-    mask = _DATASET_HEADER.size
-    audio = mask + ds.items.concepts.size
+    mask = _aligned(_DATASET_HEADER.size)
+    audio = _aligned(mask + ds.items.concepts.size)
     text = audio + ds.items.audio.nbytes
     return mask, audio, text
 
@@ -262,26 +299,58 @@ def test_version_1_dataset_is_rejected(tmp_path):
     blob = bytearray(body(open(path, "rb").read()))
     blob[4:8] = struct.pack("<I", 1)
     open(path, "wb").write(bytes(blob))  # as v1 wrote it: no trailer
-    with pytest.raises(VersionError, match="dataset version 1, expected 2"):
+    with pytest.raises(VersionError, match="dataset version 1, expected 3"):
+        load_dataset(path)
+
+
+def test_version_2_dataset_is_rejected(tmp_path):
+    """A v2 file (no padding before its blocks) under a checksum that holds."""
+    path = tmp_path / "v2.xmal"
+    header = _DATASET_HEADER.pack(b"XMAL", 2, 1, 1, 1, 1, 4, 1, 0, 0.1, 0)
+    path.write_bytes(sealed(header + bytes([1]) + bytes(5 * 8)))
+    with pytest.raises(VersionError, match="dataset version 2, expected 3"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("block", ("header", "mask"))
+def test_nonzero_dataset_padding_is_rejected(tmp_path, block):
+    """Each padding byte is checked on load, under a checksum that holds."""
+    ds = generate(small_cfg(concept_count=5))  # a 30-byte mask, padded to 32
+    path = str(tmp_path / "d.xmal")
+    save_dataset(ds, path)
+    blob = bytearray(body(open(path, "rb").read()))
+    mask, audio, _ = _block_offsets(ds)
+    start, end = {
+        "header": (_DATASET_HEADER.size, mask),
+        "mask": (mask + ds.items.concepts.size, audio),
+    }[block]
+    assert 0 < end - start < 8 and not any(blob[start:end])
+    blob[end - 1] = 1
+    open(path, "wb").write(sealed(blob))
+    with pytest.raises(CorruptedRecordError, match=f"nonzero padding at byte {start}"):
         load_dataset(path)
 
 
 def _hand_written_pair_file(path: str) -> Pairs:
-    """Write a 2-pair v2 file (K=2, D=2, N=1, M=4, 3 concepts) block by
+    """Write a 2-pair v3 file (K=2, D=2, N=1, M=4, 3 concepts) block by
     block in the documented layout, and return the stacks it holds. Entry
     values encode (pair, token, column)."""
     mask = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
     audio = 100 * np.arange(2)[:, None, None] + 10 * np.arange(4)[:, None] + np.arange(2)
     text = 1000 + 100 * np.arange(2)[:, None, None] + np.arange(2.0).reshape(1, 1, 2)
-    header = b"XMAL" + struct.pack("<IIIIIIIQdI", 2, 2, 2, 2, 1, 4, 3, 9, 0.25, 0)
-    payload = header + mask.tobytes() + audio.astype("<f8").tobytes() + text.astype("<f8").tobytes()
+    header = b"XMAL" + struct.pack("<IIIIIIIQdI", 3, 2, 2, 2, 1, 4, 3, 9, 0.25, 0)
+    payload = (
+        header + bytes(4)  # 52 header bytes padded to 56
+        + mask.tobytes() + bytes(2)  # 6 mask bytes padded to 8
+        + audio.astype("<f8").tobytes() + text.astype("<f8").tobytes()
+    )
     with open(path, "wb") as f:
         f.write(sealed(payload))
     return Pairs(audio=audio.astype(float), text=text, concepts=mask.astype(bool))
 
 
 def test_dataset_hand_written_pair_pins_both_directions(tmp_path):
-    """The v2 layout is pinned from the read side (the hand-written file
+    """The v3 layout is pinned from the read side (the hand-written file
     loads as the expected stacks and mask) and from the write side (saving
     those stacks reproduces the file byte for byte)."""
     path = str(tmp_path / "hand.xmal")
@@ -401,10 +470,7 @@ def test_embedding_load_holds_one_copy_of_the_file(tmp_path):
     roots = []
     for x in _arrays(loaded):
         assert x.flags.aligned and x.flags.c_contiguous
-        root = x
-        while isinstance(root, np.ndarray):
-            root = root.base
-        roots.append(root.obj if isinstance(root, memoryview) else root)
+        roots.append(_file_buffer(x))
     assert all(root is roots[0] for root in roots) and len(roots[0]) == size
     whole = np.frombuffer(roots[0], np.uint8)
     assert all(np.shares_memory(x, whole) for x in _arrays(loaded))

@@ -12,21 +12,26 @@ from xmal.encoders import (
     audio_tap_counts,
     encode_audio_batch,
     encode_text_batch,
-    init_audio_params,
-    init_text_params,
 )
 from xmal.errors import ContractError
+from xmal.model import ModelConfig
+
+
+def stream_params(dim, stream, rng):
+    """The `text.*` or `audio.*` rows of the model's parameter table, drawn
+    from `rng`."""
+    return verify.drawn_rows(ModelConfig(dim, 1), stream + ".", rng)
 
 
 def identity_text_params(dim):
-    params = init_text_params(dim, np.random.default_rng(0))
+    params = stream_params(dim, "text", np.random.default_rng(0))
     for name, p in params.items():
         p.value = np.zeros_like(p.value)
     return params
 
 
 def identity_audio_params(dim):
-    params = init_audio_params(dim, np.random.default_rng(0))
+    params = stream_params(dim, "audio", np.random.default_rng(0))
     for name, p in params.items():
         if name == "audio.merge":
             p.value = np.tile(np.eye(dim), (3, 1, 1))
@@ -36,10 +41,7 @@ def identity_audio_params(dim):
 
 
 def random_params(dim, seed=3):
-    rng = subsystem_rng(seed, "init")
-    params = init_text_params(dim, rng)
-    params.update(init_audio_params(dim, rng))
-    return params
+    return verify.drawn_rows(ModelConfig(dim, 1), ("text.", "audio."), subsystem_rng(seed, "init"))
 
 
 def test_text_shapes_and_level_count():

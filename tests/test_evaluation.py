@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad, evaluation
+from xmal import autodiff as ad, evaluation, verify
 from xmal.attention import (
     AttentionConfig,
     hierarchical_scores,
@@ -20,7 +20,6 @@ from xmal.confidence import (
     factor_pair_scores,
     factor_pair_similarity_matrix,
     factor_rows,
-    init_confidence_params,
     matched_confidences,
 )
 from xmal.data import SynthConfig, generate
@@ -159,6 +158,26 @@ def test_evaluate_rejects_out_of_range_k():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
     with pytest.raises(ContractError):
         evaluate(model, _encoded(model, ds), ks=(5,))
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_evaluate_rejects_a_seed_outside_u64_before_scoring(monkeypatch, seed):
+    """The binary report stores the seed as a u64, so one outside it is a
+    ContractError before any tile is scored, not a report that
+    `write_report_binary` then fails on."""
+    cfg = SynthConfig(
+        pairs=4, concept_count=8, factor_count=4, embed_dim=16,
+        text_tokens=5, audio_tokens=8, seed=5,
+    )
+    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 3)
+    encoded = _encoded(model, generate(cfg))
+
+    def unscored(*args):
+        raise AssertionError("scored")
+
+    monkeypatch.setattr(Model, "strip_scorer", unscored)
+    with pytest.raises(ContractError, match=f"--seed must fit in u64, got {seed}"):
+        evaluate(model, encoded, modes=("DP",), ks=(1,), seed=seed)
 
 
 def test_diagnostics_probability_columns():
@@ -761,7 +780,7 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
 def test_taped_op_gradients_survive_another_ops_forward():
     """Taped ops save fresh arrays, so a later op's forward cannot overwrite
     what an earlier op's backward reads."""
-    params = init_confidence_params(4, 4, np.random.default_rng(8))
+    params = verify.drawn_rows(ModelConfig(4, 1, hidden=4), "conf.", np.random.default_rng(8))
     cfg = AttentionConfig()
 
     def tha(seed):

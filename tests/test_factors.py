@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad, encoders, factors
+from xmal import autodiff as ad, factors, verify
 from xmal.config import subsystem_rng
-from xmal.confidence import init_confidence_params
 from xmal.errors import BatchTooSmallError, ConfigError, DimensionError
 from xmal.model import Model, ModelConfig
 
@@ -62,8 +61,7 @@ def test_model_banks_equal_sequential_per_factor_draws():
         cfg = ModelConfig(embed_dim=32, factor_count=8)
         model = Model.build(cfg, seed)
         rng = subsystem_rng(seed, "init")
-        encoders.init_text_params(cfg.embed_dim, rng)
-        encoders.init_audio_params(cfg.embed_dim, rng)
+        verify.drawn_rows(cfg, ("text.", "audio."), rng)
         bound = 1.0 / np.sqrt(cfg.embed_dim)
         for modality in ("text", "audio"):
             bank = model.params[f"factors.{modality}"].value
@@ -71,7 +69,7 @@ def test_model_banks_equal_sequential_per_factor_draws():
             for i in range(cfg.factor_count):
                 draw = rng.uniform(-bound, bound, size=(cfg.factor_dim, cfg.embed_dim))
                 assert np.array_equal(bank[i], draw)
-        conf = init_confidence_params(cfg.factor_dim, cfg.hidden_width, rng)
+        conf = verify.drawn_rows(cfg, "conf.", rng)
         for name, param in conf.items():
             assert np.array_equal(model.params[name].value, param.value)
 
@@ -264,8 +262,9 @@ def test_gradient_descent_on_banks_decouples_and_aligns():
     b, dim, k = 32, 16, 4
     text_globals = ad.Tensor(rng.normal(size=(b, dim)))
     audio_globals = ad.Tensor(rng.normal(size=(b, dim)))
-    bank_t = factors.init_factor_bank(dim, k, np.random.default_rng(1), "bt")
-    bank_a = factors.init_factor_bank(dim, k, np.random.default_rng(2), "ba")
+    cfg = ModelConfig(dim, k)
+    bank_t = verify.drawn_rows(cfg, "factors.text", np.random.default_rng(1))["factors.text"]
+    bank_a = verify.drawn_rows(cfg, "factors.audio", np.random.default_rng(2))["factors.audio"]
     params = [bank_t, bank_a]
 
     def cov():

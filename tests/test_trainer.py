@@ -1,5 +1,9 @@
 """Training loop determinism, optimizers, and checkpoint files."""
 
+import dataclasses
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from xmal.errors import (
     FormatError,
     TrainingDiverged,
     VersionError,
+    XmalError,
 )
 from xmal.model import Model, ModelConfig
 from xmal.objective import ObjectiveConfig
@@ -22,7 +27,6 @@ from xmal.trainer import (
     TrainConfig,
     load_checkpoint,
     make_optimizer,
-    restore_params,
     save_checkpoint,
     train,
 )
@@ -129,6 +133,27 @@ def test_adam_settings_outside_their_range_are_rejected(field, value):
         make_cfg(**{field: value})
 
 
+def _float_fields():
+    """(dataclass, field) for every float field of the config dataclasses
+    that a library caller or a dataset file can build directly."""
+    return [
+        (cls, f.name)
+        for cls in (SynthConfig, TrainConfig, ObjectiveConfig, AttentionConfig)
+        for f in dataclasses.fields(cls)
+        if f.type in ("float", "float | None")
+    ]
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize(
+    "cls, field", _float_fields(), ids=[f"{c.__name__}.{n}" for c, n in _float_fields()]
+)
+def test_a_non_finite_float_field_is_rejected_naming_it(cls, field, value):
+    required = {"pairs": 2} if cls is SynthConfig else {}
+    with pytest.raises(XmalError, match=rf"^{field} must be"):
+        cls(**required, **{field: float(value)})
+
+
 def test_adam_state_without_a_tensor_names_it():
     with pytest.raises(DimensionError, match="'opt.t'"):
         Adam(0.1).load_state({})
@@ -186,24 +211,68 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     p2 = str(tmp_path / "b.xckp")
     save_checkpoint(p1, model, result.optimizer, 2, "[train]\nseed=1\n")
     ckpt = load_checkpoint(p1)
-    model2 = toy_model(seed=99)
-    restore_params(model2, ckpt.tensors)
+    model2 = Model.from_tensors(ckpt.tensors, AttentionConfig())
     opt2 = make_optimizer(cfg)
     opt2.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
     save_checkpoint(p2, model2, opt2, ckpt.step, ckpt.config_text)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_checkpoint_wrong_factor_count_is_shape_error(tmp_path):
-    ds = toy_dataset()
-    model = toy_model(k=4)
-    result = train(model, ds, make_cfg(epochs=1))
-    path = str(tmp_path / "a.xckp")
-    save_checkpoint(path, model, result.optimizer, 2, "")
-    ckpt = load_checkpoint(path)
-    wrong = Model.build(ModelConfig(embed_dim=16, factor_count=8), 5)
-    with pytest.raises(DimensionError):
-        restore_params(wrong, ckpt.tensors)
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("conf.b2", None, "checkpoint is missing parameter 'conf.b2'"),
+        ("text.readout", None, "checkpoint is missing parameter 'text.readout'"),
+        (
+            "factors.audio", np.zeros((8, 2, 16)),
+            "checkpoint parameter 'factors.audio' has shape (8, 2, 16), model expects (4, 4, 16)",
+        ),
+        ("conf.w1", np.zeros(8), "checkpoint parameter 'conf.w1' has shape (8,), not 2-d"),
+    ],
+    ids=("missing-conf.b2", "missing-text.readout", "factors.audio-of-another-K", "conf.w1-1d"),
+)
+def test_from_tensors_names_a_missing_or_misshaped_parameter(name, value, message):
+    tensors = {n: p.value for n, p in toy_model(k=4).params.items()}
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        Model.from_tensors(tensors, AttentionConfig())
+
+
+@pytest.mark.parametrize(
+    "cfg, seed, digest",
+    [
+        (
+            ModelConfig(embed_dim=32, factor_count=8), 11,
+            "b7865916f285668d7842775b2bf72eef8a14e3f28cd082692b7bc35530d97247",
+        ),
+        (
+            ModelConfig(embed_dim=16, factor_count=4, hidden=3), 5,
+            "25c84671702270223a8eebc84d4f815d57c1f2085dfb71838c9eb1f8eaac6d2e",
+        ),
+    ],
+)
+def test_built_parameters_are_pinned(cfg, seed, digest):
+    """The seeded init draw, parameters in name order, pinned byte for byte."""
+    h = hashlib.sha256()
+    for p in Model.build(cfg, seed).parameters():
+        h.update(p.value.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_from_tensors_restores_dimensions_and_holds_copies():
+    built = Model.build(ModelConfig(embed_dim=16, factor_count=4, hidden=3), 5)
+    tensors = {name: p.value.copy() for name, p in built.params.items()}
+    attention = AttentionConfig(temperature=2.0, direction="text_enhanced")
+    model = Model.from_tensors(tensors, attention)
+    assert model.cfg == ModelConfig(embed_dim=16, factor_count=4, hidden=3, attention=attention)
+    assert list(model.params) == list(built.params)
+    for name, p in model.params.items():
+        assert p.name == name and p.requires_grad
+        assert np.array_equal(p.value, tensors[name])
+        assert not np.shares_memory(p.value, tensors[name])
 
 
 def test_checkpoint_version_check(tmp_path):
@@ -268,9 +337,8 @@ def test_resume_reproduces_uninterrupted_log(tmp_path):
     path = str(tmp_path / "mid.xckp")
     save_checkpoint(path, model, first_half.optimizer, 10, "")
 
-    resumed_model = toy_model(seed=0)
     ckpt = load_checkpoint(path)
-    restore_params(resumed_model, ckpt.tensors)
+    resumed_model = Model.from_tensors(ckpt.tensors, AttentionConfig())
     opt = make_optimizer(cfg)
     opt.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
     second_half = train(resumed_model, ds, cfg, start_step=ckpt.step, optimizer=opt)
