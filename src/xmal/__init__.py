@@ -18,7 +18,7 @@ from .autodiff import (
 )
 from .data import Dataset, Pairs, SynthConfig, generate, load_dataset, save_dataset
 from .errors import XmalError
-from .evaluation import dcr_diagnostics, evaluate, recall_at_k
+from .evaluation import evaluate, recall_at_k
 from .factors import (
     alignment_loss,
     batch_standardize,
@@ -46,7 +46,6 @@ __all__ = [
     "XmalError",
     "alignment_loss",
     "batch_standardize",
-    "dcr_diagnostics",
     "decoupling_loss",
     "evaluate",
     "factor_covariance",

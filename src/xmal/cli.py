@@ -361,6 +361,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
     seed = values["seed"]
+    evaluation.check_seed(seed)  # before the input is encoded
     resolved = {
         "ckpt": values["ckpt"],
         "data": values.get("data", ""),

@@ -84,20 +84,6 @@ def _confidence(hidden: np.ndarray, params: dict[str, Tensor], out: np.ndarray |
     return y
 
 
-def matched_confidences(
-    text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]
-) -> np.ndarray:
-    """Confidences of the matched pairs of (B, K, d) text and audio factor
-    stacks: entry (b, k) scores text factor k of item b against audio factor
-    k of the same item -> (B, K)."""
-    if text.ndim != 3 or text.shape != audio.shape:
-        raise DimensionError(f"factor stacks differ: {text.shape} vs {audio.shape}")
-    pre_t = _first_layer_term(text, params, "text")
-    pre_a = _first_layer_term(audio, params, "audio")
-    # C order, so a reduction over items adds them in the same order as a stack
-    return np.ascontiguousarray(_confidence(np.maximum(pre_a + pre_t, 0.0), params).T)
-
-
 def factor_pair_terms(text: np.ndarray, audio: np.ndarray, params: dict[str, Tensor]):
     """Per-factor confidences g and cosines cos of (B_t, K, d) text and
     (B_a, K, d) audio factor stacks, each (K, B_a, B_t), and the state the

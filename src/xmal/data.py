@@ -385,10 +385,3 @@ def load_embeddings(path: str) -> EncodedBatch:
     text_global = Tensor(reader.array((items, dim)))
     reader.check_end("text global block")
     return EncodedBatch(audio_levels, audio_global, text_levels, text_global)
-
-
-def shared_concepts(pairs: Pairs) -> np.ndarray:
-    """(P, P) ground-truth overlap oracle used by separability checks: entry
-    (a, b) counts the concepts pairs a and b share."""
-    mask = pairs.concepts.astype(np.int64)
-    return mask @ mask.T

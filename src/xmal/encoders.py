@@ -33,14 +33,6 @@ AUDIO_STAGE_BLOCKS = (2, 2, 6, 2)
 MIN_AUDIO_TOKENS = 4
 
 
-def audio_tap_counts(m: int) -> tuple[int, int, int]:
-    """Token counts at the three audio taps for an input of m tokens."""
-    m2 = math.ceil(m / 2)
-    m3 = math.ceil(m2 / 2)
-    m4 = math.ceil(m3 / 2)
-    return m2, m3, m4
-
-
 def _pair_mean_matrix(m: int) -> np.ndarray:
     """(ceil(m/2), m) map averaging adjacent token pairs; odd tail kept as-is."""
     m2 = math.ceil(m / 2)

@@ -36,6 +36,6 @@ class CorruptedRecordError(FormatError):
 class TrainingDiverged(XmalError):
     """Loss became non-finite during training."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss at step {step}")

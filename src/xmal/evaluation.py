@@ -1,5 +1,4 @@
-"""Retrieval evaluation: R@k in both directions over any similarity mode,
-plus factor-covariance diagnostics.
+"""Retrieval evaluation: R@k in both directions over any similarity mode.
 
 Ranking is by descending score with a stable ascending-index tie-break, so
 reports are deterministic. The synthetic protocol is strictly one caption
@@ -21,11 +20,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import factors
 from .autodiff import no_grad
-from .confidence import matched_confidences
-from .data import Pairs
-from .errors import BatchTooSmallError, ContractError, DimensionError, XmalError
+from .errors import ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
 from .objective import mode_components
 
@@ -57,15 +53,6 @@ class RetrievalReport:
     protocol: str = PROTOCOL_NOTE
 
 
-@dataclass
-class DcrDiagnostics:
-    covariance: np.ndarray  # (K, K)
-    probabilities: np.ndarray  # (K, K), column-normalized where defined
-    defined_columns: np.ndarray  # (K,) bool
-    confidence_items: np.ndarray  # (B, K) matched-pair confidences
-    confidence_mean: np.ndarray  # (K,)
-
-
 def recall_at_k(s: np.ndarray, k, direction: str):
     """Percentage of queries whose true match (index = query index) ranks in
     the top k by descending score. `k` is an int, giving a float, or a
@@ -85,6 +72,12 @@ def recall_at_k(s: np.ndarray, k, direction: str):
     every = slice(0, n)
     r_at = _recall(_match_ranks(s, np.diagonal(s).copy(), every, every, axis), ks)
     return r_at[k] if single else r_at
+
+
+def check_seed(seed: int):
+    """A report's seed must fit in the binary report's u64."""
+    if not (0 <= seed < 2**64):
+        raise ContractError(f"--seed must fit in u64, got {seed}")
 
 
 def _check_ks(ks, n: int):
@@ -390,8 +383,7 @@ def evaluate(
     size = encoded.batch
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")
-    if not (0 <= seed < 2**64):
-        raise ContractError(f"--seed must fit in u64, got {seed}")
+    check_seed(seed)
     _check_ks(ks, size)
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)
@@ -421,26 +413,6 @@ def evaluate(
         for mode in modes
         for direction in DIRECTIONS
     ]
-
-
-@no_grad()
-def dcr_diagnostics(model: Model, pairs: Pairs) -> DcrDiagnostics:
-    """Covariance heat values, match probabilities, and matched-pair
-    confidence statistics for a batch of >= 2 pairs."""
-    if len(pairs) < 2:
-        raise BatchTooSmallError(f"diagnostics need a batch of >= 2, got {len(pairs)}")
-    encoded = model.encode_arrays(pairs.audio, pairs.text)
-    cov = model.factor_covariance(encoded).value
-    probs, defined = factors.match_probabilities(cov)
-    text_z, audio_z = model.batch_factors(encoded)
-    confidence_items = matched_confidences(text_z.value, audio_z.value, model.params)
-    return DcrDiagnostics(
-        covariance=cov,
-        probabilities=probs,
-        defined_columns=defined,
-        confidence_items=confidence_items,
-        confidence_mean=confidence_items.mean(axis=0),
-    )
 
 
 # -- report emission -----------------------------------------------------------

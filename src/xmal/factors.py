@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import EPS, Tensor
 from .errors import BatchTooSmallError, ConfigError, DimensionError
 
-DIAG_GUARD = 1e-8  # column-sum magnitude below which match probabilities are undefined
-
 
 def factor_width(dim: int, k: int) -> int:
     if dim < 1:
@@ -62,7 +60,7 @@ class Standardized(NamedTuple):
     root: np.ndarray
 
 
-def batch_standardize(z: np.ndarray, eps: float = EPS) -> Standardized:
+def batch_standardize(z: np.ndarray) -> Standardized:
     """Whiten each factor dimension of a (B, K, w) stack over the batch to
     mean 0, variance 1.
 
@@ -75,7 +73,7 @@ def batch_standardize(z: np.ndarray, eps: float = EPS) -> Standardized:
         raise BatchTooSmallError(f"standardization needs a batch of >= 2, got {b}")
     inv_b = 1.0 / b
     centered = z - np.sum(z, axis=0, keepdims=True) * inv_b
-    root = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True) * inv_b + eps)
+    root = np.sqrt(np.sum(centered * centered, axis=0, keepdims=True) * inv_b + EPS)
     return Standardized(centered / root, centered, root)
 
 
@@ -146,23 +144,3 @@ def _square_side(c: Tensor) -> int:
     if c.value.ndim != 2 or c.value.shape[0] != c.value.shape[1]:
         raise DimensionError(f"covariance must be square, got {c.value.shape}")
     return c.value.shape[0]
-
-
-def match_probabilities(c: np.ndarray, guard: float = DIAG_GUARD) -> tuple[np.ndarray, np.ndarray]:
-    """Column-normalized covariance read as match probabilities (diagnostic).
-
-    Returns (P, defined) where column j of P is C[:, j] / sum_k C[k, j] when
-    the column sum's magnitude exceeds `guard`, else zeros with defined[j]
-    False. Never emits NaN.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    sums = c.sum(axis=0)
-    defined = np.abs(sums) > guard
-    p = np.divide(c, sums, out=np.zeros_like(c), where=defined)
-    return p, defined
-
-
-def offdiag_energy(c: np.ndarray) -> float:
-    """Sum of squared off-diagonal entries (plain numpy, for logs/reports)."""
-    c = np.asarray(c, dtype=np.float64)
-    return float((c**2).sum() - (np.diag(c) ** 2).sum())

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad, factors, objective as obj
 from .autodiff import Tensor
 from .config import check_finite, subsystem_rng
-from .data import Pairs, Reader, write_container
+from .data import Reader, write_container
 from .errors import ConfigError, DimensionError, TrainingDiverged
 from .model import Model
 from .objective import ObjectiveConfig
@@ -72,16 +72,8 @@ class StepRecord:
 
 
 @dataclass
-class EpochDiagnostics:
-    epoch: int  # 0 = before training
-    offdiag_energy: float
-    min_diag: float
-
-
-@dataclass
 class TrainResult:
     log: list[StepRecord]
-    diagnostics: list[EpochDiagnostics]
     optimizer: "Optimizer"
 
 
@@ -170,25 +162,18 @@ def _clip_grads(grads: dict[str, np.ndarray], limit: float):
             grads[name] = grads[name] * scale
 
 
-@ad.no_grad()
-def _batch_covariance(model: Model, pairs: Pairs) -> np.ndarray:
-    return model.factor_covariance(model.encode_arrays(pairs.audio, pairs.text)).value
-
-
 def train(
     model: Model,
     dataset,
     cfg: TrainConfig,
     start_step: int = 0,
     optimizer: Optimizer | None = None,
-    diagnostics_items: Pairs | None = None,
     on_step=None,
 ) -> TrainResult:
     """Run the loop from `start_step` (exclusive); deterministic in (cfg, seed).
 
-    With `diagnostics_items`, the cross-modal factor covariance on that fixed
-    batch is summarized before training and after every epoch. `on_step(step,
-    optimizer)` fires every `cfg.checkpoint_interval` steps when set.
+    `on_step(step, optimizer)` fires every `cfg.checkpoint_interval` steps
+    when set.
     """
     n = len(dataset)
     if n < cfg.batch_size:
@@ -200,22 +185,6 @@ def train(
     want_factor_losses = ocfg.alpha > 0 or ocfg.beta > 0
 
     log: list[StepRecord] = []
-    diagnostics: list[EpochDiagnostics] = []
-
-    def record_diagnostics(epoch: int):
-        if diagnostics_items is None:
-            return
-        c = _batch_covariance(model, diagnostics_items)
-        diagnostics.append(
-            EpochDiagnostics(
-                epoch=epoch,
-                offdiag_energy=factors.offdiag_energy(c),
-                min_diag=float(np.diag(c).min()),
-            )
-        )
-
-    if start_step == 0:
-        record_diagnostics(0)
 
     for epoch in range(cfg.epochs):
         if (epoch + 1) * steps_per_epoch <= start_step:
@@ -247,9 +216,8 @@ def train(
             log.append(StepRecord(step, *values))
             if on_step is not None and cfg.checkpoint_interval > 0 and step % cfg.checkpoint_interval == 0:
                 on_step(step, optimizer)
-        record_diagnostics(epoch + 1)
 
-    return TrainResult(log=log, diagnostics=diagnostics, optimizer=optimizer)
+    return TrainResult(log=log, optimizer=optimizer)
 
 
 # -- checkpoints ---------------------------------------------------------------

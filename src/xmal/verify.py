@@ -271,6 +271,8 @@ def primitive_checks(seeds: int = 10, h: float = 1e-5, tol: float = 1e-6) -> lis
     draws each (at least one, so that no check passes unrun)."""
     if seeds < 1:
         raise ContractError(f"primitive checks need seeds >= 1, got {seeds}")
+    if not tol > 0:  # no worst error is below 0, so every check would fail
+        raise ContractError(f"primitive checks need tol > 0, got {tol}")
     results = []
     for name, build in _primitive_cases():
         worst = 0.0

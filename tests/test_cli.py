@@ -6,6 +6,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import oracle
 import pytest
 
 from containers import body, sealed
@@ -225,15 +226,20 @@ def test_an_os_error_is_one_error_line(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("seed", ("-5", str(2**64)))
-def test_eval_seed_outside_u64_writes_no_report(trained, tmp_path, capsys, seed):
+def test_eval_seed_outside_u64_writes_no_report(trained, tmp_path, capsys, monkeypatch, seed):
+    """The seed is refused before the input is encoded."""
     data, ckpt = trained
+    calls = []
+    encode = Model.encode_arrays
+    monkeypatch.setattr(Model, "encode_arrays", lambda *args: calls.append(args) or encode(*args))
     out = tmp_path / "r"
     code, stdout, err = run(
         capsys, "eval", "--ckpt", ckpt, "--data", data, "--seed", seed, "--out", str(out)
     )
     assert code == 1 and stdout == ""
-    assert _one_error_line(err) and err.startswith("error: --seed"), err
+    assert _one_error_line(err) and err.startswith("error: --seed must fit in u64"), err
     assert not (tmp_path / "r.txt").exists() and not (tmp_path / "r.xrpt").exists()
+    assert calls == []
 
 
 def test_eval_reports_are_reproducible(trained, tmp_path, capsys):
@@ -450,25 +456,27 @@ def test_sim_breakdowns_agree_from_a_dataset_and_its_exported_embeddings(
 
 
 def test_sim_matches_diagnostics_confidences(trained, capsys):
-    from xmal.evaluation import dcr_diagnostics
-
+    """Each factor pair's printed confidence equals the per-item oracle's:
+    both items encoded row by row, split into factors and scored by the
+    confidence network's formula."""
     data, ckpt = trained
     ds = load_dataset(data)
-    model, *_ = _restore_model(ckpt)
-    code, out, err = run(
-        capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", "0", "--item-b", "0",
-    )
-    assert code == 0, err
-    printed = {}
-    for line in out.splitlines():
-        if line.startswith("DCR.factor") and ".confidence=" in line:
-            idx = int(line.split(".")[1][len("factor"):])
-            printed[idx] = float(line.split("=")[1])
-    # diagnostics over a batch containing item 0 first: its per-item row of
-    # matched-pair confidences must equal the sim breakdown
-    diag = dcr_diagnostics(model, ds.items[:2])
-    for i in range(4):
-        assert abs(printed[i] - diag.confidence_items[0, i]) < 1e-10
+    params = _restore_model(ckpt)[0].params
+    for a, b in ((0, 0), (3, 7)):
+        code, out, err = run(
+            capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", str(a), "--item-b", str(b),
+        )
+        assert code == 0, err
+        printed = {}
+        for line in out.splitlines():
+            if line.startswith("DCR.factor") and ".confidence=" in line:
+                idx = int(line.split(".")[1][len("factor"):])
+                printed[idx] = float(line.split("=")[1])
+        audio = oracle.item_factors(oracle.encode_audio(ds.items.audio[a], params)[1], params, "audio")
+        text = oracle.item_factors(oracle.encode_text(ds.items.text[b], params)[1], params, "text")
+        assert sorted(printed) == [0, 1, 2, 3]
+        for i in range(4):
+            assert abs(printed[i] - oracle.confidence(text[i], audio[i], params)) < 1e-10, (a, b, i)
 
 
 def test_sim_matches_eval_component_matrices(trained, capsys):
@@ -646,11 +654,23 @@ def test_grad_check_flag_overrides_echoed(capsys):
     assert "h=2e-05" in out and "tol=0.0001" in out
 
 
-@pytest.mark.parametrize("seeds", ("0", "-1"))
-def test_grad_check_without_a_draw_is_one_error_line(capsys, seeds):
-    code, out, err = run(capsys, "grad-check", "--seeds", seeds)
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        pytest.param(("grad-check", "--seeds", "0"), "seeds >= 1", id="0"),
+        pytest.param(("grad-check", "--seeds", "-1"), "seeds >= 1", id="-1"),
+        pytest.param(("verify", "--seeds", "1", "--tol", "0"), "tol > 0, got 0.0", id="tol-0"),
+        pytest.param(
+            ("grad-check", "--seeds", "1", "--tol=-1e-06"), "tol > 0, got -1e-06", id="tol-neg"
+        ),
+    ),
+)
+def test_grad_check_without_a_draw_is_one_error_line(capsys, argv, message):
+    """A setting under which no check is drawn, or none can pass, is one
+    error line."""
+    code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert _one_error_line(err) and "seeds >= 1" in err, err
+    assert _one_error_line(err) and message in err, err
 
 
 def test_grad_check_fails_on_injected_gradient_bug(capsys):

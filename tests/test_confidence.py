@@ -9,7 +9,6 @@ from xmal.confidence import (
     PARAM_NAMES,
     factor_pair_similarity_matrix,
     factor_pair_terms,
-    matched_confidences,
 )
 from xmal.errors import DimensionError
 from xmal.model import ModelConfig
@@ -34,17 +33,22 @@ def pair(x):
     return np.asarray(x, dtype=np.float64)[None, None]
 
 
+def confidences(text, audio, params):
+    """The (K, B_a, B_t) confidences g of `factor_pair_terms`."""
+    return factor_pair_terms(text, audio, params)[0]
+
+
 def test_zero_network_outputs_half():
     params = zero_params(3, 4)
-    g = matched_confidences(pair([1.0, -2.0, 0.5]), pair([0.3, 0.0, 1.0]), params)
-    assert g.shape == (1, 1) and float(g[0, 0]) == 0.5
+    g = confidences(pair([1.0, -2.0, 0.5]), pair([0.3, 0.0, 1.0]), params)
+    assert g.shape == (1, 1, 1) and float(g[0, 0, 0]) == 0.5
 
 
 def test_large_output_bias_saturates_toward_one():
     params = zero_params(2, 3)
     params["conf.b2"].value = np.array([50.0])
-    g = matched_confidences(pair([1.0, 2.0]), pair([3.0, 4.0]), params)
-    assert float(g[0, 0]) > 0.999
+    g = confidences(pair([1.0, 2.0]), pair([3.0, 4.0]), params)
+    assert float(g[0, 0, 0]) > 0.999
 
 
 def test_confidence_matches_layer_by_layer_oracle():
@@ -52,35 +56,35 @@ def test_confidence_matches_layer_by_layer_oracle():
     d, hidden = 3, 5
     params = confidence_params(d, hidden, rng)
     e_t = rng.normal(size=(4, 2, d))
-    e_a = rng.normal(size=(4, 2, d))
-    got = matched_confidences(e_t, e_a, params)
-    assert got.shape == (4, 2)
-    for b in range(4):
-        for k in range(2):
-            assert abs(got[b, k] - oracle.confidence(e_t[b, k], e_a[b, k], params)) < 1e-12
+    e_a = rng.normal(size=(3, 2, d))
+    got = confidences(e_t, e_a, params)
+    assert got.shape == (2, 3, 4)
+    for k in range(2):
+        for i in range(3):
+            for j in range(4):
+                want = oracle.confidence(e_t[j, k], e_a[i, k], params)
+                assert abs(got[k, i, j] - want) < 1e-12
 
 
 def test_confidence_dim_mismatch():
     params = zero_params(3, 4)
     with pytest.raises(DimensionError):
-        matched_confidences(pair([1.0, 2.0]), pair([1.0, 2.0, 3.0]), params)
+        confidences(pair([1.0, 2.0]), pair([1.0, 2.0, 3.0]), params)
     with pytest.raises(DimensionError):
-        matched_confidences(pair([1.0, 2.0]), pair([1.0, 2.0]), params)
+        confidences(pair([1.0, 2.0]), pair([1.0, 2.0]), params)
     with pytest.raises(DimensionError):
-        matched_confidences(np.zeros((2, 1, 3)), np.zeros((3, 1, 3)), params)
+        confidences(np.zeros((2, 1, 3)), np.zeros((2, 2, 3)), params)
+    with pytest.raises(DimensionError):
+        confidences(np.zeros((1, 3)), np.zeros((1, 3)), params)
 
 
 def test_confidence_bounded_in_unit_interval():
     rng = np.random.default_rng(1)
     params = confidence_params(4, 4, rng)
-    g = matched_confidences(
-        rng.normal(size=(50, 2, 4)) * 3, rng.normal(size=(50, 2, 4)) * 3, params
-    )
+    g = confidences(rng.normal(size=(50, 2, 4)) * 3, rng.normal(size=(50, 2, 4)) * 3, params)
     assert ((0.0 < g) & (g < 1.0)).all()
     # far outside the operating range the logistic may round to the endpoints
-    g = matched_confidences(
-        rng.normal(size=(10, 2, 4)) * 1e4, rng.normal(size=(10, 2, 4)) * 1e4, params
-    )
+    g = confidences(rng.normal(size=(10, 2, 4)) * 1e4, rng.normal(size=(10, 2, 4)) * 1e4, params)
     assert ((0.0 <= g) & (g <= 1.0)).all()
 
 

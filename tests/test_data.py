@@ -20,7 +20,6 @@ from xmal.data import (
     load_embeddings,
     save_dataset,
     save_embeddings,
-    shared_concepts,
 )
 from xmal.factors import factor_width
 from xmal.model import EncodedBatch
@@ -146,7 +145,8 @@ def test_concept_overlap_oracle_attains_max_at_true_pair():
         text_tokens=5, audio_tokens=8, noise_sigma=0.0, seed=0,
     )
     items = generate(cfg).items
-    overlap = shared_concepts(items)
+    mask = items.concepts.astype(np.int64)
+    overlap = mask @ mask.T  # entry (a, b) counts the concepts pairs a and b share
     strict = 0
     for i in range(len(items)):
         own = overlap[i, i]

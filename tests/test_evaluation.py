@@ -1,4 +1,4 @@
-"""R@k ranking semantics, diagnostics, and report files."""
+"""R@k ranking semantics, tiled scoring, forked workers and report files."""
 
 import errno
 import os
@@ -20,13 +20,11 @@ from xmal.confidence import (
     factor_pair_scores,
     factor_pair_similarity_matrix,
     factor_rows,
-    matched_confidences,
 )
 from xmal.data import SynthConfig, generate
-from xmal.errors import BatchTooSmallError, ContractError, DimensionError, XmalError
+from xmal.errors import ContractError, DimensionError, XmalError
 from xmal.evaluation import (
     RetrievalReport,
-    dcr_diagnostics,
     evaluate,
     recall_at_k,
     write_report_binary,
@@ -178,58 +176,6 @@ def test_evaluate_rejects_a_seed_outside_u64_before_scoring(monkeypatch, seed):
     monkeypatch.setattr(Model, "strip_scorer", unscored)
     with pytest.raises(ContractError, match=f"--seed must fit in u64, got {seed}"):
         evaluate(model, encoded, modes=("DP",), ks=(1,), seed=seed)
-
-
-def test_diagnostics_probability_columns():
-    cfg = SynthConfig(
-        pairs=8, concept_count=8, factor_count=4, embed_dim=16,
-        text_tokens=5, audio_tokens=8, noise_sigma=0.1, seed=9,
-    )
-    ds = generate(cfg)
-    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 11)
-    diag = dcr_diagnostics(model, ds.items)
-    assert diag.covariance.shape == (4, 4)
-    assert diag.confidence_items.shape == (8, 4)
-    assert ((diag.confidence_items > 0) & (diag.confidence_items < 1)).all()
-    for j in range(4):
-        if diag.defined_columns[j]:
-            assert abs(diag.probabilities[:, j].sum() - 1.0) < 1e-10
-        else:
-            assert np.array_equal(diag.probabilities[:, j], np.zeros(4))
-    assert np.isfinite(diag.probabilities).all()
-
-
-def test_diagnostics_confidences_equal_per_factor_calls():
-    """The one matched-pair confidence call over all K factors gives the
-    bits of one call per factor."""
-    cfg = SynthConfig(
-        pairs=40, concept_count=8, factor_count=4, embed_dim=16,
-        text_tokens=5, audio_tokens=8, seed=9,
-    )
-    ds = generate(cfg)
-    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 11)
-    diag = dcr_diagnostics(model, ds.items)
-    with ad.no_grad():
-        text_z, audio_z = model.batch_factors(model.encode_arrays(ds.items.audio, ds.items.text))
-        cols = [
-            matched_confidences(
-                text_z.value[:, i:i + 1], audio_z.value[:, i:i + 1], model.params
-            )[:, 0]
-            for i in range(4)
-        ]
-    assert np.array_equal(diag.confidence_items, np.stack(cols, axis=1))
-    assert np.array_equal(diag.confidence_mean, np.stack(cols, axis=1).mean(axis=0))
-
-
-def test_diagnostics_require_two_items():
-    cfg = SynthConfig(
-        pairs=2, concept_count=8, factor_count=4, embed_dim=16,
-        text_tokens=5, audio_tokens=8, seed=9,
-    )
-    ds = generate(cfg)
-    model = Model.build(ModelConfig(embed_dim=16, factor_count=4), 11)
-    with pytest.raises(BatchTooSmallError):
-        dcr_diagnostics(model, ds.items[:1])
 
 
 def test_report_files_round_trip_text_and_binary(tmp_path):

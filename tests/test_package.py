@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,3 +21,26 @@ def test_readme_file_format_rows_state_the_current_versions():
     ):
         rows = re.findall(rf"^\| [^|]+ \| `{magic}` \| version (\d+):", readme, re.MULTILINE)
         assert rows == [str(version)], (magic, rows)
+
+
+def test_every_top_level_definition_is_named_elsewhere_or_exported():
+    """A top-level function or class of `src/xmal` that no other line of the
+    package names and `xmal.__all__` does not export is dead code."""
+    package = Path(xmal.__file__).resolve().parent
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in package.glob("*.py")}
+    dead = []
+    for path, source in lines.items():
+        for node in ast.parse("\n".join(source)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in xmal.__all__:
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(
+                word.search(line)
+                for other, text in lines.items()
+                for number, line in enumerate(text, start=1)
+                if (other, number) != (path, node.lineno)
+            ):
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == []

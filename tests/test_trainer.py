@@ -347,13 +347,6 @@ def test_resume_reproduces_uninterrupted_log(tmp_path):
     assert logs_equal(one_shot.log, merged)
 
 
-def test_diagnostics_recorded_before_and_after_epochs():
-    ds = toy_dataset(pairs=16)
-    result = train(toy_model(), ds, make_cfg(epochs=3), diagnostics_items=ds.items[:8])
-    assert [d.epoch for d in result.diagnostics] == [0, 1, 2, 3]
-    assert all(np.isfinite(d.offdiag_energy) and np.isfinite(d.min_diag) for d in result.diagnostics)
-
-
 @pytest.mark.parametrize("mode", ["DP", "THA", "DCR", "THA+DP", "THA+DCR"])
 def test_every_similarity_mode_trains(mode):
     ds = toy_dataset(pairs=8, seed=13)
