@@ -87,14 +87,20 @@ def test_text_permutation_equivariance_and_invariant_pooling():
         np.testing.assert_allclose(pooled.value, base_pooled.value, rtol=1e-12, atol=1e-13)
 
 
-def test_audio_shapes_match_tap_counts():
+def test_audio_tap_counts_follow_ceil_halving():
     """Each merge halves the token count, rounding up."""
     params = random_params(16)
     for m, taps in ((8, (4, 2, 1)), (4, (2, 1, 1)), (11, (6, 3, 2))):
         frames = np.random.default_rng(5).normal(size=(2, m, 16))
-        levels, pooled = encode_audio_batch(frames, params)
-        assert [lvl.value.shape for lvl in levels] == [(2, t, 16) for t in taps]
-        assert pooled.value.shape == (2, 16)
+        levels, _ = encode_audio_batch(frames, params)
+        assert tuple(lvl.value.shape[1] for lvl in levels) == taps
+
+
+def test_audio_shapes_match_tap_counts():
+    params = random_params(16)
+    levels, pooled = encode_audio_batch(np.random.default_rng(5).normal(size=(2, 8, 16)), params)
+    assert [lvl.value.shape for lvl in levels] == [(2, 4, 16), (2, 2, 16), (2, 1, 16)]
+    assert pooled.value.shape == (2, 16)
 
 
 def test_audio_identity_stack_global_is_input_mean():
