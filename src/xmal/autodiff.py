@@ -56,7 +56,7 @@ def is_recording() -> bool:
 class Tensor:
     """A value in the computation graph."""
 
-    __slots__ = ("value", "name", "requires_grad", "grad", "_id", "_op", "_parents", "_backward")
+    __slots__ = ("value", "name", "requires_grad", "_id", "_op", "_parents", "_backward")
 
     def __init__(
         self,

@@ -22,7 +22,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import autodiff as ad, evaluation, objective as obj, trainer, verify
+from . import attention, autodiff as ad, evaluation, objective as obj, trainer, verify
 from .attention import AttentionConfig, hierarchical_similarity_matrix
 from .config import (
     canonical_text,
@@ -92,25 +92,28 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--out", help="checkpoint file to write"),
         Flag("--log", help="loss log path (default: <out>.log)"),
         Flag("--resume", help="checkpoint to continue from (uses its stored config)"),
-        Flag("--epochs", int, default=50),
-        Flag("--batch-size", int, default=8),
-        Flag("--lr", finite_float, default=1e-3),
-        Flag("--optimizer", choices=("adam", "sgd"), default="adam"),
-        Flag("--beta1", finite_float, default=0.9),
-        Flag("--beta2", finite_float, default=0.999),
-        Flag("--opt-eps", finite_float, default=1e-8),
-        Flag("--tau", finite_float, default=0.07),
-        Flag("--alpha", finite_float, default=0.01),
-        Flag("--beta", finite_float, default=0.005),
-        Flag("--mode", choices=obj.MODES, default="THA+DCR"),
-        Flag("--lambda", finite_float, "attention sharpness", key="temperature", default=9.0),
-        Flag("--direction", choices=("text_enhanced", "audio_enhanced", "both"), default="both"),
-        Flag("--combine", choices=("mean", "sum"), default="mean"),
+        Flag("--epochs", int, default=TrainConfig.epochs),
+        Flag("--batch-size", int, default=TrainConfig.batch_size),
+        Flag("--lr", finite_float, default=TrainConfig.learning_rate),
+        Flag("--optimizer", choices=trainer.OPTIMIZERS, default=TrainConfig.optimizer),
+        Flag("--beta1", finite_float, default=TrainConfig.beta1),
+        Flag("--beta2", finite_float, default=TrainConfig.beta2),
+        Flag("--opt-eps", finite_float, default=TrainConfig.opt_eps),
+        Flag("--tau", finite_float, default=ObjectiveConfig.tau),
+        Flag("--alpha", finite_float, default=ObjectiveConfig.alpha),
+        Flag("--beta", finite_float, default=ObjectiveConfig.beta),
+        Flag("--mode", choices=obj.MODES, default=ObjectiveConfig.similarity_mode),
+        Flag(
+            "--lambda", finite_float, "attention sharpness", key="temperature",
+            default=AttentionConfig.temperature,
+        ),
+        Flag("--direction", choices=attention.DIRECTIONS, default=AttentionConfig.direction),
+        Flag("--combine", choices=attention.COMBINES, default=AttentionConfig.combine),
         Flag("--K", int),
         Flag("--hidden", int),
         Flag("--clip-norm", finite_float),
-        Flag("--checkpoint-interval", int, default=0),
-        Flag("--seed", int, default=0),
+        Flag("--checkpoint-interval", int, default=TrainConfig.checkpoint_interval),
+        Flag("--seed", int, default=TrainConfig.seed),
     ),
     "eval": (
         Flag("--ckpt"),
@@ -159,20 +162,24 @@ SYNTH_FIELDS = {
 }
 
 
-def _config_section(args) -> dict:
-    """The command's settings: their defaults, overridden by its section of
-    the --config file, overridden by its flags."""
-    flags = (THREADS, *SETTINGS[args.section])
-    values = {flag.dest: flag.default for flag in flags if flag.default is not None}
-    if args.config:
-        values.update(parse_config_file(args.config, KEY_TYPES).get(args.section, {}))
-    for flag in flags:
+def _given_settings(args) -> dict:
+    """The settings that the command's section of the --config file and its
+    flags set, flags overriding the file."""
+    given = parse_config_file(args.config, KEY_TYPES).get(args.section, {}) if args.config else {}
+    for flag in (THREADS, *SETTINGS[args.section]):
         flag_value = getattr(args, flag.dest, None)  # export-embeddings lacks some [eval] flags
         if flag_value is not None:
-            values[flag.dest] = flag_value
-    if values["threads"] < 1:
-        raise ConfigError(f"--threads must be >= 1, got {values['threads']}")
-    return values
+            given[flag.dest] = flag_value
+    if given.get("threads", 1) < 1:
+        raise ConfigError(f"--threads must be >= 1, got {given['threads']}")
+    return given
+
+
+def _config_section(args) -> dict:
+    """The command's settings: their defaults, overridden by the given ones."""
+    flags = (THREADS, *SETTINGS[args.section])
+    defaults = {flag.dest: flag.default for flag in flags if flag.default is not None}
+    return {**defaults, **_given_settings(args)}
 
 
 def cmd_gen_data(args) -> int:
@@ -202,14 +209,10 @@ def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
 
 
 def _attention_config(effective: dict) -> AttentionConfig:
-    """The attention settings of a train config, with TRAIN_DEFAULTS for
-    those it lacks."""
-    settings = {**TRAIN_DEFAULTS, **effective}
-    return AttentionConfig(
-        temperature=settings["temperature"],
-        direction=settings["direction"],
-        combine=settings["combine"],
-    )
+    """The attention settings of a train config, whose keys are the field
+    names; a setting it lacks takes its field's default."""
+    fields = (f.name for f in dataclasses.fields(AttentionConfig))
+    return AttentionConfig(**{name: effective[name] for name in fields if name in effective})
 
 
 def _train_config(effective: dict) -> TrainConfig:
@@ -252,18 +255,23 @@ def write_loss_log(path: str, stamp: str, cfg: TrainConfig, result):
 
 
 def cmd_train(args) -> int:
-    values = _config_section(args)
+    given = _given_settings(args)
+    values = {**TRAIN_DEFAULTS, **given}
     if "data" not in values or "out" not in values:
         raise ConfigError("train needs --data and --out")
     dataset = load_dataset(values["data"])
 
+    skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
     ckpt = None
     if values.get("resume"):
         model, effective, ckpt = _restore_model(values["resume"])
         _check_width(values["data"], dataset.config.embed_dim, model)
+        resumed = {**TRAIN_DEFAULTS, **effective}
+        for key, value in given.items():
+            if key not in skip and value != (used := resumed.get(key)):
+                raise ConfigError(f"--resume keeps the checkpoint's {key}={used!r}, not {value!r}")
         print(f"resuming from {values['resume']} at step {ckpt.step} with its stored config")
     else:
-        skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
         effective = {k: v for k, v in values.items() if k not in skip}
         effective.setdefault("K", dataset.config.factor_count)
         cfg = ModelConfig(
@@ -410,11 +418,12 @@ def cmd_sim(args) -> int:
         f"config_hash={stamp} seed={effective.get('seed', 0)}",
         f"item_audio={values['item_a']} item_text={values['item_b']}",
     ]
-    dp = float(model.component_matrix(encoded, "DP").value[0, 0])
-    lines.append(f"DP={dp!r}")
 
+    def total(mode: str) -> str:
+        return f"{mode}={float(model.similarity_matrix(encoded, mode).value[0, 0])!r}"
+
+    lines.append(total("DP"))
     cfg = model.cfg.attention
-    tha_total = 0.0
     for lvl, (a_l, t_l) in enumerate(zip(encoded.audio_levels, encoded.text_levels), start=1):
         te, ae, level = (
             float(hierarchical_similarity_matrix(
@@ -422,23 +431,17 @@ def cmd_sim(args) -> int:
             ).value[0, 0])
             for direction in ("text_enhanced", "audio_enhanced", cfg.direction)
         )
-        tha_total += level
         lines.append(f"THA.level{lvl}.text_enhanced={te!r}")
         lines.append(f"THA.level{lvl}.audio_enhanced={ae!r}")
         lines.append(f"THA.level{lvl}={level!r}")
-    lines.append(f"THA={tha_total!r}")
+    lines.append(total("THA"))
 
     text_z, audio_z = model.batch_factors(encoded)
     g, cos, _ = factor_pair_terms(text_z.value, audio_z.value, model.params)
-    dcr_total = 0.0
     for i in range(g.shape[0]):
-        g_i, cos_i = float(g[i, 0, 0]), float(cos[i, 0, 0])
-        dcr_total += g_i * cos_i
-        lines.append(f"DCR.factor{i}.confidence={g_i!r}")
-        lines.append(f"DCR.factor{i}.cosine={cos_i!r}")
-    lines.append(f"DCR={dcr_total!r}")
-    lines.append(f"THA+DP={tha_total + dp!r}")
-    lines.append(f"THA+DCR={tha_total + dcr_total!r}")
+        lines.append(f"DCR.factor{i}.confidence={float(g[i, 0, 0])!r}")
+        lines.append(f"DCR.factor{i}.cosine={float(cos[i, 0, 0])!r}")
+    lines += [total(mode) for mode in ("DCR", "THA+DP", "THA+DCR")]
     print("\n".join(lines))
     return 0
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import check_finite, subsystem_rng
+from .encoders import MIN_AUDIO_TOKENS
 from .errors import ConfigError, CorruptedRecordError, DimensionError, FormatError, VersionError
 from .factors import factor_width
 from .model import EncodedBatch
@@ -72,8 +73,8 @@ class SynthConfig:
             )
         if self.text_tokens < 1:
             raise ConfigError(f"text_tokens must be >= 1, got {self.text_tokens}")
-        if self.audio_tokens < 4:
-            raise ConfigError(f"audio_tokens must be >= 4, got {self.audio_tokens}")
+        if self.audio_tokens < MIN_AUDIO_TOKENS:
+            raise ConfigError(f"audio_tokens must be >= {MIN_AUDIO_TOKENS}, got {self.audio_tokens}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (0 <= self.seed < 2**64):

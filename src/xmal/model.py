@@ -177,26 +177,21 @@ class Model:
         return factors.factor_covariance(*self.batch_factors(encoded))
 
     def similarity_matrix(self, encoded: EncodedBatch, mode: str) -> Tensor:
-        """All-pairs similarity under `mode`; entry (i, j) is audio i vs text j."""
+        """All-pairs similarity under `mode`, the sum of its components' scores
+        over the whole batch: one op per level (THA) or one op (DP, DCR).
+        Entry (i, j) is audio i vs text j."""
         total = None
         for component in objective.mode_components(mode):
-            term = self.component_matrix(encoded, component)
+            if component == "DP":
+                term = attention.global_similarity_matrix(encoded.audio_global, encoded.text_global)
+            elif component == "THA":
+                term = attention.hierarchical_similarity_matrix(
+                    encoded.audio_levels, encoded.text_levels, self.cfg.attention
+                )
+            else:  # DCR
+                term = factor_pair_similarity_matrix(*self.batch_factors(encoded), self.params)
             total = term if total is None else ad.add(total, term)
         return total
-
-    def component_matrix(self, encoded: EncodedBatch, component: str) -> Tensor:
-        """All-pairs score of one component over the whole batch, as one op
-        per level (THA) or one op (DP, DCR)."""
-        if component == "DP":
-            return attention.global_similarity_matrix(encoded.audio_global, encoded.text_global)
-        if component == "THA":
-            return attention.hierarchical_similarity_matrix(
-                encoded.audio_levels, encoded.text_levels, self.cfg.attention
-            )
-        if component == "DCR":
-            text_z, audio_z = self.batch_factors(encoded)
-            return factor_pair_similarity_matrix(text_z, audio_z, self.params)
-        raise ConfigError(f"unknown similarity component {component!r}")
 
     def strip_scorer(self, encoded: EncodedBatch, component: str, blocks: list[slice]):
         """Tape-free scoring of one component in tiles, for eval: returns
@@ -205,8 +200,8 @@ class Model:
         text block's per-item terms are prepared once here. A THA or DCR
         scorer owns one workspace, which holds every tile's intermediates,
         so its tiles allocate only on the first pass; a tile is a fresh
-        array, and it equals `component_matrix` on the same rows bit for
-        bit. DP normalizes the globals once and a tile is one matmul; DCR
+        array, equal bit for bit to `similarity_matrix(rows, component)`.
+        DP normalizes the globals once and a tile is one matmul; DCR
         projects the factors once, and the tiles slice the stacks."""
         if component == "DP":
             an = ad.normalize_rows(encoded.audio_global).value

@@ -58,15 +58,12 @@ def nt_xent(s, tau: float) -> Tensor:
     eye = np.eye(b)
     p = ad.mul(s, 1.0 / tau)
 
-    shift_r = np.max(p.value, axis=1, keepdims=True)
-    lse_r = ad.add(ad.log(ad.reduce_sum(ad.exp(ad.sub(p, shift_r)), axis=1, keepdims=True)), shift_r)
-    row_term = ad.reduce_sum(ad.mul(ad.sub(p, lse_r), eye))
-
-    shift_c = np.max(p.value, axis=0, keepdims=True)
-    lse_c = ad.add(ad.log(ad.reduce_sum(ad.exp(ad.sub(p, shift_c)), axis=0, keepdims=True)), shift_c)
-    col_term = ad.reduce_sum(ad.mul(ad.sub(p, lse_c), eye))
-
-    return ad.mul(ad.add(row_term, col_term), -1.0 / b)
+    terms = []
+    for axis in (1, 0):  # the row half, then the column half
+        shift = np.max(p.value, axis=axis, keepdims=True)
+        lse = ad.add(ad.log(ad.reduce_sum(ad.exp(ad.sub(p, shift)), axis=axis, keepdims=True)), shift)
+        terms.append(ad.reduce_sum(ad.mul(ad.sub(p, lse), eye)))
+    return ad.mul(ad.add(*terms), -1.0 / b)
 
 
 def total_loss(loss_s, loss_d, loss_a, cfg: ObjectiveConfig) -> Tensor:

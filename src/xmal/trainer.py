@@ -24,6 +24,8 @@ CHECKPOINT_MAGIC = b"XCKP"
 # 4: a CRC32 trailer
 CHECKPOINT_VERSION = 4
 
+OPTIMIZERS = ("adam", "sgd")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -47,7 +49,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         for name in ("beta1", "beta2"):  # written so that NaN fails too
             if not 0 <= getattr(self, name) < 1:

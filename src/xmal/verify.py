@@ -299,12 +299,12 @@ def _toy_setup(seed: int, batch: int = 4, dim: int = 16, k: int = 4, m: int = 8,
     return model, Pairs(audio=audio, text=text, concepts=np.eye(batch, dtype=bool))
 
 
-def _loss_builders(model: Model, pairs: Pairs, tau: float, alpha: float, beta: float, mode: str):
+def _loss_builders(model: Model, pairs: Pairs, cfg: obj.ObjectiveConfig):
     def encode():
         return model.encode_arrays(pairs.audio, pairs.text)
 
     def loss_s():
-        return obj.nt_xent(model.similarity_matrix(encode(), mode), tau)
+        return obj.nt_xent(model.similarity_matrix(encode(), cfg.similarity_mode), cfg.tau)
 
     def loss_d():
         return factors.decoupling_loss(model.factor_covariance(encode()))
@@ -313,10 +313,7 @@ def _loss_builders(model: Model, pairs: Pairs, tau: float, alpha: float, beta: f
         return factors.alignment_loss(model.factor_covariance(encode()))
 
     def loss_total():
-        return obj.total_loss(
-            loss_s(), loss_d(), loss_a(),
-            obj.ObjectiveConfig(tau=tau, alpha=alpha, beta=beta, similarity_mode=mode),
-        )
+        return obj.total_loss(loss_s(), loss_d(), loss_a(), cfg)
 
     return {"loss_s": loss_s, "loss_d": loss_d, "loss_a": loss_a, "loss_total": loss_total}
 
@@ -326,14 +323,14 @@ def loss_gradient_checks(
     h: float = 1e-5,
     tol: float = 1e-4,
     entries_per_tensor: int = 2,
-    mode: str = "THA+DCR",
 ) -> list[CheckResult]:
-    """FD-check each loss component and the weighted total on random toy
-    models. Every parameter tensor is probed at a seeded sample of entries."""
+    """FD-check each loss component and the weighted total under the default
+    objective (THA+DCR) on random toy models. Every parameter tensor is
+    probed at a seeded sample of entries."""
     worst = {name: 0.0 for name in ("loss_s", "loss_d", "loss_a", "loss_total")}
     for seed in range(seeds):
         model, pairs = _toy_setup(seed)
-        builders = _loss_builders(model, pairs, tau=0.07, alpha=0.01, beta=0.005, mode=mode)
+        builders = _loss_builders(model, pairs, obj.ObjectiveConfig())
         for name, fn in builders.items():
             err = ad.finite_difference_check(
                 fn, model.parameters(), h=h, max_entries=entries_per_tensor, seed=seed

@@ -12,11 +12,14 @@ import pytest
 from containers import body, sealed
 from xmal import attention, autodiff as ad, evaluation, trainer, verify
 from xmal.autodiff import Tensor
-from xmal.cli import KEY_TYPES, SETTINGS, _restore_model, main
+from xmal.attention import AttentionConfig
+from xmal.cli import KEY_TYPES, SETTINGS, TRAIN_DEFAULTS, _encoded_input, _restore_model, main
 from xmal.config import finite_float, parse_config_file
 from xmal.data import load_dataset, load_embeddings, save_embeddings
 from xmal.errors import ConfigError, CorruptedRecordError
 from xmal.model import EncodedBatch, Model
+from xmal.objective import MODES, ObjectiveConfig
+from xmal.trainer import TrainConfig
 
 
 def run(capsys, *argv):
@@ -295,14 +298,37 @@ def test_train_resume_reproduces_log(tmp_path, capsys):
         "--checkpoint-interval", "6",
     )
     assert code == 0, err
-    code, _, err = run(capsys, "train", "--data", data, "--out", half,
-                       "--resume", full + ".step000006")
-    assert code == 0, err
     one_shot = [l for l in open(full + ".log").read().splitlines() if l.startswith("step=")]
-    resumed = [l for l in open(half + ".log").read().splitlines() if l.startswith("step=")]
-    assert resumed == one_shot[6:]
-    # final checkpoints agree byte for byte
-    assert open(full, "rb").read() == open(half, "rb").read()
+    # a bare --resume, and the original command line with --resume: settings
+    # equal to the stored ones pass
+    for extra in ((), (*common[2:], "--epochs", "4", "--checkpoint-interval", "6")):
+        code, _, err = run(capsys, "train", "--data", data, "--out", half,
+                           "--resume", full + ".step000006", *extra)
+        assert code == 0, err
+        resumed = [l for l in open(half + ".log").read().splitlines() if l.startswith("step=")]
+        assert resumed == one_shot[6:]
+        # final checkpoints agree byte for byte
+        assert open(full, "rb").read() == open(half, "rb").read()
+
+
+@pytest.mark.parametrize("form", ("flag", "config"))
+def test_resume_refuses_a_setting_it_would_ignore(trained, tmp_path, capsys, form):
+    """A `[train]` setting given next to --resume that differs from the value
+    the resume uses, stored or default, is one error line naming it, and
+    nothing is written."""
+    data, ckpt = trained
+    out = tmp_path / "r.xckp"
+    if form == "flag":
+        argv, key = ("--epochs", "9"), "epochs"
+    else:
+        (tmp_path / "run.cfg").write_text("[train]\nseed=3\ntemperature=5\n")
+        argv, key = ("--config", str(tmp_path / "run.cfg")), "temperature"
+    code, out_text, err = run(
+        capsys, "train", "--data", data, "--out", str(out), "--resume", ckpt, *argv
+    )
+    assert code == 1 and _one_error_line(err), err
+    assert f" {key}=" in err
+    assert out_text == "" and not list(tmp_path.glob("r.xckp*"))
 
 
 def test_sim_breakdown_consistency(trained, capsys):
@@ -485,8 +511,7 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
     model, *_ = _restore_model(ckpt)
     with ad.no_grad():
         encoded = model.encode_arrays(ds.items.audio, ds.items.text)
-        scores = {c: model.component_matrix(encoded, c).value for c in ("DP", "THA", "DCR")}
-    scores["THA+DCR"] = scores["THA"] + scores["DCR"]
+        scores = {mode: model.similarity_matrix(encoded, mode).value for mode in MODES}
     keys = ["config_hash", "item_audio", "DP"]
     for lvl in (1, 2, 3):
         keys += [f"THA.level{lvl}.text_enhanced", f"THA.level{lvl}.audio_enhanced", f"THA.level{lvl}"]
@@ -504,6 +529,32 @@ def test_sim_matches_eval_component_matrices(trained, capsys):
         values = dict(line.split("=", 1) for line in lines[2:])
         for name, matrix in scores.items():
             assert abs(float(values[name]) - matrix[a, b]) < 1e-12, (name, a, b)
+
+
+@pytest.mark.parametrize(
+    "train_flags", [(), ("--direction", "text_enhanced", "--combine", "sum", "--lambda", "5")],
+    ids=["default", "text_enhanced-sum"],
+)
+def test_sim_totals_are_similarity_matrix_entries(tmp_path, capsys, train_flags):
+    """sim prints each mode's total as the entry of `Model.similarity_matrix`
+    on its 1 x 1 batch, bit for bit. At K = 8 a sum of the factor terms in
+    another order differs from the DCR entry in the last bit."""
+    data = gen(tmp_path, capsys, **{"--K": "8"})
+    ckpt = str(tmp_path / "ck.xckp")
+    code, _, err = run(capsys, "train", "--data", data, "--out", ckpt, "--epochs", "1", *train_flags)
+    assert code == 0, err
+    model = _restore_model(ckpt)[0]
+    for a, b in ((0, 0), (3, 7), (23, 12), (9, 4)):
+        code, out, err = run(
+            capsys, "sim", "--ckpt", ckpt, "--data", data, "--item-a", str(a), "--item-b", str(b),
+        )
+        assert code == 0, err
+        printed = dict(line.split("=", 1) for line in out.splitlines()[2:])
+        with ad.no_grad():
+            pair = _encoded_input("sim", model, data, pair=(a, b))
+            for mode in MODES:
+                expected = repr(float(model.similarity_matrix(pair, mode).value[0, 0]))
+                assert printed[mode] == expected, (a, b, mode)
 
 
 def _write_old_checkpoint(trained, tmp_path, monkeypatch, version, rename):
@@ -1167,3 +1218,33 @@ def test_choices_rejection_exits_2(capsys):
         main(["train", "--mode", "XYZ"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'XYZ'" in capsys.readouterr().err
+
+
+def test_train_defaults_are_the_config_classes_defaults():
+    """Each `[train]` default and choice list is its config class's or
+    module's, under the setting's key."""
+    train, objective, attn = TrainConfig(), ObjectiveConfig(), AttentionConfig()
+    assert TRAIN_DEFAULTS == {
+        "epochs": train.epochs,
+        "batch_size": train.batch_size,
+        "lr": train.learning_rate,
+        "optimizer": train.optimizer,
+        "beta1": train.beta1,
+        "beta2": train.beta2,
+        "opt_eps": train.opt_eps,
+        "tau": objective.tau,
+        "alpha": objective.alpha,
+        "beta": objective.beta,
+        "mode": objective.similarity_mode,
+        "temperature": attn.temperature,
+        "direction": attn.direction,
+        "combine": attn.combine,
+        "checkpoint_interval": train.checkpoint_interval,
+        "seed": train.seed,
+    }
+    assert {flag.dest: flag.choices for flag in SETTINGS["train"] if flag.choices} == {
+        "optimizer": trainer.OPTIMIZERS,
+        "mode": MODES,
+        "direction": attention.DIRECTIONS,
+        "combine": attention.COMBINES,
+    }

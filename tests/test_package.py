@@ -23,16 +23,29 @@ def test_readme_file_format_rows_state_the_current_versions():
         assert rows == [str(version)], (magic, rows)
 
 
+def _definitions(tree: ast.Module):
+    """The module's top-level functions and classes, and the methods and
+    properties of its classes, but not dunder methods, which Python calls."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                member for member in node.body
+                if isinstance(member, kinds) and not re.fullmatch(r"__\w+__", member.name)
+            )
+
+
 def test_every_top_level_definition_is_named_elsewhere_or_exported():
-    """A top-level function or class of `src/xmal` that no other line of the
-    package names and `xmal.__all__` does not export is dead code."""
+    """A top-level function or class of `src/xmal`, or a method or property
+    of one of its classes, that no other line of the package names and
+    `xmal.__all__` does not export is dead code."""
     package = Path(xmal.__file__).resolve().parent
     lines = {path: path.read_text(encoding="utf-8").splitlines() for path in package.glob("*.py")}
     dead = []
     for path, source in lines.items():
-        for node in ast.parse("\n".join(source)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node in _definitions(ast.parse("\n".join(source))):
             if node.name in xmal.__all__:
                 continue
             word = re.compile(rf"\b{re.escape(node.name)}\b")
