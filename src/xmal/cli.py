@@ -10,8 +10,9 @@ settings plus the seed, and is deterministic given both.
 A checkpoint alone restores its model (`_restore_model`): its tensors give
 the parameters and dimensions, and its stored config the attention settings,
 with no init draw and no seed. `eval`, `sim` and `export-embeddings` read
-`--data` or `--embeddings` as the encoded batch they need through one
-function, `_encoded_input`.
+`--data` or `--embeddings` through one function, `_loaded_input`; `sim` and
+`export-embeddings` encode what they need of it at once (`_encoded_input`),
+and `eval` encodes it in its workers.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .config import (
     setup_logging,
 )
 from .data import (
+    Pairs,
     SynthConfig,
     generate,
     load_dataset,
@@ -329,30 +331,39 @@ def _check_width(path: str, width: int, model: Model):
         raise DimensionError(f"{path}: width {width} does not match the checkpoint's {expected}")
 
 
-def _encoded_input(
-    command: str, model: Model, data: str | None, embeddings: str | None = None,
-    pair: tuple[int, int] | None = None,
-) -> EncodedBatch:
-    """The batch that `command` scores or writes: the embedding set at
-    `embeddings`, else the dataset at `data` encoded by `model`, checked
-    against the model's width. It holds every item, or with `pair` = (audio
-    item, text item) that 1 x 1 pair, of which a dataset encodes only the two
-    items."""
+def _loaded_input(
+    command: str, model: Model, data: str | None, embeddings: str | None = None
+) -> EncodedBatch | Pairs:
+    """The items that `command` reads: the embedding set at `embeddings`,
+    else the pairs of the dataset at `data`, checked against the model's
+    width and for holding an item."""
     path = embeddings or data
     if not path:
         raise ConfigError(f"{command} needs --data or --embeddings")
     source = load_embeddings(path) if embeddings else load_dataset(path)
     _check_width(path, source.dim if embeddings else source.config.embed_dim, model)
-    count = source.batch if embeddings else len(source)
-    if count == 0:  # datasets hold at least one pair
+    if embeddings and source.batch == 0:  # datasets hold at least one pair
         raise ContractError(f"{path}: the embedding set is empty; {command} needs a non-empty one")
+    return source if embeddings else source.items
+
+
+def _encoded_input(
+    command: str, model: Model, data: str | None, embeddings: str | None = None,
+    pair: tuple[int, int] | None = None,
+) -> EncodedBatch:
+    """The batch that `command` scores or writes: `_loaded_input`, encoded by
+    `model` unless it is an embedding set. It holds every item, or with
+    `pair` = (audio item, text item) that 1 x 1 pair, of which a dataset
+    encodes only the two items."""
+    source = _loaded_input(command, model, data, embeddings)
+    count = source.batch if isinstance(source, EncodedBatch) else len(source)
     for index in pair or ():
         if not (0 <= index < count):
             raise ConfigError(f"item {index} out of range (0..{count - 1})")
     audio, text = (slice(i, i + 1) for i in pair) if pair else (slice(None), slice(None))
-    if embeddings:
+    if isinstance(source, EncodedBatch):
         return source.rows(audio, text)
-    return model.encode_arrays(source.items.audio[audio], source.items.text[text])
+    return model.encode_arrays(source.audio[audio], source.text[text])
 
 
 @ad.no_grad()
@@ -369,7 +380,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
     seed = values["seed"]
-    evaluation.check_seed(seed)  # before the input is encoded
+    evaluation.check_seed(seed)  # before the input is read
     resolved = {
         "ckpt": values["ckpt"],
         "data": values.get("data", ""),
@@ -379,9 +390,9 @@ def cmd_eval(args) -> int:
         "seed": seed,
     }
     stamp = config_hash("eval", resolved)
-    encoded = _encoded_input("eval", model, values.get("data"), values.get("embeddings"))
+    source = _loaded_input("eval", model, values.get("data"), values.get("embeddings"))
     reports = evaluation.evaluate(
-        model, encoded, modes=modes, ks=ks, seed=seed, config_hash=stamp, threads=values["threads"]
+        model, source, modes=modes, ks=ks, seed=seed, config_hash=stamp, threads=values["threads"]
     )
     out = values.get("out")
     if out:

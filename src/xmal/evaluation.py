@@ -20,7 +20,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
+from .data import Pairs
 from .errors import ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
 from .objective import mode_components
@@ -169,22 +170,63 @@ def _worker_count(threads: int, strips: int, components) -> int:
     return max(1, min(threads, len(os.sched_getaffinity(0)), strips, int(work // WORKER_MIN_MS)))
 
 
-def _rank_strips(scorers: dict, parts: dict, blocks: list[slice], own: range, exchange):
-    """One worker's share of `evaluate`: the strips `own` (indices into
-    `blocks`) of every mode, in two passes.
-    1. Each component scores the diagonal tiles (a, a) of the own strips,
+def _encode(model: Model, source: EncodedBatch | Pairs, rows: slice) -> EncodedBatch:
+    """Rows `rows` of `source` as a batch: an embedding set's rows, or a
+    dataset's pairs encoded by `model` in one call."""
+    if isinstance(source, EncodedBatch):
+        return source.rows(rows, rows)
+    return model.encode_arrays(source.audio[rows], source.text[rows])
+
+
+def _joined(shares) -> list[np.ndarray]:
+    """The workers' text rows, in worker order, joined into whole-batch
+    arrays."""
+    return [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*shares)]
+
+
+def _worker_scorers(model: Model, source, own: range, blocks: list[slice], components, exchange):
+    """A worker's scorers: it encodes the own strips' rows of `source` in one
+    call, and `exchange` trades their text rows for every worker's: the
+    text globals, and the text levels if THA scores (only THA reads them).
+    Each component's scorer (`Model.strip_scorer`) then holds the own audio
+    rows and every text row as it needs them."""
+    rows = slice(blocks[own[0]].start, blocks[own[-1]].stop)
+    mine = _encode(model, source, rows)
+    text = [mine.text_global, *(mine.text_levels if "THA" in components else ())]
+    every = exchange([x.value for x in text], _joined)
+    encoded = EncodedBatch(
+        audio_levels=mine.audio_levels,
+        audio_global=mine.audio_global,
+        text_levels=[Tensor(x) for x in every[1:]],
+        text_global=Tensor(every[0]),
+    )
+    return {c: model.strip_scorer(encoded, c, blocks, rows.start) for c in components}
+
+
+def _rank_strips(model: Model, source, parts: dict, blocks: list[slice], own: range, exchange):
+    """One worker's share of `evaluate`: the strips `own`, a contiguous range
+    of indices into `blocks`, of every mode, in three steps.
+    1. It encodes the own strips' rows of `source` and trades their text
+       rows for every text row (`_worker_scorers`).
+    2. Each component scores the diagonal tiles (a, a) of the own strips,
        which are kept. `exchange` takes their diagonals, {component: {strip:
        scores}}, and returns each component's matched scores over all rows.
        A mode's matched scores are the sum of its components'.
-    2. Each own strip of audio rows is built against every text block from
+    3. Each own strip of audio rows is built against every text block from
        its tiles, the kept diagonal tile included; each mode sums its
        components' strips in order into one reused buffer and ranks it.
-    Returns {mode: {direction: ranks}}: the own rows' complete audio_to_text
-    ranks (0 elsewhere) and the own strips' share of every text_to_audio
-    rank, so the workers' ranks add up to the whole batch's."""
+    `exchange(share, combine)` returns `combine` of every worker's share, in
+    worker order. Returns {mode: {direction: ranks}}: the own rows' complete
+    audio_to_text ranks (0 elsewhere) and the own strips' share of every
+    text_to_audio rank, so the workers' ranks add up to the whole batch's."""
     size = blocks[-1].stop
+    components = dict.fromkeys(c for comps in parts.values() for c in comps)
+    scorers = _worker_scorers(model, source, own, blocks, components, exchange)
     diagonal = {c: {n: strip(blocks[n])(blocks[n]) for n in own} for c, strip in scorers.items()}
-    matched = exchange({c: {n: np.diagonal(t) for n, t in d.items()} for c, d in diagonal.items()})
+    matched = exchange(
+        {c: {n: np.diagonal(t) for n, t in d.items()} for c, d in diagonal.items()},
+        functools.partial(_matched, blocks),
+    )
     match = {m: _mode_sum([matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()}
     ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in parts}
     rows = {c: np.empty((blocks[0].stop, size)) for c in scorers}
@@ -264,21 +306,36 @@ def _fork(number: int, cpu: int, rank) -> _Child:
     return _Child(number, pid, os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb"))
 
 
+def _private_mb() -> float | None:
+    """This process's private memory, the pages no other process maps
+    (Private_Clean + Private_Dirty of /proc/self/smaps_rollup), in MB; None
+    where that cannot be read."""
+    fields = ("Private_Clean:", "Private_Dirty:")
+    try:
+        with open("/proc/self/smaps_rollup", encoding="ascii") as f:
+            kb = [int(line.split()[1]) for line in f if line.startswith(fields)]
+    except (OSError, ValueError, IndexError):
+        return None
+    return sum(kb) / 1024 if len(kb) == len(fields) else None
+
+
 def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
     """A forked worker's whole life. It leaves only through `os._exit`, so it
     never returns into the frames it shares with its parent: 0 once its
-    ranks are sent; 1 after it sends the type and message of what it raised
-    (or fails to, because the parent is gone)."""
+    ranks are sent, with its private memory (`_private_mb`); 1 after it
+    sends the type and message of what it raised (or fails to, because the
+    parent is gone)."""
     code = 1
     try:
         with contextlib.suppress(OSError):  # unpinned, it still ranks its strips
             os.sched_setaffinity(0, {cpu})
 
-        def exchange(share):
+        def exchange(share, combine):
             _send(up, ("ok", share))
             return pickle.load(down)
 
-        _send(up, ("ok", rank(exchange)))
+        ranks = rank(exchange)
+        _send(up, ("ok", (ranks, _private_mb())))
         code = 0
     except BaseException as e:  # reported; the child exits below either way
         with contextlib.suppress(OSError):
@@ -287,32 +344,38 @@ def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
         os._exit(code)
 
 
-def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int):
-    """`_rank_strips` split over `workers` processes: worker w ranks strips
-    w::workers. The calling process is worker 0; workers 1.. are forked after
-    the scorers have prepared the text blocks, which they share
-    copy-on-write. Each process runs pinned to its own CPU, because a forked
-    child starts on its parent's CPU and may stay there. In the one exchange
-    each child sends its diagonals, and the parent sends every worker the
-    matched scores put together; each child then sends its ranks, which the
-    parent adds to its own.
+def _alone(share, combine):
+    """The exchange of a worker that works alone."""
+    return combine([share])
 
-    Returns the ranks and the largest peak RSS of the children (KiB, as
-    `os.wait4` gives it), or None if not even worker 1 could be forked, for
-    the caller to rank in one process. A child that raised or ended early,
-    or a later worker that could not be forked, is an XmalError naming it.
-    Every child is reaped before this returns, and killed first unless the
-    call succeeded."""
+
+def _forked_ranks(model: Model, source, parts: dict, blocks: list[slice], workers: int):
+    """`_rank_strips` split over `workers` processes: each worker ranks one
+    contiguous range of strips, the ranges in worker order. The calling
+    process is worker 0, with the first range; workers 1.. are forked
+    before anything is encoded, and each encodes its own rows. Each process
+    runs pinned to its own CPU, because a forked child starts on its
+    parent's CPU and may stay there. In each of the two exchanges (text
+    rows, then diagonals) each child sends its share, and the parent sends
+    every worker the shares put together; each child then sends its ranks,
+    which the parent adds to its own, and its private memory.
+
+    Returns the ranks and the largest child's private memory in MB (None
+    where a child could not read it), or None if not even worker 1 could
+    be forked, for the caller to rank in one process. A child that raised
+    or ended early, or a later worker that could not be forked, is an
+    XmalError naming it. Every child is reaped before this returns, and
+    killed first unless the call succeeded."""
     saved = os.sched_getaffinity(0)
     cpus = sorted(saved)
-    strips = range(len(blocks))
+    bounds = [len(blocks) * w // workers for w in range(workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children: list[_Child] = []
     done = False
-    peak = 0
     os.sched_setaffinity(0, {cpus[0]})
     try:
         for w in range(1, workers):
-            rank = functools.partial(_rank_strips, scorers, parts, blocks, strips[w::workers])
+            rank = functools.partial(_rank_strips, model, source, parts, blocks, shares[w])
             try:
                 children.append(_fork(w, cpus[w], rank))
             except OSError as e:  # EAGAIN at a process limit, ENOMEM
@@ -320,17 +383,20 @@ def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int)
                     return None
                 raise XmalError(f"eval worker {w} could not start: {e}") from e
 
-        def exchange(share):
-            matched = _matched(blocks, [share, *(child.receive() for child in children)])
+        def exchange(share, combine):
+            whole = combine([share, *(child.receive() for child in children)])
             for child in children:
-                child.send(matched)
-            return matched
+                child.send(whole)
+            return whole
 
-        ranks = _rank_strips(scorers, parts, blocks, strips[::workers], exchange)
+        ranks = _rank_strips(model, source, parts, blocks, shares[0], exchange)
+        private = []
         for child in children:
-            for mode, share in child.receive().items():
+            share, mb = child.receive()
+            private.append(mb)
+            for mode in share:
                 for d in DIRECTIONS:
-                    ranks[mode][d] += share[d]
+                    ranks[mode][d] += share[mode][d]
         done = True
     finally:
         os.sched_setaffinity(0, saved)
@@ -340,25 +406,26 @@ def _forked_ranks(scorers: dict, parts: dict, blocks: list[slice], workers: int)
                 child.writer.close()
             if not done:
                 os.kill(child.pid, signal.SIGKILL)
-            peak = max(peak, os.wait4(child.pid, 0)[2].ru_maxrss)
-    return ranks, peak
+            os.waitpid(child.pid, 0)
+    return ranks, None if None in private else max(private)
 
 
 @no_grad()
 def evaluate(
     model: Model,
-    encoded: EncodedBatch,
+    source: EncodedBatch | Pairs,
     modes: tuple[str, ...] = ("THA+DCR",),
     ks: tuple[int, ...] = (1, 5, 10),
     seed: int = 0,
     config_hash: str = "",
     threads: int = 1,
 ) -> list[RetrievalReport]:
-    """One report per (mode, direction) over the encoded pairs, audio item i
-    matching text item i: a dataset encoded by the model, or an embedding set
-    as `data.load_embeddings` returns it. The reports carry `seed`, the run's
+    """One report per (mode, direction) over the pairs of `source`, audio
+    item i matching text item i: a dataset's `data.Pairs`, which the model
+    encodes here, or an encoded batch, such as an embedding set as
+    `data.load_embeddings` returns it. The reports carry `seed`, the run's
     `--seed`, which must fit in the binary report's u64 (else ContractError,
-    before any scoring).
+    before anything is encoded or scored).
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, in two
@@ -367,20 +434,23 @@ def evaluate(
     text block. Ranking a strip completes its audio_to_text ranks, and adds
     its share to every text item's text_to_audio rank (see `_match_ranks`).
 
-    `threads` caps the processes that rank the strips (`_worker_count`: one
-    per usable CPU, and only as many as the estimated tile work pays for).
-    With more than one, workers are forked over alternate strips
-    (`_forked_ranks`); their ranks add up exactly, so the reports do not
-    depend on `threads`. If no worker can be forked, one process ranks them.
+    `threads` caps the processes that encode, score and rank the strips
+    (`_worker_count`: one per usable CPU, and only as many as the estimated
+    tile work pays for). With more than one, workers are forked over
+    contiguous ranges of strips before anything is encoded, and each
+    encodes its own rows (`_forked_ranks`). Encoding a range of rows gives
+    the bits of the same rows of a whole-batch encode, and the workers'
+    ranks add up exactly, so the reports do not depend on `threads`. If no
+    worker can be forked, one process encodes every row and ranks them.
 
-    Memory is O(components x TILE x B) per worker on top of the encoded
-    batch. A mode's scores equal bit for bit what `Model.similarity_matrix`
-    gives tile by tile, taped or not; a matched score is read from the same
-    tile as its row's and column's other scores, so it equals its own entry.
-    One whole-batch op differs from the tiles by BLAS rounding (a few 1e-16
-    for DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend on
-    its shape."""
-    size = encoded.batch
+    Memory is O(components x TILE x B) per worker on top of its own audio
+    rows plus every text row, encoded. A mode's scores equal bit for bit
+    what `Model.similarity_matrix` gives tile by tile, taped or not; a
+    matched score is read from the same tile as its row's and column's
+    other scores, so it equals its own entry. One whole-batch op differs
+    from the tiles by BLAS rounding (a few 1e-16 for DP, 1e-15 for THA) at
+    ragged sizes, because a matmul's bits depend on its shape."""
+    size = source.batch if isinstance(source, EncodedBatch) else len(source)
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")
     check_seed(seed)
@@ -388,19 +458,18 @@ def evaluate(
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)
     components = dict.fromkeys(c for mode in modes for c in parts[mode])
-    scorers = {c: model.strip_scorer(encoded, c, blocks) for c in components}
     workers = _worker_count(threads, len(blocks), components)
-    forked = _forked_ranks(scorers, parts, blocks, workers) if workers > 1 else None
+    forked = _forked_ranks(model, source, parts, blocks, workers) if workers > 1 else None
     if forked is None:
         every = range(len(blocks))
-        ranks = _rank_strips(scorers, parts, blocks, every, lambda share: _matched(blocks, [share]))
+        ranks = _rank_strips(model, source, parts, blocks, every, _alone)
         logger.info("%d strips, 1 worker", len(blocks))
     else:
-        ranks, peak = forked
-        logger.info(  # ru_maxrss counts the pages a child shares with its parent
-            "%d strips, %d workers, largest forked worker's peak RSS %.1f MB",
-            len(blocks), workers, peak / 1024,
-        )
+        ranks, private = forked
+        figure = ""
+        if private is not None:  # where every child could read its smaps_rollup
+            figure = f", largest forked worker's private memory {private:.1f} MB"
+        logger.info("%d strips, %d workers%s", len(blocks), workers, figure)
     return [
         RetrievalReport(
             mode=mode,

@@ -193,20 +193,28 @@ class Model:
             total = term if total is None else ad.add(total, term)
         return total
 
-    def strip_scorer(self, encoded: EncodedBatch, component: str, blocks: list[slice]):
+    def strip_scorer(
+        self, encoded: EncodedBatch, component: str, blocks: list[slice], audio_start: int = 0
+    ):
         """Tape-free scoring of one component in tiles, for eval: returns
         `strip(a)`, which prepares audio rows `a` and returns `tile(t)`, the
-        scores of those rows against text rows `t`, one of `blocks`. Each
-        text block's per-item terms are prepared once here. A THA or DCR
+        scores of those rows against text rows `t`, one of `blocks`. Both
+        index the whole batch: `encoded` holds every text row, and audio
+        rows from `audio_start` on (an eval worker's own). Each text
+        block's per-item terms are prepared once here. A THA or DCR
         scorer owns one workspace, which holds every tile's intermediates,
         so its tiles allocate only on the first pass; a tile is a fresh
         array, equal bit for bit to `similarity_matrix(rows, component)`.
         DP normalizes the globals once and a tile is one matmul; DCR
         projects the factors once, and the tiles slice the stacks."""
+
+        def own(a: slice) -> slice:
+            return slice(a.start - audio_start, a.stop - audio_start)
+
         if component == "DP":
             an = ad.normalize_rows(encoded.audio_global).value
             tn = ad.normalize_rows(encoded.text_global).value
-            return lambda a: lambda t: an[a] @ tn[t].T
+            return lambda a: lambda t: an[own(a)] @ tn[t].T
         ws = ad.Workspace()
         if component == "THA":
             cfg = self.cfg.attention
@@ -217,10 +225,10 @@ class Model:
                 for t in blocks
             }
 
+            levels = [x.value for x in encoded.audio_levels]  # so `encoded` can be freed
+
             def strip(a: slice):
-                audio = [
-                    attention.level_rows(x.value[a], cfg, "audio") for x in encoded.audio_levels
-                ]
+                audio = [attention.level_rows(x[own(a)], cfg, "audio") for x in levels]
                 return lambda t: attention.hierarchical_scores(audio, text[t.start], cfg, ws)
 
             return strip
@@ -229,7 +237,7 @@ class Model:
             text = {t.start: factor_rows(text_z[t], self.params, "text") for t in blocks}
 
             def strip(a: slice):
-                audio = factor_rows(audio_z[a], self.params, "audio")
+                audio = factor_rows(audio_z[own(a)], self.params, "audio")
                 return lambda t: factor_pair_scores(text[t.start], audio, self.params, ws)
 
             return strip

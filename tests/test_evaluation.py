@@ -414,7 +414,7 @@ def _stub_strip_scorers(monkeypatch, matrices):
     the list of tiles scored, as (component, audio start, text start)."""
     scored = []
 
-    def strip_scorer(self, encoded, component, blocks):
+    def strip_scorer(self, encoded, component, blocks, audio_start=0):
         s = matrices[component]
 
         def tile(a, t):
@@ -535,6 +535,61 @@ def test_forked_ranks_equal_serial_with_ties_and_nans(monkeypatch):
         forks.clear()
 
 
+def test_encoding_a_row_range_equals_those_rows_of_the_whole_batch_bit_for_bit():
+    """Forked eval workers each encode their own rows, so the reports do not
+    depend on `threads` only while a row range encodes to exactly the bits
+    of the same rows of one whole-batch encode: every level, global and
+    factor stack. M=11 leaves an odd token at each merge."""
+    cfg = SynthConfig(
+        pairs=150, concept_count=16, factor_count=8, embed_dim=32,
+        text_tokens=5, audio_tokens=11, noise_sigma=0.1, seed=6,
+    )
+    items = generate(cfg).items
+    model = Model.build(ModelConfig(embed_dim=32, factor_count=8), 6)
+
+    def outputs(e):
+        return [
+            *e.audio_levels, e.audio_global, *e.text_levels, e.text_global,
+            *model.batch_factors(e),
+        ]
+
+    with ad.no_grad():
+        whole = [x.value for x in outputs(model.encode_arrays(items.audio, items.text))]
+        for lo, hi in ((0, 64), (64, 128), (128, 150), (1, 147)):
+            part = outputs(model.encode_arrays(items.audio[lo:hi], items.text[lo:hi]))
+            assert len(part) == len(whole) == 10
+            for i, (got, want) in enumerate(zip(part, whole)):
+                assert got.value.tobytes() == want[lo:hi].tobytes(), (lo, hi, i)
+
+
+def test_a_forking_parent_encodes_only_its_own_strips(monkeypatch):
+    """Given a dataset's pairs, each worker encodes its own rows in one call:
+    at 300 pairs and 2 workers the parent encodes strips 0-1 (rows 0-127)
+    and the child the other 172 rows; alone, the one process encodes all
+    300. The reports equal those over the pairs encoded beforehand."""
+    ds, model = _eval_set(300)
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    encoded = _encoded(model, ds)
+    serial = evaluate(model, encoded, modes=modes, threads=1)
+    calls = []
+    encode = Model.encode_arrays
+
+    def recording(self, audio, text):
+        calls.append((os.getpid(), len(audio), len(text)))
+        return encode(self, audio, text)
+
+    monkeypatch.setattr(Model, "encode_arrays", recording)
+    forks = _count_forks(monkeypatch)
+    for threads in (1, 2):
+        calls.clear()
+        forks.clear()
+        assert evaluate(model, ds.items, modes=modes, threads=threads) == serial
+        assert len(forks) == min(threads, CPUS) - 1
+        own = 128 if forks else 300
+        assert calls == [(os.getpid(), own, own)], threads  # the child's calls are its own
+        assert evaluate(model, encoded, modes=modes, threads=threads) == serial
+
+
 def test_a_live_thread_keeps_eval_in_one_process(monkeypatch):
     """Forking with a second thread alive is unsafe, so eval stays serial."""
     ds, model = _eval_set(300)
@@ -553,32 +608,55 @@ def test_a_live_thread_keeps_eval_in_one_process(monkeypatch):
 
 
 def _failing_tiles(monkeypatch, fail):
-    """DP tiles from a fixed matrix, where `fail(parent)` runs before each."""
+    """DP tiles from a fixed matrix, where `fail(parent, "tile")` runs
+    before each, and encodes where `fail(parent, "encode")` runs before
+    each."""
     parent = os.getpid()
     s = np.random.default_rng(3).normal(size=(20, 20))
+    encode = Model.encode_arrays
 
-    def strip_scorer(self, encoded, component, blocks):
+    def strip_scorer(self, encoded, component, blocks, audio_start=0):
         def tile(a, t):
-            fail(parent)
+            fail(parent, "tile")
             return s[a, t].copy()
 
         return lambda a: lambda t: tile(a, t)
 
+    def encode_arrays(self, audio, text):
+        fail(parent, "encode")
+        return encode(self, audio, text)
+
     monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
+    monkeypatch.setattr(Model, "encode_arrays", encode_arrays)
 
 
-def _raise_in_child(parent):
-    if os.getpid() != parent:
+def _raise_in_child(parent, at):
+    if at == "tile" and os.getpid() != parent:
         raise RuntimeError("tile failed")
 
 
-def _killed_in_child(parent):
-    if os.getpid() != parent:
+def _killed_in_child(parent, at):
+    if at == "tile" and os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _interrupted_parent(parent):
-    if os.getpid() == parent:
+def _interrupted_parent(parent, at):
+    if at == "tile" and os.getpid() == parent:
+        raise KeyboardInterrupt
+
+
+def _encode_raises_in_child(parent, at):
+    if at == "encode" and os.getpid() != parent:
+        raise RuntimeError("encode failed")
+
+
+def _encode_killed_in_child(parent, at):
+    if at == "encode" and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _encode_interrupted_in_parent(parent, at):
+    if at == "encode" and os.getpid() == parent:
         raise KeyboardInterrupt
 
 
@@ -643,6 +721,10 @@ def test_a_child_that_cannot_pin_itself_still_ranks(monkeypatch):
     (_raise_in_child, XmalError, "^eval worker 1 failed: RuntimeError: tile failed$"),
     (_killed_in_child, XmalError, "^eval worker 1 ended without sending its result$"),
     (_interrupted_parent, KeyboardInterrupt, None),
+    # a child fails while it encodes its rows, before its first send
+    (_encode_raises_in_child, XmalError, "^eval worker 1 failed: RuntimeError: encode failed$"),
+    (_encode_killed_in_child, XmalError, "^eval worker 1 ended without sending its result$"),
+    (_encode_interrupted_in_parent, KeyboardInterrupt, None),
 ])
 def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, match, monkeypatch):
     monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, 2 workers
@@ -650,7 +732,7 @@ def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, ma
     _failing_tiles(monkeypatch, fail)
     affinity = os.sched_getaffinity(0)
     with pytest.raises(error, match=match):
-        evaluate(model, _encoded(model, ds), modes=("THA",), threads=2)
+        evaluate(model, ds.items, modes=("THA",), threads=2)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == affinity
