@@ -320,10 +320,13 @@ def _total_steps(cfg: TrainConfig, dataset) -> int:
 def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
     """The model a checkpoint holds: its parameters and dimensions from its
     tensors, its attention settings from its stored train config; also that
-    config and the checkpoint."""
+    config and the checkpoint. An error in either names the checkpoint."""
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
-    return Model.from_tensors(ckpt.tensors, _attention_config(effective)), effective, ckpt
+    try:
+        return Model.from_tensors(ckpt.tensors, _attention_config(effective)), effective, ckpt
+    except (ConfigError, ContractError, DimensionError) as exc:
+        raise type(exc)(f"{ckpt_path}: {exc}") from exc
 
 
 def _check_width(path: str, width: int, model: Model):

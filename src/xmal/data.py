@@ -307,17 +307,20 @@ def write_manifest(path: str, entries: dict[str, object]):
 def load_dataset(path: str) -> Dataset:
     reader = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
     pairs, k, dim, n, m, concepts, seed, sigma, shared = reader.unpack("<IIIIIIQdI")
-    cfg = SynthConfig(
-        pairs=pairs,
-        concept_count=concepts,
-        factor_count=k,
-        embed_dim=dim,
-        text_tokens=n,
-        audio_tokens=m,
-        noise_sigma=sigma,
-        seed=seed,
-        shared_projection=bool(shared),
-    )
+    try:
+        cfg = SynthConfig(
+            pairs=pairs,
+            concept_count=concepts,
+            factor_count=k,
+            embed_dim=dim,
+            text_tokens=n,
+            audio_tokens=m,
+            noise_sigma=sigma,
+            seed=seed,
+            shared_projection=bool(shared),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     reader.align()
     mask = reader.array((pairs, concepts), "u1")
     reader.align()

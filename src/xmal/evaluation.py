@@ -434,9 +434,10 @@ def evaluate(
     text block. Ranking a strip completes its audio_to_text ranks, and adds
     its share to every text item's text_to_audio rank (see `_match_ranks`).
 
-    `threads` caps the processes that encode, score and rank the strips
-    (`_worker_count`: one per usable CPU, and only as many as the estimated
-    tile work pays for). With more than one, workers are forked over
+    `threads` (at least 1, else ContractError, checked with the seed) caps
+    the processes that encode, score and rank the strips (`_worker_count`:
+    one per usable CPU, and only as many as the estimated tile work pays
+    for). With more than one, workers are forked over
     contiguous ranges of strips before anything is encoded, and each
     encodes its own rows (`_forked_ranks`). Encoding a range of rows gives
     the bits of the same rows of a whole-batch encode, and the workers'
@@ -454,6 +455,8 @@ def evaluate(
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")
     check_seed(seed)
+    if threads < 1:
+        raise ContractError(f"evaluate needs threads >= 1, got {threads}")
     _check_ks(ks, size)
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)

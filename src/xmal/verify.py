@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,20 @@ def _spread(rng, *shape):
     return np.sign(rng.normal(size=shape)) * (0.5 + np.abs(rng.normal(size=shape)))
 
 
+def _probed(op, *shapes, positive: bool = False) -> Callable:
+    """A case builder that reads `op` through a fixed probe: its operands,
+    one per shape, drawn in order (their magnitudes with `positive`), then a
+    probe the shape of `op`'s output on them."""
+
+    def build(rng):
+        draws = [_spread(rng, *shape) for shape in shapes]
+        params = [ad.parameter(np.abs(x) if positive else x, f"x{i}") for i, x in enumerate(draws)]
+        probe = _spread(rng, *op(*params).value.shape)
+        return (lambda: ad.reduce_sum(ad.mul(op(*params), probe))), params
+
+    return build
+
+
 def _primitive_cases() -> list[tuple[str, Callable]]:
     """(name, builder) pairs; builder(rng) -> (fn, params) for an FD check.
 
@@ -57,71 +72,8 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
     entry carries a well-conditioned gradient.
     """
 
-    def unary(op, positive: bool = False):
-        def build(rng):
-            base = np.abs(_spread(rng, 5, 4)) if positive else _spread(rng, 5, 4)
-            x = ad.parameter(base, "x")
-            probe = _spread(rng, *op(ad.Tensor(base)).value.shape)
-            return (lambda: ad.reduce_sum(ad.mul(op(x), probe))), [x]
-
-        return build
-
-    def binary(op):
-        def build(rng):
-            x = ad.parameter(_spread(rng, 4, 5), "x")
-            y = ad.parameter(_spread(rng, 4, 5), "y")
-            probe = _spread(rng, 4, 5)
-            return (lambda: ad.reduce_sum(ad.mul(op(x, y), probe))), [x, y]
-
-        return build
-
-    def build_matmul(rng):
-        x = ad.parameter(_spread(rng, 3, 5), "x")
-        y = ad.parameter(_spread(rng, 5, 2), "y")
-        probe = _spread(rng, 3, 2)
-        return (lambda: ad.reduce_sum(ad.mul(ad.matmul(x, y), probe))), [x, y]
-
-    def build_broadcast(rng):
-        x = ad.parameter(_spread(rng, 4, 5), "x")
-        b = ad.parameter(_spread(rng, 5), "b")
-        probe = _spread(rng, 4, 5)
-        return (lambda: ad.reduce_sum(ad.mul(ad.add(x, b), probe))), [x, b]
-
-    def build_slice_rows(rng):
-        x = ad.parameter(_spread(rng, 6, 4), "x")
-        probe = _spread(rng, 3, 4)
-        return (lambda: ad.reduce_sum(ad.mul(ad.slice_rows(x, 2, 5), probe))), [x]
-
-    def build_merge_rows(rng):
-        p = ad.parameter(_spread(rng, 2, 3), "p")
-        x = ad.parameter(_spread(rng, 12, 4), "x")  # 4 groups of 3 rows
-        probe = _spread(rng, 8, 4)
-        return (lambda: ad.reduce_sum(ad.mul(ad.merge_rows(p, x), probe))), [p, x]
-
-    def build_permute(rng):
-        x = ad.parameter(_spread(rng, 2, 3, 4), "x")
-        probe = _spread(rng, 4, 2, 3)
-        return (lambda: ad.reduce_sum(ad.mul(ad.permute(x, (2, 0, 1)), probe))), [x]
-
-    def build_reshape(rng):
-        x = ad.parameter(_spread(rng, 6, 4), "x")
-        probe = _spread(rng, 3, 8)
-        return (lambda: ad.reduce_sum(ad.mul(ad.reshape(x, (3, 8)), probe))), [x]
-
-    def build_sum_axis(rng):
-        x = ad.parameter(_spread(rng, 4, 5), "x")
-        probe = _spread(rng, 1, 5)
-        return (
-            lambda: ad.reduce_sum(ad.mul(ad.reduce_sum(x, axis=0, keepdims=True), probe))
-        ), [x]
-
-    def einsum_case(pattern, *shapes):
-        def build(rng):
-            a, b = (ad.parameter(_spread(rng, *shape), n) for shape, n in zip(shapes, "ab"))
-            probe = _spread(rng, *np.einsum(pattern, a.value, b.value).shape)
-            return (lambda: ad.reduce_sum(ad.mul(ad.einsum(pattern, a, b), probe))), [a, b]
-
-        return build
+    def einsum(pattern, *shapes):
+        return _probed(partial(ad.einsum, pattern), *shapes)
 
     def build_softmax(rng):
         # bounded logits keep all probabilities, hence all gradient entries,
@@ -221,28 +173,28 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         return build
 
     return [
-        ("add", binary(ad.add)),
-        ("sub", binary(ad.sub)),
-        ("mul", binary(ad.mul)),
-        ("div", binary(ad.div)),
-        ("matmul", build_matmul),
-        ("merge_rows", build_merge_rows),
-        ("broadcast_add", build_broadcast),
-        ("transpose", unary(ad.transpose)),
-        ("permute", build_permute),
-        ("reshape", build_reshape),
-        ("slice_rows", build_slice_rows),
-        ("exp", unary(ad.exp)),
-        ("log", unary(ad.log, positive=True)),
-        ("sqrt", unary(ad.sqrt, positive=True)),
-        ("hinge", unary(ad.hinge)),
-        ("sigmoid", unary(ad.sigmoid)),
-        ("sum_axis", build_sum_axis),
-        ("einsum", einsum_case("imd,jnd->ijmn", (2, 3, 4), (5, 3, 4))),
-        ("einsum_vec", einsum_case("bnd,d->bn", (3, 4, 5), (5,))),
+        ("add", _probed(ad.add, (4, 5), (4, 5))),
+        ("sub", _probed(ad.sub, (4, 5), (4, 5))),
+        ("mul", _probed(ad.mul, (4, 5), (4, 5))),
+        ("div", _probed(ad.div, (4, 5), (4, 5))),
+        ("matmul", _probed(ad.matmul, (3, 5), (5, 2))),
+        ("merge_rows", _probed(ad.merge_rows, (2, 3), (12, 4))),  # 4 groups of 3 rows
+        ("broadcast_add", _probed(ad.add, (4, 5), (5,))),
+        ("transpose", _probed(ad.transpose, (5, 4))),
+        ("permute", _probed(lambda x: ad.permute(x, (2, 0, 1)), (2, 3, 4))),
+        ("reshape", _probed(lambda x: ad.reshape(x, (3, 8)), (6, 4))),
+        ("slice_rows", _probed(lambda x: ad.slice_rows(x, 2, 5), (6, 4))),
+        ("exp", _probed(ad.exp, (5, 4))),
+        ("log", _probed(ad.log, (5, 4), positive=True)),
+        ("sqrt", _probed(ad.sqrt, (5, 4), positive=True)),
+        ("hinge", _probed(ad.hinge, (5, 4))),
+        ("sigmoid", _probed(ad.sigmoid, (5, 4))),
+        ("sum_axis", _probed(lambda x: ad.reduce_sum(x, axis=0, keepdims=True), (4, 5))),
+        ("einsum", einsum("imd,jnd->ijmn", (2, 3, 4), (5, 3, 4))),
+        ("einsum_vec", einsum("bnd,d->bn", (3, 4, 5), (5,))),
         # the factor path and the composed DCR oracle
         *(
-            (f"einsum[{pattern}]", einsum_case(pattern, *shapes))
+            (f"einsum[{pattern}]", einsum(pattern, *shapes))
             for pattern, shapes in (
                 ("bd,kwd->bkw", ((3, 6), (2, 3, 6))),
                 ("bkw,bjw->kj", ((4, 3, 2), (4, 3, 2))),
@@ -737,18 +689,15 @@ def oracle_checks() -> list[CheckResult]:
     results.append(
         CheckResult("factor_covariance_vs_direct_sum", float(np.abs(cov - direct).max()), 1e-12)
     )
-    value_gap, grad_gap = _tha_gaps()
-    results.append(CheckResult("tha_kernel_vs_composed", value_gap, 1e-12))
-    results.append(CheckResult("tha_grad_vs_composed", grad_gap, 1e-10))
-    value_gap, grad_gap = _dcr_gaps()
-    results.append(CheckResult("dcr_kernel_vs_composed", value_gap, 1e-12))
-    results.append(CheckResult("dcr_grad_vs_composed", grad_gap, 1e-10))
-    value_gap, grad_gap = _residual_blocks_gaps()
-    results.append(CheckResult("residual_blocks_vs_composed", value_gap, 1e-12))
-    results.append(CheckResult("residual_blocks_grad_vs_composed", grad_gap, 1e-10))
-    value_gap, grad_gap = _factor_stat_gaps()
-    results.append(CheckResult("factor_stats_vs_composed", value_gap, 1e-12))
-    results.append(CheckResult("factor_stats_grad_vs_composed", grad_gap, 1e-10))
+    for value_name, grad_name, gaps in (
+        ("tha_kernel_vs_composed", "tha_grad_vs_composed", _tha_gaps),
+        ("dcr_kernel_vs_composed", "dcr_grad_vs_composed", _dcr_gaps),
+        ("residual_blocks_vs_composed", "residual_blocks_grad_vs_composed", _residual_blocks_gaps),
+        ("factor_stats_vs_composed", "factor_stats_grad_vs_composed", _factor_stat_gaps),
+    ):
+        value_gap, grad_gap = gaps()
+        results.append(CheckResult(value_name, value_gap, 1e-12))
+        results.append(CheckResult(grad_name, grad_gap, 1e-10))
     return results
 
 

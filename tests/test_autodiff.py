@@ -1,6 +1,8 @@
 """Gradient engine: op contracts, independent oracles, FD verification."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +386,37 @@ def test_planted_residual_blocks_gradient_fails_the_difference_check():
         ad.GRAD_OVERRIDES[name] = 1.5
         try:
             assert ad.finite_difference_check(fn, params) > 0.1
+        finally:
+            ad.GRAD_OVERRIDES.clear()
+
+
+def _taped_op_names() -> set[str]:
+    """Every op name the package records on the tape: each `_op="name"`
+    node and each `_binary("name", ...)` elementwise op."""
+    source = "".join(p.read_text(encoding="utf-8") for p in Path(ad.__file__).parent.glob("*.py"))
+    return {a or b for a, b in re.findall(r'_op="(\w+)"|_binary\(\s*"(\w+)"', source)}
+
+
+def test_every_taped_op_has_a_difference_case_that_catches_a_planted_gradient():
+    """Each taped op is reached by some primitive case, and a wrong gradient
+    planted on it fails that case's difference check."""
+    names = _taped_op_names()
+    assert {"add", "sum", "tha_level", "alignment_loss"} <= names  # both forms are scanned
+    reaching = {}
+    for case, build in _primitive_cases():
+        fn, params = build(np.random.default_rng(1000))
+        stack, reached = [fn()], set()
+        while stack:
+            node = stack.pop()
+            reached.add(node._op)
+            stack.extend(node._parents)
+        for op in reached & names:
+            reaching.setdefault(op, (case, fn, params))
+    assert sorted(names - reaching.keys()) == []
+    for op, (case, fn, params) in reaching.items():
+        ad.GRAD_OVERRIDES[op] = 1.5
+        try:
+            assert ad.finite_difference_check(fn, params) > 0.1, (op, case)
         finally:
             ad.GRAD_OVERRIDES.clear()
 

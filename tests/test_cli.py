@@ -921,6 +921,45 @@ def test_stored_config_unknown_key_is_a_config_error(trained, tmp_path, capsys):
         assert err.startswith("error: ") and "unknown key 'bogus'" in err, argv
 
 
+def test_a_dataset_with_a_nan_sigma_is_one_error_line_naming_the_file(trained, tmp_path, capsys):
+    data, ckpt = trained
+    bad = str(tmp_path / "nan.xmal")
+    blob = bytearray(body(open(data, "rb").read()))
+    struct.pack_into("<d", blob, 40, float("nan"))  # after magic, 7 u32s and the u64 seed
+    open(bad, "wb").write(sealed(blob))
+    for argv in (
+        ("eval", "--ckpt", ckpt, "--data", bad, "--modes", "DP", "--k", "1"),
+        ("train", "--data", bad, "--out", str(tmp_path / "r.xckp")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == f"error: {bad}: noise_sigma must be finite, got nan\n", err
+
+
+def _without_conf_b2(ckpt: str, dst: str):
+    model, _, stored = _restore_model(ckpt)
+    del model.params["conf.b2"]
+    trainer.save_checkpoint(dst, model, trainer.Sgd(0.1), stored.step, stored.config_text)
+
+
+def _diagonal_direction(ckpt: str, dst: str):
+    text = trainer.load_checkpoint(ckpt).config_text
+    assert "direction=both\n" in text
+    _with_config_text(ckpt, dst, text.replace("direction=both\n", "direction=diagonal\n"))
+
+
+@pytest.mark.parametrize("write, message", (
+    (_diagonal_direction, "direction must be one of "),
+    (_without_conf_b2, "checkpoint is missing parameter 'conf.b2'"),
+))
+def test_a_checkpoint_content_error_names_the_checkpoint(trained, tmp_path, capsys, write, message):
+    data, ckpt = trained
+    bad = str(tmp_path / "bad.xckp")
+    write(ckpt, bad)
+    code, out, err = run(capsys, "eval", "--ckpt", bad, "--data", data, "--modes", "DP", "--k", "1")
+    assert code == 1 and out == "" and _one_error_line(err), err
+    assert err.startswith(f"error: {bad}: {message}"), err
+
+
 FLOAT_SETTINGS = [
     pytest.param(section, flag, id=f"{section}{flag.name}")
     for section, flags in SETTINGS.items()

@@ -158,11 +158,8 @@ def test_evaluate_rejects_out_of_range_k():
         evaluate(model, _encoded(model, ds), ks=(5,))
 
 
-@pytest.mark.parametrize("seed", (-1, 2**64))
-def test_evaluate_rejects_a_seed_outside_u64_before_scoring(monkeypatch, seed):
-    """The binary report stores the seed as a u64, so one outside it is a
-    ContractError before any tile is scored, not a report that
-    `write_report_binary` then fails on."""
+def _unscorable(monkeypatch):
+    """A model and a 4-pair encoded batch; building a scorer fails the test."""
     cfg = SynthConfig(
         pairs=4, concept_count=8, factor_count=4, embed_dim=16,
         text_tokens=5, audio_tokens=8, seed=5,
@@ -174,8 +171,26 @@ def test_evaluate_rejects_a_seed_outside_u64_before_scoring(monkeypatch, seed):
         raise AssertionError("scored")
 
     monkeypatch.setattr(Model, "strip_scorer", unscored)
+    return model, encoded
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_evaluate_rejects_a_seed_outside_u64_before_scoring(monkeypatch, seed):
+    """The binary report stores the seed as a u64, so one outside it is a
+    ContractError before any tile is scored, not a report that
+    `write_report_binary` then fails on."""
+    model, encoded = _unscorable(monkeypatch)
     with pytest.raises(ContractError, match=f"--seed must fit in u64, got {seed}"):
         evaluate(model, encoded, modes=("DP",), ks=(1,), seed=seed)
+
+
+@pytest.mark.parametrize("threads", (0, -1))
+def test_evaluate_rejects_threads_below_one_before_scoring(monkeypatch, threads):
+    """`_worker_count` would run a count below one as one process; the
+    caller asked for no process at all, so it is a ContractError."""
+    model, encoded = _unscorable(monkeypatch)
+    with pytest.raises(ContractError, match=f"threads >= 1, got {threads}"):
+        evaluate(model, encoded, modes=("DP",), ks=(1,), threads=threads)
 
 
 def test_report_files_round_trip_text_and_binary(tmp_path):
