@@ -268,4 +268,4 @@ def global_similarity_matrix(a_globals: Tensor, t_globals: Tensor) -> Tensor:
     """All-pairs cosine of pooled vectors: (B, D) x (B, D) -> (B, B)."""
     an = ad.normalize_rows(a_globals)
     tn = ad.normalize_rows(t_globals)
-    return ad.matmul(an, ad.transpose(tn))
+    return ad.matmul(an, ad.permute(tn, (1, 0)))

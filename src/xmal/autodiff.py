@@ -81,11 +81,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(op={self._op}, shape={self.value.shape}{tag})"
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
 
 def parameter(value, name: str) -> Tensor:
     """A named trainable leaf."""
@@ -178,37 +173,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, _op="matmul", _parents=(a, b), _backward=backward)
 
 
-def merge_rows(p, x) -> Tensor:
-    """Apply the (r, m) map p to each consecutive group of m rows of x:
-    (p @ x.reshape(B, m, D)).reshape(B * r, D). The value of
-    matmul(kron(eye(B), p), x) without building that (B*r, B*m) matrix."""
-    p, x = as_tensor(p), as_tensor(x)
-    if p.value.ndim != 2 or x.value.ndim != 2 or p.value.shape[1] < 1:
-        raise DimensionError(
-            f"merge_rows needs (r,m) and (B*m,D); got {p.value.shape} and {x.value.shape}"
-        )
-    (r, m), (rows, dim) = p.value.shape, x.value.shape
-    if rows % m != 0:
-        raise DimensionError(f"merge_rows: {rows} rows do not split into groups of {m}")
-    b = rows // m
-    x3 = x.value.reshape(b, m, dim)
-    out = (p.value @ x3).reshape(b * r, dim)
-
-    def backward(g):
-        g3 = g.reshape(b, r, dim)
-        gp = np.einsum("brd,bmd->rm", g3, x3) if p.requires_grad else None
-        return gp, (p.value.T @ g3).reshape(rows, dim)
-
-    return Tensor(out, _op="merge_rows", _parents=(p, x), _backward=backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.value.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.value.shape}")
-    return Tensor(a.value.T, _op="transpose", _parents=(a,), _backward=lambda g: (g.T,))
-
-
 def permute(a, axes: tuple) -> Tensor:
     a = as_tensor(a)
     inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
@@ -221,13 +185,10 @@ def permute(a, axes: tuple) -> Tensor:
 
 def reshape(a, shape: tuple) -> Tensor:
     a = as_tensor(a)
-    out = a.value.reshape(shape)
     orig = a.value.shape
-
-    def backward(g):
-        return (g.reshape(orig),)
-
-    return Tensor(out, _op="reshape", _parents=(a,), _backward=backward)
+    return Tensor(
+        a.value.reshape(shape), _op="reshape", _parents=(a,), _backward=lambda g: (g.reshape(orig),)
+    )
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
@@ -290,9 +251,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = a.value.shape
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, in_shape).copy(),)
 
@@ -308,12 +267,10 @@ def _parse_einsum(pattern: str) -> tuple[str, str, str]:
     for subs in (in1, in2, out):
         if len(set(subs)) != len(subs):
             raise ContractError(f"repeated index within one operand: {pattern!r}")
-    for idx in in1:
-        if idx not in out and idx not in in2:
-            raise ContractError(f"index {idx!r} of first operand unmatched in {pattern!r}")
-    for idx in in2:
-        if idx not in out and idx not in in1:
-            raise ContractError(f"index {idx!r} of second operand unmatched in {pattern!r}")
+    for which, subs, other in (("first", in1, in2), ("second", in2, in1)):
+        for idx in subs:
+            if idx not in out and idx not in other:
+                raise ContractError(f"index {idx!r} of {which} operand unmatched in {pattern!r}")
     return in1, in2, out
 
 
@@ -336,8 +293,8 @@ def residual_blocks(x, w, b, lo: int, hi: int, merge=None) -> Tensor:
     """Blocks lo..hi-1 of a residual stack as one op: for each l,
     x <- x + relu(x @ w[l] + b[l]), with (L, D, D) weight and (L, D) bias
     banks w and b and (rows, D) x. With `merge = (p, m, k)`, x first becomes
-    merge_rows(p, x) @ m[k]: the constant (r, n) map p applied to each group
-    of n rows, then slice k of the (S, D, D) bank m.
+    kron(eye(rows / n), p) @ x @ m[k], never building the kron: the constant
+    (r, n) map p applied to each group of n rows, then slice k of the bank m.
 
     The backward is closed form from each block's input and ReLU mask,
     which are kept only while a tape records. The ReLU stage honours
@@ -435,16 +392,11 @@ FRESH = Workspace(reuse=False)
 # -- composed helpers -------------------------------------------------------
 
 
-def guard_min(x, floor: float) -> Tensor:
-    """max(x, floor) built from hinge, so the guard is differentiable."""
-    return add(hinge(sub(x, floor)), floor)
-
-
 def guarded_norm(x, axis=None, keepdims: bool = False) -> Tensor:
     """max(||x||_2, EPS) along `axis`. The floor is applied to the sum of
     squares before the root so the gradient stays finite at zero vectors."""
     sumsq = reduce_sum(mul(x, x), axis=axis, keepdims=keepdims)
-    return sqrt(guard_min(sumsq, EPS * EPS))
+    return sqrt(add(hinge(sub(sumsq, EPS * EPS)), EPS * EPS))
 
 
 def guarded_root(sumsq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -529,13 +481,10 @@ def gradients(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
             acc = table.get(p._id)
             table[p._id] = pg if acc is None else acc + pg
 
-    result: dict[str, np.ndarray] = {}
-    for p in params:
-        g = table.get(p._id)
-        if g is None:
-            g = np.zeros_like(p.value)
-        result[p.name or f"param{p._id}"] = g
-    return result
+    return {
+        p.name or f"param{p._id}": table[p._id] if p._id in table else np.zeros_like(p.value)
+        for p in params
+    }
 
 
 def finite_difference_check(

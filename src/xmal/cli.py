@@ -18,7 +18,9 @@ and `eval` encodes it in its workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import os
 import sys
 from typing import NamedTuple
@@ -285,7 +287,8 @@ def cmd_train(args) -> int:
     start_step, optimizer = 0, None
     if ckpt is not None:
         optimizer = trainer.make_optimizer(train_cfg)
-        optimizer.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
+        with _naming(values["resume"]):
+            optimizer.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
         start_step = ckpt.step
 
     stamp = config_hash("train", effective)
@@ -317,16 +320,23 @@ def _total_steps(cfg: TrainConfig, dataset) -> int:
     return (len(dataset) // cfg.batch_size) * cfg.epochs
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix `path` to a content error raised inside, keeping its type."""
+    try:
+        yield
+    except (ConfigError, ContractError, DimensionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
     """The model a checkpoint holds: its parameters and dimensions from its
     tensors, its attention settings from its stored train config; also that
     config and the checkpoint. An error in either names the checkpoint."""
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
-    try:
+    with _naming(ckpt_path):
         return Model.from_tensors(ckpt.tensors, _attention_config(effective)), effective, ckpt
-    except (ConfigError, ContractError, DimensionError) as exc:
-        raise type(exc)(f"{ckpt_path}: {exc}") from exc
 
 
 def _check_width(path: str, width: int, model: Model):
@@ -340,6 +350,8 @@ def _loaded_input(
     """The items that `command` reads: the embedding set at `embeddings`,
     else the pairs of the dataset at `data`, checked against the model's
     width and for holding an item."""
+    if data and embeddings:
+        raise ConfigError(f"{command} takes --data or --embeddings, not both")
     path = embeddings or data
     if not path:
         raise ConfigError(f"{command} needs --data or --embeddings")
@@ -382,6 +394,9 @@ def cmd_eval(args) -> int:
         ks = tuple(int(x) for x in values["k"].split(","))
     except ValueError as e:
         raise ConfigError(f"--k must be comma-separated integers, got {values['k']!r}") from e
+    for flag, entries in (("--modes", modes), ("--k", ks)):
+        if repeated := [x for i, x in enumerate(entries) if x in entries[:i]]:
+            raise ConfigError(f"{flag} lists {repeated[0]} more than once")
     seed = values["seed"]
     evaluation.check_seed(seed)  # before the input is read
     resolved = {
@@ -492,52 +507,48 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-def _argument(flag: Flag) -> tuple[str, dict]:
-    """The add_argument call that declares `flag`; unset flags parse as None."""
+def _argument(flag: Flag) -> dict:
+    """The add_argument keywords that declare `flag`; unset flags parse as None."""
     if flag.type is bool:
         kwargs = dict(action="store_const", const=True)
     else:
         kwargs = dict(type=flag.type, choices=flag.choices)
     kwargs.update(dest=flag.dest, help=flag.help)
-    return flag.name, {key: value for key, value in kwargs.items() if value is not None}
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _command(name: str, help_text: str, section: str, func, keys=None) -> tuple:
-    """A subcommand with the add_argument calls of its section's flags (of
-    those in `keys`, if given), worked out once per process because `main`
-    builds a parser on every call."""
-    flags = [flag for flag in (THREADS, *SETTINGS[section]) if keys is None or flag.dest in keys]
-    return name, help_text, section, func, tuple(_argument(flag) for flag in flags)
-
-
+# name, help, config section, function, and the section's keys it takes (None: all)
 COMMANDS = (
-    _command("gen-data", "generate a synthetic paired dataset", "data", cmd_gen_data),
-    _command("train", "train on a generated dataset", "train", cmd_train),
-    _command("eval", "retrieval metrics from a checkpoint", "eval", cmd_eval),
-    _command("sim", "score breakdown for one audio/text item pair", "sim", cmd_sim),
+    ("gen-data", "generate a synthetic paired dataset", "data", cmd_gen_data, None),
+    ("train", "train on a generated dataset", "train", cmd_train, None),
+    ("eval", "retrieval metrics from a checkpoint", "eval", cmd_eval, None),
+    ("sim", "score breakdown for one audio/text item pair", "sim", cmd_sim, None),
     *(
-        _command(name, "finite-difference, oracle and invariant self-checks", "verify", cmd_verify)
+        (name, "finite-difference, oracle and invariant self-checks", "verify", cmd_verify, None)
         for name in ("grad-check", "verify")
     ),
-    _command(
+    (
         "export-embeddings", "write encoder outputs to an embedding container", "eval",
-        cmd_export_embeddings, keys=("threads", "ckpt", "data", "out"),
+        cmd_export_embeddings, ("threads", "ckpt", "data", "out"),
     ),
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `xmal` parser, built once per process and shared, so never changed."""
     parser = argparse.ArgumentParser(
         prog="xmal",
         description="Cross-modal alignment toolbox: synthetic data, training, retrieval "
         "evaluation, score breakdowns, and numeric self-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, section, func, arguments in COMMANDS:
+    for name, help_text, section, func, keys in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for flag_name, kwargs in arguments:
-            p.add_argument(flag_name, **kwargs)
+        for flag in (THREADS, *SETTINGS[section]):
+            if keys is None or flag.dest in keys:
+                p.add_argument(flag.name, **_argument(flag))
         p.set_defaults(func=func, section=section)
     return parser
 

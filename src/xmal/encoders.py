@@ -63,9 +63,9 @@ def encode_text_batch(tokens: np.ndarray, params: dict[str, Tensor]) -> tuple[li
     lo = 0
     for hi in TEXT_TAPS:
         x = ad.residual_blocks(x, params["text.w"], params["text.b"], lo, hi)
-        taps.append(x.reshape(b, n, dim))
+        taps.append(ad.reshape(x, (b, n, dim)))
         lo = hi
-    x3 = x.reshape(b, n, dim)
+    x3 = ad.reshape(x, (b, n, dim))
     scores = ad.einsum("bnd,d->bn", x3, params["text.readout"])
     attn = ad.row_softmax(scores, 1.0)
     pooled = ad.einsum("bn,bnd->bd", attn, x3)
@@ -92,6 +92,6 @@ def encode_audio_batch(frames: np.ndarray, params: dict[str, Tensor]) -> tuple[l
         x = ad.residual_blocks(x, params["audio.w"], params["audio.b"], lo, lo + n_blocks, merge)
         lo += n_blocks
         if stage > 0:
-            taps.append(x.reshape(b, tokens_now, dim))
-    pooled = ad.reduce_sum(ad.mul(x.reshape(b, tokens_now, dim), 1.0 / tokens_now), axis=1)
+            taps.append(ad.reshape(x, (b, tokens_now, dim)))
+    pooled = ad.reduce_sum(ad.mul(ad.reshape(x, (b, tokens_now, dim)), 1.0 / tokens_now), axis=1)
     return taps, pooled

@@ -178,9 +178,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("mul", _probed(ad.mul, (4, 5), (4, 5))),
         ("div", _probed(ad.div, (4, 5), (4, 5))),
         ("matmul", _probed(ad.matmul, (3, 5), (5, 2))),
-        ("merge_rows", _probed(ad.merge_rows, (2, 3), (12, 4))),  # 4 groups of 3 rows
         ("broadcast_add", _probed(ad.add, (4, 5), (5,))),
-        ("transpose", _probed(ad.transpose, (5, 4))),
         ("permute", _probed(lambda x: ad.permute(x, (2, 0, 1)), (2, 3, 4))),
         ("reshape", _probed(lambda x: ad.reshape(x, (3, 8)), (6, 4))),
         ("slice_rows", _probed(lambda x: ad.slice_rows(x, 2, 5), (6, 4))),
@@ -346,7 +344,7 @@ def composed_factor_pair_similarity(
     (K, B_a, 1, h) + (K, 1, B_t, h)."""
     t, a = ad.as_tensor(text), ad.as_tensor(audio)
     (bt, k, d), ba = t.value.shape, a.value.shape[0]
-    w1 = ad.transpose(params["conf.w1"])  # (2d, h): text rows, then audio rows
+    w1 = ad.permute(params["conf.w1"], (1, 0))  # (2d, h): text rows, then audio rows
     h = w1.value.shape[1]
     pre_t = ad.einsum("bkd,dh->kbh", t, ad.slice_rows(w1, 0, d))
     pre_a = ad.add(ad.einsum("bkd,dh->kbh", a, ad.slice_rows(w1, d, 2 * d)), params["conf.b1"])
@@ -361,12 +359,13 @@ def _bank_slice(bank: ad.Tensor, l: int) -> ad.Tensor:
 
 
 def composed_residual_blocks(x, w, b, lo: int, hi: int, merge=None) -> ad.Tensor:
-    """`autodiff.residual_blocks` composed from primitives, one
-    add(x, hinge(add(matmul(x, w_l), b_l))) chain per block, with the entry
-    merge as merge_rows and a matmul: the oracle of the fused op."""
+    """`autodiff.residual_blocks` composed from primitives: the oracle of the
+    fused op. The entry merge is a matmul by the dense kron(eye(groups),
+    pair_map), then by m[k]; each block is add(x, hinge(add(matmul(x, w_l), b_l)))."""
     if merge is not None:
         pair_map, m, k = merge
-        x = ad.matmul(ad.merge_rows(ad.Tensor(pair_map), x), _bank_slice(m, k))
+        groups = ad.as_tensor(x).value.shape[0] // pair_map.shape[1]
+        x = ad.matmul(ad.matmul(np.kron(np.eye(groups), pair_map), x), _bank_slice(m, k))
     for l in range(lo, hi):
         x = ad.add(x, ad.hinge(ad.add(ad.matmul(x, _bank_slice(w, l)), _bank_slice(b, l))))
     return x

@@ -259,7 +259,7 @@ def test_no_grad_records_no_parents_and_keeps_node_ids():
     with ad.no_grad():
         first = next(ad._node_ids)
         y = ad.reduce_sum(ad.mul(ad.slice_rows(x, 1, 3), 2.0))
-        z = ad.normalize_rows(ad.matmul(x, ad.transpose(x)))
+        z = ad.normalize_rows(ad.matmul(x, ad.permute(x, (1, 0))))
         leaf = ad.parameter(np.ones(2), "leaf")
     for t in (y, z):
         assert t._parents == () and t._backward is None and not t.requires_grad
@@ -303,13 +303,6 @@ def test_slice_rows_value_gradient_and_bounds():
     for start, stop in ((2, 2), (-1, 2), (0, 5)):
         with pytest.raises(DimensionError):
             ad.slice_rows(x, start, stop)
-
-
-def test_merge_rows_rejects_bad_shapes():
-    with pytest.raises(DimensionError):
-        ad.merge_rows(np.ones((2, 3)), np.ones((7, 4)))  # 7 rows are not groups of 3
-    with pytest.raises(DimensionError):
-        ad.merge_rows(np.ones((2, 3, 1)), np.ones((6, 4)))
 
 
 def test_workspace_grows_never_shrinks_and_fresh_never_reuses():

@@ -1,5 +1,6 @@
 """Command-line surface: flags, config files, output stamping, exit codes."""
 
+import argparse
 import os
 import re
 import struct
@@ -10,7 +11,7 @@ import oracle
 import pytest
 
 from containers import body, sealed
-from xmal import attention, autodiff as ad, evaluation, trainer, verify
+from xmal import attention, autodiff as ad, cli, evaluation, trainer, verify
 from xmal.autodiff import Tensor
 from xmal.attention import AttentionConfig
 from xmal.cli import KEY_TYPES, SETTINGS, TRAIN_DEFAULTS, _encoded_input, _restore_model, main
@@ -166,7 +167,7 @@ def test_resume_from_a_checkpoint_without_adam_state_is_one_error_line(trained, 
     resumed = tmp_path / "r.xckp"
     code, out, err = run(capsys, "train", "--data", data, "--out", str(resumed), "--resume", bad)
     assert code == 1
-    assert _one_error_line(err) and "'opt.t'" in err, err
+    assert err == f"error: {bad}: the adam optimizer state has no 'opt.t' tensor\n", err
     assert not resumed.exists()
 
 
@@ -187,6 +188,19 @@ def test_eval_mode_direction_cardinality(trained, capsys):
     lines = [l for l in out.splitlines() if " size=" in l]
     assert len(lines) == 8  # 4 modes x 2 directions
     assert all("r@1=" in l and "r@10=" in l for l in lines)
+
+
+@pytest.mark.parametrize("flag, value, repeated", (
+    ("--modes", "DP,THA,DP", "DP"), ("--k", "1,5,1", "1"), ("--k", "5,05", "5"),
+))
+def test_eval_refuses_a_repeated_mode_or_rank(trained, tmp_path, capsys, flag, value, repeated):
+    data, ckpt = trained
+    out = tmp_path / "r"
+    code, stdout, err = run(capsys, "eval", "--ckpt", ckpt, "--data", data, flag, value,
+                            "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {flag} lists {repeated} more than once\n", err
+    assert not (tmp_path / "r.txt").exists() and not (tmp_path / "r.xrpt").exists()
 
 
 def test_eval_missing_checkpoint_fails(tmp_path, capsys, trained):
@@ -385,6 +399,33 @@ def test_sim_self_pair_identical_embeddings_dp_is_one(trained, tmp_path, capsys)
     assert abs(dp - 1.0) < 1e-12
 
 
+def _random_embeddings(path: str, dim: int, seed: int) -> str:
+    """Write a 3-item embedding set of width `dim` at `path`."""
+    rng = np.random.default_rng(seed)
+    save_embeddings(EncodedBatch(
+        audio_levels=[Tensor(rng.normal(size=(3, c, dim))) for c in (4, 2, 1)],
+        audio_global=Tensor(rng.normal(size=(3, dim))),
+        text_levels=[Tensor(rng.normal(size=(3, c, dim))) for c in (5, 3, 2)],
+        text_global=Tensor(rng.normal(size=(3, dim))),
+    ), path)
+    return path
+
+
+def test_eval_and_sim_refuse_data_together_with_embeddings(trained, tmp_path, capsys):
+    """Each command reads one input; given both, it names both flags and
+    reads neither, here a 24-pair dataset and a 3-item embedding set."""
+    data, ckpt = trained
+    epath = _random_embeddings(str(tmp_path / "three.xemb"), 16, seed=4)
+    for argv in (
+        ("eval", "--ckpt", ckpt, "--modes", "DP", "--k", "1", "--out", str(tmp_path / "r")),
+        ("sim", "--ckpt", ckpt, "--item-a", "0", "--item-b", "1"),
+    ):
+        code, out, err = run(capsys, *argv, "--data", data, "--embeddings", epath)
+        assert (code, out) == (1, ""), argv
+        assert err == f"error: {argv[0]} takes --data or --embeddings, not both\n", err
+    assert list(tmp_path.iterdir()) == [tmp_path / "three.xemb"]
+
+
 def test_eval_on_an_empty_embedding_set_is_a_contract_error(trained, tmp_path, capsys):
     _, ckpt = trained
     dim = 16
@@ -412,14 +453,7 @@ def test_an_input_of_another_width_is_one_error_in_every_command(trained, tmp_pa
     the input, its width and the checkpoint's."""
     _, ckpt = trained  # D=16
     data = gen(tmp_path, capsys, "wide.xmal", **{"--D": "32"})
-    rng = np.random.default_rng(2)
-    epath = str(tmp_path / "wide.xemb")
-    save_embeddings(EncodedBatch(
-        audio_levels=[Tensor(rng.normal(size=(3, c, 32))) for c in (4, 2, 1)],
-        audio_global=Tensor(rng.normal(size=(3, 32))),
-        text_levels=[Tensor(rng.normal(size=(3, c, 32))) for c in (5, 3, 2)],
-        text_global=Tensor(rng.normal(size=(3, 32))),
-    ), epath)
+    epath = _random_embeddings(str(tmp_path / "wide.xemb"), 32, seed=2)
     written = str(tmp_path / "out.xemb")
     pair = ("--item-a", "0", "--item-b", "1")
     for path, argv in (
@@ -696,7 +730,24 @@ def test_grad_check_passes_and_prints_worst_errors(capsys):
     assert code == 0, err
     assert "h=1e-05" in out
     assert "status=PASS" in out
-    assert "all" in out and "passed" in out
+    passed = re.findall(r"^all (\d+) checks passed$", out, re.MULTILINE)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"(\d+) checks in all", " ".join(readme.split()))
+    assert len(passed) == 1 and stated == passed, (passed, stated)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw),
+    )
+    cli.build_parser.cache_clear()
+    for command in ("eval", "sim"):
+        code, out, err = run(capsys, command)
+        assert code == 1 and err.startswith(f"error: {command} needs --ckpt"), err
+    assert built.count("xmal") == 1 and len(built) == 1 + len(cli.COMMANDS)  # and its subparsers
 
 
 def test_grad_check_flag_overrides_echoed(capsys):
