@@ -68,16 +68,7 @@ class Flag(NamedTuple):
         return self.key or self.name[2:].replace("-", "_")
 
 
-THREADS = Flag(
-    "--threads", int,
-    "eval: rank in up to N processes (default: one per CPU), at most one per usable CPU "
-    "and only as many as the work pays for, never changing results; other commands: "
-    "checked only",
-    default=os.cpu_count() or 1,
-)
-
-# config section -> its settings; every command of a section also takes
-# --threads, and `[eval]` also serves `export-embeddings`
+# config section -> its settings; `[eval]` also serves `export-embeddings`
 SETTINGS: dict[str, tuple[Flag, ...]] = {
     "data": (
         Flag("--out", help="dataset file to write"),
@@ -128,6 +119,12 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--out", help="eval: report prefix, writes <out>.txt and <out>.xrpt; "
              "export-embeddings: embedding container to write"),
         Flag("--seed", int, default=0),
+        Flag(
+            "--threads", int,
+            "rank in up to N processes (default: one per CPU), at most one per usable CPU "
+            "and only as many as the work pays for, never changing results",
+            default=os.cpu_count() or 1,
+        ),
     ),
     "sim": (
         Flag("--ckpt"),
@@ -145,7 +142,7 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
 
 # section -> key -> type, for config files and stored train configs
 KEY_TYPES = {
-    section: {flag.dest: flag.type for flag in (THREADS, *flags)}
+    section: {flag.dest: flag.type for flag in flags}
     for section, flags in SETTINGS.items()
 }
 
@@ -170,7 +167,7 @@ def _given_settings(args) -> dict:
     """The settings that the command's section of the --config file and its
     flags set, flags overriding the file."""
     given = parse_config_file(args.config, KEY_TYPES).get(args.section, {}) if args.config else {}
-    for flag in (THREADS, *SETTINGS[args.section]):
+    for flag in SETTINGS[args.section]:
         flag_value = getattr(args, flag.dest, None)  # export-embeddings lacks some [eval] flags
         if flag_value is not None:
             given[flag.dest] = flag_value
@@ -181,7 +178,7 @@ def _given_settings(args) -> dict:
 
 def _config_section(args) -> dict:
     """The command's settings: their defaults, overridden by the given ones."""
-    flags = (THREADS, *SETTINGS[args.section])
+    flags = SETTINGS[args.section]
     defaults = {flag.dest: flag.default for flag in flags if flag.default is not None}
     return {**defaults, **_given_settings(args)}
 
@@ -265,7 +262,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --data and --out")
     dataset = load_dataset(values["data"])
 
-    skip = ("data", "out", "log", "resume", "threads")  # paths and execution knobs
+    skip = ("data", "out", "log", "resume")  # paths
     ckpt = None
     if values.get("resume"):
         model, effective, ckpt = _restore_model(values["resume"])
@@ -288,7 +285,8 @@ def cmd_train(args) -> int:
     if ckpt is not None:
         optimizer = trainer.make_optimizer(train_cfg)
         with _naming(values["resume"]):
-            optimizer.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
+            state = {k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")}
+            optimizer.load_state(state, model.params)
         start_step = ckpt.step
 
     stamp = config_hash("train", effective)
@@ -529,7 +527,7 @@ COMMANDS = (
     ),
     (
         "export-embeddings", "write encoder outputs to an embedding container", "eval",
-        cmd_export_embeddings, ("threads", "ckpt", "data", "out"),
+        cmd_export_embeddings, ("ckpt", "data", "out"),
     ),
 )
 
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, section, func, keys in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for flag in (THREADS, *SETTINGS[section]):
+        for flag in SETTINGS[section]:
             if keys is None or flag.dest in keys:
                 p.add_argument(flag.name, **_argument(flag))
         p.set_defaults(func=func, section=section)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import math
+import mmap
 import os
 import pickle
 import signal
@@ -22,6 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .data import Pairs
+from .encoders import TEXT_TAPS
 from .errors import ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
 from .objective import mode_components
@@ -32,11 +35,11 @@ REPORT_VERSION = 1
 PROTOCOL_NOTE = "one_caption_per_audio"
 TILE = 64  # items per side of a THA or DCR score tile
 # The estimated serial cost of one TILE x TILE tile per component, and the
-# tile work each forked eval worker must get to pay for its fork and the
-# exchange (about 5 ms), in ms on 2 cores with 1 BLAS thread. With them, 2
-# workers won where the rule forks (THA 128 pairs -12%, DCR 512 -23%, DP
-# 2048 -13%), and eval stays in one process where forking lost (DP 256 pairs
-# +38%, DP 1024 +18%, DCR 192 +10%).
+# tile work each forked eval worker must get to pay for its fork and its
+# barriers (about 6 ms at 256 pairs), in ms on 2 cores with 1 BLAS thread.
+# With them, 2 workers won where the rule forks (THA 128 pairs -12%, DCR 512
+# -23%, DP 2048 -13%), and eval stays in one process where forking lost (DP
+# 256 pairs +38%, DP 1024 +18%, DCR 192 +10%).
 TILE_MS = {"DP": 0.08, "THA": 7.0, "DCR": 1.5}
 WORKER_MIN_MS = 14.0
 
@@ -170,66 +173,73 @@ def _worker_count(threads: int, strips: int, components) -> int:
     return max(1, min(threads, len(os.sched_getaffinity(0)), strips, int(work // WORKER_MIN_MS)))
 
 
-def _encode(model: Model, source: EncodedBatch | Pairs, rows: slice) -> EncodedBatch:
-    """Rows `rows` of `source` as a batch: an embedding set's rows, or a
-    dataset's pairs encoded by `model` in one call."""
+@dataclass
+class _Shared:
+    """What each eval worker reads of the others' work, as arrays over one
+    anonymous shared mapping made before any fork (`_shared`)."""
+
+    text: list[np.ndarray]  # the encoded text globals (B, D), then levels (B, N, D) if THA scores
+    matched: dict[str, np.ndarray]  # component -> its (B,) matched scores
+
+
+def _shared(source: EncodedBatch | Pairs, size: int, components) -> _Shared:
+    """Zeroed `_Shared` arrays for the `size` rows of `source`. Only THA reads
+    the text levels. The text stream never merges tokens, so each of its
+    levels is shaped like its input, known before anything is encoded."""
     if isinstance(source, EncodedBatch):
-        return source.rows(rows, rows)
-    return model.encode_arrays(source.audio[rows], source.text[rows])
+        text = [x.value.shape[1:] for x in (source.text_global, *source.text_levels)]
+    else:
+        text = [source.text.shape[2:], *[source.text.shape[1:]] * len(TEXT_TAPS)]
+    shapes = [(size, *s) for s in (text if "THA" in components else text[:1])]
+    split = len(shapes)
+    shapes += [(size,)] * len(components)
+    counts = [math.prod(shape) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(counts)), np.float64)
+    ends = np.cumsum(counts)
+    arrays = [flat[end - n : end].reshape(shape) for shape, n, end in zip(shapes, counts, ends)]
+    return _Shared(arrays[:split], dict(zip(components, arrays[split:])))
 
 
-def _joined(shares) -> list[np.ndarray]:
-    """The workers' text rows, in worker order, joined into whole-batch
-    arrays."""
-    return [parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*shares)]
-
-
-def _worker_scorers(model: Model, source, own: range, blocks: list[slice], components, exchange):
-    """A worker's scorers: it encodes the own strips' rows of `source` in one
-    call, and `exchange` trades their text rows for every worker's: the
-    text globals, and the text levels if THA scores (only THA reads them).
-    Each component's scorer (`Model.strip_scorer`) then holds the own audio
-    rows and every text row as it needs them."""
-    rows = slice(blocks[own[0]].start, blocks[own[-1]].stop)
-    mine = _encode(model, source, rows)
-    text = [mine.text_global, *(mine.text_levels if "THA" in components else ())]
-    every = exchange([x.value for x in text], _joined)
-    encoded = EncodedBatch(
-        audio_levels=mine.audio_levels,
-        audio_global=mine.audio_global,
-        text_levels=[Tensor(x) for x in every[1:]],
-        text_global=Tensor(every[0]),
-    )
-    return {c: model.strip_scorer(encoded, c, blocks, rows.start) for c in components}
-
-
-def _rank_strips(model: Model, source, parts: dict, blocks: list[slice], own: range, exchange):
+def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own: range, barrier):
     """One worker's share of `evaluate`: the strips `own`, a contiguous range
-    of indices into `blocks`, of every mode, in three steps.
-    1. It encodes the own strips' rows of `source` and trades their text
-       rows for every text row (`_worker_scorers`).
-    2. Each component scores the diagonal tiles (a, a) of the own strips,
-       which are kept. `exchange` takes their diagonals, {component: {strip:
-       scores}}, and returns each component's matched scores over all rows.
-       A mode's matched scores are the sum of its components'.
+    of indices into `blocks`, of every mode, in three steps that `barrier()`
+    separates; it returns once every worker has called it.
+    1. It encodes the own strips' rows of `source` in one call (an encoded
+       batch's rows are taken as they are) and copies their text rows into
+       `shared`, keeping only their audio rows.
+    2. Each component's scorer (`Model.strip_scorer`) holds the own audio
+       rows and views of every text row. It scores the diagonal tiles
+       (a, a) of the own strips, which are kept, and writes their diagonals
+       into its matched scores in `shared`. A mode's matched scores are the
+       sum of its components'.
     3. Each own strip of audio rows is built against every text block from
        its tiles, the kept diagonal tile included; each mode sums its
        components' strips in order into one reused buffer and ranks it.
-    `exchange(share, combine)` returns `combine` of every worker's share, in
-    worker order. Returns {mode: {direction: ranks}}: the own rows' complete
+    Returns {mode: {direction: ranks}}: the own rows' complete
     audio_to_text ranks (0 elsewhere) and the own strips' share of every
     text_to_audio rank, so the workers' ranks add up to the whole batch's."""
     size = blocks[-1].stop
-    components = dict.fromkeys(c for comps in parts.values() for c in comps)
-    scorers = _worker_scorers(model, source, own, blocks, components, exchange)
+    rows = slice(blocks[own[0]].start, blocks[own[-1]].stop)
+    if isinstance(source, EncodedBatch):
+        mine = source.rows(rows, rows)
+    else:
+        mine = model.encode_arrays(source.audio[rows], source.text[rows])
+    for whole, part in zip(shared.text, [mine.text_global, *mine.text_levels]):
+        whole[rows] = part.value
+    mine.text_global, *mine.text_levels = (Tensor(x) for x in shared.text)
+    barrier()
+    scorers = {c: model.strip_scorer(mine, c, blocks, rows.start) for c in shared.matched}
+    del mine
     diagonal = {c: {n: strip(blocks[n])(blocks[n]) for n in own} for c, strip in scorers.items()}
-    matched = exchange(
-        {c: {n: np.diagonal(t) for n, t in d.items()} for c, d in diagonal.items()},
-        functools.partial(_matched, blocks),
-    )
-    match = {m: _mode_sum([matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()}
+    for c, tiles in diagonal.items():
+        for n, tile in tiles.items():
+            shared.matched[c][blocks[n]] = np.diagonal(tile)
+    barrier()
+    match = {
+        m: _mode_sum([shared.matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()
+    }
     ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in parts}
-    rows = {c: np.empty((blocks[0].stop, size)) for c in scorers}
+    strips = {c: np.empty((blocks[0].stop, size)) for c in scorers}
     total = np.empty((blocks[0].stop, size))  # pages are touched only by multi-component modes
     for n in own:
         a = blocks[n]
@@ -237,23 +247,11 @@ def _rank_strips(model: Model, source, parts: dict, blocks: list[slice], own: ra
         for c, strip in scorers.items():
             tile = strip(a)
             for m, t in enumerate(blocks):
-                rows[c][:height, t] = diagonal[c][n] if m == n else tile(t)
+                strips[c][:height, t] = diagonal[c][n] if m == n else tile(t)
         for mode, comps in parts.items():
-            s = _mode_sum([rows[c][:height] for c in comps], total[:height])
+            s = _mode_sum([strips[c][:height] for c in comps], total[:height])
             _rank_strip(s, a, match[mode], ranks[mode])
     return ranks
-
-
-def _matched(blocks: list[slice], shares) -> dict[str, np.ndarray]:
-    """Each component's matched scores over all rows, put together by slice
-    assignment from the workers' diagonals, {component: {strip: scores}}."""
-    out: dict[str, np.ndarray] = {}
-    for share in shares:
-        for c, diagonals in share.items():
-            whole = out.setdefault(c, np.empty(blocks[-1].stop))
-            for n, scores in diagonals.items():
-                whole[blocks[n]] = scores
-    return out
 
 
 def _send(f: BinaryIO, obj):
@@ -279,16 +277,18 @@ class _Child:
             raise XmalError(f"eval worker {self.number} failed: {body}")
         return body
 
-    def send(self, obj):
+    def release(self):
+        """Let the child past the barrier it waits at."""
         try:
-            _send(self.writer, obj)
+            _send(self.writer, None)
         except BrokenPipeError as e:
-            raise XmalError(f"eval worker {self.number} ended before the exchange") from e
+            raise XmalError(f"eval worker {self.number} ended at a barrier") from e
 
 
 def _fork(number: int, cpu: int, rank) -> _Child:
-    """Fork worker `number`, pinned to `cpu`, which runs `rank(exchange)`
-    and sends back the ranks it returns."""
+    """Fork worker `number`, pinned to `cpu`, which runs `rank(barrier)` and
+    sends back the ranks it returns. Its barrier sends the parent one short
+    message and waits for one back."""
     up_r, up_w = os.pipe()
     down_r, down_w = os.pipe()
     try:
@@ -330,11 +330,11 @@ def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
         with contextlib.suppress(OSError):  # unpinned, it still ranks its strips
             os.sched_setaffinity(0, {cpu})
 
-        def exchange(share, combine):
-            _send(up, ("ok", share))
-            return pickle.load(down)
+        def barrier():
+            _send(up, ("ok", None))
+            pickle.load(down)
 
-        ranks = rank(exchange)
+        ranks = rank(barrier)
         _send(up, ("ok", (ranks, _private_mb())))
         code = 0
     except BaseException as e:  # reported; the child exits below either way
@@ -344,21 +344,16 @@ def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
         os._exit(code)
 
 
-def _alone(share, combine):
-    """The exchange of a worker that works alone."""
-    return combine([share])
-
-
-def _forked_ranks(model: Model, source, parts: dict, blocks: list[slice], workers: int):
-    """`_rank_strips` split over `workers` processes: each worker ranks one
-    contiguous range of strips, the ranges in worker order. The calling
-    process is worker 0, with the first range; workers 1.. are forked
-    before anything is encoded, and each encodes its own rows. Each process
-    runs pinned to its own CPU, because a forked child starts on its
-    parent's CPU and may stay there. In each of the two exchanges (text
-    rows, then diagonals) each child sends its share, and the parent sends
-    every worker the shares put together; each child then sends its ranks,
-    which the parent adds to its own, and its private memory.
+def _forked_ranks(rank, strips: int, workers: int):
+    """`rank(own, barrier)`, a worker's share of `_rank_strips`, split over
+    `workers` processes: each worker ranks one contiguous range of the
+    `strips` strips, the ranges in worker order. The calling process is
+    worker 0, with the first range; workers 1.. are forked before anything
+    is encoded. Each process runs pinned to its own CPU, because a forked
+    child starts on its parent's CPU and may stay there. At each barrier
+    the parent waits for one message from every child, then sends one to
+    every child; each child then sends its ranks, which the parent adds to
+    its own, and its private memory.
 
     Returns the ranks and the largest child's private memory in MB (None
     where a child could not read it), or None if not even worker 1 could
@@ -368,28 +363,27 @@ def _forked_ranks(model: Model, source, parts: dict, blocks: list[slice], worker
     killed first unless the call succeeded."""
     saved = os.sched_getaffinity(0)
     cpus = sorted(saved)
-    bounds = [len(blocks) * w // workers for w in range(workers + 1)]
+    bounds = [strips * w // workers for w in range(workers + 1)]
     shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     children: list[_Child] = []
     done = False
     os.sched_setaffinity(0, {cpus[0]})
     try:
         for w in range(1, workers):
-            rank = functools.partial(_rank_strips, model, source, parts, blocks, shares[w])
             try:
-                children.append(_fork(w, cpus[w], rank))
+                children.append(_fork(w, cpus[w], functools.partial(rank, shares[w])))
             except OSError as e:  # EAGAIN at a process limit, ENOMEM
                 if not children:
                     return None
                 raise XmalError(f"eval worker {w} could not start: {e}") from e
 
-        def exchange(share, combine):
-            whole = combine([share, *(child.receive() for child in children)])
+        def barrier():
             for child in children:
-                child.send(whole)
-            return whole
+                child.receive()
+            for child in children:
+                child.release()
 
-        ranks = _rank_strips(model, source, parts, blocks, shares[0], exchange)
+        ranks = rank(shares[0], barrier)
         private = []
         for child in children:
             share, mb = child.receive()
@@ -437,20 +431,24 @@ def evaluate(
     `threads` (at least 1, else ContractError, checked with the seed) caps
     the processes that encode, score and rank the strips (`_worker_count`:
     one per usable CPU, and only as many as the estimated tile work pays
-    for). With more than one, workers are forked over
-    contiguous ranges of strips before anything is encoded, and each
-    encodes its own rows (`_forked_ranks`). Encoding a range of rows gives
-    the bits of the same rows of a whole-batch encode, and the workers'
-    ranks add up exactly, so the reports do not depend on `threads`. If no
-    worker can be forked, one process encodes every row and ranks them.
+    for). With more than one, workers are forked over contiguous ranges of
+    strips before anything is encoded, and each encodes its own rows
+    (`_forked_ranks`). They meet at two barriers over one shared mapping
+    (`_Shared`), made here before any fork: after each has written its
+    text rows, and after each has written its matched scores. Encoding a
+    range of rows gives the bits of the same rows of a whole-batch encode,
+    and the workers' ranks add up exactly, so the reports do not depend on
+    `threads`. If no worker can be forked, one process encodes every row
+    and ranks them.
 
     Memory is O(components x TILE x B) per worker on top of its own audio
-    rows plus every text row, encoded. A mode's scores equal bit for bit
-    what `Model.similarity_matrix` gives tile by tile, taped or not; a
-    matched score is read from the same tile as its row's and column's
-    other scores, so it equals its own entry. One whole-batch op differs
-    from the tiles by BLAS rounding (a few 1e-16 for DP, 1e-15 for THA) at
-    ragged sizes, because a matmul's bits depend on its shape."""
+    rows, plus every text row, encoded, once in the shared mapping. A
+    mode's scores equal bit for bit what `Model.similarity_matrix` gives
+    tile by tile, taped or not; a matched score is read from the same tile
+    as its row's and column's other scores, so it equals its own entry.
+    One whole-batch op differs from the tiles by BLAS rounding (a few 1e-16
+    for DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend
+    on its shape."""
     size = source.batch if isinstance(source, EncodedBatch) else len(source)
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")
@@ -461,11 +459,12 @@ def evaluate(
     parts = {mode: mode_components(mode) for mode in modes}
     blocks = _blocks(size)
     components = dict.fromkeys(c for mode in modes for c in parts[mode])
+    shared = _shared(source, size, components)
+    rank = functools.partial(_rank_strips, model, source, parts, blocks, shared)
     workers = _worker_count(threads, len(blocks), components)
-    forked = _forked_ranks(model, source, parts, blocks, workers) if workers > 1 else None
+    forked = _forked_ranks(rank, len(blocks), workers) if workers > 1 else None
     if forked is None:
-        every = range(len(blocks))
-        ranks = _rank_strips(model, source, parts, blocks, every, _alone)
+        ranks = rank(range(len(blocks)), lambda: None)
         logger.info("%d strips, 1 worker", len(blocks))
     else:
         ranks, private = forked

@@ -86,7 +86,7 @@ class Optimizer:
     def state_tensors(self) -> dict[str, np.ndarray]:
         return {}
 
-    def load_state(self, tensors: dict[str, np.ndarray]):
+    def load_state(self, tensors: dict[str, np.ndarray], params: dict[str, Tensor]):
         pass
 
 
@@ -131,16 +131,30 @@ class Adam(Optimizer):
             out[f"opt.v.{name}"] = self.v[name]
         return out
 
-    def load_state(self, tensors):
-        """Restore `state_tensors` output: `opt.t` and an `opt.m.*` and
-        `opt.v.*` pair per parameter stepped so far; a missing one, as in a
-        checkpoint that another optimizer wrote, is a DimensionError."""
+    def load_state(self, tensors, params):
+        """Restore `state_tensors` output for the model parameters `params`
+        (name -> Tensor): `opt.t`, one finite whole number >= 0, and an
+        `opt.m.*` and `opt.v.*` pair of the parameter's shape per parameter
+        stepped so far. A missing tensor, as in a checkpoint that another
+        optimizer wrote, or a wrong one is a DimensionError naming it."""
         moments = ("opt.m.", "opt.v.")
         stepped = sorted({k[len("opt.m.") :] for k in tensors if k.startswith(moments)})
         for name in ("opt.t", *(moment + p for p in stepped for moment in moments)):
             if name not in tensors:
                 raise DimensionError(f"the adam optimizer state has no {name!r} tensor")
-        self.t = int(np.asarray(tensors["opt.t"]).reshape(-1)[0])
+        t = np.asarray(tensors["opt.t"])
+        if t.size != 1 or not (np.isfinite(t).all() and t >= 0 and t == np.floor(t)):
+            raise DimensionError(
+                f"the adam optimizer state's 'opt.t' must be one finite whole number >= 0, "
+                f"got {t.tolist()}"
+            )
+        for name in (moment + p for p in stepped for moment in moments):
+            what = f"the adam optimizer state's {name!r}"
+            if (p := name[len("opt.m.") :]) not in params:
+                raise DimensionError(f"{what} names no model parameter")
+            if (shape := tensors[name].shape) != (want := params[p].value.shape):
+                raise DimensionError(f"{what} has shape {shape}, not its parameter's {want}")
+        self.t = int(t.item())
         self.m = {k[len("opt.m.") :]: v for k, v in tensors.items() if k.startswith("opt.m.")}
         self.v = {k[len("opt.v.") :]: v for k, v in tensors.items() if k.startswith("opt.v.")}
 

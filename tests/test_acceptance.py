@@ -194,7 +194,7 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monk
         import os
 
         def run_pipeline(tag: str, threads: str):
-            # identical flags; only the working directory and thread cap vary
+            # identical flags; only the working directory and eval's thread cap vary
             workdir = tmp_path / tag
             workdir.mkdir()
             cwd = os.getcwd()
@@ -202,11 +202,11 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monk
             try:
                 assert main([
                     "gen-data", "--pairs", "24", "--K", "4", "--D", "16", "--N", "5",
-                    "--M", "8", "--seed", "7", "--out", "d.xmal", "--threads", threads,
+                    "--M", "8", "--seed", "7", "--out", "d.xmal",
                 ]) == 0
                 assert main([
                     "train", "--data", "d.xmal", "--out", "ck.xckp", "--epochs", "2",
-                    "--batch-size", "8", "--seed", "3", "--threads", threads,
+                    "--batch-size", "8", "--seed", "3",
                 ]) == 0
                 assert main([
                     "eval", "--ckpt", "ck.xckp", "--data", "d.xmal",
@@ -216,7 +216,7 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monk
                 # 300 pairs are 5 strips, enough to fork an eval worker per CPU
                 assert main([
                     "gen-data", "--pairs", "300", "--K", "4", "--D", "16", "--N", "5",
-                    "--M", "8", "--seed", "8", "--out", "d300.xmal", "--threads", threads,
+                    "--M", "8", "--seed", "8", "--out", "d300.xmal",
                 ]) == 0
                 assert main([
                     "eval", "--ckpt", "ck.xckp", "--data", "d300.xmal",
@@ -243,7 +243,7 @@ def test_criterion_6_mode_additivity_and_reproducibility(toy_run, tmp_path, monk
             mode = "rb" if binary else "r"
             assert open(w1 / name, mode).read() == open(w2 / name, mode).read(), name
         print(
-            "  gen-data/train/eval reruns byte-identical across --threads 1 vs 4, "
+            "  gen-data/train reruns and eval across --threads 1 vs 4 byte-identical, "
             f"and so is a 300-pair eval on {workers} workers"
         )
 
@@ -285,7 +285,9 @@ def test_criterion_7_serialization_and_resume(tmp_path):
         cpath2 = str(tmp_path / "mid2.xckp")
         resumed_model = Model.from_tensors(ckpt.tensors, AttentionConfig())
         opt = make_optimizer(cfg)
-        opt.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
+        opt.load_state(
+            {k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")}, resumed_model.params
+        )
         save_checkpoint(cpath2, resumed_model, opt, ckpt.step, ckpt.config_text)
         assert open(cpath, "rb").read() == open(cpath2, "rb").read()
         print("  checkpoint save -> load -> save: byte-identical")

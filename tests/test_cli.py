@@ -171,6 +171,44 @@ def test_resume_from_a_checkpoint_without_adam_state_is_one_error_line(trained, 
     assert not resumed.exists()
 
 
+class _State(trainer.Optimizer):
+    """An optimizer that saves the given state tensors."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def state_tensors(self):
+        return self.tensors
+
+
+@pytest.mark.parametrize("changes, message", (
+    ({"opt.t": np.zeros(0)}, "'opt.t' must be one finite whole number >= 0, got []"),
+    ({"opt.t": np.array(np.nan)}, "'opt.t' must be one finite whole number >= 0, got nan"),
+    ({"opt.t": np.array(-3.0)}, "'opt.t' must be one finite whole number >= 0, got -3.0"),
+    ({"opt.m.text.w": np.zeros(1)}, "'opt.m.text.w' has shape (1,), not its parameter's "),
+    ({"opt.m.text.x": np.zeros(1), "opt.v.text.x": np.zeros(1)},
+     "'opt.m.text.x' names no model parameter"),
+))
+def test_resume_refuses_adam_state_of_a_wrong_value_or_shape(
+    trained, tmp_path, capsys, changes, message
+):
+    """Adam state that names its tensors right but holds wrong values is one
+    error line naming the checkpoint and the tensor: an empty, NaN or
+    negative step count used to escape as IndexError or ValueError or end
+    in a non-finite loss, and a moment of another shape broadcast."""
+    data, ckpt = trained
+    model, _, stored = _restore_model(ckpt)
+    state = {k: v for k, v in stored.tensors.items() if k.startswith("opt.")}
+    bad = str(tmp_path / "bad.xckp")
+    trainer.save_checkpoint(bad, model, _State({**state, **changes}), stored.step, stored.config_text)
+    resumed = tmp_path / "r.xckp"
+    code, out, err = run(capsys, "train", "--data", data, "--out", str(resumed), "--resume", bad)
+    assert code == 1
+    prefix = f"error: {bad}: the adam optimizer state's "
+    assert err.startswith(prefix + message) and _one_error_line(err), err
+    assert not resumed.exists()
+
+
 def test_train_missing_dataset_nonzero_exit(tmp_path, capsys):
     code, out, err = run(
         capsys, "train", "--data", str(tmp_path / "none.xmal"), "--out", str(tmp_path / "x"),
@@ -936,14 +974,23 @@ def test_eval_info_log_line_changes_no_output(eval_300, tmp_path, capsys, caplog
 
 
 def test_threads_flag_validated(tmp_path, capsys):
+    """Only eval takes --threads, and it must be at least 1; the commands it
+    would not act on refuse it as an unknown flag."""
+    code, out, err = run(
+        capsys, "eval", "--ckpt", str(tmp_path / "none.xckp"), "--data",
+        str(tmp_path / "none.xmal"), "--threads", "0",
+    )
+    assert code != 0
+    assert "threads" in err
     for argv in (
         ("gen-data", "--pairs", "4", "--K", "4", "--D", "16", "--out", str(tmp_path / "t.xmal")),
-        ("eval", "--ckpt", str(tmp_path / "none.xckp"), "--data", str(tmp_path / "none.xmal")),
         ("verify", "--seeds", "1"),
     ):
-        code, out, err = run(capsys, *argv, "--threads", "0")
-        assert code != 0
-        assert "threads" in err, argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--threads", "1"])
+        assert exit_info.value.code == 2, argv
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err, argv
+    assert not (tmp_path / "t.xmal").exists()
 
 
 def _with_config_text(src: str, dst: str, text: str):
@@ -1283,18 +1330,18 @@ def test_config_hash_stamps_are_pinned(via, tmp_path, capsys, monkeypatch):
 
 
 SUBCOMMAND_FLAGS = {
-    "gen-data": ("--config", "--threads", "--out", "--pairs", "--concepts", "--K", "--D", "--N",
-                 "--M", "--sigma", "--seed", "--shared-projection"),
-    "train": ("--config", "--threads", "--data", "--out", "--log", "--resume", "--epochs",
-              "--batch-size", "--lr", "--optimizer", "--beta1", "--beta2", "--opt-eps", "--tau",
-              "--alpha", "--beta", "--mode", "--lambda", "--direction", "--combine", "--K",
-              "--hidden", "--clip-norm", "--checkpoint-interval", "--seed"),
+    "gen-data": ("--config", "--out", "--pairs", "--concepts", "--K", "--D", "--N", "--M",
+                 "--sigma", "--seed", "--shared-projection"),
+    "train": ("--config", "--data", "--out", "--log", "--resume", "--epochs", "--batch-size",
+              "--lr", "--optimizer", "--beta1", "--beta2", "--opt-eps", "--tau", "--alpha",
+              "--beta", "--mode", "--lambda", "--direction", "--combine", "--K", "--hidden",
+              "--clip-norm", "--checkpoint-interval", "--seed"),
     "eval": ("--config", "--threads", "--ckpt", "--data", "--embeddings", "--modes", "--k",
              "--out", "--seed"),
-    "sim": ("--config", "--threads", "--ckpt", "--data", "--embeddings", "--item-a", "--item-b"),
-    "grad-check": ("--config", "--threads", "--h", "--tol", "--seeds"),
-    "verify": ("--config", "--threads", "--h", "--tol", "--seeds"),
-    "export-embeddings": ("--config", "--threads", "--ckpt", "--data", "--out"),
+    "sim": ("--config", "--ckpt", "--data", "--embeddings", "--item-a", "--item-b"),
+    "grad-check": ("--config", "--h", "--tol", "--seeds"),
+    "verify": ("--config", "--h", "--tol", "--seeds"),
+    "export-embeddings": ("--config", "--ckpt", "--data", "--out"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import pickle
 import signal
 import threading
 import tracemalloc
@@ -550,6 +551,31 @@ def test_forked_ranks_equal_serial_with_ties_and_nans(monkeypatch):
         forks.clear()
 
 
+def test_more_workers_than_cores_meet_at_the_barriers(monkeypatch):
+    """Six forked workers, more than the cores, rank as one process does: a
+    worker that read a text row or a matched score from the shared mapping
+    before its writer had written it would read zeros and change the
+    reports. An alarm bounds the call in case a barrier never opens."""
+    ds, model = _eval_set(384)  # 6 strips
+    modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
+    serial = evaluate(model, ds.items, modes=modes, threads=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    forks = _count_forks(monkeypatch)
+
+    def late(signum, frame):
+        raise TimeoutError("a barrier did not open within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(60)
+    try:
+        assert evaluate(model, ds.items, modes=modes, threads=6) == serial
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 5
+
+
 def test_encoding_a_row_range_equals_those_rows_of_the_whole_batch_bit_for_bit():
     """Forked eval workers each encode their own rows, so the reports do not
     depend on `threads` only while a row range encodes to exactly the bits
@@ -624,8 +650,9 @@ def test_a_live_thread_keeps_eval_in_one_process(monkeypatch):
 
 def _failing_tiles(monkeypatch, fail):
     """DP tiles from a fixed matrix, where `fail(parent, "tile")` runs
-    before each, and encodes where `fail(parent, "encode")` runs before
-    each."""
+    before each and `fail(parent, "off-diagonal tile")` then before each
+    off-diagonal one, and encodes where `fail(parent, "encode")` runs
+    before each."""
     parent = os.getpid()
     s = np.random.default_rng(3).normal(size=(20, 20))
     encode = Model.encode_arrays
@@ -633,6 +660,8 @@ def _failing_tiles(monkeypatch, fail):
     def strip_scorer(self, encoded, component, blocks, audio_start=0):
         def tile(a, t):
             fail(parent, "tile")
+            if a != t:
+                fail(parent, "off-diagonal tile")
             return s[a, t].copy()
 
         return lambda a: lambda t: tile(a, t)
@@ -658,6 +687,11 @@ def _killed_in_child(parent, at):
 def _interrupted_parent(parent, at):
     if at == "tile" and os.getpid() == parent:
         raise KeyboardInterrupt
+
+
+def _off_diagonal_raises_in_child(parent, at):
+    if at == "off-diagonal tile" and os.getpid() != parent:
+        raise RuntimeError("off-diagonal tile failed")
 
 
 def _encode_raises_in_child(parent, at):
@@ -740,6 +774,11 @@ def test_a_child_that_cannot_pin_itself_still_ranks(monkeypatch):
     (_encode_raises_in_child, XmalError, "^eval worker 1 failed: RuntimeError: encode failed$"),
     (_encode_killed_in_child, XmalError, "^eval worker 1 ended without sending its result$"),
     (_encode_interrupted_in_parent, KeyboardInterrupt, None),
+    # a child fails after the last barrier: it has scored its diagonal tiles
+    (
+        _off_diagonal_raises_in_child, XmalError,
+        "^eval worker 1 failed: RuntimeError: off-diagonal tile failed$",
+    ),
 ])
 def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, match, monkeypatch):
     monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, 2 workers
@@ -751,6 +790,31 @@ def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, ma
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == affinity
+
+
+@needs_two_cpus
+def test_no_array_crosses_a_pipe_before_the_ranks(monkeypatch, tmp_path):
+    """Forked workers trade their text rows and matched scores through one
+    shared mapping, so every message that a child sends before its ranks,
+    and every message the parent sends, is a barrier message of a few bytes."""
+    ds, model = _eval_set(300)
+    serial = evaluate(model, ds.items, modes=("THA+DCR",), threads=1)
+    log = tmp_path / "sends"
+    send = evaluation._send
+
+    def recording(f, obj):  # runs in the parent and in the forked child
+        with open(log, "a", encoding="ascii") as out:
+            out.write(f"{os.getpid()} {len(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))}\n")
+        send(f, obj)
+
+    monkeypatch.setattr(evaluation, "_send", recording)
+    assert evaluate(model, ds.items, modes=("THA+DCR",), threads=2) == serial
+    sends = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    parent = [size for pid, size in sends if pid == os.getpid()]
+    child = [size for pid, size in sends if pid != os.getpid()]
+    assert len({pid for pid, _ in sends} - {os.getpid()}) == 1
+    assert len(child) >= 2 and max(parent + child[:-1]) < 32, (parent, child)
+    assert child[-1] > 300 * 8  # the ranks
 
 
 def test_repeated_modes_are_ranked_once():

@@ -156,9 +156,9 @@ def test_a_non_finite_float_field_is_rejected_naming_it(cls, field, value):
 
 def test_adam_state_without_a_tensor_names_it():
     with pytest.raises(DimensionError, match="'opt.t'"):
-        Adam(0.1).load_state({})
+        Adam(0.1).load_state({}, {})
     with pytest.raises(DimensionError, match="'opt.v.x'"):
-        Adam(0.1).load_state({"opt.t": np.array(1.0), "opt.m.x": np.zeros(2)})
+        Adam(0.1).load_state({"opt.t": np.array(1.0), "opt.m.x": np.zeros(2)}, {})
 
 
 def test_dataset_smaller_than_batch_rejected():
@@ -213,7 +213,7 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     ckpt = load_checkpoint(p1)
     model2 = Model.from_tensors(ckpt.tensors, AttentionConfig())
     opt2 = make_optimizer(cfg)
-    opt2.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
+    opt2.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")}, model2.params)
     save_checkpoint(p2, model2, opt2, ckpt.step, ckpt.config_text)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -340,7 +340,9 @@ def test_resume_reproduces_uninterrupted_log(tmp_path):
     ckpt = load_checkpoint(path)
     resumed_model = Model.from_tensors(ckpt.tensors, AttentionConfig())
     opt = make_optimizer(cfg)
-    opt.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")})
+    opt.load_state(
+        {k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")}, resumed_model.params
+    )
     second_half = train(resumed_model, ds, cfg, start_step=ckpt.step, optimizer=opt)
 
     merged = first_half.log + second_half.log
