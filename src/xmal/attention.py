@@ -8,13 +8,12 @@ the hierarchical score adds the three tap levels. A separate global score is
 the plain cosine of the two pooled vectors.
 
 Each level is one fused op, `tha_level`, whose backward is closed form;
-under `no_grad` it keeps no backward state. Eval's tiles run the same
-arithmetic on raw arrays through `hierarchical_scores`, with the per-item
-terms (`level_rows`) computed once per block and every intermediate in the
-`autodiff.Workspace` that the tile scorer (`Model.strip_scorer`) owns. The
-same score composed from autodiff primitives
-(`verify.composed_hierarchical_similarity`) is the oracle both are checked
-against.
+under `no_grad` it keeps no backward state. Training, `sim`, `grad-check`
+and eval's tiles all run it. It takes level tensors or their `level_rows`,
+the per-item terms that eval's tile scorer (`Model.strip_scorer`) prepares
+once per block, and an `autodiff.Workspace` for its intermediates, which it
+uses only while no tape records. The same score composed from autodiff
+primitives (`verify.composed_hierarchical_similarity`) is its oracle.
 """
 
 from __future__ import annotations
@@ -86,23 +85,30 @@ class LevelRows(NamedTuple):
     score against them reads, so a tile loop can compute them once per block
     of items."""
 
-    raw: np.ndarray
+    tensor: Tensor  # the rows, the parent of every op that scores them
     unit: np.ndarray  # rows over their guarded norms
     sumsq: np.ndarray  # (B, T, 1) sums of squares
     norms: np.ndarray | None  # (T, B) guarded norms, contiguous; context sides only
     gram: np.ndarray | None  # (T, T, B) Gram matrices, contiguous; context sides only
 
+    @property
+    def raw(self) -> np.ndarray:
+        return self.tensor.value
 
-def level_rows(x: np.ndarray, cfg: AttentionConfig, side: str) -> LevelRows:
-    """The `LevelRows` of (B, T, D) "audio" or "text" rows. The norms and
-    Gram matrices are computed only if `cfg.direction` attends over this
-    side."""
-    unit, sumsq = ad.normalized(x)
+
+def level_rows(x, cfg: AttentionConfig, side: str) -> LevelRows:
+    """The `LevelRows` of (B, T, D) "audio" or "text" rows, an array or a
+    tensor; `LevelRows` pass through. The norms and Gram matrices are
+    computed only if `cfg.direction` attends over this side."""
+    if isinstance(x, LevelRows):
+        return x
+    x = ad.as_tensor(x)
+    unit, sumsq = ad.normalized(x.value)
     if cfg.direction not in ("both", f"{side}_enhanced"):
         return LevelRows(x, unit, sumsq, None, None)
     # contiguous (T, B) norms and (T, T, B) Gram matrices keep the einsums fast
     norms = np.ascontiguousarray(ad.guarded_root(sumsq[..., 0]).T)
-    gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", x, x))
+    gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", x.value, x.value))
     return LevelRows(x, unit, sumsq, norms, gram)
 
 
@@ -164,7 +170,7 @@ def _direction_grad(g: np.ndarray, state, cfg: AttentionConfig):
     return g_s, g_ctx
 
 
-def _level(a: LevelRows, t: LevelRows, cfg: AttentionConfig, keep: bool, ws: Workspace = FRESH):
+def _level(a: LevelRows, t: LevelRows, cfg: AttentionConfig, keep: bool, ws: Workspace):
     """One level's (B_a, B_t) score from (B_a, M, D) audio and (B_t, N, D)
     text rows and, with `keep`, the state `_level_grad` needs. Intermediates
     are `ws` buffers; the score is a fresh array."""
@@ -211,56 +217,36 @@ def _level_grad(g: np.ndarray, state, cfg: AttentionConfig):
     )
 
 
-def tha_level(a3, t3, cfg: AttentionConfig) -> Tensor:
+def tha_level(a3, t3, cfg: AttentionConfig, ws: Workspace = FRESH) -> Tensor:
     """One THA level as one taped op: (B_a, M, D) audio and (B_t, N, D) text
-    rows -> (B_a, B_t) scores. The backward is closed form; the forward's
-    state is kept only while a tape records."""
-    a3, t3 = ad.as_tensor(a3), ad.as_tensor(t3)
-    a, t = level_rows(a3.value, cfg, "audio"), level_rows(t3.value, cfg, "text")
-    score, state = _level(a, t, cfg, keep=ad.is_recording())
+    rows, tensors or their `level_rows`, -> (B_a, B_t) scores; the rows'
+    tensors are its parents. The backward is closed form; the forward's
+    state is kept only while a tape records. Intermediates are `ws` buffers
+    only while none does, since a backward reads the saved arrays."""
+    a, t = level_rows(a3, cfg, "audio"), level_rows(t3, cfg, "text")
+    keep = ad.is_recording()
+    score, state = _level(a, t, cfg, keep, FRESH if keep else ws)
 
     def backward(g):
         return _level_grad(g, state, cfg)
 
-    return Tensor(score, _op="tha_level", _parents=(a3, t3), _backward=backward)
+    return Tensor(score, _op="tha_level", _parents=(a.tensor, t.tensor), _backward=backward)
 
 
-def _check_levels(audio_levels, text_levels):
+def hierarchical_similarity_matrix(
+    audio_levels: list, text_levels: list, cfg: AttentionConfig, ws: Workspace = FRESH
+) -> Tensor:
+    """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
+    text levels, tensors or their `level_rows`: a (B_a, B_t) matrix, the sum
+    of one `tha_level` op per level, each given `ws`."""
     if len(audio_levels) != len(text_levels):
         raise ContractError(
             f"level mismatch: {len(audio_levels)} audio vs {len(text_levels)} text"
         )
-
-
-def hierarchical_similarity_matrix(
-    audio_levels: list[Tensor], text_levels: list[Tensor], cfg: AttentionConfig
-) -> Tensor:
-    """All-pairs hierarchical score from (B_a, M_l, D) audio and (B_t, N, D)
-    text level tensors: a (B_a, B_t) matrix, the sum of one `tha_level` op
-    per level."""
-    _check_levels(audio_levels, text_levels)
     total = None
     for a3, t3 in zip(audio_levels, text_levels):
-        score = tha_level(a3, t3, cfg)
+        score = tha_level(a3, t3, cfg, ws)
         total = score if total is None else ad.add(total, score)
-    return total
-
-
-def hierarchical_scores(
-    audio_levels: list[LevelRows], text_levels: list[LevelRows], cfg: AttentionConfig,
-    ws: Workspace,
-) -> np.ndarray:
-    """The value of `hierarchical_similarity_matrix` from the levels'
-    `level_rows`, bit for bit, with no tape and every intermediate in `ws`;
-    the returned matrix is a fresh array."""
-    _check_levels(audio_levels, text_levels)
-    total = None
-    for a, t in zip(audio_levels, text_levels):
-        score, _ = _level(a, t, cfg, keep=False, ws=ws)
-        if total is None:
-            total = score
-        else:
-            total += score
     return total
 
 

@@ -44,7 +44,7 @@ from .data import (
     save_dataset,
     save_embeddings,
 )
-from .confidence import factor_pair_terms
+from .confidence import factor_terms
 from .errors import ConfigError, ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model, ModelConfig
 from .objective import ObjectiveConfig
@@ -171,8 +171,6 @@ def _given_settings(args) -> dict:
         flag_value = getattr(args, flag.dest, None)  # export-embeddings lacks some [eval] flags
         if flag_value is not None:
             given[flag.dest] = flag_value
-    if given.get("threads", 1) < 1:
-        raise ConfigError(f"--threads must be >= 1, got {given['threads']}")
     return given
 
 
@@ -382,6 +380,8 @@ def _encoded_input(
 @ad.no_grad()
 def cmd_eval(args) -> int:
     values = _config_section(args)
+    if values["threads"] < 1:
+        raise ConfigError(f"--threads must be >= 1, got {values['threads']}")
     if "ckpt" not in values:
         raise ConfigError("eval needs --ckpt")
     model = _restore_model(values["ckpt"])[0]  # the checkpoint's arrays are freed
@@ -464,7 +464,7 @@ def cmd_sim(args) -> int:
     lines.append(total("THA"))
 
     text_z, audio_z = model.batch_factors(encoded)
-    g, cos, _ = factor_pair_terms(text_z.value, audio_z.value, model.params)
+    g, cos, _ = factor_terms(text_z.value, audio_z.value, model.params)
     for i in range(g.shape[0]):
         lines.append(f"DCR.factor{i}.confidence={float(g[i, 0, 0])!r}")
         lines.append(f"DCR.factor{i}.cosine={float(cos[i, 0, 0])!r}")

@@ -178,17 +178,18 @@ class _Shared:
     """What each eval worker reads of the others' work, as arrays over one
     anonymous shared mapping made before any fork (`_shared`)."""
 
-    text: list[np.ndarray]  # the encoded text globals (B, D), then levels (B, N, D) if THA scores
+    text: list[np.ndarray]  # a dataset's text globals (B, D), then levels (B, N, D) if THA scores
     matched: dict[str, np.ndarray]  # component -> its (B,) matched scores
 
 
 def _shared(source: EncodedBatch | Pairs, size: int, components) -> _Shared:
-    """Zeroed `_Shared` arrays for the `size` rows of `source`. Only THA reads
-    the text levels. The text stream never merges tokens, so each of its
-    levels is shaped like its input, known before anything is encoded."""
-    if isinstance(source, EncodedBatch):
-        text = [x.value.shape[1:] for x in (source.text_global, *source.text_levels)]
-    else:
+    """Zeroed `_Shared` arrays for the `size` rows of `source`: the matched
+    scores, and the text rows of a dataset's `Pairs`, which the workers
+    encode (an encoded batch's are read in place). Only THA reads the text
+    levels. The text stream never merges tokens, so each of its levels is
+    shaped like its input, known before anything is encoded."""
+    text = []
+    if isinstance(source, Pairs):
         text = [source.text.shape[2:], *[source.text.shape[1:]] * len(TEXT_TAPS)]
     shapes = [(size, *s) for s in (text if "THA" in components else text[:1])]
     split = len(shapes)
@@ -204,9 +205,10 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
     """One worker's share of `evaluate`: the strips `own`, a contiguous range
     of indices into `blocks`, of every mode, in three steps that `barrier()`
     separates; it returns once every worker has called it.
-    1. It encodes the own strips' rows of `source` in one call (an encoded
-       batch's rows are taken as they are) and copies their text rows into
-       `shared`, keeping only their audio rows.
+    1. It encodes the own strips' rows of `source` in one call and copies
+       their text rows into `shared`, keeping only their audio rows. An
+       encoded batch's own audio rows and every text row are taken as they
+       are.
     2. Each component's scorer (`Model.strip_scorer`) holds the own audio
        rows and views of every text row. It scores the diagonal tiles
        (a, a) of the own strips, which are kept, and writes their diagonals
@@ -221,12 +223,12 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
     size = blocks[-1].stop
     rows = slice(blocks[own[0]].start, blocks[own[-1]].stop)
     if isinstance(source, EncodedBatch):
-        mine = source.rows(rows, rows)
+        mine = source.rows(rows, slice(0, size))
     else:
         mine = model.encode_arrays(source.audio[rows], source.text[rows])
-    for whole, part in zip(shared.text, [mine.text_global, *mine.text_levels]):
-        whole[rows] = part.value
-    mine.text_global, *mine.text_levels = (Tensor(x) for x in shared.text)
+        for whole, part in zip(shared.text, [mine.text_global, *mine.text_levels]):
+            whole[rows] = part.value
+        mine.text_global, *mine.text_levels = (Tensor(x) for x in shared.text)
     barrier()
     scorers = {c: model.strip_scorer(mine, c, blocks, rows.start) for c in shared.matched}
     del mine
@@ -422,11 +424,12 @@ def evaluate(
     before anything is encoded or scored).
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
-    DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, in two
-    passes over the audio strips (see `_rank_strips`): the diagonal tiles
-    first, which give the matched scores, then each strip against every
-    text block. Ranking a strip completes its audio_to_text ranks, and adds
-    its share to every text item's text_to_audio rank (see `_match_ranks`).
+    DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, a THA or
+    DCR tile by the op that training runs, in two passes over the audio
+    strips (see `_rank_strips`): the diagonal tiles first, which give the
+    matched scores, then each strip against every text block. Ranking a
+    strip completes its audio_to_text ranks, and adds its share to every
+    text item's text_to_audio rank (see `_match_ranks`).
 
     `threads` (at least 1, else ContractError, checked with the seed) caps
     the processes that encode, score and rank the strips (`_worker_count`:
@@ -435,20 +438,22 @@ def evaluate(
     strips before anything is encoded, and each encodes its own rows
     (`_forked_ranks`). They meet at two barriers over one shared mapping
     (`_Shared`), made here before any fork: after each has written its
-    text rows, and after each has written its matched scores. Encoding a
-    range of rows gives the bits of the same rows of a whole-batch encode,
-    and the workers' ranks add up exactly, so the reports do not depend on
+    text rows (a dataset's; an encoded batch's are read in place), and
+    after each has written its matched scores. Encoding a range of rows
+    gives the bits of the same rows of a whole-batch encode, and the
+    workers' ranks add up exactly, so the reports do not depend on
     `threads`. If no worker can be forked, one process encodes every row
     and ranks them.
 
     Memory is O(components x TILE x B) per worker on top of its own audio
-    rows, plus every text row, encoded, once in the shared mapping. A
-    mode's scores equal bit for bit what `Model.similarity_matrix` gives
-    tile by tile, taped or not; a matched score is read from the same tile
-    as its row's and column's other scores, so it equals its own entry.
-    One whole-batch op differs from the tiles by BLAS rounding (a few 1e-16
-    for DP, 1e-15 for THA) at ragged sizes, because a matmul's bits depend
-    on its shape."""
+    rows, plus every text row, encoded, once: in the shared mapping for a
+    dataset, where it already lies for an encoded batch. A mode's scores
+    equal bit for bit what `Model.similarity_matrix` gives tile by tile,
+    taped or not; a matched score is read from the same tile as its row's
+    and column's other scores, so it equals its own entry. One whole-batch
+    op differs from the tiles by BLAS rounding (a few 1e-16 for DP, 1e-15
+    for THA) at ragged sizes, because a matmul's bits depend on its
+    shape."""
     size = source.batch if isinstance(source, EncodedBatch) else len(source)
     if size == 0:
         raise ContractError("evaluate needs a non-empty batch")

@@ -11,10 +11,11 @@ import numpy as np
 
 from . import attention, autodiff as ad, encoders, factors, objective
 from .attention import AttentionConfig
-from .confidence import factor_pair_scores, factor_pair_similarity_matrix, factor_rows
+from .confidence import factor_pair_similarity_matrix, factor_rows
 from .autodiff import Tensor
 from .config import subsystem_rng
 from .errors import ConfigError, DimensionError
+from .objective import ObjectiveConfig
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,22 @@ class Model:
             total = term if total is None else ad.add(total, term)
         return total
 
+    def losses(
+        self, encoded: EncodedBatch, cfg: ObjectiveConfig
+    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """The batch's losses under `cfg`, (loss_s, loss_d, loss_a, total):
+        NT-Xent over the mode's similarity matrix, and the decoupling and
+        alignment losses of the factor covariance, computed only if alpha or
+        beta weighs them (else constant zeros). Training steps on the total;
+        `grad-check` differentiates all four."""
+        loss_s = objective.nt_xent(self.similarity_matrix(encoded, cfg.similarity_mode), cfg.tau)
+        if cfg.alpha > 0 or cfg.beta > 0:
+            cov = self.factor_covariance(encoded)  # shares the DCR score's projections
+            loss_d, loss_a = factors.decoupling_loss(cov), factors.alignment_loss(cov)
+        else:
+            loss_d = loss_a = Tensor(0.0)
+        return loss_s, loss_d, loss_a, objective.total_loss(loss_s, loss_d, loss_a, cfg)
+
     def strip_scorer(
         self, encoded: EncodedBatch, component: str, blocks: list[slice], audio_start: int = 0
     ):
@@ -201,12 +218,15 @@ class Model:
         scores of those rows against text rows `t`, one of `blocks`. Both
         index the whole batch: `encoded` holds every text row, and audio
         rows from `audio_start` on (an eval worker's own). Each text
-        block's per-item terms are prepared once here. A THA or DCR
-        scorer owns one workspace, which holds every tile's intermediates,
-        so its tiles allocate only on the first pass; a tile is a fresh
-        array, equal bit for bit to `similarity_matrix(rows, component)`.
-        DP normalizes the globals once and a tile is one matmul; DCR
-        projects the factors once, and the tiles slice the stacks."""
+        block's per-item terms (`attention.level_rows`,
+        `confidence.factor_rows`) are prepared once here. A THA or DCR tile
+        is the component's op, run under `no_grad` on the prepared rows with
+        one workspace that the scorer owns and that holds every tile's
+        intermediates, so its tiles allocate only on the first pass; a tile
+        is a fresh array, equal bit for bit to `similarity_matrix(rows,
+        component)`. DP normalizes the globals once and a tile is one
+        matmul; DCR projects the factors once, and the tiles slice the
+        stacks."""
 
         def own(a: slice) -> slice:
             return slice(a.start - audio_start, a.stop - audio_start)
@@ -229,7 +249,14 @@ class Model:
 
             def strip(a: slice):
                 audio = [attention.level_rows(x[own(a)], cfg, "audio") for x in levels]
-                return lambda t: attention.hierarchical_scores(audio, text[t.start], cfg, ws)
+
+                @ad.no_grad()
+                def tile(t: slice) -> np.ndarray:
+                    return attention.hierarchical_similarity_matrix(
+                        audio, text[t.start], cfg, ws
+                    ).value
+
+                return tile
 
             return strip
         if component == "DCR":
@@ -238,7 +265,14 @@ class Model:
 
             def strip(a: slice):
                 audio = factor_rows(audio_z[own(a)], self.params, "audio")
-                return lambda t: factor_pair_scores(text[t.start], audio, self.params, ws)
+
+                @ad.no_grad()
+                def tile(t: slice) -> np.ndarray:
+                    return factor_pair_similarity_matrix(
+                        text[t.start], audio, self.params, ws
+                    ).value
+
+                return tile
 
             return strip
         raise ConfigError(f"no strip scorer for similarity component {component!r}")

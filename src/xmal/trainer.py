@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad, factors, objective as obj
+from . import autodiff as ad
 from .autodiff import Tensor
 from .config import check_finite, subsystem_rng
 from .data import Reader, write_container
@@ -187,6 +187,7 @@ def train(
     on_step=None,
 ) -> TrainResult:
     """Run the loop from `start_step` (exclusive); deterministic in (cfg, seed).
+    Each step logs `Model.losses` of its batch and steps on their total.
 
     `on_step(step, optimizer)` fires every `cfg.checkpoint_interval` steps
     when set.
@@ -197,8 +198,6 @@ def train(
     steps_per_epoch = n // cfg.batch_size
     params = model.parameters()
     optimizer = optimizer or make_optimizer(cfg)
-    ocfg = cfg.objective
-    want_factor_losses = ocfg.alpha > 0 or ocfg.beta > 0
 
     log: list[StepRecord] = []
 
@@ -211,21 +210,11 @@ def train(
             if step <= start_step:
                 continue
             batch = dataset.items[perm[s * cfg.batch_size : (s + 1) * cfg.batch_size]]
-            encoded = model.encode_arrays(batch.audio, batch.text)
-            s_matrix = model.similarity_matrix(encoded, ocfg.similarity_mode)
-            loss_s = obj.nt_xent(s_matrix, ocfg.tau)
-            if want_factor_losses:
-                cov = model.factor_covariance(encoded)  # shares the DCR score's projections
-                loss_d = factors.decoupling_loss(cov)
-                loss_a = factors.alignment_loss(cov)
-            else:
-                loss_d = ad.Tensor(0.0)
-                loss_a = ad.Tensor(0.0)
-            loss = obj.total_loss(loss_s, loss_d, loss_a, ocfg)
-            values = (float(loss_s.value), float(loss_d.value), float(loss_a.value), float(loss.value))
+            losses = model.losses(model.encode_arrays(batch.audio, batch.text), cfg.objective)
+            values = tuple(float(loss.value) for loss in losses)
             if not all(np.isfinite(values)):
                 raise TrainingDiverged(step)
-            grads = ad.gradients(loss, params)
+            grads = ad.gradients(losses[-1], params)
             if cfg.clip_norm is not None:
                 _clip_grads(grads, cfg.clip_norm)
             optimizer.step(params, grads)

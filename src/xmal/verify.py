@@ -1,7 +1,8 @@
 """Self-verification: finite-difference checks for every primitive and for
-the full losses, oracle-equivalence checks against independent step-by-step
-recomputations, and the core numeric invariants. Backs the `grad-check`
-command and the acceptance suite.
+the losses a training step computes (`Model.losses`), oracle-equivalence
+checks against independent step-by-step recomputations, and the core
+numeric invariants. Backs the `grad-check` command and the acceptance
+suite.
 
 THA, DCR, the encoder blocks and the factor statistics are fused ops with
 closed-form backwards, each checked against the same computation built from
@@ -113,7 +114,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             t, a = _spread(rng, 3, 2, 3), _spread(rng, 2, 2, 3)
             pre_t = confidence._first_layer_term(t, params, "text")
             pre_a = confidence._first_layer_term(a, params, "audio")
-            _, cos, _ = confidence.factor_pair_terms(t, a, params)
+            _, cos, _ = confidence.factor_terms(t, a, params)
             if np.abs(pre_a[:, :, None] + pre_t[:, None]).min() > 0.1 and np.abs(cos).min() > 0.2:
                 break
         t, a = ad.parameter(t, "t"), ad.parameter(a, "a")
@@ -249,41 +250,27 @@ def _toy_setup(seed: int, batch: int = 4, dim: int = 16, k: int = 4, m: int = 8,
     return model, Pairs(audio=audio, text=text, concepts=np.eye(batch, dtype=bool))
 
 
-def _loss_builders(model: Model, pairs: Pairs, cfg: obj.ObjectiveConfig):
-    def encode():
-        return model.encode_arrays(pairs.audio, pairs.text)
-
-    def loss_s():
-        return obj.nt_xent(model.similarity_matrix(encode(), cfg.similarity_mode), cfg.tau)
-
-    def loss_d():
-        return factors.decoupling_loss(model.factor_covariance(encode()))
-
-    def loss_a():
-        return factors.alignment_loss(model.factor_covariance(encode()))
-
-    def loss_total():
-        return obj.total_loss(loss_s(), loss_d(), loss_a(), cfg)
-
-    return {"loss_s": loss_s, "loss_d": loss_d, "loss_a": loss_a, "loss_total": loss_total}
-
-
 def loss_gradient_checks(
     seeds: int = 10,
     h: float = 1e-5,
     tol: float = 1e-4,
     entries_per_tensor: int = 2,
 ) -> list[CheckResult]:
-    """FD-check each loss component and the weighted total under the default
-    objective (THA+DCR) on random toy models. Every parameter tensor is
-    probed at a seeded sample of entries."""
-    worst = {name: 0.0 for name in ("loss_s", "loss_d", "loss_a", "loss_total")}
+    """FD-check each of `Model.losses`, the losses a training step takes,
+    under the default objective (THA+DCR) on random toy models. Every
+    parameter tensor is probed at a seeded sample of entries."""
+    names = ("loss_s", "loss_d", "loss_a", "loss_total")
+    cfg = obj.ObjectiveConfig()
+    worst = dict.fromkeys(names, 0.0)
     for seed in range(seeds):
         model, pairs = _toy_setup(seed)
-        builders = _loss_builders(model, pairs, obj.ObjectiveConfig())
-        for name, fn in builders.items():
+        for i, name in enumerate(names):
+
+            def loss(i=i):
+                return model.losses(model.encode_arrays(pairs.audio, pairs.text), cfg)[i]
+
             err = ad.finite_difference_check(
-                fn, model.parameters(), h=h, max_entries=entries_per_tensor, seed=seed
+                loss, model.parameters(), h=h, max_entries=entries_per_tensor, seed=seed
             )
             worst[name] = max(worst[name], err)
     return [CheckResult(name=k, worst=v, tol=tol) for k, v in worst.items()]
@@ -475,18 +462,15 @@ def _attend_gap(rng) -> float:
     return worst
 
 
-def _oracle_gaps(op, oracle, scores, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
+def _oracle_gaps(op, oracle, wrt: list[ad.Tensor], probe) -> tuple[float, float]:
     """Largest gaps between a fused op and its composed oracle, each built
     by a no-argument call over the parameters `wrt`: of the op's forward-only
-    values and of its array-level `scores` (eval's path, if it has one), and
-    of the gradients of the probe-weighted scores w.r.t. `wrt`, relative to
-    the largest entry of each of the oracle's gradient rows."""
+    values, and of the gradients of the probe-weighted scores w.r.t. `wrt`,
+    relative to the largest entry of each of the oracle's gradient rows."""
     with ad.no_grad():
-        values = [op().value]
-    if scores is not None:
-        values.append(scores())
+        value = op().value
     composed = oracle()
-    value_gap = max(float(np.abs(v - composed.value).max()) for v in values)
+    value_gap = float(np.abs(value - composed.value).max())
     want = ad.gradients(ad.reduce_sum(ad.mul(composed, probe)), wrt)
     got = ad.gradients(ad.reduce_sum(ad.mul(op(), probe)), wrt)
     grad_gap = 0.0
@@ -498,8 +482,8 @@ def _oracle_gaps(op, oracle, scores, wrt: list[ad.Tensor], probe) -> tuple[float
 
 def _tha_gaps() -> tuple[float, float]:
     """`_oracle_gaps` of THA, worst over every `THA_CASES` block, direction
-    and combine, w.r.t. every level. The array-level scores share one
-    workspace across all of them."""
+    and combine, w.r.t. every level. The op is given one workspace across
+    all of them, which its forward-only calls use, as eval's tiles do."""
     value_gap = grad_gap = 0.0
     ws = ad.Workspace()
     for build in THA_CASES.values():
@@ -512,14 +496,8 @@ def _tha_gaps() -> tuple[float, float]:
             for combine in COMBINES:
                 cfg = AttentionConfig(direction=direction, combine=combine)
                 gaps = _oracle_gaps(
-                    lambda: attention.hierarchical_similarity_matrix(a, t, cfg),
+                    lambda: attention.hierarchical_similarity_matrix(a, t, cfg, ws),
                     lambda: composed_hierarchical_similarity(a, t, cfg),
-                    lambda: attention.hierarchical_scores(
-                        [attention.level_rows(x.value, cfg, "audio") for x in a],
-                        [attention.level_rows(x.value, cfg, "text") for x in t],
-                        cfg,
-                        ws,
-                    ),
                     levels,
                     probe,
                 )
@@ -530,7 +508,8 @@ def _tha_gaps() -> tuple[float, float]:
 def _dcr_gaps() -> tuple[float, float]:
     """`_oracle_gaps` of DCR w.r.t. both stacks and the four `conf.*`
     parameters, on ragged (7 x 12 item) stacks with K = 3, one all-zero
-    factor row and one all-zero audio item."""
+    factor row and one all-zero audio item. The op is given a workspace,
+    which its forward-only call uses, as eval's tiles do."""
     rng = np.random.default_rng(40)
     params = drawn_rows(ModelConfig(4, 1, hidden=5), "conf.", rng)
     for name in ("conf.b1", "conf.b2"):
@@ -542,14 +521,8 @@ def _dcr_gaps() -> tuple[float, float]:
     t, a = ad.parameter(text, "t"), ad.parameter(audio, "a")
     ws = ad.Workspace()
     return _oracle_gaps(
-        lambda: factor_pair_similarity_matrix(t, a, params),
+        lambda: factor_pair_similarity_matrix(t, a, params, ws),
         lambda: composed_factor_pair_similarity(t, a, params),
-        lambda: confidence.factor_pair_scores(
-            confidence.factor_rows(text, params, "text"),
-            confidence.factor_rows(audio, params, "audio"),
-            params,
-            ws,
-        ),
         [t, a, *params.values()],
         rng.normal(size=(7, 12)),
     )
@@ -583,7 +556,6 @@ def _residual_blocks_gaps() -> tuple[float, float]:
             _oracle_gaps(
                 lambda: ad.residual_blocks(x, w, b, lo, hi, merge),
                 lambda: composed_residual_blocks(x, w, b, lo, hi, merge),
-                None,
                 wrt,
                 rng.normal(size=(rows if merge is None else 4 * 3, dim)),
             )
@@ -605,7 +577,7 @@ def _factor_stat_gaps() -> tuple[float, float]:
     )
     return _max_gaps(
         _oracle_gaps(
-            op, lambda i=i: composed_factor_losses(t, a)[i], None, [t, a],
+            op, lambda i=i: composed_factor_losses(t, a)[i], [t, a],
             rng.normal(size=op().value.shape),
         )
         for i, op in enumerate(fused)

@@ -927,14 +927,14 @@ def test_eval_forks_workers_and_reports_byte_identical_across_threads(
 @pytest.mark.skipif(CPUS < 2, reason="eval forks only with two usable CPUs")
 def test_eval_worker_failure_is_one_error_line_and_leaves_no_child(eval_300, capsys, monkeypatch):
     parent = os.getpid()
-    scores = attention.hierarchical_scores
+    scores = attention.hierarchical_similarity_matrix
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
             raise RuntimeError("tile failed")
         return scores(*args)
 
-    monkeypatch.setattr(attention, "hierarchical_scores", fails_in_a_child)
+    monkeypatch.setattr(attention, "hierarchical_similarity_matrix", fails_in_a_child)
     data, ckpt = eval_300
     code, out, err = run(
         capsys, "eval", "--ckpt", ckpt, "--data", data, "--modes", "THA", "--threads", "2"

@@ -5,11 +5,7 @@ import oracle
 import pytest
 
 from xmal import autodiff as ad, verify
-from xmal.confidence import (
-    PARAM_NAMES,
-    factor_pair_similarity_matrix,
-    factor_pair_terms,
-)
+from xmal.confidence import PARAM_NAMES, factor_pair_similarity_matrix, factor_terms
 from xmal.errors import DimensionError
 from xmal.model import ModelConfig
 
@@ -34,8 +30,8 @@ def pair(x):
 
 
 def confidences(text, audio, params):
-    """The (K, B_a, B_t) confidences g of `factor_pair_terms`."""
-    return factor_pair_terms(text, audio, params)[0]
+    """The (K, B_a, B_t) confidences g of `factor_terms`."""
+    return factor_terms(text, audio, params)[0]
 
 
 def test_zero_network_outputs_half():
@@ -212,7 +208,7 @@ def test_kernel_matches_composed_ops(zero_rows):
     fast = untaped.value
     assert np.array_equal(taped.value, fast)  # one implementation, taped or not
     assert fast.shape == (7, 12)
-    g, cos, _ = factor_pair_terms(text, audio, params)
+    g, cos, _ = factor_terms(text, audio, params)
     assert g.shape == cos.shape == (3, 7, 12)
     for i, j in ((0, 0), (6, 11)):
         for k in range(3):

@@ -11,17 +11,8 @@ import numpy as np
 import pytest
 
 from xmal import autodiff as ad, evaluation, verify
-from xmal.attention import (
-    AttentionConfig,
-    hierarchical_scores,
-    hierarchical_similarity_matrix,
-    level_rows,
-)
-from xmal.confidence import (
-    factor_pair_scores,
-    factor_pair_similarity_matrix,
-    factor_rows,
-)
+from xmal.attention import AttentionConfig, hierarchical_similarity_matrix, level_rows
+from xmal.confidence import factor_pair_similarity_matrix, factor_rows
 from xmal.data import SynthConfig, generate
 from xmal.errors import ContractError, DimensionError, XmalError
 from xmal.evaluation import (
@@ -551,6 +542,23 @@ def test_forked_ranks_equal_serial_with_ties_and_nans(monkeypatch):
         forks.clear()
 
 
+@needs_two_cpus
+def test_an_encoded_batch_is_read_in_place_by_every_worker(monkeypatch):
+    """An encoded batch's text rows are read where they are, not copied into
+    the shared mapping, and its reports are the same at 1 and 2 threads."""
+    ds, model = _eval_set(128)  # 2 strips, enough tile work for 2 workers
+    made = []
+    shared = evaluation._shared
+    monkeypatch.setattr(evaluation, "_shared", lambda *args: made.append(shared(*args)) or made[-1])
+    forks = _count_forks(monkeypatch)
+    modes = ("DP", "THA", "DCR", "THA+DCR")
+    serial = _reports(model, ds, modes, 1)
+    assert _reports(model, ds, modes, 2) == serial
+    assert len(forks) == 1
+    assert [s.text for s in made] == [[], []]
+    assert [list(s.matched) for s in made] == [["DP", "THA", "DCR"]] * 2
+
+
 def test_more_workers_than_cores_meet_at_the_barriers(monkeypatch):
     """Six forked workers, more than the cores, rank as one process does: a
     worker that read a text row or a matched score from the shared mapping
@@ -857,9 +865,10 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
             factor_rows(audio_z, params, "audio"),
         )
 
+    @ad.no_grad()
     def score(text, audio, text_z, audio_z):
-        tha = hierarchical_scores(audio, text, cfg, ws)
-        return tha, factor_pair_scores(text_z, audio_z, params, ws)
+        tha = hierarchical_similarity_matrix(audio, text, cfg, ws)
+        return tha.value, factor_pair_similarity_matrix(text_z, audio_z, params, ws).value
 
     score(*sides(*_tile_inputs(rng)))
     warm = {name: buf.size for name, buf in ws.buffers.items()}
@@ -876,7 +885,7 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
         assert result.shape == (64, 64)
         assert not any(np.shares_memory(result, buf) for buf in ws.buffers.values())
     text, audio, text_z, audio_z = prepared
-    with ad.no_grad():  # the fused ops, which allocate fresh arrays, agree bit for bit
+    with ad.no_grad():  # the same ops on the raw rows, without a workspace, agree bit for bit
         op_tha = hierarchical_similarity_matrix(
             [ad.Tensor(a.raw) for a in audio], [ad.Tensor(t.raw) for t in text], cfg
         )
@@ -884,9 +893,10 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
     assert np.array_equal(tha, op_tha.value) and np.array_equal(dcr, op_dcr.value)
 
 
-def test_taped_op_gradients_survive_another_ops_forward():
-    """Taped ops save fresh arrays, so a later op's forward cannot overwrite
-    what an earlier op's backward reads."""
+def _taped_ops(ws=ad.FRESH):
+    """Builders of a probe-weighted taped THA (2 levels) and DCR score of
+    inputs drawn from a seed, each returning (loss, leaves); both ops are
+    given `ws`."""
     params = verify.drawn_rows(ModelConfig(4, 1, hidden=4), "conf.", np.random.default_rng(8))
     cfg = AttentionConfig()
 
@@ -894,20 +904,48 @@ def test_taped_op_gradients_survive_another_ops_forward():
         rng = np.random.default_rng(seed)
         a = [ad.parameter(rng.normal(size=(3, m, 8)), f"a{m}") for m in (4, 2)]
         t = [ad.parameter(rng.normal(size=(5, 6, 8)), f"t{n}") for n in range(2)]
-        score = hierarchical_similarity_matrix(a, t, cfg)
+        score = hierarchical_similarity_matrix(a, t, cfg, ws)
         return ad.reduce_sum(ad.mul(score, rng.normal(size=(3, 5)))), a + t
 
     def dcr(seed):
         rng = np.random.default_rng(seed)
         tz = ad.parameter(rng.normal(size=(5, 2, 4)), "tz")
         az = ad.parameter(rng.normal(size=(3, 2, 4)), "az")
-        score = factor_pair_similarity_matrix(tz, az, params)
+        score = factor_pair_similarity_matrix(tz, az, params, ws)
         return ad.reduce_sum(ad.mul(score, rng.normal(size=(3, 5)))), [tz, az, *params.values()]
 
+    return tha, dcr
+
+
+def _same_gradients(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def test_taped_op_gradients_survive_another_ops_forward():
+    """Taped ops save fresh arrays, so a later op's forward cannot overwrite
+    what an earlier op's backward reads."""
+    tha, dcr = _taped_ops()
     for op in (tha, dcr):
         alone = ad.gradients(*op(1))
         first = op(1)
         tha(2), dcr(2)  # other forwards on other inputs, before the first op's backward
-        interleaved = ad.gradients(*first)
-        assert alone.keys() == interleaved.keys()
-        assert all(np.array_equal(alone[k], interleaved[k]) for k in alone)
+        assert _same_gradients(alone, ad.gradients(*first))
+
+
+def test_taped_ops_never_use_a_given_workspace():
+    """While a tape records, the ops allocate fresh arrays whatever workspace
+    they are given: forwards through that workspace, taped or not, before
+    the backward leave the gradients bit for bit those of the same call
+    without one."""
+    for n in range(2):  # THA, then DCR
+        ws = ad.Workspace()
+        reused = _taped_ops(ws)
+        alone = ad.gradients(*_taped_ops()[n](1))
+        first = reused[n](1)
+        assert ws.buffers == {}
+        for other in reused:
+            other(2)
+            with ad.no_grad():
+                other(3)
+        assert ws.buffers != {}
+        assert _same_gradients(alone, ad.gradients(*first))

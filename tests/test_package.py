@@ -1,11 +1,14 @@
 """The package's public surface."""
 
 import ast
+import functools
+import importlib
 import re
 from pathlib import Path
 
 import xmal
 from xmal.data import DATASET_VERSION, EMBEDDING_VERSION
+from xmal.model import ModelConfig, param_specs
 from xmal.trainer import CHECKPOINT_VERSION
 
 
@@ -57,3 +60,34 @@ def test_every_top_level_definition_is_named_elsewhere_or_exported():
             ):
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert dead == []
+
+
+def test_docs_name_only_code_that_exists():
+    """Every backticked `module.name` (or `xmal.module.name`) in README.md
+    and in the package's docstrings whose first part is a package module
+    resolves by attribute lookup; parameter names such as `factors.text`
+    are not code."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(xmal.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    params = set(param_specs(ModelConfig(embed_dim=8, factor_count=2)))
+    texts = [(root / "README.md").read_text(encoding="utf-8")]
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, kinds) and (doc := ast.get_docstring(node)):
+                texts.append(doc)
+    names = [
+        name
+        for text in texts
+        for name in re.findall(r"`(?:xmal\.)?([a-z_]\w*(?:\.\w+)+)`", text)
+        if name.split(".")[0] in modules and name not in params
+    ]
+    missing = []
+    for name in names:
+        module, *attributes = name.split(".")
+        try:
+            functools.reduce(getattr, attributes, importlib.import_module(f"xmal.{module}"))
+        except AttributeError:
+            missing.append(name)
+    assert len(names) > 30 and missing == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from containers import body, sealed
-from xmal import autodiff as ad, factors, objective
+from xmal import autodiff as ad
 from xmal.attention import AttentionConfig
 from xmal.data import SynthConfig, generate
 from xmal.errors import (
@@ -25,6 +25,7 @@ from xmal.objective import ObjectiveConfig
 from xmal.trainer import (
     Adam,
     TrainConfig,
+    epoch_permutation,
     load_checkpoint,
     make_optimizer,
     save_checkpoint,
@@ -112,6 +113,32 @@ def test_unweighted_factor_losses_logged_as_zero():
     result = train(toy_model(), ds, cfg)
     assert all(r.loss_d == 0.0 and r.loss_a == 0.0 for r in result.log)
     assert all(r.loss == r.loss_s for r in result.log)
+
+
+def test_logged_losses_are_model_losses_of_the_step_batch(monkeypatch):
+    """A step logs `Model.losses` of its batch. With alpha = beta = 0 the
+    factor losses are exactly 0.0 and the covariance is never computed."""
+    ds = toy_dataset()
+    unweighted = ObjectiveConfig(tau=0.07, alpha=0.0, beta=0.0, similarity_mode="THA+DP")
+    for ocfg in (make_cfg().objective, unweighted):
+        cfg = make_cfg(epochs=1, learning_rate=0.0, objective=ocfg)  # every step sees one model
+        model = toy_model()
+        log = train(model, ds, cfg).log
+        order = epoch_permutation(cfg.seed, 0, len(ds))
+        assert len(log) == 2
+        for rec in log:
+            batch = ds.items[order[(rec.step - 1) * 8 : rec.step * 8]]
+            losses = model.losses(model.encode_arrays(batch.audio, batch.text), ocfg)
+            assert (rec.loss_s, rec.loss_d, rec.loss_a, rec.loss) == tuple(
+                float(loss.value) for loss in losses
+            )
+    assert all(r.loss_d == r.loss_a == 0.0 and r.loss == r.loss_s for r in log)
+
+    def unused(self, encoded):
+        raise AssertionError("factor_covariance called with unweighted factor losses")
+
+    monkeypatch.setattr(Model, "factor_covariance", unused)
+    assert logs_equal(train(toy_model(), ds, cfg).log, log)
 
 
 def test_batch_size_validation_with_factor_losses():
@@ -418,11 +445,5 @@ def test_a_batch16_train_step_records_at_most_80_tape_nodes():
     model = Model.build(ModelConfig(embed_dim=16, factor_count=4), seed=0)
     ocfg = ObjectiveConfig(alpha=0.01, beta=0.005, similarity_mode="THA+DCR")
     first = next(ad._node_ids) + 1
-    encoded = model.encode_arrays(ds.items.audio, ds.items.text)
-    s = model.similarity_matrix(encoded, ocfg.similarity_mode)
-    cov = model.factor_covariance(encoded)
-    loss = objective.total_loss(
-        objective.nt_xent(s, ocfg.tau), factors.decoupling_loss(cov), factors.alignment_loss(cov),
-        ocfg,
-    )
+    loss = model.losses(model.encode_arrays(ds.items.audio, ds.items.text), ocfg)[-1]
     assert loss._id - first + 1 <= 80
