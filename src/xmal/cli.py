@@ -2,7 +2,9 @@
 score breakdowns, and self-verification.
 
 Every setting is declared once, in `SETTINGS`: that table builds each
-command's flags and gives each config section its keys and their types.
+command's flags, gives each config section its keys and their types, and
+names the config-dataclass field each setting sets, from which `_built`
+makes every config dataclass.
 Every command resolves its settings from an optional `--config` file section
 overridden by flags, stamps outputs with a content hash of the resolved
 settings plus the seed, and is deterministic given both.
@@ -54,7 +56,9 @@ from .trainer import TrainConfig
 class Flag(NamedTuple):
     """One setting: its flag, value type, help and the default its command
     applies when neither the flag nor the config file sets it. Its config
-    key is the flag's name with `-` turned into `_`, unless `key` names another."""
+    key is the flag's name with `-` turned into `_`, unless `key` names
+    another; the config-dataclass field it sets is its key, unless `field`
+    names another."""
 
     name: str
     type: type = str
@@ -62,10 +66,15 @@ class Flag(NamedTuple):
     choices: tuple[str, ...] | None = None
     key: str | None = None
     default: object = None
+    field: str | None = None
 
     @property
     def dest(self) -> str:
         return self.key or self.name[2:].replace("-", "_")
+
+    @property
+    def sets(self) -> str:
+        return self.field or self.dest
 
 
 # config section -> its settings; `[eval]` also serves `export-embeddings`
@@ -73,12 +82,12 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
     "data": (
         Flag("--out", help="dataset file to write"),
         Flag("--pairs", int),
-        Flag("--concepts", int),
-        Flag("--K", int),
-        Flag("--D", int),
-        Flag("--N", int),
-        Flag("--M", int),
-        Flag("--sigma", finite_float),
+        Flag("--concepts", int, field="concept_count"),
+        Flag("--K", int, field="factor_count"),
+        Flag("--D", int, field="embed_dim"),
+        Flag("--N", int, field="text_tokens"),
+        Flag("--M", int, field="audio_tokens"),
+        Flag("--sigma", finite_float, field="noise_sigma"),
         Flag("--seed", int),
         Flag("--shared-projection", bool),
     ),
@@ -89,7 +98,7 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--resume", help="checkpoint to continue from (uses its stored config)"),
         Flag("--epochs", int, default=TrainConfig.epochs),
         Flag("--batch-size", int, default=TrainConfig.batch_size),
-        Flag("--lr", finite_float, default=TrainConfig.learning_rate),
+        Flag("--lr", finite_float, default=TrainConfig.learning_rate, field="learning_rate"),
         Flag("--optimizer", choices=trainer.OPTIMIZERS, default=TrainConfig.optimizer),
         Flag("--beta1", finite_float, default=TrainConfig.beta1),
         Flag("--beta2", finite_float, default=TrainConfig.beta2),
@@ -97,14 +106,17 @@ SETTINGS: dict[str, tuple[Flag, ...]] = {
         Flag("--tau", finite_float, default=ObjectiveConfig.tau),
         Flag("--alpha", finite_float, default=ObjectiveConfig.alpha),
         Flag("--beta", finite_float, default=ObjectiveConfig.beta),
-        Flag("--mode", choices=obj.MODES, default=ObjectiveConfig.similarity_mode),
+        Flag(
+            "--mode", choices=obj.MODES, default=ObjectiveConfig.similarity_mode,
+            field="similarity_mode",
+        ),
         Flag(
             "--lambda", finite_float, "attention sharpness", key="temperature",
             default=AttentionConfig.temperature,
         ),
         Flag("--direction", choices=attention.DIRECTIONS, default=AttentionConfig.direction),
         Flag("--combine", choices=attention.COMBINES, default=AttentionConfig.combine),
-        Flag("--K", int),
+        Flag("--K", int, field="factor_count"),
         Flag("--hidden", int),
         Flag("--clip-norm", finite_float),
         Flag("--checkpoint-interval", int, default=TrainConfig.checkpoint_interval),
@@ -149,20 +161,6 @@ KEY_TYPES = {
 # a train run's settings that neither flag nor file set; K defaults to the dataset's
 TRAIN_DEFAULTS = {flag.dest: flag.default for flag in SETTINGS["train"] if flag.default is not None}
 
-# gen-data's config keys -> the SynthConfig fields they set
-SYNTH_FIELDS = {
-    "pairs": "pairs",
-    "concepts": "concept_count",
-    "K": "factor_count",
-    "D": "embed_dim",
-    "N": "text_tokens",
-    "M": "audio_tokens",
-    "sigma": "noise_sigma",
-    "seed": "seed",
-    "shared_projection": "shared_projection",
-}
-
-
 def _given_settings(args) -> dict:
     """The settings that the command's section of the --config file and its
     flags set, flags overriding the file."""
@@ -187,9 +185,8 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("gen-data needs --out")
     if "pairs" not in values:
         raise ConfigError("gen-data needs --pairs")
-    given = {field: values[key] for key, field in SYNTH_FIELDS.items() if key in values}
-    cfg = SynthConfig(**given)
-    resolved = {key: getattr(cfg, field) for key, field in SYNTH_FIELDS.items()}
+    cfg = _built(SynthConfig, "data", values)
+    resolved = {flag.dest: getattr(cfg, flag.sets) for flag in SETTINGS["data"] if flag.dest != "out"}
     stamp = config_hash("data", resolved)
     ds = generate(cfg)
     save_dataset(ds, values["out"], manifest_extra={"config_hash": stamp})
@@ -207,35 +204,14 @@ def _stored_config(ckpt_path: str, ckpt: trainer.Checkpoint) -> dict:
     return parse_sections(ckpt.config_text.splitlines(), schema, ckpt_path).get("train", {})
 
 
-def _attention_config(effective: dict) -> AttentionConfig:
-    """The attention settings of a train config, whose keys are the field
-    names; a setting it lacks takes its field's default."""
-    fields = (f.name for f in dataclasses.fields(AttentionConfig))
-    return AttentionConfig(**{name: effective[name] for name in fields if name in effective})
-
-
-def _train_config(effective: dict) -> TrainConfig:
-    """The training run a train config describes, with TRAIN_DEFAULTS for
-    the settings it lacks."""
-    settings = {**TRAIN_DEFAULTS, **effective}
-    return TrainConfig(
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["lr"],
-        optimizer=settings["optimizer"],
-        beta1=settings["beta1"],
-        beta2=settings["beta2"],
-        opt_eps=settings["opt_eps"],
-        seed=settings["seed"],
-        objective=ObjectiveConfig(
-            tau=settings["tau"],
-            alpha=settings["alpha"],
-            beta=settings["beta"],
-            similarity_mode=settings["mode"],
-        ),
-        clip_norm=settings.get("clip_norm"),
-        checkpoint_interval=settings["checkpoint_interval"],
-    )
+def _built(cls, section: str, values: dict, **rest):
+    """The config dataclass `cls`, each field set by the setting of `section`
+    that sets it if `values` holds one, else by `rest`, else its default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for flag in SETTINGS[section]:
+        if flag.sets in fields and flag.dest in values:
+            rest[flag.sets] = values[flag.dest]
+    return cls(**rest)
 
 
 def write_loss_log(path: str, stamp: str, cfg: TrainConfig, result):
@@ -273,12 +249,13 @@ def cmd_train(args) -> int:
     else:
         effective = {k: v for k, v in values.items() if k not in skip}
         effective.setdefault("K", dataset.config.factor_count)
-        cfg = ModelConfig(
-            dataset.config.embed_dim, effective["K"], effective.get("hidden"),
-            _attention_config(effective),
+        cfg = _built(
+            ModelConfig, "train", effective, embed_dim=dataset.config.embed_dim,
+            attention=_built(AttentionConfig, "train", effective),
         )
         model = Model.build(cfg, effective["seed"])
-    train_cfg = _train_config(effective)
+    objective = _built(ObjectiveConfig, "train", effective)
+    train_cfg = _built(TrainConfig, "train", effective, objective=objective)
     start_step, optimizer = 0, None
     if ckpt is not None:
         optimizer = trainer.make_optimizer(train_cfg)
@@ -300,7 +277,7 @@ def cmd_train(args) -> int:
         train_cfg,
         start_step=start_step,
         optimizer=optimizer,
-        on_step=snapshot if train_cfg.checkpoint_interval > 0 else None,
+        on_step=snapshot,
     )
     trainer.save_checkpoint(out, model, result.optimizer, _total_steps(train_cfg, dataset), blob)
     log_path = values.get("log", out + ".log")
@@ -332,7 +309,8 @@ def _restore_model(ckpt_path: str) -> tuple[Model, dict, trainer.Checkpoint]:
     ckpt = trainer.load_checkpoint(ckpt_path)
     effective = _stored_config(ckpt_path, ckpt)
     with _naming(ckpt_path):
-        return Model.from_tensors(ckpt.tensors, _attention_config(effective)), effective, ckpt
+        attention_cfg = _built(AttentionConfig, "train", effective)
+        return Model.from_tensors(ckpt.tensors, attention_cfg), effective, ckpt
 
 
 def _check_width(path: str, width: int, model: Model):
@@ -477,7 +455,7 @@ def cmd_verify(args) -> int:
     values = _config_section(args)
     h, tol, seeds = values["h"], values["tol"], values["seeds"]
     results = verify.run_all(seeds=seeds, h=h, tol=tol)
-    stamp = config_hash("verify", {"h": h, "tol": tol, "seeds": seeds})
+    stamp = config_hash("verify", values)
     print(f"settings: h={h} tol={tol} seeds={seeds} config_hash={stamp}")
     failures = []
     for r in results:

@@ -1,6 +1,7 @@
 """Command-line surface: flags, config files, output stamping, exit codes."""
 
 import argparse
+import dataclasses
 import os
 import re
 import struct
@@ -16,9 +17,9 @@ from xmal.autodiff import Tensor
 from xmal.attention import AttentionConfig
 from xmal.cli import KEY_TYPES, SETTINGS, TRAIN_DEFAULTS, _encoded_input, _restore_model, main
 from xmal.config import finite_float, parse_config_file
-from xmal.data import load_dataset, load_embeddings, save_embeddings
+from xmal.data import SynthConfig, load_dataset, load_embeddings, save_embeddings
 from xmal.errors import ConfigError, CorruptedRecordError
-from xmal.model import EncodedBatch, Model
+from xmal.model import EncodedBatch, Model, ModelConfig
 from xmal.objective import MODES, ObjectiveConfig
 from xmal.trainer import TrainConfig
 
@@ -1389,3 +1390,81 @@ def test_train_defaults_are_the_config_classes_defaults():
         "direction": attention.DIRECTIONS,
         "combine": attention.COMBINES,
     }
+
+
+# a value other than its field's default for every [data] and [train] setting
+# but the paths, as given on the command line (None: a bare switch)
+NON_DEFAULT = {
+    "data": {
+        "pairs": "12", "concepts": "12", "K": "2", "D": "8", "N": "3", "M": "6",
+        "sigma": "0.25", "seed": "5", "shared_projection": None,
+    },
+    "train": {
+        "epochs": "2", "batch_size": "4", "lr": "0.01", "optimizer": "sgd", "beta1": "0.8",
+        "beta2": "0.99", "opt_eps": "1e-06", "tau": "0.1", "alpha": "0.02", "beta": "0.01",
+        "mode": "THA+DP", "temperature": "5.0", "direction": "text_enhanced",
+        "combine": "sum", "K": "2", "hidden": "3", "clip_norm": "1.5",
+        "checkpoint_interval": "2", "seed": "5",
+    },
+}
+SECTION_CONFIGS = {
+    "data": (SynthConfig,),
+    "train": (TrainConfig, ObjectiveConfig, AttentionConfig, ModelConfig),
+}
+
+
+class Built(Exception):
+    """Raised in place of running a command: the config objects it built."""
+
+
+@pytest.mark.parametrize(
+    "section, flag",
+    [
+        (section, flag) for section in NON_DEFAULT for flag in SETTINGS[section]
+        if flag.dest not in ("out", "data", "log", "resume")
+    ],
+    ids=lambda x: x.name if isinstance(x, cli.Flag) else x,
+)
+def test_each_setting_reaches_its_config_field(section, flag, trained, tmp_path, monkeypatch):
+    """No `[data]` or `[train]` setting is dropped: exactly one config class
+    of its section has the field it names, and that field of the config the
+    command builds holds the setting's non-default value given as a flag."""
+    owners = [
+        cls for cls in SECTION_CONFIGS[section]
+        if flag.sets in {f.name for f in dataclasses.fields(cls)}
+    ]
+    assert len(owners) == 1, (flag.name, flag.sets, owners)
+    default = next(f.default for f in dataclasses.fields(owners[0]) if f.name == flag.sets)
+    given = NON_DEFAULT[section][flag.dest]
+    expected = True if given is None else flag.type(given)
+    assert expected != default
+
+    if section == "data":
+        def built(cfg):
+            raise Built({SynthConfig: cfg})
+        monkeypatch.setattr(cli, "generate", built)
+        command, base = "gen-data", {"--out": str(tmp_path / "d.xmal"), "--pairs": "16"}
+    else:
+        def built(model, dataset, cfg, **kwargs):
+            raise Built({
+                TrainConfig: cfg, ObjectiveConfig: cfg.objective,
+                ModelConfig: model.cfg, AttentionConfig: model.cfg.attention,
+            })
+        monkeypatch.setattr(trainer, "train", built)
+        command, base = "train", {"--data": trained[0], "--out": str(tmp_path / "ck.xckp")}
+    argv = [command]
+    for name, value in {**base, flag.name: given}.items():
+        argv += [name] if value is None else [name, value]
+    with pytest.raises(Built) as caught:
+        main(argv)
+    assert getattr(caught.value.args[0][owners[0]], flag.sets) == expected
+
+
+def test_lambda_is_the_one_setting_whose_key_is_not_its_flag_name():
+    """README's config-key rule and its one exception match the table."""
+    keyed = {flag.name: flag.key for flags in SETTINGS.values() for flag in flags if flag.key}
+    assert keyed == {"--lambda": "temperature"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    assert "A config key is the flag's name with `-` turned into `_`" in text
+    assert "the one exception is `--lambda`, whose key is `temperature`" in text
