@@ -45,6 +45,7 @@ from .data import (
     load_embeddings,
     save_dataset,
     save_embeddings,
+    write_file,
 )
 from .confidence import factor_terms
 from .errors import ConfigError, ContractError, DimensionError, XmalError
@@ -225,8 +226,7 @@ def write_loss_log(path: str, stamp: str, cfg: TrainConfig, result):
             f"step={rec.step} loss_s={rec.loss_s!r} loss_d={rec.loss_d!r} "
             f"loss_a={rec.loss_a!r} loss={rec.loss!r}"
         )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_file(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def cmd_train(args) -> int:

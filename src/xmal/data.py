@@ -19,10 +19,14 @@ blocks load as aligned views of the file's buffer. An embedding file is a
 array in `EncodedBatch` order (3 audio levels, audio global, 3 text levels,
 text global), so every block starts 8-aligned and loads as a view of the
 file's buffer.
+
+`write_file` is the package's one write path: every file it writes, from
+these containers to checkpoints, logs and reports, replaces its target whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -155,8 +159,21 @@ def generate(cfg: SynthConfig) -> Dataset:
 
 # -- container I/O ------------------------------------------------------------
 
-_DATASET_HEADER = struct.Struct("<4sIIIIIIIQdI")  # magic, version, pairs, K, D, N, M,
-# concepts, seed, sigma, shared flag
+# the dataset header after its magic and version, in file order:
+# (SynthConfig field, struct code, manifest key)
+_DATASET_FIELDS = (
+    ("pairs", "I", "pairs"),
+    ("factor_count", "I", "K"),
+    ("embed_dim", "I", "D"),
+    ("text_tokens", "I", "N"),
+    ("audio_tokens", "I", "M"),
+    ("concept_count", "I", "concept_count"),
+    ("seed", "Q", "seed"),
+    ("noise_sigma", "d", "sigma"),
+    ("shared_projection", "I", "shared_projection"),
+)
+_FIELD_CODES = "".join(code for _, code, _ in _DATASET_FIELDS)
+_DATASET_HEADER = struct.Struct("<4sI" + _FIELD_CODES)  # magic, version, fields
 ALIGN = 8
 
 
@@ -233,14 +250,34 @@ class Reader:
             raise CorruptedRecordError(f"{self.path}: trailing bytes after the {what}")
 
 
+def write_file(path: str, chunks: list):
+    """Write `chunks` (bytes or contiguous arrays) to `path`, the one place
+    the package opens a file for writing. They go to `<path>.<pid>.tmp` in
+    the same directory, which then replaces `path` (`os.replace`), so a
+    killed process leaves the old file or the new one, never a truncated
+    one. There is no fsync: this survives a killed process, not a power
+    loss. On any error the temporary file is removed and the error
+    re-raised; an OS error about the temporary file names `path` instead."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, path) from e
+        raise
+
+
 def write_container(path: str, chunks: list):
     """Write `chunks` (bytes or contiguous arrays) and their CRC32 trailer to
-    `path` in one call."""
+    `path`."""
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
-    with open(path, "wb") as f:
-        f.writelines([*chunks, _CHECKSUM.pack(crc)])
+    write_file(path, [*chunks, _CHECKSUM.pack(crc)])
 
 
 def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
@@ -255,19 +292,12 @@ def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
             raise DimensionError(
                 f"{name} stack has shape {getattr(pairs, name).shape}, the config says {shape}"
             )
-    header = _DATASET_HEADER.pack(
-        DATASET_MAGIC,
-        DATASET_VERSION,
-        cfg.pairs,
-        cfg.factor_count,
-        cfg.embed_dim,
-        cfg.text_tokens,
-        cfg.audio_tokens,
-        cfg.concept_count,
-        cfg.seed,
-        cfg.noise_sigma,
-        int(cfg.shared_projection),
-    )
+    # an integer field as an int, so the bool flag is 0 or 1
+    fields = [
+        getattr(cfg, name) if code == "d" else int(getattr(cfg, name))
+        for name, code, _ in _DATASET_FIELDS
+    ]
+    header = _DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *fields)
     mask = np.ascontiguousarray(pairs.concepts, dtype="u1")
     write_container(path, [
         header,
@@ -277,58 +307,32 @@ def save_dataset(ds: Dataset, path: str, manifest_extra: dict | None = None):
         np.ascontiguousarray(pairs.audio, dtype="<f8"),
         np.ascontiguousarray(pairs.text, dtype="<f8"),
     ])
-    manifest = dataset_manifest(cfg)
-    manifest.update(manifest_extra or {})
-    write_manifest(path + ".manifest", manifest)
-
-
-def dataset_manifest(cfg: SynthConfig) -> dict[str, object]:
-    return {
+    manifest = {
         "magic": DATASET_MAGIC.decode(),
         "schema_version": DATASET_VERSION,
-        "pairs": cfg.pairs,
-        "K": cfg.factor_count,
-        "D": cfg.embed_dim,
-        "N": cfg.text_tokens,
-        "M": cfg.audio_tokens,
-        "concept_count": cfg.concept_count,
-        "seed": cfg.seed,
-        "sigma": cfg.noise_sigma,
-        "shared_projection": int(cfg.shared_projection),
+        **{key: value for (_, _, key), value in zip(_DATASET_FIELDS, fields)},
+        **(manifest_extra or {}),
     }
-
-
-def write_manifest(path: str, entries: dict[str, object]):
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in entries.items():
-            f.write(f"{key}={value}\n")
+    text = "".join(f"{key}={value}\n" for key, value in manifest.items())
+    write_file(path + ".manifest", [text.encode("utf-8")])
 
 
 def load_dataset(path: str) -> Dataset:
     reader = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
-    pairs, k, dim, n, m, concepts, seed, sigma, shared = reader.unpack("<IIIIIIQdI")
+    fields = dict(zip((name for name, _, _ in _DATASET_FIELDS), reader.unpack("<" + _FIELD_CODES)))
+    fields["shared_projection"] = bool(fields["shared_projection"])
     try:
-        cfg = SynthConfig(
-            pairs=pairs,
-            concept_count=concepts,
-            factor_count=k,
-            embed_dim=dim,
-            text_tokens=n,
-            audio_tokens=m,
-            noise_sigma=sigma,
-            seed=seed,
-            shared_projection=bool(shared),
-        )
+        cfg = SynthConfig(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     reader.align()
-    mask = reader.array((pairs, concepts), "u1")
+    mask = reader.array((cfg.pairs, cfg.concept_count), "u1")
     reader.align()
-    audio = reader.array((pairs, m, dim))
-    text = reader.array((pairs, n, dim))
+    audio = reader.array((cfg.pairs, cfg.audio_tokens, cfg.embed_dim))
+    text = reader.array((cfg.pairs, cfg.text_tokens, cfg.embed_dim))
     reader.check_end("text block")
     counts = mask.sum(axis=1)
-    bad = (mask > 1).any(axis=1) | (counts < 1) | (counts > k)
+    bad = (mask > 1).any(axis=1) | (counts < 1) | (counts > cfg.factor_count)
     if bad.any():
         p = int(bad.argmax())
         top = mask[p].max()

@@ -23,7 +23,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .data import Pairs
+from .data import Pairs, write_file
 from .encoders import TEXT_TAPS
 from .errors import ContractError, DimensionError, XmalError
 from .model import EncodedBatch, Model
@@ -495,26 +495,21 @@ def evaluate(
 
 
 def write_report_text(path: str, reports: list[RetrievalReport]):
-    with open(path, "w", encoding="utf-8") as f:
-        if reports:
-            f.write(f"config_hash={reports[0].config_hash}\n")
-            f.write(f"seed={reports[0].seed}\n")
-            f.write(f"eval_size={reports[0].size}\n")
-            f.write(f"protocol={reports[0].protocol}\n")
-        for r in reports:
-            for k in sorted(r.r_at):
-                f.write(f"{r.mode}.{r.direction}.r@{k}={r.r_at[k]!r}\n")
+    lines = [  # the run's stamp, which every report carries, then each recall
+        f"config_hash={r.config_hash}\nseed={r.seed}\neval_size={r.size}\nprotocol={r.protocol}\n"
+        for r in reports[:1]
+    ]
+    for r in reports:
+        lines += [f"{r.mode}.{r.direction}.r@{k}={r.r_at[k]!r}\n" for k in sorted(r.r_at)]
+    write_file(path, ["".join(lines).encode("utf-8")])
 
 
 def write_report_binary(path: str, reports: list[RetrievalReport]):
-    with open(path, "wb") as f:
-        f.write(REPORT_MAGIC)
-        f.write(struct.pack("<II", REPORT_VERSION, len(reports)))
-        for r in reports:
-            for text in (r.mode, r.direction, r.config_hash, r.protocol):
-                blob = text.encode("utf-8")
-                f.write(struct.pack("<I", len(blob)))
-                f.write(blob)
-            f.write(struct.pack("<QII", r.seed, r.size, len(r.r_at)))
-            for k in sorted(r.r_at):
-                f.write(struct.pack("<Id", k, r.r_at[k]))
+    chunks = [REPORT_MAGIC, struct.pack("<II", REPORT_VERSION, len(reports))]
+    for r in reports:
+        for text in (r.mode, r.direction, r.config_hash, r.protocol):
+            blob = text.encode("utf-8")
+            chunks += [struct.pack("<I", len(blob)), blob]
+        chunks.append(struct.pack("<QII", r.seed, r.size, len(r.r_at)))
+        chunks += [struct.pack("<Id", k, r.r_at[k]) for k in sorted(r.r_at)]
+    write_file(path, chunks)

@@ -364,6 +364,35 @@ def test_train_resume_reproduces_log(tmp_path, capsys):
         assert open(full, "rb").read() == open(half, "rb").read()
 
 
+def test_resume_onto_its_own_file_writes_what_a_fresh_out_gets(tmp_path, capsys):
+    """`train --resume X --out X` replaces X with the bytes, log and
+    snapshots that the same resume writes to a fresh --out."""
+    data = gen(tmp_path, capsys)
+    full = str(tmp_path / "full.xckp")
+    code, _, err = run(
+        capsys, "train", "--data", data, "--out", full, "--epochs", "2", "--batch-size", "8",
+        "--hidden", "3", "--checkpoint-interval", "3",
+    )
+    assert code == 0, err
+    own, fresh = full + ".step000003", str(tmp_path / "fresh.xckp")
+    for out in (fresh, own):
+        code, _, err = run(capsys, "train", "--data", data, "--out", out, "--resume", own)
+        assert code == 0, err
+    for suffix in ("", ".log", ".step000006"):
+        assert open(own + suffix, "rb").read() == open(fresh + suffix, "rb").read(), suffix
+    assert open(own, "rb").read() == open(full, "rb").read()
+
+
+def test_an_out_in_a_missing_directory_is_one_error_line_naming_it(tmp_path, capsys):
+    """The error names the --out path given, not the temporary file the
+    write goes through, and nothing is left behind."""
+    out = str(tmp_path / "missing" / "d.xmal")
+    code, _, err = run(capsys, "gen-data", "--out", out, "--pairs", "8")
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 @pytest.mark.parametrize("form", ("flag", "config"))
 def test_resume_refuses_a_setting_it_would_ignore(trained, tmp_path, capsys, form):
     """A `[train]` setting given next to --resume that differs from the value

@@ -40,6 +40,40 @@ def _definitions(tree: ast.Module):
             )
 
 
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` is an `open(...)` or `x.open(...)` whose mode writes,
+    appends, creates or updates (`w`, `a`, `x`, `+`); a mode that is not a
+    literal counts as writing."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def test_only_data_write_file_opens_a_file_for_writing():
+    """Every output goes through `data.write_file`, which replaces its target
+    whole, so no other code of `src/xmal` opens a file to write it."""
+    package = Path(xmal.__file__).resolve().parent
+    inside, elsewhere = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writer = {
+            id(node)
+            for top in tree.body
+            if path.name == "data.py" and getattr(top, "name", None) == "write_file"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                (inside if id(node) in writer else elsewhere).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and elsewhere == [], (inside, elsewhere)
+
+
 def test_every_top_level_definition_is_named_elsewhere_or_exported():
     """A top-level function or class of `src/xmal`, or a method or property
     of one of its classes, that no other line of the package names and

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import os
 import re
 
 import numpy as np
@@ -243,6 +244,25 @@ def test_checkpoint_round_trip_is_byte_identical(tmp_path):
     opt2.load_state({k: v for k, v in ckpt.tensors.items() if k.startswith("opt.")}, model2.params)
     save_checkpoint(p2, model2, opt2, ckpt.step, ckpt.config_text)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_a_failed_save_leaves_the_checkpoint_it_would_replace_whole(tmp_path, monkeypatch):
+    """A save that fails before its temporary file replaces the target, here
+    in `os.replace`, re-raises and leaves the existing checkpoint
+    byte-identical, with no `*.tmp` file behind."""
+    path = tmp_path / "a.xckp"
+    model = toy_model()
+    save_checkpoint(str(path), model, Adam(1e-3), 1, "")
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_checkpoint(str(path), model, Adam(1e-3), 2, "[train]\nseed=2\n")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.xckp"]
 
 
 @pytest.mark.parametrize(
