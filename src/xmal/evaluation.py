@@ -201,14 +201,40 @@ def _shared(source: EncodedBatch | Pairs, size: int, components) -> _Shared:
     return _Shared(arrays[:split], dict(zip(components, arrays[split:])))
 
 
+def _encode_strips(model: Model, pairs: Pairs, strips: list[slice], shared: _Shared):
+    """Rows `strips` of `pairs`, contiguous, encoded one strip per
+    `Model.encode_arrays` call, so the encoders' intermediates span at most
+    TILE rows. Each strip's text rows go into `shared` and its audio rows
+    into arrays made once for every row of `strips`; its encode is dropped
+    before the next strip's starts. The audio arrays kept match the text
+    arrays `shared` holds: the global, and the levels only if THA is scored.
+    Returns an `EncodedBatch` of those audio rows and every text row of
+    `shared`."""
+    lo = strips[0].start
+    audio: list[np.ndarray] = []
+    for s in strips:
+        part = model.encode_arrays(pairs.audio[s], pairs.text[s])
+        for whole, x in zip(shared.text, [part.text_global, *part.text_levels]):
+            whole[s] = x.value
+        kept = [part.audio_global, *part.audio_levels][: len(shared.text)]
+        if not audio:
+            audio = [np.empty((strips[-1].stop - lo, *x.value.shape[1:])) for x in kept]
+        for whole, x in zip(audio, kept):
+            whole[s.start - lo : s.stop - lo] = x.value
+        del part, kept, x  # before the next strip's encode
+    audio_global, *audio_levels = (Tensor(x) for x in audio)
+    text_global, *text_levels = (Tensor(x) for x in shared.text)
+    return EncodedBatch(audio_levels, audio_global, text_levels, text_global)
+
+
 def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own: range, barrier):
     """One worker's share of `evaluate`: the strips `own`, a contiguous range
     of indices into `blocks`, of every mode, in three steps that `barrier()`
     separates; it returns once every worker has called it.
-    1. It encodes the own strips' rows of `source` in one call and copies
-       their text rows into `shared`, keeping only their audio rows. An
-       encoded batch's own audio rows and every text row are taken as they
-       are.
+    1. It encodes the own strips' rows of `source` one strip at a time
+       (`_encode_strips`), writing their text rows into `shared` and keeping
+       only the audio rows that the scorers read. An encoded batch's own
+       audio rows and every text row are taken as they are.
     2. Each component's scorer (`Model.strip_scorer`) holds the own audio
        rows and views of every text row. It scores the diagonal tiles
        (a, a) of the own strips, which are kept, and writes their diagonals
@@ -225,10 +251,7 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
     if isinstance(source, EncodedBatch):
         mine = source.rows(rows, slice(0, size))
     else:
-        mine = model.encode_arrays(source.audio[rows], source.text[rows])
-        for whole, part in zip(shared.text, [mine.text_global, *mine.text_levels]):
-            whole[rows] = part.value
-        mine.text_global, *mine.text_levels = (Tensor(x) for x in shared.text)
+        mine = _encode_strips(model, source, [blocks[n] for n in own], shared)
     barrier()
     scorers = {c: model.strip_scorer(mine, c, blocks, rows.start) for c in shared.matched}
     del mine
@@ -308,13 +331,14 @@ def _fork(number: int, cpu: int, rank) -> _Child:
     return _Child(number, pid, os.fdopen(up_r, "rb"), os.fdopen(down_w, "wb"))
 
 
-def _private_mb() -> float | None:
-    """This process's private memory, the pages no other process maps
-    (Private_Clean + Private_Dirty of /proc/self/smaps_rollup), in MB; None
-    where that cannot be read."""
-    fields = ("Private_Clean:", "Private_Dirty:")
+def _proc_mb(path: str, *fields: str) -> float | None:
+    """The sum of `fields`, lines "Name: value kB" of the /proc file `path`,
+    in MB; None where that file cannot be read or lacks a field. A forked
+    worker reads its private memory, the pages no other process maps
+    (Private_Clean + Private_Dirty of /proc/self/smaps_rollup); `evaluate`
+    reads its process's peak RSS so far (VmHWM of /proc/self/status)."""
     try:
-        with open("/proc/self/smaps_rollup", encoding="ascii") as f:
+        with open(path, encoding="ascii") as f:
             kb = [int(line.split()[1]) for line in f if line.startswith(fields)]
     except (OSError, ValueError, IndexError):
         return None
@@ -324,7 +348,7 @@ def _private_mb() -> float | None:
 def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
     """A forked worker's whole life. It leaves only through `os._exit`, so it
     never returns into the frames it shares with its parent: 0 once its
-    ranks are sent, with its private memory (`_private_mb`); 1 after it
+    ranks are sent, with its private memory (`_proc_mb`); 1 after it
     sends the type and message of what it raised (or fails to, because the
     parent is gone)."""
     code = 1
@@ -337,7 +361,8 @@ def _child(cpu: int, rank, down: BinaryIO, up: BinaryIO):
             pickle.load(down)
 
         ranks = rank(barrier)
-        _send(up, ("ok", (ranks, _private_mb())))
+        private = _proc_mb("/proc/self/smaps_rollup", "Private_Clean:", "Private_Dirty:")
+        _send(up, ("ok", (ranks, private)))
         code = 0
     except BaseException as e:  # reported; the child exits below either way
         with contextlib.suppress(OSError):
@@ -447,7 +472,10 @@ def evaluate(
 
     Memory is O(components x TILE x B) per worker on top of its own audio
     rows, plus every text row, encoded, once: in the shared mapping for a
-    dataset, where it already lies for an encoded batch. A mode's scores
+    dataset, where it already lies for an encoded batch. A worker encodes
+    a dataset's rows one strip at a time, so the encoders' intermediates
+    span TILE rows, and it keeps of its audio rows only what its scorers
+    read: the globals, and the levels only if THA is scored. A mode's scores
     equal bit for bit what `Model.similarity_matrix` gives tile by tile,
     taped or not; a matched score is read from the same tile as its row's
     and column's other scores, so it equals its own entry. One whole-batch
@@ -470,13 +498,16 @@ def evaluate(
     forked = _forked_ranks(rank, len(blocks), workers) if workers > 1 else None
     if forked is None:
         ranks = rank(range(len(blocks)), lambda: None)
-        logger.info("%d strips, 1 worker", len(blocks))
+        figures = [f"{len(blocks)} strips, 1 worker"]
     else:
         ranks, private = forked
-        figure = ""
+        figures = [f"{len(blocks)} strips, {workers} workers"]
         if private is not None:  # where every child could read its smaps_rollup
-            figure = f", largest forked worker's private memory {private:.1f} MB"
-        logger.info("%d strips, %d workers%s", len(blocks), workers, figure)
+            figures.append(f"largest forked worker's private memory {private:.1f} MB")
+    peak = _proc_mb("/proc/self/status", "VmHWM:")
+    if peak is not None:
+        figures.append(f"this process's peak RSS so far {peak:.1f} MB")
+    logger.info("%s", ", ".join(figures))
     return [
         RetrievalReport(
             mode=mode,

@@ -1,8 +1,11 @@
 """R@k ranking semantics, tiled scoring, forked workers and report files."""
 
+import builtins
 import errno
+import logging
 import os
 import pickle
+import re
 import signal
 import threading
 import tracemalloc
@@ -336,6 +339,21 @@ def test_evaluate_memory_grows_linearly_with_the_pair_count():
     assert peaks[1] < 2.5 * peaks[0], [f"{p / 2**20:.1f} MB" for p in peaks]
 
 
+def test_encoding_a_dataset_for_eval_is_bounded_by_the_tile():
+    # A dataset's pairs, as `xmal eval --data` passes them, at 4096 pairs in
+    # DP: encoding the rows in one call peaked at 32.1 MB, the encoders'
+    # intermediates growing with the rows. One strip per call peaks at
+    # 8.4 MB: the audio globals, the ranks and one strip of scores.
+    ds, model = _eval_set(4096)
+    tracemalloc.start()
+    try:
+        evaluate(model, ds.items, modes=("DP",), ks=(1, 5, 10), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 # -- strips and workspaces --------------------------------------------------------
 
 
@@ -612,10 +630,11 @@ def test_encoding_a_row_range_equals_those_rows_of_the_whole_batch_bit_for_bit()
 
 
 def test_a_forking_parent_encodes_only_its_own_strips(monkeypatch):
-    """Given a dataset's pairs, each worker encodes its own rows in one call:
-    at 300 pairs and 2 workers the parent encodes strips 0-1 (rows 0-127)
-    and the child the other 172 rows; alone, the one process encodes all
-    300. The reports equal those over the pairs encoded beforehand."""
+    """Given a dataset's pairs, each worker encodes its own rows one strip
+    per call: at 300 pairs and 2 workers the parent encodes strips 0-1
+    (rows 0-127) in two calls and the child the other 172 rows; alone, the
+    one process encodes all 300 in five calls, the last ragged. The reports
+    equal those over the pairs encoded beforehand."""
     ds, model = _eval_set(300)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     encoded = _encoded(model, ds)
@@ -634,8 +653,9 @@ def test_a_forking_parent_encodes_only_its_own_strips(monkeypatch):
         forks.clear()
         assert evaluate(model, ds.items, modes=modes, threads=threads) == serial
         assert len(forks) == min(threads, CPUS) - 1
-        own = 128 if forks else 300
-        assert calls == [(os.getpid(), own, own)], threads  # the child's calls are its own
+        strips = [64, 64] if forks else [64, 64, 64, 64, 44]
+        # the child's calls are its own
+        assert calls == [(os.getpid(), n, n) for n in strips], threads
         assert evaluate(model, encoded, modes=modes, threads=threads) == serial
 
 
@@ -823,6 +843,36 @@ def test_no_array_crosses_a_pipe_before_the_ranks(monkeypatch, tmp_path):
     assert len({pid for pid, _ in sends} - {os.getpid()}) == 1
     assert len(child) >= 2 and max(parent + child[:-1]) < 32, (parent, child)
     assert child[-1] > 300 * 8  # the ranks
+
+
+def _status_mb(field):
+    with open("/proc/self/status", encoding="ascii") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field)) / 1024
+
+
+@pytest.mark.skipif(not os.access("/proc/self/status", os.R_OK), reason="no /proc/self/status")
+def test_the_info_line_gives_the_peak_rss_only_where_it_can_be_read(caplog, monkeypatch):
+    """The peak RSS so far (VmHWM) of the calling process closes eval's info
+    line; where /proc/self/status cannot be read, the line leaves it out."""
+    ds, model = _eval_set(128)
+    caplog.set_level(logging.INFO, logger="xmal.evaluation")
+    before = _status_mb("VmRSS:")
+    reports = evaluate(model, ds.items, modes=("DP",), threads=1)
+    after = _status_mb("VmHWM:")
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "xmal.evaluation"]
+    found = re.fullmatch(r"2 strips, 1 worker, this process's peak RSS so far ([0-9.]+) MB", line)
+    assert found, line
+    assert before - 0.05 <= float(found[1]) <= after + 0.05, (before, line, after)
+
+    def unreadable_status(path, *args, **kwargs):
+        if path == "/proc/self/status":
+            raise PermissionError(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "open", unreadable_status, raising=False)
+    caplog.clear()
+    assert evaluate(model, ds.items, modes=("DP",), threads=1) == reports
+    assert [r.getMessage() for r in caplog.records] == ["2 strips, 1 worker"]
 
 
 def test_repeated_modes_are_ranked_once():
