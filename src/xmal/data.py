@@ -9,6 +9,12 @@ map, cycled to fill the requested token counts, plus isotropic gaussian
 noise. A dataset holds its P pairs as stacks (`Pairs`): `(P, M, D)` audio,
 `(P, N, D)` text and a `(P, C)` concept mask; a pair's id is its row.
 
+The order of the seeded draws is the dataset contract, and pinned digests
+in the tests guard it: each concept's vector, the text map, then the audio
+map (drawn even with `shared_projection`, which renders audio through the
+text map); then, pair by pair, its label count, its labels, its N text noise
+rows and its M audio noise rows (the noise only when sigma > 0).
+
 All containers are little-endian with fixed headers so round-trips are
 bit-exact, and each ends in a CRC32 of every byte before it, which `Reader`
 checks once when it opens the file. After its 52-byte header, a dataset file
@@ -122,7 +128,15 @@ def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def generate(cfg: SynthConfig) -> Dataset:
-    """Deterministic synthetic pairs; identical configs give identical bytes."""
+    """Deterministic synthetic pairs; identical configs give identical bytes.
+
+    The draws keep the module's contract, which the pinned digests guard:
+    concept vectors, the text map, the audio map (drawn even with
+    `shared_projection`), then per pair its label count, its labels, N text
+    noise rows and M audio noise rows. The label draw takes a data-dependent
+    number of bits, so the loop draws pair by pair, the noise straight into
+    the output stacks; rendering then works in place on them, so memory
+    stays the size of the output."""
     rng = subsystem_rng(cfg.seed, "data")
     dim, k = cfg.embed_dim, cfg.factor_count
     width = dim // k
@@ -138,22 +152,26 @@ def generate(cfg: SynthConfig) -> Dataset:
     if cfg.shared_projection:
         audio_map = text_map
 
-    def render(latent, projection, tokens):
-        rows = latent[np.arange(tokens) % len(latent)] @ projection.T
-        if cfg.noise_sigma > 0:
-            rows = rows + cfg.noise_sigma * rng.normal(size=rows.shape)
-        return rows
-
-    audio = np.empty((cfg.pairs, cfg.audio_tokens, dim))
-    text = np.empty((cfg.pairs, cfg.text_tokens, dim))
+    audio = np.zeros((cfg.pairs, cfg.audio_tokens, dim))
+    text = np.zeros((cfg.pairs, cfg.text_tokens, dim))
     concepts = np.zeros((cfg.pairs, cfg.concept_count), dtype=bool)
-    for p in range(cfg.pairs):  # a pair draws its labels, then its text and audio noise
+    for p in range(cfg.pairs):
         count = int(rng.integers(1, k + 1))
-        labels = np.sort(rng.choice(cfg.concept_count, size=count, replace=False))
-        concepts[p, labels] = True
-        latent = concept_vecs[labels]  # (count, D)
-        text[p] = render(latent, text_map, cfg.text_tokens)
-        audio[p] = render(latent, audio_map, cfg.audio_tokens)
+        concepts[p, rng.choice(cfg.concept_count, size=count, replace=False)] = True
+        if cfg.noise_sigma > 0:
+            rng.standard_normal(out=text[p])
+            rng.standard_normal(out=audio[p])
+
+    # the mask lists each pair's labels in sorted order; token t of a pair
+    # renders label t mod count
+    counts = concepts.sum(axis=1)
+    labels = np.nonzero(concepts)[1]
+    starts = np.cumsum(counts) - counts
+    for stack, projection in ((text, text_map), (audio, audio_map)):
+        rows = concept_vecs @ projection.T
+        stack *= cfg.noise_sigma
+        for t in range(stack.shape[1]):
+            stack[:, t] += rows[labels[starts + t % counts]]
     return Dataset(config=cfg, items=Pairs(audio=audio, text=text, concepts=concepts))
 
 

@@ -1,5 +1,6 @@
 """Synthetic generation determinism and container round-trips."""
 
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -100,6 +101,69 @@ def test_different_seeds_differ():
     a = generate(small_cfg(seed=1))
     b = generate(small_cfg(seed=2))
     assert not datasets_equal(a, b)
+
+
+TOY_WORLD = dict(pairs=288, factor_count=8, embed_dim=32, seed=11)  # README's toy run
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (
+            SynthConfig(**TOY_WORLD),
+            "b9375ed1f908393686111638ca91e4de44f599e5c3ca51184951b8ca56d27a73",
+        ),
+        (
+            SynthConfig(**TOY_WORLD, noise_sigma=0.0),
+            "5121b9a4f29639da871c62a6bba4956184fa4c84d7960b60b16d9ce371f32225",
+        ),
+        (
+            SynthConfig(**TOY_WORLD, shared_projection=True),
+            "49d051c5cd832c42ed3b01de9c84e160b2ab0d080e04ce8bb6b1b0709c57dfe4",
+        ),
+        (
+            SynthConfig(
+                pairs=40, concept_count=9, factor_count=4, embed_dim=16,
+                text_tokens=3, audio_tokens=5, seed=11,
+            ),
+            "4781afe5d9654e2df2ab96ab9ae83a18b4465d2e67525d89bf6828577a4a5f8b",
+        ),
+        (
+            SynthConfig(**{**TOY_WORLD, "pairs": 1}),
+            "2795bdeef7a35625de9f4d3128ce318bd44298958e71b8a00813656a548957ba",
+        ),
+    ],
+)
+def test_generated_datasets_are_pinned(cfg, digest):
+    """The seeded draw order and rendering, audio, text and concept stacks
+    pinned byte for byte with their shapes."""
+    items = generate(cfg).items
+    h = hashlib.sha256()
+    for x in (items.audio, items.text, items.concepts):
+        h.update(repr(x.shape).encode())
+        h.update(x.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_saved_toy_world_file_is_pinned(tmp_path):
+    path = tmp_path / "d.xmal"
+    save_dataset(generate(SynthConfig(**TOY_WORLD)), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "174601d520a9fd965a0d1ef4bc2b1ad1fab521a56c5826a7e366437c0da7e80b"
+
+
+def test_generate_peaks_at_the_size_of_its_output():
+    """Rendering works in place on the output stacks: no full-size noise,
+    gathered-row or sum temporaries."""
+    cfg = SynthConfig(**{**TOY_WORLD, "pairs": 2336})
+    tracemalloc.start()
+    try:
+        items = generate(cfg).items
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = items.audio.nbytes + items.text.nbytes + items.concepts.nbytes
+    assert peak < output + 2 * 2**20, f"peak {peak} bytes for {output} bytes of output"
 
 
 def test_round_robin_concept_slots():
