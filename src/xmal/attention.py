@@ -10,8 +10,9 @@ the plain cosine of the two pooled vectors.
 Each level is one fused op, `tha_level`, whose backward is closed form;
 under `no_grad` it keeps no backward state. Training, `sim`, `grad-check`
 and eval's tiles all run it. It takes level tensors or their `level_rows`,
-the per-item terms that eval's tile scorer (`Model.strip_scorer`) prepares
-once per block, and an `autodiff.Workspace` for its intermediates, which it
+the per-item terms of either side, norms and Gram matrices included, that
+eval's tile scorer (`Model.strip_scorer`) prepares on the first tile that
+reads a block, and an `autodiff.Workspace` for its intermediates, which it
 uses only while no tape records. The same score composed from autodiff
 primitives (`verify.composed_hierarchical_similarity`) is its oracle.
 """
@@ -88,24 +89,21 @@ class LevelRows(NamedTuple):
     tensor: Tensor  # the rows, the parent of every op that scores them
     unit: np.ndarray  # rows over their guarded norms
     sumsq: np.ndarray  # (B, T, 1) sums of squares
-    norms: np.ndarray | None  # (T, B) guarded norms, contiguous; context sides only
-    gram: np.ndarray | None  # (T, T, B) Gram matrices, contiguous; context sides only
+    norms: np.ndarray  # (T, B) guarded norms, contiguous
+    gram: np.ndarray  # (T, T, B) Gram matrices, contiguous
 
     @property
     def raw(self) -> np.ndarray:
         return self.tensor.value
 
 
-def level_rows(x, cfg: AttentionConfig, side: str) -> LevelRows:
-    """The `LevelRows` of (B, T, D) "audio" or "text" rows, an array or a
-    tensor; `LevelRows` pass through. The norms and Gram matrices are
-    computed only if `cfg.direction` attends over this side."""
+def level_rows(x) -> LevelRows:
+    """The `LevelRows` of (B, T, D) rows, an array or a tensor; `LevelRows`
+    pass through."""
     if isinstance(x, LevelRows):
         return x
     x = ad.as_tensor(x)
     unit, sumsq = ad.normalized(x.value)
-    if cfg.direction not in ("both", f"{side}_enhanced"):
-        return LevelRows(x, unit, sumsq, None, None)
     # contiguous (T, B) norms and (T, T, B) Gram matrices keep the einsums fast
     norms = np.ascontiguousarray(ad.guarded_root(sumsq[..., 0]).T)
     gram = np.ascontiguousarray(np.einsum("jcd,jkd->ckj", x.value, x.value))
@@ -223,7 +221,7 @@ def tha_level(a3, t3, cfg: AttentionConfig, ws: Workspace = FRESH) -> Tensor:
     tensors are its parents. The backward is closed form; the forward's
     state is kept only while a tape records. Intermediates are `ws` buffers
     only while none does, since a backward reads the saved arrays."""
-    a, t = level_rows(a3, cfg, "audio"), level_rows(t3, cfg, "text")
+    a, t = level_rows(a3), level_rows(t3)
     keep = ad.is_recording()
     score, state = _level(a, t, cfg, keep, FRESH if keep else ws)
 

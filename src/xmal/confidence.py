@@ -10,9 +10,9 @@ pair is a 1 x 1 batch.
 The score is one fused op, `factor_pair_similarity_matrix`, whose backward
 is closed form. Training, `sim`, `grad-check` and eval's tiles all run it.
 It takes factor stacks or their `factor_rows`, the per-item terms that
-eval's tile scorer (`Model.strip_scorer`) prepares once per block, and an
-`autodiff.Workspace` for its intermediates, which it uses only while no tape
-records. The same score composed from autodiff primitives
+eval's tile scorer (`Model.strip_scorer`) prepares from a block's projected
+factors on the first tile that reads the block, and an `autodiff.Workspace`
+for its intermediates, which it uses only while no tape records. The same score composed from autodiff primitives
 (`verify.composed_factor_pair_similarity`) is its oracle.
 """
 

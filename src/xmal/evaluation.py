@@ -36,7 +36,8 @@ PROTOCOL_NOTE = "one_caption_per_audio"
 TILE = 64  # items per side of a THA or DCR score tile
 # The estimated serial cost of one TILE x TILE tile per component, and the
 # tile work each forked eval worker must get to pay for its fork and its
-# barriers (about 6 ms at 256 pairs), in ms on 2 cores with 1 BLAS thread.
+# barrier (about 6 ms at 256 pairs, measured while the workers met at two
+# barriers), in ms on 2 cores with 1 BLAS thread.
 # With them, 2 workers won where the rule forks (THA 128 pairs -12%, DCR 512
 # -23%, DP 2048 -13%), and eval stays in one process where forking lost (DP
 # 256 pairs +38%, DP 1024 +18%, DCR 192 +10%).
@@ -175,8 +176,8 @@ def _worker_count(threads: int, strips: int, components) -> int:
 
 @dataclass
 class _Shared:
-    """What each eval worker reads of the others' work, as arrays over one
-    anonymous shared mapping made before any fork (`_shared`)."""
+    """What each eval worker reads of the others' work, each array over its
+    own anonymous shared mapping made before any fork (`_shared`)."""
 
     text: list[np.ndarray]  # a dataset's text globals (B, D), then levels (B, N, D) if THA scores
     matched: dict[str, np.ndarray]  # component -> its (B,) matched scores
@@ -194,10 +195,7 @@ def _shared(source: EncodedBatch | Pairs, size: int, components) -> _Shared:
     shapes = [(size, *s) for s in (text if "THA" in components else text[:1])]
     split = len(shapes)
     shapes += [(size,)] * len(components)
-    counts = [math.prod(shape) for shape in shapes]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(counts)), np.float64)
-    ends = np.cumsum(counts)
-    arrays = [flat[end - n : end].reshape(shape) for shape, n, end in zip(shapes, counts, ends)]
+    arrays = [np.frombuffer(mmap.mmap(-1, 8 * math.prod(s)), np.float64).reshape(s) for s in shapes]
     return _Shared(arrays[:split], dict(zip(components, arrays[split:])))
 
 
@@ -229,20 +227,21 @@ def _encode_strips(model: Model, pairs: Pairs, strips: list[slice], shared: _Sha
 
 def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own: range, barrier):
     """One worker's share of `evaluate`: the strips `own`, a contiguous range
-    of indices into `blocks`, of every mode, in three steps that `barrier()`
+    of indices into `blocks`, of every mode, in two steps that `barrier()`
     separates; it returns once every worker has called it.
     1. It encodes the own strips' rows of `source` one strip at a time
        (`_encode_strips`), writing their text rows into `shared` and keeping
        only the audio rows that the scorers read. An encoded batch's own
-       audio rows and every text row are taken as they are.
-    2. Each component's scorer (`Model.strip_scorer`) holds the own audio
-       rows and views of every text row. It scores the diagonal tiles
-       (a, a) of the own strips, which are kept, and writes their diagonals
-       into its matched scores in `shared`. A mode's matched scores are the
-       sum of its components'.
-    3. Each own strip of audio rows is built against every text block from
-       its tiles, the kept diagonal tile included; each mode sums its
-       components' strips in order into one reused buffer and ranks it.
+       audio rows and every text row are taken as they are. Each
+       component's scorer (`Model.strip_scorer`) holds the own audio rows
+       and views of every text row. It scores the diagonal tiles (a, a) of
+       the own strips, which read only the own text rows and are kept, and
+       writes their diagonals into its matched scores in `shared`.
+    2. A mode's matched scores are the sum of its components'. Each own
+       strip of audio rows is built against every text block from its
+       tiles, the kept diagonal tile included, which reads the other
+       workers' text rows only now; each mode sums its components' strips
+       in order into one reused buffer and ranks it.
     Returns {mode: {direction: ranks}}: the own rows' complete
     audio_to_text ranks (0 elsewhere) and the own strips' share of every
     text_to_audio rank, so the workers' ranks add up to the whole batch's."""
@@ -252,8 +251,7 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
         mine = source.rows(rows, slice(0, size))
     else:
         mine = _encode_strips(model, source, [blocks[n] for n in own], shared)
-    barrier()
-    scorers = {c: model.strip_scorer(mine, c, blocks, rows.start) for c in shared.matched}
+    scorers = {c: model.strip_scorer(mine, c, rows.start) for c in shared.matched}
     del mine
     diagonal = {c: {n: strip(blocks[n])(blocks[n]) for n in own} for c, strip in scorers.items()}
     for c, tiles in diagonal.items():
@@ -377,7 +375,7 @@ def _forked_ranks(rank, strips: int, workers: int):
     `strips` strips, the ranges in worker order. The calling process is
     worker 0, with the first range; workers 1.. are forked before anything
     is encoded. Each process runs pinned to its own CPU, because a forked
-    child starts on its parent's CPU and may stay there. At each barrier
+    child starts on its parent's CPU and may stay there. At the barrier
     the parent waits for one message from every child, then sends one to
     every child; each child then sends its ranks, which the parent adds to
     its own, and its private memory.
@@ -450,7 +448,7 @@ def evaluate(
 
     Runs tape-free and never holds a B x B array. Every component (DP, THA,
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, a THA or
-    DCR tile by the op that training runs, in two passes over the audio
+    DCR tile by the op that training runs, in two steps over the audio
     strips (see `_rank_strips`): the diagonal tiles first, which give the
     matched scores, then each strip against every text block. Ranking a
     strip completes its audio_to_text ranks, and adds its share to every
@@ -461,17 +459,16 @@ def evaluate(
     one per usable CPU, and only as many as the estimated tile work pays
     for). With more than one, workers are forked over contiguous ranges of
     strips before anything is encoded, and each encodes its own rows
-    (`_forked_ranks`). They meet at two barriers over one shared mapping
-    (`_Shared`), made here before any fork: after each has written its
-    text rows (a dataset's; an encoded batch's are read in place), and
-    after each has written its matched scores. Encoding a range of rows
-    gives the bits of the same rows of a whole-batch encode, and the
-    workers' ranks add up exactly, so the reports do not depend on
-    `threads`. If no worker can be forked, one process encodes every row
-    and ranks them.
+    (`_forked_ranks`). They meet at one barrier over shared mappings
+    (`_Shared`), made here before any fork, once each has written its text
+    rows (a dataset's; an encoded batch's are read in place) and its
+    matched scores. Encoding a range of rows gives the bits of the same
+    rows of a whole-batch encode, and the workers' ranks add up exactly,
+    so the reports do not depend on `threads`. If no worker can be forked,
+    one process encodes every row and ranks them.
 
     Memory is O(components x TILE x B) per worker on top of its own audio
-    rows, plus every text row, encoded, once: in the shared mapping for a
+    rows, plus every text row, encoded, once: in the shared mappings for a
     dataset, where it already lies for an encoded batch. A worker encodes
     a dataset's rows one strip at a time, so the encoders' intermediates
     span TILE rows, and it keeps of its audio rows only what its scorers

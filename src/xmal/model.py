@@ -210,69 +210,68 @@ class Model:
             loss_d = loss_a = Tensor(0.0)
         return loss_s, loss_d, loss_a, objective.total_loss(loss_s, loss_d, loss_a, cfg)
 
-    def strip_scorer(
-        self, encoded: EncodedBatch, component: str, blocks: list[slice], audio_start: int = 0
-    ):
+    def strip_scorer(self, encoded: EncodedBatch, component: str, audio_start: int = 0):
         """Tape-free scoring of one component in tiles, for eval: returns
         `strip(a)`, which prepares audio rows `a` and returns `tile(t)`, the
-        scores of those rows against text rows `t`, one of `blocks`. Both
-        index the whole batch: `encoded` holds every text row, and audio
-        rows from `audio_start` on (an eval worker's own). Each text
-        block's per-item terms (`attention.level_rows`,
-        `confidence.factor_rows`) are prepared once here. A THA or DCR tile
-        is the component's op, run under `no_grad` on the prepared rows with
-        one workspace that the scorer owns and that holds every tile's
-        intermediates, so its tiles allocate only on the first pass; a tile
-        is a fresh array, equal bit for bit to `similarity_matrix(rows,
-        component)`. DP normalizes the globals once and a tile is one
-        matmul; DCR projects the factors once, and the tiles slice the
-        stacks."""
-
-        def own(a: slice) -> slice:
-            return slice(a.start - audio_start, a.stop - audio_start)
-
-        if component == "DP":
-            an = ad.normalize_rows(encoded.audio_global).value
-            tn = ad.normalize_rows(encoded.text_global).value
-            return lambda a: lambda t: an[own(a)] @ tn[t].T
+        scores of those rows against text rows `t`. Both index the whole
+        batch: `encoded` holds every text row, and audio rows from
+        `audio_start` on (an eval worker's own). The component's `prepare`
+        gives one side's per-item terms of some rows (DP: unit globals; THA:
+        `attention.level_rows` per level; DCR: `confidence.factor_rows` of
+        the projected factors), and its `score` one tile from two prepared
+        sides. A text block is prepared on the first tile that reads it and
+        kept by its start, so a tile reads no text row outside its own
+        block: eval's workers score their diagonal tiles before they meet,
+        while the others' text rows may be unwritten. THA and DCR score with the component's op on one workspace
+        that the scorer owns and that holds every tile's intermediates, so
+        its tiles allocate only on the first pass; a tile is a fresh array,
+        equal bit for bit to `similarity_matrix(rows, component)`. Run it
+        under `no_grad`."""
         ws = ad.Workspace()
         if component == "THA":
-            cfg = self.cfg.attention
-            text = {
-                t.start: [
-                    attention.level_rows(x.value[t], cfg, "text") for x in encoded.text_levels
-                ]
-                for t in blocks
+            sides = {
+                "audio": [x.value for x in encoded.audio_levels],
+                "text": [x.value for x in encoded.text_levels],
             }
 
-            levels = [x.value for x in encoded.audio_levels]  # so `encoded` can be freed
+            def prepare(rows, side):
+                return [attention.level_rows(x) for x in rows]
 
-            def strip(a: slice):
-                audio = [attention.level_rows(x[own(a)], cfg, "audio") for x in levels]
+            def score(audio, text):
+                return attention.hierarchical_similarity_matrix(
+                    audio, text, self.cfg.attention, ws
+                ).value
 
-                @ad.no_grad()
-                def tile(t: slice) -> np.ndarray:
-                    return attention.hierarchical_similarity_matrix(
-                        audio, text[t.start], cfg, ws
-                    ).value
+        else:
+            sides = {"audio": [encoded.audio_global.value], "text": [encoded.text_global.value]}
+            if component == "DP":
 
-                return tile
+                def prepare(rows, side):
+                    return ad.normalized(rows[0])[0]
 
-            return strip
-        if component == "DCR":
-            text_z, audio_z = (z.value for z in self.batch_factors(encoded))
-            text = {t.start: factor_rows(text_z[t], self.params, "text") for t in blocks}
+                def score(audio, text):
+                    return audio @ text.T
 
-            def strip(a: slice):
-                audio = factor_rows(audio_z[own(a)], self.params, "audio")
+            else:  # DCR
 
-                @ad.no_grad()
-                def tile(t: slice) -> np.ndarray:
-                    return factor_pair_similarity_matrix(
-                        text[t.start], audio, self.params, ws
-                    ).value
+                def prepare(rows, side):
+                    z = factors.project_factors(rows[0], self.params[f"factors.{side}"])
+                    return factor_rows(z, self.params, side)
 
-                return tile
+                def score(audio, text):
+                    return factor_pair_similarity_matrix(text, audio, self.params, ws).value
 
-            return strip
-        raise ConfigError(f"no strip scorer for similarity component {component!r}")
+        text = {}  # text block start -> its prepared rows
+
+        def strip(a: slice):
+            own = slice(a.start - audio_start, a.stop - audio_start)
+            audio = prepare([x[own] for x in sides["audio"]], "audio")
+
+            def tile(t: slice) -> np.ndarray:
+                if t.start not in text:
+                    text[t.start] = prepare([x[t] for x in sides["text"]], "text")
+                return score(audio, text[t.start])
+
+            return tile
+
+        return strip

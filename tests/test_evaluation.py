@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmal import autodiff as ad, evaluation, verify
-from xmal.attention import AttentionConfig, hierarchical_similarity_matrix, level_rows
+from xmal import attention, autodiff as ad, evaluation, model as model_module, verify
+from xmal.attention import AttentionConfig, LevelRows, hierarchical_similarity_matrix, level_rows
 from xmal.confidence import factor_pair_similarity_matrix, factor_rows
 from xmal.data import SynthConfig, generate
 from xmal.errors import ContractError, DimensionError, XmalError
@@ -408,7 +408,8 @@ def _taped_tile_matrix(model, items, mode):
     return out
 
 
-@pytest.mark.parametrize("pairs", (150, 300))  # 3 strips; 5 strips, the last ragged
+# 3 strips; 5 strips, the last ragged; 2 strips, the last one row
+@pytest.mark.parametrize("pairs", (150, 300, 65))
 def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
     modes = ("DP", "THA", "DCR", "THA+DCR", "THA+DP")
     ks = (1, 5, 10)
@@ -439,7 +440,7 @@ def _stub_strip_scorers(monkeypatch, matrices):
     the list of tiles scored, as (component, audio start, text start)."""
     scored = []
 
-    def strip_scorer(self, encoded, component, blocks, audio_start=0):
+    def strip_scorer(self, encoded, component, audio_start=0):
         s = matrices[component]
 
         def tile(a, t):
@@ -577,11 +578,11 @@ def test_an_encoded_batch_is_read_in_place_by_every_worker(monkeypatch):
     assert [list(s.matched) for s in made] == [["DP", "THA", "DCR"]] * 2
 
 
-def test_more_workers_than_cores_meet_at_the_barriers(monkeypatch):
+def test_more_workers_than_cores_meet_at_the_barrier(monkeypatch):
     """Six forked workers, more than the cores, rank as one process does: a
-    worker that read a text row or a matched score from the shared mapping
-    before its writer had written it would read zeros and change the
-    reports. An alarm bounds the call in case a barrier never opens."""
+    worker that read another's text rows or matched scores from the shared
+    mappings before the barrier would read zeros and change the reports.
+    An alarm bounds the call in case the barrier never opens."""
     ds, model = _eval_set(384)  # 6 strips
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     serial = evaluate(model, ds.items, modes=modes, threads=1)
@@ -590,7 +591,7 @@ def test_more_workers_than_cores_meet_at_the_barriers(monkeypatch):
     forks = _count_forks(monkeypatch)
 
     def late(signum, frame):
-        raise TimeoutError("a barrier did not open within 60 s")
+        raise TimeoutError("the barrier did not open within 60 s")
 
     previous = signal.signal(signal.SIGALRM, late)
     signal.alarm(60)
@@ -622,7 +623,7 @@ def test_encoding_a_row_range_equals_those_rows_of_the_whole_batch_bit_for_bit()
 
     with ad.no_grad():
         whole = [x.value for x in outputs(model.encode_arrays(items.audio, items.text))]
-        for lo, hi in ((0, 64), (64, 128), (128, 150), (1, 147)):
+        for lo, hi in ((0, 64), (64, 128), (128, 150), (1, 147), (149, 150)):
             part = outputs(model.encode_arrays(items.audio[lo:hi], items.text[lo:hi]))
             assert len(part) == len(whole) == 10
             for i, (got, want) in enumerate(zip(part, whole)):
@@ -685,7 +686,7 @@ def _failing_tiles(monkeypatch, fail):
     s = np.random.default_rng(3).normal(size=(20, 20))
     encode = Model.encode_arrays
 
-    def strip_scorer(self, encoded, component, blocks, audio_start=0):
+    def strip_scorer(self, encoded, component, audio_start=0):
         def tile(a, t):
             fail(parent, "tile")
             if a != t:
@@ -822,9 +823,10 @@ def test_a_failed_worker_or_interrupted_parent_reaps_every_child(fail, error, ma
 
 @needs_two_cpus
 def test_no_array_crosses_a_pipe_before_the_ranks(monkeypatch, tmp_path):
-    """Forked workers trade their text rows and matched scores through one
-    shared mapping, so every message that a child sends before its ranks,
-    and every message the parent sends, is a barrier message of a few bytes."""
+    """Forked workers trade their text rows and matched scores through
+    shared mappings and meet at one barrier, so a child sends one barrier
+    message of a few bytes and then its ranks, and the parent sends one
+    release."""
     ds, model = _eval_set(300)
     serial = evaluate(model, ds.items, modes=("THA+DCR",), threads=1)
     log = tmp_path / "sends"
@@ -841,7 +843,8 @@ def test_no_array_crosses_a_pipe_before_the_ranks(monkeypatch, tmp_path):
     parent = [size for pid, size in sends if pid == os.getpid()]
     child = [size for pid, size in sends if pid != os.getpid()]
     assert len({pid for pid, _ in sends} - {os.getpid()}) == 1
-    assert len(child) >= 2 and max(parent + child[:-1]) < 32, (parent, child)
+    assert len(child) == 2 and len(parent) == 1, (parent, child)
+    assert max(parent + child[:-1]) < 32, (parent, child)
     assert child[-1] > 300 * 8  # the ranks
 
 
@@ -881,15 +884,33 @@ def test_repeated_modes_are_ranked_once():
     assert _reports(model, ds, ("DP", "THA", "DP"), 1) == once + once[:2]
 
 
-def test_level_rows_prepare_context_terms_only_for_attended_sides():
-    x = np.random.default_rng(5).normal(size=(3, 4, 8))
-    for direction, context in (
-        ("text_enhanced", {"text"}), ("audio_enhanced", {"audio"}), ("both", {"audio", "text"})
-    ):
-        cfg = AttentionConfig(direction=direction)
-        for side in ("audio", "text"):
-            rows = level_rows(x, cfg, side)
-            assert (rows.norms is not None) == (rows.gram is not None) == (side in context)
+def test_each_text_block_is_prepared_once_per_scorer(monkeypatch):
+    """A scorer prepares a text block on the first tile that reads it and
+    keeps it, so one process at 300 pairs (5 blocks) prepares every text
+    row once: 5 blocks x 3 levels for THA, 5 blocks for DCR. A prepare per
+    tile would keep every score's bits and multiply the Gram work by the
+    strip count; forked workers meet at one barrier only while the prepare
+    waits for the first tile that reads a block."""
+    ds, model = _eval_set(300)
+    encoded = _encoded(model, ds)
+    text = [x.value for x in encoded.text_levels]
+    prepared = {"THA": [], "DCR": []}  # the rows of each text block prepared
+    make_level_rows, make_factor_rows = attention.level_rows, model_module.factor_rows
+
+    def counting_level_rows(x):
+        if not isinstance(x, LevelRows) and any(np.shares_memory(x, level) for level in text):
+            prepared["THA"].append(len(x))
+        return make_level_rows(x)
+
+    def counting_factor_rows(x, params, side):
+        if side == "text":
+            prepared["DCR"].append(len(x.value))
+        return make_factor_rows(x, params, side)
+
+    monkeypatch.setattr(attention, "level_rows", counting_level_rows)
+    monkeypatch.setattr(model_module, "factor_rows", counting_factor_rows)
+    evaluate(model, encoded, modes=("THA", "DCR", "THA+DCR"), threads=1)
+    assert prepared == {"THA": [64] * 12 + [44] * 3, "DCR": [64] * 4 + [44]}
 
 
 def _tile_inputs(rng, items=64):
@@ -909,8 +930,8 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
 
     def sides(text, audio, text_z, audio_z):
         return (
-            [level_rows(x, cfg, "text") for x in text],
-            [level_rows(x, cfg, "audio") for x in audio],
+            [level_rows(x) for x in text],
+            [level_rows(x) for x in audio],
             factor_rows(text_z, params, "text"),
             factor_rows(audio_z, params, "audio"),
         )
