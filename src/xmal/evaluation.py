@@ -36,8 +36,9 @@ PROTOCOL_NOTE = "one_caption_per_audio"
 TILE = 64  # items per side of a THA or DCR score tile
 # The estimated serial cost of one TILE x TILE tile per component, and the
 # tile work each forked eval worker must get to pay for its fork and its
-# barrier (about 6 ms at 256 pairs, measured while the workers met at two
-# barriers), in ms on 2 cores with 1 BLAS thread.
+# barrier (forking one worker, meeting it at the barrier and reaping it
+# takes 3.4-5.2 ms, plus page faults; see README), in ms on 2 cores with 1
+# BLAS thread.
 # With them, 2 workers won where the rule forks (THA 128 pairs -12%, DCR 512
 # -23%, DP 2048 -13%), and eval stays in one process where forking lost (DP
 # 256 pairs +38%, DP 1024 +18%, DCR 192 +10%).
@@ -60,10 +61,10 @@ class RetrievalReport:
 
 def recall_at_k(s: np.ndarray, k, direction: str):
     """Percentage of queries whose true match (index = query index) ranks in
-    the top k by descending score. `k` is an int, giving a float, or a
-    sequence of ints, giving {k: R@k}; the ranks are computed once per call.
-    `evaluate` ranks the same way strip by strip; this is its whole-matrix
-    oracle."""
+    the top k by descending score, ties by ascending index and NaN last.
+    `k` is an int, giving a float, or a sequence of ints, giving {k: R@k};
+    the ranks are computed once per call, by the ranker `evaluate` runs on
+    each strip (`_rank_strip`), with the whole matrix as one strip."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"similarity matrix must be square, got {s.shape}")
@@ -73,9 +74,10 @@ def recall_at_k(s: np.ndarray, k, direction: str):
     _check_ks(ks, n)
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    axis = 1 if direction == "audio_to_text" else 0  # the axis along a query's candidates
-    every = slice(0, n)
-    r_at = _recall(_match_ranks(s, np.diagonal(s).copy(), every, every, axis), ks)
+    ranks = {d: np.zeros(n, dtype=np.intp) for d in DIRECTIONS}
+    mask, before = np.empty((n, n), dtype=bool), np.tri(n, k=-1, dtype=bool)
+    _rank_strip(s, slice(0, n), np.diagonal(s), ranks, mask, before)
+    r_at = _recall(ranks[direction], ks)
     return r_at[k] if single else r_at
 
 
@@ -95,52 +97,93 @@ def _recall(ranks: np.ndarray, ks) -> dict[int, float]:
     return {k: 100.0 * int((ranks < k).sum()) / ranks.size for k in ks}
 
 
-def _match_ranks(
-    s: np.ndarray, match: np.ndarray, queries: slice, candidates: slice, axis: int
-) -> np.ndarray:
-    """The share of block `s` in each query's rank: the position of its true
-    match (the candidate with the query's own index) when its candidates are
-    sorted by descending score, ties by ascending index and NaN last.
-
-    The queries `queries` lie across `axis` and have the matched scores
-    `match`; the candidates `candidates` lie along it. A query's rank is the
-    count of higher scores plus equal scores at a lower index; for a NaN
-    match, the count of non-NaN scores plus NaN scores at a lower index. Both
-    counts add up over blocks that split the candidates.
-
-    A NaN candidate is neither higher than nor equal to a non-NaN match, so
-    the NaN terms are computed only when some match is NaN, and the tie term
-    only when some match equals another of its query's candidates."""
-    m = np.expand_dims(match, axis)
-
-    def before():  # candidates at a lower index than their query
-        q = np.arange(queries.start, queries.stop)
-        c = np.arange(candidates.start, candidates.stop)
-        return np.expand_dims(c, 1 - axis) < np.expand_dims(q, axis)
-
-    nan_match = np.isnan(match)
-    ranks = np.count_nonzero(s > m, axis=axis)
-    equal = s == m
-    # A non-NaN match equals its own entry where the block holds that entry;
-    # any further equal entry is a tie.
-    lo = queries.start
-    own = nan_match[max(candidates.start - lo, 0):max(candidates.stop - lo, 0)]
-    if np.count_nonzero(equal) > own.size - np.count_nonzero(own):
-        ranks += np.count_nonzero(equal & before(), axis=axis)
-    if nan_match.any():
-        nan = np.isnan(s)
-        nan_ranks = np.count_nonzero(~nan, axis=axis) + np.count_nonzero(nan & before(), axis=axis)
-        ranks = np.where(nan_match, nan_ranks, ranks)
-    return ranks
+def _count(mask: np.ndarray, axis: int) -> np.ndarray:
+    """The true entries of bool `mask` along `axis`, summed over its uint8
+    view in the narrowest unsigned type that holds the axis length exactly,
+    which is several times faster than a count of nonzeros along an axis."""
+    n = mask.shape[axis]
+    dtype = np.uint8 if n < 2**8 else np.uint16 if n < 2**16 else np.uint32
+    return mask.view(np.uint8).sum(axis=axis, dtype=dtype)
 
 
-def _rank_strip(s: np.ndarray, a: slice, match: np.ndarray, ranks: dict[str, np.ndarray]):
+def _nan_match_ranks(counts: np.ndarray, s: np.ndarray, a: slice, query: np.ndarray, axis: int):
+    """Replace in `counts` the ranks of the queries whose match `query` is
+    NaN, which no comparison can give: the count of non-NaN candidates plus
+    NaN candidates at a lower index. The queries lie across `axis` of strip
+    `s`, audio rows `a` against every text item, and their candidates along
+    it."""
+    q = np.flatnonzero(np.isnan(query))
+    if q.size == 0:
+        return
+    nan = np.isnan(np.take(s, q, axis=1 - axis))
+    rows = np.arange(a.start, a.stop)
+    if axis == 1:  # the queries are rows a, the candidates every text item
+        lower = np.arange(s.shape[1]) < rows[q, None]
+    else:  # the queries are text items, the candidates rows a
+        lower = rows[:, None] < q
+    counts[q] = _count(~nan, axis) + _count(nan & lower, axis)
+
+
+def _rank_strip(
+    s: np.ndarray,
+    a: slice,
+    match: np.ndarray,
+    ranks: dict[str, np.ndarray],
+    mask: np.ndarray,
+    before: np.ndarray,
+):
     """Rank strip `s`, audio rows `a` of one mode's matrix against every text
-    item: the audio_to_text ranks of rows `a` are complete within it, and
-    each text item's text_to_audio rank gains the strip's share."""
-    every = slice(0, s.shape[1])
-    ranks["audio_to_text"][a] = _match_ranks(s, match[a], a, every, axis=1)
-    ranks["text_to_audio"] += _match_ranks(s, match, every, a, axis=0)
+    item, under the matched scores `match` of every item: the audio_to_text
+    ranks of rows `a` are complete within it, and each text item's
+    text_to_audio rank gains the strip's share. `mask` (bool) is at least
+    the strip's shape and `before` is `np.tri(n, k=-1, dtype=bool)` for
+    some n >= len(a); the caller makes both once and reuses them.
+
+    A query's rank is the position of its true match (the candidate with
+    the query's own index) when its candidates are sorted by descending
+    score, ties by ascending index and NaN last. For a non-NaN match m of
+    query q, that is #{c < q : s_c >= m} + #{c >= q : s_c > m}: its own
+    entry counts in neither term, and a NaN candidate fails both. So each
+    score is compared once per direction, into `mask`:
+
+    | region             | audio_to_text  | text_to_audio  |
+    |--------------------|----------------|----------------|
+    | columns left of a  | >=             | >              |
+    | columns right of a | >              | >=             |
+    | block a x a        | > and == where | > and == where |
+    |                    | column < row   | row < column   |
+
+    and the mask is counted along the queries' candidates (`_count`). The
+    ranks of NaN matches are filled in apart (`_nan_match_ranks`). Every
+    term adds up over strips that split the rows, and `recall_at_k` ranks
+    a whole matrix as one strip."""
+    lo, hi = a.start, a.stop
+    height, width = hi - lo, s.shape[1]
+    mask = mask[:height, :width]
+    tri = before[:height, :height]
+    rows = match[a, None]
+    # With its default 8192-element buffer, numpy copies a broadcast operand
+    # (a row's or a column's match) into the buffer, element by element, to
+    # compare several rows per inner loop; a buffer no longer than a row (a
+    # multiple of 16) compares each row in place, 2-4x faster at widths of
+    # 256-2048. numpy 1.x's errstate does not restore the buffer size, so
+    # it is restored here.
+    bufsize = np.setbufsize(-(-width // 16) * 16)
+    try:
+        np.greater_equal(s[:, :lo], rows, out=mask[:, :lo])
+        np.greater(s[:, lo:], rows, out=mask[:, lo:])
+        mask[:, a] |= (s[:, a] == rows) & tri
+        counts = _count(mask, 1)
+        _nan_match_ranks(counts, s, a, match[a], 1)
+        ranks["audio_to_text"][a] = counts
+        np.greater(s[:, :hi], match[:hi], out=mask[:, :hi])
+        np.greater_equal(s[:, hi:], match[hi:], out=mask[:, hi:])
+        mask[:, a] |= (s[:, a] == match[a]) & tri.T
+        counts = _count(mask, 0)
+        _nan_match_ranks(counts, s, a, match, 0)
+        ranks["text_to_audio"] += counts
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _mode_sum(terms: list[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -237,11 +280,12 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
        and views of every text row. It scores the diagonal tiles (a, a) of
        the own strips, which read only the own text rows and are kept, and
        writes their diagonals into its matched scores in `shared`.
-    2. A mode's matched scores are the sum of its components'. Each own
-       strip of audio rows is built against every text block from its
-       tiles, the kept diagonal tile included, which reads the other
-       workers' text rows only now; each mode sums its components' strips
-       in order into one reused buffer and ranks it.
+    2. A mode's matched scores are the sum of its components'. Each
+       component writes each own strip's tiles against every other text
+       block straight into its reused strip buffer, which reads the other
+       workers' text rows only now, and copies in the kept diagonal tile;
+       each mode sums its components' strips in order into one reused
+       buffer and ranks it (`_rank_strip`, on one reused mask).
     Returns {mode: {direction: ranks}}: the own rows' complete
     audio_to_text ranks (0 elsewhere) and the own strips' share of every
     text_to_audio rank, so the workers' ranks add up to the whole batch's."""
@@ -253,10 +297,12 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
         mine = _encode_strips(model, source, [blocks[n] for n in own], shared)
     scorers = {c: model.strip_scorer(mine, c, rows.start) for c in shared.matched}
     del mine
-    diagonal = {c: {n: strip(blocks[n])(blocks[n]) for n in own} for c, strip in scorers.items()}
-    for c, tiles in diagonal.items():
-        for n, tile in tiles.items():
-            shared.matched[c][blocks[n]] = np.diagonal(tile)
+    diagonal = {c: {} for c in scorers}
+    for c, strip in scorers.items():
+        for n in own:
+            b = blocks[n]
+            tile = diagonal[c][n] = strip(b)(b, np.empty((b.stop - b.start,) * 2))
+            shared.matched[c][b] = np.diagonal(tile)
     barrier()
     match = {
         m: _mode_sum([shared.matched[c] for c in cs], np.empty(size)) for m, cs in parts.items()
@@ -264,16 +310,21 @@ def _rank_strips(model: Model, source, parts: dict, blocks, shared: _Shared, own
     ranks = {mode: {d: np.zeros(size, dtype=np.intp) for d in DIRECTIONS} for mode in parts}
     strips = {c: np.empty((blocks[0].stop, size)) for c in scorers}
     total = np.empty((blocks[0].stop, size))  # pages are touched only by multi-component modes
+    mask = np.empty((blocks[0].stop, size), dtype=bool)
+    before = np.tri(blocks[0].stop, k=-1, dtype=bool)
     for n in own:
         a = blocks[n]
         height = a.stop - a.start
         for c, strip in scorers.items():
             tile = strip(a)
             for m, t in enumerate(blocks):
-                strips[c][:height, t] = diagonal[c][n] if m == n else tile(t)
+                if m == n:
+                    strips[c][:height, t] = diagonal[c][n]
+                else:
+                    tile(t, strips[c][:height, t])
         for mode, comps in parts.items():
             s = _mode_sum([strips[c][:height] for c in comps], total[:height])
-            _rank_strip(s, a, match[mode], ranks[mode])
+            _rank_strip(s, a, match[mode], ranks[mode], mask, before)
     return ranks
 
 
@@ -450,9 +501,13 @@ def evaluate(
     DCR) is scored in TILE x TILE tiles by `Model.strip_scorer`, a THA or
     DCR tile by the op that training runs, in two steps over the audio
     strips (see `_rank_strips`): the diagonal tiles first, which give the
-    matched scores, then each strip against every text block. Ranking a
-    strip completes its audio_to_text ranks, and adds its share to every
-    text item's text_to_audio rank (see `_match_ranks`).
+    matched scores, then each strip against every text block, each tile
+    written into the strip's buffer. Ranking a strip compares each of its
+    scores once per direction with its query's matched score and counts
+    the results in the narrowest exact integer type (`_rank_strip`, the
+    ranker `recall_at_k` also runs): it completes the audio_to_text ranks
+    of the strip's rows, and adds its share to every text item's
+    text_to_audio rank.
 
     `threads` (at least 1, else ContractError, checked with the seed) caps
     the processes that encode, score and rank the strips (`_worker_count`:

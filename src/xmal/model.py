@@ -212,9 +212,10 @@ class Model:
 
     def strip_scorer(self, encoded: EncodedBatch, component: str, audio_start: int = 0):
         """Tape-free scoring of one component in tiles, for eval: returns
-        `strip(a)`, which prepares audio rows `a` and returns `tile(t)`, the
-        scores of those rows against text rows `t`. Both index the whole
-        batch: `encoded` holds every text row, and audio rows from
+        `strip(a)`, which prepares audio rows `a` and returns `tile(t, out)`,
+        which writes the scores of those rows against text rows `t` into
+        `out`, a (len(a), len(t)) array or view, and returns it. Both index
+        the whole batch: `encoded` holds every text row, and audio rows from
         `audio_start` on (an eval worker's own). The component's `prepare`
         gives one side's per-item terms of some rows (DP: unit globals; THA:
         `attention.level_rows` per level; DCR: `confidence.factor_rows` of
@@ -222,11 +223,14 @@ class Model:
         sides. A text block is prepared on the first tile that reads it and
         kept by its start, so a tile reads no text row outside its own
         block: eval's workers score their diagonal tiles before they meet,
-        while the others' text rows may be unwritten. THA and DCR score with the component's op on one workspace
-        that the scorer owns and that holds every tile's intermediates, so
-        its tiles allocate only on the first pass; a tile is a fresh array,
-        equal bit for bit to `similarity_matrix(rows, component)`. Run it
-        under `no_grad`."""
+        while the others' text rows may be unwritten. A DP tile is one
+        matmul written through `out`'s strides, so a warm DP tile allocates
+        nothing and gives the bits of `audio @ text.T`. THA and DCR score
+        with the component's op on one workspace that the scorer owns and
+        that holds every tile's intermediates, so after the first pass a
+        tile allocates only its small result, which is copied into `out`.
+        Every tile equals bit for bit
+        `similarity_matrix(rows, component)`. Run it under `no_grad`."""
         ws = ad.Workspace()
         if component == "THA":
             sides = {
@@ -237,8 +241,8 @@ class Model:
             def prepare(rows, side):
                 return [attention.level_rows(x) for x in rows]
 
-            def score(audio, text):
-                return attention.hierarchical_similarity_matrix(
+            def score(audio, text, out):
+                out[...] = attention.hierarchical_similarity_matrix(
                     audio, text, self.cfg.attention, ws
                 ).value
 
@@ -249,8 +253,8 @@ class Model:
                 def prepare(rows, side):
                     return ad.normalized(rows[0])[0]
 
-                def score(audio, text):
-                    return audio @ text.T
+                def score(audio, text, out):
+                    np.matmul(audio, text.T, out=out)
 
             else:  # DCR
 
@@ -258,8 +262,8 @@ class Model:
                     z = factors.project_factors(rows[0], self.params[f"factors.{side}"])
                     return factor_rows(z, self.params, side)
 
-                def score(audio, text):
-                    return factor_pair_similarity_matrix(text, audio, self.params, ws).value
+                def score(audio, text, out):
+                    out[...] = factor_pair_similarity_matrix(text, audio, self.params, ws).value
 
         text = {}  # text block start -> its prepared rows
 
@@ -267,10 +271,11 @@ class Model:
             own = slice(a.start - audio_start, a.stop - audio_start)
             audio = prepare([x[own] for x in sides["audio"]], "audio")
 
-            def tile(t: slice) -> np.ndarray:
+            def tile(t: slice, out: np.ndarray) -> np.ndarray:
                 if t.start not in text:
                     text[t.start] = prepare([x[t] for x in sides["text"]], "text")
-                return score(audio, text[t.start])
+                score(audio, text[t.start], out)
+                return out
 
             return tile
 

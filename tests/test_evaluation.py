@@ -215,15 +215,19 @@ def test_report_files_round_trip_text_and_binary(tmp_path):
 
 
 def _recall_at_k_loop(s, k, direction):
-    """Reference ranking: a stable descending argsort per query."""
+    """Reference ranking, independent of the package's ranker: a stable
+    descending argsort per query (ties keep ascending index, NaN sorts
+    last). `k` is an int, giving a float, or a tuple of ints, giving
+    {k: R@k}."""
     n = s.shape[0]
-    hits = 0
+    ranks = []
     for q in range(n):
         scores = s[q, :] if direction == "audio_to_text" else s[:, q]
         order = np.argsort(-scores, kind="stable")  # ties keep ascending index
-        rank = int(np.nonzero(order == q)[0][0])
-        hits += rank < k
-    return 100.0 * hits / n
+        ranks.append(int(np.nonzero(order == q)[0][0]))
+    ranks = np.array(ranks)
+    r_at = {j: 100.0 * int((ranks < j).sum()) / n for j in ((k,) if isinstance(k, int) else k)}
+    return r_at[k] if isinstance(k, int) else r_at
 
 
 def test_recall_matches_stable_argsort_loop_with_ties_and_nan():
@@ -260,6 +264,14 @@ def test_recall_matches_stable_argsort_loop_with_ties_and_nan():
     for direction in ("audio_to_text", "text_to_audio"):
         got = recall_at_k(s, ks, direction)
         assert got == {k: _recall_at_k_loop(s, k, direction) for k in ks}
+
+
+def test_ranking_leaves_numpy_buffer_size_as_it_was():
+    """The ranker narrows numpy's ufunc buffer for its comparisons only."""
+    size = np.getbufsize()
+    s = np.random.default_rng(9).normal(size=(300, 300))
+    assert recall_at_k(s, 1, "audio_to_text") == _recall_at_k_loop(s, 1, "audio_to_text")
+    assert np.getbufsize() == size
 
 
 def _eval_set(pairs, seed=4):
@@ -365,9 +377,9 @@ def _captured_matrices(monkeypatch, modes, size):
     seen = []
     rank = evaluation._rank_strip
 
-    def hook(s, a, match, ranks):
+    def hook(s, a, match, ranks, mask, before):
         seen.append((a, np.array(s), match.copy()))
-        return rank(s, a, match, ranks)
+        return rank(s, a, match, ranks, mask, before)
 
     monkeypatch.setattr(evaluation, "_rank_strip", hook)
 
@@ -430,7 +442,8 @@ def test_strips_equal_the_taped_ops_tile_by_tile(pairs, monkeypatch):
         for mode, got, want in zip(modes, assemble(), expected):
             assert np.array_equal(got, want), (attention_cfg, mode)
         assert [(r.mode, r.direction, r.r_at) for r in reports] == [
-            (mode, d, recall_at_k(want, ks, d)) for mode, want in zip(modes, expected)
+            (mode, d, {k: _recall_at_k_loop(want, k, d) for k in ks})
+            for mode, want in zip(modes, expected)
             for d in ("text_to_audio", "audio_to_text")
         ]
 
@@ -443,18 +456,42 @@ def _stub_strip_scorers(monkeypatch, matrices):
     def strip_scorer(self, encoded, component, audio_start=0):
         s = matrices[component]
 
-        def tile(a, t):
+        def tile(a, t, out):
             scored.append((component, a.start, t.start))
-            return s[a, t].copy()
+            out[...] = s[a, t]
+            return out
 
-        return lambda a: lambda t: tile(a, t)
+        return lambda a: lambda t, out: tile(a, t, out)
 
     monkeypatch.setattr(Model, "strip_scorer", strip_scorer)
     return scored
 
 
-def _stub_cases(rng, n):
-    """(DP, THA, DCR) full matrices with many ties and with NaNs."""
+def _regional_ties(rng, n, tile):
+    """A normal n x n matrix where, in every strip of `tile` rows, one query
+    ties its match in each region of its row and of its column: left of the
+    strip's diagonal block, inside it below and above the diagonal, and
+    right of it. A few matches are +0.0 tied by -0.0 candidates, +inf or
+    -inf tied by equal candidates, or NaN beside NaN candidates, and 5% of
+    the other scores are NaN."""
+    s = rng.normal(size=(n, n))
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        q = int(rng.integers(lo, hi))
+        for region in (range(0, lo), range(lo, q), range(q + 1, hi), range(hi, n)):
+            for c in rng.choice(region, size=min(2, len(region)), replace=False):
+                s[q, c] = s[c, q] = s[q, q]
+    s[(rng.random((n, n)) < 0.05) & ~np.eye(n, dtype=bool)] = np.nan
+    for q, value in zip(rng.permutation(n), (0.0, np.inf, -np.inf, np.nan) * 2):
+        others = np.setdiff1d(rng.choice(n, size=min(4, n), replace=False), [q])
+        s[q, q] = value
+        s[q, others] = s[others, q] = -value if value == 0 else value
+    return s
+
+
+def _stub_cases(rng, n, tile):
+    """(DP, THA, DCR) full matrices with many ties and with NaNs, for strips
+    of `tile` rows."""
     ties = [rng.integers(0, 3, size=(n, n)).astype(float) for _ in range(3)]
     nans = [rng.integers(0, 4, size=(n, n)).astype(float) for _ in range(3)]
     for m in nans:
@@ -463,6 +500,8 @@ def _stub_cases(rng, n):
     yield ties
     yield nans
     yield [np.ones((n, n)), np.full((n, n), np.nan), np.zeros((n, n))]
+    # DP and DCR keep their -0.0 ties; adding THA's +0.0 turns them into +0.0
+    yield [_regional_ties(rng, n, tile), np.zeros((n, n)), _regional_ties(rng, n, tile)]
     if n < 20:
         return
     # Ties across strip boundaries (TILE 7): column 8's match equals row 3's
@@ -476,31 +515,57 @@ def _stub_cases(rng, n):
     yield [crossing, np.zeros((n, n)), np.zeros((n, n))]
 
 
-@pytest.mark.parametrize("pairs", (20, 5))  # strips of 7, 7 and 6 pairs; one strip of 5
-def test_streamed_ranks_equal_the_assembled_matrix_with_ties_and_nans(pairs, monkeypatch):
-    monkeypatch.setattr(evaluation, "TILE", 7)
+def _oracle_reports(matrices, modes, ks):
+    """Each mode's (mode, direction, {k: R@k}) over its summed matrix by the
+    argsort loop; `recall_at_k`, which shares eval's ranker, must agree."""
+    expected = []
+    for mode in modes:
+        first, *rest = mode.split("+")
+        s = matrices[first].copy()
+        for c in rest:
+            s += matrices[c]
+        for direction in ("text_to_audio", "audio_to_text"):
+            expected.append((mode, direction, _recall_at_k_loop(s, ks, direction)))
+            assert recall_at_k(s, ks, direction) == expected[-1][2], (mode, direction)
+    return expected
+
+
+# TILE 7: strips of 7, 7 and 6 pairs; one strip of 5; 43 strips, the last 6
+# pairs. TILE 4: 17 strips, the last one pair.
+@pytest.mark.parametrize(
+    "tile, pairs", ((7, 20), (7, 5), (7, 300), (4, 65)), ids=("20", "5", "300", "65")
+)
+def test_streamed_ranks_equal_the_assembled_matrix_with_ties_and_nans(tile, pairs, monkeypatch):
+    monkeypatch.setattr(evaluation, "TILE", tile)
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
     ks = tuple(range(1, pairs + 1))
     ds, model = _eval_set(pairs)
     rng = np.random.default_rng(pairs)
-    for case in _stub_cases(rng, pairs):
+    for case in _stub_cases(rng, pairs, tile):
         matrices = dict(zip(("DP", "THA", "DCR"), case))
         scored = _stub_strip_scorers(monkeypatch, matrices)
-        reports = evaluate(model, _encoded(model, ds), modes=modes, ks=ks)
-        starts = range(0, pairs, 7)
+        reports = evaluate(model, _encoded(model, ds), modes=modes, ks=ks, threads=1)
+        starts = range(0, pairs, tile)
         # every tile is scored once: the diagonal ones are kept from the first pass
         assert sorted(scored) == [(c, a, t) for c in sorted(matrices) for a in starts for t in starts]
-        expected = []
-        for mode in modes:
-            first, *rest = mode.split("+")
-            s = matrices[first].copy()
-            for c in rest:
-                s += matrices[c]
-            for direction in ("text_to_audio", "audio_to_text"):
-                expected.append((mode, direction, recall_at_k(s, ks, direction)))
-                for k in (1, 2, pairs):
-                    assert expected[-1][2][k] == _recall_at_k_loop(s, k, direction)
-        assert [(r.mode, r.direction, r.r_at) for r in reports] == expected
+        assert [(r.mode, r.direction, r.r_at) for r in reports] == _oracle_reports(
+            matrices, modes, ks
+        )
+
+
+@pytest.mark.parametrize("n", (255, 256, 65535, 65536))
+def test_narrow_counts_are_exact_at_their_limits(n):
+    """Strip ranks are counted in the narrowest unsigned type that holds the
+    length counted along: uint8 below 256, uint16 below 65536, else uint32.
+    An all-true mask along either axis counts its full length, and a row
+    with one false entry one less."""
+    want = np.uint8 if n < 256 else np.uint16 if n < 65536 else np.uint32
+    for axis in (0, 1):
+        mask = np.ones((n, 3) if axis == 0 else (3, n), dtype=bool)
+        np.moveaxis(mask, axis, 0)[n // 2, 1] = False
+        counts = evaluation._count(mask, axis)
+        assert counts.dtype == want, (n, axis)
+        assert counts.tolist() == [n, n - 1, n], (n, axis)
 
 
 # -- forked strip workers ------------------------------------------------------
@@ -547,18 +612,25 @@ def _reports(model, ds, modes, threads, ks=(1, 5, 10)):
 
 
 def test_forked_ranks_equal_serial_with_ties_and_nans(monkeypatch):
-    monkeypatch.setattr(evaluation, "TILE", 4)  # 20 pairs: 5 strips, the ties cross strips
+    """2 workers rank as one process does and as the argsort loop does: at
+    TILE 4 over 20 pairs (5 strips, the ties cross strips) and 65 pairs (17
+    strips, the last one pair), and at TILE 7 over 300 pairs."""
     modes = ("DP", "THA", "DCR", "THA+DP", "THA+DCR")
-    ks = tuple(range(1, 21))
-    ds, model = _eval_set(20)
     forks = _count_forks(monkeypatch)
-    for case in _stub_cases(np.random.default_rng(20), 20):
-        _stub_strip_scorers(monkeypatch, dict(zip(("DP", "THA", "DCR"), case)))
-        serial = _reports(model, ds, modes, 1, ks)
-        assert forks == []
-        assert _reports(model, ds, modes, 2, ks) == serial
-        assert len(forks) == min(2, CPUS) - 1
-        forks.clear()
+    for tile, pairs in ((4, 20), (4, 65), (7, 300)):
+        monkeypatch.setattr(evaluation, "TILE", tile)
+        ks = tuple(range(1, pairs + 1))
+        ds, model = _eval_set(pairs)
+        for case in _stub_cases(np.random.default_rng(pairs), pairs, tile):
+            matrices = dict(zip(("DP", "THA", "DCR"), case))
+            _stub_strip_scorers(monkeypatch, matrices)
+            serial = _reports(model, ds, modes, 1, ks)
+            assert forks == []
+            assert _reports(model, ds, modes, 2, ks) == serial == _oracle_reports(
+                matrices, modes, ks
+            )
+            assert len(forks) == min(2, CPUS) - 1
+            forks.clear()
 
 
 @needs_two_cpus
@@ -687,13 +759,14 @@ def _failing_tiles(monkeypatch, fail):
     encode = Model.encode_arrays
 
     def strip_scorer(self, encoded, component, audio_start=0):
-        def tile(a, t):
+        def tile(a, t, out):
             fail(parent, "tile")
             if a != t:
                 fail(parent, "off-diagonal tile")
-            return s[a, t].copy()
+            out[...] = s[a, t]
+            return out
 
-        return lambda a: lambda t: tile(a, t)
+        return lambda a: lambda t, out: tile(a, t, out)
 
     def encode_arrays(self, audio, text):
         fail(parent, "encode")
@@ -962,6 +1035,35 @@ def test_tile_scorers_allocate_nothing_large_once_warm():
         )
         op_dcr = factor_pair_similarity_matrix(text_z.raw, audio_z.raw, params)
     assert np.array_equal(tha, op_tha.value) and np.array_equal(dcr, op_dcr.value)
+
+
+def test_a_warm_dp_tile_is_written_into_its_strip_view():
+    """A DP tile is one matmul written through the strip buffer's strides:
+    once its text block is prepared, a tile allocates nothing (a fresh
+    64 x 22 tile would be 11 KB), writes only its own columns, and equals
+    `audio @ text.T` of the unit globals bit for bit, at a ragged width
+    (22) and a ragged height (22)."""
+    ds, model = _eval_set(150)
+    encoded = _encoded(model, ds)
+    strip = model.strip_scorer(encoded, "DP")
+    unit_audio = ad.normalized(encoded.audio_global.value)[0]
+    unit_text = ad.normalized(encoded.text_global.value)[0]
+    for a, t in ((slice(0, 64), slice(128, 150)), (slice(128, 150), slice(64, 128))):
+        buffer = np.full((64, 150), np.nan)
+        out = buffer[: a.stop - a.start, t]
+        tile = strip(a)
+        tile(t, out)  # prepares the text block
+        out[...] = np.nan
+        tracemalloc.start()
+        try:
+            assert tile(t, out) is out
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048, f"peak {peak} B"
+        assert np.array_equal(out, unit_audio[a] @ unit_text[t].T), (a, t)
+        assert np.isnan(np.delete(buffer, np.r_[t], axis=1)).all()
+        assert np.isnan(buffer[a.stop - a.start :]).all()
 
 
 def _taped_ops(ws=ad.FRESH):
